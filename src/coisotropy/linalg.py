@@ -227,12 +227,6 @@ class QMat:
     def diagonal(self) -> list[QQi]:
         return [self.get(i, i) for i in range(min(self.nrows, self.ncols))]
 
-    def to_dense(self) -> list[list[QQi]]:
-        rows = [[QQI_ZERO] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def __eq__(self, other):
         if not isinstance(other, QMat):
             return NotImplemented
@@ -330,34 +324,6 @@ def frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction
             v[pc] = -rref[r][fc]
         basis.append(v)
     return basis
-
-
-def frac_solve_membership(
-    basis_rows: list[list[Fraction]], target: list[Fraction]
-) -> list[Fraction] | None:
-    """Coordinates of target in the row span of basis_rows, or None."""
-    if not basis_rows:
-        return None if any(target) else []
-    nc = len(target)
-    # Solve basis^T c = target by eliminating the augmented system.
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(len(basis_rows))]
-           for i, row in enumerate(basis_rows)]
-    # Row-reduce the basis while tracking coordinates, then match the target.
-    rref, pivots = frac_rref(aug)
-    coeffs = [Fraction(0)] * len(basis_rows)
-    t = list(target)
-    for r, pc in enumerate(pivots):
-        if pc >= nc:
-            break
-        f = t[pc]
-        if f:
-            for c in range(nc):
-                t[c] -= f * rref[r][c]
-            for k in range(len(basis_rows)):
-                coeffs[k] += f * rref[r][nc + k]
-    if any(t):
-        return None
-    return coeffs
 
 
 def _rows_to_int(rows: list[list[Fraction]]) -> list[list[int]]:
@@ -466,18 +432,6 @@ def realify_vector(vec: tuple) -> list[Fraction]:
     return [z.re for z in vec] + [z.im for z in vec]
 
 
-def realify_matrix_rows(mat: QMat) -> list[list[Fraction]]:
-    """Complex matrix as a real 2n x 2m block matrix [[A, -B], [B, A]]."""
-    n, m = mat.nrows, mat.ncols
-    rows = [[Fraction(0)] * (2 * m) for _ in range(2 * n)]
-    for (i, j), v in mat.entries.items():
-        rows[i][j] = v.re
-        rows[i][j + m] = -v.im
-        rows[i + n][j] = v.im
-        rows[i + n][j + m] = v.re
-    return rows
-
-
 def complex_rank(rows_of_vectors: list[tuple]) -> int:
     """Rank over Q(i) of a list of complex vectors (tuples of QQi)."""
     if not rows_of_vectors:
@@ -504,13 +458,3 @@ def float_rank(rows_of_vectors: list[tuple], tol: float = 1e-8) -> int:
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
-
-
-def qmat_to_frac_rows(mat: QMat) -> list[list[Fraction]]:
-    """Dense Fraction rows; raises if any entry has a nonzero imaginary part."""
-    rows = [[Fraction(0)] * mat.ncols for _ in range(mat.nrows)]
-    for (i, j), v in mat.entries.items():
-        if v.im:
-            raise ValueError("matrix is not real")
-        rows[i][j] = v.re
-    return rows

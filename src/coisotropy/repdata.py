@@ -15,6 +15,7 @@ import os
 import shlex
 from dataclasses import dataclass, field
 from importlib import resources
+from math import gcd
 
 from .dsl import PatternSpec, eval_condition, eval_int_expr, parse_pattern
 from .matrep import Factor, GroupSpec, RepSpec, Summand, Term
@@ -697,11 +698,11 @@ def _evaluate_match(group, rep, entry, env, order, gdual, span) -> MFLookup | No
         gen = span[0]
         den = 1
         for x in gen:
-            den = den * x.denominator // gcd_int(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         ints = [int(x * den) for x in gen]
         g = 0
         for x in ints:
-            g = gcd_int(g, x)
+            g = gcd(g, x)
         if g:
             ints = [x // g for x in ints]
         mapped = [sgn * ints[order[k]] for k in range(r)]
@@ -771,12 +772,6 @@ def _with_defaults(env):
 
 def _summand_scalar_present(span, idx) -> bool:
     return any(row[idx] for row in span)
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------

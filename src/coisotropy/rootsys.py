@@ -237,9 +237,6 @@ class RootSystem:
     def dim_g(self) -> int:
         return 2 * self.n_positive_roots + self.rank
 
-    def root_height(self, root: tuple[int, ...]) -> int:
-        return sum(root)
-
     def highest_root(self) -> tuple[int, ...]:
         return max(self.positive_roots, key=sum)
 
@@ -352,16 +349,6 @@ def classify_rep_field(rs: RootSystem, w: DominantWeight) -> str:
     if rs.dual_weight(w) != w:
         return "complex"
     return "quaternionic" if rs.frobenius_schur_exponent(w) % 2 else "real"
-
-
-def minimal_faithful_degree(rs: RootSystem, probe_bound: int = 4096) -> int:
-    """Smallest dimension of a nontrivial irreducible module."""
-    best = None
-    for i in range(rs.rank):
-        d = weyl_dim(rs, DominantWeight.fundamental(rs.rank, i))
-        best = d if best is None else min(best, d)
-    # no non-fundamental weight can beat every fundamental one
-    return best
 
 
 def lemma_search_bound(rs: RootSystem) -> int:

@@ -5,6 +5,8 @@ criteria.  Known corrections of the source tables are themselves pinned:
 the reproduction must flag exactly the documented rows and nothing else.
 """
 
+import json
+import os
 import time
 
 import pytest
@@ -264,6 +266,26 @@ def test_criterion_9_table_reproduction():
         ok &= outcomes[key] == "hyperpolar"
     ok &= outcomes[("2", "e7r1")] == "coisotropic"
     ok &= outcomes[("3", "pE1")] == "non-polar"
+    # the (table, row, inst, outcome, expected, ok, corrected) projection is
+    # pinned verdict by verdict, in order
+    golden_path = os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "golden_tables.json"
+    )
+    with open(golden_path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    projection = [
+        [
+            v.table,
+            v.row,
+            ",".join(f"{k}={val}" for k, val in sorted(v.instantiation.items())),
+            v.outcome,
+            v.expected,
+            v.ok,
+            v.corrected,
+        ]
+        for v in all_verdicts
+    ]
+    ok &= projection == golden
     detail = (
         f"{len(all_verdicts)} verdicts, {len(mismatches)} mismatches, "
         f"corrections={sorted(corrected)}"

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from coisotropy.linalg import QMat, QQi, commutator, complex_rank
@@ -9,8 +11,12 @@ from coisotropy.matrep import (
     RepSpec,
     Summand,
     Term,
+    _alt2_of,
+    _certify,
+    _factor_module,
     _spin_module,
     _std_module,
+    _sym2_of,
     _weight_module,
     intertwiner_space,
     invariant_bilinear_form,
@@ -166,6 +172,21 @@ def test_validation_catches_broken_generators():
         validate_matrix_rep(m)
 
 
+@pytest.mark.parametrize("entry", [(0, 2), (0, 3)], ids=["cartan-weight", "torus-weight"])
+def test_validation_catches_assembly_faults(entry):
+    from coisotropy.matrep import validate_matrix_rep
+
+    # h = diag(1, -1, 1, -1) and torus t = diag(1, 1, 0, 0); e on (0, 2)
+    # has h-weight 0 instead of 2, e on (0, 3) does not commute with t
+    m = realize(
+        grp(Factor("su", 2), lines=[(1,)]),
+        R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(0,))),
+    )
+    m.raising_gens[0] = QMat(4, 4, {entry: QQi(1)})
+    with pytest.raises(RepresentationError, match="weight relation"):
+        validate_matrix_rep(m)
+
+
 def test_dual_module_is_dual_action():
     m = realize(grp(Factor("su", 3)), R(S(Term("std", 1))))
     md = realize(grp(Factor("su", 3)), R(S(Term("std", 1), dual=True)))
@@ -282,3 +303,117 @@ def test_spin_rep_wrapper():
     assert m.space_dim == 8
     with pytest.raises(NotRealizable):
         spin_rep(13)
+
+
+# ---------------------------------------------------------------------------
+# the module certificate
+
+
+CERTIFIED = {
+    "std C2": (lambda: _std_module(SimpleType("C", 2)), SimpleType("C", 2)),
+    "spin B3": (lambda: _spin_module(7), SimpleType("B", 3)),
+    "weight G2 (1,0)": (lambda: _weight_module(SimpleType("G", 2), (1, 0)), SimpleType("G", 2)),
+}
+
+
+def _corrupt(mat: QMat, index: int = 0, negate: bool = False) -> None:
+    # in place; callers pass deep copies, never the cached modules
+    key = sorted(mat.entries)[index]
+    mat.entries[key] = -mat.entries[key] if negate else mat.entries[key] + QQi(1)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_accepts_cached_module(name):
+    build, st = CERTIFIED[name]
+    _certify(build(), build_root_system(st))
+
+
+@pytest.mark.parametrize("which", ["cartan", "raising", "lowering"])
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_rejects_corrupted_entry(name, which):
+    build, st = CERTIFIED[name]
+    mod = copy.deepcopy(build())
+    # a generator with one nonzero entry stays valid when that entry is
+    # rescaled, so corrupt one whose entries are tied to each other
+    gen = next(g for g in getattr(mod, which) if len(g.entries) >= 2)
+    _corrupt(gen)
+    with pytest.raises(RepresentationError):
+        _certify(mod, build_root_system(st))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_rejects_root_vector_off_its_bracket(name):
+    build, st = CERTIFIED[name]
+    rs = build_root_system(st)
+    mod = copy.deepcopy(build())
+    k = next(
+        k
+        for k, root in enumerate(rs.positive_roots)
+        if sum(root) > 1 and len(mod.raising[k].entries) >= 2
+    )
+    # same nonzero positions, so every weight relation still holds
+    _corrupt(mod.raising[k], negate=True)
+    with pytest.raises(RepresentationError, match="multiple of its bracket"):
+        _certify(mod, rs)
+
+
+def test_certificate_accepts_trivial_alt2_of_su2():
+    mod = _factor_module(Factor("su", 2), "alt2")
+    assert mod.dim == 1
+    assert all(g.is_zero() for g in mod.cartan + mod.raising + mod.lowering)
+    _certify(mod, build_root_system(SimpleType("A", 1)))
+    assert realize(grp(Factor("su", 2)), R(S(Term("alt2", 1)))).space_dim == 1
+
+
+def test_sym2_and_alt2_are_cached():
+    fac = Factor("su", 4)
+    assert _factor_module(fac, "sym2") is _factor_module(fac, "sym2")
+    assert _factor_module(fac, "alt2") is _factor_module(fac, "alt2")
+
+
+# ---------------------------------------------------------------------------
+# functor identities of the symmetric and exterior squares
+
+
+@pytest.mark.parametrize("fam,n", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_sym2_alt2_split_the_tensor_square(fam, n):
+    std = _std_module(SimpleType(fam, n))
+    d = std.dim
+    sym, alt = _sym2_of(std), _alt2_of(std)
+    assert sym.dim + alt.dim == d * d
+    # V (x) V = S2 V (+) L2 V with tr_S2(xy) = (d + 2) tr(xy) and
+    # tr_L2(xy) = (d - 2) tr(xy) for traceless x, y
+    pairs = list(zip(std.raising, std.lowering)) + [(h, h) for h in std.cartan]
+    sym_pairs = list(zip(sym.raising, sym.lowering)) + [(h, h) for h in sym.cartan]
+    alt_pairs = list(zip(alt.raising, alt.lowering)) + [(h, h) for h in alt.cartan]
+    for (x, y), (xs, ys), (xa, ya) in zip(pairs, sym_pairs, alt_pairs):
+        t = (x @ y).trace()
+        assert (xs @ ys).trace() == t * (d + 2)
+        assert (xa @ ya).trace() == t * (d - 2)
+
+
+def _simple_generators(mod, rs):
+    simple = [k for k, root in enumerate(rs.positive_roots) if sum(root) == 1]
+    return [mod.raising[k] for k in simple] + [mod.lowering[k] for k in simple]
+
+
+@pytest.mark.parametrize(
+    "functor,weight", [(_sym2_of, (2, 0, 0)), (_alt2_of, (0, 1, 0))], ids=["sym2", "alt2"]
+)
+def test_square_of_su4_std_is_its_weight_module(functor, weight):
+    st = SimpleType("A", 3)
+    rs = build_root_system(st)
+    square = functor(_std_module(st))
+    target = _weight_module(st, weight)
+    assert square.dim == target.dim
+    # simple e_i, f_i with [e_i, f_i] = h_i on both sides generate the algebra
+    space = intertwiner_space(
+        _simple_generators(square, rs),
+        _simple_generators(target, rs),
+        square.dim,
+        target.dim,
+    )
+    assert space
+    t = space[0]
+    rows = [tuple(t.get(i, j) for j in range(square.dim)) for i in range(target.dim)]
+    assert complex_rank(rows) == square.dim

@@ -233,3 +233,30 @@ def test_mf_implies_dimensional_condition():
         m = realize(group, module)
         if mf_test(m):
             assert group.borel_dim >= m.space_dim
+
+
+# ---------------------------------------------------------------------------
+# failure paths, by fault injection
+
+
+def test_float_rank_disagreement_raises(monkeypatch):
+    from coisotropy import mforacle
+    from coisotropy.linalg import complex_rank
+
+    monkeypatch.setattr(mforacle, "float_rank", lambda rows: complex_rank(rows) - 1)
+    with pytest.raises(mforacle.OracleDisagreement):
+        mf_test(rep_of("so(5) + u1[1] on std(1) @ 1"))
+
+
+def test_unstable_samples_raise_genericity_error():
+    from coisotropy import mforacle
+
+    calls = []
+
+    def evaluate(v):
+        calls.append(v)
+        return len(calls)  # a different value on every sample
+
+    with pytest.raises(mforacle.GenericityError):
+        mforacle._stabilize(evaluate, 3, 7, mforacle._sample_complex_vector)
+    assert len(calls) == mforacle.MAX_ROUNDS * mforacle.N_SAMPLES
