@@ -257,6 +257,13 @@ def _cmd_validate_data(args, rep: _Reporter) -> int:
     return 0 if bad == 0 and not missing else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coisotropy",
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce one result table")
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--widen-params", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--rows", default=None, help="comma-separated row filter")
     p.set_defaults(func=_cmd_table)
 

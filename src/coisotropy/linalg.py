@@ -1,15 +1,20 @@
 """Exact linear algebra over the rationals and the Gaussian rationals.
 
 Everything downstream (rank tests, isotropy kernels, bilinear-form solves)
-reduces to integer or rational elimination implemented here.  Complex ranks
-are computed through realification: a matrix M = A + iB over Q(i) has
-rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
+reduces to integer or rational elimination implemented here.  The sampled
+oracles work on exact integer numpy arrays: a matrix over Q(i) is held as a
+ZiArray, integer real and imaginary parts over one common denominator.  Its
+complex rank is computed modulo two primes p = 1 (mod 4), with i mapped to a
+square root of -1 mod p; a full modular rank is certified, because a ring
+map never raises the rank.  Otherwise exact Bareiss elimination decides, on
+the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,9 +307,14 @@ def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[in
 
 
 def frac_rank(rows: list[list[Fraction]]) -> int:
+    """Exact rank of a rational matrix: int_rank with each row's denominators cleared."""
     if not rows or not rows[0]:
         return 0
-    return int_rank(_rows_to_int(rows))
+    ints = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    return int_rank(ints)
 
 
 def frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -324,16 +334,6 @@ def frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction
             v[pc] = -rref[r][fc]
         basis.append(v)
     return basis
-
-
-def _rows_to_int(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
 
 
 def int_rank_bareiss(rows: list[list[int]]) -> int:
@@ -376,11 +376,118 @@ def int_rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-_RANK_PRIMES = (2147483629, 2147483587)
+# ---------------------------------------------------------------------------
+# Gaussian-integer arrays and the exact rank kernel
+
+# Primes p = 1 (mod 4) below 2**31, each with a square root s of -1 mod p.
+# Residues stay below 2**31, so a product of two residues fits in int64.
+_RANK_PRIMES = ((2147483629, 629208553), (2147483549, 895500278))
+
+# int64 holds an integer array only while its entries, and every sum of
+# products formed from them, stay below this bound in absolute value.
+INT64_SAFE = 2**62
 
 
-def _modp_rank(rows: list[list[int]], p: int) -> int:
-    a = np.array(rows, dtype=np.int64) % p
+class ZiArray(NamedTuple):
+    """The array (re + i*im) / den over the Gaussian rationals.
+
+    re and im are integer arrays of one shape: int64 while the entries are
+    below INT64_SAFE in absolute value, Python ints (dtype object) beyond.
+    den is a positive integer.  Scaling by den changes no rank and no
+    kernel, so the exact kernels read re and im only.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    den: int = 1
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _numerators(values) -> tuple[int, np.ndarray, np.ndarray]:
+    """(den, re, im): QQi values as integer numerators over one denominator."""
+    den = lcm(*(x.denominator for z in values for x in (z.re, z.im)))
+    re = [z.re.numerator * (den // z.re.denominator) for z in values]
+    im = [z.im.numerator * (den // z.im.denominator) for z in values]
+    big = max(map(abs, re + im), default=0) >= INT64_SAFE
+    dtype = object if big else np.int64
+    return den, np.array(re, dtype), np.array(im, dtype)
+
+
+class ZiStack(NamedTuple):
+    """A stack of n matrices of size d x d over Q(i), held by its nonzeros.
+
+    Entry t is (re[t] + i*im[t]) / den at row row[t], column col[t] of
+    matrix k[t]; re and im are integer arrays as in a ZiArray.  Generators
+    are sparse, so this is the (n, d, d) stack without its zeros.
+    """
+
+    shape: tuple[int, int, int]
+    k: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    den: int
+
+    def dense(self) -> ZiArray:
+        """The (n, d, d) arrays, zeros included."""
+        re = np.zeros(self.shape, self.re.dtype)
+        im = np.zeros(self.shape, self.im.dtype)
+        re[self.k, self.row, self.col] = self.re
+        im[self.k, self.row, self.col] = self.im
+        return ZiArray(re, im, self.den)
+
+
+def zi_stack(mats: list[QMat], dim: int) -> ZiStack:
+    """The integer stack of n dim x dim matrices over one denominator."""
+    entries = {
+        (k, i, j): v for k, m in enumerate(mats) for (i, j), v in m.entries.items()
+    }
+    den, re, im = _numerators(list(entries.values()))
+    k, row, col = np.array(list(entries), dtype=np.int64).reshape(-1, 3).T
+    return ZiStack((len(mats), dim, dim), k, row, col, re, im, den)
+
+
+def zi_rows(rows: list[tuple]) -> ZiArray:
+    """The (n, d) integer array of n vectors (tuples of QQi) of length d."""
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    entries = {(i, j): z for i, row in enumerate(rows) for j, z in enumerate(row) if z}
+    den, re, im = _numerators(list(entries.values()))
+    out = ZiArray(np.zeros(shape, re.dtype), np.zeros(shape, im.dtype), den)
+    if entries:
+        idx = tuple(np.array(list(entries)).T)
+        out.re[idx], out.im[idx] = re, im
+    return out
+
+
+def zi_apply(gens: ZiStack, v_re: np.ndarray, v_im: np.ndarray) -> ZiArray:
+    """The rows g_k v of a stack of d x d matrices at the vector v_re + i*v_im.
+
+    v is integral and the rows keep the stack's denominator.  Every entry
+    of a row is bounded by 2 * max|g| * max|v| * d; while that is below
+    INT64_SAFE the product is computed in int64, beyond it in Python ints.
+    """
+    n, d, _ = gens.shape
+    g_max = max(_max_abs(gens.re), _max_abs(gens.im))
+    v_max = max(_max_abs(v_re), _max_abs(v_im))
+    dtype = np.int64 if 2 * g_max * v_max * d < INT64_SAFE else object
+    g_re, g_im = gens.re.astype(dtype, copy=False), gens.im.astype(dtype, copy=False)
+    v_re, v_im = v_re[gens.col].astype(dtype), v_im[gens.col].astype(dtype)
+    out = ZiArray(np.zeros((n, d), dtype), np.zeros((n, d), dtype), gens.den)
+    np.add.at(out.re, (gens.k, gens.row), g_re * v_re - g_im * v_im)
+    np.add.at(out.im, (gens.k, gens.row), g_re * v_im + g_im * v_re)
+    return out
+
+
+def _as_zi(rows) -> ZiArray:
+    return rows if isinstance(rows, ZiArray) else zi_rows(rows)
+
+
+def _modp_rank(a: np.ndarray, p: int) -> int:
+    """Rank of an int64 matrix of residues mod p; eliminates in place."""
     nr, nc = a.shape
     rank = 0
     r = 0
@@ -405,55 +512,57 @@ def _modp_rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Exact integer matrix rank.
+def int_rank(rows) -> int:
+    """Exact rank of an integer matrix, given as an array or a list of rows.
 
-    Modular elimination gives a fast certified answer when the modular rank
-    hits the maximum possible value (modular rank never exceeds the true
-    rank); otherwise falls back to exact Bareiss elimination.
+    The rank modulo a prime never exceeds the true rank, so a modular rank
+    equal to min(rows, columns) is certified; otherwise exact Bareiss
+    elimination decides.
     """
-    if not rows or not rows[0]:
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if a.ndim != 2 or 0 in a.shape:
         return 0
-    nr, nc = len(rows), len(rows[0])
-    full = min(nr, nc)
-    if max(max(abs(x) for x in row) for row in rows) < 2**62:
-        for p in _RANK_PRIMES:
-            if _modp_rank(rows, p) == full:
-                return full
-    return int_rank_bareiss(rows)
+    full = min(a.shape)
+    for p, _ in _RANK_PRIMES:
+        if _modp_rank((a % p).astype(np.int64), p) == full:
+            return full
+    return int_rank_bareiss(a.tolist())
 
 
-# ---------------------------------------------------------------------------
-# realification helpers
+def complex_rank(rows) -> int:
+    """Rank over Q(i) of a ZiArray of row vectors (or a list of QQi tuples).
 
-
-def realify_vector(vec: tuple) -> list[Fraction]:
-    """ (z_1..z_d) in Q(i)^d  ->  (Re z, Im z) in Q^{2d}. """
-    return [z.re for z in vec] + [z.im for z in vec]
-
-
-def complex_rank(rows_of_vectors: list[tuple]) -> int:
-    """Rank over Q(i) of a list of complex vectors (tuples of QQi)."""
-    if not rows_of_vectors:
+    For each (p, s) in _RANK_PRIMES, i -> s is a ring map Z[i] -> Z/p, so
+    the rank of the n x d residue matrix never exceeds the true rank and a
+    full one (min(n, d)) is certified.  Otherwise the rank is half the
+    Bareiss rank of the realification [[re, -im], [im, re]].
+    """
+    m = _as_zi(rows)
+    if m.re.ndim != 2 or 0 in m.re.shape:
         return 0
-    d = len(rows_of_vectors[0])
-    real_rows = []
-    for vec in rows_of_vectors:
-        real_rows.append([z.re for z in vec] + [-z.im for z in vec])
-        real_rows.append([z.im for z in vec] + [z.re for z in vec])
-    r = int_rank(_rows_to_int(real_rows))
-    assert r % 2 == 0, "realified rank of a complex space must be even"
+    full = min(m.re.shape)
+    for p, s in _RANK_PRIMES:
+        residues = ((m.re % p).astype(np.int64) + s * (m.im % p).astype(np.int64)) % p
+        if _modp_rank(residues, p) == full:
+            return full
+    r = int_rank_bareiss(np.block([[m.re, -m.im], [m.im, m.re]]).tolist())
+    if r % 2:
+        raise ArithmeticError(f"realified rank {r} of a complex space is odd")
     return r // 2
 
 
-def float_rank(rows_of_vectors: list[tuple], tol: float = 1e-8) -> int:
-    """Double-precision rank via SVD; singular values below tol count as 0."""
-    if not rows_of_vectors:
+def float_rank(rows, tol: float = 1e-8) -> int:
+    """Double-precision rank via SVD; singular values below tol count as 0.
+
+    Reads the values (re + i*im) / den themselves, not the scaled integers,
+    so the tolerance is relative to the matrix as given.
+    """
+    m = _as_zi(rows)
+    if m.re.size == 0:
         return 0
-    a = np.array(
-        [[z.to_complex() for z in vec] for vec in rows_of_vectors],
-        dtype=complex,
-    )
+    a = np.empty(m.re.shape, dtype=complex)
+    a.real = m.re.astype(float) / m.den
+    a.imag = m.im.astype(float) / m.den
     if not a.any():
         return 0
     sv = np.linalg.svd(a, compute_uv=False)

@@ -27,11 +27,13 @@ from .linalg import (
     QQI_I,
     QQI_ONE,
     QQI_ZERO,
+    ZiStack,
     block_diag,
     commutator,
     frac_nullspace,
     frac_rref,
     kron,
+    zi_stack,
 )
 from .rootsys import (
     DominantWeight,
@@ -662,7 +664,8 @@ def _inverse_solver(mat: list[list[Fraction]]):
     n = len(mat)
     aug = [list(mat[i]) + [Fraction(int(j == i)) for j in range(n)] for i in range(n)]
     rref, piv = frac_rref(aug)
-    assert piv == list(range(n)), "singular gram block"
+    if piv != list(range(n)):
+        raise RepresentationError("singular gram block")
     inv = [row[n:] for row in rref]
 
     def solve(col):
@@ -921,6 +924,16 @@ class MatrixRep:
             out.append(t.scale(QQI_I))
         return out
 
+    @functools.cached_property
+    def borel_stack(self) -> ZiStack:
+        """Integer view of borel_generators(): one (n, d, d) stack."""
+        return zi_stack(self.borel_generators(), self.space_dim)
+
+    @functools.cached_property
+    def compact_stack(self) -> ZiStack:
+        """Integer view of compact_gens: one (n, d, d) stack."""
+        return zi_stack(self.compact_gens, self.space_dim)
+
     @property
     def dim_c(self) -> int:
         return self.space_dim
@@ -1005,15 +1018,21 @@ def realize(
         d, slots = summand_mods[summand_idx]
         acc = QMat.zeros(d, d)
         before = 1
-        for slot_idx, (sf, m) in enumerate(slots):
+        for sf, m in slots:
+            n = m.dim
             if sf == fidx:
-                x = getattr(m, which)[gi]
-                after = 1
-                for t in range(slot_idx + 1, len(slots)):
-                    after *= slots[t][1].dim
-                term = kron(kron(QMat.identity(before), x), QMat.identity(after))
-                acc = acc + term
-            before *= m.dim
+                # I_before (x) x (x) I_after, written entry by entry
+                after = d // (before * n)
+                term = QMat(d, d)
+                term.entries = {
+                    ((b * n + i) * after + a, (b * n + j) * after + a): v
+                    for (i, j), v in getattr(m, which)[gi].entries.items()
+                    for b in range(before)
+                    for a in range(after)
+                }
+                # a factor filling two slots of the summand sums their terms
+                acc = acc + term if acc.entries else term
+            before *= n
         if rep.summands[summand_idx].dual:
             dd = acc.nrows
             acc = QMat(
@@ -1260,6 +1279,11 @@ class RealRep:
             for v in g.entries.values():
                 if v.im:
                     raise RepresentationError("RealRep generator must be real")
+
+    @functools.cached_property
+    def compact_stack(self) -> ZiStack:
+        """Integer view of gens: one (n, dim, dim) stack."""
+        return zi_stack(self.gens, self.dim)
 
 
 def so_vector_gens(n: int) -> list[QMat]:

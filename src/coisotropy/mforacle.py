@@ -13,19 +13,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from .linalg import (
     QMat,
     QQi,
     QQI_ZERO,
+    ZiArray,
     commutator,
     complex_rank,
     float_rank,
     frac_nullspace,
-    frac_rank,
     frac_rref,
     int_rank,
-    realify_vector,
+    int_rank_bareiss,
+    zi_apply,
 )
 from .matrep import MatrixRep, RealRep
 
@@ -70,20 +74,21 @@ def _rng(seed: int, idx: int, rnd: int) -> random.Random:
 
 
 def _sample_complex_vector(dim: int, rng: random.Random, bound: int) -> tuple:
+    """A nonzero point of C^dim as integer vectors (re, im); the draws
+    alternate real and imaginary part, coordinate by coordinate."""
     while True:
-        v = tuple(
-            QQi(rng.randint(-bound, bound), rng.randint(-bound, bound))
-            for _ in range(dim)
-        )
-        if any(v):
-            return v
+        draws = [rng.randint(-bound, bound) for _ in range(2 * dim)]
+        if any(draws):
+            v = np.array(draws, dtype=np.int64)
+            return v[0::2], v[1::2]
 
 
 def _sample_real_vector(dim: int, rng: random.Random, bound: int) -> tuple:
     while True:
-        v = tuple(QQi(rng.randint(-bound, bound)) for _ in range(dim))
-        if any(v):
-            return v
+        draws = [rng.randint(-bound, bound) for _ in range(dim)]
+        if any(draws):
+            v = np.array(draws, dtype=np.int64)
+            return v, np.zeros_like(v)
 
 
 def _stabilize(evaluate, dim: int, seed: int, sampler) -> OrbitProbe:
@@ -112,7 +117,7 @@ def _stabilize(evaluate, dim: int, seed: int, sampler) -> OrbitProbe:
     raise GenericityError("sample ranks did not stabilize after 5 rounds")
 
 
-def _checked_complex_rank(rows: list[tuple]) -> int:
+def _checked_complex_rank(rows: ZiArray) -> int:
     exact = complex_rank(rows)
     approx = float_rank(rows)
     if exact != approx:
@@ -126,35 +131,32 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     """True iff a Borel subgroup of the complexified group has an open orbit.
 
     The rank of {b . v : b Borel generator} at a generic v is compared with
-    the module dimension; ranks are exact over the Gaussian rationals and
-    cross-checked in double precision.
+    the module dimension.  The rows b . v are one batched integer product on
+    the integer view of the generators; their rank over the Gaussian
+    rationals is a modular rank, certified when full, with an exact Bareiss
+    fallback otherwise, and is cross-checked in double precision.
     """
     dim = rep.space_dim
     if dim == 0:
         return True
-    borel = rep.borel_generators()
-    if not borel:
+    borel = rep.borel_stack
+    if not borel.shape[0]:
         return False
 
     def rank_at(v) -> int:
-        rows = [g.apply(v) for g in borel]
-        return _checked_complex_rank(rows)
+        return _checked_complex_rank(zi_apply(borel, *v))
 
     probe = _stabilize(rank_at, dim, seed, _sample_complex_vector)
     return probe.value == dim
 
 
-def _real_action_rows(rep, v) -> list[list[Fraction]]:
+def _real_action_rows(rep, v) -> np.ndarray:
+    """Integer rows (Re g.v, Im g.v) of the compact generators, real parts
+    only for a RealRep, scaled by the denominator of the integer view."""
+    rows = zi_apply(rep.compact_stack, *v)
     if isinstance(rep, RealRep):
-        rows = []
-        for g in rep.gens:
-            gv = g.apply(v)
-            rows.append([z.re for z in gv])
-        return rows
-    rows = []
-    for g in rep.compact_gens:
-        rows.append(realify_vector(g.apply(v)))
-    return rows
+        return rows.re
+    return np.concatenate([rows.re, rows.im], axis=1)
 
 
 def _real_dim(rep) -> int:
@@ -178,33 +180,33 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
         return 0
 
     def orbit_rank(v) -> int:
-        return frac_rank(_real_action_rows(rep, v))
+        return int_rank(_real_action_rows(rep, v))
 
     probe = _stabilize(orbit_rank, _sample_dim(rep), seed, _sampler_for(rep))
     return dim_r - probe.value
 
 
-def _isotropy_basis(rep, v) -> list[QMat]:
-    """Exact basis of {X in compact algebra : X v = 0}."""
-    gens = rep.gens if isinstance(rep, RealRep) else rep.compact_gens
-    if not gens:
-        return []
-    rows = _real_action_rows(rep, v)
+def _isotropy_basis(rep, v) -> tuple[np.ndarray, np.ndarray]:
+    """Exact basis of {X in compact algebra : X v = 0}, as integer arrays.
+
+    Returns (re, im), two (k, d, d) arrays of Python ints: the basis
+    elements times one positive integer, the same for all of them.  No
+    denominator is kept, so only scale-free quantities (spans, ranks) may
+    be read from it.
+    """
+    gens = rep.compact_stack.dense()
+    if not len(gens.re):
+        return gens.re, gens.im
     # kernel of the transpose system: coefficients c with sum c_k (g_k v) = 0
-    ncols = len(gens)
-    sys_rows = []
-    dim_r = len(rows[0])
-    for comp in range(dim_r):
-        sys_rows.append([rows[k][comp] for k in range(ncols)])
-    kernel = frac_nullspace(sys_rows, ncols)
-    out = []
-    for coeffs in kernel:
-        acc = QMat.zeros(gens[0].nrows, gens[0].ncols)
-        for c, g in zip(coeffs, gens):
-            if c:
-                acc = acc + g.scale(QQi(c))
-        out.append(acc)
-    return out
+    sys_rows = [[Fraction(x) for x in comp] for comp in _real_action_rows(rep, v).T.tolist()]
+    kernel = frac_nullspace(sys_rows, len(gens.re))
+    scale = lcm(*(c.denominator for vec in kernel for c in vec))
+    coeffs = np.array([[int(c * scale) for c in vec] for vec in kernel], dtype=object)
+    coeffs = coeffs.reshape(len(kernel), len(gens.re))
+    return (
+        np.tensordot(coeffs, gens.re.astype(object), axes=1),
+        np.tensordot(coeffs, gens.im.astype(object), axes=1),
+    )
 
 
 def _vectorize_real(mat: QMat) -> list[Fraction]:
@@ -217,26 +219,28 @@ def _vectorize_real(mat: QMat) -> list[Fraction]:
     return out
 
 
-def _algebra_rank(basis: list[QMat], rng: random.Random, bound: int = 97) -> int:
-    """Rank of a compact Lie algebra given by a matrix basis.
+def _algebra_rank(
+    basis: tuple[np.ndarray, np.ndarray], rng: random.Random, bound: int = 97
+) -> int:
+    """Rank of a compact Lie algebra given by an integer matrix basis (re, im).
 
-    Dimension of the centralizer of a generic element; the centralizer of a
-    generic element of a compact algebra is a maximal torus.
+    Dimension of the centralizer of a generic element z; the centralizer of
+    a generic element of a compact algebra is a maximal torus.  It is n
+    minus the rank of the n commutators [X_k, z], formed in Python ints.
+    z commutes with itself, so the commutators are never independent and a
+    modular rank could not certify their rank: it goes to Bareiss
+    elimination directly.
     """
-    n = len(basis)
+    xr, xi = basis
+    n = len(xr)
     if n == 0:
         return 0
-    z = QMat.zeros(basis[0].nrows, basis[0].ncols)
-    for g in basis:
-        z = z + g.scale(QQi(rng.randint(-bound, bound)))
-    rows = []
-    for g in basis:
-        rows.append(_vectorize_real(commutator(g, z)))
-    sys_rows = []
-    ncomp = len(rows[0])
-    for comp in range(ncomp):
-        sys_rows.append([rows[k][comp] for k in range(n)])
-    return len(frac_nullspace(sys_rows, n))
+    c = np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
+    zr, zi = np.tensordot(c, xr, axes=1), np.tensordot(c, xi, axes=1)
+    br = (xr @ zr - xi @ zi) - (zr @ xr - zi @ xi)
+    bi = (xr @ zi + xi @ zr) - (zr @ xi + zi @ xr)
+    rows = np.concatenate([br.reshape(n, -1), bi.reshape(n, -1)], axis=1)
+    return n - int_rank_bareiss(rows.tolist())
 
 
 def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
@@ -249,7 +253,7 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
 
     def rank_at(v) -> int:
         basis = _isotropy_basis(rep, v)
-        if not basis:
+        if not len(basis[0]):
             return 0
         vals = set()
         for t in range(N_SAMPLES):

@@ -91,3 +91,9 @@ def test_lemma21_small(capsys):
     assert code == 0
     assert "PASS first inequality exception list" in out
     assert "borel-f4 stated=31 formula=28" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+def test_table_jobs_must_be_positive(jobs, capsys):
+    assert main(["table", "3", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err

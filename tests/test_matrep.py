@@ -1,8 +1,11 @@
 import copy
+import math
 
 import pytest
 
-from coisotropy.linalg import QMat, QQi, commutator, complex_rank
+from fractions import Fraction
+
+from coisotropy.linalg import QMat, QQi, commutator, complex_rank, kron
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
@@ -14,6 +17,7 @@ from coisotropy.matrep import (
     _alt2_of,
     _certify,
     _factor_module,
+    _inverse_solver,
     _spin_module,
     _std_module,
     _sym2_of,
@@ -417,3 +421,54 @@ def test_square_of_su4_std_is_its_weight_module(functor, weight):
     t = space[0]
     rows = [tuple(t.get(i, j) for j in range(square.dim)) for i in range(target.dim)]
     assert complex_rank(rows) == square.dim
+
+
+def test_inverse_solver_rejects_singular_block():
+    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    with pytest.raises(RepresentationError, match="singular"):
+        _inverse_solver(singular)
+    solve = _inverse_solver([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    assert solve([Fraction(3), Fraction(2)]) == [1, 1]
+
+
+def test_slot_embedding_matches_kron():
+    # factor 1 fills the first and the last slot of std(1) (x) std(2) (x) std(1)
+    g = grp(Factor("su", 2), Factor("su", 3))
+    slots = (Term("std", 1), Term("std", 2), Term("std", 1))
+    m = realize(g, RepSpec(summands=(Summand(terms=slots),)))
+    mods = [_factor_module(g.factors[t.factor - 1], "std") for t in slots]
+    dims = [mod.dim for mod in mods]
+
+    def embedded(fidx, which, gi):
+        acc = QMat.zeros(m.space_dim, m.space_dim)
+        for k, t in enumerate(slots):
+            if t.factor - 1 == fidx:
+                before = QMat.identity(math.prod(dims[:k]))
+                after = QMat.identity(math.prod(dims[k + 1 :]))
+                acc = acc + kron(kron(before, getattr(mods[k], which)[gi]), after)
+        return acc
+
+    for (fidx, i), h in zip(m.cartan_labels, m.cartan_gens):
+        assert h == embedded(fidx, "cartan", i)
+    fac_roots: dict[int, int] = {}
+    for (fidx, _), e, f in zip(m.root_labels, m.raising_gens, m.lowering_gens):
+        ri = fac_roots[fidx] = fac_roots.get(fidx, -1) + 1
+        assert e == embedded(fidx, "raising", ri)
+        assert f == embedded(fidx, "lowering", ri)
+
+
+def test_integer_views_scale_the_generators():
+    m = realize(grp(Factor("so", 5), lines=[(1,)]), RepSpec(
+        summands=(Summand(terms=(Term("spin", 1),), charges=(1,)),)
+    ))
+    for view, gens in ((m.borel_stack, m.borel_generators()), (m.compact_stack, m.compact_gens)):
+        stack = view.dense()
+        assert stack.den > 0 and stack.re.shape == (len(gens), 4, 4)
+        for k, g in enumerate(gens):
+            for i in range(4):
+                for j in range(4):
+                    z = g.get(i, j)
+                    assert Fraction(int(stack.re[k, i, j]), stack.den) == z.re
+                    assert Fraction(int(stack.im[k, i, j]), stack.den) == z.im
+    rr = real_block_rep([("vec7", 7)])
+    assert rr.compact_stack.shape == (21, 7, 7) and not rr.compact_stack.im.any()

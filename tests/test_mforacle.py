@@ -83,14 +83,14 @@ def test_cohomogeneity_sphere():
 
 
 def test_cohomogeneity_orbit_dimension_identity():
-    from coisotropy.linalg import frac_rank
+    from coisotropy.linalg import int_rank
     from coisotropy.mforacle import _real_action_rows, _sample_complex_vector
     import random
 
     m = rep_of("su(2) + u1[1] on std(1) @ 1")
     rng = random.Random(7)
     v = _sample_complex_vector(2, rng, 97)
-    orbit = frac_rank(_real_action_rows(m, v))
+    orbit = int_rank(_real_action_rows(m, v))
     assert cohomogeneity(m) + orbit == 4
 
 
