@@ -253,45 +253,46 @@ _POLY_FAMILIES = {
 
 
 def polynomial_scan(limit: int = 200) -> list[dict]:
-    """Verify the four quadratic elimination families over an integer grid.
+    """Verify the four quadratic elimination families over an integer grid."""
+    return [polynomial_family(pid, limit) for pid in sorted(_POLY_FAMILIES)]
 
-    For each family, f > 0 is checked on the whole grid, the derivative in
-    x is checked positive at the left edge (with a positive leading
-    coefficient, which makes the grid check a certificate), and the stated
-    value of f at x = 3 is compared with the definition.
+
+def polynomial_family(pid: str, limit: int = 200) -> dict:
+    """Verify one quadratic elimination family over an integer grid.
+
+    f > 0 is checked on the whole grid, the derivative in x is checked
+    positive at the left edge (with a positive leading coefficient, which
+    makes the grid check a certificate), and the stated value of f at x = 3
+    is compared with the definition.
     """
-    out = []
-    for pid, fam in sorted(_POLY_FAMILIES.items()):
-        f = fam["f"]
-        all_hold = True
-        violations = []
-        for q in range(fam["q_min"], limit + 1):
-            if fam["fprime"](fam["x_min"], q) <= 0 or (2 * (q * q - 1) < 0):
+    fam = _POLY_FAMILIES[pid]
+    f = fam["f"]
+    all_hold = True
+    violations = []
+    for q in range(fam["q_min"], limit + 1):
+        if fam["fprime"](fam["x_min"], q) <= 0 or (2 * (q * q - 1) < 0):
+            all_hold = False
+            violations.append(("fprime", fam["x_min"], q))
+        for x in range(fam["x_min"], limit + 1):
+            if f(x, q) <= 0:
                 all_hold = False
-                violations.append(("fprime", fam["x_min"], q))
-            for x in range(fam["x_min"], limit + 1):
-                if f(x, q) <= 0:
-                    all_hold = False
-                    violations.append(("f", x, q))
-                    break
-        f3 = {q: f(3, q) for q in range(fam["q_min"], fam["q_min"] + 3)}
-        f3_claim = {
-            q: fam["f3_claimed"](q) for q in range(fam["q_min"], fam["q_min"] + 3)
-        }
-        out.append(
-            {
-                "id": pid,
-                "definition": fam["definition"],
-                "range": f"x,{'q'} in [{fam['x_min']},{limit}] x [{fam['q_min']},{limit}]",
-                "all_hold": all_hold,
-                "violations": violations[:5],
-                "f3_actual": f3,
-                "f3_stated": f3_claim,
-                "stated_matches": f3 == f3_claim,
-                "note": fam.get("note", ""),
-            }
-        )
-    return out
+                violations.append(("f", x, q))
+                break
+    f3 = {q: f(3, q) for q in range(fam["q_min"], fam["q_min"] + 3)}
+    f3_claim = {
+        q: fam["f3_claimed"](q) for q in range(fam["q_min"], fam["q_min"] + 3)
+    }
+    return {
+        "id": pid,
+        "definition": fam["definition"],
+        "range": f"x,{'q'} in [{fam['x_min']},{limit}] x [{fam['q_min']},{limit}]",
+        "all_hold": all_hold,
+        "violations": violations[:5],
+        "f3_actual": f3,
+        "f3_stated": f3_claim,
+        "stated_matches": f3 == f3_claim,
+        "note": fam.get("note", ""),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +509,7 @@ def _run_row(
         if rep_dim.ok:
             ok = False
     elif v == "poly":
-        scan = {e["id"]: e for e in polynomial_scan()}
-        entry = scan[row.poly_id]
+        entry = polynomial_family(row.poly_id)
         add(
             "polynomial-family",
             {"id": entry["id"], "all_hold": entry["all_hold"]},

@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from . import classify, mforacle, repdata
-from .dsl import ParseError, parse_repspec, print_repspec
-from .matrep import NotRealizable, realize, RepresentationError
+from .dsl import parse_repspec, print_repspec
+from .matrep import realize
 from .rootsys import (
     DominantWeight,
     RootSystemError,
@@ -49,13 +49,24 @@ class _Reporter:
 
 
 def _parse_type(text: str) -> SimpleType:
-    fam = text[0].upper()
-    return SimpleType(fam, int(text[1:]))
+    if not text[1:].isdigit():
+        raise RootSystemError(f"malformed simple type {text!r}, expected e.g. G2")
+    return SimpleType(text[0].upper(), int(text[1:]))
+
+
+def _parse_weight(text: str) -> DominantWeight:
+    try:
+        coeffs = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise RootSystemError(
+            f"malformed weight {text!r}, expected comma-separated integers"
+        ) from None
+    return DominantWeight(coeffs)
 
 
 def _cmd_weyldim(args, rep: _Reporter) -> int:
     rs = build_root_system(_parse_type(args.type))
-    w = DominantWeight(tuple(int(x) for x in args.weight.split(",")))
+    w = _parse_weight(args.weight)
     d = weyl_dim(rs, w)
     rep.emit(str(d))
     if args.verbose:
@@ -331,7 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     rep = _Reporter(args.report, args.format)
     try:
         code = args.func(args, rep)
-    except (ParseError, RootSystemError, NotRealizable, RepresentationError) as exc:
+    except ValueError as exc:
+        # rejected input: malformed specs, types and weights, unrealizable
+        # modules, and scan ranks below a scan's minimum
         rep.emit(f"error: {exc}")
         rep.flush()
         return 2

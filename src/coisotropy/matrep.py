@@ -809,7 +809,7 @@ def _certify(mod: ModuleGens, rs: RootSystem) -> None:
         return
     diags = _real_diagonals(mod.cartan)
     for root, e, f in zip(roots, mod.raising, mod.lowering):
-        eig = _coroot_pairings(A, root)
+        eig = rs.simple_coroot_pairings(root)
         _check_weights(e, diags, eig, f"e{root}")
         _check_weights(f, diags, [-x for x in eig], f"f{root}")
 
@@ -845,11 +845,6 @@ def _certify(mod: ModuleGens, rs: RootSystem) -> None:
                 raise RepresentationError(
                     f"root vector of {root} is not a multiple of its bracket"
                 )
-
-
-def _coroot_pairings(A, root) -> list[int]:
-    """<alpha, alpha_i^vee> for every simple root alpha_i."""
-    return [sum(c * A[i][j] for j, c in enumerate(root)) for i in range(len(A))]
 
 
 def _real_diagonals(mats: list[QMat]) -> list[dict[int, Fraction]]:
@@ -1120,8 +1115,8 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
     diags = _real_diagonals(rep.cartan_gens + rep.torus_gens)
     on_torus = [0] * len(rep.torus_gens)
     for (fidx, root), e, f in zip(rep.root_labels, rep.raising_gens, rep.lowering_gens):
-        A = build_root_system(rep.group.factors[fidx].simple_type).cartan_matrix
-        own = _coroot_pairings(A, root)
+        rs = build_root_system(rep.group.factors[fidx].simple_type)
+        own = rs.simple_coroot_pairings(root)
         eig = [own[i] if g == fidx else 0 for g, i in rep.cartan_labels] + on_torus
         _check_weights(e, diags, eig, f"e{root} of factor {fidx}")
         _check_weights(f, diags, [-x for x in eig], f"f{root} of factor {fidx}")

@@ -1,10 +1,14 @@
 """Exact root-system combinatorics for the simple Lie algebras.
 
-Simple roots are realized in orthogonal coordinates (Bourbaki numbering,
-long roots normalized to squared length 2), positive roots are generated by
-root strings, and all weight pairings are exact rationals.  The dimension
-formula returns arbitrary-precision integers and aborts if the product of
-pairings fails to be integral.
+Simple roots are realized in orthogonal coordinates (Bourbaki numbering),
+with exact rational entries; their dot products give the integer Cartan
+matrix and the integer squared lengths of the simple roots.  Everything
+after that is integer arithmetic: positive roots are generated by root
+strings from the Cartan matrix, coroot pairings come from the symmetrized
+form, and the dimension formula is one arbitrary-precision integer product
+divided by the product of the rho pairings, aborting if the division
+leaves a remainder.  Orthogonal coordinates of roots (_orth) are kept for
+the explicit matrix models.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -150,7 +154,7 @@ class RootSystem:
     """Cartan data and positive roots of a simple type.
 
     positive_roots are integer coefficient vectors on the simple roots;
-    pairings with coroots are cached exact rationals.
+    pairings with coroots are cached integers.
     """
 
     def __init__(self, stype: SimpleType):
@@ -166,18 +170,25 @@ class RootSystem:
             for i in range(r)
         )
         self.positive_roots = self._generate_positive_roots()
-        # pairing[k][j] = <Lambda_j, alpha_k_coroot> for positive root k
+        # pairing[k][j] = <Lambda_j, beta^vee> = 2 beta_j |alpha_j|^2 / 2 (beta, beta)
+        # for the positive root beta at k; the symmetrized form gives
+        # 2 (beta, beta) = sum_i beta_i |alpha_i|^2 <beta, alpha_i^vee>
+        sq = [_as_int(n) for n in norms]
         self._pairing = []
         for root in self.positive_roots:
-            orth = self._orth(root)
-            nn = _dot(orth, orth)
-            self._pairing.append(tuple(root[j] * norms[j] / nn for j in range(r)))
+            own = self.simple_coroot_pairings(root)
+            nn = sum(b * n * p for b, n, p in zip(root, sq, own))
+            row = []
+            for j in range(r):
+                q, rem = divmod(2 * root[j] * sq[j], nn)
+                if rem:
+                    raise RootSystemError(
+                        f"<Lambda_{j}, coroot> not integral for root {root}"
+                    )
+                row.append(q)
+            self._pairing.append(tuple(row))
         self.rho_pairings = tuple(sum(row) for row in self._pairing)
-        for k, p in enumerate(self.rho_pairings):
-            if p.denominator != 1:
-                raise RootSystemError(
-                    f"<rho, coroot> not integral for root {self.positive_roots[k]}"
-                )
+        self.rho_product = prod(self.rho_pairings)
 
     # -- construction helpers ------------------------------------------------
 
@@ -192,7 +203,6 @@ class RootSystem:
 
     def _generate_positive_roots(self) -> tuple[tuple[int, ...], ...]:
         r = self.type.rank
-        norms = [_dot(a, a) for a in self.simple_orth]
         simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
         known = set(simple)
         by_height = {1: list(simple)}
@@ -200,9 +210,7 @@ class RootSystem:
         while by_height.get(h):
             nxt = []
             for beta in by_height[h]:
-                orth_beta = self._orth(beta)
-                for i in range(r):
-                    pairing = 2 * _dot(orth_beta, self.simple_orth[i]) / norms[i]
+                for i, pairing in enumerate(self.simple_coroot_pairings(beta)):
                     p = 0
                     probe = list(beta)
                     while True:
@@ -241,15 +249,16 @@ class RootSystem:
         return max(self.positive_roots, key=sum)
 
     def highest_root_as_weight(self) -> DominantWeight:
-        theta = self._orth(self.highest_root())
-        norms = [_dot(a, a) for a in self.simple_orth]
-        coeffs = tuple(
-            _as_int(2 * _dot(theta, self.simple_orth[i]) / norms[i])
-            for i in range(self.rank)
-        )
-        return DominantWeight(coeffs)
+        return DominantWeight(self.simple_coroot_pairings(self.highest_root()))
 
-    def pair_coroot(self, w: DominantWeight, root_index: int) -> Fraction:
+    def simple_coroot_pairings(self, beta) -> tuple[int, ...]:
+        """<beta, alpha_i^vee> for every simple root alpha_i; beta is given by
+        its coefficients on the simple roots."""
+        return tuple(
+            sum(c * a for c, a in zip(beta, row)) for row in self.cartan_matrix
+        )
+
+    def pair_coroot(self, w: DominantWeight, root_index: int) -> int:
         """<w, alpha_coroot> for the positive root at root_index."""
         row = self._pairing[root_index]
         return sum(c * p for c, p in zip(w.coeffs, row))
@@ -271,10 +280,7 @@ class RootSystem:
 
     def frobenius_schur_exponent(self, w: DominantWeight) -> int:
         """<w, sum of positive coroots>, always a nonnegative integer."""
-        t = Fraction(0)
-        for k in range(self.n_positive_roots):
-            t += self.pair_coroot(w, k)
-        return _as_int(t)
+        return sum(self.pair_coroot(w, k) for k in range(self.n_positive_roots))
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,10 +299,15 @@ def weyl_dim(rs: RootSystem, w: DominantWeight) -> int:
     """Dimension of the irreducible module with highest weight w, exactly."""
     if len(w.coeffs) != rs.rank:
         raise RootSystemError("weight length does not match rank")
-    num = Fraction(1)
-    for k in range(rs.n_positive_roots):
-        num *= (rs.pair_coroot(w, k) + rs.rho_pairings[k]) / rs.rho_pairings[k]
-    return _as_int(num)
+    num = 1
+    for row, rho in zip(rs._pairing, rs.rho_pairings):
+        num *= sum(c * p for c, p in zip(w.coeffs, row)) + rho
+    dim, rem = divmod(num, rs.rho_product)
+    if rem:
+        raise RootSystemError(
+            f"Weyl product for {w} is not divisible by {rs.rho_product}"
+        )
+    return dim
 
 
 def borel_dim(rs: RootSystem) -> int:

@@ -97,3 +97,19 @@ def test_lemma21_small(capsys):
 def test_table_jobs_must_be_positive(jobs, capsys):
     assert main(["table", "3", "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyldim", "A", "1"],
+        ["weyldim", "A3", "1,x,0"],
+        ["lemma21", "--max-rank", "5"],
+        ["spin-scan", "--max-rank", "3"],
+    ],
+)
+def test_rejected_arguments_are_usage_errors(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert [line for line in out.splitlines() if line] == [out.strip()]
+    assert out.startswith("error: ")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,87 @@ def test_lemma_search_bound_certificate():
         b = borel_dim(system)
         d0 = bound + 1
         assert d0 * (d0 - 1) > 2 * (1 + b)
+
+
+def _reference_positive_roots(system):
+    """Positive roots from the orthogonal simple roots, with exact rationals.
+
+    Roots are the orbit of the simple roots under the simple reflections,
+    each tracked with its simple-root coordinates; the positive ones have
+    nonnegative coordinates.  Returns them with the squared lengths of the
+    simple roots.
+    """
+    simple = system.simple_orth
+    r = len(simple)
+    norms = [sum(x * x for x in a) for a in simple]
+    seen = {
+        tuple(a): tuple(int(i == j) for j in range(r)) for i, a in enumerate(simple)
+    }
+    frontier = list(seen.items())
+    while frontier:
+        nxt = []
+        for orth, beta in frontier:
+            for i, a in enumerate(simple):
+                k = 2 * sum(x * y for x, y in zip(orth, a)) / norms[i]
+                image = tuple(x - k * y for x, y in zip(orth, a))
+                if image not in seen:
+                    coords = tuple(b - k * (j == i) for j, b in enumerate(beta))
+                    seen[image] = coords
+                    nxt.append((image, coords))
+        frontier = nxt
+    positive = [tuple(int(b) for b in beta) for beta in seen.values() if min(beta) >= 0]
+    return positive, norms
+
+
+def _reference_weyl_dim(positive, norms, coeffs):
+    """Weyl's product: (lambda + rho, beta) / (rho, beta) for
+    beta = sum b_i alpha_i is sum b_i (c_i + 1) |alpha_i|^2 / sum b_i |alpha_i|^2."""
+    num = Fraction(1)
+    for beta in positive:
+        num *= Fraction(
+            sum(b * (c + 1) * n for b, c, n in zip(beta, coeffs, norms)),
+            sum(b * n for b, n in zip(beta, norms)),
+        )
+    assert num.denominator == 1
+    return num.numerator
+
+
+@pytest.mark.parametrize("stype", paper_family_types(8), ids=str)
+def test_weyl_dim_agrees_with_rational_reference(stype):
+    system = build_root_system(stype)
+    positive, norms = _reference_positive_roots(system)
+    assert sorted(positive) == sorted(system.positive_roots)
+    box = list(itertools.product(range(3), repeat=stype.rank))
+    for coeffs in box[:: max(1, len(box) // 24)]:
+        expected = _reference_weyl_dim(positive, norms, coeffs)
+        assert weyl_dim(system, DominantWeight(coeffs)) == expected
+
+
+def test_weyl_dim_e8_pinned():
+    e8 = rs("E", 8)
+    assert weyl_dim(e8, fund(8, 7)) == 248
+    assert weyl_dim(e8, fund(8, 0)) == 3875
+    assert weyl_dim(e8, fund(8, 6)) == 30380
+    assert weyl_dim(e8, fund(8, 1)) == 147250
+
+
+def test_pairings_are_integers():
+    for stype in paper_family_types(4):
+        system = build_root_system(stype)
+        x = DominantWeight(tuple(range(1, stype.rank + 1)))
+        assert all(type(p) is int for p in system.rho_pairings)
+        assert all(
+            type(system.pair_coroot(x, k)) is int
+            for k in range(system.n_positive_roots)
+        )
+        assert type(system.rho_product) is int
+
+
+def test_corrupted_pairing_row_is_caught():
+    # A2 with alpha_1 paired as (2, 0): the product (1+2)(0+1)(1+2) = 9 at
+    # weight (1, 0) is not divisible by prod <rho, coroot> = 1 * 1 * 2
+    system = copy.deepcopy(rs("A", 2))
+    system._pairing[system.positive_roots.index((1, 0))] = (2, 0)
+    with pytest.raises(RootSystemError):
+        weyl_dim(system, w(1, 0))
+    assert weyl_dim(rs("A", 2), w(1, 0)) == 3
