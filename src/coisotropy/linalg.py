@@ -3,17 +3,26 @@
 Everything downstream (rank tests, isotropy kernels, bilinear-form solves)
 reduces to integer or rational elimination implemented here.  The sampled
 oracles work on exact integer numpy arrays: a matrix over Q(i) is held as a
-ZiArray, integer real and imaginary parts over one common denominator.  Its
-complex rank is computed modulo two primes p = 1 (mod 4), with i mapped to a
-square root of -1 mod p; a full modular rank is certified, because a ring
-map never raises the rank.  Otherwise exact Bareiss elimination decides, on
+ZiArray, integer real and imaginary parts over one common denominator.
+
+One verified modular kernel serves them all.  int_kernel eliminates an
+integer matrix modulo a prime p ~ 2**31 for pivot rows and columns, lifts
+the kernel p-adically (Dixon 1982) and recovers it by rational
+reconstruction (Wang 1981), then checks A @ K == 0 in integers.  The
+nonsingular pivot block bounds the rank from below and the verified kernel
+from above, so the rank is exact; Bareiss elimination runs only when the
+check fails at both primes of _RANK_PRIMES.  A complex rank is first taken
+modulo p with i mapped to a square root of -1; a full one is certified,
+because a ring map never raises the rank.  Otherwise the kernel decides on
 the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
+The Fraction eliminations (frac_rref, frac_nullspace) remain for the
+sparse form and intertwiner systems of matrep and for span membership.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -489,63 +498,253 @@ def _as_zi(rows) -> ZiArray:
 def _modp_rank(a: np.ndarray, p: int) -> int:
     """Rank of an int64 matrix of residues mod p; eliminates in place."""
     nr, nc = a.shape
-    rank = 0
     r = 0
     for c in range(nc):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        rest = np.nonzero(a[r + 1 :, c])[0]
-        if rest.size:
-            idx = rest + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        rank += 1
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
+        a[r + 1 :, c:] = (a[r + 1 :, c:] - a[r + 1 :, c, None] * a[r, c:]) % p
         r += 1
         if r == nr:
             break
-    return rank
+    return r
+
+
+def _modp_reduce(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """(P, Q, B^-1 mod p) for an int64 matrix of residues mod p.
+
+    Gauss-Jordan elimination, column by column from the left with the first
+    nonzero entry as pivot, finds pivot rows P (indices into the input, in
+    pivot order) and pivot columns Q; the pivot block B = a[P, Q] is
+    invertible mod p.  Beside the matrix it carries, for each row, the
+    combination of pivot rows it has received, so that at the end the
+    reduced pivot rows are B^-1 a[P] and their coefficients are B^-1.
+    """
+    nr, nc = a.shape
+    m = np.concatenate([a, np.zeros((nr, min(nr, nc)), dtype=np.int64)], axis=1)
+    order = list(range(nr))
+    pcol: list[int] = []
+    r = 0
+    for c in range(nc):
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+            order[r], order[pr] = order[pr], order[r]
+        # the pivot row is zero left of column c, so row operations start there
+        m[r, nc + r] = 1
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        f = m[:, c, None].copy()
+        f[r] = 0
+        m[:, c:] = (m[:, c:] - f * m[r, c:]) % p
+        pcol.append(c)
+        r += 1
+        if r == nr:
+            break
+    return order[:r], pcol, m[:r, nc : nc + r]
+
+
+# Residue products are split into 16-bit halves of the left factor; every
+# partial sum stays in int64 while the inner dimension is below this bound.
+_SPLIT_DEPTH = 2**15
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 residue matrices, p < 2**31."""
+    if a.shape[1] >= _SPLIT_DEPTH:
+        raise ValueError(f"inner dimension {a.shape[1]} too large for int64 residues")
+    hi, lo = a >> 16, a & 0xFFFF
+    return ((hi @ b) % p * 65536 + (lo @ b) % p) % p
+
+
+def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a / b = u (mod m), |a| <= bound and 0 < b <= bound.
+
+    Wang's reconstruction by the half-extended Euclidean algorithm; the
+    fraction is unique when 2 * bound**2 < m.  None when there is none.
+    """
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _reconstruct_column(col, m: int, bound: int) -> tuple[list[int], int] | None:
+    """(nums, den) with nums[i] / den = col[i] (mod m), den the least common
+    denominator, every numerator and den within bound; None if there is none.
+
+    The entries share a denominator (Cramer's rule), so after the first
+    fraction most entries times den are already small integers.
+    """
+    den = 1
+    nums: list[int] = []
+    half = m // 2
+    for u in col:
+        t = int(u) * den % m
+        if t > half:
+            t -= m
+        if abs(t) <= bound:
+            nums.append(t)
+            continue
+        frac = _rational(t, m, bound)
+        if frac is None or den * frac[1] > bound:
+            return None
+        num, extra = frac
+        den *= extra
+        nums = [x * extra for x in nums]
+        nums.append(num)
+    return nums, den
+
+
+def _lifting_steps(b: np.ndarray, c: np.ndarray, p: int) -> int:
+    """p-adic steps after which B X = C is certain to be reconstructed.
+
+    By Cramer's rule every entry of X is a ratio of r x r minors of [B | C].
+    Hadamard's inequality bounds the squares of det B and of each numerator
+    by products of squared column norms, H2; reconstruction succeeds once
+    p**k > 2 * H2.
+    """
+    col2 = (b.astype(object) ** 2).sum(axis=0).tolist()
+    det2 = prod(col2)
+    rhs2 = max((c.astype(object) ** 2).sum(axis=0).tolist())
+    h2 = max(det2, -(-det2 * rhs2 // min(col2)))
+    steps, pk = 0, 1
+    while pk <= 2 * h2:
+        steps, pk = steps + 1, pk * p
+    return steps
+
+
+def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
+    """(rank, K) from the pivots of a mod p, verified; None if p is unlucky.
+
+    The pivot block B = a[P, Q] is invertible mod p, so X = -B^-1 a[P, F]
+    (F the free columns) has no p in its denominators and its p-adic digits
+    are X_i = B^-1 R_i mod p with R_0 = -a[P, F], R_(i+1) = (R_i - B X_i) / p.
+    Reconstruction is tried whenever a probed entry reconstructs to the same
+    fraction at two successive steps, and at the Hadamard bound.  Then
+    a @ K is formed exactly: a nonzero in the pivot rows means the digits
+    were too few (X is the only solution of B X = -a[P, F]), a nonzero in
+    the other rows that the rank mod p is below the rank.
+    """
+    n = a.shape[1]
+    prow, pcol, binv = _modp_reduce((a % p).astype(np.int64), p)
+    r = len(pcol)
+    pivots = set(pcol)
+    free = [j for j in range(n) if j not in pivots]
+    kernel = np.zeros((n, len(free)), dtype=object)
+    if not free:
+        return r, kernel
+    if not r:
+        kernel[free, range(len(free))] = 1
+        return (0, kernel) if not a.any() else None
+    b = a[np.ix_(prow, pcol)]
+    c = -a[np.ix_(prow, free)]
+    steps = _lifting_steps(b, c, p)
+    # |R_i| <= max|C| + r max|B| p throughout, so int64 holds the lifting
+    # below INT64_SAFE; Python ints beyond
+    small = _max_abs(c) + r * _max_abs(b) * p < INT64_SAFE
+    dtype = np.int64 if small else object
+    b, resid = b.astype(dtype), c.astype(dtype)
+    x = np.zeros(c.shape, dtype=object)
+    pk, probe = 1, None
+    for step in range(1, steps + 1):
+        digit = _matmul_mod(binv, (resid % p).astype(np.int64), p)
+        x += digit.astype(object) * pk
+        resid = (resid - b @ digit.astype(dtype)) // p
+        pk *= p
+        bound = isqrt(pk // 2)
+        last, probe = probe, _rational(int(x[-1, -1]), pk, bound)
+        if step < steps and (probe is None or probe != last):
+            continue
+        for j in range(len(free)):
+            col = _reconstruct_column(x[:, j], pk, bound)
+            if col is None:
+                break
+            kernel[pcol, j], kernel[free[j], j] = col
+        else:
+            check = a.astype(object) @ kernel
+            if check[prow].any():
+                continue
+            return (r, kernel) if not check.any() else None
+    return None
+
+
+def int_kernel(rows) -> tuple[int, np.ndarray]:
+    """(rank, K) of an integer matrix A (an array or a list of rows).
+
+    K is an n x (n - rank) array of Python ints whose columns are a basis
+    of {x : A x = 0}: the reduced-echelon kernel vectors, one per free
+    column, each with its denominators cleared, so that K restricted to the
+    free rows is diagonal and positive.  Every result was checked by
+    A @ K == 0 in integers; see _kernel_mod.  Bareiss elimination gives the
+    rank, and frac_nullspace the kernel, only if the check fails modulo
+    both primes of _RANK_PRIMES.
+    """
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    m, n = a.shape
+    if not m:
+        return 0, np.eye(n, dtype=np.int64).astype(object)
+    for p, _ in _RANK_PRIMES:
+        found = _kernel_mod(a, p)
+        if found is not None:
+            return found
+    rank = int_rank_bareiss(a.tolist())
+    basis = frac_nullspace([[Fraction(int(x)) for x in row] for row in a.tolist()], n)
+    kernel = np.zeros((n, len(basis)), dtype=object)
+    for j, vec in enumerate(basis):
+        den = lcm(*(x.denominator for x in vec))
+        kernel[:, j] = [int(x * den) for x in vec]
+    if len(basis) != n - rank or (a.astype(object) @ kernel).any():
+        raise ArithmeticError(f"Bareiss rank {rank} and nullity {len(basis)} disagree")
+    return rank, kernel
+
+
+def _narrow_rank(a: np.ndarray) -> int:
+    """Exact rank of a nonempty integer matrix, through the kernel of
+    whichever of a and its transpose has fewer columns."""
+    return int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0]
 
 
 def int_rank(rows) -> int:
     """Exact rank of an integer matrix, given as an array or a list of rows.
 
-    The rank modulo a prime never exceeds the true rank, so a modular rank
-    equal to min(rows, columns) is certified; otherwise exact Bareiss
-    elimination decides.
+    The verified kernel of int_kernel on the narrower side; a full rank mod
+    p is certified by the elimination alone.
     """
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     if a.ndim != 2 or 0 in a.shape:
         return 0
-    full = min(a.shape)
-    for p, _ in _RANK_PRIMES:
-        if _modp_rank((a % p).astype(np.int64), p) == full:
-            return full
-    return int_rank_bareiss(a.tolist())
+    return _narrow_rank(a)
 
 
 def complex_rank(rows) -> int:
     """Rank over Q(i) of a ZiArray of row vectors (or a list of QQi tuples).
 
-    For each (p, s) in _RANK_PRIMES, i -> s is a ring map Z[i] -> Z/p, so
-    the rank of the n x d residue matrix never exceeds the true rank and a
-    full one (min(n, d)) is certified.  Otherwise the rank is half the
-    Bareiss rank of the realification [[re, -im], [im, re]].
+    For the first (p, s) in _RANK_PRIMES, i -> s is a ring map Z[i] -> Z/p,
+    so the rank of the n x d residue matrix never exceeds the true rank and
+    a full one (min(n, d)) is certified.  Otherwise the rank is half the
+    verified rank (int_kernel) of the realification [[re, -im], [im, re]].
     """
     m = _as_zi(rows)
     if m.re.ndim != 2 or 0 in m.re.shape:
         return 0
-    full = min(m.re.shape)
-    for p, s in _RANK_PRIMES:
-        residues = ((m.re % p).astype(np.int64) + s * (m.im % p).astype(np.int64)) % p
-        if _modp_rank(residues, p) == full:
-            return full
-    r = int_rank_bareiss(np.block([[m.re, -m.im], [m.im, m.re]]).tolist())
+    p, s = _RANK_PRIMES[0]
+    residues = ((m.re % p).astype(np.int64) + s * (m.im % p).astype(np.int64)) % p
+    if _modp_rank(residues, p) == min(m.re.shape):
+        return min(m.re.shape)
+    r = _narrow_rank(np.block([[m.re, -m.im], [m.im, m.re]]))
     if r % 2:
         raise ArithmeticError(f"realified rank {r} of a complex space is odd")
     return r // 2

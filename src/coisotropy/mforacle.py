@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -25,11 +24,11 @@ from .linalg import (
     commutator,
     complex_rank,
     float_rank,
-    frac_nullspace,
     frac_rref,
+    int_kernel,
     int_rank,
-    int_rank_bareiss,
     zi_apply,
+    zi_rows,
 )
 from .matrep import MatrixRep, RealRep
 
@@ -133,8 +132,9 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     The rank of {b . v : b Borel generator} at a generic v is compared with
     the module dimension.  The rows b . v are one batched integer product on
     the integer view of the generators; their rank over the Gaussian
-    rationals is a modular rank, certified when full, with an exact Bareiss
-    fallback otherwise, and is cross-checked in double precision.
+    rationals is a modular rank, certified when full, and otherwise the
+    verified kernel rank of the realification (linalg.int_kernel).  It is
+    cross-checked in double precision.
     """
     dim = rep.space_dim
     if dim == 0:
@@ -189,23 +189,18 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
 def _isotropy_basis(rep, v) -> tuple[np.ndarray, np.ndarray]:
     """Exact basis of {X in compact algebra : X v = 0}, as integer arrays.
 
-    Returns (re, im), two (k, d, d) arrays of Python ints: the basis
-    elements times one positive integer, the same for all of them.  No
-    denominator is kept, so only scale-free quantities (spans, ranks) may
-    be read from it.
+    Returns (re, im), two (k, d, d) arrays of Python ints: each basis
+    element times its own positive integer.  No denominator is kept, so
+    only scale-free quantities (spans, ranks) may be read from it.
     """
     gens = rep.compact_stack.dense()
     if not len(gens.re):
         return gens.re, gens.im
     # kernel of the transpose system: coefficients c with sum c_k (g_k v) = 0
-    sys_rows = [[Fraction(x) for x in comp] for comp in _real_action_rows(rep, v).T.tolist()]
-    kernel = frac_nullspace(sys_rows, len(gens.re))
-    scale = lcm(*(c.denominator for vec in kernel for c in vec))
-    coeffs = np.array([[int(c * scale) for c in vec] for vec in kernel], dtype=object)
-    coeffs = coeffs.reshape(len(kernel), len(gens.re))
+    _, kernel = int_kernel(_real_action_rows(rep, v).T)
     return (
-        np.tensordot(coeffs, gens.re.astype(object), axes=1),
-        np.tensordot(coeffs, gens.im.astype(object), axes=1),
+        np.tensordot(kernel.T, gens.re.astype(object), axes=1),
+        np.tensordot(kernel.T, gens.im.astype(object), axes=1),
     )
 
 
@@ -225,11 +220,9 @@ def _algebra_rank(
     """Rank of a compact Lie algebra given by an integer matrix basis (re, im).
 
     Dimension of the centralizer of a generic element z; the centralizer of
-    a generic element of a compact algebra is a maximal torus.  It is n
-    minus the rank of the n commutators [X_k, z], formed in Python ints.
-    z commutes with itself, so the commutators are never independent and a
-    modular rank could not certify their rank: it goes to Bareiss
-    elimination directly.
+    a generic element of a compact algebra is a maximal torus.  It is the
+    nullity of the n commutators [X_k, z], formed in Python ints: the
+    number of columns of the verified kernel of their transpose.
     """
     xr, xi = basis
     n = len(xr)
@@ -240,7 +233,7 @@ def _algebra_rank(
     br = (xr @ zr - xi @ zi) - (zr @ xr - zi @ xi)
     bi = (xr @ zi + xi @ zr) - (zr @ xi + zi @ xr)
     rows = np.concatenate([br.reshape(n, -1), bi.reshape(n, -1)], axis=1)
-    return n - int_rank_bareiss(rows.tolist())
+    return int_kernel(rows.T)[1].shape[1]
 
 
 def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
@@ -487,14 +480,13 @@ def maximal_abelian_in_p(
     z = QMat.zeros(pair.p_basis[0].nrows, pair.p_basis[0].ncols)
     for g in pair.p_basis:
         z = z + g.scale(QQi(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)))
-    n = len(pair.p_basis)
-    rows = [_vectorize_real(commutator(g, z)) for g in pair.p_basis]
-    sys_rows = []
-    for comp in range(len(rows[0])):
-        sys_rows.append([rows[k][comp] for k in range(n)])
-    kernel = frac_nullspace(sys_rows, n)
+    brackets = [commutator(g, z) for g in pair.p_basis]
+    rows = zi_rows(
+        [tuple(b.get(i, j) for i in range(b.nrows) for j in range(b.ncols)) for b in brackets]
+    )
+    _, kernel = int_kernel(np.concatenate([rows.re, rows.im], axis=1).T)
     out = []
-    for coeffs in kernel:
+    for coeffs in kernel.T:
         acc = QMat.zeros(z.nrows, z.ncols)
         for c, g in zip(coeffs, pair.p_basis):
             if c:

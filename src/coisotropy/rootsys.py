@@ -1,14 +1,15 @@
 """Exact root-system combinatorics for the simple Lie algebras.
 
 Simple roots are realized in orthogonal coordinates (Bourbaki numbering),
-with exact rational entries; their dot products give the integer Cartan
-matrix and the integer squared lengths of the simple roots.  Everything
-after that is integer arithmetic: positive roots are generated by root
-strings from the Cartan matrix, coroot pairings come from the symmetrized
-form, and the dimension formula is one arbitrary-precision integer product
-divided by the product of the rho pairings, aborting if the division
-leaves a remainder.  Orthogonal coordinates of roots (_orth) are kept for
-the explicit matrix models.
+with exact rational entries.  Scaled by one common denominator they are
+integer vectors, whose dot products give the integer Cartan matrix and the
+integer squared lengths of the simple roots, each division checked.
+Everything after that is integer arithmetic: positive roots are generated
+by root strings from the Cartan matrix, coroot pairings come from the
+symmetrized form, and the dimension formula is one arbitrary-precision
+integer product divided by the product of the rho pairings, aborting if
+the division leaves a remainder.  Orthogonal coordinates of roots (_orth)
+are kept for the explicit matrix models.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -146,10 +147,6 @@ def _simple_roots_orthogonal(st: SimpleType) -> list[list[Fraction]]:
     return alpha[:r]
 
 
-def _dot(u, v) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
 class RootSystem:
     """Cartan data and positive roots of a simple type.
 
@@ -161,19 +158,19 @@ class RootSystem:
         self.type = stype
         r = stype.rank
         self.simple_orth = _simple_roots_orthogonal(stype)
-        norms = [_dot(a, a) for a in self.simple_orth]
+        # the simple roots times one common denominator are integer vectors,
+        # and 2 (a_i, a_j) / (a_i, a_i) is unchanged by the scale
+        den = lcm(*(x.denominator for a in self.simple_orth for x in a))
+        scaled = [[x.numerator * (den // x.denominator) for x in a] for a in self.simple_orth]
+        gram = [[sum(x * y for x, y in zip(a, b)) for b in scaled] for a in scaled]
         self.cartan_matrix = tuple(
-            tuple(
-                _as_int(2 * _dot(self.simple_orth[i], self.simple_orth[j]) / norms[i])
-                for j in range(r)
-            )
-            for i in range(r)
+            tuple(_exact_div(2 * gram[i][j], gram[i][i]) for j in range(r)) for i in range(r)
         )
         self.positive_roots = self._generate_positive_roots()
         # pairing[k][j] = <Lambda_j, beta^vee> = 2 beta_j |alpha_j|^2 / 2 (beta, beta)
         # for the positive root beta at k; the symmetrized form gives
         # 2 (beta, beta) = sum_i beta_i |alpha_i|^2 <beta, alpha_i^vee>
-        sq = [_as_int(n) for n in norms]
+        sq = [_exact_div(gram[i][i], den * den) for i in range(r)]
         self._pairing = []
         for root in self.positive_roots:
             own = self.simple_coroot_pairings(root)
@@ -289,10 +286,11 @@ def build_root_system(stype: SimpleType) -> RootSystem:
     return RootSystem(stype)
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise RootSystemError(f"expected integer, got {x}")
-    return x.numerator
+def _exact_div(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise RootSystemError(f"expected an integer, got {a}/{b}")
+    return q
 
 
 def weyl_dim(rs: RootSystem, w: DominantWeight) -> int:

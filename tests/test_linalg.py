@@ -20,6 +20,7 @@ from coisotropy.linalg import (
     frac_nullspace,
     frac_rank,
     frac_rref,
+    int_kernel,
     int_rank,
     int_rank_bareiss,
     kron,
@@ -167,6 +168,11 @@ def test_unlucky_primes_fall_back_to_bareiss(monkeypatch):
     monkeypatch.setattr(
         linalg, "int_rank_bareiss", lambda rows: calls.append(rows) or int_rank_bareiss(rows)
     )
+    steps = []
+    lifting_steps = linalg._lifting_steps
+    monkeypatch.setattr(
+        linalg, "_lifting_steps", lambda b, c, p: steps.append(lifting_steps(b, c, p)) or steps[-1]
+    )
     # p1 * p2 vanishes modulo both primes
     re = np.array([[p1 * p2, 0], [0, 1]], dtype=np.int64)
     for p, _ in _RANK_PRIMES:
@@ -176,6 +182,8 @@ def test_unlucky_primes_fall_back_to_bareiss(monkeypatch):
     z = QQi(s1, -1) * QQi(s2, -1)
     assert complex_rank([(z, QQi(0)), (QQi(0), QQi(1))]) == 2
     assert len(calls) == 2
+    # each prime gave up at the Hadamard bound of its own small system
+    assert len(steps) == 4 and max(steps) <= 10
 
 
 def test_large_entries_take_the_python_int_path():
@@ -208,7 +216,162 @@ def test_zi_apply_keeps_the_small_product_in_int64():
 
 
 def test_odd_realified_rank_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "int_rank_bareiss", lambda rows: 3)
+    monkeypatch.setattr(linalg, "int_kernel", lambda rows: (3, np.zeros((4, 1), dtype=object)))
     rows = [(QQi(1), QQi(1)), (QQi(2), QQi(2))]
     with pytest.raises(ArithmeticError):
         complex_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# the verified modular kernel
+
+
+def _check_kernel(a, rank, k):
+    """The properties int_kernel promises, against the Fraction RREF."""
+    a = np.array(a, dtype=object)
+    n = a.shape[1]
+    assert rank == int_rank_bareiss(a.tolist())
+    assert k.shape == (n, n - rank) and k.dtype == object
+    assert not (a @ k).any()
+    frac_rows = [[Fraction(int(x)) for x in row] for row in a.tolist()]
+    pivots = frac_rref(frac_rows)[1]
+    free = [j for j in range(n) if j not in pivots]
+    assert len(free) == n - rank
+    block = k[free]
+    assert (block == np.diag(np.diag(block))).all() and all(d > 0 for d in np.diag(block))
+    for j, vec in enumerate(frac_nullspace(frac_rows, n)):
+        assert [Fraction(int(x), int(k[free[j], j])) for x in k[:, j]] == vec
+
+
+@st.composite
+def _integer_products(draw):
+    """A @ B for random integer A (n x k), B (k x d): rank at most k."""
+    n, k, d = draw(st.integers(1, 7)), draw(st.integers(0, 5)), draw(st.integers(1, 7))
+    entry = st.integers(-30, 30)
+    a = np.array(draw(st.lists(entry, min_size=n * k, max_size=n * k)), dtype=np.int64)
+    b = np.array(draw(st.lists(entry, min_size=k * d, max_size=k * d)), dtype=np.int64)
+    return a.reshape(n, k) @ b.reshape(k, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_products())
+def test_int_kernel_on_integer_products(a):
+    rank, k = int_kernel(a)
+    _check_kernel(a, rank, k)
+    assert int_rank(a) == rank == int_rank(a.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_deficient_products())
+def test_int_kernel_on_realified_gaussian_products(product):
+    real = np.array(_realified(*product), dtype=np.int64)
+    rank, k = int_kernel(real)
+    _check_kernel(real, rank, k)
+    assert rank == 2 * complex_rank(ZiArray(*product))
+
+
+def test_int_kernel_rank_zero_and_full_rank():
+    rank, k = int_kernel(np.zeros((3, 4), dtype=np.int64))
+    assert rank == 0 and k.tolist() == np.eye(4, dtype=int).tolist()
+    full = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    rank, k = int_kernel(full)
+    assert rank == 3 and k.shape == (3, 0)
+    assert int_kernel(np.zeros((0, 2), dtype=np.int64))[1].shape == (2, 2)
+
+
+def test_int_kernel_on_a_wide_matrix():
+    wide = np.array([[1, 2, 3, 4, 5], [2, 4, 6, 8, 11]], dtype=np.int64)
+    rank, k = int_kernel(wide)
+    _check_kernel(wide, rank, k)
+    assert rank == 2 and k.shape == (5, 3)
+    # int_rank eliminates on the narrower side, the transpose here
+    assert int_rank(wide) == int_rank(wide.T) == 2
+
+
+def test_int_kernel_past_int64():
+    big = 2**62
+    u = np.array([big + 1, 3, -(big // 3), 7], dtype=object)
+    w = np.array([5, big - 1, 11], dtype=object)
+    a = np.outer(u, w) + np.outer(np.array([1, 0, 2, 1], dtype=object), [0, big, 1])
+    assert a.dtype == object
+    rank, k = int_kernel(a)
+    _check_kernel(a, rank, k)
+    assert rank == 2
+
+
+def test_int_kernel_with_entries_past_2_200(monkeypatch):
+    # a 9 x 10 system with 30-bit entries: by Cramer's rule its kernel
+    # vector is a column of 9 x 9 minors, about 270 bits, so the lifting
+    # runs for many p-adic steps before the entries reconstruct
+    rng = np.random.default_rng(2024)
+    a = rng.integers(-(2**30), 2**30, size=(9, 10), dtype=np.int64)
+    monkeypatch.setattr(linalg, "int_rank_bareiss", lambda rows: pytest.fail("fell back"))
+    rank, k = int_kernel(a)
+    monkeypatch.undo()
+    assert rank == 9 and k.shape == (10, 1)
+    assert not (a.astype(object) @ k).any()
+    assert max(abs(int(x)) for x in k[:, 0]).bit_length() > 200
+    assert rank == int_rank_bareiss(a.tolist())
+
+
+def test_failed_reconstruction_falls_back_to_bareiss(monkeypatch):
+    a = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
+    expected = int_kernel(a)
+    calls = []
+    monkeypatch.setattr(
+        linalg, "int_rank_bareiss", lambda rows: calls.append(rows) or int_rank_bareiss(rows)
+    )
+    monkeypatch.setattr(linalg, "_reconstruct_column", lambda col, m, bound: None)
+    rank, k = int_kernel(a)
+    assert len(calls) == 1
+    assert rank == expected[0] == 2
+    _check_kernel(a, rank, k)
+    assert k.tolist() == expected[1].tolist()
+
+
+def test_matrix_vanishing_mod_both_primes_has_rank_one():
+    (p1, _), (p2, _) = _RANK_PRIMES
+    rank, k = int_kernel([[p1 * p2, 0]])
+    assert rank == 1 and k.tolist() == [[0], [1]]
+
+
+def test_lifting_stops_once_the_probe_repeats(monkeypatch):
+    # entries near 2**200 give a Hadamard bound of about 14 steps, but the
+    # kernel is (-2, 1): the probe repeats after two digits
+    big = 2**200
+    a = np.array([[big, 2 * big], [3 * big, 6 * big]], dtype=object)
+    bounds, digits = [], []
+    lifting_steps, matmul_mod = linalg._lifting_steps, linalg._matmul_mod
+    monkeypatch.setattr(
+        linalg, "_lifting_steps", lambda b, c, p: bounds.append(lifting_steps(b, c, p)) or bounds[-1]
+    )
+    monkeypatch.setattr(
+        linalg, "_matmul_mod", lambda x, y, p: digits.append(p) or matmul_mod(x, y, p)
+    )
+    rank, k = int_kernel(a)
+    assert rank == 1 and k.tolist() == [[-2], [1]]
+    assert bounds[0] >= 10 and len(digits) == 2
+
+
+def test_a_premature_reconstruction_keeps_lifting(monkeypatch):
+    # a wrong reconstruction before the Hadamard bound shows in the pivot
+    # rows of A @ K; the lifting goes on at the same prime instead of
+    # giving the prime up
+    big = 2**200
+    a = np.array([[big, 2 * big], [3 * big, 6 * big]], dtype=object)
+    expected = int_kernel(a)
+    reduce_calls, attempts = [], []
+    modp_reduce, reconstruct = linalg._modp_reduce, linalg._reconstruct_column
+
+    def wrong_first(col, m, bound):
+        attempts.append(m)
+        return ([0] * len(col), 1) if len(attempts) == 1 else reconstruct(col, m, bound)
+
+    monkeypatch.setattr(linalg, "_reconstruct_column", wrong_first)
+    monkeypatch.setattr(
+        linalg, "_modp_reduce", lambda x, p: reduce_calls.append(p) or modp_reduce(x, p)
+    )
+    monkeypatch.setattr(linalg, "int_rank_bareiss", lambda rows: pytest.fail("fell back"))
+    rank, k = int_kernel(a)
+    assert (rank, k.tolist()) == (expected[0], expected[1].tolist())
+    assert len(reduce_calls) == 1 and len(attempts) > 1

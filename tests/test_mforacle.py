@@ -260,3 +260,121 @@ def test_unstable_samples_raise_genericity_error():
     with pytest.raises(mforacle.GenericityError):
         mforacle._stabilize(evaluate, 3, 7, mforacle._sample_complex_vector)
     assert len(calls) == mforacle.MAX_ROUNDS * mforacle.N_SAMPLES
+
+
+# ---------------------------------------------------------------------------
+# the oracles on the modular kernel against a Fraction reference
+
+
+def _reference_isotropy_basis(rep, v):
+    """Isotropy basis from the Fraction RREF kernel, scaled by one lcm."""
+    from fractions import Fraction
+    from math import lcm
+
+    import numpy as np
+
+    from coisotropy.linalg import frac_nullspace
+    from coisotropy.mforacle import _real_action_rows
+
+    gens = rep.compact_stack.dense()
+    system = [[Fraction(x) for x in comp] for comp in _real_action_rows(rep, v).T.tolist()]
+    kernel = frac_nullspace(system, len(gens.re))
+    scale = lcm(*(c.denominator for vec in kernel for c in vec))
+    coeffs = np.array([[int(c * scale) for c in vec] for vec in kernel], dtype=object)
+    coeffs = coeffs.reshape(len(kernel), len(gens.re))
+    return (
+        np.tensordot(coeffs, gens.re.astype(object), axes=1),
+        np.tensordot(coeffs, gens.im.astype(object), axes=1),
+    )
+
+
+def _reference_algebra_rank(basis, rng, bound=97):
+    """n minus the Bareiss rank of the commutators [X_k, z]."""
+    import numpy as np
+
+    from coisotropy.linalg import int_rank_bareiss
+
+    xr, xi = basis
+    n = len(xr)
+    if n == 0:
+        return 0
+    c = np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
+    zr, zi = np.tensordot(c, xr, axes=1), np.tensordot(c, xi, axes=1)
+    br = (xr @ zr - xi @ zi) - (zr @ xr - zi @ xi)
+    bi = (xr @ zi + xi @ zr) - (zr @ xi + zi @ xr)
+    rows = np.concatenate([br.reshape(n, -1), bi.reshape(n, -1)], axis=1)
+    return n - int_rank_bareiss(rows.tolist())
+
+
+def _flat(basis):
+    import numpy as np
+
+    re, im = basis
+    size = int(np.prod(re.shape[1:]))
+    return np.concatenate([re.reshape(len(re), size), im.reshape(len(im), size)], axis=1)
+
+
+ISOTROPY_CASES = {
+    "sphere": lambda: rep_of("su(3) + u1[1] on std(1) @ 1"),
+    "chain": lambda: rep_of(
+        "su(3) + u1[1,1,0] + u1[1,0,1] + u1[0,1,1] on "
+        "std(1) @ 1,0,0 (+) std(1) @ 0,1,0 (+) triv @ 0,0,1"
+    ),
+    "slice": lambda: rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"),
+    "spin": lambda: real_block_rep([("triv", 2), ("vec7", 7), ("spin8", 8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
+def test_isotropy_oracles_match_the_fraction_reference(name, monkeypatch):
+    import random
+
+    import numpy as np
+
+    from coisotropy import mforacle
+    from coisotropy.linalg import int_rank_bareiss
+
+    rep = ISOTROPY_CASES[name]()
+    v = mforacle._sampler_for(rep)(mforacle._sample_dim(rep), random.Random(3), 97)
+    new, ref = mforacle._isotropy_basis(rep, v), _reference_isotropy_basis(rep, v)
+    assert len(new[0]) == len(ref[0])
+    both = np.concatenate([_flat(new), _flat(ref)]).tolist()
+    assert int_rank_bareiss(_flat(new).tolist()) == int_rank_bareiss(both) == len(ref[0])
+    for t in range(3):
+        assert mforacle._algebra_rank(new, random.Random(t)) == _reference_algebra_rank(
+            ref, random.Random(t)
+        )
+    kwargs = {"group_rank": 6} if name == "spin" else {}
+    got = (mforacle.principal_isotropy_rank(rep), coisotropic_by_rank(rep, **kwargs))
+    monkeypatch.setattr(mforacle, "_isotropy_basis", _reference_isotropy_basis)
+    monkeypatch.setattr(mforacle, "_algebra_rank", _reference_algebra_rank)
+    assert got == (mforacle.principal_isotropy_rank(rep), coisotropic_by_rank(rep, **kwargs))
+
+
+@pytest.mark.parametrize("pair", [sp_u_pair(2), so_even_u_pair(3)], ids=lambda p: p.name)
+def test_maximal_abelian_matches_the_fraction_reference(pair):
+    import random
+    from fractions import Fraction
+
+    from coisotropy.linalg import frac_nullspace
+    from coisotropy.mforacle import SAMPLE_BOUND, _vectorize_real
+
+    rng = random.Random("20240101:abelian")
+    z = QMat.zeros(pair.p_basis[0].nrows, pair.p_basis[0].ncols)
+    for g in pair.p_basis:
+        z = z + g.scale(QQi(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)))
+    rows = [_vectorize_real(g @ z - z @ g) for g in pair.p_basis]
+    system = [[row[comp] for row in rows] for comp in range(len(rows[0]))]
+    reference = []
+    for coeffs in frac_nullspace(system, len(pair.p_basis)):
+        acc = QMat.zeros(z.nrows, z.ncols)
+        for c, g in zip(coeffs, pair.p_basis):
+            acc = acc + g.scale(QQi(c))
+        reference.append(acc)
+    plane = maximal_abelian_in_p(pair)
+    assert len(plane) == len(reference)
+    for got, want in zip(plane, reference):
+        # the same element, times a positive integer
+        key = next(iter(want.entries))
+        scale = got.get(*key).re / want.get(*key).re
+        assert scale > 0 and scale.denominator == 1 and got == want.scale(QQi(scale))

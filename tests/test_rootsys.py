@@ -328,3 +328,43 @@ def test_corrupted_pairing_row_is_caught():
     with pytest.raises(RootSystemError):
         weyl_dim(system, w(1, 0))
     assert weyl_dim(rs("A", 2), w(1, 0)) == 3
+
+
+POSITIVE_ROOT_COUNTS = {
+    "A": lambda r: r * (r + 1) // 2,
+    "B": lambda r: r * r,
+    "C": lambda r: r * r,
+    "D": lambda r: r * (r - 1),
+    "E": lambda r: {6: 36, 7: 63, 8: 120}[r],
+    "F": lambda r: 24,
+    "G": lambda r: 6,
+}
+
+
+@pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
+def test_integer_cartan_matrix_agrees_with_rational_dot_products(stype):
+    system = build_root_system(stype)
+    simple = system.simple_orth
+    r = stype.rank
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    gram = [[dot(a, b) for b in simple] for a in simple]
+    cartan = [[2 * gram[i][j] / gram[i][i] for j in range(r)] for i in range(r)]
+    assert [list(row) for row in system.cartan_matrix] == cartan
+    assert all(type(x) is int for row in system.cartan_matrix for x in row)
+    # the positive roots, against the reflection orbit up to rank 8 (see
+    # test_weyl_dim_agrees_with_rational_reference) and by their number here
+    assert system.n_positive_roots == POSITIVE_ROOT_COUNTS[stype.family](r)
+    # <rho, beta^vee> = 2 (rho, beta) / (beta, beta), and 2 (rho, alpha_i) =
+    # |alpha_i|^2; the orthogonal coordinates are halves at worst, so four
+    # times the Gram matrix is integral
+    gram4 = [[int(4 * x) for x in row] for row in gram]
+    assert gram4 == [[4 * x for x in row] for row in gram]
+    rho = []
+    for beta in system.positive_roots:
+        support = [(i, b) for i, b in enumerate(beta) if b]
+        norm = sum(b * c * gram4[i][j] for i, b in support for j, c in support)
+        rho.append(Fraction(sum(b * gram4[i][i] for i, b in support), norm))
+    assert list(system.rho_pairings) == rho
