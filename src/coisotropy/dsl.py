@@ -21,6 +21,7 @@ datasets); concrete parses reject symbols.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from dataclasses import dataclass
 
@@ -118,22 +119,37 @@ _ALLOWED_AST = (
 )
 
 
-def eval_int_expr(text: str, env: dict[str, int]) -> int:
-    """Exact evaluation of a small integer/boolean expression."""
+@functools.lru_cache(maxsize=None)
+def _compiled(text: str) -> tuple[tuple[str, ...], str | None, object]:
+    """(names, error, code) of an expression text, parsed and checked once:
+    the names met before the first fault in ast.walk order, that fault's
+    message (code is then None) and the compiled expression."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
-        raise ValueError(f"bad expression {text!r}: {exc}") from exc
+        return (), f"bad expression {text!r}: {exc}", None
+    names: list[str] = []
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_AST):
-            raise ValueError(f"disallowed syntax in expression {text!r}")
+            return tuple(names), f"disallowed syntax in expression {text!r}", None
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, bool)):
-            raise ValueError(f"non-integer constant in {text!r}")
-        if isinstance(node, ast.Name) and node.id not in env:
-            raise ValueError(f"unknown parameter {node.id!r} in {text!r}")
+            return tuple(names), f"non-integer constant in {text!r}", None
+        if isinstance(node, ast.Name):
+            names.append(node.id)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            raise ValueError("use // for division in integer expressions")
-    value = eval(compile(tree, "<expr>", "eval"), {"__builtins__": {}}, dict(env))
+            return tuple(names), "use // for division in integer expressions", None
+    return tuple(names), None, compile(tree, "<expr>", "eval")
+
+
+def eval_int_expr(text: str, env: dict[str, int]) -> int:
+    """Exact evaluation of a small integer/boolean expression."""
+    names, error, code = _compiled(text)
+    for name in names:
+        if name not in env:
+            raise ValueError(f"unknown parameter {name!r} in {text!r}")
+    if error is not None:
+        raise ValueError(error)
+    value = eval(code, {"__builtins__": {}}, dict(env))
     if isinstance(value, bool):
         return int(value)
     if not isinstance(value, int):
@@ -146,19 +162,6 @@ def eval_condition(text: str, env: dict[str, int]) -> bool:
     if not text or text.strip() in ("", "-", "true"):
         return True
     return bool(eval_int_expr(text, env))
-
-
-@dataclass(frozen=True)
-class PatternTerm:
-    kind: str
-    factor: int
-
-
-@dataclass(frozen=True)
-class PatternSummand:
-    terms: tuple[PatternTerm, ...]
-    dual: bool
-    charges: tuple[str, ...]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ check fails at both primes of _RANK_PRIMES.  A complex rank is first taken
 modulo p with i mapped to a square root of -1; a full one is certified,
 because a ring map never raises the rank.  Otherwise the kernel decides on
 the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
-The Fraction eliminations (frac_rref, frac_nullspace) remain for the
-sparse form and intertwiner systems of matrep and for span membership.
+The Fraction eliminations remain for span membership and Gram blocks
+(frac_rref) and as the kernel fallback of int_kernel (frac_nullspace).
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ class QQi:
         if not self.re:
             return f"{self.im}i"
         return f"({self.re}{'+' if self.im > 0 else ''}{self.im}i)"
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
 
 def _coerce(x) -> QQi:

@@ -1,12 +1,15 @@
-"""Explicit matrix realizations over the Gaussian rationals.
+"""Explicit matrix realizations over the Gaussian rationals, stored as integers.
 
 Standard modules of the classical algebras are realized in split form so
 that Cartan generators are diagonal and positive root vectors are strictly
 upper triangular in the constructed weight basis.  Spin modules come from a
 Clifford algebra built out of Pauli tensor products; arbitrary dominant
-weights are realized through an exact contravariant-form construction.
-Tensor products, symmetric and exterior squares, duals, direct sums and
-torus charge lines are functorial on the generator lists.
+weights are realized through an exact contravariant-form construction;
+symmetric and exterior squares act on these QMat generator lists.  Each
+per-factor module is converted once into an integer stack (linalg.ZiStack,
+numerators over one denominator) and certified there.  Tensor products,
+duals, direct sums and torus charge lines are assembled from the stacks by
+index arithmetic, and nothing after construction reads a QMat.
 
 For every module the lowering generator of a positive root is the adjoint
 of the raising generator with respect to an invariant positive form, so
@@ -19,19 +22,26 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from typing import NamedTuple
+
+import numpy as np
 
 from .linalg import (
+    INT64_SAFE,
     QMat,
     QQi,
     QQI_I,
     QQI_ONE,
     QQI_ZERO,
+    ZiArray,
     ZiStack,
+    _max_abs,
     block_diag,
     commutator,
-    frac_nullspace,
+    complex_rank,
     frac_rref,
+    int_kernel,
     kron,
     zi_stack,
 )
@@ -754,15 +764,18 @@ def _alt2_of(mod: ModuleGens) -> ModuleGens:
 
 
 # ---------------------------------------------------------------------------
-# the per-factor modules, each certified once
+# the per-factor modules as integer stacks, each certified once
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_module(fac: Factor, kind: str, arg=None) -> ModuleGens:
-    """Module of a simple factor for a std, sym2, alt2, spin or weight term.
+def _factor_module(fac: Factor, kind: str, arg=None) -> ZiStack:
+    """Module of a simple factor for a std, sym2, alt2, spin or weight term,
+    as one certified integer stack.
 
     arg is the chirality of a spin term and the highest weight of a weight
-    term.  Every module is certified when it is first built.
+    term.  The generators are ordered cartan | raising | lowering (simple
+    roots, then positive roots in positive_roots order) over one
+    denominator; nothing after this point reads the QMat matrices.
     """
     st = fac.simple_type
     if kind == "std":  # for exceptional factors, the smallest fundamental module
@@ -779,56 +792,156 @@ def _factor_module(fac: Factor, kind: str, arg=None) -> ModuleGens:
         mod = _weight_module(st, arg)
     else:
         raise RepresentationError(f"unhandled term kind {kind!r}")
-    _certify(mod, build_root_system(st))
-    return mod
+    stack = zi_stack(mod.cartan + mod.raising + mod.lowering, mod.dim)
+    _certify(stack, build_root_system(st))
+    return stack
 
 
-def _certify(mod: ModuleGens, rs: RootSystem) -> None:
-    """Certify that the generators of a module represent the algebra of rs.
+def _root_pairings(rs: RootSystem) -> np.ndarray:
+    """<beta, alpha_i^vee>, one row per positive root beta."""
+    return np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
+
+
+class _Dense(NamedTuple):
+    """A d x d Gaussian-integer matrix re + i*im (im None when it is real)
+    whose entries are at most bound in absolute value."""
+
+    re: np.ndarray
+    im: np.ndarray | None
+    bound: int
+
+    def is_zero(self) -> bool:
+        return not self.re.any() and (self.im is None or not self.im.any())
+
+
+def _dense(gens: ZiStack, k: int, bound: int) -> _Dense:
+    """Generator k of a stack whose entries are at most bound, densely."""
+    sel, d = gens.k == k, gens.shape[1]
+    re, im = np.zeros((2, d, d), gens.re.dtype)
+    re[gens.row[sel], gens.col[sel]] = gens.re[sel]
+    im[gens.row[sel], gens.col[sel]] = gens.im[sel]
+    return _Dense(re, im if im.any() else None, bound)
+
+
+def _bracket(x: _Dense, y: _Dense) -> _Dense:
+    """[x, y], formed in int64 while its bound 4 * d * x.bound * y.bound
+    is below INT64_SAFE, in Python ints beyond it."""
+    bound = 4 * len(x.re) * x.bound * y.bound
+    if bound >= INT64_SAFE:
+        big = lambda a: None if a is None else a.astype(object)  # noqa: E731
+        x, y = (_Dense(big(z.re), big(z.im), z.bound) for z in (x, y))
+    re = x.re @ y.re - y.re @ x.re
+    im = None
+    if x.im is not None:
+        im = x.im @ y.re - y.re @ x.im
+        if y.im is not None:
+            re = re - (x.im @ y.im - y.im @ x.im)
+    if y.im is not None:
+        part = x.re @ y.im - y.im @ x.re
+        im = part if im is None else im + part
+    return _Dense(re, im, bound)
+
+
+def _multiple(x: _Dense, y: _Dense) -> tuple[int, int] | None:
+    """x_p * conj(y_p) at the first nonzero p of y if x = c y, else None
+    (also when y is zero).  It is a positive multiple of c, so c is
+    nonzero iff it is nonzero and real iff its imaginary part is 0."""
+    dtype = object if 2 * x.bound * y.bound >= INT64_SAFE else np.int64
+    xr, xi, yr, yi = (
+        np.zeros(x.re.shape, dtype) if a is None else a.astype(dtype, copy=False)
+        for a in (x.re, x.im, y.re, y.im)
+    )
+    nz = np.flatnonzero((yr != 0) | (yi != 0))
+    if not nz.size:
+        return None
+    a, b, c, e = (int(m.flat[nz[0]]) for m in (xr, xi, yr, yi))
+    # x (c + ie) = y (a + ib), entrywise
+    if (xr * c - xi * e != yr * a - yi * b).any() or (xr * e + xi * c != yr * b + yi * a).any():
+        return None
+    return a * c + b * e, b * c - a * e
+
+
+def _weights(gens: ZiStack, diag: list[int]) -> np.ndarray:
+    """The d x len(diag) numerators W[a, t] = (generator diag[t])[a, a];
+    raises unless each of those generators is real and diagonal."""
+    n, d, _ = gens.shape
+    column = np.full(n, -1)
+    column[diag] = np.arange(len(diag))
+    sel = column[gens.k] >= 0
+    if (gens.row[sel] != gens.col[sel]).any() or gens.im[sel].any():
+        raise RepresentationError("Cartan or torus generator is not real diagonal")
+    w = np.zeros((d, len(diag)), gens.re.dtype)
+    w[gens.row[sel], column[gens.k[sel]]] = gens.re[sel]
+    return w
+
+
+def _weight_fault(gens: ZiStack, w: np.ndarray, eig: np.ndarray, first: int, npos: int):
+    """(j, 'e' or 'f') of the first root generator, in root order, with a
+    nonzero (a, b) where W[a] - W[b] != eig[k] * den, that is where
+    [h, x] = eig x fails for a diagonal h; None if there is none.  Root j
+    has generators first + j (raising) and first + npos + j (lowering).
+    """
+    big = max(2 * _max_abs(w), gens.den * _max_abs(eig)) >= INT64_SAFE
+    dtype = object if big else np.int64
+    w = w.astype(dtype, copy=False)
+    wrong = (w[gens.row] - w[gens.col] != eig[gens.k].astype(dtype) * gens.den).any(axis=1)
+    bad = set(gens.k[wrong].tolist())
+    if not bad:
+        return None
+    k = min(bad, key=lambda k: ((k - first) % npos, k >= first + npos))
+    return (k - first) % npos, "e" if k < first + npos else "f"
+
+
+def _certify(mod: ZiStack, rs: RootSystem) -> None:
+    """Certify that an integer module stack represents the algebra of rs.
 
     With every h_i diagonal, these are the Chevalley-Serre relations on the
     simple generators, which present the algebra (Serre's theorem):
     [h_i, x] = <alpha, alpha_i^vee> x on each e_alpha and the negative on
     f_alpha, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i a
-    nonzero rational, so that f_i / c_i is the Chevalley partner of e_i;
+    nonzero real, so that f_i / c_i is the Chevalley partner of e_i;
     ad(e_i)^(1 - a_ij) e_j = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.
     Every other root vector must be a nonzero multiple of the bracket of a
     simple root vector with the root vector it is built from.  A module
-    whose generators are all zero is the trivial module.  No elimination is
-    used.
+    whose generators are all zero is the trivial module.  Products are
+    formed one d x d pair at a time; no elimination is used.
     """
     r, A, roots = rs.rank, rs.cartan_matrix, rs.positive_roots
-    every = mod.cartan + mod.raising + mod.lowering
-    if (len(mod.cartan), len(mod.raising), len(mod.lowering)) != (
-        r, len(roots), len(roots)
-    ):
+    npos = len(roots)
+    n, d, d2 = mod.shape
+    if n != r + 2 * npos:
         raise RepresentationError("module has the wrong number of generators")
-    if any((g.nrows, g.ncols) != (mod.dim, mod.dim) for g in every):
+    if d2 != d or ((mod.row < 0) | (mod.row >= d) | (mod.col < 0) | (mod.col >= d)).any():
         raise RepresentationError("generator shape differs from the module dimension")
-    if all(g.is_zero() for g in every):
+    if not (mod.re.any() or mod.im.any()):
         return
-    diags = _real_diagonals(mod.cartan)
-    for root, e, f in zip(roots, mod.raising, mod.lowering):
-        eig = rs.simple_coroot_pairings(root)
-        _check_weights(e, diags, eig, f"e{root}")
-        _check_weights(f, diags, [-x for x in eig], f"f{root}")
+    eig = np.zeros((n, r), dtype=np.int64)
+    eig[r : r + npos] = _root_pairings(rs)
+    eig[r + npos :] = -eig[r : r + npos]
+    fault = _weight_fault(mod, _weights(mod, list(range(r))), eig, r, npos)
+    if fault:
+        j, kind = fault
+        raise RepresentationError(f"weight relation fails on {kind}{roots[j]}")
 
     where = {root: k for k, root in enumerate(roots)}
     simple = [where[tuple(int(j == i) for j in range(r))] for i in range(r)]
+    bound = max(_max_abs(mod.re), _max_abs(mod.im))
+    e = [_dense(mod, r + k, bound) for k in simple]
+    f = [_dense(mod, r + npos + k, bound) for k in simple]
     for i in range(r):
         for j in range(r):
-            b = commutator(mod.raising[simple[i]], mod.lowering[simple[j]])
+            b = _bracket(e[i], f[j])
             if i == j:
-                c = _multiple(b, mod.cartan[i])
-                if not c or c.im:
+                c = _multiple(b, _dense(mod, i, bound))
+                if c is None or c == (0, 0) or c[1]:
                     raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i}")
                 continue
             if not b.is_zero():
                 raise RepresentationError(f"[e_{i}, f_{j}] does not vanish")
-            for gens in (mod.raising, mod.lowering):
-                x = gens[simple[j]]
+            for gens in (e, f):
+                x = gens[j]
                 for _ in range(1 - A[i][j]):
-                    x = commutator(gens[simple[i]], x)
+                    x = _bracket(gens[i], x)
                 if not x.is_zero():
                     raise RepresentationError(f"Serre relation fails for ({i}, {j})")
 
@@ -839,40 +952,12 @@ def _certify(mod: ModuleGens, rs: RootSystem) -> None:
             beta = tuple(c - (t == i) for t, c in enumerate(root))
             if beta in where:
                 break
-        for gens in (mod.raising, mod.lowering):
-            b = commutator(gens[simple[i]], gens[where[beta]])
-            if not _multiple(gens[k], b):
+        for base, gens in ((r, e), (r + npos, f)):
+            b = _bracket(gens[i], _dense(mod, base + where[beta], bound))
+            if _multiple(_dense(mod, base + k, bound), b) in (None, (0, 0)):
                 raise RepresentationError(
                     f"root vector of {root} is not a multiple of its bracket"
                 )
-
-
-def _real_diagonals(mats: list[QMat]) -> list[dict[int, Fraction]]:
-    """Sparse diagonals of generators that must be real and diagonal."""
-    out = []
-    for m in mats:
-        if not m.is_diagonal() or any(v.im for v in m.entries.values()):
-            raise RepresentationError("Cartan or torus generator is not real diagonal")
-        out.append({i: v.re for (i, _), v in m.entries.items()})
-    return out
-
-
-def _check_weights(x: QMat, diags, eigs, what: str) -> None:
-    """[h, x] = eig x for each diagonal h, entrywise: h[a] - h[b] = eig on
-    every nonzero (a, b) of x."""
-    for a, b in x.entries:
-        for d, eig in zip(diags, eigs):
-            if d.get(a, 0) - d.get(b, 0) != eig:
-                raise RepresentationError(f"weight relation fails on {what}")
-
-
-def _multiple(x: QMat, y: QMat) -> QQi | None:
-    """The scalar c with x = c y, or None; None as well when y is zero."""
-    if y.is_zero():
-        return None
-    k, v = next(iter(y.entries.items()))
-    c = x.get(*k) / v
-    return c if x == y.scale(c) else None
 
 
 # ---------------------------------------------------------------------------
@@ -883,94 +968,87 @@ def _multiple(x: QMat, y: QMat) -> QQi | None:
 class MatrixRep:
     """A concrete complexified action of a GroupSpec on a module.
 
-    Generator lists are flat; cartan_labels/root_labels record which factor
-    and which root each matrix belongs to.  compact_gens span the compact
-    real form acting on the module (torus circles included).
+    gens is the one store of its generators: an integer stack over one
+    denominator, ordered cartan | raising | lowering | torus.
+    cartan_labels and root_labels say which factor and which simple or
+    positive root each Cartan generator and each raising/lowering pair
+    belongs to; the torus generators follow the group's torus lines.
+    borel_stack and compact_stack are the views the oracles sample.
     """
 
     group: GroupSpec
     rep: RepSpec
     space_dim: int
-    cartan_gens: list[QMat]
+    gens: ZiStack
     cartan_labels: list[tuple[int, int]]  # (factor index, simple root index)
-    raising_gens: list[QMat]
-    lowering_gens: list[QMat]
     root_labels: list[tuple[int, tuple[int, ...]]]  # (factor index, root coords)
-    torus_gens: list[QMat]
     summand_slices: list[tuple[int, int]]
 
-    def borel_generators(self) -> list[QMat]:
-        return self.cartan_gens + self.raising_gens + self.torus_gens
-
-    def all_complex_generators(self) -> list[QMat]:
-        return (
-            self.cartan_gens + self.raising_gens + self.lowering_gens + self.torus_gens
-        )
-
-    @functools.cached_property
-    def compact_gens(self) -> list[QMat]:
-        out = []
-        for h in self.cartan_gens:
-            out.append(h.scale(QQI_I))
-        for e, f in zip(self.raising_gens, self.lowering_gens):
-            out.append(e - f)
-            out.append((e + f).scale(QQI_I))
-        for t in self.torus_gens:
-            out.append(t.scale(QQI_I))
-        return out
+    @property
+    def n_torus(self) -> int:
+        return self.gens.shape[0] - len(self.cartan_labels) - 2 * len(self.root_labels)
 
     @functools.cached_property
     def borel_stack(self) -> ZiStack:
-        """Integer view of borel_generators(): one (n, d, d) stack."""
-        return zi_stack(self.borel_generators(), self.space_dim)
+        """The Borel generators cartan | raising | torus, selected from gens."""
+        g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
+        keep = (g.k < nc + npos) | (g.k >= nc + 2 * npos)
+        k = g.k[keep] - npos * (g.k[keep] >= nc + npos)
+        shape = (g.shape[0] - npos, *g.shape[1:])
+        return ZiStack(shape, k, g.row[keep], g.col[keep], g.re[keep], g.im[keep], g.den)
 
     @functools.cached_property
     def compact_stack(self) -> ZiStack:
-        """Integer view of compact_gens: one (n, d, d) stack."""
-        return zi_stack(self.compact_gens, self.space_dim)
-
-    @property
-    def dim_c(self) -> int:
-        return self.space_dim
-
-    def weights(self) -> list[tuple[Fraction, ...]]:
-        """Weight of each basis vector under the Cartan and torus diagonals."""
-        diags = []
-        for m in self.cartan_gens + self.torus_gens:
-            if not m.is_diagonal():
-                raise RepresentationError("generator not diagonal in weight basis")
-            diags.append([m.get(i, i) for i in range(self.space_dim)])
-        out = []
-        for i in range(self.space_dim):
-            w = []
-            for dg in diags:
-                v = dg[i]
-                if v.im:
-                    raise RepresentationError("non-real weight entry")
-                w.append(v.re)
-            out.append(tuple(w))
-        return out
+        """The compact real form: i*h, then e - f and i*(e + f) for each
+        positive root, then i*t, as one stack."""
+        g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
+        lowering = (g.k >= nc + npos) & (g.k < nc + 2 * npos)
+        root = (g.k >= nc) & (g.k < nc + 2 * npos)
+        j = g.k - nc - npos * lowering
+        sign = np.where(lowering, -1, 1)
+        # i * x at k for h and t, at nc + 2j + 1 for e and f; e - f at nc + 2j
+        k = np.concatenate([np.where(root, nc + 2 * j + 1, g.k), (nc + 2 * j)[root]])
+        row = np.concatenate([g.row, g.row[root]])
+        col = np.concatenate([g.col, g.col[root]])
+        re = np.concatenate([-g.im, (sign * g.re)[root]])
+        im = np.concatenate([g.re, (sign * g.im)[root]])
+        return _coalesce(g.shape, k, row, col, re, im, g.den)
 
 
-def _term_module(group: GroupSpec, term: Term, chirality: int) -> tuple[int, ModuleGens]:
-    """(factor index or -1 for trivial, module) for one term."""
+def _coalesce(shape, k, row, col, re, im, den) -> ZiStack:
+    """The stack of these entries with the ones at one position summed and
+    zeros dropped, in (k, row, col) order."""
+    d = max(shape[1], 1)
+    key = (k * d + row) * d + col
+    uniq, at = np.unique(key, return_inverse=True)
+    sre, sim = np.zeros(uniq.size, re.dtype), np.zeros(uniq.size, im.dtype)
+    np.add.at(sre, at, re)
+    np.add.at(sim, at, im)
+    keep = (sre != 0) | (sim != 0)
+    uniq = uniq[keep]
+    return ZiStack(shape, uniq // (d * d), uniq // d % d, uniq % d, sre[keep], sim[keep], den)
+
+
+def _term_module(group: GroupSpec, term: Term, chirality: int) -> tuple[int, ZiStack | None, int]:
+    """(factor index, module, dimension) of one term; (-1, None, 1) for a
+    trivial slot."""
     if term.kind == "triv":
-        return -1, ModuleGens(dim=1)
+        return -1, None, 1
     fidx = term.factor - 1
     if fidx >= len(group.factors):
         raise RepresentationError(f"factor index {term.factor} out of range")
     fac = group.factors[fidx]
-    st = fac.simple_type
-    if st is None:
+    if fac.simple_type is None:
         # genuinely trivial factors contribute one-dimensional slots
         if fac.std_dim == 1 and term.kind in ("std", "sym2"):
-            return -1, ModuleGens(dim=1)
+            return -1, None, 1
         raise NotRealizable(
             f"term {term.kind} of {fac}: the factor has no semisimple part; "
             f"encode its circle action as a torus line"
         )
     arg = {"spin": chirality, "weight": term.weight}.get(term.kind)
-    return fidx, _factor_module(fac, term.kind, arg)
+    mod = _factor_module(fac, term.kind, arg)
+    return fidx, mod, mod.shape[1]
 
 
 def realize(
@@ -978,109 +1056,89 @@ def realize(
     rep: RepSpec,
     chirality: int = 1,
 ) -> MatrixRep:
-    """Build the matrix model of a representation specification."""
+    """Build the matrix model of a representation specification.
+
+    Assembly is index arithmetic on the certified module stacks: a slot's
+    entries are spread over the identity factors before and after it, a
+    dual summand maps x to -x^T in the reversed basis, summands sit at
+    their offsets and torus lines add their charges on the diagonal.
+    Entries at one position, from a factor filling two slots, are summed.
+    """
     n_circ = group.n_circles
-    summand_mods: list[tuple[int, list[tuple[int, ModuleGens]]]] = []
-    dims = []
+    summands = []
+    off = 0
     for sm in rep.summands:
         if len(sm.charges) not in (0, n_circ):
             raise RepresentationError(
                 f"summand charge arity {len(sm.charges)} != circles {n_circ}"
             )
         slots = [_term_module(group, t, chirality) for t in sm.terms]
-        d = 1
-        for _, m in slots:
-            d *= m.dim
+        d = prod(n for _, _, n in slots)
         if d < 1:
             raise RepresentationError("summand has dimension < 1")
-        dims.append(d)
-        summand_mods.append((d, slots))
-
-    total = sum(dims)
-    offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
+        summands.append((off, d, sm, slots))
         off += d
-    summand_slices = [(offsets[k], offsets[k] + dims[k]) for k in range(len(dims))]
+    total = off
 
-    def embed(summand_idx: int, mat: QMat) -> QMat:
-        o = offsets[summand_idx]
-        ent = {(o + i, o + j): v for (i, j), v in mat.entries.items()}
-        return QMat(total, total, ent)
-
-    def factor_gen_on_summand(summand_idx: int, fidx: int, which: str, gi: int) -> QMat:
-        d, slots = summand_mods[summand_idx]
-        acc = QMat.zeros(d, d)
-        before = 1
-        for sf, m in slots:
-            n = m.dim
-            if sf == fidx:
-                # I_before (x) x (x) I_after, written entry by entry
-                after = d // (before * n)
-                term = QMat(d, d)
-                term.entries = {
-                    ((b * n + i) * after + a, (b * n + j) * after + a): v
-                    for (i, j), v in getattr(m, which)[gi].entries.items()
-                    for b in range(before)
-                    for a in range(after)
-                }
-                # a factor filling two slots of the summand sums their terms
-                acc = acc + term if acc.entries else term
-            before *= n
-        if rep.summands[summand_idx].dual:
-            dd = acc.nrows
-            acc = QMat(
-                dd, dd, {(dd - 1 - j, dd - 1 - i): -v for (i, j), v in acc.entries.items()}
-            )
-        return acc
-
-    cartan_gens, cartan_labels = [], []
-    raising_gens, lowering_gens, root_labels = [], [], []
+    cartan_labels, root_labels, first = [], [], {}
     for fidx, fac in enumerate(group.factors):
-        st = fac.simple_type
-        if st is None:
-            continue
-        rs = build_root_system(st)
-        for i in range(rs.rank):
-            blocks = [
-                factor_gen_on_summand(k, fidx, "cartan", i) for k in range(len(dims))
-            ]
-            cartan_gens.append(block_diag(blocks))
-            cartan_labels.append((fidx, i))
-        for ri, root in enumerate(rs.positive_roots):
-            eb = [
-                factor_gen_on_summand(k, fidx, "raising", ri) for k in range(len(dims))
-            ]
-            fb = [
-                factor_gen_on_summand(k, fidx, "lowering", ri) for k in range(len(dims))
-            ]
-            raising_gens.append(block_diag(eb))
-            lowering_gens.append(block_diag(fb))
-            root_labels.append((fidx, root))
+        if fac.simple_type is not None:
+            rs = build_root_system(fac.simple_type)
+            first[fidx] = (len(cartan_labels), len(root_labels), rs.rank, rs.n_positive_roots)
+            cartan_labels += [(fidx, i) for i in range(rs.rank)]
+            root_labels += [(fidx, root) for root in rs.positive_roots]
+    nc, npos, n_torus = len(cartan_labels), len(root_labels), len(group.torus_lines)
+    # generator index in a factor's module -> index in the assembled stack
+    kmaps = {
+        f: np.r_[c : c + r, nc + p : nc + p + n, nc + npos + p : nc + npos + p + n]
+        for f, (c, p, r, n) in first.items()
+    }
 
-    torus_gens = []
-    for line in group.torus_lines:
-        ent = {}
-        for k, sm in enumerate(rep.summands):
-            charges = sm.charges if sm.charges else (0,) * n_circ
-            net = sum(d * c for d, c in zip(line, charges))
+    den = lcm(*(m.den for *_, slots in summands for _, m, _ in slots if m is not None))
+
+    def values(x, scale: int, terms: int) -> np.ndarray:
+        # a sum of terms such entries stays in int64 below INT64_SAFE
+        big = terms * scale * _max_abs(x) >= INT64_SAFE
+        return x.astype(object if big else np.int64) * scale
+
+    parts = []
+    for off, d, sm, slots in summands:
+        before = 1
+        for fidx, m, n in slots:
+            after = d // (before * n)
+            if m is not None and m.k.size:
+                # the entries of I_before (x) x (x) I_after
+                b = (np.arange(before) * n)[:, None, None]
+                a = np.arange(after)[None, None, :]
+                row = ((b + m.row[None, :, None]) * after + a).ravel()
+                col = ((b + m.col[None, :, None]) * after + a).ravel()
+                shape = (before, m.k.size, after)
+                spread = lambda x: np.broadcast_to(x[None, :, None], shape).ravel()  # noqa: E731
+                re, im = (values(spread(x), den // m.den, len(slots)) for x in (m.re, m.im))
+                if sm.dual:
+                    row, col, re, im = d - 1 - col, d - 1 - row, -re, -im
+                parts.append((kmaps[fidx][spread(m.k)], row + off, col + off, re, im))
+            before *= n
+        charges = sm.charges or (0,) * n_circ
+        for t, line in enumerate(group.torus_lines):
+            net = sum(a * c for a, c in zip(line, charges))
             if net:
-                for i in range(offsets[k], offsets[k] + dims[k]):
-                    ent[(i, i)] = QQi(net)
-        torus_gens.append(QMat(total, total, ent))
+                idx = np.arange(off, off + d)
+                val = values(np.full(d, net), den, 1)
+                parts.append((np.full(d, nc + 2 * npos + t), idx, idx, val, 0 * val))
 
+    k, row, col, re, im = (
+        np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
+        for t in range(5)
+    )
     out = MatrixRep(
         group=group,
         rep=rep,
         space_dim=total,
-        cartan_gens=cartan_gens,
+        gens=_coalesce((nc + 2 * npos + n_torus, total, total), k, row, col, re, im, den),
         cartan_labels=cartan_labels,
-        raising_gens=raising_gens,
-        lowering_gens=lowering_gens,
         root_labels=root_labels,
-        torus_gens=torus_gens,
-        summand_slices=summand_slices,
+        summand_slices=[(o, o + d) for o, d, _, _ in summands],
     )
     validate_matrix_rep(out)
     return out
@@ -1103,159 +1161,99 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
     Each per-factor module is certified once, when it is built (_certify).
     Kron with identities, block sums and the dual map x -> -x^T in the
     reversed basis are Lie-algebra homomorphisms, so assembly only needs
-    guarding: Cartan and torus generators are diagonal, raising generators
-    strictly upper triangular, every root vector satisfies the weight
-    relation entrywise (with eigenvalue 0 under the Cartan generators of
-    the other factors), and every generator preserves the torus weights,
-    t[a] = t[b] on each nonzero (a, b), so the torus commutes with it.
+    guarding: Cartan and torus generators are real diagonal, raising
+    generators strictly upper triangular, and every root vector satisfies
+    the weight relation entrywise, W[a] - W[b] = +-eig on each nonzero
+    (a, b) for the weight matrix W of the Cartan and torus diagonals, with
+    eigenvalue 0 under the Cartan generators of the other factors and under
+    the torus, so the torus commutes with it.
     """
-    for e in rep.raising_gens:
-        if not e.is_strictly_upper():
-            raise RepresentationError("raising generator is not strictly upper")
-    diags = _real_diagonals(rep.cartan_gens + rep.torus_gens)
-    on_torus = [0] * len(rep.torus_gens)
-    for (fidx, root), e, f in zip(rep.root_labels, rep.raising_gens, rep.lowering_gens):
+    g, nc, npos = rep.gens, len(rep.cartan_labels), len(rep.root_labels)
+    raising = (g.k >= nc) & (g.k < nc + npos)
+    if (g.row[raising] >= g.col[raising]).any():
+        raise RepresentationError("raising generator is not strictly upper")
+    diag = [*range(nc), *range(nc + 2 * npos, g.shape[0])]
+    w = _weights(g, diag)
+    column = {label: t for t, label in enumerate(rep.cartan_labels)}
+    eig = np.zeros((g.shape[0], len(diag)), dtype=np.int64)
+    for fidx in dict.fromkeys(f for f, _ in rep.root_labels):
         rs = build_root_system(rep.group.factors[fidx].simple_type)
-        own = rs.simple_coroot_pairings(root)
-        eig = [own[i] if g == fidx else 0 for g, i in rep.cartan_labels] + on_torus
-        _check_weights(e, diags, eig, f"e{root} of factor {fidx}")
-        _check_weights(f, diags, [-x for x in eig], f"f{root} of factor {fidx}")
+        own = dict(zip(rs.positive_roots, _root_pairings(rs)))
+        rows = [j for j, (f, _) in enumerate(rep.root_labels) if f == fidx]
+        cols = [column[(fidx, i)] for i in range(rs.rank)]
+        eig[np.ix_([nc + j for j in rows], cols)] = [own[rep.root_labels[j][1]] for j in rows]
+    eig[nc + npos : nc + 2 * npos] = -eig[nc : nc + npos]
+    fault = _weight_fault(g, w, eig, nc, npos)
+    if fault:
+        j, kind = fault
+        fidx, root = rep.root_labels[j]
+        raise RepresentationError(f"weight relation fails on {kind}{root} of factor {fidx}")
 
 
 # ---------------------------------------------------------------------------
 # invariant bilinear forms
 
 
+def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (s, t) with a[s] == b[t]."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    count = np.searchsorted(b[order], a, "right") - lo
+    s = np.repeat(np.arange(a.size), count)
+    start = np.repeat(lo - np.cumsum(count) + count, count)
+    return s, order[start + np.arange(s.size)]
+
+
 def invariant_bilinear_form(rep: MatrixRep) -> str:
     """Classify the invariant bilinear form of an irreducible module.
 
-    Solves B rho(x) + rho(x)^T B = 0 exactly over all generators, with the
-    unknowns restricted to opposite-weight pairs.  Returns one of 'none',
+    Solves B x + x^T B = 0 exactly, one equation per generator x and matrix
+    position, with the unknowns restricted to opposite-weight pairs; the
+    realified integer system goes to int_kernel.  Returns one of 'none',
     'symmetric', 'antisymmetric', 'degenerate-space'.  A solution space of
     complex dimension above one flags a reducible input.
     """
-    d = rep.space_dim
-    wts = rep.weights()
-    unknowns = [
-        (i, j) for i in range(d) for j in range(d)
-        if all(a + b == 0 for a, b in zip(wts[i], wts[j]))
-    ]
-    if not unknowns:
+    g, d, nc, npos = rep.gens, rep.space_dim, len(rep.cartan_labels), len(rep.root_labels)
+    w = _weights(g, [*range(nc), *range(nc + 2 * npos, g.shape[0])])
+    ui, uj = np.nonzero((w[:, None, :] + w[None, :, :] == 0).all(axis=2))
+    nu = ui.size
+    if not nu:
         return "none"
-    uidx = {u: k for k, u in enumerate(unknowns)}
-    nu = len(unknowns)
-    rows: dict[tuple[int, int], dict[int, QQi]] = {}
-    for x in rep.all_complex_generators():
-        cols_of = {}
-        for (c, b), v in x.entries.items():
-            cols_of.setdefault(c, []).append((b, v))
-        for (i, j), k in uidx.items():
-            # term (B x)_{i b} for x_{j b}
-            for (jj, b), v in x.entries.items():
-                if jj == j:
-                    rows.setdefault((i, b), {}).setdefault(k, QQI_ZERO)
-                    rows[(i, b)][k] = rows[(i, b)][k] + v
-            # term (x^T B)_{a j} = sum_c x_{c a} B_{c j}: here B_{i j} feeds (a, j)
-            for (ii, a), v in x.entries.items():
-                if ii == i:
-                    rows.setdefault((a, j), {}).setdefault(k, QQI_ZERO)
-                    rows[(a, j)][k] = rows[(a, j)][k] + v
-    frac_rows = []
-    for _, cof in sorted(rows.items()):
-        re_row = [Fraction(0)] * (2 * nu)
-        im_row = [Fraction(0)] * (2 * nu)
-        nontrivial = False
-        for k, v in cof.items():
-            if v:
-                nontrivial = True
-            re_row[k] = v.re
-            re_row[nu + k] = -v.im
-            im_row[k] = v.im
-            im_row[nu + k] = v.re
-        if nontrivial:
-            frac_rows.append(re_row)
-            frac_rows.append(im_row)
-    basis = (
-        frac_nullspace(frac_rows, 2 * nu)
-        if frac_rows
-        else [[Fraction(int(i == j)) for i in range(2 * nu)] for j in range(2 * nu)]
-    )
-    if not basis:
+    # (B x)[i, c] gains B[i, j] x[j, c]: unknowns whose column is the entry's row
+    s1, u1 = _join(g.row, uj)
+    # (x^T B)[a, j] gains x[i, a] B[i, j]: unknowns whose row is the entry's row
+    s2, u2 = _join(g.row, ui)
+    eq = np.concatenate([
+        (g.k[s1] * d + ui[u1]) * d + g.col[s1],
+        (g.k[s2] * d + g.col[s2]) * d + uj[u2],
+    ])
+    s, u = np.concatenate([s1, s2]), np.concatenate([u1, u2])
+    eqs, at = np.unique(eq, return_inverse=True)
+    m = eqs.size
+    # the realification [[re, -im], [im, re]] of the complex system
+    a = np.zeros((2 * m, 2 * nu), g.re.dtype)
+    np.add.at(a, (at, u), g.re[s])
+    np.add.at(a, (at, nu + u), -g.im[s])
+    np.add.at(a, (m + at, u), g.im[s])
+    np.add.at(a, (m + at, nu + u), g.re[s])
+    _, kernel = int_kernel(a)
+    if not kernel.shape[1]:
         return "none"
-    if len(basis) > 2:
+    if kernel.shape[1] > 2:
         raise RepresentationError(
             "invariant form space has dimension above one: input is reducible"
         )
-    vec = basis[0]
-    ent = {}
-    for k, (i, j) in enumerate(unknowns):
-        v = QQi(vec[k], vec[nu + k])
-        if v:
-            ent[(i, j)] = v
-    b = QMat(d, d, ent)
-    if b.is_zero():
-        return "none"
-    bt = b.transpose()
-    if bt == b:
+    b_re, b_im = np.zeros((d, d), object), np.zeros((d, d), object)
+    b_re[ui, uj], b_im[ui, uj] = kernel[:nu, 0], kernel[nu:, 0]
+    if (b_re.T == b_re).all() and (b_im.T == b_im).all():
         sym = "symmetric"
-    elif bt == b.scale(QQi(-1)):
+    elif (b_re.T == -b_re).all() and (b_im.T == -b_im).all():
         sym = "antisymmetric"
     else:
         raise RepresentationError("invariant form is neither symmetric nor skew")
-    from .linalg import complex_rank
-
-    dense_rows = [tuple(b.get(i, j) for j in range(d)) for i in range(d)]
-    if complex_rank(dense_rows) < d:
+    if complex_rank(ZiArray(b_re, b_im)) < d:
         return "degenerate-space"
     return sym
-
-
-def intertwiner_space(
-    gens_a: list[QMat], gens_b: list[QMat], dim_a: int, dim_b: int
-) -> list[QMat]:
-    """Basis of {T : T a_k = b_k T}; exact, used as an equivalence oracle."""
-    assert len(gens_a) == len(gens_b)
-    nu = dim_b * dim_a
-    rows = []
-    for a, b in zip(gens_a, gens_b):
-        coeff: dict[tuple[int, int], dict[int, QQi]] = {}
-        for (i, j), v in a.entries.items():
-            # (T a)_{r j} gains T_{r i} * v
-            for rr in range(dim_b):
-                k = rr * dim_a + i
-                coeff.setdefault((rr, j), {}).setdefault(k, QQI_ZERO)
-                coeff[(rr, j)][k] = coeff[(rr, j)][k] + v
-        for (i, j), v in b.entries.items():
-            # (b T)_{i c} gains v * T_{j c}
-            for cc in range(dim_a):
-                k = j * dim_a + cc
-                coeff.setdefault((i, cc), {}).setdefault(k, QQI_ZERO)
-                coeff[(i, cc)][k] = coeff[(i, cc)][k] - v
-        for _, cof in coeff.items():
-            re_row = [Fraction(0)] * (2 * nu)
-            im_row = [Fraction(0)] * (2 * nu)
-            for k, v in cof.items():
-                re_row[k] = v.re
-                re_row[nu + k] = -v.im
-                im_row[k] = v.im
-                im_row[nu + k] = v.re
-            if any(re_row) or any(im_row):
-                rows.append(re_row)
-                rows.append(im_row)
-    basis = frac_nullspace(rows, 2 * nu) if rows else []
-    out = []
-    seen = set()
-    for vec in basis:
-        ent = {}
-        for k in range(nu):
-            v = QQi(vec[k], vec[nu + k])
-            if v:
-                ent[(k // dim_a, k % dim_a)] = v
-        m = QMat(dim_b, dim_a, ent)
-        if not m.is_zero() and m not in seen:
-            out.append(m)
-            seen.add(m)
-    return out
 
 
 # ---------------------------------------------------------------------------

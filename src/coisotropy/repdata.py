@@ -660,14 +660,15 @@ def _unify(group, rep, pat, order, gdual, summandwise):
     return match_terms(0, {}, {}, {})
 
 
-def _expr_names(text: str) -> list[str]:
+@functools.lru_cache(maxsize=None)
+def _expr_names(text: str) -> tuple[str, ...]:
     import ast
 
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError:
-        return []
-    return sorted({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+        return ()
+    return tuple(sorted({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}))
 
 
 def _evaluate_match(group, rep, entry, env, order, gdual, span) -> MFLookup | None:

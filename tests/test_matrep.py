@@ -1,11 +1,19 @@
-import copy
 import math
 
+import numpy as np
 import pytest
 
 from fractions import Fraction
 
-from coisotropy.linalg import QMat, QQi, commutator, complex_rank, kron
+from coisotropy.linalg import (
+    QMat,
+    QQi,
+    block_diag,
+    commutator,
+    complex_rank,
+    frac_nullspace,
+    kron,
+)
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
@@ -22,7 +30,6 @@ from coisotropy.matrep import (
     _std_module,
     _sym2_of,
     _weight_module,
-    intertwiner_space,
     invariant_bilinear_form,
     octonion_left_mult,
     real_block_rep,
@@ -30,7 +37,9 @@ from coisotropy.matrep import (
     so_vector_gens,
     spin7_real_gens,
     spin_rep,
+    validate_matrix_rep,
 )
+from coisotropy.repdata import load_dataset
 from coisotropy.rootsys import DominantWeight, SimpleType, build_root_system, weyl_dim
 
 
@@ -142,7 +151,7 @@ def test_realize_dimensions_sum_and_product():
         ),
     )
     assert m.space_dim == 2 * 4 + 6
-    assert len(m.torus_gens) == 1
+    assert m.n_torus == 1
 
 
 def test_realize_trivial_factor_slots():
@@ -167,36 +176,218 @@ def test_realize_errors():
         )
 
 
-def test_validation_catches_broken_generators():
-    from coisotropy.matrep import validate_matrix_rep
+def _with_generator(stack, k, entries):
+    """A copy of an integer stack with generator k replaced by entries
+    {(row, col): integer value}."""
+    keep = stack.k != k
+    pos = list(entries)
+    add = lambda values: np.array(values, dtype=np.int64)  # noqa: E731
+    return stack._replace(
+        k=np.concatenate([stack.k[keep], add([k] * len(pos))]),
+        row=np.concatenate([stack.row[keep], add([i for i, _ in pos])]),
+        col=np.concatenate([stack.col[keep], add([j for _, j in pos])]),
+        re=np.concatenate([stack.re[keep], add([v * stack.den for v in entries.values()])]),
+        im=np.concatenate([stack.im[keep], add([0] * len(pos))]),
+    )
 
+
+def test_validation_catches_broken_generators():
     m = realize(grp(Factor("su", 2)), R(S(Term("std", 1))))
-    m.raising_gens[0] = QMat(2, 2, {(1, 0): QQi(1)})  # lower triangular junk
-    with pytest.raises(RepresentationError):
+    # the raising generator follows the one Cartan generator
+    m.gens = _with_generator(m.gens, 1, {(1, 0): 1})  # lower triangular junk
+    with pytest.raises(RepresentationError, match="strictly upper"):
         validate_matrix_rep(m)
 
 
 @pytest.mark.parametrize("entry", [(0, 2), (0, 3)], ids=["cartan-weight", "torus-weight"])
 def test_validation_catches_assembly_faults(entry):
-    from coisotropy.matrep import validate_matrix_rep
-
     # h = diag(1, -1, 1, -1) and torus t = diag(1, 1, 0, 0); e on (0, 2)
     # has h-weight 0 instead of 2, e on (0, 3) does not commute with t
     m = realize(
         grp(Factor("su", 2), lines=[(1,)]),
         R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(0,))),
     )
-    m.raising_gens[0] = QMat(4, 4, {entry: QQi(1)})
+    m.gens = _with_generator(m.gens, 1, {entry: 1})
     with pytest.raises(RepresentationError, match="weight relation"):
         validate_matrix_rep(m)
+
+
+# ---------------------------------------------------------------------------
+# the assembly against a kron / block_diag reference
+
+
+def _reference_generators(m, chirality=1) -> list[QMat]:
+    """cartan | raising | lowering | torus of a realized m, rebuilt from the
+    QMat module constructors: kron with identities for each slot, -x^T in
+    the reversed basis for a dual summand, block_diag over the summands."""
+    group, rep = m.group, m.rep
+
+    def slot(term):
+        if term.kind == "triv" or group.factors[term.factor - 1].simple_type is None:
+            return -1, None, 1
+        fac = group.factors[term.factor - 1]
+        st = fac.simple_type
+        mod = {
+            "std": lambda: _std_module(st),
+            "sym2": lambda: _sym2_of(_std_module(st)),
+            "alt2": lambda: _alt2_of(_std_module(st)),
+            "spin": lambda: _spin_module(fac.n, chirality),
+            "weight": lambda: _weight_module(st, term.weight),
+        }[term.kind]()
+        return term.factor - 1, mod, mod.dim
+
+    summands = [(sm, [slot(t) for t in sm.terms]) for sm in rep.summands]
+
+    def on_summand(sm, slots, fidx, which, gi):
+        dims = [d for *_, d in slots]
+        dim = math.prod(dims)
+        acc = QMat.zeros(dim, dim)
+        for s, (f, mod, _) in enumerate(slots):
+            if f == fidx:
+                before = QMat.identity(math.prod(dims[:s]))
+                after = QMat.identity(math.prod(dims[s + 1 :]))
+                acc = acc + kron(kron(before, getattr(mod, which)[gi]), after)
+        if sm.dual:
+            acc = QMat(dim, dim, {(dim - 1 - j, dim - 1 - i): -v for (i, j), v in acc.entries.items()})
+        return acc
+
+    def assembled(fidx, which, gi):
+        return block_diag([on_summand(sm, slots, fidx, which, gi) for sm, slots in summands])
+
+    def root_index(fidx, root):
+        return build_root_system(group.factors[fidx].simple_type).positive_roots.index(root)
+
+    gens = [assembled(fidx, "cartan", i) for fidx, i in m.cartan_labels]
+    for which in ("raising", "lowering"):
+        gens += [assembled(f, which, root_index(f, root)) for f, root in m.root_labels]
+    for line in group.torus_lines:
+        diag = []
+        for sm, slots in summands:
+            charges = sm.charges or (0,) * group.n_circles
+            net = sum(a * c for a, c in zip(line, charges))
+            diag += [QQi(net)] * math.prod(d for *_, d in slots)
+        gens.append(QMat.diag(diag))
+    return gens
+
+
+def _reference_views(m, chirality=1) -> tuple[list[QMat], list[QMat]]:
+    """(Borel generators, compact generators) of the reference."""
+    gens = _reference_generators(m, chirality)
+    nc, npos = len(m.cartan_labels), len(m.root_labels)
+    cartan, torus = gens[:nc], gens[nc + 2 * npos :]
+    raising, lowering = gens[nc : nc + npos], gens[nc + npos : nc + 2 * npos]
+    i = QQi(0, 1)
+    compact = [h.scale(i) for h in cartan]
+    for e, f in zip(raising, lowering):
+        compact += [e - f, (e + f).scale(i)]
+    return cartan + raising + torus, compact + [t.scale(i) for t in torus]
+
+
+def _values(stack) -> tuple[tuple, dict]:
+    """Shape and nonzero entries {(k, row, col): (re, im)} of a stack, as
+    Fractions."""
+    ent = {
+        (int(k), int(i), int(j)): (Fraction(int(a), stack.den), Fraction(int(b), stack.den))
+        for k, i, j, a, b in zip(stack.k, stack.row, stack.col, stack.re, stack.im)
+        if a or b
+    }
+    return stack.shape, ent
+
+
+def _qmat_values(mats, dim) -> tuple[tuple, dict]:
+    ent = {(k, i, j): (v.re, v.im) for k, g in enumerate(mats) for (i, j), v in g.entries.items()}
+    return (len(mats), dim, dim), ent
+
+
+def _assert_matches_reference(m, chirality=1):
+    borel, compact = _reference_views(m, chirality)
+    assert m.borel_stack.den > 0 and m.compact_stack.den > 0
+    assert _values(m.borel_stack) == _qmat_values(borel, m.space_dim)
+    assert _values(m.compact_stack) == _qmat_values(compact, m.space_dim)
+
+
+def _table_instantiations():
+    """Every instantiation of tables Ia, IIa and IIb: bare and with one
+    scalar line (Ia) or one charge line on the two summands (IIa, IIb)."""
+    ds = load_dataset()
+    for table in ("Ia", "IIa", "IIb"):
+        for entry in ds.mf_rows(table):
+            for env in entry.instantiations() or [{}]:
+                group, rep = entry.pattern.instantiate(env)
+                if table == "Ia":
+                    if group.dim:
+                        yield group, rep
+                    charged = tuple(Summand(s.terms, s.dual, (1,)) for s in rep.summands)
+                    yield GroupSpec(group.factors, ((1,),)), RepSpec(charged)
+                else:
+                    first, second = rep.summands
+                    charged = (
+                        Summand(first.terms, first.dual, (1, 0)),
+                        Summand(second.terms, second.dual, (0, 1)),
+                    )
+                    yield GroupSpec(group.factors, ((1, -2),)), RepSpec(charged)
+
+
+def test_assembly_matches_kron_reference_on_the_mf_tables():
+    seen = set()
+    for group, rep in _table_instantiations():
+        if (group, rep) in seen:
+            continue
+        seen.add((group, rep))
+        _assert_matches_reference(realize(group, rep))
+    assert len(seen) == 91  # the 91 queries of one mf_stream round
 
 
 def test_dual_module_is_dual_action():
     m = realize(grp(Factor("su", 3)), R(S(Term("std", 1))))
     md = realize(grp(Factor("su", 3)), R(S(Term("std", 1), dual=True)))
+    _assert_matches_reference(md)
     # duality sends X to -X^T up to basis reversal: traces of squares agree
-    for a, b in zip(m.all_complex_generators(), md.all_complex_generators()):
-        assert (a @ a).trace() == (b @ b).trace()
+    a, b = m.gens.dense(), md.gens.dense()
+    for k in range(m.gens.shape[0]):
+        assert _trace_of_square(a, k) == _trace_of_square(b, k)
+
+
+def _trace_of_square(z, k) -> tuple[Fraction, Fraction]:
+    re, im = z.re[k].astype(object), z.im[k].astype(object)
+    return (
+        Fraction(int(np.trace(re @ re - im @ im)), z.den**2),
+        Fraction(int(np.trace(re @ im + im @ re)), z.den**2),
+    )
+
+
+def _intertwiners(gens_a, gens_b, dim_a: int, dim_b: int) -> list[QMat]:
+    """Basis of {T : T a_k = b_k T} for QMat generator lists, exact."""
+    assert len(gens_a) == len(gens_b)
+    nu = dim_b * dim_a
+    rows = []
+    for a, b in zip(gens_a, gens_b):
+        coeff: dict[tuple[int, int], dict[int, QQi]] = {}
+        for (i, j), v in a.entries.items():
+            # (T a)_{r j} gains T_{r i} * v
+            for rr in range(dim_b):
+                cof = coeff.setdefault((rr, j), {})
+                cof[rr * dim_a + i] = cof.get(rr * dim_a + i, QQi(0)) + v
+        for (i, j), v in b.entries.items():
+            # (b T)_{i c} gains v * T_{j c}
+            for cc in range(dim_a):
+                cof = coeff.setdefault((i, cc), {})
+                cof[j * dim_a + cc] = cof.get(j * dim_a + cc, QQi(0)) - v
+        for cof in coeff.values():
+            re_row = [Fraction(0)] * (2 * nu)
+            im_row = [Fraction(0)] * (2 * nu)
+            for k, v in cof.items():
+                re_row[k], re_row[nu + k] = v.re, -v.im
+                im_row[k], im_row[nu + k] = v.im, v.re
+            if any(re_row) or any(im_row):
+                rows += [re_row, im_row]
+    out = []
+    for vec in frac_nullspace(rows, 2 * nu) if rows else []:
+        ent = {(k // dim_a, k % dim_a): QQi(vec[k], vec[nu + k]) for k in range(nu)}
+        m = QMat(dim_b, dim_a, ent)
+        if not m.is_zero() and m not in out:
+            out.append(m)
+    return out
 
 
 def test_spin5_equivalent_to_sp2_standard():
@@ -211,7 +402,7 @@ def test_spin5_equivalent_to_sp2_standard():
     # the isomorphism swaps the two simple nodes
     gens_a = [spin5.cartan[0], spin5.cartan[1], spin5.raising[ib1], spin5.raising[ib2], spin5.lowering[ib1], spin5.lowering[ib2]]
     gens_b = [sp2.cartan[1], sp2.cartan[0], sp2.raising[ic2], sp2.raising[ic1], sp2.lowering[ic2], sp2.lowering[ic1]]
-    space = intertwiner_space(gens_a, gens_b, 4, 4)
+    space = _intertwiners(gens_a, gens_b, 4, 4)
     assert space
     t = space[0]
     rows = [tuple(t.get(i, j) for j in range(4)) for i in range(4)]
@@ -314,57 +505,85 @@ def test_spin_rep_wrapper():
 
 
 CERTIFIED = {
-    "std C2": (lambda: _std_module(SimpleType("C", 2)), SimpleType("C", 2)),
-    "spin B3": (lambda: _spin_module(7), SimpleType("B", 3)),
-    "weight G2 (1,0)": (lambda: _weight_module(SimpleType("G", 2), (1, 0)), SimpleType("G", 2)),
+    "std C2": (Factor("sp", 2), "std", None),
+    "spin B3": (Factor("so", 7), "spin", 1),
+    "weight G2 (1,0)": (Factor("g2", 2), "weight", (1, 0)),
 }
 
 
-def _corrupt(mat: QMat, index: int = 0, negate: bool = False) -> None:
-    # in place; callers pass deep copies, never the cached modules
-    key = sorted(mat.entries)[index]
-    mat.entries[key] = -mat.entries[key] if negate else mat.entries[key] + QQi(1)
+def _module_and_roots(name):
+    fac, kind, arg = CERTIFIED[name]
+    return _factor_module(fac, kind, arg), build_root_system(fac.simple_type)
+
+
+def _entries_of(stack, k):
+    """Positions in the stack arrays of generator k's entries, by (row, col)."""
+    at = np.flatnonzero(stack.k == k)
+    return at[np.lexsort((stack.col[at], stack.row[at]))]
+
+
+def _corrupt(stack, k, index=0, negate=False):
+    # a copy with one entry of generator k negated or raised by 1; the
+    # cached module itself is never touched
+    t = _entries_of(stack, k)[index]
+    re, im = stack.re.copy(), stack.im.copy()
+    if negate:
+        re[t], im[t] = -re[t], -im[t]
+    else:
+        re[t] += stack.den
+    return stack._replace(re=re, im=im)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_accepts_cached_module(name):
-    build, st = CERTIFIED[name]
-    _certify(build(), build_root_system(st))
+    _certify(*_module_and_roots(name))
 
 
 @pytest.mark.parametrize("which", ["cartan", "raising", "lowering"])
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_rejects_corrupted_entry(name, which):
-    build, st = CERTIFIED[name]
-    mod = copy.deepcopy(build())
+    mod, rs = _module_and_roots(name)
+    r, npos = rs.rank, rs.n_positive_roots
+    first, count = {"cartan": (0, r), "raising": (r, npos), "lowering": (r + npos, npos)}[which]
     # a generator with one nonzero entry stays valid when that entry is
     # rescaled, so corrupt one whose entries are tied to each other
-    gen = next(g for g in getattr(mod, which) if len(g.entries) >= 2)
-    _corrupt(gen)
+    k = next(k for k in range(first, first + count) if len(_entries_of(mod, k)) >= 2)
     with pytest.raises(RepresentationError):
-        _certify(mod, build_root_system(st))
+        _certify(_corrupt(mod, k), rs)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_rejects_root_vector_off_its_bracket(name):
-    build, st = CERTIFIED[name]
-    rs = build_root_system(st)
-    mod = copy.deepcopy(build())
+    mod, rs = _module_and_roots(name)
+    r = rs.rank
     k = next(
-        k
-        for k, root in enumerate(rs.positive_roots)
-        if sum(root) > 1 and len(mod.raising[k].entries) >= 2
+        r + j
+        for j, root in enumerate(rs.positive_roots)
+        if sum(root) > 1 and len(_entries_of(mod, r + j)) >= 2
     )
     # same nonzero positions, so every weight relation still holds
-    _corrupt(mod.raising[k], negate=True)
     with pytest.raises(RepresentationError, match="multiple of its bracket"):
-        _certify(mod, rs)
+        _certify(_corrupt(mod, k, negate=True), rs)
+
+
+def test_certificate_rejects_a_non_real_cartan_multiple():
+    # su(2) on C^2: h, e, f; i*f keeps every weight but [e, i*f] = i*h
+    mod = _factor_module(Factor("su", 2), "std")
+    rs = build_root_system(SimpleType("A", 1))
+    lowering = mod.k == 2
+    times = lambda re, im: mod._replace(  # noqa: E731  (f times re + i*im)
+        re=np.where(lowering, re * mod.re - im * mod.im, mod.re),
+        im=np.where(lowering, im * mod.re + re * mod.im, mod.im),
+    )
+    _certify(times(2, 0), rs)
+    with pytest.raises(RepresentationError, match=r"\[e_0, f_0\] is not c h_0"):
+        _certify(times(0, 1), rs)
 
 
 def test_certificate_accepts_trivial_alt2_of_su2():
     mod = _factor_module(Factor("su", 2), "alt2")
-    assert mod.dim == 1
-    assert all(g.is_zero() for g in mod.cartan + mod.raising + mod.lowering)
+    assert mod.shape == (3, 1, 1)
+    assert not mod.re.any() and not mod.im.any()
     _certify(mod, build_root_system(SimpleType("A", 1)))
     assert realize(grp(Factor("su", 2)), R(S(Term("alt2", 1)))).space_dim == 1
 
@@ -411,7 +630,7 @@ def test_square_of_su4_std_is_its_weight_module(functor, weight):
     target = _weight_module(st, weight)
     assert square.dim == target.dim
     # simple e_i, f_i with [e_i, f_i] = h_i on both sides generate the algebra
-    space = intertwiner_space(
+    space = _intertwiners(
         _simple_generators(square, rs),
         _simple_generators(target, rs),
         square.dim,
@@ -433,35 +652,19 @@ def test_inverse_solver_rejects_singular_block():
 
 def test_slot_embedding_matches_kron():
     # factor 1 fills the first and the last slot of std(1) (x) std(2) (x) std(1)
-    g = grp(Factor("su", 2), Factor("su", 3))
+    g = grp(Factor("su", 2), Factor("su", 3), lines=[(1,)])
     slots = (Term("std", 1), Term("std", 2), Term("std", 1))
-    m = realize(g, RepSpec(summands=(Summand(terms=slots),)))
-    mods = [_factor_module(g.factors[t.factor - 1], "std") for t in slots]
-    dims = [mod.dim for mod in mods]
-
-    def embedded(fidx, which, gi):
-        acc = QMat.zeros(m.space_dim, m.space_dim)
-        for k, t in enumerate(slots):
-            if t.factor - 1 == fidx:
-                before = QMat.identity(math.prod(dims[:k]))
-                after = QMat.identity(math.prod(dims[k + 1 :]))
-                acc = acc + kron(kron(before, getattr(mods[k], which)[gi]), after)
-        return acc
-
-    for (fidx, i), h in zip(m.cartan_labels, m.cartan_gens):
-        assert h == embedded(fidx, "cartan", i)
-    fac_roots: dict[int, int] = {}
-    for (fidx, _), e, f in zip(m.root_labels, m.raising_gens, m.lowering_gens):
-        ri = fac_roots[fidx] = fac_roots.get(fidx, -1) + 1
-        assert e == embedded(fidx, "raising", ri)
-        assert f == embedded(fidx, "lowering", ri)
+    m = realize(g, RepSpec(summands=(Summand(terms=slots, charges=(1,)),)))
+    assert _values(m.gens) == _qmat_values(_reference_generators(m), m.space_dim)
+    _assert_matches_reference(m)
 
 
 def test_integer_views_scale_the_generators():
     m = realize(grp(Factor("so", 5), lines=[(1,)]), RepSpec(
         summands=(Summand(terms=(Term("spin", 1),), charges=(1,)),)
     ))
-    for view, gens in ((m.borel_stack, m.borel_generators()), (m.compact_stack, m.compact_gens)):
+    borel, compact = _reference_views(m)
+    for view, gens in ((m.borel_stack, borel), (m.compact_stack, compact)):
         stack = view.dense()
         assert stack.den > 0 and stack.re.shape == (len(gens), 4, 4)
         for k, g in enumerate(gens):

@@ -65,14 +65,14 @@ def test_mf_dual_invariance():
 
 def test_mf_rank_scale_invariance():
     # the Borel rank at v equals the rank at any nonzero multiple of v
-    from coisotropy.linalg import complex_rank
+    import numpy as np
+
+    from coisotropy.linalg import complex_rank, zi_apply
 
     m = rep_of("su(3) + u1[1] on std(1) @ 1")
-    borel = m.borel_generators()
-    v = tuple(QQi(k + 1, 2 - k) for k in range(3))
-    v3 = tuple(QQi(3) * z for z in v)
-    assert complex_rank([g.apply(v) for g in borel]) == complex_rank(
-        [g.apply(v3) for g in borel]
+    v_re, v_im = np.array([1, 2, 3]), np.array([2, 1, 0])
+    assert complex_rank(zi_apply(m.borel_stack, v_re, v_im)) == complex_rank(
+        zi_apply(m.borel_stack, 3 * v_re, 3 * v_im)
     )
 
 
@@ -199,19 +199,20 @@ def test_cohom_report_flag():
 def test_zero_module_edge():
     # every group element stabilizes the zero module: cohomogeneity zero
     # and a principal isotropy of full rank
-    from coisotropy.matrep import Factor, GroupSpec, MatrixRep, RepSpec, Summand, Term
+    import numpy as np
+
+    from coisotropy.linalg import ZiStack
+    from coisotropy.matrep import GroupSpec, MatrixRep, RepSpec, Summand, Term
 
     group = GroupSpec(torus_lines=((1,), ))
+    none = np.zeros(0, dtype=np.int64)
     rep = MatrixRep(
         group=group,
         rep=RepSpec(summands=(Summand(terms=(Term("triv"),), charges=(0,)),)),
         space_dim=0,
-        cartan_gens=[],
+        gens=ZiStack((1, 0, 0), none, none, none, none, none, 1),
         cartan_labels=[],
-        raising_gens=[],
-        lowering_gens=[],
         root_labels=[],
-        torus_gens=[QMat.zeros(0, 0)],
         summand_slices=[(0, 0)],
     )
     report = coisotropic_by_rank(rep)
