@@ -15,8 +15,11 @@ check fails at both primes of _RANK_PRIMES.  A complex rank is first taken
 modulo p with i mapped to a square root of -1; a full one is certified,
 because a ring map never raises the rank.  Otherwise the kernel decides on
 the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
-The Fraction eliminations remain for span membership and Gram blocks
-(frac_rref) and as the kernel fallback of int_kernel (frac_nullspace).
+The Fraction eliminations remain for the Gram blocks of the weight-module
+construction (frac_rref) and as the kernel fallback of int_kernel
+(frac_nullspace).  QMat, the sparse matrix over Q(i), serves only the real
+slice models and the Lie-triple test; modules are built as integer stacks,
+so no QMat Kronecker product is needed.
 """
 
 from __future__ import annotations
@@ -269,16 +272,6 @@ def block_diag(blocks: list[QMat]) -> QMat:
         ro += b.nrows
         co += b.ncols
     out = QMat(n, m)
-    out.entries = ent
-    return out
-
-
-def kron(a: QMat, b: QMat) -> QMat:
-    out = QMat(a.nrows * b.nrows, a.ncols * b.ncols)
-    ent = {}
-    for (i, j), u in a.entries.items():
-        for (k, l), v in b.entries.items():
-            ent[(i * b.nrows + k, j * b.ncols + l)] = u * v
     out.entries = ent
     return out
 

@@ -1,15 +1,17 @@
 """Explicit matrix realizations over the Gaussian rationals, stored as integers.
 
+Every per-factor module is built directly as one integer stack
+(linalg.ZiStack: numerators over one denominator) and certified once.
 Standard modules of the classical algebras are realized in split form so
 that Cartan generators are diagonal and positive root vectors are strictly
-upper triangular in the constructed weight basis.  Spin modules come from a
-Clifford algebra built out of Pauli tensor products; arbitrary dominant
-weights are realized through an exact contravariant-form construction;
-symmetric and exterior squares act on these QMat generator lists.  Each
-per-factor module is converted once into an integer stack (linalg.ZiStack,
-numerators over one denominator) and certified there.  Tensor products,
-duals, direct sums and torus charge lines are assembled from the stacks by
-index arithmetic, and nothing after construction reads a QMat.
+upper triangular in the constructed weight basis.  Spin modules are the
+Clifford modules on qubits, written by bit arithmetic on the basis indices;
+arbitrary dominant weights are realized through an exact contravariant-form
+construction, with integer brackets for the non-simple root vectors;
+symmetric and exterior squares are induced from the standard stack by index
+arithmetic.  Tensor products, duals, direct sums and torus charge lines are
+assembled from the stacks by index arithmetic too.  QMat remains only in
+the real slice models (RealRep).
 
 For every module the lowering generator of a positive root is the adjoint
 of the raising generator with respect to an invariant positive form, so
@@ -20,7 +22,7 @@ charge matrices, is exactly the compact real form acting on the module.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
@@ -31,9 +33,7 @@ from .linalg import (
     INT64_SAFE,
     QMat,
     QQi,
-    QQI_I,
     QQI_ONE,
-    QQI_ZERO,
     ZiArray,
     ZiStack,
     _max_abs,
@@ -42,7 +42,6 @@ from .linalg import (
     complex_rank,
     frac_rref,
     int_kernel,
-    kron,
     zi_stack,
 )
 from .rootsys import (
@@ -249,254 +248,143 @@ class RepSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-factor modules with a Chevalley split
+# per-factor modules with a Chevalley split, built as integer stacks
+#
+# A module of a simple factor is one ZiStack ordered cartan | raising |
+# lowering: the simple roots, then the positive roots in positive_roots
+# order, over one denominator.
 
 
-@dataclass
-class ModuleGens:
-    """Generator matrices of one simple factor acting on one module.
-
-    cartan is indexed by simple roots, raising/lowering by the positive
-    roots of the factor root system, in its positive_roots order.  Each
-    lowering generator is the adjoint of its raising partner with respect
-    to an invariant positive form.
-    """
-
-    dim: int
-    cartan: list[QMat] = field(default_factory=list)
-    raising: list[QMat] = field(default_factory=list)
-    lowering: list[QMat] = field(default_factory=list)
-
-    def map_all(self, f) -> "ModuleGens":
-        return ModuleGens(
-            dim=-1,  # caller fixes
-            cartan=[f(m) for m in self.cartan],
-            raising=[f(m) for m in self.raising],
-            lowering=[f(m) for m in self.lowering],
-        )
+def _real_split(d: int, rs: RootSystem, entries: np.ndarray) -> ZiStack:
+    """The module stack of the integer entries (k, row, col, value) of its
+    Cartan and raising generators, with each lowering generator the
+    transpose of its raising one: the basis is orthonormal for an
+    invariant form, under which a real raising generator's adjoint is its
+    transpose."""
+    r, npos = rs.rank, rs.n_positive_roots
+    k, row, col, val = entries.reshape(-1, 4).T
+    up = k >= r
+    val = np.concatenate([val, val[up]])
+    return _coalesce(
+        (r + 2 * npos, d, d),
+        np.concatenate([k, k[up] + npos]),
+        np.concatenate([row, col[up]]),
+        np.concatenate([col, row[up]]),
+        val,
+        0 * val,
+        1,
+    )
 
 
-def _orth_coords(rs: RootSystem):
-    return [rs._orth(root) for root in rs.positive_roots]
+def _orth(rs: RootSystem) -> np.ndarray:
+    """Orthogonal coordinates of the positive roots of a classical type,
+    one integer row per root."""
+    return np.array(rs.positive_roots) @ np.array([[int(x) for x in a] for a in rs.simple_orth])
 
 
-@functools.lru_cache(maxsize=None)
-def _std_module(stype: SimpleType) -> ModuleGens:
+def _std_module(stype: SimpleType) -> ZiStack:
+    """Standard module in split form: the basis (e_1..e_r, [middle],
+    f_r..f_1) of weights eps_i, 0, -eps_i for B, C and D (eps_1..eps_n
+    for A) carries strictly decreasing weights, h_i is the pairing of each
+    basis weight with the coroot of alpha_i, and the raising generators are
+    the split root vectors of the symplectic or antidiagonal symmetric
+    form.  An exceptional algebra gets its smallest fundamental module."""
     fam, r = stype.family, stype.rank
     rs = build_root_system(stype)
-    if fam == "A":
-        return _std_A(rs, r)
-    if fam == "C":
-        return _std_C(rs, r)
-    if fam in ("B", "D"):
-        return _std_BD(rs, r, odd=(fam == "B"))
-    # exceptional standard module = smallest fundamental module
-    best = min(
-        range(r),
-        key=lambda i: weyl_dim(rs, DominantWeight.fundamental(r, i)),
-    )
-    return _weight_module(stype, tuple(int(i == best) for i in range(r)))
-
-
-def _std_A(rs: RootSystem, r: int) -> ModuleGens:
-    n = r + 1
-    mod = ModuleGens(dim=n)
-    for i in range(r):
-        mod.cartan.append(QMat(n, n, {(i, i): QQI_ONE, (i + 1, i + 1): QQi(-1)}))
-    for orth in _orth_coords(rs):
-        i = next(k for k, v in enumerate(orth) if v == 1)
-        j = next(k for k, v in enumerate(orth) if v == -1)
-        mod.raising.append(QMat(n, n, {(i, j): QQI_ONE}))
-        mod.lowering.append(QMat(n, n, {(j, i): QQI_ONE}))
-    return mod
-
-
-def _std_C(rs: RootSystem, r: int) -> ModuleGens:
-    # weight-ordered basis (e_1..e_r, f_r..f_1)
-    n = 2 * r
-    pp = lambda i: i  # noqa: E731
-    pm = lambda i: 2 * r - 1 - i  # noqa: E731
-    mod = ModuleGens(dim=n)
-    hd = [
-        {(pp(i), pp(i)): QQI_ONE, (pm(i), pm(i)): QQi(-1)} for i in range(r)
-    ]
-    for i in range(r - 1):
-        d = dict(hd[i])
-        d[(pp(i + 1), pp(i + 1))] = QQi(-1)
-        d[(pm(i + 1), pm(i + 1))] = QQI_ONE
-        mod.cartan.append(QMat(n, n, d))
-    mod.cartan.append(QMat(n, n, hd[r - 1]))
-    for orth in _orth_coords(rs):
-        pos = [k for k, v in enumerate(orth) if v > 0]
-        neg = [k for k, v in enumerate(orth) if v < 0]
-        if 2 in orth:
-            i = orth.index(2)
-            e = QMat(n, n, {(pp(i), pm(i)): QQI_ONE})
-        elif len(pos) == 2:
-            i, j = pos
-            e = QMat(n, n, {(pp(i), pm(j)): QQI_ONE, (pp(j), pm(i)): QQI_ONE})
-        else:
-            i, j = pos[0], neg[0]
-            e = QMat(n, n, {(pp(i), pp(j)): QQI_ONE, (pm(j), pm(i)): QQi(-1)})
-        mod.raising.append(e)
-        mod.lowering.append(e.transpose())
-    return mod
-
-
-def _std_BD(rs: RootSystem, r: int, odd: bool) -> ModuleGens:
-    # split realization for the antidiagonal symmetric form; basis
-    # (e_1..e_r, [middle], f_r..f_1) carries strictly decreasing weights
-    n = 2 * r + 1 if odd else 2 * r
-    pp = lambda i: i  # noqa: E731
-    pm = lambda i: n - 1 - i  # noqa: E731
-    mid = r
-    mod = ModuleGens(dim=n)
-    hd = [
-        {(pp(i), pp(i)): QQI_ONE, (pm(i), pm(i)): QQi(-1)} for i in range(r)
-    ]
-    for i in range(r - 1):
-        d = dict(hd[i])
-        d[(pp(i + 1), pp(i + 1))] = QQi(-1)
-        d[(pm(i + 1), pm(i + 1))] = QQI_ONE
-        mod.cartan.append(QMat(n, n, d))
-    if odd:
-        mod.cartan.append(QMat(n, n, {k: v + v for k, v in hd[r - 1].items()}))
-    else:
-        d = dict(hd[r - 2])
-        for k, v in hd[r - 1].items():
-            d[k] = d.get(k, QQI_ZERO) + v
-        mod.cartan.append(QMat(n, n, d))
-    for orth in _orth_coords(rs):
-        pos = [k for k, v in enumerate(orth) if v > 0]
-        neg = [k for k, v in enumerate(orth) if v < 0]
-        if len(pos) == 1 and not neg:
-            i = pos[0]
-            e = QMat(n, n, {(pp(i), mid): QQI_ONE, (mid, pm(i)): QQi(-1)})
-        elif len(pos) == 2:
-            i, j = pos
-            e = QMat(n, n, {(pp(i), pm(j)): QQI_ONE, (pp(j), pm(i)): QQi(-1)})
-        else:
-            i, j = pos[0], neg[0]
-            e = QMat(n, n, {(pp(i), pp(j)): QQI_ONE, (pm(j), pm(i)): QQi(-1)})
-        mod.raising.append(e)
-        mod.lowering.append(e.transpose())
-    return mod
-
-
-# ---------------------------------------------------------------------------
-# spin modules via Pauli tensor products
-
-
-_SX = QMat(2, 2, {(0, 1): QQI_ONE, (1, 0): QQI_ONE})
-_SY = QMat(2, 2, {(0, 1): QQi(0, -1), (1, 0): QQI_I})
-_SZ = QMat(2, 2, {(0, 0): QQI_ONE, (1, 1): QQi(-1)})
-
-
-def _pauli_chain(k: int, pos: int, op: QMat) -> QMat:
-    out = QMat.identity(1)
-    for t in range(k):
-        if t < pos:
-            out = kron(out, _SZ)
-        elif t == pos:
-            out = kron(out, op)
-        else:
-            out = kron(out, QMat.identity(2))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _spin_module(n: int, chirality: int = 1) -> ModuleGens:
-    if not 3 <= n <= 12:
-        raise NotRealizable("spin modules are provided for 3 <= n <= 12")
-    k = n // 2
-    odd = n % 2 == 1
-    gammas = []
-    for j in range(k):
-        gammas.append(_pauli_chain(k, j, _SX))
-        gammas.append(_pauli_chain(k, j, _SY))
-    chain_z = functools.reduce(kron, [_SZ] * k)
-    if odd:
-        gammas.append(chain_z)
-    dim_full = 2**k
-    stype = SimpleType("B", k) if odd else SimpleType("D", k)
-    rs = build_root_system(stype)
-
-    half = QQi(Fraction(1, 2))
-    ihalf = QQi(0, Fraction(1, 2))
-    raisers = [
-        gammas[2 * j].scale(half) + gammas[2 * j + 1].scale(ihalf) for j in range(k)
-    ]
-    lowerers = [m.conj_transpose() for m in raisers]
-
-    def root_vector(orth) -> QMat:
+    if fam not in "ABCD":
+        best = min(range(r), key=lambda i: weyl_dim(rs, DominantWeight.fundamental(r, i)))
+        return _weight_module(stype, tuple(int(i == best) for i in range(r)))
+    d = {"A": r + 1, "B": 2 * r + 1, "C": 2 * r, "D": 2 * r}[fam]
+    m = lambda i: d - 1 - i  # noqa: E731  (the basis vector of weight -eps_i)
+    ent = []
+    for i, alpha in enumerate(rs.simple_orth):
+        norm = sum(x * x for x in alpha)
+        for t, x in enumerate(alpha):
+            if x:
+                c = int(2 * x / norm)
+                ent += [(i, t, t, c)] + ([(i, m(t), m(t), -c)] if fam != "A" else [])
+    for j, orth in enumerate(_orth(rs).tolist()):
+        k = r + j
         pos = [t for t, v in enumerate(orth) if v > 0]
         neg = [t for t, v in enumerate(orth) if v < 0]
-        if len(pos) == 1 and not neg:
-            return raisers[pos[0]] @ gammas[-1]
-        if len(pos) == 2:
-            return raisers[pos[0]] @ raisers[pos[1]]
-        return raisers[pos[0]] @ lowerers[neg[0]]
+        if fam == "A":
+            ent.append((k, pos[0], neg[0], 1))
+        elif not neg and len(pos) == 1:  # 2 eps_i (C) or eps_i (B)
+            i = pos[0]
+            ent += [(k, i, m(i), 1)] if fam == "C" else [(k, i, r, 1), (k, r, m(i), -1)]
+        elif len(pos) == 2:  # eps_i + eps_j
+            i, t = pos
+            ent += [(k, i, m(t), 1), (k, t, m(i), 1 if fam == "C" else -1)]
+        else:  # eps_i - eps_j
+            i, t = pos[0], neg[0]
+            ent += [(k, i, t, 1), (k, m(t), m(i), -1)]
+    return _real_split(d, rs, np.array(ent, dtype=np.int64))
 
-    horth = []
-    for j in range(k):
-        m = (gammas[2 * j] @ gammas[2 * j + 1]).scale(QQi(0, Fraction(-1, 2)))
-        assert m.is_diagonal()
-        horth.append(m)
 
-    if odd:
-        indices = list(range(dim_full))
-    else:
-        want = QQI_ONE if chirality > 0 else QQi(-1)
-        indices = [i for i in range(dim_full) if chain_z.get(i, i) == want]
-    weights = [
-        tuple(h.get(idx, idx).re for h in horth) for idx in indices
-    ]
-    scale = [Fraction(3 ** (k - j)) for j in range(k)]
-    order = sorted(
-        range(len(indices)),
-        key=lambda t: sum(s * w for s, w in zip(scale, weights[t])),
-        reverse=True,
-    )
-    sel = [indices[t] for t in order]
-    posmap = {old: new for new, old in enumerate(sel)}
+def _spin_module(n: int, chirality: int = 1) -> ZiStack:
+    """Spin module of so(n), 3 <= n <= 12; of one chirality when n is even.
 
-    def restrict(m: QMat) -> QMat:
-        ent = {}
-        for (i, j), v in m.entries.items():
-            if i in posmap and j in posmap:
-                ent[(posmap[i], posmap[j])] = v
-            elif (i in posmap) != (j in posmap):
-                raise RepresentationError("operator does not preserve chirality")
-        return QMat(len(sel), len(sel), ent)
+    The Clifford module of so(n) is k = n // 2 qubits; qubit t is bit
+    k - 1 - t of a basis index.  The raiser (gamma_2t + i gamma_2t+1) / 2
+    sets qubit t from 1 to 0, with the sign (-1)^(ones before t) of its
+    Z chain; its transpose is the lowerer.  The Z chain of all k qubits,
+    (-1)^popcount, is the last gamma matrix for odd n and the chirality
+    for even n.  Qubit t carries the weight +-1/2 in the coordinate eps_t
+    (+ when clear), and the basis is ordered by decreasing weights under
+    the key sum_t 3^(k - t) w_t.
+    """
+    if not 3 <= n <= 12:
+        raise NotRealizable("spin modules are provided for 3 <= n <= 12")
+    k, odd = n // 2, n % 2 == 1
+    rs = build_root_system(SimpleType("B", k) if odd else SimpleType("D", k))
+    x = np.arange(2**k)
+    mask = 1 << np.arange(k - 1, -1, -1)
+    bits = ((x[:, None] & mask) != 0).astype(np.int64)
+    sign = 1 - 2 * ((np.cumsum(bits, axis=1) - bits) % 2)
+    # an operator is (image, sign) on the basis indices, sign 0 where it vanishes
+    raiser = [(x & ~mask[t], bits[:, t] * sign[:, t]) for t in range(k)]
+    lowerer = [(x | mask[t], (1 - bits[:, t]) * sign[:, t]) for t in range(k)]
+    chain_z = (x, 1 - 2 * (bits.sum(axis=1) % 2))
+    w2 = 1 - 2 * bits  # twice the weight coordinates
+    h = [(w2[:, i] - w2[:, i + 1]) // 2 for i in range(k - 1)]
+    h.append(w2[:, k - 1] if odd else (w2[:, k - 2] + w2[:, k - 1]) // 2)
+    ops = [(x, s) for s in h]
+    for orth in _orth(rs).tolist():
+        pos = [t for t, v in enumerate(orth) if v > 0]
+        neg = [t for t, v in enumerate(orth) if v < 0]
+        # eps_i: a_i Z; eps_i + eps_j: a_i a_j; eps_i - eps_j: a_i a_j^T
+        if not neg and len(pos) == 1:
+            y, sy = chain_z
+        else:
+            y, sy = raiser[pos[1]] if len(pos) == 2 else lowerer[neg[0]]
+        image, s = raiser[pos[0]]
+        ops.append((image[y], sy * s[y]))
 
-    mod = ModuleGens(dim=len(sel))
-    for i in range(k - 1):
-        mod.cartan.append(restrict(horth[i] - horth[i + 1]))
-    if odd:
-        mod.cartan.append(restrict(horth[k - 1].scale(QQi(2))))
-    else:
-        mod.cartan.append(restrict(horth[k - 2] + horth[k - 1]))
-    for root in rs.positive_roots:
-        e = restrict(root_vector(rs._orth(root)))
-        if e.is_zero():
-            raise RepresentationError(f"vanishing spin root vector for {root}")
-        mod.raising.append(e)
-        mod.lowering.append(e.conj_transpose())
-    return mod
+    keep = x if odd else x[chain_z[1] == (1 if chirality > 0 else -1)]
+    order = keep[np.argsort(-(w2[keep] @ 3 ** np.arange(k, 0, -1)), kind="stable")]
+    new = np.full(x.size, -1)
+    new[order] = np.arange(order.size)
+    parts = []
+    for g, (image, s) in enumerate(ops):
+        # for even n every operator flips 0 or 2 bits and keeps the chirality
+        on = (s != 0) & (new >= 0)
+        parts.append(np.stack([np.full(on.sum(), g), new[image[on]], new[x[on]], s[on]], axis=1))
+    return _real_split(order.size, rs, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
 # arbitrary dominant weights by the exact contravariant-form construction
 
 
-@functools.lru_cache(maxsize=None)
-def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ModuleGens:
+def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
     """Irreducible module with highest weight coeffs, over the rationals.
 
     States are lowering words applied to a highest vector; dependencies are
     resolved through the contravariant form, whose Gram matrices stay exact
     rationals.  The basis is graded by depth, so Cartan matrices come out
-    diagonal and raising matrices strictly upper triangular.
+    diagonal and raising matrices strictly upper triangular.  The other
+    root vectors are integer brackets: e_beta = [e_i, e_beta'] and, since
+    the form adjoint reverses brackets, f_beta = [f_beta', f_i].
     """
     rs = build_root_system(stype)
     lam = DominantWeight(coeffs)
@@ -603,71 +491,47 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ModuleGens:
             f"weight module for {stype} {coeffs} built dimension {n}, "
             f"expected {target}"
         )
-    mod = ModuleGens(dim=n)
-    for i in range(r):
-        diag = {}
-        for s in range(n):
-            val = wts[s][i]
-            if val.denominator != 1:
-                raise RepresentationError("non-integral weight in module build")
-            if val:
-                diag[(s, s)] = QQi(val)
-        mod.cartan.append(QMat(n, n, diag))
-    e_mats = []
-    f_mats = []
-    for i in range(r):
-        ent_e = {}
-        ent_f = {}
-        for s in range(n):
-            x = e_act[s][i]
-            if x:
-                for (u, c) in x:
-                    ent_e[(u, s)] = QQi(c)
-            for (u, c) in f_act.get((i, s), []):
-                ent_f[(u, s)] = QQi(c)
-        e_mats.append(QMat(n, n, ent_e))
-        f_mats.append(QMat(n, n, ent_f))
-
-    # extend to all positive roots: brackets for e, form-adjoints for f
-    # symmetrize sparse storage
-    full_gram = {}
-    for (s, t), v in gram.items():
-        full_gram[(s, t)] = QQi(v)
-        full_gram[(t, s)] = QQi(v)
-    gram_mat = QMat(n, n, full_gram)
-    gram_inv = _invert_block_diag(gram_mat, wts)
-
-    simple_idx = {}
-    for idx, root in enumerate(rs.positive_roots):
-        if sum(root) == 1:
-            simple_idx[root.index(1)] = idx
-    e_by_root: dict[tuple[int, ...], QMat] = {}
-    for i, idx in simple_idx.items():
-        e_by_root[rs.positive_roots[idx]] = e_mats[i]
-    for root in sorted(rs.positive_roots, key=sum):
-        if sum(root) == 1:
-            continue
-        for i in range(r):
-            if root[i] > 0:
-                beta = list(root)
-                beta[i] -= 1
-                tb = tuple(beta)
-                if tb in e_by_root:
-                    e_by_root[root] = commutator(e_mats[i], e_by_root[tb])
-                    break
-        else:
-            raise RepresentationError(f"no decomposition for root {root}")
-        if e_by_root[root].is_zero():
-            raise RepresentationError(f"vanishing root vector for {root}")
+    if any(w.denominator != 1 for mu in wts for w in mu):
+        raise RepresentationError("non-integral weight in module build")
+    # simple e_i at i and f_i at r + i, as integer matrices over den
+    ent = [(i, u, s, c) for s in range(n) for i in range(r) for u, c in e_act[s][i] or ()]
+    ent += [(r + i, u, s, c) for (i, s), x in f_act.items() for u, c in x]
+    den = lcm(*(c.denominator for *_, c in ent))
+    simple = np.zeros((2 * r, n, n), object)
+    for t, u, s, c in ent:
+        simple[t, u, s] = c.numerator * (den // c.denominator)
+    units = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    e = {u: _reduced(_Dense(simple[i], None, 0), den) for i, u in enumerate(units)}
+    f = {u: _reduced(_Dense(simple[r + i], None, 0), den) for i, u in enumerate(units)}
+    bracket = lambda p, q: _reduced(_bracket(p[0], q[0]), p[1] * q[1])  # noqa: E731
     for root in rs.positive_roots:
-        e = e_by_root[root]
-        if sum(root) == 1:
-            mod.raising.append(e)
-            mod.lowering.append(f_mats[root.index(1)])
-        else:
-            mod.raising.append(e)
-            mod.lowering.append(gram_inv @ e.transpose() @ gram_mat)
-    return mod
+        if root in e:
+            continue
+        i, beta = next(
+            (i, b) for i in range(r)
+            if root[i] and (b := tuple(c - (t == i) for t, c in enumerate(root))) in e
+        )
+        e[root] = bracket(e[units[i]], e[beta])
+        f[root] = bracket(f[beta], f[units[i]])
+
+    gens = [(np.diag([int(mu[i]) for mu in wts]), 1) for i in range(r)]
+    gens += [(x.re, g) for x, g in (e[root] for root in rs.positive_roots)]
+    gens += [(x.re, g) for x, g in (f[root] for root in rs.positive_roots)]
+    den = lcm(*(g for _, g in gens))
+    big = max(_max_abs(x) * (den // g) for x, g in gens) >= INT64_SAFE
+    full = np.stack([x.astype(object if big else np.int64) * (den // g) for x, g in gens])
+    k, row, col = np.nonzero(full)
+    re = full[k, row, col]
+    return ZiStack(full.shape, k, row, col, re, 0 * re, den)
+
+
+def _reduced(x: _Dense, den: int) -> tuple[_Dense, int]:
+    """The real matrix x / den in lowest terms: (numerators, denominator)
+    divided by their gcd, in int64 below INT64_SAFE."""
+    g = gcd(den, *x.re[x.re != 0].tolist())
+    re = x.re // g
+    bound = _max_abs(re)
+    return _Dense(re.astype(object if bound >= INT64_SAFE else np.int64), None, bound), den // g
 
 
 def _inverse_solver(mat: list[list[Fraction]]):
@@ -684,87 +548,45 @@ def _inverse_solver(mat: list[list[Fraction]]):
     return solve
 
 
-def _invert_block_diag(g: QMat, wts) -> QMat:
-    """Inverse of a weight-block-diagonal symmetric rational matrix."""
-    n = g.nrows
-    blocks: dict[tuple, list[int]] = {}
-    for s in range(n):
-        blocks.setdefault(wts[s], []).append(s)
-    ent = {}
-    for idxs in blocks.values():
-        m = len(idxs)
-        sub = [[g.get(idxs[a], idxs[b]).re for b in range(m)] for a in range(m)]
-        solve = _inverse_solver(sub)
-        for b in range(m):
-            col = [Fraction(int(a == b)) for a in range(m)]
-            inv_col = solve(col)
-            for a in range(m):
-                if inv_col[a]:
-                    ent[(idxs[a], idxs[b])] = QQi(inv_col[a])
-    return QMat(n, n, ent)
-
-
 # ---------------------------------------------------------------------------
-# functors: sym2, alt2, tensor, dual, sums
+# symmetric and exterior squares
 
 
-def _pair_index(d: int, diagonal: bool) -> tuple[int, list[list[int]]]:
-    """(count, idx) with idx[i][j] = idx[j][i] the position of the unordered
-    pair {i, j} among i <= j (diagonal) or i < j in lexicographic order."""
-    idx = [[-1] * d for _ in range(d)]
-    k = 0
-    for i in range(d):
-        for j in range(i if diagonal else i + 1, d):
-            idx[i][j] = idx[j][i] = k
-            k += 1
-    return k, idx
+def _square(mod: ZiStack, alt: bool) -> ZiStack:
+    """The induced action on the symmetric (alt False) or exterior square.
 
-
-def _sym2_of(mod: ModuleGens) -> ModuleGens:
-    d = mod.dim
-    n, idx = _pair_index(d, diagonal=True)
-
-    def induce(x: QMat) -> QMat:
-        # x e_b = sum_a x_ab e_a acts on each slot of the monomial e_b e_other
-        ent: dict[tuple[int, int], QQi] = {}
-        for (a, b), v in x.entries.items():
-            for other in range(d):
-                key = (idx[a][other], idx[b][other])
-                ent[key] = ent.get(key, QQI_ZERO) + (v + v if other == b else v)
-        return QMat(n, n, ent)
-
-    out = mod.map_all(induce)
-    out.dim = n
-    return out
-
-
-def _alt2_of(mod: ModuleGens) -> ModuleGens:
-    d = mod.dim
-    if d < 2:
+    x e_b = sum_a x_ab e_a acts on each factor of e_b e_c, which doubles
+    the term c = b of a monomial; on e_b ^ e_c (c != a, b) it gives
+    x_ab e_a ^ e_c, and storing both wedges with the smaller index first
+    fixes the sign.  Pairs {i, j} (i <= j, or i < j) are indexed in
+    lexicographic order.
+    """
+    n, d, _ = mod.shape
+    if alt and d < 2:
         raise NotRealizable("alt2 needs a module of dimension >= 2")
-    n, idx = _pair_index(d, diagonal=False)
-
-    def induce(x: QMat) -> QMat:
-        # x(e_b ^ e_other) gains x_ab e_a ^ e_other; both wedges are stored
-        # with the smaller index first, which fixes the sign
-        ent: dict[tuple[int, int], QQi] = {}
-        for (a, b), v in x.entries.items():
-            for other in range(d):
-                if other == a or other == b:
-                    continue
-                key = (idx[a][other], idx[b][other])
-                ent[key] = ent.get(key, QQI_ZERO) + (
-                    v if (a < other) == (b < other) else -v
-                )
-        return QMat(n, n, ent)
-
-    out = mod.map_all(induce)
-    out.dim = n
-    return out
+    i, j = np.triu_indices(d, 1 if alt else 0)
+    idx = np.full((d, d), -1)
+    idx[i, j] = idx[j, i] = np.arange(i.size)
+    a, b, c = mod.row[:, None], mod.col[:, None], np.arange(d)[None, :]
+    if alt:
+        mult = np.where((a < c) == (b < c), 1, -1) * ((c != a) & (c != b))
+    else:
+        mult = 1 + (c == b)
+    t, other = np.nonzero(mult)
+    mult = mult[t, other]
+    return _coalesce(
+        (n, i.size, i.size),
+        mod.k[t],
+        idx[mod.row[t], other],
+        idx[mod.col[t], other],
+        mod.re[t] * mult,
+        mod.im[t] * mult,
+        mod.den,
+    )
 
 
 # ---------------------------------------------------------------------------
-# the per-factor modules as integer stacks, each certified once
+# the per-factor modules, each certified once
 
 
 @functools.lru_cache(maxsize=None)
@@ -773,17 +595,16 @@ def _factor_module(fac: Factor, kind: str, arg=None) -> ZiStack:
     as one certified integer stack.
 
     arg is the chirality of a spin term and the highest weight of a weight
-    term.  The generators are ordered cartan | raising | lowering (simple
-    roots, then positive roots in positive_roots order) over one
-    denominator; nothing after this point reads the QMat matrices.
+    term.  Every module is built directly as a stack ordered cartan |
+    raising | lowering (simple roots, then positive roots in
+    positive_roots order) over one denominator; the squares are induced
+    from the standard module.
     """
     st = fac.simple_type
     if kind == "std":  # for exceptional factors, the smallest fundamental module
         mod = _std_module(st)
-    elif kind == "sym2":
-        mod = _sym2_of(_std_module(st))
-    elif kind == "alt2":
-        mod = _alt2_of(_std_module(st))
+    elif kind in ("sym2", "alt2"):
+        mod = _square(_std_module(st), alt=kind == "alt2")
     elif kind == "spin":
         if fac.kind != "so":
             raise NotRealizable("spin terms need an so(n) factor")
@@ -792,9 +613,8 @@ def _factor_module(fac: Factor, kind: str, arg=None) -> ZiStack:
         mod = _weight_module(st, arg)
     else:
         raise RepresentationError(f"unhandled term kind {kind!r}")
-    stack = zi_stack(mod.cartan + mod.raising + mod.lowering, mod.dim)
-    _certify(stack, build_root_system(st))
-    return stack
+    _certify(mod, build_root_system(st))
+    return mod
 
 
 def _root_pairings(rs: RootSystem) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .linalg import (
     commutator,
     complex_rank,
     float_rank,
-    frac_rref,
     int_kernel,
     int_rank,
     zi_apply,
@@ -204,16 +202,6 @@ def _isotropy_basis(rep, v) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _vectorize_real(mat: QMat) -> list[Fraction]:
-    out = []
-    for i in range(mat.nrows):
-        for j in range(mat.ncols):
-            v = mat.get(i, j)
-            out.append(v.re)
-            out.append(v.im)
-    return out
-
-
 def _algebra_rank(
     basis: tuple[np.ndarray, np.ndarray], rng: random.Random, bound: int = 97
 ) -> int:
@@ -317,18 +305,18 @@ class LieTripleResult:
 
 
 def _in_span(basis: list[QMat], target: QMat) -> bool:
+    """target lies in the real span of basis: appending its real and
+    imaginary parts to those of the basis keeps the exact integer rank."""
     if target.is_zero():
         return True
     if not basis:
         return False
-    rows = [_vectorize_real(b) for b in basis]
-    t = _vectorize_real(target)
-    ncols = len(rows)
-    aug = []
-    for comp in range(len(t)):
-        aug.append([rows[k][comp] for k in range(ncols)] + [t[comp]])
-    _, piv = frac_rref(aug)
-    return ncols not in piv
+    z = zi_rows([
+        tuple(m.get(i, j) for i in range(m.nrows) for j in range(m.ncols))
+        for m in basis + [target]
+    ])
+    rows = np.hstack([z.re, z.im])
+    return int_rank(rows) == int_rank(rows[:-1])
 
 
 def lie_triple_test(pair: SymmetricPair, m_basis: list[QMat]) -> LieTripleResult:

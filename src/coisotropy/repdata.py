@@ -493,16 +493,18 @@ def _net_charges(group: GroupSpec, rep: RepSpec) -> list[list[int]]:
     return out
 
 
-def _charge_span(rows: list[list[int]], ncols: int):
-    """Rationally reduced basis of the charge row span."""
-    from fractions import Fraction
-
-    from .linalg import frac_rref
-
-    if not rows:
-        return []
-    rr, piv = frac_rref([[Fraction(x) for x in row] for row in rows])
-    return [rr[i] for i in range(len(piv))]
+def _charge_span(rows: list[list[int]]) -> tuple[int, tuple[int, ...] | None]:
+    """(rank, generator) of the span of integer charge rows of at most two
+    columns; for rank 1 the generator is the primitive integer vector with
+    a positive leading entry, else None."""
+    nonzero = [row for row in rows if any(row)]
+    if not nonzero:
+        return 0, None
+    first = nonzero[0]
+    if len(first) == 2 and any(first[0] * b != first[1] * a for a, b in nonzero):
+        return 2, None
+    g = gcd(*first) * (1 if next(x for x in first if x) > 0 else -1)
+    return 1, tuple(x // g for x in first)
 
 
 def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) -> MFLookup:
@@ -528,7 +530,7 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
         )
     tables = ["Ia"] if r == 1 else ["IIa", "IIb"]
     charge_rows = _net_charges(group, rep)
-    span = _charge_span(charge_rows, r)
+    span = _charge_span(charge_rows)
     for strict in (True, False):
         for table in tables:
             for entry in ds.mf_rows(table):
@@ -687,7 +689,7 @@ def _evaluate_match(group, rep, entry, env, order, gdual, span) -> MFLookup | No
     except ValueError:
         return None
     sgn = -1 if gdual else 1
-    span_dim = len(span)
+    span_dim, gen = span
     if span_dim >= r:
         if needs_charges:
             notes.append("full scalars present; charge condition satisfiable")
@@ -696,17 +698,7 @@ def _evaluate_match(group, rep, entry, env, order, gdual, span) -> MFLookup | No
         charge_env["b"] = 10**6 - 1
         scalar_state = "full"
     elif span_dim == 1:
-        gen = span[0]
-        den = 1
-        for x in gen:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in gen]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g:
-            ints = [x // g for x in ints]
-        mapped = [sgn * ints[order[k]] for k in range(r)]
+        mapped = [sgn * gen[order[k]] for k in range(r)]
         charge_env = dict(env)
         charge_env["a"] = mapped[0]
         if r == 2:
@@ -724,7 +716,7 @@ def _evaluate_match(group, rep, entry, env, order, gdual, span) -> MFLookup | No
         return None
 
     if entry.table == "Ia":
-        has_scalar = scalar_state != "none" and _summand_scalar_present(span, 0)
+        has_scalar = scalar_state != "none"
         removable = False
         if entry.scalar_policy == "removable":
             removable = eval_condition(entry.removable_cond, env)
@@ -769,10 +761,6 @@ def _with_defaults(env):
     out.setdefault("a", 0)
     out.setdefault("b", 0)
     return out
-
-
-def _summand_scalar_present(span, idx) -> bool:
-    return any(row[idx] for row in span)
 
 
 # ---------------------------------------------------------------------------

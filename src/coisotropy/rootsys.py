@@ -8,7 +8,7 @@ Everything after that is integer arithmetic: positive roots are generated
 by root strings from the Cartan matrix, coroot pairings come from the
 symmetrized form, and the dimension formula is one arbitrary-precision
 integer product divided by the product of the rho pairings, aborting if
-the division leaves a remainder.  Orthogonal coordinates of roots (_orth)
+the division leaves a remainder.  The orthogonal simple roots (simple_orth)
 are kept for the explicit matrix models.
 """
 
@@ -188,15 +188,6 @@ class RootSystem:
         self.rho_product = prod(self.rho_pairings)
 
     # -- construction helpers ------------------------------------------------
-
-    def _orth(self, root_coords) -> list[Fraction]:
-        dim = len(self.simple_orth[0])
-        out = [Fraction(0)] * dim
-        for c, alpha in zip(root_coords, self.simple_orth):
-            if c:
-                for i in range(dim):
-                    out[i] += c * alpha[i]
-        return out
 
     def _generate_positive_roots(self) -> tuple[tuple[int, ...], ...]:
         r = self.type.rank

@@ -23,7 +23,6 @@ from coisotropy.linalg import (
     int_kernel,
     int_rank,
     int_rank_bareiss,
-    kron,
     zi_apply,
     zi_rows,
     zi_stack,
@@ -67,7 +66,6 @@ def test_qmat_structure_helpers():
     m = QMat(2, 2, {(0, 1): QQi(0, 1)})
     assert m.conj_transpose() == QMat(2, 2, {(1, 0): QQi(0, -1)})
     assert block_diag([d, u]).nrows == 6
-    assert kron(QMat.identity(2), d).nrows == 6
     assert d.trace() == QQi(6)
 
 

@@ -8,11 +8,10 @@ from fractions import Fraction
 from coisotropy.linalg import (
     QMat,
     QQi,
-    block_diag,
+    ZiArray,
     commutator,
     complex_rank,
-    frac_nullspace,
-    kron,
+    int_kernel,
 )
 from coisotropy.matrep import (
     Factor,
@@ -22,13 +21,12 @@ from coisotropy.matrep import (
     RepSpec,
     Summand,
     Term,
-    _alt2_of,
     _certify,
     _factor_module,
     _inverse_solver,
     _spin_module,
+    _square,
     _std_module,
-    _sym2_of,
     _weight_module,
     invariant_bilinear_form,
     octonion_left_mult,
@@ -88,19 +86,18 @@ def test_group_spec_validation():
 )
 def test_std_module_dims(fam, n, dim):
     mod = _std_module(SimpleType(fam, n))
-    assert mod.dim == dim
     rs = build_root_system(SimpleType(fam, n))
-    assert len(mod.raising) == rs.n_positive_roots
-    for h in mod.cartan:
-        assert h.is_diagonal()
-    for e in mod.raising:
-        assert e.is_strictly_upper()
+    r, npos = rs.rank, rs.n_positive_roots
+    assert mod.shape == (r + 2 * npos, dim, dim)
+    cartan, raising = mod.k < r, (mod.k >= r) & (mod.k < r + npos)
+    assert (mod.row[cartan] == mod.col[cartan]).all()
+    assert (mod.row[raising] < mod.col[raising]).all()
 
 
 @pytest.mark.parametrize("n,dim", [(3, 2), (5, 4), (7, 8), (9, 16), (10, 16), (11, 32)])
 def test_spin_module_dims(n, dim):
     mod = _spin_module(n)
-    assert mod.dim == dim
+    assert mod.shape[1] == dim
 
 
 def test_spin_weights_are_half_integers():
@@ -111,16 +108,33 @@ def test_spin_weights_are_half_integers():
         )
         # Cartan generators are diagonal; in orthogonal coordinates every
         # basis weight entry is +-1/2, so simple-root pairings are integers
-        for h in mod.cartan:
-            assert h.is_diagonal()
-            for v in h.diagonal():
-                assert v.im == 0 and v.re.denominator == 1
+        cartan = mod.k < rs.rank
+        assert (mod.row[cartan] == mod.col[cartan]).all()
+        assert not mod.im[cartan].any() and not (mod.re[cartan] % mod.den).any()
 
 
 def test_spin_chirality_halves():
     plus = _spin_module(10, 1)
     minus = _spin_module(10, -1)
-    assert plus.dim == minus.dim == 16
+    assert plus.shape[1] == minus.shape[1] == 16
+
+
+def test_every_spin_module_is_certified_with_transposed_lowering():
+    for n in range(3, 13):
+        for chirality in (1, -1) if n % 2 == 0 else (1,):
+            if n == 4:  # so(4) = su(2) + su(2) is not simple
+                with pytest.raises(RepresentationError):
+                    _factor_module(Factor("so", n), "spin", chirality)
+                continue
+            rs = build_root_system(Factor("so", n).simple_type)
+            r, npos = rs.rank, rs.n_positive_roots
+            mod = _spin_module(n, chirality)
+            _certify(mod, rs)
+            dim = 2 ** ((n - 1) // 2)
+            assert mod.shape == (r + 2 * npos, dim, dim) and mod.den == 1
+            z = mod.dense()
+            assert not z.im.any()
+            assert (z.re[r + npos :] == z.re[r : r + npos].transpose(0, 2, 1)).all()
 
 
 def test_weight_module_dimensions_match_formula():
@@ -134,7 +148,7 @@ def test_weight_module_dimensions_match_formula():
     ]
     for st, coeffs in cases:
         mod = _weight_module(st, coeffs)
-        assert mod.dim == weyl_dim(build_root_system(st), DominantWeight(coeffs))
+        assert mod.shape[1] == weyl_dim(build_root_system(st), DominantWeight(coeffs))
 
 
 def test_weight_module_cap():
@@ -213,74 +227,82 @@ def test_validation_catches_assembly_faults(entry):
 
 
 # ---------------------------------------------------------------------------
-# the assembly against a kron / block_diag reference
+# the assembly against a dense np.kron / block reference
 
 
-def _reference_generators(m, chirality=1) -> list[QMat]:
-    """cartan | raising | lowering | torus of a realized m, rebuilt from the
-    QMat module constructors: kron with identities for each slot, -x^T in
-    the reversed basis for a dual summand, block_diag over the summands."""
+def _reference_generators(m, chirality=1) -> tuple[np.ndarray, np.ndarray, int]:
+    """(re, im, den): cartan | raising | lowering | torus of a realized m as
+    dense (n, d, d) arrays of Python ints over one denominator, rebuilt from
+    the per-factor stacks: np.kron with identities for each slot, -x^T in
+    the reversed basis for a dual summand, blocks on the diagonal for the
+    summands."""
     group, rep = m.group, m.rep
 
     def slot(term):
         if term.kind == "triv" or group.factors[term.factor - 1].simple_type is None:
             return -1, None, 1
-        fac = group.factors[term.factor - 1]
-        st = fac.simple_type
-        mod = {
-            "std": lambda: _std_module(st),
-            "sym2": lambda: _sym2_of(_std_module(st)),
-            "alt2": lambda: _alt2_of(_std_module(st)),
-            "spin": lambda: _spin_module(fac.n, chirality),
-            "weight": lambda: _weight_module(st, term.weight),
-        }[term.kind]()
-        return term.factor - 1, mod, mod.dim
+        arg = {"spin": chirality, "weight": term.weight}.get(term.kind)
+        mod = _factor_module(group.factors[term.factor - 1], term.kind, arg)
+        return term.factor - 1, mod, mod.shape[1]
 
     summands = [(sm, [slot(t) for t in sm.terms]) for sm in rep.summands]
+    den = math.lcm(*(mod.den for _, slots in summands for _, mod, _ in slots if mod is not None))
+    total = sum(math.prod(d for *_, d in slots) for _, slots in summands)
 
-    def on_summand(sm, slots, fidx, which, gi):
-        dims = [d for *_, d in slots]
-        dim = math.prod(dims)
-        acc = QMat.zeros(dim, dim)
-        for s, (f, mod, _) in enumerate(slots):
-            if f == fidx:
-                before = QMat.identity(math.prod(dims[:s]))
-                after = QMat.identity(math.prod(dims[s + 1 :]))
-                acc = acc + kron(kron(before, getattr(mod, which)[gi]), after)
-        if sm.dual:
-            acc = QMat(dim, dim, {(dim - 1 - j, dim - 1 - i): -v for (i, j), v in acc.entries.items()})
-        return acc
+    def assembled(fidx, g):
+        re, im = np.zeros((2, total, total), object)
+        off = 0
+        for sm, slots in summands:
+            dims = [d for *_, d in slots]
+            dim = math.prod(dims)
+            for s, (f, mod, _) in enumerate(slots):
+                if f == fidx:
+                    z = mod.dense()
+                    before = np.eye(math.prod(dims[:s]), dtype=object)
+                    after = np.eye(math.prod(dims[s + 1 :]), dtype=object)
+                    for part, x in ((re, z.re), (im, z.im)):
+                        x = x[g].astype(object) * (den // mod.den)
+                        block = np.kron(np.kron(before, x), after)
+                        if sm.dual:
+                            block = -block.T[::-1, ::-1]
+                        part[off : off + dim, off : off + dim] += block
+            off += dim
+        return re, im
 
-    def assembled(fidx, which, gi):
-        return block_diag([on_summand(sm, slots, fidx, which, gi) for sm, slots in summands])
+    def first(fidx, which, root):
+        rs = build_root_system(group.factors[fidx].simple_type)
+        return rs.rank + which * rs.n_positive_roots + rs.positive_roots.index(root)
 
-    def root_index(fidx, root):
-        return build_root_system(group.factors[fidx].simple_type).positive_roots.index(root)
-
-    gens = [assembled(fidx, "cartan", i) for fidx, i in m.cartan_labels]
-    for which in ("raising", "lowering"):
-        gens += [assembled(f, which, root_index(f, root)) for f, root in m.root_labels]
+    gens = [assembled(fidx, i) for fidx, i in m.cartan_labels]
+    for which in (0, 1):
+        gens += [assembled(f, first(f, which, root)) for f, root in m.root_labels]
     for line in group.torus_lines:
         diag = []
         for sm, slots in summands:
             charges = sm.charges or (0,) * group.n_circles
             net = sum(a * c for a, c in zip(line, charges))
-            diag += [QQi(net)] * math.prod(d for *_, d in slots)
-        gens.append(QMat.diag(diag))
-    return gens
+            diag += [net * den] * math.prod(d for *_, d in slots)
+        gens.append((np.diag(np.array(diag, dtype=object)), np.zeros((total, total), object)))
+    return np.stack([g[0] for g in gens]), np.stack([g[1] for g in gens]), den
 
 
-def _reference_views(m, chirality=1) -> tuple[list[QMat], list[QMat]]:
-    """(Borel generators, compact generators) of the reference."""
-    gens = _reference_generators(m, chirality)
+def _reference_views(m, chirality=1) -> tuple[tuple, tuple]:
+    """(Borel generators, compact generators) of the reference, each as
+    (re, im, den)."""
+    re, im, den = _reference_generators(m, chirality)
     nc, npos = len(m.cartan_labels), len(m.root_labels)
-    cartan, torus = gens[:nc], gens[nc + 2 * npos :]
-    raising, lowering = gens[nc : nc + npos], gens[nc + npos : nc + 2 * npos]
-    i = QQi(0, 1)
-    compact = [h.scale(i) for h in cartan]
-    for e, f in zip(raising, lowering):
-        compact += [e - f, (e + f).scale(i)]
-    return cartan + raising + torus, compact + [t.scale(i) for t in torus]
+    borel = np.r_[0 : nc + npos, nc + 2 * npos : re.shape[0]]
+    # i * x = -im + i re; compact: i h, then e - f and i (e + f) per root, then i t
+    e, f = np.arange(nc, nc + npos), np.arange(nc + npos, nc + 2 * npos)
+    c_re = [-im[:nc]]
+    c_im = [re[:nc]]
+    for a, b in zip(e, f):
+        c_re += [re[a : a + 1] - re[b : b + 1], -(im[a : a + 1] + im[b : b + 1])]
+        c_im += [im[a : a + 1] - im[b : b + 1], re[a : a + 1] + re[b : b + 1]]
+    c_re.append(-im[nc + 2 * npos :])
+    c_im.append(re[nc + 2 * npos :])
+    compact = (np.concatenate(c_re), np.concatenate(c_im), den)
+    return (re[borel], im[borel], den), compact
 
 
 def _values(stack) -> tuple[tuple, dict]:
@@ -294,16 +316,20 @@ def _values(stack) -> tuple[tuple, dict]:
     return stack.shape, ent
 
 
-def _qmat_values(mats, dim) -> tuple[tuple, dict]:
-    ent = {(k, i, j): (v.re, v.im) for k, g in enumerate(mats) for (i, j), v in g.entries.items()}
-    return (len(mats), dim, dim), ent
+def _dense_values(re, im, den) -> tuple[tuple, dict]:
+    """_values of the dense stack (re + i*im) / den."""
+    ent = {
+        (int(k), int(i), int(j)): (Fraction(int(re[k, i, j]), den), Fraction(int(im[k, i, j]), den))
+        for k, i, j in zip(*np.nonzero((re != 0) | (im != 0)))
+    }
+    return re.shape, ent
 
 
 def _assert_matches_reference(m, chirality=1):
     borel, compact = _reference_views(m, chirality)
     assert m.borel_stack.den > 0 and m.compact_stack.den > 0
-    assert _values(m.borel_stack) == _qmat_values(borel, m.space_dim)
-    assert _values(m.compact_stack) == _qmat_values(compact, m.space_dim)
+    assert _values(m.borel_stack) == _dense_values(*borel)
+    assert _values(m.compact_stack) == _dense_values(*compact)
 
 
 def _table_instantiations():
@@ -345,49 +371,42 @@ def test_dual_module_is_dual_action():
     # duality sends X to -X^T up to basis reversal: traces of squares agree
     a, b = m.gens.dense(), md.gens.dense()
     for k in range(m.gens.shape[0]):
-        assert _trace_of_square(a, k) == _trace_of_square(b, k)
+        assert _trace_of_product(a, k, k) == _trace_of_product(b, k, k)
 
 
-def _trace_of_square(z, k) -> tuple[Fraction, Fraction]:
-    re, im = z.re[k].astype(object), z.im[k].astype(object)
-    return (
-        Fraction(int(np.trace(re @ re - im @ im)), z.den**2),
-        Fraction(int(np.trace(re @ im + im @ re)), z.den**2),
+def _trace_of_product(z, j, k) -> QQi:
+    """tr(z_j z_k) of a dense stack, exactly."""
+    (xr, xi), (yr, yi) = ((z.re[t].astype(object), z.im[t].astype(object)) for t in (j, k))
+    return QQi(
+        Fraction(int(np.trace(xr @ yr - xi @ yi)), z.den**2),
+        Fraction(int(np.trace(xr @ yi + xi @ yr)), z.den**2),
     )
 
 
-def _intertwiners(gens_a, gens_b, dim_a: int, dim_b: int) -> list[QMat]:
-    """Basis of {T : T a_k = b_k T} for QMat generator lists, exact."""
-    assert len(gens_a) == len(gens_b)
-    nu = dim_b * dim_a
-    rows = []
-    for a, b in zip(gens_a, gens_b):
-        coeff: dict[tuple[int, int], dict[int, QQi]] = {}
-        for (i, j), v in a.entries.items():
-            # (T a)_{r j} gains T_{r i} * v
-            for rr in range(dim_b):
-                cof = coeff.setdefault((rr, j), {})
-                cof[rr * dim_a + i] = cof.get(rr * dim_a + i, QQi(0)) + v
-        for (i, j), v in b.entries.items():
-            # (b T)_{i c} gains v * T_{j c}
-            for cc in range(dim_a):
-                cof = coeff.setdefault((i, cc), {})
-                cof[j * dim_a + cc] = cof.get(j * dim_a + cc, QQi(0)) - v
-        for cof in coeff.values():
-            re_row = [Fraction(0)] * (2 * nu)
-            im_row = [Fraction(0)] * (2 * nu)
-            for k, v in cof.items():
-                re_row[k], re_row[nu + k] = v.re, -v.im
-                im_row[k], im_row[nu + k] = v.im, v.re
-            if any(re_row) or any(im_row):
-                rows += [re_row, im_row]
-    out = []
-    for vec in frac_nullspace(rows, 2 * nu) if rows else []:
-        ent = {(k // dim_a, k % dim_a): QQi(vec[k], vec[nu + k]) for k in range(nu)}
-        m = QMat(dim_b, dim_a, ent)
-        if not m.is_zero() and m not in out:
-            out.append(m)
-    return out
+def _intertwiners(a: ZiArray, b: ZiArray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Basis (re, im) of the real solution space of T a_k = b_k T, for
+    dense generator stacks a and b of equal length, exact (int_kernel)."""
+    n, da, _ = a.re.shape
+    db = b.re.shape[1]
+    blocks = []
+    for k in range(n):
+        # b.den T A - a.den B T = 0 for numerators A, B; in row-major order
+        # vec(T A) = (I (x) A^T) vec(T) and vec(B T) = (B (x) I) vec(T)
+        re, im = (
+            b.den * np.kron(np.eye(db, dtype=object), x[k].T.astype(object))
+            - a.den * np.kron(y[k].astype(object), np.eye(da, dtype=object))
+            for x, y in ((a.re, b.re), (a.im, b.im))
+        )
+        blocks.append(np.block([[re, -im], [im, re]]))
+    _, kernel = int_kernel(np.concatenate(blocks))
+    nu = da * db
+    return [(v[:nu].reshape(db, da), v[nu:].reshape(db, da)) for v in kernel.T]
+
+
+def _pick(mod, ks) -> ZiArray:
+    """Generators ks of a module stack, densely."""
+    z = mod.dense()
+    return ZiArray(z.re[ks], z.im[ks], z.den)
 
 
 def test_spin5_equivalent_to_sp2_standard():
@@ -395,18 +414,17 @@ def test_spin5_equivalent_to_sp2_standard():
     sp2 = _std_module(SimpleType("C", 2))
     rb = build_root_system(SimpleType("B", 2))
     rc = build_root_system(SimpleType("C", 2))
-    ib1 = rb.positive_roots.index((1, 0))
-    ib2 = rb.positive_roots.index((0, 1))
-    ic1 = rc.positive_roots.index((1, 0))
-    ic2 = rc.positive_roots.index((0, 1))
+    ib1 = 2 + rb.positive_roots.index((1, 0))
+    ib2 = 2 + rb.positive_roots.index((0, 1))
+    ic1 = 2 + rc.positive_roots.index((1, 0))
+    ic2 = 2 + rc.positive_roots.index((0, 1))
+    npos = rb.n_positive_roots
     # the isomorphism swaps the two simple nodes
-    gens_a = [spin5.cartan[0], spin5.cartan[1], spin5.raising[ib1], spin5.raising[ib2], spin5.lowering[ib1], spin5.lowering[ib2]]
-    gens_b = [sp2.cartan[1], sp2.cartan[0], sp2.raising[ic2], sp2.raising[ic1], sp2.lowering[ic2], sp2.lowering[ic1]]
-    space = _intertwiners(gens_a, gens_b, 4, 4)
+    gens_a = _pick(spin5, [0, 1, ib1, ib2, ib1 + npos, ib2 + npos])
+    gens_b = _pick(sp2, [1, 0, ic2, ic1, ic2 + npos, ic1 + npos])
+    space = _intertwiners(gens_a, gens_b)
     assert space
-    t = space[0]
-    rows = [tuple(t.get(i, j) for j in range(4)) for i in range(4)]
-    assert complex_rank(rows) == 4
+    assert complex_rank(ZiArray(*space[0])) == 4
 
 
 @pytest.mark.parametrize(
@@ -594,6 +612,45 @@ def test_sym2_and_alt2_are_cached():
     assert _factor_module(fac, "alt2") is _factor_module(fac, "alt2")
 
 
+def test_lowering_generators_pair_positively_with_raising():
+    """[e_beta, f_beta] = c h_beta with c > 0 for every positive root beta,
+    h_beta acting by <mu, beta^vee> on the weight mu.  This holds when
+    f_beta is the adjoint of e_beta under a positive invariant form; the
+    certificate accepts any nonzero c, so a sign slip in a lowering
+    generator shows only here."""
+    modules = [
+        (Factor("su", 4), "std", None),
+        (Factor("so", 7), "std", None),
+        (Factor("sp", 3), "std", None),
+        (Factor("so", 8), "std", None),
+        (Factor("su", 4), "sym2", None),
+        (Factor("sp", 3), "alt2", None),
+        (Factor("so", 9), "spin", 1),
+        (Factor("so", 10), "spin", -1),
+        (Factor("g2", 2), "std", None),
+        (Factor("f4", 4), "std", None),
+        (Factor("e6", 6), "std", None),
+        (Factor("g2", 2), "weight", (0, 1)),
+        (Factor("sp", 2), "weight", (0, 1)),
+        (Factor("su", 3), "weight", (2, 1)),
+    ]
+    for fac, kind, arg in modules:
+        rs = build_root_system(fac.simple_type)
+        r, npos = rs.rank, rs.n_positive_roots
+        z = _factor_module(fac, kind, arg).dense()
+        assert not z.im.any()
+        gens = z.re.astype(object)
+        weights = np.array([np.diag(gens[i]) for i in range(r)]).T  # den * <mu, alpha_i^vee>
+        for k in range(npos):
+            coroot = [rs.pair_coroot(DominantWeight.fundamental(r, j), k) for j in range(r)]
+            h = weights @ np.array(coroot, dtype=object)
+            e, f = gens[r + k], gens[r + npos + k]
+            b = e @ f - f @ e
+            s = np.flatnonzero(h)[0]
+            assert (b * h[s] == b[s, s] * np.diag(h)).all(), (fac, kind, rs.positive_roots[k])
+            assert b[s, s] * h[s] > 0, (fac, kind, rs.positive_roots[k])
+
+
 # ---------------------------------------------------------------------------
 # functor identities of the symmetric and exterior squares
 
@@ -601,45 +658,39 @@ def test_sym2_and_alt2_are_cached():
 @pytest.mark.parametrize("fam,n", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
 def test_sym2_alt2_split_the_tensor_square(fam, n):
     std = _std_module(SimpleType(fam, n))
-    d = std.dim
-    sym, alt = _sym2_of(std), _alt2_of(std)
-    assert sym.dim + alt.dim == d * d
+    rs = build_root_system(SimpleType(fam, n))
+    r, npos, d = rs.rank, rs.n_positive_roots, std.shape[1]
+    sym, alt = _square(std, alt=False), _square(std, alt=True)
+    assert sym.shape[1] + alt.shape[1] == d * d
     # V (x) V = S2 V (+) L2 V with tr_S2(xy) = (d + 2) tr(xy) and
     # tr_L2(xy) = (d - 2) tr(xy) for traceless x, y
-    pairs = list(zip(std.raising, std.lowering)) + [(h, h) for h in std.cartan]
-    sym_pairs = list(zip(sym.raising, sym.lowering)) + [(h, h) for h in sym.cartan]
-    alt_pairs = list(zip(alt.raising, alt.lowering)) + [(h, h) for h in alt.cartan]
-    for (x, y), (xs, ys), (xa, ya) in zip(pairs, sym_pairs, alt_pairs):
-        t = (x @ y).trace()
-        assert (xs @ ys).trace() == t * (d + 2)
-        assert (xa @ ya).trace() == t * (d - 2)
+    pairs = [(r + j, r + npos + j) for j in range(npos)] + [(i, i) for i in range(r)]
+    z, zs, za = std.dense(), sym.dense(), alt.dense()
+    for x, y in pairs:
+        t = _trace_of_product(z, x, y)
+        assert _trace_of_product(zs, x, y) == t * (d + 2)
+        assert _trace_of_product(za, x, y) == t * (d - 2)
 
 
-def _simple_generators(mod, rs):
-    simple = [k for k, root in enumerate(rs.positive_roots) if sum(root) == 1]
-    return [mod.raising[k] for k in simple] + [mod.lowering[k] for k in simple]
+def _simple_generators(mod, rs) -> ZiArray:
+    r, npos = rs.rank, rs.n_positive_roots
+    simple = [r + k for k, root in enumerate(rs.positive_roots) if sum(root) == 1]
+    return _pick(mod, simple + [k + npos for k in simple])
 
 
 @pytest.mark.parametrize(
-    "functor,weight", [(_sym2_of, (2, 0, 0)), (_alt2_of, (0, 1, 0))], ids=["sym2", "alt2"]
+    "kind,weight", [("sym2", (2, 0, 0)), ("alt2", (0, 1, 0))], ids=["sym2", "alt2"]
 )
-def test_square_of_su4_std_is_its_weight_module(functor, weight):
-    st = SimpleType("A", 3)
-    rs = build_root_system(st)
-    square = functor(_std_module(st))
-    target = _weight_module(st, weight)
-    assert square.dim == target.dim
+def test_square_of_su4_std_is_its_weight_module(kind, weight):
+    rs = build_root_system(SimpleType("A", 3))
+    square = _factor_module(Factor("su", 4), kind)
+    target = _factor_module(Factor("su", 4), "weight", weight)
+    d = square.shape[1]
+    assert d == target.shape[1]
     # simple e_i, f_i with [e_i, f_i] = h_i on both sides generate the algebra
-    space = _intertwiners(
-        _simple_generators(square, rs),
-        _simple_generators(target, rs),
-        square.dim,
-        target.dim,
-    )
+    space = _intertwiners(_simple_generators(square, rs), _simple_generators(target, rs))
     assert space
-    t = space[0]
-    rows = [tuple(t.get(i, j) for j in range(square.dim)) for i in range(target.dim)]
-    assert complex_rank(rows) == square.dim
+    assert complex_rank(ZiArray(*space[0])) == d
 
 
 def test_inverse_solver_rejects_singular_block():
@@ -655,7 +706,7 @@ def test_slot_embedding_matches_kron():
     g = grp(Factor("su", 2), Factor("su", 3), lines=[(1,)])
     slots = (Term("std", 1), Term("std", 2), Term("std", 1))
     m = realize(g, RepSpec(summands=(Summand(terms=slots, charges=(1,)),)))
-    assert _values(m.gens) == _qmat_values(_reference_generators(m), m.space_dim)
+    assert _values(m.gens) == _dense_values(*_reference_generators(m))
     _assert_matches_reference(m)
 
 
@@ -664,14 +715,11 @@ def test_integer_views_scale_the_generators():
         summands=(Summand(terms=(Term("spin", 1),), charges=(1,)),)
     ))
     borel, compact = _reference_views(m)
-    for view, gens in ((m.borel_stack, borel), (m.compact_stack, compact)):
+    for view, (re, im, den) in ((m.borel_stack, borel), (m.compact_stack, compact)):
         stack = view.dense()
-        assert stack.den > 0 and stack.re.shape == (len(gens), 4, 4)
-        for k, g in enumerate(gens):
-            for i in range(4):
-                for j in range(4):
-                    z = g.get(i, j)
-                    assert Fraction(int(stack.re[k, i, j]), stack.den) == z.re
-                    assert Fraction(int(stack.im[k, i, j]), stack.den) == z.im
+        assert stack.den > 0 and stack.re.shape == (re.shape[0], 4, 4)
+        for at in np.ndindex(re.shape):
+            assert Fraction(int(stack.re[at]), stack.den) == Fraction(int(re[at]), den)
+            assert Fraction(int(stack.im[at]), stack.den) == Fraction(int(im[at]), den)
     rr = real_block_rep([("vec7", 7)])
     assert rr.compact_stack.shape == (21, 7, 7) and not rr.compact_stack.im.any()

@@ -358,7 +358,10 @@ def test_maximal_abelian_matches_the_fraction_reference(pair):
     from fractions import Fraction
 
     from coisotropy.linalg import frac_nullspace
-    from coisotropy.mforacle import SAMPLE_BOUND, _vectorize_real
+    from coisotropy.mforacle import SAMPLE_BOUND
+
+    def _vectorize_real(mat):
+        return [x for i in range(mat.nrows) for j in range(mat.ncols) for x in (mat.get(i, j).re, mat.get(i, j).im)]
 
     rng = random.Random("20240101:abelian")
     z = QMat.zeros(pair.p_basis[0].nrows, pair.p_basis[0].ncols)
