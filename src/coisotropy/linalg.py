@@ -17,9 +17,10 @@ because a ring map never raises the rank.  Otherwise the kernel decides on
 the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
 The Fraction eliminations remain for the Gram blocks of the weight-module
 construction (frac_rref) and as the kernel fallback of int_kernel
-(frac_nullspace).  QMat, the sparse matrix over Q(i), serves only the real
-slice models and the Lie-triple test; modules are built as integer stacks,
-so no QMat Kronecker product is needed.
+(frac_nullspace).  Every exact matrix is integral: a ZiStack holds a set
+of generators by its nonzeros, and _Dense is the one dense Gaussian-integer
+matrix (or stack of matrices), whose commutator _bracket serves the module
+certificate, the real slice models and the Lie-triple test alike.
 """
 
 from __future__ import annotations
@@ -29,251 +30,6 @@ from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
-
-
-class QQi:
-    """A Gaussian rational re + im*i with exact Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return QQi(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return QQi(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in QQi")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    def conj(self):
-        return QQi(self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = _coerce(other)
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        return f"({self.re}{'+' if self.im > 0 else ''}{self.im}i)"
-
-
-def _coerce(x) -> QQi:
-    if isinstance(x, QQi):
-        return x
-    return QQi(x)
-
-
-QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
-QQI_I = QQi(0, 1)
-
-
-class QMat:
-    """Immutable sparse matrix over the Gaussian rationals."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        ent = {}
-        if entries:
-            for (i, j), v in entries.items():
-                v = _coerce(v)
-                if v:
-                    if not (0 <= i < nrows and 0 <= j < ncols):
-                        raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                    ent[(i, j)] = v
-        self.entries = ent
-
-    @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "QMat":
-        return cls(n, m if m is not None else n)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMat":
-        return cls(n, n, {(i, i): QQI_ONE for i in range(n)})
-
-    @classmethod
-    def diag(cls, values) -> "QMat":
-        values = [_coerce(v) for v in values]
-        n = len(values)
-        return cls(n, n, {(i, i): v for i, v in enumerate(values) if v})
-
-    @classmethod
-    def from_rows(cls, rows) -> "QMat":
-        n = len(rows)
-        m = len(rows[0]) if n else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = _coerce(v)
-                if v:
-                    ent[(i, j)] = v
-        return cls(n, m, ent)
-
-    def get(self, i: int, j: int) -> QQi:
-        return self.entries.get((i, j), QQI_ZERO)
-
-    def __add__(self, other: "QMat") -> "QMat":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = ent.get(k, QQI_ZERO) + v
-            if s:
-                ent[k] = s
-            else:
-                ent.pop(k, None)
-        out = QMat(self.nrows, self.ncols)
-        out.entries = ent
-        return out
-
-    def __sub__(self, other: "QMat") -> "QMat":
-        return self + other.scale(QQi(-1))
-
-    def scale(self, c) -> "QMat":
-        c = _coerce(c)
-        out = QMat(self.nrows, self.ncols)
-        if c:
-            out.entries = {k: c * v for k, v in self.entries.items()}
-        return out
-
-    def __neg__(self) -> "QMat":
-        return self.scale(QQi(-1))
-
-    def __matmul__(self, other: "QMat") -> "QMat":
-        assert self.ncols == other.nrows, "shape mismatch"
-        # index rows of other for sparse product
-        rows_of_other: dict[int, list] = {}
-        for (k, j), v in other.entries.items():
-            rows_of_other.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], QQi] = {}
-        for (i, k), a in self.entries.items():
-            hits = rows_of_other.get(k)
-            if not hits:
-                continue
-            for j, b in hits:
-                key = (i, j)
-                s = acc.get(key, QQI_ZERO) + a * b
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = QMat(self.nrows, other.ncols)
-        out.entries = acc
-        return out
-
-    def transpose(self) -> "QMat":
-        out = QMat(self.ncols, self.nrows)
-        out.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return out
-
-    def conj_transpose(self) -> "QMat":
-        out = QMat(self.ncols, self.nrows)
-        out.entries = {(j, i): v.conj() for (i, j), v in self.entries.items()}
-        return out
-
-    def apply(self, vec: tuple) -> tuple:
-        """Matrix-vector product; vec is a tuple of QQi of length ncols."""
-        assert len(vec) == self.ncols
-        out = [QQI_ZERO] * self.nrows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] = out[i] + v * vec[j]
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def trace(self) -> QQi:
-        t = QQI_ZERO
-        for i in range(min(self.nrows, self.ncols)):
-            t = t + self.get(i, i)
-        return t
-
-    def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.entries)
-
-    def is_strictly_upper(self) -> bool:
-        return all(i < j for (i, j) in self.entries)
-
-    def diagonal(self) -> list[QQi]:
-        return [self.get(i, i) for i in range(min(self.nrows, self.ncols))]
-
-    def __eq__(self, other):
-        if not isinstance(other, QMat):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
-
-    def __repr__(self):
-        return f"QMat({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
-
-
-def commutator(a: QMat, b: QMat) -> QMat:
-    return a @ b - b @ a
-
-
-def block_diag(blocks: list[QMat]) -> QMat:
-    n = sum(b.nrows for b in blocks)
-    m = sum(b.ncols for b in blocks)
-    ent = {}
-    ro = co = 0
-    for b in blocks:
-        for (i, j), v in b.entries.items():
-            ent[(ro + i, co + j)] = v
-        ro += b.nrows
-        co += b.ncols
-    out = QMat(n, m)
-    out.entries = ent
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +161,6 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _numerators(values) -> tuple[int, np.ndarray, np.ndarray]:
-    """(den, re, im): QQi values as integer numerators over one denominator."""
-    den = lcm(*(x.denominator for z in values for x in (z.re, z.im)))
-    re = [z.re.numerator * (den // z.re.denominator) for z in values]
-    im = [z.im.numerator * (den // z.im.denominator) for z in values]
-    big = max(map(abs, re + im), default=0) >= INT64_SAFE
-    dtype = object if big else np.int64
-    return den, np.array(re, dtype), np.array(im, dtype)
-
-
 class ZiStack(NamedTuple):
     """A stack of n matrices of size d x d over Q(i), held by its nonzeros.
 
@@ -440,28 +186,6 @@ class ZiStack(NamedTuple):
         return ZiArray(re, im, self.den)
 
 
-def zi_stack(mats: list[QMat], dim: int) -> ZiStack:
-    """The integer stack of n dim x dim matrices over one denominator."""
-    entries = {
-        (k, i, j): v for k, m in enumerate(mats) for (i, j), v in m.entries.items()
-    }
-    den, re, im = _numerators(list(entries.values()))
-    k, row, col = np.array(list(entries), dtype=np.int64).reshape(-1, 3).T
-    return ZiStack((len(mats), dim, dim), k, row, col, re, im, den)
-
-
-def zi_rows(rows: list[tuple]) -> ZiArray:
-    """The (n, d) integer array of n vectors (tuples of QQi) of length d."""
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    entries = {(i, j): z for i, row in enumerate(rows) for j, z in enumerate(row) if z}
-    den, re, im = _numerators(list(entries.values()))
-    out = ZiArray(np.zeros(shape, re.dtype), np.zeros(shape, im.dtype), den)
-    if entries:
-        idx = tuple(np.array(list(entries)).T)
-        out.re[idx], out.im[idx] = re, im
-    return out
-
-
 def zi_apply(gens: ZiStack, v_re: np.ndarray, v_im: np.ndarray) -> ZiArray:
     """The rows g_k v of a stack of d x d matrices at the vector v_re + i*v_im.
 
@@ -481,8 +205,56 @@ def zi_apply(gens: ZiStack, v_re: np.ndarray, v_im: np.ndarray) -> ZiArray:
     return out
 
 
-def _as_zi(rows) -> ZiArray:
-    return rows if isinstance(rows, ZiArray) else zi_rows(rows)
+class _Dense(NamedTuple):
+    """A Gaussian-integer matrix re + i*im, or a stack of them along leading
+    axes (im None when it is real), whose entries are at most bound in
+    absolute value."""
+
+    re: np.ndarray
+    im: np.ndarray | None
+    bound: int
+
+    def is_zero(self) -> bool:
+        return not self.re.any() and (self.im is None or not self.im.any())
+
+
+def _bracket(x: _Dense, y: _Dense) -> _Dense:
+    """[x, y], broadcast over leading stack axes; formed in int64 while its
+    bound 4 * d * x.bound * y.bound is below INT64_SAFE, in Python ints
+    beyond it."""
+    bound = 4 * x.re.shape[-1] * x.bound * y.bound
+    dtype = object if bound >= INT64_SAFE else np.int64
+    cast = lambda a: None if a is None else a.astype(dtype, copy=False)  # noqa: E731
+    x, y = (_Dense(cast(z.re), cast(z.im), z.bound) for z in (x, y))
+    re = x.re @ y.re - y.re @ x.re
+    im = None
+    if x.im is not None:
+        im = x.im @ y.re - y.re @ x.im
+        if y.im is not None:
+            re = re - (x.im @ y.im - y.im @ x.im)
+    if y.im is not None:
+        part = x.re @ y.im - y.im @ x.re
+        im = part if im is None else im + part
+    return _Dense(re, im, bound)
+
+
+def _multiple(x: _Dense, y: _Dense) -> tuple[int, int] | None:
+    """x_p * conj(y_p) at the first nonzero p of y if x = c y, else None
+    (also when y is zero).  It is a positive multiple of c, so c is
+    nonzero iff it is nonzero and real iff its imaginary part is 0."""
+    dtype = object if 2 * x.bound * y.bound >= INT64_SAFE else np.int64
+    xr, xi, yr, yi = (
+        np.zeros(x.re.shape, dtype) if a is None else a.astype(dtype, copy=False)
+        for a in (x.re, x.im, y.re, y.im)
+    )
+    nz = np.flatnonzero((yr != 0) | (yi != 0))
+    if not nz.size:
+        return None
+    a, b, c, e = (int(m.flat[nz[0]]) for m in (xr, xi, yr, yi))
+    # x (c + ie) = y (a + ib), entrywise
+    if (xr * c - xi * e != yr * a - yi * b).any() or (xr * e + xi * c != yr * b + yi * a).any():
+        return None
+    return a * c + b * e, b * c - a * e
 
 
 def _modp_rank(a: np.ndarray, p: int) -> int:
@@ -719,15 +491,14 @@ def int_rank(rows) -> int:
     return _narrow_rank(a)
 
 
-def complex_rank(rows) -> int:
-    """Rank over Q(i) of a ZiArray of row vectors (or a list of QQi tuples).
+def complex_rank(m: ZiArray) -> int:
+    """Rank over Q(i) of a ZiArray of row vectors.
 
     For the first (p, s) in _RANK_PRIMES, i -> s is a ring map Z[i] -> Z/p,
     so the rank of the n x d residue matrix never exceeds the true rank and
     a full one (min(n, d)) is certified.  Otherwise the rank is half the
     verified rank (int_kernel) of the realification [[re, -im], [im, re]].
     """
-    m = _as_zi(rows)
     if m.re.ndim != 2 or 0 in m.re.shape:
         return 0
     p, s = _RANK_PRIMES[0]
@@ -740,13 +511,12 @@ def complex_rank(rows) -> int:
     return r // 2
 
 
-def float_rank(rows, tol: float = 1e-8) -> int:
+def float_rank(m: ZiArray, tol: float = 1e-8) -> int:
     """Double-precision rank via SVD; singular values below tol count as 0.
 
     Reads the values (re + i*im) / den themselves, not the scaled integers,
     so the tolerance is relative to the matrix as given.
     """
-    m = _as_zi(rows)
     if m.re.size == 0:
         return 0
     a = np.empty(m.re.shape, dtype=complex)

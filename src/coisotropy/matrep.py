@@ -10,8 +10,8 @@ arbitrary dominant weights are realized through an exact contravariant-form
 construction, with integer brackets for the non-simple root vectors;
 symmetric and exterior squares are induced from the standard stack by index
 arithmetic.  Tensor products, duals, direct sums and torus charge lines are
-assembled from the stacks by index arithmetic too.  QMat remains only in
-the real slice models (RealRep).
+assembled from the stacks by index arithmetic too, and so are the real
+slice models (RealRep) of so(7) on R^7 and on the octonions.
 
 For every module the lowering generator of a positive root is the adjoint
 of the raising generator with respect to an invariant positive form, so
@@ -25,24 +25,20 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     INT64_SAFE,
-    QMat,
-    QQi,
-    QQI_ONE,
     ZiArray,
     ZiStack,
+    _bracket,
+    _Dense,
     _max_abs,
-    block_diag,
-    commutator,
+    _multiple,
     complex_rank,
     frac_rref,
     int_kernel,
-    zi_stack,
 )
 from .rootsys import (
     DominantWeight,
@@ -519,7 +515,11 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
     gens += [(x.re, g) for x, g in (f[root] for root in rs.positive_roots)]
     den = lcm(*(g for _, g in gens))
     big = max(_max_abs(x) * (den // g) for x, g in gens) >= INT64_SAFE
-    full = np.stack([x.astype(object if big else np.int64) * (den // g) for x, g in gens])
+    return _real_stack(np.stack([x.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
+
+
+def _real_stack(full: np.ndarray, den: int) -> ZiStack:
+    """The stack of the real (n, d, d) numerators full over den."""
     k, row, col = np.nonzero(full)
     re = full[k, row, col]
     return ZiStack(full.shape, k, row, col, re, 0 * re, den)
@@ -622,18 +622,6 @@ def _root_pairings(rs: RootSystem) -> np.ndarray:
     return np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
 
 
-class _Dense(NamedTuple):
-    """A d x d Gaussian-integer matrix re + i*im (im None when it is real)
-    whose entries are at most bound in absolute value."""
-
-    re: np.ndarray
-    im: np.ndarray | None
-    bound: int
-
-    def is_zero(self) -> bool:
-        return not self.re.any() and (self.im is None or not self.im.any())
-
-
 def _dense(gens: ZiStack, k: int, bound: int) -> _Dense:
     """Generator k of a stack whose entries are at most bound, densely."""
     sel, d = gens.k == k, gens.shape[1]
@@ -641,44 +629,6 @@ def _dense(gens: ZiStack, k: int, bound: int) -> _Dense:
     re[gens.row[sel], gens.col[sel]] = gens.re[sel]
     im[gens.row[sel], gens.col[sel]] = gens.im[sel]
     return _Dense(re, im if im.any() else None, bound)
-
-
-def _bracket(x: _Dense, y: _Dense) -> _Dense:
-    """[x, y], formed in int64 while its bound 4 * d * x.bound * y.bound
-    is below INT64_SAFE, in Python ints beyond it."""
-    bound = 4 * len(x.re) * x.bound * y.bound
-    if bound >= INT64_SAFE:
-        big = lambda a: None if a is None else a.astype(object)  # noqa: E731
-        x, y = (_Dense(big(z.re), big(z.im), z.bound) for z in (x, y))
-    re = x.re @ y.re - y.re @ x.re
-    im = None
-    if x.im is not None:
-        im = x.im @ y.re - y.re @ x.im
-        if y.im is not None:
-            re = re - (x.im @ y.im - y.im @ x.im)
-    if y.im is not None:
-        part = x.re @ y.im - y.im @ x.re
-        im = part if im is None else im + part
-    return _Dense(re, im, bound)
-
-
-def _multiple(x: _Dense, y: _Dense) -> tuple[int, int] | None:
-    """x_p * conj(y_p) at the first nonzero p of y if x = c y, else None
-    (also when y is zero).  It is a positive multiple of c, so c is
-    nonzero iff it is nonzero and real iff its imaginary part is 0."""
-    dtype = object if 2 * x.bound * y.bound >= INT64_SAFE else np.int64
-    xr, xi, yr, yi = (
-        np.zeros(x.re.shape, dtype) if a is None else a.astype(dtype, copy=False)
-        for a in (x.re, x.im, y.re, y.im)
-    )
-    nz = np.flatnonzero((yr != 0) | (yi != 0))
-    if not nz.size:
-        return None
-    a, b, c, e = (int(m.flat[nz[0]]) for m in (xr, xi, yr, yi))
-    # x (c + ie) = y (a + ib), entrywise
-    if (xr * c - xi * e != yr * a - yi * b).any() or (xr * e + xi * c != yr * b + yi * a).any():
-        return None
-    return a * c + b * e, b * c - a * e
 
 
 def _weights(gens: ZiStack, diag: list[int]) -> np.ndarray:
@@ -719,10 +669,13 @@ def _certify(mod: ZiStack, rs: RootSystem) -> None:
     simple generators, which present the algebra (Serre's theorem):
     [h_i, x] = <alpha, alpha_i^vee> x on each e_alpha and the negative on
     f_alpha, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i a
-    nonzero real, so that f_i / c_i is the Chevalley partner of e_i;
+    positive real, so that f_i / c_i is the Chevalley partner of e_i;
     ad(e_i)^(1 - a_ij) e_j = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.
-    Every other root vector must be a nonzero multiple of the bracket of a
-    simple root vector with the root vector it is built from.  A module
+    Every other raising generator must be a nonzero multiple c [e_i, e_beta]
+    of the bracket of a simple root vector with the one it is built from,
+    and its lowering generator a multiple c' [f_beta, f_i] of the adjoint
+    bracket with c c' real and positive, so that, as for the simple roots,
+    it is a positive multiple of the adjoint of the raising one.  A module
     whose generators are all zero is the trivial module.  Products are
     formed one d x d pair at a time; no elimination is used.
     """
@@ -753,8 +706,8 @@ def _certify(mod: ZiStack, rs: RootSystem) -> None:
             b = _bracket(e[i], f[j])
             if i == j:
                 c = _multiple(b, _dense(mod, i, bound))
-                if c is None or c == (0, 0) or c[1]:
-                    raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i}")
+                if c is None or c[1] or c[0] <= 0:
+                    raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i} with c > 0")
                 continue
             if not b.is_zero():
                 raise RepresentationError(f"[e_{i}, f_{j}] does not vanish")
@@ -772,12 +725,14 @@ def _certify(mod: ZiStack, rs: RootSystem) -> None:
             beta = tuple(c - (t == i) for t, c in enumerate(root))
             if beta in where:
                 break
-        for base, gens in ((r, e), (r + npos, f)):
-            b = _bracket(gens[i], _dense(mod, base + where[beta], bound))
-            if _multiple(_dense(mod, base + k, bound), b) in (None, (0, 0)):
-                raise RepresentationError(
-                    f"root vector of {root} is not a multiple of its bracket"
-                )
+        up = _bracket(e[i], _dense(mod, r + where[beta], bound))
+        down = _bracket(_dense(mod, r + npos + where[beta], bound), f[i])
+        c = _multiple(_dense(mod, r + k, bound), up)
+        c2 = _multiple(_dense(mod, r + npos + k, bound), down)
+        if None in (c, c2):
+            raise RepresentationError(f"root vector of {root} is not a multiple of its bracket")
+        if c[0] * c2[1] + c[1] * c2[0] or c[0] * c2[0] - c[1] * c2[1] <= 0:
+            raise RepresentationError(f"lowering generator of {root} is not the adjoint of e{root}")
 
 
 # ---------------------------------------------------------------------------
@@ -1082,30 +1037,26 @@ def invariant_bilinear_form(rep: MatrixRep) -> str:
 
 @dataclass
 class RealRep:
-    """A compact Lie algebra acting by real matrices on a real vector space."""
+    """A compact Lie algebra acting by real matrices on a real vector space,
+    its generators held as one integer stack."""
 
-    dim: int
-    gens: list[QMat]  # entries are real rationals
+    compact_stack: ZiStack
 
     def __post_init__(self):
-        for g in self.gens:
-            for v in g.entries.values():
-                if v.im:
-                    raise RepresentationError("RealRep generator must be real")
+        if self.compact_stack.im.any():
+            raise RepresentationError("RealRep generator must be real")
 
-    @functools.cached_property
-    def compact_stack(self) -> ZiStack:
-        """Integer view of gens: one (n, dim, dim) stack."""
-        return zi_stack(self.gens, self.dim)
+    @property
+    def dim(self) -> int:
+        return self.compact_stack.shape[1]
 
 
-def so_vector_gens(n: int) -> list[QMat]:
+def so_vector_gens(n: int) -> ZiStack:
     """Basis E_ab - E_ba (a < b) of so(n) on R^n."""
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(QMat(n, n, {(a, b): QQI_ONE, (b, a): QQi(-1)}))
-    return out
+    a, b = np.triu_indices(n, 1)
+    k, one = np.arange(a.size), np.ones(a.size, np.int64)
+    re = np.r_[one, -one]
+    return ZiStack((a.size, n, n), np.r_[k, k], np.r_[a, b], np.r_[b, a], re, 0 * re, 1)
 
 
 _OCT_TRIPLES = tuple(
@@ -1114,7 +1065,7 @@ _OCT_TRIPLES = tuple(
 
 
 @functools.lru_cache(maxsize=1)
-def octonion_left_mult() -> list[QMat]:
+def octonion_left_mult() -> ZiStack:
     """Left multiplication by e_1..e_7 on the octonions, real 8x8 matrices."""
     mult: dict[tuple[int, int], tuple[int, int]] = {}
     for a in range(1, 8):
@@ -1125,30 +1076,23 @@ def octonion_left_mult() -> list[QMat]:
         for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
             mult[(x, y)] = (1, z)
             mult[(y, x)] = (-1, z)
-    out = []
-    for a in range(1, 8):
-        ent = {}
-        for j in range(8):
-            sgn, tgt = mult[(a, j)]
-            ent[(tgt, j)] = QQi(sgn)
-        out.append(QMat(8, 8, ent))
-    return out
+    ent = [(a - 1, mult[(a, j)][1], j, mult[(a, j)][0]) for a in range(1, 8) for j in range(8)]
+    k, row, col, re = np.array(ent, dtype=np.int64).T
+    return ZiStack((7, 8, 8), k, row, col, re, 0 * re, 1)
 
 
 @functools.lru_cache(maxsize=1)
-def spin7_real_gens() -> list[QMat]:
+def spin7_real_gens() -> ZiStack:
     """Real 8x8 spin generators paired with the E_ab - E_ba order of so(7).
 
     Built from octonion left multiplications L_a with L_a^2 = -1; the map
     E_ab - E_ba -> -[L_a, L_b]/4 matches the vector structure constants.
     """
-    L = octonion_left_mult()
-    quarter = QQi(Fraction(-1, 4))
-    out = []
-    for a in range(7):
-        for b in range(a + 1, 7):
-            out.append(commutator(L[a], L[b]).scale(quarter))
-    return out
+    L = octonion_left_mult().dense().re
+    a, b = np.triu_indices(7, 1)
+    x = _bracket(_Dense(L[a], None, 1), _Dense(L[b], None, 1))
+    spin, den = _reduced(_Dense(-x.re, None, x.bound), 4)
+    return _real_stack(spin.re, den)
 
 
 def real_block_rep(blocks: list[tuple[str, int]]) -> RealRep:
@@ -1156,23 +1100,21 @@ def real_block_rep(blocks: list[tuple[str, int]]) -> RealRep:
 
     Block kinds: 'triv' (given dimension), 'vec7' (R^7 vector action),
     'spin8' (R^8 real spin action).  Generators are indexed by the pairs
-    (a, b), a < b, of so(7).
+    (a, b), a < b, of so(7); each block's entries sit at its offset, over
+    one denominator.
     """
-    vec = so_vector_gens(7)
-    spn = spin7_real_gens()
-    n_gens = len(vec)
-    gens = []
-    for gi in range(n_gens):
-        parts = []
-        for kind, d in blocks:
-            if kind == "triv":
-                parts.append(QMat.zeros(d, d))
-            elif kind == "vec7":
-                parts.append(vec[gi])
-            elif kind == "spin8":
-                parts.append(spn[gi])
-            else:
-                raise RepresentationError(f"unknown real block {kind!r}")
-        gens.append(block_diag(parts))
-    dim = sum(d for _, d in blocks)
-    return RealRep(dim=dim, gens=gens)
+    models = {"vec7": so_vector_gens(7), "spin8": spin7_real_gens()}
+    den = lcm(*(m.den for m in models.values()))
+    parts, off = [], 0
+    for kind, d in blocks:
+        if kind not in ("triv", *models):
+            raise RepresentationError(f"unknown real block {kind!r}")
+        if kind != "triv":
+            m = models[kind]
+            parts.append((m.k, m.row + off, m.col + off, m.re * (den // m.den)))
+        off += d
+    k, row, col, re = (
+        np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
+        for t in range(4)
+    )
+    return RealRep(ZiStack((models["vec7"].shape[0], off, off), k, row, col, re, 0 * re, den))

@@ -16,17 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    QMat,
-    QQi,
-    QQI_ZERO,
     ZiArray,
-    commutator,
+    _bracket,
+    _Dense,
+    _max_abs,
     complex_rank,
     float_rank,
     int_kernel,
     int_rank,
     zi_apply,
-    zi_rows,
 )
 from .matrep import MatrixRep, RealRep
 
@@ -209,7 +207,7 @@ def _algebra_rank(
 
     Dimension of the centralizer of a generic element z; the centralizer of
     a generic element of a compact algebra is a maximal torus.  It is the
-    nullity of the n commutators [X_k, z], formed in Python ints: the
+    nullity of the n commutators [X_k, z], one broadcast bracket: the
     number of columns of the verified kernel of their transpose.
     """
     xr, xi = basis
@@ -217,11 +215,8 @@ def _algebra_rank(
     if n == 0:
         return 0
     c = np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
-    zr, zi = np.tensordot(c, xr, axes=1), np.tensordot(c, xi, axes=1)
-    br = (xr @ zr - xi @ zi) - (zr @ xr - zi @ xi)
-    bi = (xr @ zi + xi @ zr) - (zr @ xi + zi @ xr)
-    rows = np.concatenate([br.reshape(n, -1), bi.reshape(n, -1)], axis=1)
-    return int_kernel(rows.T)[1].shape[1]
+    z = (np.tensordot(c, xr, axes=1), np.tensordot(c, xi, axes=1))
+    return int_kernel(_flat(_lie(basis, z)).T)[1].shape[1]
 
 
 def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
@@ -271,26 +266,62 @@ def coisotropic_by_rank(
 # symmetric pairs and the Lie triple system test
 
 
+# A matrix here is a pair (re, im) of integer arrays, re + i*im; a pair of
+# (k, n, n) arrays is a stack of k matrices.
+
+
+def _lie(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """[x, y] of (re, im) matrices or stacks, through the one bracket."""
+    bound = lambda z: max(_max_abs(z[0]), _max_abs(z[1]))  # noqa: E731
+    b = _bracket(_Dense(*x, bound(x)), _Dense(*y, bound(y)))
+    return b.re, b.im
+
+
+def _flat(x: tuple) -> np.ndarray:
+    """One integer row (Re, Im) per matrix of a stack (re, im)."""
+    re, im = x
+    return np.concatenate([re.reshape(len(re), -1), im.reshape(len(im), -1)], axis=1)
+
+
+def _stack(mats: list) -> tuple[np.ndarray, np.ndarray]:
+    """The stack (re, im) of a list of (re, im) matrices."""
+    return np.stack([re for re, _ in mats]), np.stack([im for _, im in mats])
+
+
+def _real(re: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real matrix re as (re, im)."""
+    return re, np.zeros_like(re)
+
+
+def _unit(d: int, a: int, b: int, sign: int) -> np.ndarray:
+    """The integer d x d matrix E_ab + sign * E_ba; E_aa when a == b."""
+    out = np.zeros((d, d), dtype=np.int64)
+    out[b, a] = sign
+    out[a, b] = 1
+    return out
+
+
 @dataclass
 class SymmetricPair:
-    """Exact bases of g = k + p for a symmetric-space isotropy splitting."""
+    """Exact bases of g = k + p for a symmetric-space isotropy splitting,
+    each a list of (re, im) integer matrices."""
 
     name: str
-    g_basis: list[QMat]
-    k_basis: list[QMat]
-    p_basis: list[QMat]
+    g_basis: list[tuple]
+    k_basis: list[tuple]
+    p_basis: list[tuple]
 
     def validate(self) -> None:
         for x in self.k_basis:
             for y in self.k_basis:
-                if not _in_span(self.k_basis, commutator(x, y)):
+                if not _in_span(self.k_basis, _lie(x, y)):
                     raise ValueError("[k, k] escapes k")
             for y in self.p_basis:
-                if not _in_span(self.p_basis, commutator(x, y)):
+                if not _in_span(self.p_basis, _lie(x, y)):
                     raise ValueError("[k, p] escapes p")
         for x in self.p_basis:
             for y in self.p_basis:
-                if not _in_span(self.k_basis, commutator(x, y)):
+                if not _in_span(self.k_basis, _lie(x, y)):
                     raise ValueError("[p, p] escapes k")
 
 
@@ -298,28 +329,24 @@ class SymmetricPair:
 class LieTripleResult:
     closed: bool
     witness: tuple[int, int, int] | None = None
-    witness_bracket: QMat | None = None
+    witness_bracket: tuple | None = None
 
     def __bool__(self):
         return self.closed
 
 
-def _in_span(basis: list[QMat], target: QMat) -> bool:
+def _in_span(basis: list[tuple], target: tuple) -> bool:
     """target lies in the real span of basis: appending its real and
     imaginary parts to those of the basis keeps the exact integer rank."""
-    if target.is_zero():
+    if not (target[0].any() or target[1].any()):
         return True
     if not basis:
         return False
-    z = zi_rows([
-        tuple(m.get(i, j) for i in range(m.nrows) for j in range(m.ncols))
-        for m in basis + [target]
-    ])
-    rows = np.hstack([z.re, z.im])
+    rows = _flat(_stack([*basis, target]))
     return int_rank(rows) == int_rank(rows[:-1])
 
 
-def lie_triple_test(pair: SymmetricPair, m_basis: list[QMat]) -> LieTripleResult:
+def lie_triple_test(pair: SymmetricPair, m_basis: list[tuple]) -> LieTripleResult:
     """Closure of span(m_basis) under the double bracket, exactly.
 
     m_basis must lie inside p; the candidate section exp(m) is totally
@@ -331,7 +358,7 @@ def lie_triple_test(pair: SymmetricPair, m_basis: list[QMat]) -> LieTripleResult
     return lie_triple_closure(m_basis)
 
 
-def lie_triple_closure(m_basis: list[QMat]) -> LieTripleResult:
+def lie_triple_closure(m_basis: list[tuple]) -> LieTripleResult:
     """Closure of the real span of m_basis under double matrix brackets.
 
     This is the raw test applied directly to tangent data written in slice
@@ -341,9 +368,9 @@ def lie_triple_closure(m_basis: list[QMat]) -> LieTripleResult:
     """
     for i, x in enumerate(m_basis):
         for j, y in enumerate(m_basis):
-            inner = commutator(x, y)
+            inner = _lie(x, y)
             for k, z in enumerate(m_basis):
-                triple = commutator(inner, z)
+                triple = _lie(inner, z)
                 if not _in_span(m_basis, triple):
                     return LieTripleResult(
                         closed=False, witness=(i, j, k), witness_bracket=triple
@@ -351,10 +378,8 @@ def lie_triple_closure(m_basis: list[QMat]) -> LieTripleResult:
     return LieTripleResult(closed=True)
 
 
-def brackets_vanish(m_basis: list[QMat]) -> bool:
-    return all(
-        commutator(x, y).is_zero() for x in m_basis for y in m_basis
-    )
+def brackets_vanish(m_basis: list[tuple]) -> bool:
+    return not any(part.any() for x in m_basis for y in m_basis for part in _lie(x, y))
 
 
 def so_even_u_pair(m: int) -> SymmetricPair:
@@ -365,56 +390,23 @@ def so_even_u_pair(m: int) -> SymmetricPair:
     p = [[P, Q], [Q, -P]] (P, Q skew).
     """
     n = 2 * m
-    g_basis = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            g_basis.append(QMat(n, n, {(a, b): QQi(1), (b, a): QQi(-1)}))
-    k_basis = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            skew = {(a, b): QQi(1), (b, a): QQi(-1)}
-            k_basis.append(
-                QMat(n, n, {**skew, **{(m + a, m + b): QQi(1), (m + b, m + a): QQi(-1)}})
-            )
-    for a in range(m):
-        for b in range(a, m):
-            ent = {}
-            if a == b:
-                ent[(a, m + a)] = QQi(-1)
-                ent[(m + a, a)] = QQi(1)
-            else:
-                ent[(a, m + b)] = QQi(-1)
-                ent[(b, m + a)] = QQi(-1)
-                ent[(m + a, b)] = QQi(1)
-                ent[(m + b, a)] = QQi(1)
-            k_basis.append(QMat(n, n, ent))
-    p_basis = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            skew_p = {(a, b): QQi(1), (b, a): QQi(-1),
-                      (m + a, m + b): QQi(-1), (m + b, m + a): QQi(1)}
-            p_basis.append(QMat(n, n, skew_p))
-            skew_q = {(a, m + b): QQi(1), (b, m + a): QQi(-1),
-                      (m + a, b): QQi(1), (m + b, a): QQi(-1)}
-            p_basis.append(QMat(n, n, skew_q))
+    zero = np.zeros((m, m), dtype=np.int64)
+    g_basis = [_real(_unit(n, a, b, -1)) for a, b in zip(*np.triu_indices(n, 1))]
+    k_basis, p_basis = [], []
+    for a, b in zip(*np.triu_indices(m, 1)):
+        x = _unit(m, a, b, -1)
+        k_basis.append(_real(np.block([[x, zero], [zero, x]])))
+        p_basis += [_real(np.block([[x, zero], [zero, -x]])), _real(np.block([[zero, x], [x, zero]]))]
+    for a, b in zip(*np.triu_indices(m)):
+        sym = _unit(m, a, b, 1)
+        k_basis.append(_real(np.block([[zero, -sym], [sym, zero]])))
     return SymmetricPair(f"so({n})/u({m})", g_basis, k_basis, p_basis)
 
 
-def embed_p_so_even(m: int, w_entries: dict[tuple[int, int], QQi]) -> QMat:
+def embed_p_so_even(w: tuple) -> tuple:
     """Skew complex m x m matrix W = P + iQ -> [[P, Q], [Q, -P]] in p."""
-    n = 2 * m
-    ent: dict[tuple[int, int], QQi] = {}
-
-    def add(i, j, val: QQi):
-        if val:
-            ent[(i, j)] = ent.get((i, j), QQI_ZERO) + val
-
-    for (a, b), v in w_entries.items():
-        add(a, b, QQi(v.re))
-        add(m + a, m + b, QQi(-v.re))
-        add(a, m + b, QQi(v.im))
-        add(m + a, b, QQi(v.im))
-    return QMat(n, n, ent)
+    p, q = w
+    return _real(np.block([[p, q], [q, -p]]))
 
 
 def sp_u_pair(m: int) -> SymmetricPair:
@@ -424,60 +416,32 @@ def sp_u_pair(m: int) -> SymmetricPair:
     symmetric; k is the B = 0 part, p the A = 0 part (p is Sym^2 C^m as a
     real space).
     """
-    n = 2 * m
-    g_basis: list[QMat] = []
-    k_basis: list[QMat] = []
-    p_basis: list[QMat] = []
+    zero = np.zeros((m, m), dtype=np.int64)
 
-    def a_block(ent_a: dict[tuple[int, int], QQi]) -> QMat:
-        ent = {}
-        for (i, j), v in ent_a.items():
-            ent[(i, j)] = v
-            ent[(m + i, m + j)] = v.conj()
-        return QMat(n, n, ent)
+    def a_block(re, im):
+        return np.block([[re, zero], [zero, re]]), np.block([[im, zero], [zero, -im]])
 
-    def b_block(ent_b: dict[tuple[int, int], QQi]) -> QMat:
-        ent = {}
-        for (i, j), v in ent_b.items():
-            ent[(i, m + j)] = v
-            ent[(m + i, j)] = -v.conj()
-        return QMat(n, n, ent)
+    def b_block(re, im):
+        return np.block([[zero, re], [-re, zero]]), np.block([[zero, im], [im, zero]])
 
-    for a in range(m):
-        k_basis.append(a_block({(a, a): QQi(0, 1)}))
-        for b in range(a + 1, m):
-            k_basis.append(a_block({(a, b): QQi(1), (b, a): QQi(-1)}))
-            k_basis.append(a_block({(a, b): QQi(0, 1), (b, a): QQi(0, 1)}))
-    for a in range(m):
-        for b in range(a, m):
-            if a == b:
-                p_basis.append(b_block({(a, a): QQi(1)}))
-                p_basis.append(b_block({(a, a): QQi(0, 1)}))
-            else:
-                p_basis.append(b_block({(a, b): QQi(1), (b, a): QQi(1)}))
-                p_basis.append(b_block({(a, b): QQi(0, 1), (b, a): QQi(0, 1)}))
-    g_basis = k_basis + p_basis
-    return SymmetricPair(f"sp({m})/u({m})", g_basis, k_basis, p_basis)
+    k_basis, p_basis = [], []
+    for a, b in zip(*np.triu_indices(m)):
+        sym = _unit(m, a, b, 1)
+        if a == b:
+            k_basis.append(a_block(zero, sym))
+        else:
+            k_basis += [a_block(_unit(m, a, b, -1), zero), a_block(zero, sym)]
+        p_basis += [b_block(sym, zero), b_block(zero, sym)]
+    return SymmetricPair(f"sp({m})/u({m})", k_basis + p_basis, k_basis, p_basis)
 
 
 def maximal_abelian_in_p(
     pair: SymmetricPair, seed: int = DEFAULT_SEED
-) -> list[QMat]:
+) -> list[tuple]:
     """Commutant of a generic p-element inside p: a maximal abelian subspace."""
     rng = random.Random(f"{seed}:abelian")
-    z = QMat.zeros(pair.p_basis[0].nrows, pair.p_basis[0].ncols)
-    for g in pair.p_basis:
-        z = z + g.scale(QQi(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)))
-    brackets = [commutator(g, z) for g in pair.p_basis]
-    rows = zi_rows(
-        [tuple(b.get(i, j) for i in range(b.nrows) for j in range(b.ncols)) for b in brackets]
-    )
-    _, kernel = int_kernel(np.concatenate([rows.re, rows.im], axis=1).T)
-    out = []
-    for coeffs in kernel.T:
-        acc = QMat.zeros(z.nrows, z.ncols)
-        for c, g in zip(coeffs, pair.p_basis):
-            if c:
-                acc = acc + g.scale(QQi(c))
-        out.append(acc)
-    return out
+    p_re, p_im = _stack(pair.p_basis)
+    c = np.array([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in pair.p_basis])
+    z = (np.tensordot(c, p_re, axes=1), np.tensordot(c, p_im, axes=1))
+    _, kernel = int_kernel(_flat(_lie((p_re, p_im), z)).T)
+    return [(np.tensordot(v, p_re, axes=1), np.tensordot(v, p_im, axes=1)) for v in kernel.T]

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from coisotropy.classify import (
+    WITNESS_PLANE,
     encoded_lemma_exceptions,
     polynomial_scan,
     reproduce_table,
@@ -20,7 +21,6 @@ from coisotropy.classify import (
     verify_lemma21,
 )
 from coisotropy.dsl import parse_repspec
-from coisotropy.linalg import QMat, QQi
 from coisotropy.matrep import (
     GroupSpec,
     RepSpec,
@@ -218,8 +218,7 @@ def test_criterion_7_lie_triple_witnesses():
     t0 = time.time()
     raw, cross = standard_triple_witness()
     ok = not raw.closed and raw.witness == (0, 1, 0)
-    x = QMat(3, 3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    ok &= lie_triple_closure([x]).closed
+    ok &= lie_triple_closure([WITNESS_PLANE[0]]).closed
     pair = sp_u_pair(2)
     plane = maximal_abelian_in_p(pair)
     ok &= len(plane) == 2

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from coisotropy import linalg
 from coisotropy.linalg import (
     _RANK_PRIMES,
-    QMat,
-    QQi,
+    INT64_SAFE,
     ZiArray,
+    ZiStack,
     _modp_rank,
-    block_diag,
-    commutator,
     complex_rank,
     float_rank,
     frac_nullspace,
@@ -24,49 +22,23 @@ from coisotropy.linalg import (
     int_rank,
     int_rank_bareiss,
     zi_apply,
-    zi_rows,
-    zi_stack,
 )
 
 
-def test_qqi_arithmetic():
-    a = QQi(1, 2)
-    b = QQi(Fraction(1, 2), -1)
-    assert a + b == QQi(Fraction(3, 2), 1)
-    assert a * b == QQi(Fraction(1, 2) + 2, Fraction(-1) + 1)
-    assert (a * b).re == Fraction(5, 2)
-    assert a.conj() == QQi(1, -2)
-    assert a - a == QQi(0)
-    assert not QQi(0, 0)
-    assert QQi(0, 3)
-    assert (a / a) == QQi(1)
+def _zi(re, im=None, den=1) -> ZiArray:
+    """The ZiArray (re + i*im) / den of integer rows: int64 below
+    INT64_SAFE, Python ints beyond, as the program stores them."""
+    im = [[0] * len(row) for row in re] if im is None else im
+    big = max(abs(x) for rows in (re, im) for row in rows for x in row) >= INT64_SAFE
+    dtype = object if big else np.int64
+    return ZiArray(np.array(re, dtype), np.array(im, dtype), den)
 
 
-def test_qqi_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        QQi(1) / QQi(0)
-
-
-def test_qmat_matmul_and_apply():
-    a = QMat.from_rows([[1, 2], [0, 1]])
-    b = QMat.from_rows([[0, 1], [1, 0]])
-    assert (a @ b) == QMat.from_rows([[2, 1], [1, 0]])
-    v = (QQi(1), QQi(0, 1))
-    assert a.apply(v) == (QQi(1, 2), QQi(0, 1))
-    assert commutator(a, b) == a @ b - b @ a
-
-
-def test_qmat_structure_helpers():
-    d = QMat.diag([1, 2, 3])
-    assert d.is_diagonal()
-    u = QMat(3, 3, {(0, 2): QQi(5)})
-    assert u.is_strictly_upper()
-    assert not d.is_strictly_upper()
-    assert (d.transpose()) == d
-    m = QMat(2, 2, {(0, 1): QQi(0, 1)})
-    assert m.conj_transpose() == QMat(2, 2, {(1, 0): QQi(0, -1)})
-    assert block_diag([d, u]).nrows == 6
-    assert d.trace() == QQi(6)
+def _stack(d, entries, den=1) -> ZiStack:
+    """One d x d matrix given by its entries (row, col, re, im) over den."""
+    row, col, re, im = zip(*entries)
+    z = _zi([re], [im])
+    return ZiStack((1, d, d), np.zeros(len(row), np.int64), np.array(row), np.array(col), z.re[0], z.im[0], den)
 
 
 def test_frac_rref_and_nullspace():
@@ -88,20 +60,10 @@ def test_int_rank_agrees_with_bareiss():
 
 
 def test_complex_rank_matches_float():
-    i = QQi(0, 1)
-    rows = [
-        (QQi(1), i),
-        (i, QQi(-1)),  # i * row1
-        (QQi(2), QQi(0)),
-    ]
+    # rows (1, i), (i, -1) = i * row1, (2, 0)
+    rows = _zi([[1, 0], [0, -1], [2, 0]], [[0, 1], [1, 0], [0, 0]])
     assert complex_rank(rows) == 2
     assert float_rank(rows) == 2
-
-
-def test_realify_vector():
-    v = (QQi(1, 2), QQi(0, -1))
-    z = zi_rows([v])
-    assert np.concatenate([z.re, z.im], axis=1).tolist() == [[1, 0, 2, -1]]
 
 
 def test_frac_rank_with_denominators():
@@ -110,9 +72,10 @@ def test_frac_rank_with_denominators():
 
 
 def test_complex_rank_with_denominators():
-    rows = [(QQi(Fraction(1, 2)), QQi(Fraction(1, 3))), (QQi(Fraction(3, 2)), QQi(1))]
-    assert zi_rows(rows).den == 6
-    assert complex_rank(rows) == 1
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
+    z = _zi([[3, 2], [9, 6]], den=6)
+    assert [[Fraction(x, z.den) for x in row] for row in z.re.tolist()] == rows
+    assert complex_rank(z) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +140,8 @@ def test_unlucky_primes_fall_back_to_bareiss(monkeypatch):
         assert _modp_rank(re % p, p) == 1
     assert complex_rank(ZiArray(re, np.zeros_like(re))) == 2
     # (s1 - i)(s2 - i) vanishes when i maps to s1 and when it maps to s2
-    z = QQi(s1, -1) * QQi(s2, -1)
-    assert complex_rank([(z, QQi(0)), (QQi(0), QQi(1))]) == 2
+    z = (s1 * s2 - 1, -(s1 + s2))  # (s1 - i)(s2 - i)
+    assert complex_rank(_zi([[z[0], 0], [0, 1]], [[z[1], 0], [0, 0]])) == 2
     assert len(calls) == 2
     # each prime gave up at the Hadamard bound of its own small system
     assert len(steps) == 4 and max(steps) <= 10
@@ -186,16 +149,15 @@ def test_unlucky_primes_fall_back_to_bareiss(monkeypatch):
 
 def test_large_entries_take_the_python_int_path():
     big = 2**62
-    full = [(QQi(big + 1), QQi(big)), (QQi(big), QQi(big - 1))]  # determinant -1
-    half = [(QQi(big, big), QQi(2 * big, 2 * big)), (QQi(big // 2), QQi(big))]
-    for rows, expected in ((full, 2), (half, 1)):
-        z = zi_rows(rows)
+    full = _zi([[big + 1, big], [big, big - 1]])  # determinant -1
+    half = _zi([[big, 2 * big], [big // 2, big]], [[big, 2 * big], [0, 0]])
+    for z, expected in ((full, 2), (half, 1)):
         assert z.re.dtype == object
         assert complex_rank(z) == expected
         assert int_rank_bareiss(_realified(z.re, z.im)) == 2 * expected
         assert int_rank(z.re) == int_rank_bareiss(z.re.tolist())
     # a product past the int64 bound is formed in Python ints, exactly
-    g = zi_stack([QMat(2, 2, {(0, 1): QQi(2**40, -3), (1, 1): QQi(1)})], 2)
+    g = _stack(2, [(0, 1, 2**40, -3), (1, 1, 1, 0)])
     v_re = np.array([5, 2**30], dtype=np.int64)
     v_im = np.array([0, -7], dtype=np.int64)
     rows = zi_apply(g, v_re, v_im)
@@ -205,7 +167,7 @@ def test_large_entries_take_the_python_int_path():
 
 
 def test_zi_apply_keeps_the_small_product_in_int64():
-    g = zi_stack([QMat(2, 2, {(0, 0): QQi(Fraction(1, 2)), (0, 1): QQi(0, 1)})], 2)
+    g = _stack(2, [(0, 0, 1, 0), (0, 1, 0, 2)], den=2)  # entries 1/2 and i
     assert g.den == 2
     rows = zi_apply(g, np.array([3, 1]), np.array([0, 2]))
     assert rows.re.dtype == np.int64 and rows.den == 2
@@ -215,9 +177,8 @@ def test_zi_apply_keeps_the_small_product_in_int64():
 
 def test_odd_realified_rank_raises(monkeypatch):
     monkeypatch.setattr(linalg, "int_kernel", lambda rows: (3, np.zeros((4, 1), dtype=object)))
-    rows = [(QQi(1), QQi(1)), (QQi(2), QQi(2))]
     with pytest.raises(ArithmeticError):
-        complex_rank(rows)
+        complex_rank(_zi([[1, 1], [2, 2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,7 @@ import pytest
 from fractions import Fraction
 
 from coisotropy.linalg import (
-    QMat,
-    QQi,
     ZiArray,
-    commutator,
     complex_rank,
     int_kernel,
 )
@@ -17,6 +14,7 @@ from coisotropy.matrep import (
     Factor,
     GroupSpec,
     NotRealizable,
+    RealRep,
     RepresentationError,
     RepSpec,
     Summand,
@@ -374,10 +372,10 @@ def test_dual_module_is_dual_action():
         assert _trace_of_product(a, k, k) == _trace_of_product(b, k, k)
 
 
-def _trace_of_product(z, j, k) -> QQi:
-    """tr(z_j z_k) of a dense stack, exactly."""
+def _trace_of_product(z, j, k) -> tuple[Fraction, Fraction]:
+    """tr(z_j z_k) of a dense stack, exactly: (real part, imaginary part)."""
     (xr, xi), (yr, yi) = ((z.re[t].astype(object), z.im[t].astype(object)) for t in (j, k))
-    return QQi(
+    return (
         Fraction(int(np.trace(xr @ yr - xi @ yi)), z.den**2),
         Fraction(int(np.trace(xr @ yi + xi @ yr)), z.den**2),
     )
@@ -478,37 +476,49 @@ def test_invariant_form_agrees_with_weight_classification():
 
 
 def test_octonion_clifford_relations():
-    L = octonion_left_mult()
-    minus_two = QMat.identity(8).scale(QQi(-2))
+    z = octonion_left_mult().dense()
+    assert z.den == 1 and not z.im.any()
+    L = z.re
+    minus_two = -2 * np.eye(8, dtype=np.int64)
     for a in range(7):
         for b in range(7):
             anti = L[a] @ L[b] + L[b] @ L[a]
-            assert anti == (minus_two if a == b else QMat.zeros(8, 8))
+            assert (anti == (minus_two if a == b else 0)).all()
 
 
 def test_spin7_real_structure_constants():
-    vec = so_vector_gens(7)
-    spin = spin7_real_gens()
+    vec = so_vector_gens(7).dense()
+    spin = spin7_real_gens().dense()
+    assert vec.den == 1 and not vec.im.any() and not spin.im.any()
+    # spin.re / spin.den are the generators; den * recon = [S_k1, S_k2] in numerators
+    v, s = vec.re, spin.re
     pairs = [(a, b) for a in range(7) for b in range(a + 1, 7)]
     index = {p: k for k, p in enumerate(pairs)}
     for k1 in (0, 5, 11, 17):
         for k2 in (3, 8, 20):
-            bracket_v = commutator(vec[k1], vec[k2])
+            bracket_v = v[k1] @ v[k2] - v[k2] @ v[k1]
             coeffs = {
-                index[(i, j)]: v
-                for (i, j), v in bracket_v.entries.items()
+                index[(i, j)]: int(bracket_v[i, j])
+                for i, j in zip(*np.nonzero(bracket_v))
                 if i < j
             }
-            recon = QMat.zeros(8, 8)
-            for k, c in coeffs.items():
-                recon = recon + spin[k].scale(c)
-            assert recon == commutator(spin[k1], spin[k2])
+            recon = sum(c * s[k] for k, c in coeffs.items())
+            assert (spin.den * recon == s[k1] @ s[k2] - s[k2] @ s[k1]).all()
 
 
 def test_real_block_rep_shapes():
     rep = real_block_rep([("triv", 2), ("vec7", 7), ("spin8", 8)])
     assert rep.dim == 17
-    assert len(rep.gens) == 21
+    assert rep.compact_stack.shape[0] == 21
+
+
+def test_real_rep_rejects_an_imaginary_entry():
+    stack = real_block_rep([("vec7", 7)]).compact_stack
+    RealRep(stack)
+    im = stack.im.copy()
+    im[0] = 1
+    with pytest.raises(RepresentationError, match="must be real"):
+        RealRep(stack._replace(im=im))
 
 
 def test_spin_rep_wrapper():
@@ -598,6 +608,34 @@ def test_certificate_rejects_a_non_real_cartan_multiple():
         _certify(times(0, 1), rs)
 
 
+def _negated(stack, k):
+    """A copy with generator k negated; the cached module is not touched."""
+    sel = stack.k == k
+    return stack._replace(re=np.where(sel, -stack.re, stack.re), im=np.where(sel, -stack.im, stack.im))
+
+
+def test_certificate_rejects_a_negated_non_simple_lowering_generator():
+    # -f_beta keeps every weight and a nonzero multiple of [f_beta', f_i];
+    # only the sign of c c' against [e_i, e_beta'] shows it
+    mod, rs = _module_and_roots("weight G2 (1,0)")
+    r, npos = rs.rank, rs.n_positive_roots
+    for j, root in enumerate(rs.positive_roots):
+        if sum(root) > 1:
+            with pytest.raises(RepresentationError, match="adjoint"):
+                _certify(_negated(mod, r + npos + j), rs)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_rejects_a_negated_simple_lowering_generator(name):
+    # [e_i, -f_i] = -c h_i with c > 0
+    mod, rs = _module_and_roots(name)
+    r, npos = rs.rank, rs.n_positive_roots
+    for i in range(r):
+        k = r + npos + rs.positive_roots.index(tuple(int(t == i) for t in range(r)))
+        with pytest.raises(RepresentationError, match=r"c > 0"):
+            _certify(_negated(mod, k), rs)
+
+
 def test_certificate_accepts_trivial_alt2_of_su2():
     mod = _factor_module(Factor("su", 2), "alt2")
     assert mod.shape == (3, 1, 1)
@@ -616,8 +654,8 @@ def test_lowering_generators_pair_positively_with_raising():
     """[e_beta, f_beta] = c h_beta with c > 0 for every positive root beta,
     h_beta acting by <mu, beta^vee> on the weight mu.  This holds when
     f_beta is the adjoint of e_beta under a positive invariant form; the
-    certificate accepts any nonzero c, so a sign slip in a lowering
-    generator shows only here."""
+    certificate checks the same sign root by root through the brackets it
+    builds them from, and this is the direct check."""
     modules = [
         (Factor("su", 4), "std", None),
         (Factor("so", 7), "std", None),
@@ -668,8 +706,8 @@ def test_sym2_alt2_split_the_tensor_square(fam, n):
     z, zs, za = std.dense(), sym.dense(), alt.dense()
     for x, y in pairs:
         t = _trace_of_product(z, x, y)
-        assert _trace_of_product(zs, x, y) == t * (d + 2)
-        assert _trace_of_product(za, x, y) == t * (d - 2)
+        assert _trace_of_product(zs, x, y) == tuple(c * (d + 2) for c in t)
+        assert _trace_of_product(za, x, y) == tuple(c * (d - 2) for c in t)
 
 
 def _simple_generators(mod, rs) -> ZiArray:

@@ -1,7 +1,10 @@
 import pytest
 
+import numpy as np
+
+from coisotropy.classify import WITNESS_PLANE
 from coisotropy.dsl import parse_repspec
-from coisotropy.linalg import QMat, QQi
+from coisotropy.linalg import int_rank
 from coisotropy.matrep import real_block_rep, realize
 from coisotropy.mforacle import (
     CohomReport,
@@ -150,35 +153,44 @@ def test_symmetric_pair_axioms():
     sp_u_pair(2).validate()
 
 
+def _complex(m):
+    re, im = m
+    return re.astype(object) + 1j * im.astype(object)
+
+
 def test_lie_triple_raw_witness_not_closed():
-    x = QMat(3, 3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    y = QMat(3, 3, {(0, 1): QQi(1), (1, 0): QQi(-1)})
-    res = lie_triple_closure([x, y])
+    res = lie_triple_closure(WITNESS_PLANE)
     assert not res.closed
     assert res.witness == (0, 1, 0)
     assert res.witness_bracket is not None
+    # the reported bracket is [[x_i, x_j], x_k], and it leaves the real span
+    x = [_complex(m) for m in WITNESS_PLANE]
+    i, j, k = res.witness
+    inner = x[i] @ x[j] - x[j] @ x[i]
+    assert (_complex(res.witness_bracket) == inner @ x[k] - x[k] @ inner).all()
+    rows = [np.concatenate([re.ravel(), im.ravel()]) for re, im in WITNESS_PLANE]
+    grown = rows + [np.concatenate([part.ravel() for part in res.witness_bracket])]
+    assert int_rank(np.array(grown, dtype=object)) == int_rank(np.array(rows, dtype=object)) + 1
 
 
 def test_lie_triple_single_vector_closed():
-    x = QMat(3, 3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    assert lie_triple_closure([x]).closed
+    assert lie_triple_closure([WITNESS_PLANE[0]]).closed
 
 
 def test_lie_triple_embedded_model_closes():
     # identification dependence: the equivariant orthogonal embedding of the
     # same plane is a genuine triple system; recorded, not hidden
     pair = so_even_u_pair(3)
-    x = embed_p_so_even(3, {(1, 2): QQi(2, 1), (2, 1): QQi(-2, -1)})
-    y = embed_p_so_even(3, {(0, 1): QQi(1), (1, 0): QQi(-1)})
-    res = lie_triple_test(pair, [x, y])
+    res = lie_triple_test(pair, [embed_p_so_even(w) for w in WITNESS_PLANE])
     assert res.closed
 
 
 def test_lie_triple_membership_guard():
     pair = so_even_u_pair(3)
-    bad = QMat(6, 6, {(0, 1): QQi(1), (1, 0): QQi(-1)})  # lives in k, not p
+    bad = np.zeros((6, 6), dtype=np.int64)
+    bad[0, 1], bad[1, 0] = 1, -1  # lives in k, not p
     with pytest.raises(ValueError):
-        lie_triple_test(pair, [bad])
+        lie_triple_test(pair, [(bad, np.zeros_like(bad))])
 
 
 def test_abelian_plane_section():
@@ -360,25 +372,30 @@ def test_maximal_abelian_matches_the_fraction_reference(pair):
     from coisotropy.linalg import frac_nullspace
     from coisotropy.mforacle import SAMPLE_BOUND
 
-    def _vectorize_real(mat):
-        return [x for i in range(mat.nrows) for j in range(mat.ncols) for x in (mat.get(i, j).re, mat.get(i, j).im)]
+    def _mul(x, y):
+        (a, b), (c, d) = x, y
+        return a @ c - b @ d, a @ d + b @ c
 
+    def _vectorize_real(mat):
+        return [Fraction(x) for a, b in zip(*(part.ravel() for part in mat)) for x in (a, b)]
+
+    def _combination(coeffs, basis):
+        return tuple(sum(c * g[t] for c, g in zip(coeffs, basis)) for t in (0, 1))
+
+    basis = [(re.astype(object), im.astype(object)) for re, im in pair.p_basis]
     rng = random.Random("20240101:abelian")
-    z = QMat.zeros(pair.p_basis[0].nrows, pair.p_basis[0].ncols)
-    for g in pair.p_basis:
-        z = z + g.scale(QQi(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)))
-    rows = [_vectorize_real(g @ z - z @ g) for g in pair.p_basis]
+    z = _combination([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in basis], basis)
+    rows = []
+    for g in basis:
+        (gz_re, gz_im), (zg_re, zg_im) = _mul(g, z), _mul(z, g)
+        rows.append(_vectorize_real((gz_re - zg_re, gz_im - zg_im)))
     system = [[row[comp] for row in rows] for comp in range(len(rows[0]))]
-    reference = []
-    for coeffs in frac_nullspace(system, len(pair.p_basis)):
-        acc = QMat.zeros(z.nrows, z.ncols)
-        for c, g in zip(coeffs, pair.p_basis):
-            acc = acc + g.scale(QQi(c))
-        reference.append(acc)
+    reference = [_combination(coeffs, basis) for coeffs in frac_nullspace(system, len(basis))]
     plane = maximal_abelian_in_p(pair)
     assert len(plane) == len(reference)
     for got, want in zip(plane, reference):
         # the same element, times a positive integer
-        key = next(iter(want.entries))
-        scale = got.get(*key).re / want.get(*key).re
-        assert scale > 0 and scale.denominator == 1 and got == want.scale(QQi(scale))
+        got, want = (np.concatenate([part.ravel() for part in m]) for m in (got, want))
+        key = np.flatnonzero(want)[0]
+        scale = Fraction(int(got[key])) / want[key]
+        assert scale > 0 and scale.denominator == 1 and (got == want * scale).all()
