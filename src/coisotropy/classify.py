@@ -11,10 +11,9 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field
 
-from .dsl import eval_condition, eval_int_expr, parse_pattern
+from .dsl import eval_int_expr, parse_pattern
 from .matrep import GroupSpec, RepSpec, real_block_rep, realize
 from .mforacle import (
-    CohomReport,
     cohomogeneity,
     coisotropic_by_rank,
     lie_triple_closure,
@@ -31,7 +30,6 @@ from .repdata import (
 )
 from .rootsys import (
     DominantWeight,
-    RootSystem,
     SimpleType,
     borel_dim,
     build_root_system,
@@ -40,7 +38,6 @@ from .rootsys import (
     lemma_search_bound,
     paper_family_types,
     spin_search_bound,
-    weyl_dim,
 )
 
 # numpy comes in through linalg after the package modules are compiled;

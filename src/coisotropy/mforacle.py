@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    INT64_SAFE,
     ZiArray,
     _bracket,
     _Dense,
@@ -45,12 +46,15 @@ class OracleDisagreement(RuntimeError):
 
 @dataclass
 class OrbitProbe:
-    """Bookkeeping for one stabilized sampling run."""
+    """Bookkeeping for one stabilized sampling run: the evaluated points and
+    their seeds, and whether the value is certified (a sample reached the
+    ceiling) rather than agreed on by N_SAMPLES samples."""
 
     sample_points: list[tuple]
     seeds: list[int]
     value: int
     rounds_used: int
+    certified: bool = False
 
 
 @dataclass
@@ -86,12 +90,16 @@ def _sample_real_vector(dim: int, rng: random.Random, bound: int) -> tuple:
             return v, np.zeros_like(v)
 
 
-def _stabilize(evaluate, dim: int, seed: int, sampler) -> OrbitProbe:
+def _stabilize(evaluate, dim: int, seed: int, sampler, ceiling: int | None = None) -> OrbitProbe:
     """Evaluate an integer invariant at N_SAMPLES generic points.
 
-    Samples must agree; on disagreement the integer entry range is scaled
-    up tenfold, up to MAX_ROUNDS times, after which a GenericityError is
-    raised rather than returning a possibly non-generic answer.
+    For a rank whose generic value is its maximum over all points, ceiling
+    is the largest value it can take: a sample reaching it certifies the
+    generic value and ends sampling at once (OrbitProbe.certified).
+    Otherwise the samples must agree; on disagreement the integer entry
+    range is scaled up tenfold, up to MAX_ROUNDS times, after which a
+    GenericityError is raised rather than returning a possibly non-generic
+    answer.
     """
     bound = SAMPLE_BOUND
     for rnd in range(MAX_ROUNDS):
@@ -104,6 +112,11 @@ def _stabilize(evaluate, dim: int, seed: int, sampler) -> OrbitProbe:
             points.append(v)
             seeds.append(idx)
             values.append(evaluate(v))
+            if values[-1] == ceiling:
+                return OrbitProbe(
+                    sample_points=points, seeds=seeds, value=ceiling, rounds_used=rnd + 1,
+                    certified=True,
+                )
         if len(set(values)) == 1:
             return OrbitProbe(
                 sample_points=points, seeds=seeds, value=values[0], rounds_used=rnd + 1
@@ -130,7 +143,10 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     the integer view of the generators; their rank over the Gaussian
     rationals is a modular rank, certified when full, and otherwise the
     verified kernel rank of the realification (linalg.int_kernel).  It is
-    cross-checked in double precision.
+    cross-checked in double precision.  The rank is at most
+    min(#Borel generators, dim); a sample reaching that ceiling certifies
+    the answer and ends sampling, so a True, and a False for a Borel
+    algebra with fewer generators than dim, take one sample.
     """
     dim = rep.space_dim
     if dim == 0:
@@ -142,7 +158,8 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     def rank_at(v) -> int:
         return _checked_complex_rank(zi_apply(borel, *v))
 
-    probe = _stabilize(rank_at, dim, seed, _sample_complex_vector)
+    ceiling = min(borel.shape[0], dim)
+    probe = _stabilize(rank_at, dim, seed, _sample_complex_vector, ceiling)
     return probe.value == dim
 
 
@@ -170,7 +187,11 @@ def _sample_dim(rep) -> int:
 
 
 def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
-    """Real codimension of a generic orbit of the compact group."""
+    """Real codimension of a generic orbit of the compact group.
+
+    The orbit rank is at most min(#compact generators, real dim); a sample
+    reaching that ceiling certifies it and ends sampling.
+    """
     dim_r = _real_dim(rep)
     if dim_r == 0:
         return 0
@@ -178,7 +199,8 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
     def orbit_rank(v) -> int:
         return int_rank(_real_action_rows(rep, v))
 
-    probe = _stabilize(orbit_rank, _sample_dim(rep), seed, _sampler_for(rep))
+    ceiling = min(rep.compact_stack.shape[0], dim_r)
+    probe = _stabilize(orbit_rank, _sample_dim(rep), seed, _sampler_for(rep), ceiling)
     return dim_r - probe.value
 
 
@@ -312,17 +334,17 @@ class SymmetricPair:
     p_basis: list[tuple]
 
     def validate(self) -> None:
-        for x in self.k_basis:
-            for y in self.k_basis:
-                if not _in_span(self.k_basis, _lie(x, y)):
-                    raise ValueError("[k, k] escapes k")
-            for y in self.p_basis:
-                if not _in_span(self.p_basis, _lie(x, y)):
-                    raise ValueError("[k, p] escapes p")
-        for x in self.p_basis:
-            for y in self.p_basis:
-                if not _in_span(self.k_basis, _lie(x, y)):
-                    raise ValueError("[p, p] escapes k")
+        in_k, in_p = _span_test(self.k_basis), _span_test(self.p_basis)
+        k, p = _stack(self.k_basis), _stack(self.p_basis)
+        for inside, x, y, message in (
+            (in_k, k, k, "[k, k] escapes k"),
+            (in_p, k, p, "[k, p] escapes p"),
+            (in_k, p, p, "[p, p] escapes k"),
+        ):
+            # every bracket [x_a, y_b] at once, broadcast over (a, b)
+            pairs = _lie((x[0][:, None], x[1][:, None]), (y[0][None], y[1][None]))
+            if not inside(pairs).all():
+                raise ValueError(message)
 
 
 @dataclass
@@ -335,15 +357,28 @@ class LieTripleResult:
         return self.closed
 
 
-def _in_span(basis: list[tuple], target: tuple) -> bool:
-    """target lies in the real span of basis: appending its real and
-    imaginary parts to those of the basis keeps the exact integer rank."""
-    if not (target[0].any() or target[1].any()):
-        return True
-    if not basis:
-        return False
-    rows = _flat(_stack([*basis, target]))
-    return int_rank(rows) == int_rank(rows[:-1])
+def _span_test(basis: list[tuple]):
+    """Membership in the real span of a nonempty basis, ranked once.
+
+    Returns a test that maps a stack (re, im) of shape (..., n, n) to a
+    bool array of shape (...), True where the matrix lies in the span.
+    The span of the flattened basis rows is the orthogonal complement of
+    their verified integer kernel K (int_kernel), so a target lies in it
+    iff its flattened row times K is zero: one exact product per target.
+    """
+    kernel = int_kernel(_flat(_stack(basis)))[1]
+    k_max = _max_abs(kernel)
+
+    def inside(target: tuple) -> np.ndarray:
+        re, im = target
+        lead = re.shape[:-2]
+        rows = np.concatenate([re.reshape(*lead, -1), im.reshape(*lead, -1)], axis=-1)
+        small = _max_abs(rows) * k_max * rows.shape[-1] < INT64_SAFE
+        k = kernel.astype(np.int64) if small else kernel
+        rows = rows if small else rows.astype(object)
+        return ~(rows @ k).any(axis=-1)
+
+    return inside
 
 
 def lie_triple_test(pair: SymmetricPair, m_basis: list[tuple]) -> LieTripleResult:
@@ -352,9 +387,8 @@ def lie_triple_test(pair: SymmetricPair, m_basis: list[tuple]) -> LieTripleResul
     m_basis must lie inside p; the candidate section exp(m) is totally
     geodesic precisely when every [[X, Y], Z] stays in the span.
     """
-    for m in m_basis:
-        if not _in_span(pair.p_basis, m):
-            raise ValueError("m_basis is not contained in p")
+    if m_basis and not _span_test(pair.p_basis)(_stack(m_basis)).all():
+        raise ValueError("m_basis is not contained in p")
     return lie_triple_closure(m_basis)
 
 
@@ -366,12 +400,15 @@ def lie_triple_closure(m_basis: list[tuple]) -> LieTripleResult:
     the coordinates into an ambient orthogonal algebra first can change
     the verdict, so callers record which model produced their numbers.
     """
+    if not m_basis:
+        return LieTripleResult(closed=True)
+    inside = _span_test(m_basis)
     for i, x in enumerate(m_basis):
         for j, y in enumerate(m_basis):
             inner = _lie(x, y)
             for k, z in enumerate(m_basis):
                 triple = _lie(inner, z)
-                if not _in_span(m_basis, triple):
+                if not inside(triple):
                     return LieTripleResult(
                         closed=False, witness=(i, j, k), witness_bracket=triple
                     )

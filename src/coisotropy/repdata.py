@@ -18,7 +18,7 @@ from importlib import resources
 from math import gcd
 
 from .dsl import PatternSpec, eval_condition, eval_int_expr, parse_pattern
-from .matrep import Factor, GroupSpec, RepSpec, Summand, Term
+from .matrep import GroupSpec, RepSpec, Summand
 
 DATA_ENV_VAR = "LIE_COISO_DATA"
 

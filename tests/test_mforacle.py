@@ -276,6 +276,119 @@ def test_unstable_samples_raise_genericity_error():
 
 
 # ---------------------------------------------------------------------------
+# early stop: a sample at the rank ceiling certifies and ends sampling
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts the rank evaluations of the oracles and keeps their probes."""
+    from coisotropy import mforacle
+
+    seen = {"complex_rank": 0, "int_rank": 0, "probes": []}
+    stabilize = mforacle._stabilize
+
+    def counting(name):
+        inner = getattr(mforacle, name)
+
+        def wrapped(*args):
+            seen[name] += 1
+            return inner(*args)
+
+        return wrapped
+
+    def keep(*args):
+        probe = stabilize(*args)
+        seen["probes"].append(probe)
+        return probe
+
+    for name in ("complex_rank", "int_rank"):
+        monkeypatch.setattr(mforacle, name, counting(name))
+    monkeypatch.setattr(mforacle, "_stabilize", keep)
+    return seen
+
+
+def test_full_rank_sample_certifies_mf_after_one_sample(probes):
+    assert mf_test(rep_of("so(5) + u1[1] on std(1) @ 1")) is True
+    assert probes["complex_rank"] == 1
+    (probe,) = probes["probes"]
+    assert probe.certified and probe.value == 5 and len(probe.sample_points) == 1
+
+
+def test_fewer_borel_rows_than_dim_is_false_after_one_sample(probes):
+    m = rep_of("su(3) on sym2(1)")
+    assert m.borel_stack.shape[0] < m.space_dim
+    assert mf_test(m) is False
+    assert probes["complex_rank"] == 1
+    assert probes["probes"][0].certified
+
+
+def test_rank_deficient_mf_test_keeps_every_sample(probes):
+    from coisotropy.mforacle import N_SAMPLES
+
+    m = rep_of("so(5) on std(1)")
+    assert m.borel_stack.shape[0] >= m.space_dim
+    assert mf_test(m) is False
+    assert probes["complex_rank"] == N_SAMPLES
+    (probe,) = probes["probes"]
+    assert not probe.certified and probe.value == 4 and len(probe.sample_points) == N_SAMPLES
+
+
+def test_stabilize_stops_at_the_first_value_on_the_ceiling():
+    from coisotropy import mforacle
+
+    values = iter([3, 5, 4, 5])
+    probe = mforacle._stabilize(
+        lambda v: next(values), 3, 7, mforacle._sample_complex_vector, ceiling=5
+    )
+    assert (probe.value, probe.certified, probe.rounds_used, probe.seeds) == (5, True, 1, [0, 1])
+    assert next(values) == 4  # the third sample was never drawn
+
+
+def test_cohomogeneity_stops_at_its_ceiling(probes):
+    # 17 compact generators on a real 24-dimensional space, acting with
+    # finite generic stabilizer: the orbit rank reaches 17 at once
+    m = rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1")
+    assert cohomogeneity(m) == 24 - 17
+    assert probes["int_rank"] == 1
+    assert probes["probes"][0].certified
+
+
+def test_cohomogeneity_below_its_ceiling_keeps_every_sample(probes):
+    from coisotropy.mforacle import N_SAMPLES
+
+    assert cohomogeneity(rep_of("su(3) + u1[1] on std(1) @ 1")) == 1
+    assert probes["int_rank"] == N_SAMPLES
+    assert not probes["probes"][0].certified
+
+
+# ---------------------------------------------------------------------------
+# the Lie triple code ranks each fixed basis once
+
+
+def test_symmetric_pair_validate_ranks_each_basis_once(monkeypatch):
+    from coisotropy import mforacle
+
+    calls = {"int_rank": 0, "int_kernel": 0}
+    for name in calls:
+        inner = getattr(mforacle, name)
+
+        def wrapped(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(mforacle, name, wrapped)
+    so_even_u_pair(4).validate()
+    assert calls == {"int_rank": 0, "int_kernel": 2}  # k and p, once each
+
+
+def test_symmetric_pair_validate_rejects_a_misplaced_element():
+    pair = so_even_u_pair(3)
+    pair.k_basis.append(pair.p_basis[0])
+    with pytest.raises(ValueError, match="escapes"):
+        pair.validate()
+
+
+# ---------------------------------------------------------------------------
 # the oracles on the modular kernel against a Fraction reference
 
 
