@@ -264,9 +264,13 @@ def polynomial_family(pid: str, limit: int = 200) -> dict:
     f > 0 is checked on the whole grid, the derivative in x is checked
     positive at the left edge (with a positive leading coefficient, which
     makes the grid check a certificate), and the stated value of f at x = 3
-    is compared with the definition.
+    is compared with the definition.  A limit that leaves the grid empty
+    is rejected.
     """
     fam = _POLY_FAMILIES[pid]
+    least = max(fam["x_min"], fam["q_min"])
+    if limit < least:
+        raise ValueError(f"family {pid} needs limit >= {least}, got {limit}")
     f = fam["f"]
     all_hold = True
     violations = []
@@ -668,9 +672,15 @@ def reproduce_table(
     Each row is instantiated at its two smallest recorded parameter choices
     (widen adds more); verdicts are deterministic given the dataset and the
     seed, and row evaluations are independent so they can run in a pool.
+    rows restricts the run to the named rows; a name that the table does not
+    have is rejected.
     """
     ds = dataset or load_dataset()
     table = str(table_id)
+    if rows is not None:
+        unknown = sorted(set(rows) - {row.row for row in ds.results_for(table)})
+        if unknown:
+            raise ValueError(f"table {table} has no rows {', '.join(unknown)}")
     tasks: list[tuple[ResultRow, dict]] = []
     for row in ds.results_for(table):
         if rows is not None and row.row not in rows:

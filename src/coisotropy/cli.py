@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands cover every pipeline stage; exit codes are 0 for verified, 1
-for a verification mismatch and 2 for usage errors, independent of timing
-or parallelism.
+for a verification mismatch and 2 for usage errors (rejected input, runs
+that would check nothing, unreadable spec files and unwritable reports),
+independent of timing or parallelism.
 """
 
 from __future__ import annotations
@@ -339,13 +340,17 @@ def main(argv: list[str] | None = None) -> int:
     rep = _Reporter(args.report, args.format)
     try:
         code = args.func(args, rep)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # rejected input: malformed specs, types and weights, unrealizable
-        # modules, and scan ranks below a scan's minimum
+        # modules, scan ranks and limits that leave nothing to check, rows
+        # a table does not have, and spec files that cannot be read
         rep.emit(f"error: {exc}")
+        code = 2
+    try:
         rep.flush()
+    except OSError as exc:  # a report file that cannot be written
+        sys.stdout.write(f"error: {exc}\n")
         return 2
-    rep.flush()
     return code
 
 

@@ -1,134 +1,36 @@
-"""Exact linear algebra over the rationals and the Gaussian rationals.
+"""Exact linear algebra over the integers and the Gaussian integers.
 
-Everything downstream (rank tests, isotropy kernels, bilinear-form solves)
-reduces to integer or rational elimination implemented here.  The sampled
-oracles work on exact integer numpy arrays: a matrix over Q(i) is held as a
-ZiArray, integer real and imaginary parts over one common denominator.
+Everything downstream (rank tests, isotropy kernels, bilinear-form solves,
+the Gram blocks of the weight modules) reduces to integer elimination
+implemented here.  The sampled oracles work on exact integer numpy arrays:
+a matrix over Q(i) is held as a ZiArray, integer real and imaginary parts
+over one common denominator.
 
 One verified modular kernel serves them all.  int_kernel eliminates an
 integer matrix modulo a prime p ~ 2**31 for pivot rows and columns, lifts
 the kernel p-adically (Dixon 1982) and recovers it by rational
-reconstruction (Wang 1981), then checks A @ K == 0 in integers.  The
-nonsingular pivot block bounds the rank from below and the verified kernel
-from above, so the rank is exact; Bareiss elimination runs only when the
-check fails at both primes of _RANK_PRIMES.  A complex rank is first taken
-modulo p with i mapped to a square root of -1; a full one is certified,
+reconstruction (Wang 1981), then checks A @ K == 0 in integers and that K
+is in reduced-echelon form, which holds iff the pivots mod p are the
+leftmost independent columns over Q.  The nonsingular pivot block bounds
+the rank from below and the verified kernel from above, so the rank is
+exact.  A prime that fails a check is replaced by the next one, and a
+bound from Hadamard's inequality caps the number of primes.  The only
+other elimination is _modp_rank: a complex rank is first taken modulo p
+with i mapped to a square root of -1, and a full one is certified,
 because a ring map never raises the rank.  Otherwise the kernel decides on
 the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
-The Fraction eliminations remain for the Gram blocks of the weight-module
-construction (frac_rref) and as the kernel fallback of int_kernel
-(frac_nullspace).  Every exact matrix is integral: a ZiStack holds a set
-of generators by its nonzeros, and _Dense is the one dense Gaussian-integer
-matrix (or stack of matrices), whose commutator _bracket serves the module
-certificate, the real slice models and the Lie-triple test alike.
+Every exact matrix is integral: a ZiStack holds a set of generators by its
+nonzeros, and _Dense is the one dense Gaussian-integer matrix (or stack of
+matrices), whose commutator _bracket serves the module certificate, the
+real slice models and the Lie-triple test alike.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
-
-
-# ---------------------------------------------------------------------------
-# rational elimination
-
-
-def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (rref, pivot columns)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
-
-
-def frac_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a rational matrix: int_rank with each row's denominators cleared."""
-    if not rows or not rows[0]:
-        return 0
-    ints = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (den // x.denominator) for x in row])
-    return int_rank(ints)
-
-
-def frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x = 0}, each vector of length ncols."""
-    if not rows:
-        return [
-            [Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)
-        ]
-    rref, pivots = frac_rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def int_rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination rank (Bareiss)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        pr = None
-        best = None
-        for i in range(r, nr):
-            v = m[i][c]
-            if v:
-                a = abs(v)
-                if best is None or a < best:
-                    best = a
-                    pr = i
-                    if a == 1:
-                        break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nr):
-            if not any(m[i][c:]):
-                continue
-            fi = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c, nc):
-                row_i[j] = (piv * row_i[j] - fi * row_r[j]) // prev
-        prev = piv
-        rank += 1
-        r += 1
-        if r == nr:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +298,10 @@ def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
     fraction at two successive steps, and at the Hadamard bound.  Then
     a @ K is formed exactly: a nonzero in the pivot rows means the digits
     were too few (X is the only solution of B X = -a[P, F]), a nonzero in
-    the other rows that the rank mod p is below the rank.
+    the other rows that the rank mod p is below the rank.  Last, K must be
+    in reduced-echelon form: a kernel vector with a nonzero at a pivot
+    column right of its free column means that the pivots mod p are not
+    the leftmost independent columns over Q (as for [[p, 1]]).
     """
     n = a.shape[1]
     prow, pcol, binv = _modp_reduce((a % p).astype(np.int64), p)
@@ -437,8 +342,30 @@ def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
             check = a.astype(object) @ kernel
             if check[prow].any():
                 continue
-            return (r, kernel) if not check.any() else None
+            if check.any():
+                return None
+            # free column j depends on the pivot columns left of it only
+            # iff the pivots are the leftmost independent columns over Q
+            late = np.array(pcol)[:, None] > np.array(free)
+            return None if kernel[pcol][late].any() else (r, kernel)
     return None
+
+
+def _kernel_primes():
+    """The primes of _RANK_PRIMES, then the primes p = 1 (mod 4) below
+    them in descending order."""
+    for p, _ in _RANK_PRIMES:
+        yield p
+    while True:
+        p -= 4
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+
+
+def _prime_budget(a: np.ndarray) -> int:
+    """1 + floor(log2 H / 30), H the Hadamard bound of the columns of a."""
+    h2 = prod(max(1, x) for x in (a.astype(object) ** 2).sum(axis=0).tolist())
+    return 1 + (h2.bit_length() - 1) // 60
 
 
 def int_kernel(rows) -> tuple[int, np.ndarray]:
@@ -448,9 +375,15 @@ def int_kernel(rows) -> tuple[int, np.ndarray]:
     of {x : A x = 0}: the reduced-echelon kernel vectors, one per free
     column, each with its denominators cleared, so that K restricted to the
     free rows is diagonal and positive.  Every result was checked by
-    A @ K == 0 in integers; see _kernel_mod.  Bareiss elimination gives the
-    rank, and frac_nullspace the kernel, only if the check fails modulo
-    both primes of _RANK_PRIMES.
+    A @ K == 0 in integers, and the pivots mod p by the echelon form of K;
+    see _kernel_mod.
+
+    The primes are those of _kernel_primes, at most _prime_budget(A) of
+    them.  Let D be the nonzero minor of A on its leftmost independent
+    columns.  A prime that does not divide D finds those pivots, and its
+    kernel passes both checks.  Every prime tried is above 2**30 and
+    |D| <= H, so at most floor(log2 H / 30) of them divide D.  The budget
+    is therefore never exhausted; if it were, ArithmeticError is raised.
     """
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     if a.ndim != 2:
@@ -458,19 +391,15 @@ def int_kernel(rows) -> tuple[int, np.ndarray]:
     m, n = a.shape
     if not m:
         return 0, np.eye(n, dtype=np.int64).astype(object)
-    for p, _ in _RANK_PRIMES:
+    budget = None
+    for tried, p in enumerate(_kernel_primes()):
+        if tried == budget:
+            raise ArithmeticError(f"no verified kernel modulo {tried} primes")
         found = _kernel_mod(a, p)
         if found is not None:
             return found
-    rank = int_rank_bareiss(a.tolist())
-    basis = frac_nullspace([[Fraction(int(x)) for x in row] for row in a.tolist()], n)
-    kernel = np.zeros((n, len(basis)), dtype=object)
-    for j, vec in enumerate(basis):
-        den = lcm(*(x.denominator for x in vec))
-        kernel[:, j] = [int(x * den) for x in vec]
-    if len(basis) != n - rank or (a.astype(object) @ kernel).any():
-        raise ArithmeticError(f"Bareiss rank {rank} and nullity {len(basis)} disagree")
-    return rank, kernel
+        if budget is None:
+            budget = _prime_budget(a)
 
 
 def _narrow_rank(a: np.ndarray) -> int:

@@ -37,7 +37,6 @@ from .linalg import (
     _max_abs,
     _multiple,
     complex_rank,
-    frac_rref,
     int_kernel,
 )
 from .rootsys import (
@@ -433,13 +432,19 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
                         val += wts[t][i] * pairing(s, t)
                     g[a][b] = val
                     g[b][a] = val
-            _, chosen = frac_rref([list(row) for row in g])
-            if not chosen:
+            if not any(x for row in g for x in row):
                 for i, s in cands:
                     f_act[(i, s)] = []
                 continue
-            sub = [[g[a][b] for b in chosen] for a in chosen]
-            solve = _inverse_solver(sub)
+            # int_kernel gives the reduced-echelon kernel of g: column j ends
+            # at its free candidate c, and -K[chosen, j] / K[c, j] expands c
+            # over the chosen (pivot) states, as sub^-1 g[chosen, c] would;
+            # a symmetric g is nonsingular on any set of columns that spans
+            # its column space, so sub always exists
+            den = lcm(*(x.denominator for row in g for x in row))
+            _, kernel = int_kernel([[x.numerator * (den // x.denominator) for x in row] for row in g])
+            free = {int(np.flatnonzero(kernel[:, j])[-1]): j for j in range(kernel.shape[1])}
+            chosen = [c for c in range(nc) if c not in free]
             base = len(wts)
             globals_new = []
             for local, ci in enumerate(chosen):
@@ -454,12 +459,14 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
                         gram[(globals_new[a_loc], globals_new[b_loc])] = g[ca][cb]
             # expansion of every candidate over the chosen states
             for c_idx, (i, s) in enumerate(cands):
-                col = [g[ci][c_idx] for ci in chosen]
-                coords = solve(col)
+                if c_idx not in free:
+                    f_act[(i, s)] = [(globals_new[chosen.index(c_idx)], Fraction(1))]
+                    continue
+                j = free[c_idx]
                 f_act[(i, s)] = [
-                    (globals_new[loc], coords[loc])
-                    for loc in range(len(chosen))
-                    if coords[loc]
+                    (globals_new[loc], Fraction(-int(kernel[ci, j]), int(kernel[c_idx, j])))
+                    for loc, ci in enumerate(chosen)
+                    if kernel[ci, j]
                 ]
             # e_j action on the new basis states
             for local, ci in enumerate(chosen):
@@ -532,20 +539,6 @@ def _reduced(x: _Dense, den: int) -> tuple[_Dense, int]:
     re = x.re // g
     bound = _max_abs(re)
     return _Dense(re.astype(object if bound >= INT64_SAFE else np.int64), None, bound), den // g
-
-
-def _inverse_solver(mat: list[list[Fraction]]):
-    n = len(mat)
-    aug = [list(mat[i]) + [Fraction(int(j == i)) for j in range(n)] for i in range(n)]
-    rref, piv = frac_rref(aug)
-    if piv != list(range(n)):
-        raise RepresentationError("singular gram block")
-    inv = [row[n:] for row in rref]
-
-    def solve(col):
-        return [sum(inv[i][j] * col[j] for j in range(n)) for i in range(n)]
-
-    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -113,3 +113,36 @@ def test_rejected_arguments_are_usage_errors(argv, capsys):
     assert code == 2
     assert [line for line in out.splitlines() if line] == [out.strip()]
     assert out.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["polyscan", "--limit", "2"], ["limit >= 3", "got 2"]),
+        (["table", "1", "--rows", "zz"], ["table 1 has no rows zz"]),
+        (["table", "3", "--rows", "p6,nope,zz"], ["no rows nope, zz"]),
+    ],
+    ids=["polyscan-empty-grid", "table-unknown-row", "table-some-unknown-rows"],
+)
+def test_runs_that_would_check_nothing_are_usage_errors(argv, names, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert [line for line in out.splitlines() if line] == [out.strip()]
+    assert out.startswith("error: ") and all(name in out for name in names)
+    assert "PASS" not in out and "verdicts" not in out
+
+
+@pytest.mark.parametrize("command", ["mf-check", "cohom"])
+def test_a_missing_spec_file_is_a_usage_error(command, capsys, tmp_path):
+    missing = tmp_path / "no-such-spec.txt"
+    code, out = run_cli([command, str(missing), "--from-file"], capsys)
+    assert code == 2
+    assert out.startswith("error: ") and out.count("\n") == 1 and str(missing) in out
+
+
+def test_an_unwritable_report_is_a_usage_error(capsys, tmp_path):
+    report = tmp_path / "no-such-dir" / "x.txt"
+    code, out = run_cli(["--report", str(report), "weyldim", "G2", "1,0"], capsys)
+    assert code == 2
+    assert out.startswith("error: ") and out.count("\n") == 1 and str(report) in out
+    assert not report.parent.exists()

@@ -1,9 +1,11 @@
-"""Every name a package module imports with ``from ... import`` is used there.
+"""Guards against dead code in the package modules.
 
-The package has no linter configured, so this is its guard against dead
-imports: each module except ``__init__.py`` is parsed with ``ast``, and
-every from-imported name must be read somewhere else in the module (as a
-name, or as the base of an attribute) or listed in its ``__all__``.
+The package has no linter configured, so these tests are its guard: each
+module except ``__init__.py`` is parsed with ``ast``.  Every from-imported
+name must be read somewhere else in its module (as a name, or as the base
+of an attribute) or listed in its ``__all__``.  Every module-level private
+function or class must be referenced somewhere in the package outside its
+own definition.
 """
 
 import ast
@@ -46,3 +48,47 @@ def test_the_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """The names node reads, its attribute names and the names it imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """module:name of each module-level private def or class in sources
+    (module name -> source) that no statement outside its own definition
+    refers to."""
+    statements = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
+    refs = [_referenced(node) for _, node in statements]
+    dead = []
+    for i, (mod, node) in enumerate(statements):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(node.name in names for j, names in enumerate(refs) if j != i):
+            dead.append(f"{mod}:{node.name}")
+    return dead
+
+
+def test_the_guard_sees_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _used():\n    return 1\n\ndef _dead():\n    return _dead()\n",
+        "b": "from a import _used\n\nclass _Kept:\n    pass\n\nx = _Kept()\n",
+        "c": "import a\n\ny = a._used()\n\nclass _Gone:\n    pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a:_dead", "c:_Gone"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import bareiss_rank, frac_nullspace, frac_rref
 
 from coisotropy import linalg
 from coisotropy.linalg import (
@@ -12,15 +14,13 @@ from coisotropy.linalg import (
     INT64_SAFE,
     ZiArray,
     ZiStack,
+    _kernel_primes,
     _modp_rank,
+    _prime_budget,
     complex_rank,
     float_rank,
-    frac_nullspace,
-    frac_rank,
-    frac_rref,
     int_kernel,
     int_rank,
-    int_rank_bareiss,
     zi_apply,
 )
 
@@ -53,7 +53,7 @@ def test_frac_rref_and_nullspace():
 
 def test_int_rank_agrees_with_bareiss():
     rows = [[2, 4, 1], [1, 2, 0], [3, 6, 1], [0, 0, 1]]
-    assert int_rank_bareiss(rows) == 2
+    assert bareiss_rank(rows) == 2
     assert int_rank(rows) == 2
     full = [[1, 0], [0, 7]]
     assert int_rank(full) == 2
@@ -64,11 +64,6 @@ def test_complex_rank_matches_float():
     rows = _zi([[1, 0], [0, -1], [2, 0]], [[0, 1], [1, 0], [0, 0]])
     assert complex_rank(rows) == 2
     assert float_rank(rows) == 2
-
-
-def test_frac_rank_with_denominators():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-    assert frac_rank(rows) == 1
 
 
 def test_complex_rank_with_denominators():
@@ -104,11 +99,10 @@ def test_complex_rank_agrees_with_every_exact_rank(product):
     re, im = product
     rank = complex_rank(ZiArray(re, im))
     real = _realified(re, im)
-    assert int_rank_bareiss(real) == 2 * rank
+    assert bareiss_rank(real) == 2 * rank
     assert int_rank(real) == 2 * rank
     frac_rows = [[Fraction(x, 3) for x in row] for row in real]
     assert len(frac_rref(frac_rows)[1]) == 2 * rank
-    assert frac_rank(frac_rows) == 2 * rank
     assert rank <= min(re.shape)
     sv = np.linalg.svd(re + 1j * im, compute_uv=False)
     if rank == 0 or sv[rank - 1] > 1e-6 * sv[0]:
@@ -123,12 +117,29 @@ def test_rank_primes_are_primes_with_a_root_of_minus_one():
         assert s * s % p == p - 1
 
 
-def test_unlucky_primes_fall_back_to_bareiss(monkeypatch):
+def _record_primes(monkeypatch) -> list[int]:
+    """The primes int_kernel tries, in order, from now on."""
+    primes = []
+    kernel_mod = linalg._kernel_mod
+    monkeypatch.setattr(linalg, "_kernel_mod", lambda a, p: primes.append(p) or kernel_mod(a, p))
+    return primes
+
+
+def test_kernel_primes_descend_below_the_rank_primes():
+    primes = list(islice(_kernel_primes(), 6))
+    assert primes[:2] == [p for p, _ in _RANK_PRIMES]
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 6
+    for p in primes:
+        assert p % 4 == 1 and 2**30 < p < 2**31
+        assert all(p % q for q in range(2, isqrt(p) + 1))
+    # no prime p = 1 (mod 4) is skipped between the third and the second
+    third = primes[2]
+    assert not any(all(q % t for t in range(2, isqrt(q) + 1)) for q in range(third + 4, primes[1], 4))
+
+
+def test_unlucky_primes_move_on_to_a_third_prime(monkeypatch):
     (p1, s1), (p2, s2) = _RANK_PRIMES
-    calls = []
-    monkeypatch.setattr(
-        linalg, "int_rank_bareiss", lambda rows: calls.append(rows) or int_rank_bareiss(rows)
-    )
+    primes = _record_primes(monkeypatch)
     steps = []
     lifting_steps = linalg._lifting_steps
     monkeypatch.setattr(
@@ -142,8 +153,10 @@ def test_unlucky_primes_fall_back_to_bareiss(monkeypatch):
     # (s1 - i)(s2 - i) vanishes when i maps to s1 and when it maps to s2
     z = (s1 * s2 - 1, -(s1 + s2))  # (s1 - i)(s2 - i)
     assert complex_rank(_zi([[z[0], 0], [0, 1]], [[z[1], 0], [0, 0]])) == 2
-    assert len(calls) == 2
-    # each prime gave up at the Hadamard bound of its own small system
+    third = list(islice(_kernel_primes(), 3))[-1]
+    assert primes == [p1, p2, third] * 2
+    # each unlucky prime gave up at the Hadamard bound of its own small
+    # system; the third has full rank and lifts nothing
     assert len(steps) == 4 and max(steps) <= 10
 
 
@@ -154,8 +167,8 @@ def test_large_entries_take_the_python_int_path():
     for z, expected in ((full, 2), (half, 1)):
         assert z.re.dtype == object
         assert complex_rank(z) == expected
-        assert int_rank_bareiss(_realified(z.re, z.im)) == 2 * expected
-        assert int_rank(z.re) == int_rank_bareiss(z.re.tolist())
+        assert bareiss_rank(_realified(z.re, z.im)) == 2 * expected
+        assert int_rank(z.re) == bareiss_rank(z.re.tolist())
     # a product past the int64 bound is formed in Python ints, exactly
     g = _stack(2, [(0, 1, 2**40, -3), (1, 1, 1, 0)])
     v_re = np.array([5, 2**30], dtype=np.int64)
@@ -189,7 +202,7 @@ def _check_kernel(a, rank, k):
     """The properties int_kernel promises, against the Fraction RREF."""
     a = np.array(a, dtype=object)
     n = a.shape[1]
-    assert rank == int_rank_bareiss(a.tolist())
+    assert rank == bareiss_rank(a.tolist())
     assert k.shape == (n, n - rank) and k.dtype == object
     assert not (a @ k).any()
     frac_rows = [[Fraction(int(x)) for x in row] for row in a.tolist()]
@@ -264,34 +277,48 @@ def test_int_kernel_with_entries_past_2_200(monkeypatch):
     # runs for many p-adic steps before the entries reconstruct
     rng = np.random.default_rng(2024)
     a = rng.integers(-(2**30), 2**30, size=(9, 10), dtype=np.int64)
-    monkeypatch.setattr(linalg, "int_rank_bareiss", lambda rows: pytest.fail("fell back"))
+    primes = _record_primes(monkeypatch)
     rank, k = int_kernel(a)
     monkeypatch.undo()
+    assert primes == [_RANK_PRIMES[0][0]]
     assert rank == 9 and k.shape == (10, 1)
     assert not (a.astype(object) @ k).any()
     assert max(abs(int(x)) for x in k[:, 0]).bit_length() > 200
-    assert rank == int_rank_bareiss(a.tolist())
+    assert rank == bareiss_rank(a.tolist())
 
 
-def test_failed_reconstruction_falls_back_to_bareiss(monkeypatch):
-    a = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
-    expected = int_kernel(a)
-    calls = []
-    monkeypatch.setattr(
-        linalg, "int_rank_bareiss", lambda rows: calls.append(rows) or int_rank_bareiss(rows)
-    )
-    monkeypatch.setattr(linalg, "_reconstruct_column", lambda col, m, bound: None)
-    rank, k = int_kernel(a)
-    assert len(calls) == 1
-    assert rank == expected[0] == 2
-    _check_kernel(a, rank, k)
-    assert k.tolist() == expected[1].tolist()
-
-
-def test_matrix_vanishing_mod_both_primes_has_rank_one():
+def test_failed_reconstruction_raises_after_the_prime_budget(monkeypatch):
     (p1, _), (p2, _) = _RANK_PRIMES
+    small = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
+    # column norms (p1 p2, 0, 1): H is about 2**62, so three primes
+    large = np.array([[p1 * p2, 0, 1]], dtype=object)
+    monkeypatch.setattr(linalg, "_reconstruct_column", lambda col, m, bound: None)
+    for a, budget in ((small, 1), (large, 3)):
+        assert _prime_budget(a) == budget
+        primes = _record_primes(monkeypatch)
+        with pytest.raises(ArithmeticError):
+            int_kernel(a)
+        assert primes == list(islice(_kernel_primes(), budget))
+
+
+def test_matrix_vanishing_mod_both_primes_has_rank_one(monkeypatch):
+    (p1, _), (p2, _) = _RANK_PRIMES
+    primes = _record_primes(monkeypatch)
     rank, k = int_kernel([[p1 * p2, 0]])
     assert rank == 1 and k.tolist() == [[0], [1]]
+    assert primes == list(islice(_kernel_primes(), 3))
+
+
+def test_pivots_mod_p_must_be_the_leftmost_over_q(monkeypatch):
+    # mod p1 the first column vanishes and the second becomes the pivot;
+    # A @ K == 0 holds for the kernel (1, -p1) of those pivots, but over Q
+    # the pivot is the first column, so p1 is rejected
+    (p1, _), (p2, _) = _RANK_PRIMES
+    primes = _record_primes(monkeypatch)
+    rank, k = int_kernel([[p1, 1]])
+    assert (rank, k.tolist()) == (1, [[-1], [p1]])
+    assert primes == [p1, p2]
+    _check_kernel([[p1, 1]], rank, k)
 
 
 def test_lifting_stops_once_the_probe_repeats(monkeypatch):
@@ -330,7 +357,6 @@ def test_a_premature_reconstruction_keeps_lifting(monkeypatch):
     monkeypatch.setattr(
         linalg, "_modp_reduce", lambda x, p: reduce_calls.append(p) or modp_reduce(x, p)
     )
-    monkeypatch.setattr(linalg, "int_rank_bareiss", lambda rows: pytest.fail("fell back"))
     rank, k = int_kernel(a)
     assert (rank, k.tolist()) == (expected[0], expected[1].tolist())
     assert len(reduce_calls) == 1 and len(attempts) > 1

@@ -21,7 +21,6 @@ from coisotropy.matrep import (
     Term,
     _certify,
     _factor_module,
-    _inverse_solver,
     _spin_module,
     _square,
     _std_module,
@@ -731,12 +730,27 @@ def test_square_of_su4_std_is_its_weight_module(kind, weight):
     assert complex_rank(ZiArray(*space[0])) == d
 
 
-def test_inverse_solver_rejects_singular_block():
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(RepresentationError, match="singular"):
-        _inverse_solver(singular)
-    solve = _inverse_solver([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
-    assert solve([Fraction(3), Fraction(2)]) == [1, 1]
+@pytest.mark.parametrize("stype, weight", [(SimpleType("A", 2), (2, 1)), (SimpleType("G", 2), (1, 1))])
+def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch):
+    """Every Gram block that reaches int_kernel is nonzero, and the states
+    chosen from it (its non-free columns) are the pivot columns of the
+    Fraction RREF, on which the block has a nonsingular principal part."""
+    from reference import frac_rref
+
+    from coisotropy import matrep
+
+    blocks, kernel = [], matrep.int_kernel
+    monkeypatch.setattr(matrep, "int_kernel", lambda rows: blocks.append(rows) or kernel(rows))
+    _weight_module(stype, weight)
+    assert any(kernel(g)[0] < len(g) for g in blocks)  # some candidates are dependent
+    for g in blocks:
+        assert any(x for row in g for x in row)
+        _, k = kernel(g)
+        free = {int(np.flatnonzero(k[:, j])[-1]) for j in range(k.shape[1])}
+        pivots = frac_rref([[Fraction(x) for x in row] for row in g])[1]
+        assert [c for c in range(len(g)) if c not in free] == pivots
+        sub = [[Fraction(g[a][b]) for b in pivots] for a in pivots]
+        assert frac_rref(sub)[1] == list(range(len(pivots)))
 
 
 def test_slot_embedding_matches_kron():
@@ -761,3 +775,42 @@ def test_integer_views_scale_the_generators():
             assert Fraction(int(stack.im[at]), stack.den) == Fraction(int(im[at]), den)
     rr = real_block_rep([("vec7", 7)])
     assert rr.compact_stack.shape == (21, 7, 7) and not rr.compact_stack.im.any()
+
+
+def _diagonal_weights(m) -> list[tuple[Fraction, ...]]:
+    """The sorted weights of the basis of m: the diagonals of its Cartan
+    and torus generators, real and imaginary parts, which are diagonal."""
+    dense = m.gens.dense()
+    n, nc = dense.re.shape[0], len(m.cartan_labels)
+    diagonal = [k for k in range(n) if k < nc or k >= n - m.n_torus]
+    for part in (dense.re[diagonal], dense.im[diagonal]):
+        assert not (part * (1 - np.eye(m.space_dim, dtype=np.int64))).any()
+    return sorted(
+        tuple(Fraction(int(part[k, t, t]), dense.den) for part in (dense.re, dense.im) for k in diagonal)
+        for t in range(m.space_dim)
+    )
+
+
+@pytest.mark.parametrize(
+    "group, summand, charges",
+    [
+        ("su(3) + u1[1]", "std(1)", "1"),
+        ("e6(6) + u1[1]", "std(1)", "2"),
+        ("g2(2) + u1[1]", "std(1)", "1"),
+        ("so(10) + u1[1]", "spin(1)", "3"),
+        ("su(4) + u1[1]", "alt2(1)", "1"),
+        ("su(3) + u1[1,0] + u1[0,1]", "sym2(1)", "2,-1"),
+    ],
+)
+def test_the_dual_with_negated_charges_negates_every_weight(group, summand, charges):
+    """X* @ -c has exactly the negated weight multiset of X @ c."""
+    from coisotropy.dsl import parse_repspec
+
+    def weights(text):
+        return _diagonal_weights(realize(*parse_repspec(text)))
+
+    negated = ",".join(str(-int(c)) for c in charges.split(","))
+    plain = weights(f"{group} on {summand} @ {charges}")
+    dual = weights(f"{group} on {summand} * @ {negated}")
+    assert dual == sorted(tuple(-x for x in mu) for mu in plain)
+    assert dual != plain  # the charges alone tell X from X*

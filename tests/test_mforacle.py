@@ -399,7 +399,7 @@ def _reference_isotropy_basis(rep, v):
 
     import numpy as np
 
-    from coisotropy.linalg import frac_nullspace
+    from reference import frac_nullspace
     from coisotropy.mforacle import _real_action_rows
 
     gens = rep.compact_stack.dense()
@@ -418,7 +418,7 @@ def _reference_algebra_rank(basis, rng, bound=97):
     """n minus the Bareiss rank of the commutators [X_k, z]."""
     import numpy as np
 
-    from coisotropy.linalg import int_rank_bareiss
+    from reference import bareiss_rank
 
     xr, xi = basis
     n = len(xr)
@@ -429,7 +429,7 @@ def _reference_algebra_rank(basis, rng, bound=97):
     br = (xr @ zr - xi @ zi) - (zr @ xr - zi @ xi)
     bi = (xr @ zi + xi @ zr) - (zr @ xi + zi @ xr)
     rows = np.concatenate([br.reshape(n, -1), bi.reshape(n, -1)], axis=1)
-    return n - int_rank_bareiss(rows.tolist())
+    return n - bareiss_rank(rows.tolist())
 
 
 def _flat(basis):
@@ -458,14 +458,14 @@ def test_isotropy_oracles_match_the_fraction_reference(name, monkeypatch):
     import numpy as np
 
     from coisotropy import mforacle
-    from coisotropy.linalg import int_rank_bareiss
+    from reference import bareiss_rank
 
     rep = ISOTROPY_CASES[name]()
     v = mforacle._sampler_for(rep)(mforacle._sample_dim(rep), random.Random(3), 97)
     new, ref = mforacle._isotropy_basis(rep, v), _reference_isotropy_basis(rep, v)
     assert len(new[0]) == len(ref[0])
     both = np.concatenate([_flat(new), _flat(ref)]).tolist()
-    assert int_rank_bareiss(_flat(new).tolist()) == int_rank_bareiss(both) == len(ref[0])
+    assert bareiss_rank(_flat(new).tolist()) == bareiss_rank(both) == len(ref[0])
     for t in range(3):
         assert mforacle._algebra_rank(new, random.Random(t)) == _reference_algebra_rank(
             ref, random.Random(t)
@@ -482,7 +482,7 @@ def test_maximal_abelian_matches_the_fraction_reference(pair):
     import random
     from fractions import Fraction
 
-    from coisotropy.linalg import frac_nullspace
+    from reference import frac_nullspace
     from coisotropy.mforacle import SAMPLE_BOUND
 
     def _mul(x, y):
