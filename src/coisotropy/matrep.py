@@ -1,17 +1,18 @@
 """Explicit matrix realizations over the Gaussian rationals, stored as integers.
 
 Every per-factor module is built directly as one integer stack
-(linalg.ZiStack: numerators over one denominator) and certified once.
+(linalg.ZiStack: numerators over one denominator) of its simple generators
+h_i, e_i, f_i, certified once, and completed by one derivation of the
+other root vectors, e_beta = [e_i, e_beta'] and f_beta = [f_beta', f_i].
 Standard modules of the classical algebras are realized in split form so
-that Cartan generators are diagonal and positive root vectors are strictly
+that Cartan generators are diagonal and raising generators are strictly
 upper triangular in the constructed weight basis.  Spin modules are the
 Clifford modules on qubits, written by bit arithmetic on the basis indices;
 arbitrary dominant weights are realized through an exact contravariant-form
-construction, with integer brackets for the non-simple root vectors;
-symmetric and exterior squares are induced from the standard stack by index
-arithmetic.  Tensor products, duals, direct sums and torus charge lines are
-assembled from the stacks by index arithmetic too, and so are the real
-slice models (RealRep) of so(7) on R^7 and on the octonions.
+construction; symmetric and exterior squares are induced from the standard
+stack by index arithmetic.  Tensor products, duals, direct sums and torus
+charge lines are assembled from the stacks by index arithmetic too, and so
+are the real slice models (RealRep) of so(7) on R^7 and on the octonions.
 
 For every module the lowering generator of a positive root is the adjoint
 of the raising generator with respect to an invariant positive form, so
@@ -30,13 +31,11 @@ import numpy as np
 
 from .linalg import (
     INT64_SAFE,
-    ZiArray,
     ZiStack,
     _bracket,
     _Dense,
     _max_abs,
     _multiple,
-    complex_rank,
     int_kernel,
 )
 from .rootsys import (
@@ -245,24 +244,26 @@ class RepSpec:
 # ---------------------------------------------------------------------------
 # per-factor modules with a Chevalley split, built as integer stacks
 #
-# A module of a simple factor is one ZiStack ordered cartan | raising |
+# A constructor emits the simple stack h | e | f of a simple factor: the
+# 3r generators h_i, e_i, f_i of its simple roots, over one denominator.
+# _root_vectors completes it to the module stack cartan | raising |
 # lowering: the simple roots, then the positive roots in positive_roots
-# order, over one denominator.
+# order.
 
 
 def _real_split(d: int, rs: RootSystem, entries: np.ndarray) -> ZiStack:
-    """The module stack of the integer entries (k, row, col, value) of its
-    Cartan and raising generators, with each lowering generator the
+    """The simple stack of the integer entries (k, row, col, value) of its
+    Cartan and simple raising generators, with each lowering generator the
     transpose of its raising one: the basis is orthonormal for an
     invariant form, under which a real raising generator's adjoint is its
     transpose."""
-    r, npos = rs.rank, rs.n_positive_roots
+    r = rs.rank
     k, row, col, val = entries.reshape(-1, 4).T
     up = k >= r
     val = np.concatenate([val, val[up]])
     return _coalesce(
-        (r + 2 * npos, d, d),
-        np.concatenate([k, k[up] + npos]),
+        (3 * r, d, d),
+        np.concatenate([k, k[up] + r]),
         np.concatenate([row, col[up]]),
         np.concatenate([col, row[up]]),
         val,
@@ -271,19 +272,13 @@ def _real_split(d: int, rs: RootSystem, entries: np.ndarray) -> ZiStack:
     )
 
 
-def _orth(rs: RootSystem) -> np.ndarray:
-    """Orthogonal coordinates of the positive roots of a classical type,
-    one integer row per root."""
-    return np.array(rs.positive_roots) @ np.array([[int(x) for x in a] for a in rs.simple_orth])
-
-
 def _std_module(stype: SimpleType) -> ZiStack:
-    """Standard module in split form: the basis (e_1..e_r, [middle],
-    f_r..f_1) of weights eps_i, 0, -eps_i for B, C and D (eps_1..eps_n
-    for A) carries strictly decreasing weights, h_i is the pairing of each
-    basis weight with the coroot of alpha_i, and the raising generators are
-    the split root vectors of the symplectic or antidiagonal symmetric
-    form.  An exceptional algebra gets its smallest fundamental module."""
+    """Simple stack of the standard module in split form: the basis
+    (e_1..e_r, [middle], f_r..f_1) of weights eps_i, 0, -eps_i for B, C
+    and D (eps_1..eps_n for A) carries strictly decreasing weights, h_i is
+    the pairing of each basis weight with the coroot of alpha_i, and e_i is
+    the split root vector of the symplectic or antidiagonal symmetric form.
+    An exceptional algebra gets its smallest fundamental module."""
     fam, r = stype.family, stype.rank
     rs = build_root_system(stype)
     if fam not in "ABCD":
@@ -298,26 +293,26 @@ def _std_module(stype: SimpleType) -> ZiStack:
             if x:
                 c = int(2 * x / norm)
                 ent += [(i, t, t, c)] + ([(i, m(t), m(t), -c)] if fam != "A" else [])
-    for j, orth in enumerate(_orth(rs).tolist()):
-        k = r + j
-        pos = [t for t, v in enumerate(orth) if v > 0]
-        neg = [t for t, v in enumerate(orth) if v < 0]
+        k = r + i
+        pos = [t for t, v in enumerate(alpha) if v > 0]
+        neg = [t for t, v in enumerate(alpha) if v < 0]
         if fam == "A":
             ent.append((k, pos[0], neg[0], 1))
-        elif not neg and len(pos) == 1:  # 2 eps_i (C) or eps_i (B)
-            i = pos[0]
-            ent += [(k, i, m(i), 1)] if fam == "C" else [(k, i, r, 1), (k, r, m(i), -1)]
-        elif len(pos) == 2:  # eps_i + eps_j
-            i, t = pos
-            ent += [(k, i, m(t), 1), (k, t, m(i), 1 if fam == "C" else -1)]
-        else:  # eps_i - eps_j
-            i, t = pos[0], neg[0]
-            ent += [(k, i, t, 1), (k, m(t), m(i), -1)]
+        elif not neg and len(pos) == 1:  # 2 eps_r (C) or eps_r (B)
+            t = pos[0]
+            ent += [(k, t, m(t), 1)] if fam == "C" else [(k, t, r, 1), (k, r, m(t), -1)]
+        elif len(pos) == 2:  # eps_(r-1) + eps_r (D)
+            t, u = pos
+            ent += [(k, t, m(u), 1), (k, u, m(t), -1)]
+        else:  # eps_i - eps_(i+1)
+            t, u = pos[0], neg[0]
+            ent += [(k, t, u, 1), (k, m(u), m(t), -1)]
     return _real_split(d, rs, np.array(ent, dtype=np.int64))
 
 
 def _spin_module(n: int, chirality: int = 1) -> ZiStack:
-    """Spin module of so(n), 3 <= n <= 12; of one chirality when n is even.
+    """Simple stack of the spin module of so(n), 3 <= n <= 12; of one
+    chirality when n is even.
 
     The Clifford module of so(n) is k = n // 2 qubits; qubit t is bit
     k - 1 - t of a basis index.  The raiser (gamma_2t + i gamma_2t+1) / 2
@@ -344,9 +339,9 @@ def _spin_module(n: int, chirality: int = 1) -> ZiStack:
     h = [(w2[:, i] - w2[:, i + 1]) // 2 for i in range(k - 1)]
     h.append(w2[:, k - 1] if odd else (w2[:, k - 2] + w2[:, k - 1]) // 2)
     ops = [(x, s) for s in h]
-    for orth in _orth(rs).tolist():
-        pos = [t for t, v in enumerate(orth) if v > 0]
-        neg = [t for t, v in enumerate(orth) if v < 0]
+    for alpha in rs.simple_orth:
+        pos = [t for t, v in enumerate(alpha) if v > 0]
+        neg = [t for t, v in enumerate(alpha) if v < 0]
         # eps_i: a_i Z; eps_i + eps_j: a_i a_j; eps_i - eps_j: a_i a_j^T
         if not neg and len(pos) == 1:
             y, sy = chain_z
@@ -372,14 +367,15 @@ def _spin_module(n: int, chirality: int = 1) -> ZiStack:
 
 
 def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
-    """Irreducible module with highest weight coeffs, over the rationals.
+    """Simple stack of the irreducible module with highest weight coeffs.
 
     States are lowering words applied to a highest vector; dependencies are
     resolved through the contravariant form, whose Gram matrices stay exact
     rationals.  The basis is graded by depth, so Cartan matrices come out
-    diagonal and raising matrices strictly upper triangular.  The other
-    root vectors are integer brackets: e_beta = [e_i, e_beta'] and, since
-    the form adjoint reverses brackets, f_beta = [f_beta', f_i].
+    diagonal and raising matrices strictly upper triangular.  The build
+    stops with RepresentationError as soon as it has more states than the
+    Weyl dimension.  The stack is diag(weights) | e_i | f_i over one
+    denominator.
     """
     rs = build_root_system(stype)
     lam = DominantWeight(coeffs)
@@ -436,14 +432,16 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
                 for i, s in cands:
                     f_act[(i, s)] = []
                 continue
-            # int_kernel gives the reduced-echelon kernel of g: column j ends
-            # at its free candidate c, and -K[chosen, j] / K[c, j] expands c
-            # over the chosen (pivot) states, as sub^-1 g[chosen, c] would;
-            # a symmetric g is nonsingular on any set of columns that spans
-            # its column space, so sub always exists
-            den = lcm(*(x.denominator for row in g for x in row))
-            _, kernel = int_kernel([[x.numerator * (den // x.denominator) for x in row] for row in g])
-            free = {int(np.flatnonzero(kernel[:, j])[-1]): j for j in range(kernel.shape[1])}
+            free = {}  # the one candidate of a nonzero 1 x 1 block is chosen
+            if nc > 1:
+                # int_kernel gives the reduced-echelon kernel of g: column j
+                # ends at its free candidate c, and -K[chosen, j] / K[c, j]
+                # expands c over the chosen (pivot) states, as
+                # sub^-1 g[chosen, c] would; a symmetric g is nonsingular on
+                # any set of columns that spans its column space
+                den = lcm(*(x.denominator for row in g for x in row))
+                _, kernel = int_kernel([[x.numerator * (den // x.denominator) for x in row] for row in g])
+                free = {int(np.flatnonzero(kernel[:, j])[-1]): j for j in range(kernel.shape[1])}
             chosen = [c for c in range(nc) if c not in free]
             base = len(wts)
             globals_new = []
@@ -452,6 +450,10 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
                 globals_new.append(gi)
                 wts.append(mu)
                 e_act.append([None] * r)
+            if len(wts) > target:
+                raise RepresentationError(
+                    f"weight module for {stype} {coeffs} exceeds dimension {target}"
+                )
             # Gram of the new states
             for a_loc, ca in enumerate(chosen):
                 for b_loc, cb in enumerate(chosen):
@@ -496,16 +498,25 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
         )
     if any(w.denominator != 1 for mu in wts for w in mu):
         raise RepresentationError("non-integral weight in module build")
-    # simple e_i at i and f_i at r + i, as integer matrices over den
-    ent = [(i, u, s, c) for s in range(n) for i in range(r) for u, c in e_act[s][i] or ()]
-    ent += [(r + i, u, s, c) for (i, s), x in f_act.items() for u, c in x]
+    ent = [(i, s, s, mu[i]) for s, mu in enumerate(wts) for i in range(r)]
+    ent += [(r + i, u, s, c) for s in range(n) for i in range(r) for u, c in e_act[s][i] or ()]
+    ent += [(2 * r + i, u, s, c) for (i, s), x in f_act.items() for u, c in x]
     den = lcm(*(c.denominator for *_, c in ent))
-    simple = np.zeros((2 * r, n, n), object)
-    for t, u, s, c in ent:
-        simple[t, u, s] = c.numerator * (den // c.denominator)
+    k, row, col = np.array([x[:3] for x in ent], dtype=np.int64).T
+    val = np.array([c.numerator * (den // c.denominator) for *_, c in ent])
+    return _coalesce((3 * r, n, n), k, row, col, val, 0 * val, den)
+
+
+def _root_vectors(simple: ZiStack, rs: RootSystem) -> ZiStack:
+    """The module stack cartan | raising | lowering of a real simple stack:
+    over the positive roots in order, e_beta = [e_i, e_beta'] and f_beta =
+    [f_beta', f_i] for the first i with beta' = beta - alpha_i a positive
+    root, each in lowest terms, then all over one denominator."""
+    r = rs.rank
+    bound = _max_abs(simple.re)
+    gens = [_reduced(_dense(simple, k, bound), simple.den) for k in range(3 * r)]
     units = [tuple(int(t == i) for t in range(r)) for i in range(r)]
-    e = {u: _reduced(_Dense(simple[i], None, 0), den) for i, u in enumerate(units)}
-    f = {u: _reduced(_Dense(simple[r + i], None, 0), den) for i, u in enumerate(units)}
+    e, f = dict(zip(units, gens[r : 2 * r])), dict(zip(units, gens[2 * r :]))
     bracket = lambda p, q: _reduced(_bracket(p[0], q[0]), p[1] * q[1])  # noqa: E731
     for root in rs.positive_roots:
         if root in e:
@@ -516,13 +527,10 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
         )
         e[root] = bracket(e[units[i]], e[beta])
         f[root] = bracket(f[beta], f[units[i]])
-
-    gens = [(np.diag([int(mu[i]) for mu in wts]), 1) for i in range(r)]
-    gens += [(x.re, g) for x, g in (e[root] for root in rs.positive_roots)]
-    gens += [(x.re, g) for x, g in (f[root] for root in rs.positive_roots)]
+    gens = gens[:r] + [e[root] for root in rs.positive_roots] + [f[root] for root in rs.positive_roots]
     den = lcm(*(g for _, g in gens))
-    big = max(_max_abs(x) * (den // g) for x, g in gens) >= INT64_SAFE
-    return _real_stack(np.stack([x.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
+    big = max(x.bound * (den // g) for x, g in gens) >= INT64_SAFE
+    return _real_stack(np.stack([x.re.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
 
 
 def _real_stack(full: np.ndarray, den: int) -> ZiStack:
@@ -585,29 +593,30 @@ def _square(mod: ZiStack, alt: bool) -> ZiStack:
 @functools.lru_cache(maxsize=None)
 def _factor_module(fac: Factor, kind: str, arg=None) -> ZiStack:
     """Module of a simple factor for a std, sym2, alt2, spin or weight term,
-    as one certified integer stack.
+    as one integer stack ordered cartan | raising | lowering (simple roots,
+    then positive roots in positive_roots order) over one denominator.
 
     arg is the chirality of a spin term and the highest weight of a weight
-    term.  Every module is built directly as a stack ordered cartan |
-    raising | lowering (simple roots, then positive roots in
-    positive_roots order) over one denominator; the squares are induced
-    from the standard module.
+    term.  The constructor's simple stack h | e | f is certified
+    (_certify) and then completed by _root_vectors; the squares are
+    induced from the simple stack of the standard module.
     """
     st = fac.simple_type
     if kind == "std":  # for exceptional factors, the smallest fundamental module
-        mod = _std_module(st)
+        simple = _std_module(st)
     elif kind in ("sym2", "alt2"):
-        mod = _square(_std_module(st), alt=kind == "alt2")
+        simple = _square(_std_module(st), alt=kind == "alt2")
     elif kind == "spin":
         if fac.kind != "so":
             raise NotRealizable("spin terms need an so(n) factor")
-        mod = _spin_module(fac.n, arg)
+        simple = _spin_module(fac.n, arg)
     elif kind == "weight":
-        mod = _weight_module(st, arg)
+        simple = _weight_module(st, arg)
     else:
         raise RepresentationError(f"unhandled term kind {kind!r}")
-    _certify(mod, build_root_system(st))
-    return mod
+    rs = build_root_system(st)
+    _certify(simple, rs)
+    return _root_vectors(simple, rs)
 
 
 def _root_pairings(rs: RootSystem) -> np.ndarray:
@@ -655,50 +664,44 @@ def _weight_fault(gens: ZiStack, w: np.ndarray, eig: np.ndarray, first: int, npo
     return (k - first) % npos, "e" if k < first + npos else "f"
 
 
-def _certify(mod: ZiStack, rs: RootSystem) -> None:
-    """Certify that an integer module stack represents the algebra of rs.
+def _certify(simple: ZiStack, rs: RootSystem) -> None:
+    """Certify that a simple stack h | e | f represents the algebra of rs.
 
     With every h_i diagonal, these are the Chevalley-Serre relations on the
-    simple generators, which present the algebra (Serre's theorem):
-    [h_i, x] = <alpha, alpha_i^vee> x on each e_alpha and the negative on
-    f_alpha, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i a
-    positive real, so that f_i / c_i is the Chevalley partner of e_i;
-    ad(e_i)^(1 - a_ij) e_j = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.
-    Every other raising generator must be a nonzero multiple c [e_i, e_beta]
-    of the bracket of a simple root vector with the one it is built from,
-    and its lowering generator a multiple c' [f_beta, f_i] of the adjoint
-    bracket with c c' real and positive, so that, as for the simple roots,
-    it is a positive multiple of the adjoint of the raising one.  A module
-    whose generators are all zero is the trivial module.  Products are
-    formed one d x d pair at a time; no elimination is used.
+    3r simple generators, which present the algebra (Serre's theorem):
+    [h_j, e_i] = a_ji e_i and [h_j, f_i] = -a_ji f_i for the Cartan matrix
+    a, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i a positive
+    real, so that f_i / c_i is the Chevalley partner of e_i and f_i the
+    adjoint of e_i under an invariant positive form; ad(e_i)^(1 - a_ij) e_j
+    = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.  The root vectors that
+    _root_vectors derives need no check: brackets of adjoints are adjoints.
+    A module whose generators are all zero is the trivial module.  Products
+    are formed one d x d pair at a time; no elimination is used.
     """
-    r, A, roots = rs.rank, rs.cartan_matrix, rs.positive_roots
-    npos = len(roots)
-    n, d, d2 = mod.shape
-    if n != r + 2 * npos:
+    r, A = rs.rank, rs.cartan_matrix
+    n, d, d2 = simple.shape
+    if n != 3 * r:
         raise RepresentationError("module has the wrong number of generators")
-    if d2 != d or ((mod.row < 0) | (mod.row >= d) | (mod.col < 0) | (mod.col >= d)).any():
+    if d2 != d or ((simple.row < 0) | (simple.row >= d) | (simple.col < 0) | (simple.col >= d)).any():
         raise RepresentationError("generator shape differs from the module dimension")
-    if not (mod.re.any() or mod.im.any()):
+    if not (simple.re.any() or simple.im.any()):
         return
     eig = np.zeros((n, r), dtype=np.int64)
-    eig[r : r + npos] = _root_pairings(rs)
-    eig[r + npos :] = -eig[r : r + npos]
-    fault = _weight_fault(mod, _weights(mod, list(range(r))), eig, r, npos)
+    eig[r : 2 * r] = np.array(A).T
+    eig[2 * r :] = -eig[r : 2 * r]
+    fault = _weight_fault(simple, _weights(simple, list(range(r))), eig, r, r)
     if fault:
-        j, kind = fault
-        raise RepresentationError(f"weight relation fails on {kind}{roots[j]}")
+        i, kind = fault
+        raise RepresentationError(f"weight relation fails on {kind}_{i} of the simple root alpha_{i}")
 
-    where = {root: k for k, root in enumerate(roots)}
-    simple = [where[tuple(int(j == i) for j in range(r))] for i in range(r)]
-    bound = max(_max_abs(mod.re), _max_abs(mod.im))
-    e = [_dense(mod, r + k, bound) for k in simple]
-    f = [_dense(mod, r + npos + k, bound) for k in simple]
+    bound = max(_max_abs(simple.re), _max_abs(simple.im))
+    e = [_dense(simple, r + i, bound) for i in range(r)]
+    f = [_dense(simple, 2 * r + i, bound) for i in range(r)]
     for i in range(r):
         for j in range(r):
             b = _bracket(e[i], f[j])
             if i == j:
-                c = _multiple(b, _dense(mod, i, bound))
+                c = _multiple(b, _dense(simple, i, bound))
                 if c is None or c[1] or c[0] <= 0:
                     raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i} with c > 0")
                 continue
@@ -710,22 +713,6 @@ def _certify(mod: ZiStack, rs: RootSystem) -> None:
                     x = _bracket(gens[i], x)
                 if not x.is_zero():
                     raise RepresentationError(f"Serre relation fails for ({i}, {j})")
-
-    for k, root in enumerate(roots):
-        if k in simple:
-            continue
-        for i in range(r):
-            beta = tuple(c - (t == i) for t, c in enumerate(root))
-            if beta in where:
-                break
-        up = _bracket(e[i], _dense(mod, r + where[beta], bound))
-        down = _bracket(_dense(mod, r + npos + where[beta], bound), f[i])
-        c = _multiple(_dense(mod, r + k, bound), up)
-        c2 = _multiple(_dense(mod, r + npos + k, bound), down)
-        if None in (c, c2):
-            raise RepresentationError(f"root vector of {root} is not a multiple of its bracket")
-        if c[0] * c2[1] + c[1] * c2[0] or c[0] * c2[0] - c[1] * c2[1] <= 0:
-            raise RepresentationError(f"lowering generator of {root} is not the adjoint of e{root}")
 
 
 # ---------------------------------------------------------------------------
@@ -912,13 +899,6 @@ def realize(
     return out
 
 
-def spin_rep(n: int, chirality: int = 1) -> MatrixRep:
-    """Spin module of so(n) as a standalone representation, 3 <= n <= 12."""
-    group = GroupSpec(factors=(Factor("so", n),))
-    rep = RepSpec(summands=(Summand(terms=(Term("spin", 1),)),))
-    return realize(group, rep, chirality=chirality)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -956,72 +936,6 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
         j, kind = fault
         fidx, root = rep.root_labels[j]
         raise RepresentationError(f"weight relation fails on {kind}{root} of factor {fidx}")
-
-
-# ---------------------------------------------------------------------------
-# invariant bilinear forms
-
-
-def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (s, t) with a[s] == b[t]."""
-    order = np.argsort(b, kind="stable")
-    lo = np.searchsorted(b[order], a, "left")
-    count = np.searchsorted(b[order], a, "right") - lo
-    s = np.repeat(np.arange(a.size), count)
-    start = np.repeat(lo - np.cumsum(count) + count, count)
-    return s, order[start + np.arange(s.size)]
-
-
-def invariant_bilinear_form(rep: MatrixRep) -> str:
-    """Classify the invariant bilinear form of an irreducible module.
-
-    Solves B x + x^T B = 0 exactly, one equation per generator x and matrix
-    position, with the unknowns restricted to opposite-weight pairs; the
-    realified integer system goes to int_kernel.  Returns one of 'none',
-    'symmetric', 'antisymmetric', 'degenerate-space'.  A solution space of
-    complex dimension above one flags a reducible input.
-    """
-    g, d, nc, npos = rep.gens, rep.space_dim, len(rep.cartan_labels), len(rep.root_labels)
-    w = _weights(g, [*range(nc), *range(nc + 2 * npos, g.shape[0])])
-    ui, uj = np.nonzero((w[:, None, :] + w[None, :, :] == 0).all(axis=2))
-    nu = ui.size
-    if not nu:
-        return "none"
-    # (B x)[i, c] gains B[i, j] x[j, c]: unknowns whose column is the entry's row
-    s1, u1 = _join(g.row, uj)
-    # (x^T B)[a, j] gains x[i, a] B[i, j]: unknowns whose row is the entry's row
-    s2, u2 = _join(g.row, ui)
-    eq = np.concatenate([
-        (g.k[s1] * d + ui[u1]) * d + g.col[s1],
-        (g.k[s2] * d + g.col[s2]) * d + uj[u2],
-    ])
-    s, u = np.concatenate([s1, s2]), np.concatenate([u1, u2])
-    eqs, at = np.unique(eq, return_inverse=True)
-    m = eqs.size
-    # the realification [[re, -im], [im, re]] of the complex system
-    a = np.zeros((2 * m, 2 * nu), g.re.dtype)
-    np.add.at(a, (at, u), g.re[s])
-    np.add.at(a, (at, nu + u), -g.im[s])
-    np.add.at(a, (m + at, u), g.im[s])
-    np.add.at(a, (m + at, nu + u), g.re[s])
-    _, kernel = int_kernel(a)
-    if not kernel.shape[1]:
-        return "none"
-    if kernel.shape[1] > 2:
-        raise RepresentationError(
-            "invariant form space has dimension above one: input is reducible"
-        )
-    b_re, b_im = np.zeros((d, d), object), np.zeros((d, d), object)
-    b_re[ui, uj], b_im[ui, uj] = kernel[:nu, 0], kernel[nu:, 0]
-    if (b_re.T == b_re).all() and (b_im.T == b_im).all():
-        sym = "symmetric"
-    elif (b_re.T == -b_re).all() and (b_im.T == -b_im).all():
-        sym = "antisymmetric"
-    else:
-        raise RepresentationError("invariant form is neither symmetric nor skew")
-    if complex_rank(ZiArray(b_re, b_im)) < d:
-        return "degenerate-space"
-    return sym
 
 
 # ---------------------------------------------------------------------------

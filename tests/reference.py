@@ -1,12 +1,31 @@
-"""Textbook exact eliminations that the tests check the program against.
+"""Independent references that the tests check the program against.
 
 The program has one exact elimination, the verified modular kernel
-``linalg.int_kernel``.  These independent references stay in the tests
-only: the reduced row echelon form over Fraction, the kernel read off it,
-and the fraction-free (Bareiss) rank of an integer matrix.
+``linalg.int_kernel``.  These references stay in the tests only: the
+reduced row echelon form over Fraction, the kernel read off it and the
+fraction-free (Bareiss) rank of an integer matrix; the solver of the
+invariant bilinear form of a realized module and the standalone spin
+representation it is tried on; and the check of the root vectors that
+``matrep._root_vectors`` derives from a certified simple stack.
 """
 
 from fractions import Fraction
+
+import numpy as np
+
+from coisotropy.linalg import ZiArray, complex_rank, int_kernel
+from coisotropy.matrep import (
+    Factor,
+    GroupSpec,
+    MatrixRep,
+    RepresentationError,
+    RepSpec,
+    Summand,
+    Term,
+    _weights,
+    realize,
+)
+from coisotropy.rootsys import DominantWeight
 
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -91,3 +110,113 @@ def bareiss_rank(rows: list[list[int]]) -> int:
         if r == nr:
             break
     return rank
+
+
+def spin_rep(n: int, chirality: int = 1) -> MatrixRep:
+    """Spin module of so(n) as a standalone representation, 3 <= n <= 12."""
+    group = GroupSpec(factors=(Factor("so", n),))
+    rep = RepSpec(summands=(Summand(terms=(Term("spin", 1),)),))
+    return realize(group, rep, chirality=chirality)
+
+
+def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (s, t) with a[s] == b[t]."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    count = np.searchsorted(b[order], a, "right") - lo
+    s = np.repeat(np.arange(a.size), count)
+    start = np.repeat(lo - np.cumsum(count) + count, count)
+    return s, order[start + np.arange(s.size)]
+
+
+def invariant_bilinear_form(rep: MatrixRep) -> str:
+    """Classify the invariant bilinear form of an irreducible module.
+
+    Solves B x + x^T B = 0 exactly, one equation per generator x and matrix
+    position, with the unknowns restricted to opposite-weight pairs; the
+    realified integer system goes to int_kernel.  Returns one of 'none',
+    'symmetric', 'antisymmetric', 'degenerate-space'.  A solution space of
+    complex dimension above one flags a reducible input.
+    """
+    g, d, nc, npos = rep.gens, rep.space_dim, len(rep.cartan_labels), len(rep.root_labels)
+    w = _weights(g, [*range(nc), *range(nc + 2 * npos, g.shape[0])])
+    ui, uj = np.nonzero((w[:, None, :] + w[None, :, :] == 0).all(axis=2))
+    nu = ui.size
+    if not nu:
+        return "none"
+    # (B x)[i, c] gains B[i, j] x[j, c]: unknowns whose column is the entry's row
+    s1, u1 = _join(g.row, uj)
+    # (x^T B)[a, j] gains x[i, a] B[i, j]: unknowns whose row is the entry's row
+    s2, u2 = _join(g.row, ui)
+    eq = np.concatenate([
+        (g.k[s1] * d + ui[u1]) * d + g.col[s1],
+        (g.k[s2] * d + g.col[s2]) * d + uj[u2],
+    ])
+    s, u = np.concatenate([s1, s2]), np.concatenate([u1, u2])
+    eqs, at = np.unique(eq, return_inverse=True)
+    m = eqs.size
+    # the realification [[re, -im], [im, re]] of the complex system
+    a = np.zeros((2 * m, 2 * nu), g.re.dtype)
+    np.add.at(a, (at, u), g.re[s])
+    np.add.at(a, (at, nu + u), -g.im[s])
+    np.add.at(a, (m + at, u), g.im[s])
+    np.add.at(a, (m + at, nu + u), g.re[s])
+    _, kernel = int_kernel(a)
+    if not kernel.shape[1]:
+        return "none"
+    if kernel.shape[1] > 2:
+        raise RepresentationError(
+            "invariant form space has dimension above one: input is reducible"
+        )
+    b_re, b_im = np.zeros((d, d), object), np.zeros((d, d), object)
+    b_re[ui, uj], b_im[ui, uj] = kernel[:nu, 0], kernel[nu:, 0]
+    if (b_re.T == b_re).all() and (b_im.T == b_im).all():
+        sym = "symmetric"
+    elif (b_re.T == -b_re).all() and (b_im.T == -b_im).all():
+        sym = "antisymmetric"
+    else:
+        raise RepresentationError("invariant form is neither symmetric nor skew")
+    if complex_rank(ZiArray(b_re, b_im)) < d:
+        return "degenerate-space"
+    return sym
+
+
+def root_vector_faults(stack, rs) -> list[str]:
+    """The faults of the root vectors of a module stack cartan | raising |
+    lowering, by dense Python-int products.
+
+    For each non-simple positive root beta and the first i with beta' =
+    beta - alpha_i a positive root, e_beta must equal [e_i, e_beta'] and
+    f_beta must equal [f_beta', f_i].  For every positive root,
+    [e_beta, f_beta] must be c h_beta with c > 0, where h_beta acts by
+    <mu, beta^vee> on the weight mu: f_beta is then a positive multiple of
+    the adjoint of e_beta.
+    """
+    z = stack.dense()
+    assert not z.im.any()
+    r, roots = rs.rank, rs.positive_roots
+    npos, den = len(roots), z.den
+    gens = z.re.astype(object)
+    e = {root: gens[r + j] for j, root in enumerate(roots)}
+    f = {root: gens[r + npos + j] for j, root in enumerate(roots)}
+    bracket = lambda x, y: x @ y - y @ x  # noqa: E731  (den^2 times the bracket)
+    weights = np.array([np.diag(gens[i]) for i in range(r)]).T  # den * <mu, alpha_i^vee>
+    faults = []
+    for j, root in enumerate(roots):
+        if sum(root) > 1:
+            i, beta = next(
+                (i, b) for i in range(r)
+                if root[i] and (b := tuple(c - (t == i) for t, c in enumerate(root))) in e
+            )
+            unit = tuple(int(t == i) for t in range(r))
+            if (den * e[root] != bracket(e[unit], e[beta])).any():
+                faults.append(f"e{root} is not [e_{i}, e{beta}]")
+            if (den * f[root] != bracket(f[beta], f[unit])).any():
+                faults.append(f"f{root} is not [f{beta}, f_{i}]")
+        coroot = [rs.pair_coroot(DominantWeight.fundamental(r, t), j) for t in range(r)]
+        h = weights @ np.array(coroot, dtype=object)
+        b = bracket(e[root], f[root])
+        s = np.flatnonzero(h)[0]
+        if (b * h[s] != b[s, s] * np.diag(h)).any() or b[s, s] * h[s] <= 0:
+            faults.append(f"[e{root}, f{root}] is not c h{root} with c > 0")
+    return faults

@@ -3,9 +3,10 @@
 The package has no linter configured, so these tests are its guard: each
 module except ``__init__.py`` is parsed with ``ast``.  Every from-imported
 name must be read somewhere else in its module (as a name, or as the base
-of an attribute) or listed in its ``__all__``.  Every module-level private
-function or class must be referenced somewhere in the package outside its
-own definition.
+of an attribute) or listed in its ``__all__``.  Every module-level function
+or class, private or public, must be referenced somewhere in the package
+outside its own definition; the public exceptions are listed, each with
+its reason.
 """
 
 import ast
@@ -63,21 +64,32 @@ def _referenced(node: ast.AST) -> set[str]:
     return names
 
 
-def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """module:name of each module-level private def or class in sources
-    (module name -> source) that no statement outside its own definition
-    refers to."""
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """module:name of each module-level def or class in sources (module
+    name -> source), dunder names aside, that no statement outside its own
+    definition refers to."""
     statements = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
     refs = [_referenced(node) for _, node in statements]
     dead = []
     for i, (mod, node) in enumerate(statements):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_") or node.name.startswith("__"):
+        if node.name.startswith("__"):
             continue
         if not any(node.name in names for j, names in enumerate(refs) if j != i):
             dead.append(f"{mod}:{node.name}")
     return dead
+
+
+def _private(dead: list[str]) -> list[str]:
+    return [name for name in dead if name.split(":")[1].startswith("_")]
+
+
+# Public definitions that nothing in the package calls, kept on purpose.
+KEPT_PUBLIC = {
+    "classify:dimension_threshold": "the paper's dimension bound, tested on its own",
+    "repdata:maximal_subgroups": "the data API that the maximal-subgroup work reads",
+}
 
 
 def test_the_guard_sees_an_unreferenced_private_definition():
@@ -86,9 +98,26 @@ def test_the_guard_sees_an_unreferenced_private_definition():
         "b": "from a import _used\n\nclass _Kept:\n    pass\n\nx = _Kept()\n",
         "c": "import a\n\ny = a._used()\n\nclass _Gone:\n    pass\n",
     }
-    assert unreferenced_private_definitions(sources) == ["a:_dead", "c:_Gone"]
+    assert _private(unreferenced_definitions(sources)) == ["a:_dead", "c:_Gone"]
+
+
+def test_the_guard_sees_an_unreferenced_public_definition():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef dead():\n    return dead()\n",
+        "b": "from a import used\n\nclass Gone:\n    pass\n",
+        "c": "def main():\n    return 0\n\nif __name__ == '__main__':\n    main()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a:dead", "b:Gone"]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_every_private_definition_is_referenced():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_definitions(sources) == []
+    assert _private(unreferenced_definitions(_package_sources())) == []
+
+
+def test_every_public_definition_is_referenced():
+    dead = unreferenced_definitions(_package_sources())
+    assert sorted(set(dead) - set(_private(dead))) == sorted(KEPT_PUBLIC)

@@ -25,17 +25,16 @@ from coisotropy.matrep import (
     _square,
     _std_module,
     _weight_module,
-    invariant_bilinear_form,
     octonion_left_mult,
     real_block_rep,
     realize,
     so_vector_gens,
     spin7_real_gens,
-    spin_rep,
     validate_matrix_rep,
 )
 from coisotropy.repdata import load_dataset
 from coisotropy.rootsys import DominantWeight, SimpleType, build_root_system, weyl_dim
+from reference import invariant_bilinear_form, root_vector_faults, spin_rep
 
 
 def grp(*facs, lines=()):
@@ -83,10 +82,8 @@ def test_group_spec_validation():
 )
 def test_std_module_dims(fam, n, dim):
     mod = _std_module(SimpleType(fam, n))
-    rs = build_root_system(SimpleType(fam, n))
-    r, npos = rs.rank, rs.n_positive_roots
-    assert mod.shape == (r + 2 * npos, dim, dim)
-    cartan, raising = mod.k < r, (mod.k >= r) & (mod.k < r + npos)
+    assert mod.shape == (3 * n, dim, dim)
+    cartan, raising = mod.k < n, (mod.k >= n) & (mod.k < 2 * n)
     assert (mod.row[cartan] == mod.col[cartan]).all()
     assert (mod.row[raising] < mod.col[raising]).all()
 
@@ -125,12 +122,16 @@ def test_every_spin_module_is_certified_with_transposed_lowering():
                 continue
             rs = build_root_system(Factor("so", n).simple_type)
             r, npos = rs.rank, rs.n_positive_roots
-            mod = _spin_module(n, chirality)
-            _certify(mod, rs)
+            simple = _spin_module(n, chirality)
+            _certify(simple, rs)
             dim = 2 ** ((n - 1) // 2)
-            assert mod.shape == (r + 2 * npos, dim, dim) and mod.den == 1
-            z = mod.dense()
+            assert simple.shape == (3 * r, dim, dim) and simple.den == 1
+            z = simple.dense()
             assert not z.im.any()
+            assert (z.re[2 * r :] == z.re[r : 2 * r].transpose(0, 2, 1)).all()
+            # the derived lowering generators are transposes as well
+            z = _factor_module(Factor("so", n), "spin", chirality).dense()
+            assert z.re.shape == (r + 2 * npos, dim, dim) and not z.im.any()
             assert (z.re[r + npos :] == z.re[r : r + npos].transpose(0, 2, 1)).all()
 
 
@@ -151,6 +152,22 @@ def test_weight_module_dimensions_match_formula():
 def test_weight_module_cap():
     with pytest.raises(NotRealizable):
         _weight_module(SimpleType("E", 8), (1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_weight_module_stops_once_it_exceeds_the_weyl_dimension(monkeypatch):
+    # a build that outgrows its target raises at once instead of running on
+    from coisotropy import matrep
+
+    st, weight = SimpleType("E", 6), (1, 0, 0, 0, 0, 0)
+    calls, kernel = [], matrep.int_kernel
+    monkeypatch.setattr(matrep, "int_kernel", lambda rows: calls.append(len(rows)) or kernel(rows))
+    assert _weight_module(st, weight).shape[1] == 27
+    full = len(calls)
+    calls.clear()
+    monkeypatch.setattr(matrep, "weyl_dim", lambda rs, lam: 12)
+    with pytest.raises(RepresentationError, match="exceeds dimension 12"):
+        _weight_module(st, weight)
+    assert len(calls) < full
 
 
 def test_realize_dimensions_sum_and_product():
@@ -407,18 +424,10 @@ def _pick(mod, ks) -> ZiArray:
 
 
 def test_spin5_equivalent_to_sp2_standard():
-    spin5 = _spin_module(5)
-    sp2 = _std_module(SimpleType("C", 2))
-    rb = build_root_system(SimpleType("B", 2))
-    rc = build_root_system(SimpleType("C", 2))
-    ib1 = 2 + rb.positive_roots.index((1, 0))
-    ib2 = 2 + rb.positive_roots.index((0, 1))
-    ic1 = 2 + rc.positive_roots.index((1, 0))
-    ic2 = 2 + rc.positive_roots.index((0, 1))
-    npos = rb.n_positive_roots
-    # the isomorphism swaps the two simple nodes
-    gens_a = _pick(spin5, [0, 1, ib1, ib2, ib1 + npos, ib2 + npos])
-    gens_b = _pick(sp2, [1, 0, ic2, ic1, ic2 + npos, ic1 + npos])
+    # the simple stacks h_1, h_2 | e_1, e_2 | f_1, f_2; the isomorphism
+    # swaps the two simple nodes
+    gens_a = _pick(_spin_module(5), [0, 1, 2, 3, 4, 5])
+    gens_b = _pick(_std_module(SimpleType("C", 2)), [1, 0, 3, 2, 5, 4])
     space = _intertwiners(gens_a, gens_b)
     assert space
     assert complex_rank(ZiArray(*space[0])) == 4
@@ -538,9 +547,26 @@ CERTIFIED = {
 }
 
 
+def _simple_part(stack, rs):
+    """The simple stack h | e | f inside a module stack cartan | raising |
+    lowering, as a new stack."""
+    r, npos = rs.rank, rs.n_positive_roots
+    units = [rs.positive_roots.index(tuple(int(t == i) for t in range(r))) for i in range(r)]
+    new = np.full(stack.shape[0], -1)
+    new[list(range(r)) + [r + j for j in units] + [r + npos + j for j in units]] = np.arange(3 * r)
+    keep = new[stack.k] >= 0
+    return stack._replace(
+        shape=(3 * r, *stack.shape[1:]),
+        k=new[stack.k[keep]],
+        **{name: getattr(stack, name)[keep] for name in ("row", "col", "re", "im")},
+    )
+
+
 def _module_and_roots(name):
+    """The simple stack of the cached module, and its root system."""
     fac, kind, arg = CERTIFIED[name]
-    return _factor_module(fac, kind, arg), build_root_system(fac.simple_type)
+    rs = build_root_system(fac.simple_type)
+    return _simple_part(_factor_module(fac, kind, arg), rs), rs
 
 
 def _entries_of(stack, k):
@@ -570,8 +596,8 @@ def test_certificate_accepts_cached_module(name):
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_rejects_corrupted_entry(name, which):
     mod, rs = _module_and_roots(name)
-    r, npos = rs.rank, rs.n_positive_roots
-    first, count = {"cartan": (0, r), "raising": (r, npos), "lowering": (r + npos, npos)}[which]
+    r = rs.rank
+    first, count = {"cartan": (0, r), "raising": (r, r), "lowering": (2 * r, r)}[which]
     # a generator with one nonzero entry stays valid when that entry is
     # rescaled, so corrupt one whose entries are tied to each other
     k = next(k for k in range(first, first + count) if len(_entries_of(mod, k)) >= 2)
@@ -579,23 +605,29 @@ def test_certificate_rejects_corrupted_entry(name, which):
         _certify(_corrupt(mod, k), rs)
 
 
-@pytest.mark.parametrize("name", sorted(CERTIFIED))
-def test_certificate_rejects_root_vector_off_its_bracket(name):
-    mod, rs = _module_and_roots(name)
-    r = rs.rank
-    k = next(
-        r + j
-        for j, root in enumerate(rs.positive_roots)
-        if sum(root) > 1 and len(_entries_of(mod, r + j)) >= 2
-    )
-    # same nonzero positions, so every weight relation still holds
-    with pytest.raises(RepresentationError, match="multiple of its bracket"):
-        _certify(_corrupt(mod, k, negate=True), rs)
+def test_certificate_rejects_a_full_module_stack():
+    # the certificate reads exactly the 3r simple generators
+    fac = Factor("su", 3)
+    rs = build_root_system(fac.simple_type)
+    full = _factor_module(fac, "std")
+    assert full.shape[0] == rs.rank + 2 * rs.n_positive_roots > 3 * rs.rank
+    with pytest.raises(RepresentationError, match="wrong number of generators"):
+        _certify(full, rs)
+    _certify(_simple_part(full, rs), rs)
+
+
+def test_a_weight_fault_names_the_simple_root():
+    mod, rs = _module_and_roots("weight G2 (1,0)")
+    # the entries of e_0 moved into e_1: their h-weights are those of alpha_0
+    k = mod.k.copy()
+    k[_entries_of(mod, 2)] = 3
+    with pytest.raises(RepresentationError, match=r"fails on e_1 of the simple root alpha_1"):
+        _certify(mod._replace(k=k), rs)
 
 
 def test_certificate_rejects_a_non_real_cartan_multiple():
     # su(2) on C^2: h, e, f; i*f keeps every weight but [e, i*f] = i*h
-    mod = _factor_module(Factor("su", 2), "std")
+    mod = _std_module(SimpleType("A", 1))
     rs = build_root_system(SimpleType("A", 1))
     lowering = mod.k == 2
     times = lambda re, im: mod._replace(  # noqa: E731  (f times re + i*im)
@@ -613,33 +645,22 @@ def _negated(stack, k):
     return stack._replace(re=np.where(sel, -stack.re, stack.re), im=np.where(sel, -stack.im, stack.im))
 
 
-def test_certificate_rejects_a_negated_non_simple_lowering_generator():
-    # -f_beta keeps every weight and a nonzero multiple of [f_beta', f_i];
-    # only the sign of c c' against [e_i, e_beta'] shows it
-    mod, rs = _module_and_roots("weight G2 (1,0)")
-    r, npos = rs.rank, rs.n_positive_roots
-    for j, root in enumerate(rs.positive_roots):
-        if sum(root) > 1:
-            with pytest.raises(RepresentationError, match="adjoint"):
-                _certify(_negated(mod, r + npos + j), rs)
-
-
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_rejects_a_negated_simple_lowering_generator(name):
     # [e_i, -f_i] = -c h_i with c > 0
     mod, rs = _module_and_roots(name)
-    r, npos = rs.rank, rs.n_positive_roots
-    for i in range(r):
-        k = r + npos + rs.positive_roots.index(tuple(int(t == i) for t in range(r)))
+    for i in range(rs.rank):
         with pytest.raises(RepresentationError, match=r"c > 0"):
-            _certify(_negated(mod, k), rs)
+            _certify(_negated(mod, 2 * rs.rank + i), rs)
 
 
 def test_certificate_accepts_trivial_alt2_of_su2():
+    simple = _square(_std_module(SimpleType("A", 1)), alt=True)
+    assert simple.shape == (3, 1, 1)
+    assert not simple.re.any() and not simple.im.any()
+    _certify(simple, build_root_system(SimpleType("A", 1)))
     mod = _factor_module(Factor("su", 2), "alt2")
-    assert mod.shape == (3, 1, 1)
-    assert not mod.re.any() and not mod.im.any()
-    _certify(mod, build_root_system(SimpleType("A", 1)))
+    assert mod.shape == (3, 1, 1) and not mod.re.any()
     assert realize(grp(Factor("su", 2)), R(S(Term("alt2", 1)))).space_dim == 1
 
 
@@ -649,12 +670,32 @@ def test_sym2_and_alt2_are_cached():
     assert _factor_module(fac, "alt2") is _factor_module(fac, "alt2")
 
 
+def test_derived_root_vectors_match_the_reference(monkeypatch):
+    """Every module reached by table 1..4, by the instantiations of one
+    mf_stream round and E7 (0,...,0,1): each non-simple e_beta is
+    [e_i, e_beta'], f_beta is [f_beta', f_i], and [e_beta, f_beta] is
+    c h_beta with c > 0 (reference.root_vector_faults)."""
+    from coisotropy import classify, matrep
+
+    keys, original = set(), matrep._factor_module
+    monkeypatch.setattr(matrep, "_factor_module", lambda *key: keys.add(key) or original(*key))
+    for table in (1, 2, 3, 4):
+        classify.reproduce_table(table)
+    for group, rep in _table_instantiations():
+        realize(group, rep)
+    keys.add((Factor("e7", 7), "weight", (0, 0, 0, 0, 0, 0, 1)))
+    assert len(keys) == 30  # 21 of them reached by table 1..4
+    for key in keys:
+        rs = build_root_system(key[0].simple_type)
+        assert root_vector_faults(original(*key), rs) == [], key
+
+
 def test_lowering_generators_pair_positively_with_raising():
     """[e_beta, f_beta] = c h_beta with c > 0 for every positive root beta,
     h_beta acting by <mu, beta^vee> on the weight mu.  This holds when
     f_beta is the adjoint of e_beta under a positive invariant form; the
-    certificate checks the same sign root by root through the brackets it
-    builds them from, and this is the direct check."""
+    certificate checks it on the simple roots, the derivation carries it to
+    the others, and this is the direct check."""
     modules = [
         (Factor("su", 4), "std", None),
         (Factor("so", 7), "std", None),
@@ -694,7 +735,8 @@ def test_lowering_generators_pair_positively_with_raising():
 
 @pytest.mark.parametrize("fam,n", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
 def test_sym2_alt2_split_the_tensor_square(fam, n):
-    std = _std_module(SimpleType(fam, n))
+    factor = {"A": ("su", n + 1), "B": ("so", 2 * n + 1), "C": ("sp", n), "D": ("so", 2 * n)}[fam]
+    std = _factor_module(Factor(*factor), "std")
     rs = build_root_system(SimpleType(fam, n))
     r, npos, d = rs.rank, rs.n_positive_roots, std.shape[1]
     sym, alt = _square(std, alt=False), _square(std, alt=True)
@@ -732,9 +774,10 @@ def test_square_of_su4_std_is_its_weight_module(kind, weight):
 
 @pytest.mark.parametrize("stype, weight", [(SimpleType("A", 2), (2, 1)), (SimpleType("G", 2), (1, 1))])
 def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch):
-    """Every Gram block that reaches int_kernel is nonzero, and the states
-    chosen from it (its non-free columns) are the pivot columns of the
-    Fraction RREF, on which the block has a nonsingular principal part."""
+    """Every Gram block that reaches int_kernel is nonzero with more than
+    one candidate, and the states chosen from it (its non-free columns) are
+    the pivot columns of the Fraction RREF, on which the block has a
+    nonsingular principal part."""
     from reference import frac_rref
 
     from coisotropy import matrep
@@ -744,7 +787,7 @@ def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch)
     _weight_module(stype, weight)
     assert any(kernel(g)[0] < len(g) for g in blocks)  # some candidates are dependent
     for g in blocks:
-        assert any(x for row in g for x in row)
+        assert len(g) > 1 and any(x for row in g for x in row)
         _, k = kernel(g)
         free = {int(np.flatnonzero(k[:, j])[-1]) for j in range(k.shape[1])}
         pivots = frac_rref([[Fraction(x) for x in row] for row in g])[1]
