@@ -120,9 +120,12 @@ def _cmd_mf_check(args, rep: _Reporter) -> int:
     rep.emit(f"multiplicity free: {verdict}")
     look = repdata.lookup_mf(group, module)
     if look.match is not None:
+        params = ", ".join(f"{k}={v}" for k, v in sorted(look.parameters.items()))
         rep.emit(
             f"table match: {look.match.table} row {look.match.row} "
-            f"(policy {look.scalar_policy}, condition {look.condition_evaluated})"
+            f"({params + '; ' if params else ''}policy {look.scalar_policy}, "
+            f"condition {look.condition_evaluated})"
+            + "".join(f"; {note}" for note in look.notes)
         )
         if look.mf is not None and look.mf != verdict:
             rep.ok_line(False, "table row agrees with the rank oracle")

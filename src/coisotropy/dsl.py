@@ -84,9 +84,6 @@ class IntExpr:
         except ValueError:
             return False
 
-    def evaluate(self, env: dict[str, int]) -> int:
-        return eval_int_expr(self.text, env)
-
     def __repr__(self):
         return f"IntExpr({self.text})"
 
@@ -141,6 +138,12 @@ def _compiled(text: str) -> tuple[tuple[str, ...], str | None, object]:
     return tuple(names), None, compile(tree, "<expr>", "eval")
 
 
+def expr_names(text: str) -> set[str]:
+    """The parameter names an expression reads (of a malformed expression,
+    those met before its first fault)."""
+    return set(_compiled(text)[0])
+
+
 def eval_int_expr(text: str, env: dict[str, int]) -> int:
     """Exact evaluation of a small integer/boolean expression."""
     names, error, code = _compiled(text)
@@ -175,13 +178,13 @@ class PatternSpec:
     def parameters(self) -> set[str]:
         names = set()
         for _, e in self.factors:
-            names |= _names_in(e.text)
+            names |= expr_names(e.text)
         for line in self.torus_lines:
             for c in line:
-                names |= _names_in(c)
+                names |= expr_names(c)
         for terms, _, charges in self.summands:
             for c in charges:
-                names |= _names_in(c)
+                names |= expr_names(c)
         return names
 
     def instantiate(self, env: dict[str, int]) -> tuple[GroupSpec, RepSpec]:
@@ -202,14 +205,6 @@ class PatternSpec:
             cc = tuple(eval_int_expr(c, env) for c in charges)
             summands.append(Summand(terms=tt, dual=dual, charges=cc))
         return group, RepSpec(summands=tuple(summands))
-
-
-def _names_in(text: str) -> set[str]:
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError:
-        return set()
-    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 def _primitive(line: tuple[int, ...]) -> tuple[int, ...]:

@@ -140,31 +140,19 @@ class Factor:
         return f"{self.kind}({self.n})"
 
 
-def _parallel(u, v) -> bool:
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Simple factors plus torus lines in an ambient product of circles.
 
     Each torus line is a primitive integer direction vector over the
-    ambient circle coordinates; forbidden directions record the
-    slope-exclusion conditions and are rejected at construction.
+    ambient circle coordinates.
     """
 
     factors: tuple[Factor, ...] = ()
     torus_lines: tuple[tuple[int, ...], ...] = ()
-    forbidden_lines: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        arities = {len(line) for line in self.torus_lines}
-        arities |= {len(line) for line in self.forbidden_lines}
-        if len(arities) > 1:
+        if len({len(line) for line in self.torus_lines}) > 1:
             raise RepresentationError("torus lines must share the circle arity")
         for line in self.torus_lines:
             if not any(line):
@@ -174,17 +162,10 @@ class GroupSpec:
                 g = gcd(g, c)
             if g != 1:
                 raise RepresentationError(f"torus line {line} is not primitive")
-            for bad in self.forbidden_lines:
-                if _parallel(line, bad):
-                    raise RepresentationError(
-                        f"torus line {line} lies on the excluded direction {bad}"
-                    )
 
     @property
     def n_circles(self) -> int:
-        for line in self.torus_lines + self.forbidden_lines:
-            return len(line)
-        return 0
+        return len(self.torus_lines[0]) if self.torus_lines else 0
 
     @property
     def rank(self) -> int:

@@ -11,14 +11,24 @@ and pattern-matches concrete representations against the table rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import shlex
 from dataclasses import dataclass, field
 from importlib import resources
 from math import gcd
 
-from .dsl import PatternSpec, eval_condition, eval_int_expr, parse_pattern
-from .matrep import GroupSpec, RepSpec, Summand
+from .dsl import PatternSpec, eval_condition, eval_int_expr, expr_names, parse_pattern
+from .matrep import (
+    Factor,
+    GroupSpec,
+    NotRealizable,
+    RepresentationError,
+    RepSpec,
+    Summand,
+    _factor_module,
+    _weights,
+)
 
 DATA_ENV_VAR = "LIE_COISO_DATA"
 
@@ -467,17 +477,31 @@ class MFLookup:
     notes: list[str] = field(default_factory=list)
 
 
-def _normalize_summand(group: GroupSpec, sm: Summand):
-    """Multiset of (kind, factor-kind, factor-n) with trivial slots dropped."""
-    terms = []
-    for t in sm.terms:
-        if t.kind == "triv":
-            continue
-        fac = group.factors[t.factor - 1]
-        if fac.simple_type is None and t.kind in ("std", "sym2"):
-            continue  # one-dimensional slot
-        terms.append((t.kind, t.factor - 1))
-    return terms
+def _slots(group: GroupSpec, sm: Summand) -> list[tuple[str, int]]:
+    """(kind, factor index) of each term of a summand that is not a
+    one-dimensional slot (the rule of matrep._term_module)."""
+    return [
+        (t.kind, t.factor - 1)
+        for t in sm.terms
+        if t.kind != "triv"
+        and not (t.kind in ("std", "sym2") and group.factors[t.factor - 1].std_dim == 1)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _self_dual(fac: Factor, kind: str) -> bool:
+    """Whether a std, sym2, alt2 or spin term of one factor is isomorphic to
+    its dual: the weights of its cached matrix model, read off the Cartan
+    diagonal, are symmetric under negation.  A term with no matrix model
+    counts as not self-dual."""
+    try:
+        if fac.simple_type is None:
+            return False
+        mod = _factor_module(fac, kind, 1 if kind == "spin" else None)
+    except (NotRealizable, RepresentationError):
+        return False
+    w = _weights(mod, list(range(fac.rank)))
+    return sorted(w.tolist()) == sorted((-w).tolist())
 
 
 def _net_charges(group: GroupSpec, rep: RepSpec) -> list[list[int]]:
@@ -511,9 +535,11 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
     """Match a concrete representation against the classification tables.
 
     One summand consults the irreducible rows, two summands the reducible
-    ones (up to summand reorder and global dualization, with summand-wise
-    dualization as a flagged fallback); more than two summands cannot be
-    indecomposably multiplicity free, so no row can match.
+    ones, in table order, up to summand order and global dualization, by an
+    injective map from pattern factors to concrete factors.  The dual flag
+    of a self-dual summand is not compared.  The first candidate whose dual
+    flags agree exactly wins, else the first candidate.  More than two
+    summands cannot be indecomposably multiplicity free, so no row can match.
     """
     ds = dataset or load_dataset()
     r = len(rep.summands)
@@ -528,48 +554,77 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
                 "unless the action decomposes"
             ],
         )
-    tables = ["Ia"] if r == 1 else ["IIa", "IIb"]
-    charge_rows = _net_charges(group, rep)
-    span = _charge_span(charge_rows)
-    for strict in (True, False):
-        for table in tables:
-            for entry in ds.mf_rows(table):
-                got = _match_row(group, rep, entry, span, strict=strict)
-                if got is not None:
-                    return got
-    return MFLookup(match=None, scalar_policy="", condition_evaluated=None, mf=False,
-                    notes=["no table row matches"])
-
-
-def _match_row(group, rep, entry, span, strict):
-    pat = entry.pattern
-    if len(pat.summands) != len(rep.summands):
-        return None
-    orders = (
-        [(0,)] if len(rep.summands) == 1 else [(0, 1), (1, 0)]
-    )
-    for order in orders:
-        for gdual in (False, True):
-            env = _unify(group, rep, pat, order, gdual, summandwise=False)
-            mode = "exact"
-            if env is None and not strict:
-                env = _unify(group, rep, pat, order, gdual, summandwise=True)
-                mode = "summand-dual"
-            if env is None:
+    span = _charge_span(_net_charges(group, rep))
+    slots = [_slots(group, sm) for sm in rep.summands]
+    faces = []  # (summand order, the slots each pattern summand faces, their factors)
+    for order in [(0,)] if r == 1 else [(0, 1), (1, 0)]:
+        faced = [slots[c] for c in order]
+        faces.append((order, faced, list(dict.fromkeys(f for sl in faced for _, f in sl))))
+    first = None
+    for table in ["Ia"] if r == 1 else ["IIa", "IIb"]:
+        for entry in ds.mf_rows(table):
+            pat = entry.pattern
+            if len(pat.summands) != r:
                 continue
-            result = _evaluate_match(group, rep, entry, env, order, gdual, span)
-            if result is not None:
-                if mode == "summand-dual":
-                    result.notes.append(
-                        "matched up to dualizing one summand (charge signs adjusted)"
-                    )
-                return result
-    return None
+            for order, faced, used in faces:
+                if len(pat.factors) < len(used):
+                    continue
+                for env in _factor_maps(group, pat, faced, used):
+                    for gdual in (False, True):
+                        differ = [
+                            c
+                            for (_, p_dual, _), c in zip(pat.summands, order)
+                            if (rep.summands[c].dual != gdual) != p_dual
+                        ]
+                        if not all(
+                            _self_dual(group.factors[f], k) for c in differ for k, f in slots[c]
+                        ):
+                            continue
+                        found = _evaluate_match(entry, env, order, gdual, span)
+                        if found is not None and not differ:
+                            return found
+                        first = first or found
+    return first or MFLookup(
+        match=None,
+        scalar_policy="",
+        condition_evaluated=None,
+        mf=False,
+        notes=["no table row matches"],
+    )
+
+
+_SU1 = Factor("su", 1)
+
+
+def _factor_maps(group: GroupSpec, pat: PatternSpec, faced: list, used: list[int]):
+    """Parameter environments of the injective maps from the pattern factors
+    onto the concrete factors used that carry each pattern summand's
+    multiset of (term kind, factor) onto faced[k], the slots of the
+    concrete summand it faces.  A pattern factor left over becomes su(1),
+    which holds only std and sym2 slots."""
+    for image in itertools.permutations(range(len(pat.factors)), len(used)):
+        fmap = dict(zip(image, used))
+        facs = [group.factors[fmap[pf]] if pf in fmap else _SU1 for pf in range(len(pat.factors))]
+        if any(kind != fac.kind for (kind, _), fac in zip(pat.factors, facs)):
+            continue
+        if not all(
+            sorted((k, fmap[f - 1]) for k, f in p_terms if f - 1 in fmap) == sorted(sl)
+            and all(k in ("std", "sym2", "triv") for k, f in p_terms if f - 1 not in fmap)
+            for (p_terms, _, _), sl in zip(pat.summands, faced)
+        ):
+            continue
+        env: dict[str, int] | None = {}
+        for (_, expr), fac in zip(pat.factors, facs):
+            env = _solve_rank(expr.text, fac.n, env)
+            if env is None:
+                break
+        else:
+            yield env
 
 
 def _solve_rank(expr_text: str, value: int, env: dict[str, int]) -> dict[str, int] | None:
     """Extend env so expr evaluates to value; None if impossible."""
-    names = [n for n in _expr_names(expr_text) if n not in env]
+    names = [n for n in expr_names(expr_text) if n not in env]
     if not names:
         try:
             return dict(env) if eval_int_expr(expr_text, env) == value else None
@@ -589,178 +644,56 @@ def _solve_rank(expr_text: str, value: int, env: dict[str, int]) -> dict[str, in
     return None
 
 
-def _unify(group, rep, pat, order, gdual, summandwise):
-    """Solve the pattern parameters; None if shapes cannot match.
-
-    State threaded through the backtracking: the parameter environment, the
-    pattern-factor to concrete-factor map, and the set of pattern factors
-    forced to the trivial su(1).
-    """
-    jobs = []  # (pattern term list, concrete term list) per summand
-    for p_idx, c_idx in enumerate(order):
-        p_terms, p_dual, _ = pat.summands[p_idx]
-        sm = rep.summands[c_idx]
-        eff_dual = sm.dual != gdual
-        if not summandwise and eff_dual != p_dual:
-            return None
-        c_terms = _normalize_summand(group, sm)
-        p_real = [(k, f - 1) for (k, f) in p_terms if k != "triv"]
-        if len(p_real) < len(c_terms):
-            return None
-        jobs.append((p_real, c_terms))
-
-    def match_terms(job_idx, env, fmap, virtuals):
-        if job_idx == len(jobs):
-            return env
-        p_real, c_terms = jobs[job_idx]
-
-        def assign(c_pos, used, env, fmap, virtuals):
-            if c_pos == len(c_terms):
-                # leftover pattern terms must be absorbable as su(1) slots
-                env2, fmap2, virt2 = env, fmap, dict(virtuals)
-                for i, (pk, pf) in enumerate(p_real):
-                    if i in used:
-                        continue
-                    if pk not in ("std", "sym2"):
-                        return None
-                    pat_kind, pat_expr = pat.factors[pf]
-                    if pat_kind != "su":
-                        return None
-                    if pf in fmap2:
-                        return None
-                    solved = _solve_rank(pat_expr.text, 1, env2)
-                    if solved is None:
-                        return None
-                    env2 = solved
-                    virt2[pf] = 1
-                return match_terms(job_idx + 1, env2, fmap2, virt2)
-            ck, cf = c_terms[c_pos]
-            for i, (pk, pf) in enumerate(p_real):
-                if i in used or pk != ck:
-                    continue
-                if pf in virtuals:
-                    continue
-                bound = fmap.get(pf)
-                if bound is not None and bound != cf:
-                    continue
-                pat_kind, pat_expr = pat.factors[pf]
-                fac = group.factors[cf]
-                if pat_kind != fac.kind:
-                    continue
-                solved = _solve_rank(pat_expr.text, fac.n, env)
-                if solved is None:
-                    continue
-                fmap2 = dict(fmap)
-                fmap2[pf] = cf
-                got = assign(c_pos + 1, used | {i}, solved, fmap2, virtuals)
-                if got is not None:
-                    return got
-            return None
-
-        return assign(0, frozenset(), env, fmap, virtuals)
-
-    return match_terms(0, {}, {}, {})
-
-
-@functools.lru_cache(maxsize=None)
-def _expr_names(text: str) -> tuple[str, ...]:
-    import ast
-
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError:
-        return ()
-    return tuple(sorted({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}))
-
-
-def _evaluate_match(group, rep, entry, env, order, gdual, span) -> MFLookup | None:
-    r = len(rep.summands)
-    cond_names = set(_expr_names(entry.cond))
-    needs_charges = bool(cond_names & {"a", "b"})
+def _evaluate_match(entry, env, order, gdual, span) -> MFLookup | None:
+    r = len(order)
     notes: list[str] = []
     # the structural (parameter-only) part of the condition gates the match;
     # sentinel charges satisfy every charge-shaped clause in the tables
-    sentinel = dict(env)
-    sentinel["a"] = 10**6 + 1
-    sentinel["b"] = 10**6 - 1
+    sentinel = {**env, "a": 10**6 + 1, "b": 10**6 - 1}
     try:
         if not eval_condition(entry.cond, sentinel):
             return None
     except ValueError:
         return None
-    sgn = -1 if gdual else 1
     span_dim, gen = span
     if span_dim >= r:
-        if needs_charges:
+        if expr_names(entry.cond) & {"a", "b"}:
             notes.append("full scalars present; charge condition satisfiable")
-        charge_env = dict(env)
-        charge_env["a"] = 10**6 + 1
-        charge_env["b"] = 10**6 - 1
-        scalar_state = "full"
-    elif span_dim == 1:
-        mapped = [sgn * gen[order[k]] for k in range(r)]
-        charge_env = dict(env)
-        charge_env["a"] = mapped[0]
-        if r == 2:
-            charge_env["b"] = mapped[1]
-        scalar_state = "line"
+        charge_env, scalar_state = sentinel, "full"
+    elif span_dim == 1:  # one line on two summands
+        sgn = -1 if gdual else 1
+        a, b = (sgn * gen[c] for c in order)
+        charge_env, scalar_state = {**env, "a": a, "b": b}, "line"
     else:
-        charge_env = dict(env)
-        charge_env["a"] = 0
-        charge_env["b"] = 0
-        scalar_state = "none"
+        charge_env, scalar_state = {**env, "a": 0, "b": 0}, "none"
 
     try:
-        cond_ok = eval_condition(entry.cond, _with_defaults(charge_env))
+        cond_ok = eval_condition(entry.cond, charge_env)
     except ValueError:
         return None
 
     if entry.table == "Ia":
-        has_scalar = scalar_state != "none"
-        removable = False
-        if entry.scalar_policy == "removable":
-            removable = eval_condition(entry.removable_cond, env)
-            if not removable:
-                notes.append("removability condition fails; scalar required")
-        mf = has_scalar or removable
-        return MFLookup(
-            match=entry,
-            scalar_policy="removable" if removable else "required",
-            condition_evaluated=cond_ok,
-            mf=mf,
-            parameters=dict(env),
-            notes=notes,
-        )
-    if entry.table == "IIa":
-        mf = bool(cond_ok)
+        removable = entry.scalar_policy == "removable" and eval_condition(entry.removable_cond, env)
+        if entry.scalar_policy == "removable" and not removable:
+            notes.append("removability condition fails; scalar required")
+        policy = "removable" if removable else "required"
+        mf = scalar_state != "none" or removable
+    elif entry.table == "IIa":
+        policy, mf = "reducible-with-condition", bool(cond_ok) and scalar_state != "none"
         if scalar_state == "none":
-            mf = False
             notes.append("no scalars present")
-        return MFLookup(
-            match=entry,
-            scalar_policy="reducible-with-condition",
-            condition_evaluated=cond_ok,
-            mf=mf,
-            parameters=dict(env),
-            notes=notes,
-        )
-    # IIb: both scalars are needed
-    mf = scalar_state == "full" and cond_ok
+    else:  # IIb: both scalars are needed
+        policy, mf = "required", scalar_state == "full" and cond_ok
+        if not mf:
+            notes.append("needs two independent scalars")
     return MFLookup(
         match=entry,
-        scalar_policy="required",
+        scalar_policy=policy,
         condition_evaluated=cond_ok,
         mf=mf,
         parameters=dict(env),
-        notes=notes + (["needs two independent scalars"] if not mf else []),
+        notes=notes,
     )
-
-
-def _with_defaults(env):
-    out = dict(env)
-    out.setdefault("a", 0)
-    out.setdefault("b", 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +727,9 @@ def maximal_subgroups(
         import re as _re
 
         braced = _re.findall(r"\{([^}]*)\}", e.subgroup_text)
-        names: set[str] = set(_expr_names(e.cond))
+        names = expr_names(e.cond)
         for expr in braced:
-            names |= set(_expr_names(expr))
+            names |= expr_names(expr)
         params = sorted(p for p in names if p not in ("m", "n"))
         instances = []
         base_env = {"m": n, "n": n}

@@ -29,7 +29,12 @@ def test_mf_check(capsys):
     code, out = run_cli(["mf-check", "su(4) + u1[1] on alt2(1) @ 1"], capsys)
     assert code == 0
     assert "multiplicity free: True" in out
-    assert "Ia row 5" in out
+    assert "table match: Ia row 5 (n=4; policy required, condition True)" in out
+    assert "removability condition fails" in out
+    # two pattern factors on one concrete factor match no row
+    code, out = run_cli(["mf-check", "su(3) + u1[1] on std(1) (x) std(1) @ 1"], capsys)
+    assert code == 0
+    assert "multiplicity free: False" in out and "table match: none" in out
 
 
 def test_mf_check_parse_error(capsys):

@@ -65,12 +65,9 @@ def test_group_spec_validation():
         GroupSpec(torus_lines=((2, 4),))  # not primitive
     with pytest.raises(RepresentationError):
         GroupSpec(torus_lines=((0, 0),))
-    with pytest.raises(RepresentationError):
-        GroupSpec(torus_lines=((1, 1),), forbidden_lines=((2, 2),))
     g = GroupSpec(
         factors=(Factor("su", 3),),
         torus_lines=((1, 0),),
-        forbidden_lines=((1, 1),),
     )
     assert g.rank == 3 and g.n_circles == 2
     assert g.borel_dim == 5 + 1

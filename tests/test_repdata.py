@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -70,6 +71,22 @@ def test_lookup_reducible_rows(ds):
     assert res.match.row == "1" and res.mf is False
     res = look(ds, "su(2) + u1[1,0] + u1[0,1] on std(1) @ 1,0 (+) std(1) @ 0,1")
     assert res.match.table == "IIb" and res.mf is True
+    # su(4) std is not self-dual but its alt2 is, so rows 3 and 5 both fit;
+    # the row whose dual flags agree exactly wins
+    res = look(ds, "su(4) + u1[1,1] on std(1) * @ 1,0 (+) alt2(1) @ 0,1")
+    assert res.match.row == "5" and res.parameters == {"m": 2}
+
+
+def test_lookup_maps_pattern_factors_injectively(ds):
+    # two pattern factors may not land on one concrete factor (Ia row 6 with
+    # n = m = 3), and so(2) std is a two-dimensional slot, not a trivial one
+    for text in (
+        "su(3) + u1[1] on std(1) (x) std(1) @ 1",
+        "su(3) on std(1) (x) std(1)",
+        "so(2) + u1[1] on std(1) @ 1",
+    ):
+        res = look(ds, text)
+        assert res.match is None and res.mf is False, text
 
 
 def test_lookup_three_summands(ds):
@@ -99,6 +116,29 @@ def test_lookup_matches_oracle_on_every_ia_row(ds):
         res = lookup_mf(scal, rep_s, ds)
         assert res.match is not None, entry.row
         assert res.mf == mf_test(m), (entry.row, env)
+
+
+def test_lookup_matches_oracle_on_every_reducible_row_under_any_stars(ds):
+    """Every IIa/IIb row at its first instantiation, under all four dual
+    flag patterns and two independent scalars, matches a row whose verdict
+    is the rank oracle's: a star on a self-dual summand is not compared."""
+    checked = 0
+    for entry in ds.mf_rows("IIa") + ds.mf_rows("IIb"):
+        env = (entry.instantiations() or [{}])[0]
+        group, rep = entry.pattern.instantiate(env)
+        full = GroupSpec(factors=group.factors, torus_lines=((1, 0), (0, 1)))
+        for stars in itertools.product((False, True), repeat=2):
+            starred = RepSpec(
+                summands=tuple(
+                    Summand(terms=s.terms, dual=star, charges=(int(i == 0), int(i == 1)))
+                    for i, (s, star) in enumerate(zip(rep.summands, stars))
+                )
+            )
+            res = lookup_mf(full, starred, ds)
+            assert res.match is not None, (entry.row, stars)
+            assert res.mf == mf_test(realize(full, starred)), (entry.row, stars)
+            checked += 1
+    assert checked == 88
 
 
 def test_maximal_subgroups_examples(ds):
