@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .dsl import eval_int_expr, parse_pattern
 from .matrep import GroupSpec, RepSpec, real_block_rep, realize
 from .mforacle import (
+    DEFAULT_SEED,
     cohomogeneity,
     coisotropic_by_rank,
     lie_triple_closure,
@@ -44,8 +45,6 @@ from .rootsys import (
 # importing it before them raises the peak memory of a run without cached
 # bytecode by about 1 MB
 import numpy as np  # noqa: E402
-
-DEFAULT_SEED = 20240101
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +379,6 @@ def _instantiate_slice(
     return group, rep
 
 
-def _space_of(row: ResultRow, env: dict) -> HSSpace | None:
-    text = row.space_corrected or row.space_text
-    try:
-        return space_from_text(text, env)
-    except Exception:
-        return None
-
-
 def _run_row(
     row: ResultRow, env: dict, ds: Dataset, seed: int
 ) -> Verdict:
@@ -503,7 +494,7 @@ def _run_row(
         if "coiso" in expect and report.coisotropic != bool(expect["coiso"]):
             ok = False
     elif v == "dim-fail":
-        space = _space_of(row, env)
+        space = space_from_text(row.space_corrected or row.space_text, env)
         pat = parse_pattern(row.candidate + " on triv")
         group, _ = pat.instantiate(env)
         rep_dim = dimensional_condition(group, space)

@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             "on compact irreducible Hermitian symmetric spaces"
         ),
     )
-    ap.add_argument("--seed", type=int, default=20240101, help="oracle sampling seed")
+    ap.add_argument("--seed", type=int, default=mforacle.DEFAULT_SEED, help="oracle sampling seed")
     ap.add_argument("--report", default=None, help="also write the output to a file")
     ap.add_argument("--format", choices=("text", "records"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -4,15 +4,14 @@ Every per-factor module is built directly as one integer stack
 (linalg.ZiStack: numerators over one denominator) of its simple generators
 h_i, e_i, f_i, certified once, and completed by one derivation of the
 other root vectors, e_beta = [e_i, e_beta'] and f_beta = [f_beta', f_i].
-Standard modules of the classical algebras are realized in split form so
-that Cartan generators are diagonal and raising generators are strictly
-upper triangular in the constructed weight basis.  Spin modules are the
-Clifford modules on qubits, written by bit arithmetic on the basis indices;
-arbitrary dominant weights are realized through an exact contravariant-form
-construction; symmetric and exterior squares are induced from the standard
-stack by index arithmetic.  Tensor products, duals, direct sums and torus
-charge lines are assembled from the stacks by index arithmetic too, and so
-are the real slice models (RealRep) of so(7) on R^7 and on the octonions.
+Every irreducible module (std, spin and weight terms) is the highest-weight
+module of the exact contravariant-form construction, whose basis is graded
+by depth so that Cartan generators are diagonal and raising generators are
+strictly upper triangular; symmetric and exterior squares are induced from
+the standard stack by index arithmetic.  Tensor products, duals, direct
+sums and torus charge lines are assembled from the stacks by index
+arithmetic too, and so are the real slice models (RealRep) of so(7) on R^7
+and on the octonions.
 
 For every module the lowering generator of a positive root is the adjoint
 of the raising generator with respect to an invariant positive form, so
@@ -223,128 +222,45 @@ class RepSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-factor modules with a Chevalley split, built as integer stacks
+# per-factor modules, built as integer stacks
 #
-# A constructor emits the simple stack h | e | f of a simple factor: the
-# 3r generators h_i, e_i, f_i of its simple roots, over one denominator.
-# _root_vectors completes it to the module stack cartan | raising |
-# lowering: the simple roots, then the positive roots in positive_roots
-# order.
+# _weight_module emits the simple stack h | e | f of an irreducible module
+# of a simple factor: the 3r generators h_i, e_i, f_i of its simple roots,
+# over one denominator; _square induces the symmetric and exterior squares
+# of the standard module from it.  _root_vectors completes a simple stack to
+# the module stack cartan | raising | lowering: the simple roots, then the
+# positive roots in positive_roots order.
 
 
-def _real_split(d: int, rs: RootSystem, entries: np.ndarray) -> ZiStack:
-    """The simple stack of the integer entries (k, row, col, value) of its
-    Cartan and simple raising generators, with each lowering generator the
-    transpose of its raising one: the basis is orthonormal for an
-    invariant form, under which a real raising generator's adjoint is its
-    transpose."""
-    r = rs.rank
-    k, row, col, val = entries.reshape(-1, 4).T
-    up = k >= r
-    val = np.concatenate([val, val[up]])
-    return _coalesce(
-        (3 * r, d, d),
-        np.concatenate([k, k[up] + r]),
-        np.concatenate([row, col[up]]),
-        np.concatenate([col, row[up]]),
-        val,
-        0 * val,
-        1,
-    )
+def _highest_weight(fac: Factor, kind: str, arg=None) -> tuple[int, ...]:
+    """Highest weight, on the fundamental weights, of a std, spin or weight
+    term of a simple factor (arg: the chirality of a spin term, the highest
+    weight of a weight term).
 
-
-def _std_module(stype: SimpleType) -> ZiStack:
-    """Simple stack of the standard module in split form: the basis
-    (e_1..e_r, [middle], f_r..f_1) of weights eps_i, 0, -eps_i for B, C
-    and D (eps_1..eps_n for A) carries strictly decreasing weights, h_i is
-    the pairing of each basis weight with the coroot of alpha_i, and e_i is
-    the split root vector of the symplectic or antidiagonal symmetric form.
-    An exceptional algebra gets its smallest fundamental module."""
-    fam, r = stype.family, stype.rank
-    rs = build_root_system(stype)
-    if fam not in "ABCD":
-        best = min(range(r), key=lambda i: weyl_dim(rs, DominantWeight.fundamental(r, i)))
-        return _weight_module(stype, tuple(int(i == best) for i in range(r)))
-    d = {"A": r + 1, "B": 2 * r + 1, "C": 2 * r, "D": 2 * r}[fam]
-    m = lambda i: d - 1 - i  # noqa: E731  (the basis vector of weight -eps_i)
-    ent = []
-    for i, alpha in enumerate(rs.simple_orth):
-        norm = sum(x * x for x in alpha)
-        for t, x in enumerate(alpha):
-            if x:
-                c = int(2 * x / norm)
-                ent += [(i, t, t, c)] + ([(i, m(t), m(t), -c)] if fam != "A" else [])
-        k = r + i
-        pos = [t for t, v in enumerate(alpha) if v > 0]
-        neg = [t for t, v in enumerate(alpha) if v < 0]
-        if fam == "A":
-            ent.append((k, pos[0], neg[0], 1))
-        elif not neg and len(pos) == 1:  # 2 eps_r (C) or eps_r (B)
-            t = pos[0]
-            ent += [(k, t, m(t), 1)] if fam == "C" else [(k, t, r, 1), (k, r, m(t), -1)]
-        elif len(pos) == 2:  # eps_(r-1) + eps_r (D)
-            t, u = pos
-            ent += [(k, t, m(u), 1), (k, u, m(t), -1)]
-        else:  # eps_i - eps_(i+1)
-            t, u = pos[0], neg[0]
-            ent += [(k, t, u, 1), (k, m(u), m(t), -1)]
-    return _real_split(d, rs, np.array(ent, dtype=np.int64))
-
-
-def _spin_module(n: int, chirality: int = 1) -> ZiStack:
-    """Simple stack of the spin module of so(n), 3 <= n <= 12; of one
-    chirality when n is even.
-
-    The Clifford module of so(n) is k = n // 2 qubits; qubit t is bit
-    k - 1 - t of a basis index.  The raiser (gamma_2t + i gamma_2t+1) / 2
-    sets qubit t from 1 to 0, with the sign (-1)^(ones before t) of its
-    Z chain; its transpose is the lowerer.  The Z chain of all k qubits,
-    (-1)^popcount, is the last gamma matrix for odd n and the chirality
-    for even n.  Qubit t carries the weight +-1/2 in the coordinate eps_t
-    (+ when clear), and the basis is ordered by decreasing weights under
-    the key sum_t 3^(k - t) w_t.
+    std is the first fundamental module of a classical algebra (twice the
+    weight for so(3) = B1) and the smallest fundamental module of an
+    exceptional one; spin of so(n), 3 <= n <= 12, is omega_r for odd n and
+    omega_r or omega_(r-1) for the chirality +1 or -1 when n is even.
     """
-    if not 3 <= n <= 12:
-        raise NotRealizable("spin modules are provided for 3 <= n <= 12")
-    k, odd = n // 2, n % 2 == 1
-    rs = build_root_system(SimpleType("B", k) if odd else SimpleType("D", k))
-    x = np.arange(2**k)
-    mask = 1 << np.arange(k - 1, -1, -1)
-    bits = ((x[:, None] & mask) != 0).astype(np.int64)
-    sign = 1 - 2 * ((np.cumsum(bits, axis=1) - bits) % 2)
-    # an operator is (image, sign) on the basis indices, sign 0 where it vanishes
-    raiser = [(x & ~mask[t], bits[:, t] * sign[:, t]) for t in range(k)]
-    lowerer = [(x | mask[t], (1 - bits[:, t]) * sign[:, t]) for t in range(k)]
-    chain_z = (x, 1 - 2 * (bits.sum(axis=1) % 2))
-    w2 = 1 - 2 * bits  # twice the weight coordinates
-    h = [(w2[:, i] - w2[:, i + 1]) // 2 for i in range(k - 1)]
-    h.append(w2[:, k - 1] if odd else (w2[:, k - 2] + w2[:, k - 1]) // 2)
-    ops = [(x, s) for s in h]
-    for alpha in rs.simple_orth:
-        pos = [t for t, v in enumerate(alpha) if v > 0]
-        neg = [t for t, v in enumerate(alpha) if v < 0]
-        # eps_i: a_i Z; eps_i + eps_j: a_i a_j; eps_i - eps_j: a_i a_j^T
-        if not neg and len(pos) == 1:
-            y, sy = chain_z
-        else:
-            y, sy = raiser[pos[1]] if len(pos) == 2 else lowerer[neg[0]]
-        image, s = raiser[pos[0]]
-        ops.append((image[y], sy * s[y]))
-
-    keep = x if odd else x[chain_z[1] == (1 if chirality > 0 else -1)]
-    order = keep[np.argsort(-(w2[keep] @ 3 ** np.arange(k, 0, -1)), kind="stable")]
-    new = np.full(x.size, -1)
-    new[order] = np.arange(order.size)
-    parts = []
-    for g, (image, s) in enumerate(ops):
-        # for even n every operator flips 0 or 2 bits and keeps the chirality
-        on = (s != 0) & (new >= 0)
-        parts.append(np.stack([np.full(on.sum(), g), new[image[on]], new[x[on]], s[on]], axis=1))
-    return _real_split(order.size, rs, np.concatenate(parts))
-
-
-# ---------------------------------------------------------------------------
-# arbitrary dominant weights by the exact contravariant-form construction
+    st = fac.simple_type
+    if kind == "weight":
+        return arg
+    if kind == "spin":
+        if fac.kind != "so":
+            raise NotRealizable("spin terms need an so(n) factor")
+        if not 3 <= fac.n <= 12:
+            raise NotRealizable("spin modules are provided for 3 <= n <= 12")
+        r = st.rank
+        node = r - 1 if fac.n % 2 or arg > 0 else r - 2
+    elif kind == "std":
+        r = st.rank
+        if st.family in "ABCD":
+            return (2 if st == SimpleType("B", 1) else 1,) + (0,) * (r - 1)
+        rs = build_root_system(st)
+        node = min(range(r), key=lambda i: weyl_dim(rs, DominantWeight.fundamental(r, i)))
+    else:
+        raise RepresentationError(f"unhandled term kind {kind!r}")
+    return DominantWeight.fundamental(r, node).coeffs
 
 
 def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
@@ -353,10 +269,11 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
     States are lowering words applied to a highest vector; dependencies are
     resolved through the contravariant form, whose Gram matrices stay exact
     rationals.  The basis is graded by depth, so Cartan matrices come out
-    diagonal and raising matrices strictly upper triangular.  The build
-    stops with RepresentationError as soon as it has more states than the
-    Weyl dimension.  The stack is diag(weights) | e_i | f_i over one
-    denominator.
+    diagonal and raising matrices strictly upper triangular.  Weights are
+    integer tuples on the fundamental weights: the highest weight and the
+    Cartan matrix are integral.  The build stops with RepresentationError
+    as soon as it has more states than the Weyl dimension.  The stack is
+    diag(weights) | e_i | f_i over one denominator.
     """
     rs = build_root_system(stype)
     lam = DominantWeight(coeffs)
@@ -367,19 +284,19 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
         )
     r = rs.rank
     A = rs.cartan_matrix
-    alpha_fund = [tuple(Fraction(A[j][i]) for j in range(r)) for i in range(r)]
+    alpha_fund = [tuple(A[j][i] for j in range(r)) for i in range(r)]
 
-    wts: list[tuple[Fraction, ...]] = [tuple(Fraction(c) for c in coeffs)]
+    wts: list[tuple[int, ...]] = [tuple(coeffs)]
     # e_act[s][i]: expansion of e_i * v_s over earlier states, or None
     e_act: list[list[list[tuple[int, Fraction]] | None]] = [[None] * r]
     f_act: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    gram: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    gram: dict[tuple[int, int], Fraction] = {(0, 0): 1}
     level_states = [0]
 
     def pairing(s: int, t: int) -> Fraction:
         if s <= t:
-            return gram.get((s, t), Fraction(0))
-        return gram.get((t, s), Fraction(0))
+            return gram.get((s, t), 0)
+        return gram.get((t, s), 0)
 
     while level_states:
         by_weight: dict[tuple, list[tuple[int, int]]] = {}
@@ -391,13 +308,13 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
         for mu in sorted(by_weight):
             cands = by_weight[mu]
             nc = len(cands)
-            g = [[Fraction(0)] * nc for _ in range(nc)]
+            g = [[0] * nc for _ in range(nc)]
             for a in range(nc):
                 i, s = cands[a]
                 for b in range(a, nc):
                     j, t = cands[b]
                     # <f_i v_s, f_j v_t> = <v_s, f_j e_i v_t> + d_ij wt_i(t) <v_s, v_t>
-                    val = Fraction(0)
+                    val = 0
                     x = e_act[t][i]
                     if x is not None:
                         y = e_act[s][j]
@@ -443,7 +360,7 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
             # expansion of every candidate over the chosen states
             for c_idx, (i, s) in enumerate(cands):
                 if c_idx not in free:
-                    f_act[(i, s)] = [(globals_new[chosen.index(c_idx)], Fraction(1))]
+                    f_act[(i, s)] = [(globals_new[chosen.index(c_idx)], 1)]
                     continue
                 j = free[c_idx]
                 f_act[(i, s)] = [
@@ -461,11 +378,11 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
                     if x is not None:
                         for (u, cu) in x:
                             for (w, cw) in f_act.get((i, u), []):
-                                acc[w] = acc.get(w, Fraction(0)) + cu * cw
+                                acc[w] = acc.get(w, 0) + cu * cw
                     if i == j:
                         hval = wts[s][j]
                         if hval:
-                            acc[s] = acc.get(s, Fraction(0)) + hval
+                            acc[s] = acc.get(s, 0) + hval
                     ex = [(w, c) for w, c in sorted(acc.items()) if c]
                     e_act[gi][j] = ex if ex else None
             next_states.extend(globals_new)
@@ -477,8 +394,6 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
             f"weight module for {stype} {coeffs} built dimension {n}, "
             f"expected {target}"
         )
-    if any(w.denominator != 1 for mu in wts for w in mu):
-        raise RepresentationError("non-integral weight in module build")
     ent = [(i, s, s, mu[i]) for s, mu in enumerate(wts) for i in range(r)]
     ent += [(r + i, u, s, c) for s in range(n) for i in range(r) for u, c in e_act[s][i] or ()]
     ent += [(2 * r + i, u, s, c) for (i, s), x in f_act.items() for u, c in x]
@@ -578,23 +493,15 @@ def _factor_module(fac: Factor, kind: str, arg=None) -> ZiStack:
     then positive roots in positive_roots order) over one denominator.
 
     arg is the chirality of a spin term and the highest weight of a weight
-    term.  The constructor's simple stack h | e | f is certified
-    (_certify) and then completed by _root_vectors; the squares are
-    induced from the simple stack of the standard module.
+    term.  The simple stack h | e | f of the irreducible module
+    (_weight_module at _highest_weight) or of the square of the standard
+    module is certified (_certify) and then completed by _root_vectors.
     """
     st = fac.simple_type
-    if kind == "std":  # for exceptional factors, the smallest fundamental module
-        simple = _std_module(st)
-    elif kind in ("sym2", "alt2"):
-        simple = _square(_std_module(st), alt=kind == "alt2")
-    elif kind == "spin":
-        if fac.kind != "so":
-            raise NotRealizable("spin terms need an so(n) factor")
-        simple = _spin_module(fac.n, arg)
-    elif kind == "weight":
-        simple = _weight_module(st, arg)
+    if kind in ("sym2", "alt2"):
+        simple = _square(_weight_module(st, _highest_weight(fac, "std")), alt=kind == "alt2")
     else:
-        raise RepresentationError(f"unhandled term kind {kind!r}")
+        simple = _weight_module(st, _highest_weight(fac, kind, arg))
     rs = build_root_system(st)
     _certify(simple, rs)
     return _root_vectors(simple, rs)

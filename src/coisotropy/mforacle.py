@@ -179,7 +179,7 @@ def _real_dim(rep) -> int:
 def _sampler_for(rep):
     if isinstance(rep, RealRep):
         return _sample_real_vector
-    return lambda dim_c, rng, bound: _sample_complex_vector(dim_c, rng, bound)
+    return _sample_complex_vector
 
 
 def _sample_dim(rep) -> int:

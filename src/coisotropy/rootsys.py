@@ -9,7 +9,7 @@ by root strings from the Cartan matrix, coroot pairings come from the
 symmetrized form, and the dimension formula is one arbitrary-precision
 integer product divided by the product of the rho pairings, aborting if
 the division leaves a remainder.  The orthogonal simple roots (simple_orth)
-are kept for the explicit matrix models.
+are read only by the Cartan matrix computation and the tests.
 """
 
 from __future__ import annotations

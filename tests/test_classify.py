@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from coisotropy.classify import (
@@ -13,7 +15,7 @@ from coisotropy.classify import (
 )
 from coisotropy.dsl import parse_pattern
 from coisotropy.matrep import Factor, GroupSpec
-from coisotropy.repdata import HSSpace, load_dataset
+from coisotropy.repdata import DataError, HSSpace, load_dataset
 from coisotropy.rootsys import DominantWeight, SimpleType
 
 
@@ -117,6 +119,19 @@ def test_reproduce_single_rows():
     assert v[0].outcome == "coisotropic"
     rules = [e.rule for e in v[0].evidence]
     assert "table-row-match" in rules  # the 27-dimensional slice matches Ia
+
+
+def test_malformed_space_field_raises_data_error():
+    # a dim-fail row whose space field does not parse is a data error, not
+    # an AttributeError inside dimensional_condition
+    ds = load_dataset()
+    rows = [
+        dataclasses.replace(r, space_text="Sq:m") if r.row == "spE1" else r
+        for r in ds.result_rows
+    ]
+    bad = dataclasses.replace(ds, result_rows=rows)
+    with pytest.raises(DataError, match="bad space field"):
+        reproduce_table(1, rows=["spE1"], dataset=bad)
 
 
 def test_reproduce_widen_adds_instances():

@@ -21,9 +21,8 @@ from coisotropy.matrep import (
     Term,
     _certify,
     _factor_module,
-    _spin_module,
+    _highest_weight,
     _square,
-    _std_module,
     _weight_module,
     octonion_left_mult,
     real_block_rep,
@@ -73,27 +72,45 @@ def test_group_spec_validation():
     assert g.borel_dim == 5 + 1
 
 
+def _simple_module(fac, kind, arg=None):
+    """The simple stack h | e | f of an irreducible std or spin term."""
+    return _weight_module(fac.simple_type, _highest_weight(fac, kind, arg))
+
+
+def _factor_of(stype):
+    """The Factor whose simple type is stype."""
+    f, r = stype.family, stype.rank
+    classical = {"A": ("su", r + 1), "B": ("so", 2 * r + 1), "C": ("sp", r), "D": ("so", 2 * r)}
+    return Factor(*classical.get(f, (f.lower() + str(r), r)))
+
+
 @pytest.mark.parametrize(
     "fam,n,dim",
-    [("A", 3, 4), ("B", 2, 5), ("B", 3, 7), ("C", 2, 4), ("C", 3, 6), ("D", 3, 6), ("D", 4, 8)],
+    [("A", 3, 4), ("B", 2, 5), ("B", 3, 7), ("C", 2, 4), ("C", 3, 6), ("D", 3, 6), ("D", 4, 8),
+     ("A", 1, 2), ("B", 1, 3), ("G", 2, 7), ("F", 4, 26), ("E", 6, 27), ("E", 7, 56)],
 )
 def test_std_module_dims(fam, n, dim):
-    mod = _std_module(SimpleType(fam, n))
+    fac = _factor_of(SimpleType(fam, n))
+    mod = _simple_module(fac, "std")
     assert mod.shape == (3 * n, dim, dim)
+    assert _factor_module(fac, "std").shape[1] == fac.std_dim == dim
     cartan, raising = mod.k < n, (mod.k >= n) & (mod.k < 2 * n)
     assert (mod.row[cartan] == mod.col[cartan]).all()
     assert (mod.row[raising] < mod.col[raising]).all()
 
 
-@pytest.mark.parametrize("n,dim", [(3, 2), (5, 4), (7, 8), (9, 16), (10, 16), (11, 32)])
+@pytest.mark.parametrize(
+    "n,dim", [(3, 2), (5, 4), (7, 8), (9, 16), (10, 16), (11, 32), (6, 4), (8, 8), (12, 32)]
+)
 def test_spin_module_dims(n, dim):
-    mod = _spin_module(n)
-    assert mod.shape[1] == dim
+    for chirality in (1, -1):
+        mod = _simple_module(Factor("so", n), "spin", chirality)
+        assert mod.shape[1] == dim
 
 
 def test_spin_weights_are_half_integers():
     for n in (5, 7, 8, 10):
-        mod = _spin_module(n)
+        mod = _simple_module(Factor("so", n), "spin", 1)
         rs = build_root_system(
             SimpleType("B", n // 2) if n % 2 else SimpleType("D", n // 2)
         )
@@ -105,8 +122,8 @@ def test_spin_weights_are_half_integers():
 
 
 def test_spin_chirality_halves():
-    plus = _spin_module(10, 1)
-    minus = _spin_module(10, -1)
+    plus = _simple_module(Factor("so", 10), "spin", 1)
+    minus = _simple_module(Factor("so", 10), "spin", -1)
     assert plus.shape[1] == minus.shape[1] == 16
 
 
@@ -119,7 +136,7 @@ def test_every_spin_module_is_certified_with_transposed_lowering():
                 continue
             rs = build_root_system(Factor("so", n).simple_type)
             r, npos = rs.rank, rs.n_positive_roots
-            simple = _spin_module(n, chirality)
+            simple = _simple_module(Factor("so", n), "spin", chirality)
             _certify(simple, rs)
             dim = 2 ** ((n - 1) // 2)
             assert simple.shape == (3 * r, dim, dim) and simple.den == 1
@@ -423,8 +440,8 @@ def _pick(mod, ks) -> ZiArray:
 def test_spin5_equivalent_to_sp2_standard():
     # the simple stacks h_1, h_2 | e_1, e_2 | f_1, f_2; the isomorphism
     # swaps the two simple nodes
-    gens_a = _pick(_spin_module(5), [0, 1, 2, 3, 4, 5])
-    gens_b = _pick(_std_module(SimpleType("C", 2)), [1, 0, 3, 2, 5, 4])
+    gens_a = _pick(_simple_module(Factor("so", 5), "spin", 1), [0, 1, 2, 3, 4, 5])
+    gens_b = _pick(_simple_module(Factor("sp", 2), "std"), [1, 0, 3, 2, 5, 4])
     space = _intertwiners(gens_a, gens_b)
     assert space
     assert complex_rank(ZiArray(*space[0])) == 4
@@ -624,7 +641,7 @@ def test_a_weight_fault_names_the_simple_root():
 
 def test_certificate_rejects_a_non_real_cartan_multiple():
     # su(2) on C^2: h, e, f; i*f keeps every weight but [e, i*f] = i*h
-    mod = _std_module(SimpleType("A", 1))
+    mod = _simple_module(Factor("su", 2), "std")
     rs = build_root_system(SimpleType("A", 1))
     lowering = mod.k == 2
     times = lambda re, im: mod._replace(  # noqa: E731  (f times re + i*im)
@@ -652,7 +669,7 @@ def test_certificate_rejects_a_negated_simple_lowering_generator(name):
 
 
 def test_certificate_accepts_trivial_alt2_of_su2():
-    simple = _square(_std_module(SimpleType("A", 1)), alt=True)
+    simple = _square(_simple_module(Factor("su", 2), "std"), alt=True)
     assert simple.shape == (3, 1, 1)
     assert not simple.re.any() and not simple.im.any()
     _certify(simple, build_root_system(SimpleType("A", 1)))
