@@ -55,7 +55,6 @@ import numpy as np  # noqa: E402
 class LemmaExceptions:
     part1: set[tuple[SimpleType, DominantWeight]]
     part2: set[tuple[SimpleType, DominantWeight]]
-    bound_used: dict[SimpleType, int]
 
 
 def verify_lemma21(max_classical_rank: int) -> LemmaExceptions:
@@ -69,18 +68,15 @@ def verify_lemma21(max_classical_rank: int) -> LemmaExceptions:
         raise ValueError("max_classical_rank must be >= 6")
     part1: set = set()
     part2: set = set()
-    bounds: dict[SimpleType, int] = {}
     for st in paper_family_types(max_classical_rank):
         rs = build_root_system(st)
         b = borel_dim(rs)
-        bound = lemma_search_bound(rs)
-        bounds[st] = bound
-        for w, d in enumerate_dominant_weights(rs, bound):
+        for w, d in enumerate_dominant_weights(rs, lemma_search_bound(rs)):
             if 2 * (1 + b) >= d * (d - 1):
                 part1.add((st, w))
             if 2 * (1 + b) >= d * (d + 1):
                 part2.add((st, w))
-    return LemmaExceptions(part1=part1, part2=part2, bound_used=bounds)
+    return LemmaExceptions(part1=part1, part2=part2)
 
 
 def encoded_lemma_exceptions(
@@ -92,25 +88,23 @@ def encoded_lemma_exceptions(
     out1: set = set()
     out2: set = set()
     for rec in ds.lemma_records:
-        part = rec["part"]
-        family = rec["family"]
-        target = out1 if part == "1" else out2
-        if rec["rank"] == "all":
+        target = out1 if rec.part == "1" else out2
+        if rec.rank == "all":
             for st in types:
-                if st.family != family:
+                if st.family != rec.family:
                     continue
                 r = st.rank
-                if rec["weight"] == "first":
+                if rec.weight == "first":
                     target.add((st, DominantWeight.fundamental(r, 0)))
-                elif rec["weight"] == "last":
+                elif rec.weight == "last":
                     target.add((st, DominantWeight.fundamental(r, r - 1)))
                 else:
                     raise ValueError("rank=all rows need first/last weights")
         else:
-            st = SimpleType(family, int(rec["rank"]))
+            st = SimpleType(rec.family, int(rec.rank))
             if st not in types:
                 continue
-            coeffs = tuple(int(x) for x in rec["weight"].split(","))
+            coeffs = tuple(int(x) for x in rec.weight.split(","))
             target.add((st, DominantWeight(coeffs)))
     return out1, out2
 
@@ -215,7 +209,6 @@ def dimension_threshold(space: HSSpace) -> int:
 _POLY_FAMILIES = {
     "3.2": {
         "f": lambda x, q: x * x * (q * q - 1) + x * (q - 1) - q * q - q + 2,
-        "fprime": lambda x, q: 2 * x * (q * q - 1) + (q - 1),
         "x_min": 3,
         "q_min": 2,
         "f3_claimed": lambda q: 9 * (q * q - 1) + 3 * (q - 1) - q * q - q + 2,
@@ -223,7 +216,6 @@ _POLY_FAMILIES = {
     },
     "3.3": {
         "f": lambda x, q: x * x * (2 * q * q - 1) + 2 * x * q - 4 * q * q - 4 * q,
-        "fprime": lambda x, q: 2 * x * (2 * q * q - 1) + 2 * q,
         "x_min": 3,
         "q_min": 1,
         "f3_claimed": lambda q: 9 * (2 * q * q - 1) + 6 * q - 4 * q * q - 4 * q,
@@ -231,7 +223,6 @@ _POLY_FAMILIES = {
     },
     "4.2": {
         "f": lambda x, q: x * x * (q * q - 1) - x * (q + 1) - q * q - q + 2,
-        "fprime": lambda x, q: 2 * x * (q * q - 1) - (q + 1),
         "x_min": 3,
         "q_min": 2,
         "f3_claimed": lambda q: 9 * (q * q - 1) - 3 * (q + 1) - q * q - q + 4,
@@ -240,7 +231,6 @@ _POLY_FAMILIES = {
     },
     "4.5": {
         "f": lambda x, q: x * x * (q * q - 2) - 2 * q * q - 1,
-        "fprime": lambda x, q: 2 * x * (q * q - 2),
         "x_min": 3,
         "q_min": 3,
         "f3_claimed": lambda q: q * q - 19,
@@ -260,24 +250,25 @@ def polynomial_scan(limit: int = 200) -> list[dict]:
 def polynomial_family(pid: str, limit: int = 200) -> dict:
     """Verify one quadratic elimination family over an integer grid.
 
-    f > 0 is checked on the whole grid, the derivative in x is checked
-    positive at the left edge (with a positive leading coefficient, which
-    makes the grid check a certificate), and the stated value of f at x = 3
-    is compared with the definition.  A limit that leaves the grid empty
-    is rejected.
+    f > 0 is checked on the whole grid, with a certificate that f grows in
+    x past it: f'(x0) > 0 at the left edge x0 and a leading coefficient
+    a >= 0, both read off f (at x0 the second difference in x is 2a, the
+    first is f'(x0) + a).  The stated value of f at x = 3 is compared with
+    the definition.  A limit that leaves the grid empty is rejected.
     """
     fam = _POLY_FAMILIES[pid]
     least = max(fam["x_min"], fam["q_min"])
     if limit < least:
         raise ValueError(f"family {pid} needs limit >= {least}, got {limit}")
-    f = fam["f"]
+    f, x0 = fam["f"], fam["x_min"]
     all_hold = True
     violations = []
     for q in range(fam["q_min"], limit + 1):
-        if fam["fprime"](fam["x_min"], q) <= 0 or (2 * (q * q - 1) < 0):
+        two_a = f(x0 + 2, q) - 2 * f(x0 + 1, q) + f(x0, q)
+        if 2 * (f(x0 + 1, q) - f(x0, q)) - two_a <= 0 or two_a < 0:  # 2 f'(x0), 2 a
             all_hold = False
-            violations.append(("fprime", fam["x_min"], q))
-        for x in range(fam["x_min"], limit + 1):
+            violations.append(("fprime", x0, q))
+        for x in range(x0, limit + 1):
             if f(x, q) <= 0:
                 all_hold = False
                 violations.append(("f", x, q))
@@ -344,10 +335,10 @@ class RowError(RuntimeError):
 
 
 def _slice_spec(row: ResultRow, ds: Dataset) -> str:
-    if row.slice_pattern:
-        return row.slice_pattern
+    if row.slice:
+        return row.slice
     if row.slice_id:
-        return ds.slice_by_id(row.slice_id).slice_pattern
+        return ds.slice_by_id(row.slice_id).slice
     return ""
 
 
@@ -388,7 +379,7 @@ def _run_row(
         row.algebra_corrected
         or row.space_corrected
         or row.cond_corrected
-        or (row.verbatim_outcome and row.verbatim_outcome != row.expect_outcome)
+        or (row.verbatim_outcome and row.verbatim_outcome != row.outcome)
     )
     ok = True
     v = row.verify
@@ -399,8 +390,8 @@ def _run_row(
     if v in ("mf-slice", "slice-fail"):
         expect_mf = v == "mf-slice"
         spec_text = _slice_spec(row, ds)
-        samples = parse_lines_field(row.lines_sample)
-        forbidden = parse_lines_field(row.lines_forbidden)
+        samples = parse_lines_field(row.lines)
+        forbidden = parse_lines_field(row.forbidden)
         if samples:
             for direction in samples:
                 group, rep = _instantiate_slice(spec_text, env, extra_line=direction)
@@ -441,16 +432,16 @@ def _run_row(
                     if look.mf is not None and look.mf != got:
                         ok = False
                         notes.append("table lookup disagrees with the rank oracle")
-            if row.drop_scalar in ("false", "true"):
+            if row.drop in ("false", "true"):
                 g2, r2 = _instantiate_slice(spec_text, env, drop_lines=True)
                 got2 = mf_test(realize(g2, r2), seed=seed) if (
                     g2.factors or g2.torus_lines
                 ) else False
                 add("scalar-dropped", {"mf": got2})
-                want = row.drop_scalar == "true"
+                want = row.drop == "true"
                 if got2 != want:
                     ok = False
-            elif row.drop_scalar == "need2":
+            elif row.drop == "need2":
                 group0, rep0 = _instantiate_slice(spec_text, env)
                 for idx in range(len(group0.torus_lines)):
                     g2, r2 = _instantiate_slice(spec_text, env, keep_single_line=idx)
@@ -462,7 +453,7 @@ def _run_row(
         expect = _parse_expect(row.expect, env)
         if v == "cohom-real":
             blocks = []
-            for chunk in row.real_blocks.split(","):
+            for chunk in row.realslice.split(","):
                 chunk = chunk.strip()
                 if chunk.startswith("triv:"):
                     blocks.append(("triv", int(chunk.split(":")[1])))
@@ -494,7 +485,7 @@ def _run_row(
         if "coiso" in expect and report.coisotropic != bool(expect["coiso"]):
             ok = False
     elif v == "dim-fail":
-        space = space_from_text(row.space_corrected or row.space_text, env)
+        space = space_from_text(row.space_corrected or row.space, env)
         pat = parse_pattern(row.candidate + " on triv")
         group, _ = pat.instantiate(env)
         rep_dim = dimensional_condition(group, space)
@@ -505,7 +496,7 @@ def _run_row(
         if rep_dim.ok:
             ok = False
     elif v == "poly":
-        entry = polynomial_family(row.poly_id)
+        entry = polynomial_family(row.poly)
         add(
             "polynomial-family",
             {"id": entry["id"], "all_hold": entry["all_hold"]},
@@ -531,16 +522,10 @@ def _run_row(
         add("transitive", {"encoded": True})
     elif v == "symmetric":
         algebra = row.algebra_corrected or row.algebra
-        space = row.space_text if row.space_text in ("e7", "e6") else (
-            "sp" if row.space_text.startswith("sp") or "Sp" in row.space_text else "so"
+        label = space_from_text(row.space_corrected or row.space, env).label
+        hit = any(
+            p.ambient == label and _same_algebra(p.subgroup, algebra) for p in ds.symmetric_pairs
         )
-        pairs = [
-            p
-            for p in ds.symmetric_pairs
-            if p.ambient == (row.space_corrected or row.space_text).split(":")[0]
-            or p.ambient == space
-        ]
-        hit = any(_same_algebra(p.subgroup, algebra) for p in pairs)
         add("symmetric-pair", {"listed": hit})
         if not hit:
             ok = False
@@ -589,19 +574,19 @@ def _run_row(
         if n_summands < 2:
             ok = False
     elif v in ("encoded-nonpolar", "encoded-only"):
-        add("encoded", {"verdict": row.expect_outcome})
+        add("encoded", {"verdict": row.outcome})
     else:
         raise RowError(f"unknown verify kind {v!r}")
 
-    outcome = row.expect_outcome if ok else "mismatch"
+    outcome = row.outcome if ok else "mismatch"
     return Verdict(
         table=row.table,
         row=row.row,
         candidate=row.algebra,
-        space=row.space_corrected or row.space_text,
+        space=row.space_corrected or row.space,
         instantiation=dict(env),
         outcome=outcome,
-        expected=row.expect_outcome,
+        expected=row.outcome,
         ok=ok,
         corrected=corrected,
         evidence=checks,
@@ -677,8 +662,7 @@ def reproduce_table(
         if rows is not None and row.row not in rows:
             continue
         envs = row.instantiations()
-        take = 2 + max(0, widen)
-        chosen = envs[:take] if envs else [{}]
+        chosen = envs[: 2 + widen] if envs else [{}]
         for env in chosen:
             tasks.append((row, env))
 

@@ -94,11 +94,8 @@ def _cmd_lemma21(args, rep: _Reporter) -> int:
     rep.ok_line(got.part1 == enc1, "first inequality exception list")
     rep.ok_line(got.part2 == enc2, "second inequality exception list")
     for note in repdata.load_dataset().notes:
-        if note.get("id", "").startswith("borel"):
-            rep.emit(
-                f"note: {note['id']} stated={note['stated']} "
-                f"formula={note['formula']}"
-            )
+        if note.id.startswith("borel"):
+            rep.emit(f"note: {note.id} stated={note.stated} formula={note.formula}")
     return 0 if (got.part1 == enc1 and got.part2 == enc2) else 1
 
 
@@ -239,9 +236,9 @@ def _cmd_validate_data(args, rep: _Reporter) -> int:
 
     bad = 0
     for fact in ds.slice_facts:
-        if not fact.slice_pattern:
+        if not fact.slice:
             continue
-        pat = parse_pattern(fact.slice_pattern)
+        pat = parse_pattern(fact.slice)
         names = sorted(pat.parameters())
         candidates = [{}] if not names else [
             {n: v for n, v in zip(names, values)}
@@ -251,17 +248,17 @@ def _cmd_validate_data(args, rep: _Reporter) -> int:
         for env in candidates:
             try:
                 group, module = pat.instantiate(env)
-            except Exception:
+            except ValueError:
                 continue  # instantiation guards are row-specific
             text = print_repspec(group, module)
             group2, module2 = parse_repspec(text)
             if (group2, module2) != (group, module):
                 bad += 1
-                rep.ok_line(False, f"round trip {fact.fact_id}")
+                rep.ok_line(False, f"round trip {fact.id}")
             done = True
             break
         if not done:
-            rep.emit(f"  note: no small instantiation found for {fact.fact_id}")
+            rep.emit(f"  note: no small instantiation found for {fact.id}")
     # totality: every result row has a recipe
     missing = [r.row for r in ds.result_rows if not r.verify]
     rep.ok_line(not missing, "every result row carries a verification recipe")
@@ -269,11 +266,15 @@ def _cmd_validate_data(args, rep: _Reporter) -> int:
     return 0 if bad == 0 and not missing else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reproduce one result table")
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--widen-params", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--widen-params", type=_int_at_least(0), default=0)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--rows", default=None, help="comma-separated row filter")
     p.set_defaults(func=_cmd_table)
 

@@ -69,25 +69,6 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-class IntExpr:
-    """An integer slot: a literal, or an expression over named parameters."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text.strip()
-
-    def is_literal(self) -> bool:
-        try:
-            int(self.text)
-            return True
-        except ValueError:
-            return False
-
-    def __repr__(self):
-        return f"IntExpr({self.text})"
-
-
 _ALLOWED_AST = (
     ast.Expression,
     ast.BinOp,
@@ -171,14 +152,14 @@ def eval_condition(text: str, env: dict[str, int]) -> bool:
 class PatternSpec:
     """A parsed spec whose integer slots may still be symbolic."""
 
-    factors: tuple[tuple[str, IntExpr], ...]
+    factors: tuple[tuple[str, str], ...]
     torus_lines: tuple[tuple[str, ...], ...]
     summands: tuple[tuple[tuple[tuple[str, int], ...], bool, tuple[str, ...]], ...]
 
     def parameters(self) -> set[str]:
         names = set()
         for _, e in self.factors:
-            names |= expr_names(e.text)
+            names |= expr_names(e)
         for line in self.torus_lines:
             for c in line:
                 names |= expr_names(c)
@@ -189,7 +170,7 @@ class PatternSpec:
 
     def instantiate(self, env: dict[str, int]) -> tuple[GroupSpec, RepSpec]:
         factors = tuple(
-            Factor(kind, eval_int_expr(e.text, env)) for kind, e in self.factors
+            Factor(kind, eval_int_expr(e, env)) for kind, e in self.factors
         )
         lines = tuple(
             tuple(eval_int_expr(c, env) for c in line) for line in self.torus_lines
@@ -250,7 +231,7 @@ class _Parser:
             return t
         return None
 
-    def _int_slot(self) -> IntExpr:
+    def _int_slot(self) -> str:
         # literal, or (in pattern mode) an expression until , ) ] or summand op
         t = self._peek()
         if t is None:
@@ -259,7 +240,7 @@ class _Parser:
             if t.kind != "int":
                 self._fail("expected an integer")
             self.pos += 1
-            return IntExpr(t.text)
+            return t.text
         parts = []
         depth = 0
         while True:
@@ -283,12 +264,12 @@ class _Parser:
             self.pos += 1
         if not parts:
             self._fail("expected an integer or expression")
-        return IntExpr(" ".join(parts))
+        return " ".join(parts)
 
     def parse(self) -> PatternSpec:
         if self._peek() is None:
             raise ParseError("empty specification", 1, 1)
-        factors: list[tuple[str, IntExpr]] = []
+        factors: list[tuple[str, str]] = []
         lines: list[tuple[str, ...]] = []
         while True:
             t = self._peek()
@@ -297,9 +278,9 @@ class _Parser:
             if t.text == "u1":
                 self.pos += 1
                 self._take("punct", "[")
-                charges = [self._int_slot().text]
+                charges = [self._int_slot()]
                 while self._accept("punct", ","):
-                    charges.append(self._int_slot().text)
+                    charges.append(self._int_slot())
                 self._take("punct", "]")
                 lines.append(tuple(charges))
             elif t.text in FACTOR_NAMES:
@@ -337,9 +318,9 @@ class _Parser:
         dual = self._accept("punct", "*") is not None
         charges: tuple[str, ...] = ()
         if self._accept("punct", "@"):
-            cc = [self._int_slot().text]
+            cc = [self._int_slot()]
             while self._accept("punct", ","):
-                cc.append(self._int_slot().text)
+                cc.append(self._int_slot())
             charges = tuple(cc)
         return tuple(terms), dual, charges
 
@@ -353,9 +334,9 @@ class _Parser:
         self._take("punct", "(")
         idx = self._int_slot()
         self._take("punct", ")")
-        if not idx.is_literal():
+        if not idx.lstrip("-").isdigit():
             self._fail("factor index must be a literal integer")
-        return (t.text, int(idx.text))
+        return (t.text, int(idx))
 
 
 def parse_pattern(text: str) -> PatternSpec:
@@ -370,7 +351,8 @@ def parse_repspec(text: str) -> tuple[GroupSpec, RepSpec]:
 
 
 def print_repspec(group: GroupSpec, rep: RepSpec) -> str:
-    """Canonical ASCII form; parse(print(s)) round-trips."""
+    """Canonical ASCII form; parse(print(s)) round-trips.  A weight term
+    has no spec syntax and raises ValueError."""
     parts = [f"{f.kind}({f.n})" for f in group.factors]
     parts += [
         "u1[" + ",".join(str(c) for c in line) + "]" for line in group.torus_lines
@@ -381,6 +363,8 @@ def print_repspec(group: GroupSpec, rep: RepSpec) -> str:
         for t in sm.terms:
             if t.kind == "triv":
                 ts.append("triv")
+            elif t.kind == "weight":
+                raise ValueError(f"weight({t.factor}) term {t.weight} has no spec syntax")
             else:
                 ts.append(f"{t.kind}({t.factor})")
         s = " (x) ".join(ts)

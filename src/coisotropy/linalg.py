@@ -440,8 +440,12 @@ def complex_rank(m: ZiArray) -> int:
     return r // 2
 
 
-def float_rank(m: ZiArray, tol: float = 1e-8) -> int:
-    """Double-precision rank via SVD; singular values below tol count as 0.
+_FLOAT_RANK_TOL = 1e-8
+
+
+def float_rank(m: ZiArray) -> int:
+    """Double-precision rank via SVD; singular values below _FLOAT_RANK_TOL
+    times the largest (or 1) count as 0.
 
     Reads the values (re + i*im) / den themselves, not the scaled integers,
     so the tolerance is relative to the matrix as given.
@@ -454,4 +458,4 @@ def float_rank(m: ZiArray, tol: float = 1e-8) -> int:
     if not a.any():
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
+    return int(np.sum(sv > _FLOAT_RANK_TOL * max(1.0, float(sv[0]))))

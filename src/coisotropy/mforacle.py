@@ -325,11 +325,10 @@ def _unit(d: int, a: int, b: int, sign: int) -> np.ndarray:
 
 @dataclass
 class SymmetricPair:
-    """Exact bases of g = k + p for a symmetric-space isotropy splitting,
-    each a list of (re, im) integer matrices."""
+    """Exact bases of k and p in g = k + p for a symmetric-space isotropy
+    splitting, each a list of (re, im) integer matrices."""
 
     name: str
-    g_basis: list[tuple]
     k_basis: list[tuple]
     p_basis: list[tuple]
 
@@ -428,7 +427,6 @@ def so_even_u_pair(m: int) -> SymmetricPair:
     """
     n = 2 * m
     zero = np.zeros((m, m), dtype=np.int64)
-    g_basis = [_real(_unit(n, a, b, -1)) for a, b in zip(*np.triu_indices(n, 1))]
     k_basis, p_basis = [], []
     for a, b in zip(*np.triu_indices(m, 1)):
         x = _unit(m, a, b, -1)
@@ -437,7 +435,7 @@ def so_even_u_pair(m: int) -> SymmetricPair:
     for a, b in zip(*np.triu_indices(m)):
         sym = _unit(m, a, b, 1)
         k_basis.append(_real(np.block([[zero, -sym], [sym, zero]])))
-    return SymmetricPair(f"so({n})/u({m})", g_basis, k_basis, p_basis)
+    return SymmetricPair(f"so({n})/u({m})", k_basis, p_basis)
 
 
 def embed_p_so_even(w: tuple) -> tuple:
@@ -469,7 +467,7 @@ def sp_u_pair(m: int) -> SymmetricPair:
         else:
             k_basis += [a_block(_unit(m, a, b, -1), zero), a_block(zero, sym)]
         p_basis += [b_block(sym, zero), b_block(zero, sym)]
-    return SymmetricPair(f"sp({m})/u({m})", k_basis + p_basis, k_basis, p_basis)
+    return SymmetricPair(f"sp({m})/u({m})", k_basis, p_basis)
 
 
 def maximal_abelian_in_p(

@@ -14,7 +14,7 @@ import functools
 import itertools
 import os
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import gcd
 
@@ -41,7 +41,17 @@ class DataError(ValueError):
 # record parsing
 
 
-def _parse_records(text: str, path: str) -> list[dict[str, str]]:
+def _records(cls, name: str, directory: str | None) -> list:
+    """One cls record per line of a dataset file after its versioned
+    header, the line's keys passed as the record's fields: a missing,
+    unknown or malformed key is a DataError naming the file and line."""
+    if directory is not None:
+        path = os.path.join(directory, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        path = name
+        text = resources.files("coisotropy").joinpath("data", name).read_text(encoding="utf-8")
     records = []
     header_seen = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -52,7 +62,7 @@ def _parse_records(text: str, path: str) -> list[dict[str, str]]:
             fields = shlex.split(line)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        rec: dict[str, str] = {"_line": str(lineno)}
+        rec: dict[str, str] = {}
         for fld in fields:
             if "=" not in fld:
                 raise DataError(f"{path}:{lineno}: field {fld!r} is not key=value")
@@ -63,19 +73,13 @@ def _parse_records(text: str, path: str) -> list[dict[str, str]]:
                 raise DataError(f"{path}: missing or bad header line")
             header_seen = True
             continue
-        records.append(rec)
+        try:
+            records.append(cls(**rec))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not header_seen:
         raise DataError(f"{path}: empty dataset file")
     return records
-
-
-def _load_file(name: str, directory: str | None) -> list[dict[str, str]]:
-    if directory is not None:
-        path = os.path.join(directory, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_records(fh.read(), path)
-    ref = resources.files("coisotropy").joinpath("data", name)
-    return _parse_records(ref.read_text(encoding="utf-8"), name)
 
 
 def parse_instantiations(text: str) -> list[dict[str, int]]:
@@ -158,22 +162,34 @@ def space_from_text(text: str, env: dict[str, int]) -> HSSpace:
     raise DataError(f"bad space field {text!r}")
 
 
+# Each record class takes the keys of its file as its fields: a field with
+# no default is a required key, and an optional key defaults to "".
+
+
+class _Instantiated:
+    """A row whose inst key lists parameter choices, 'k=1,m=2|k=1,m=3'."""
+
+    def instantiations(self) -> list[dict[str, int]]:
+        return parse_instantiations(self.inst)
+
+
 @dataclass(frozen=True)
-class MFTableEntry:
+class MFTableEntry(_Instantiated):
     table: str  # Ia | Ib | IIa | IIb
     row: str
-    pattern: PatternSpec
-    pattern_text: str
-    cond: str
-    cond_verbatim: str
-    inst: tuple[tuple[tuple[str, int], ...], ...]
-    anchor: str
-    note: str
+    pattern: PatternSpec  # the pattern text, parsed on construction
+    cond: str = ""
+    cond_verbatim: str = ""  # the source's condition where it differs from cond
+    inst: str = ""
+    anchor: str = ""
+    note: str = ""
     scalar_policy: str = ""  # filled for Ia rows after Ib matching
     removable_cond: str = ""  # the Ib condition gating removability
 
-    def instantiations(self) -> list[dict[str, int]]:
-        return [dict(e) for e in self.inst]
+    def __post_init__(self):
+        if isinstance(self.pattern, str):
+            object.__setattr__(self, "pattern", parse_pattern(self.pattern))
+        self.instantiations()  # a malformed inst fails at its file and line
 
 
 @dataclass(frozen=True)
@@ -182,8 +198,8 @@ class MaxSubgroupEntry:
     ambient: str  # sp | so | su
     row: str
     kind: str  # symmetric | unitary | tensor-embedding | irreducible-rep | torus
-    subgroup_text: str
-    cond: str
+    subgroup: str = ""
+    cond: str = ""
     reality: str = ""  # R | C | H for irreducible-rep rows
     degree: str = ""  # symbolic degree expression
     anchor: str = ""
@@ -192,55 +208,75 @@ class MaxSubgroupEntry:
 
 @dataclass(frozen=True)
 class SliceFact:
-    fact_id: str
-    space_label: str
-    space_param: str
-    subgroup_text: str
-    orbit_kind: str  # fixed-point | complex-orbit | totally-real
-    slice_pattern: str  # DSL pattern, possibly symbolic
-    orbit_dim_c: str  # symbolic complex orbit dimension, '' if not computable
-    source: str
-    anchor: str
+    id: str
+    space: str  # sp | so | e7 | e6
+    orbit: str  # fixed-point | complex-orbit | totally-real
+    param: str = ""  # the classical space's parameter
+    subgroup: str = ""
+    slice: str = ""  # DSL pattern, possibly symbolic
+    orbitdim: str = ""  # symbolic complex orbit dimension, '' if not computable
+    source: str = ""
+    anchor: str = ""
     note: str = ""
 
 
 @dataclass(frozen=True)
-class ResultRow:
+class ResultRow(_Instantiated):
     table: str  # 1 | 2 | 3 | 4
     row: str
     algebra: str
-    algebra_corrected: str
-    space_text: str
-    space_corrected: str
-    cond: str
-    cond_corrected: str
-    inst: tuple[tuple[tuple[str, int], ...], ...]
+    space: str
     verify: str
-    expect_outcome: str
-    verbatim_outcome: str
-    candidate: str
-    slice_pattern: str
-    slice_id: str
-    real_blocks: str
-    expect: str
-    lines_sample: str
-    lines_forbidden: str
-    drop_scalar: str  # '' | 'false' (must fail without scalars) | 'true'
-    poly_id: str
-    scan: str
-    anchor: str
-    note: str
+    outcome: str
+    algebra_corrected: str = ""
+    space_corrected: str = ""
+    cond: str = ""
+    cond_corrected: str = ""
+    inst: str = ""
+    verbatim_outcome: str = ""
+    candidate: str = ""
+    slice: str = ""
+    slice_id: str = ""
+    realslice: str = ""
+    expect: str = ""
+    lines: str = ""
+    forbidden: str = ""
+    drop: str = ""  # '' | 'false' (must fail without scalars) | 'true' | 'need2'
+    poly: str = ""
+    scan: str = ""
+    anchor: str = ""
+    note: str = ""
 
-    def instantiations(self) -> list[dict[str, int]]:
-        return [dict(e) for e in self.inst]
+    def __post_init__(self):
+        self.instantiations()  # a malformed inst fails at its file and line
 
 
 @dataclass(frozen=True)
 class SymmetricPairRow:
     ambient: str
     subgroup: str
-    cond: str
+    cond: str = ""
     note: str = ""
+
+
+@dataclass(frozen=True)
+class LemmaRow:
+    """An exception of the lemma 2.1 inequalities (part, family, rank,
+    weight), or a stated-versus-formula note (kind=note)."""
+
+    kind: str = ""
+    part: str = ""
+    family: str = ""
+    rank: str = ""
+    weight: str = ""
+    id: str = ""
+    stated: str = ""
+    formula: str = ""
+    note: str = ""
+
+    def __post_init__(self):
+        if self.kind != "note" and not (self.part and self.family and self.rank and self.weight):
+            raise ValueError("an exception row needs part, family, rank and weight")
 
 
 @dataclass
@@ -250,8 +286,8 @@ class Dataset:
     slice_facts: list[SliceFact]
     result_rows: list[ResultRow]
     symmetric_pairs: list[SymmetricPairRow]
-    lemma_records: list[dict[str, str]]
-    notes: list[dict[str, str]]
+    lemma_records: list[LemmaRow]
+    notes: list[LemmaRow]
 
     def results_for(self, table: str) -> list[ResultRow]:
         return [r for r in self.result_rows if r.table == table]
@@ -261,13 +297,9 @@ class Dataset:
 
     def slice_by_id(self, fact_id: str) -> SliceFact:
         for f in self.slice_facts:
-            if f.fact_id == fact_id:
+            if f.id == fact_id:
                 return f
         raise DataError(f"unknown slice fact {fact_id!r}")
-
-
-def _freeze_inst(text: str) -> tuple[tuple[tuple[str, int], ...], ...]:
-    return tuple(tuple(sorted(e.items())) for e in parse_instantiations(text))
 
 
 @functools.lru_cache(maxsize=4)
@@ -275,132 +307,29 @@ def load_dataset(directory: str | None = None) -> Dataset:
     """Load and sanity-check the dataset (honors LIE_COISO_DATA)."""
     if directory is None:
         directory = os.environ.get(DATA_ENV_VAR) or None
-
-    mf_entries = []
-    for rec in _load_file("mftables.txt", directory):
-        entry = MFTableEntry(
-            table=rec["table"],
-            row=rec["row"],
-            pattern=parse_pattern(rec["pattern"]),
-            pattern_text=rec["pattern"],
-            cond=rec.get("cond", ""),
-            cond_verbatim=rec.get("cond_verbatim", rec.get("cond", "")),
-            inst=_freeze_inst(rec.get("inst", "")),
-            anchor=rec.get("anchor", ""),
-            note=rec.get("note", ""),
+    mf_entries = _records(MFTableEntry, "mftables.txt", directory)
+    # an Ia row is scalar-removable iff an Ib row has the same pattern; the
+    # Ib condition then gates removability
+    ib_cond = {e.pattern: e.cond for e in mf_entries if e.table == "Ib"}
+    mf_entries = [
+        replace(
+            e,
+            scalar_policy="removable" if e.pattern in ib_cond else "required",
+            removable_cond=ib_cond.get(e.pattern, ""),
         )
-        mf_entries.append(entry)
-    # attach removability: an Ia row is scalar-removable iff an Ib row with
-    # the same pattern text exists; the Ib condition then gates removability
-    ib_by_pattern = {e.pattern_text: e for e in mf_entries if e.table == "Ib"}
-    resolved = []
-    for e in mf_entries:
-        if e.table == "Ia":
-            ib = ib_by_pattern.get(e.pattern_text)
-            policy = "removable" if ib is not None else "required"
-            resolved.append(
-                MFTableEntry(
-                    table=e.table,
-                    row=e.row,
-                    pattern=e.pattern,
-                    pattern_text=e.pattern_text,
-                    cond=e.cond,
-                    cond_verbatim=e.cond_verbatim,
-                    inst=e.inst,
-                    anchor=e.anchor,
-                    note=e.note,
-                    scalar_policy=policy,
-                    removable_cond=ib.cond if ib is not None else "",
-                )
-            )
-        else:
-            resolved.append(e)
-    mf_entries = resolved
-
-    maxsub_entries = [
-        MaxSubgroupEntry(
-            table=rec["table"],
-            ambient=rec["ambient"],
-            row=rec["row"],
-            kind=rec["kind"],
-            subgroup_text=rec.get("subgroup", ""),
-            cond=rec.get("cond", ""),
-            reality=rec.get("reality", ""),
-            degree=rec.get("degree", ""),
-            anchor=rec.get("anchor", ""),
-            note=rec.get("note", ""),
-        )
-        for rec in _load_file("maxsub.txt", directory)
+        if e.table == "Ia"
+        else e
+        for e in mf_entries
     ]
-
-    slice_facts = [
-        SliceFact(
-            fact_id=rec["id"],
-            space_label=rec["space"],
-            space_param=rec.get("param", ""),
-            subgroup_text=rec.get("subgroup", ""),
-            orbit_kind=rec.get("orbit", "complex-orbit"),
-            slice_pattern=rec.get("slice", ""),
-            orbit_dim_c=rec.get("orbitdim", ""),
-            source=rec.get("source", ""),
-            anchor=rec.get("anchor", ""),
-            note=rec.get("note", ""),
-        )
-        for rec in _load_file("slices.txt", directory)
-    ]
-
-    result_rows = [
-        ResultRow(
-            table=rec["table"],
-            row=rec["row"],
-            algebra=rec["algebra"],
-            algebra_corrected=rec.get("algebra_corrected", ""),
-            space_text=rec["space"],
-            space_corrected=rec.get("space_corrected", ""),
-            cond=rec.get("cond", ""),
-            cond_corrected=rec.get("cond_corrected", ""),
-            inst=_freeze_inst(rec.get("inst", "")),
-            verify=rec["verify"],
-            expect_outcome=rec["outcome"],
-            verbatim_outcome=rec.get("verbatim_outcome", ""),
-            candidate=rec.get("candidate", ""),
-            slice_pattern=rec.get("slice", ""),
-            slice_id=rec.get("slice_id", ""),
-            real_blocks=rec.get("realslice", ""),
-            expect=rec.get("expect", ""),
-            lines_sample=rec.get("lines", ""),
-            lines_forbidden=rec.get("forbidden", ""),
-            drop_scalar=rec.get("drop", ""),
-            poly_id=rec.get("poly", ""),
-            scan=rec.get("scan", ""),
-            anchor=rec.get("anchor", ""),
-            note=rec.get("note", ""),
-        )
-        for rec in _load_file("results.txt", directory)
-    ]
-
-    symmetric_pairs = [
-        SymmetricPairRow(
-            ambient=rec["ambient"],
-            subgroup=rec["subgroup"],
-            cond=rec.get("cond", ""),
-            note=rec.get("note", ""),
-        )
-        for rec in _load_file("sympairs.txt", directory)
-    ]
-
-    lemma_records = _load_file("lemma21.txt", directory)
-    notes = [r for r in lemma_records if r.get("kind") == "note"]
-    lemma_records = [r for r in lemma_records if r.get("kind") != "note"]
-
+    lemma = _records(LemmaRow, "lemma21.txt", directory)
     ds = Dataset(
         mf_entries=mf_entries,
-        maxsub_entries=maxsub_entries,
-        slice_facts=slice_facts,
-        result_rows=result_rows,
-        symmetric_pairs=symmetric_pairs,
-        lemma_records=lemma_records,
-        notes=notes,
+        maxsub_entries=_records(MaxSubgroupEntry, "maxsub.txt", directory),
+        slice_facts=_records(SliceFact, "slices.txt", directory),
+        result_rows=_records(ResultRow, "results.txt", directory),
+        symmetric_pairs=_records(SymmetricPairRow, "sympairs.txt", directory),
+        lemma_records=[r for r in lemma if r.kind != "note"],
+        notes=[r for r in lemma if r.kind == "note"],
     )
     validate_dataset(ds)
     return ds
@@ -427,7 +356,7 @@ def validate_dataset(ds: Dataset) -> None:
                     )
     for r in ds.result_rows:
         if r.verify in ("mf-slice", "slice-fail", "cohom-slice") and not (
-            r.slice_pattern or r.slice_id or r.real_blocks
+            r.slice or r.slice_id or r.realslice
         ):
             raise DataError(f"table {r.table} row {r.row}: recipe needs slice data")
         if r.verify == "encoded-only" and not r.note and not r.anchor:
@@ -615,7 +544,7 @@ def _factor_maps(group: GroupSpec, pat: PatternSpec, faced: list, used: list[int
             continue
         env: dict[str, int] | None = {}
         for (_, expr), fac in zip(pat.factors, facs):
-            env = _solve_rank(expr.text, fac.n, env)
+            env = _solve_rank(expr, fac.n, env)
             if env is None:
                 break
         else:
@@ -726,7 +655,7 @@ def maximal_subgroups(
             continue
         import re as _re
 
-        braced = _re.findall(r"\{([^}]*)\}", e.subgroup_text)
+        braced = _re.findall(r"\{([^}]*)\}", e.subgroup)
         names = expr_names(e.cond)
         for expr in braced:
             names |= expr_names(expr)
@@ -757,7 +686,7 @@ def maximal_subgroups(
                 {
                     "row": e.row,
                     "kind": e.kind,
-                    "subgroup": _substitute(e.subgroup_text, env),
+                    "subgroup": _substitute(e.subgroup, env),
                     "parameters": {
                         k: v for k, v in env.items() if k not in ("m", "n")
                     },
@@ -789,6 +718,6 @@ def slice_facts(
     return [
         f
         for f in ds.slice_facts
-        if f.space_label == space_label
-        and f.subgroup_text.replace(" ", "").lower() == key
+        if f.space == space_label
+        and f.subgroup.replace(" ", "").lower() == key
     ]

@@ -85,9 +85,6 @@ class DominantWeight:
     def zero(cls, rank: int) -> "DominantWeight":
         return cls((0,) * rank)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
 

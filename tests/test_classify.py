@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from coisotropy import classify
 from coisotropy.classify import (
     dimension_threshold,
     dimensional_condition,
@@ -71,6 +72,26 @@ def test_polynomial_scan_families_hold():
     assert by_id["4.5"]["f3_stated"][3] == -10  # stated p^2 - 19 at p = 3
 
 
+def test_polynomial_certificate_needs_a_non_negative_leading_coefficient(monkeypatch):
+    # f = -x^2 + 1000 x is positive on the grid and f'(3) > 0, but its
+    # leading coefficient is negative, so the grid proves nothing past it
+    monkeypatch.setitem(
+        classify._POLY_FAMILIES,
+        "t",
+        {
+            "f": lambda x, q: -x * x + 1000 * x,
+            "x_min": 3,
+            "q_min": 2,
+            "f3_claimed": lambda q: 2991,
+            "definition": "-x^2 + 1000 x",
+        },
+    )
+    entry = classify.polynomial_family("t", 20)
+    assert not entry["all_hold"]
+    assert entry["violations"][0] == ("fprime", 3, 2)
+    assert entry["stated_matches"]
+
+
 def test_dimensional_condition_examples():
     # tensor pair of small rotation groups: fails on SO(12)/U(6)
     g = GroupSpec(factors=(Factor("so", 3), Factor("so", 3)))
@@ -126,7 +147,7 @@ def test_malformed_space_field_raises_data_error():
     # an AttributeError inside dimensional_condition
     ds = load_dataset()
     rows = [
-        dataclasses.replace(r, space_text="Sq:m") if r.row == "spE1" else r
+        dataclasses.replace(r, space="Sq:m") if r.row == "spE1" else r
         for r in ds.result_rows
     ]
     bad = dataclasses.replace(ds, result_rows=rows)

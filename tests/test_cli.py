@@ -1,8 +1,11 @@
 import io
+import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
+from coisotropy import repdata
 from coisotropy.cli import main
 
 
@@ -104,6 +107,12 @@ def test_table_jobs_must_be_positive(jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("widen", ["-1", "-5", "x"])
+def test_table_widen_params_must_not_be_negative(widen, capsys):
+    assert main(["table", "3", "--widen-params", widen]) == 2
+    assert "--widen-params" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -151,3 +160,37 @@ def test_an_unwritable_report_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out.startswith("error: ") and out.count("\n") == 1 and str(report) in out
     assert not report.parent.exists()
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """A copy of the packaged dataset that LIE_COISO_DATA points at."""
+    data = tmp_path / "data"
+    shutil.copytree(Path(repdata.__file__).parent / "data", data)
+    monkeypatch.setenv(repdata.DATA_ENV_VAR, str(data))
+    repdata.load_dataset.cache_clear()
+    yield data
+    repdata.load_dataset.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, marker, old, new, names",
+    [
+        ("results.txt", "row=so14 ", " verify=slice-fail", "", ["missing", "'verify'"]),
+        ("results.txt", "row=so14 ", " forbidden=", " forbiden=", ["'forbiden'"]),
+        ("slices.txt", "id=S10 ", " source=", " colour=red source=", ["'colour'"]),
+        ("mftables.txt", "row=5 ", "alt2(1)", "alt3(1)", ["expected a term"]),
+    ],
+    ids=["missing-key", "misspelt-key", "unknown-key", "malformed-pattern"],
+)
+def test_a_bad_dataset_record_is_a_usage_error(data_copy, name, marker, old, new, names, capsys):
+    path = data_copy / name
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lineno = next(i for i, line in enumerate(lines, 1) if marker in line)
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code, out = run_cli(["table", "1"], capsys)
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith(f"error: {path}:{lineno}: ")
+    assert all(n in out for n in names)

@@ -138,3 +138,11 @@ def test_round_trip_on_dataset_examples():
     ):
         group, rep = parse_repspec(text)
         assert parse_repspec(print_repspec(group, rep)) == (group, rep)
+
+
+def test_print_repspec_rejects_a_weight_term():
+    # the grammar has no weight term, so printing one could not round-trip
+    group = GroupSpec(factors=(Factor("sp", 2),))
+    rep = RepSpec(summands=(Summand(terms=(Term("weight", 1, (0, 1)),)),))
+    with pytest.raises(ValueError, match=r"weight\(1\) term \(0, 1\)"):
+        print_repspec(group, rep)

@@ -34,6 +34,22 @@ def test_dataset_loads_every_file(ds):
     assert ds.slice_facts and ds.result_rows and ds.symmetric_pairs
 
 
+def test_ia_removability_comes_from_the_ib_row_with_the_same_pattern(ds):
+    removable = {
+        e.row: e.removable_cond for e in ds.mf_rows("Ia") if e.scalar_policy == "removable"
+    }
+    assert removable == {
+        "1": "n >= 2",
+        "3": "n >= 2",
+        "5": "n >= 5 and n % 2 == 1",
+        "6": "n >= 2 and m >= 2 and n != m",
+        "9": "n >= 5",
+        "12": "",
+    }
+    required = [e for e in ds.mf_rows("Ia") if e.scalar_policy == "required"]
+    assert len(required) == 8 and not any(e.removable_cond for e in required)
+
+
 def test_hsspace_dimensions():
     assert HSSpace("sp", 3).complex_dim == 6
     assert HSSpace("so", 4).complex_dim == 6
@@ -172,9 +188,9 @@ def test_maximal_subgroups_examples(ds):
 
 def test_slice_facts_lookup(ds):
     facts = slice_facts("sp", "sp(k)+sp(m-k)", ds)
-    assert len(facts) == 1 and "std(1) (x) std(2)" in facts[0].slice_pattern
+    assert len(facts) == 1 and "std(1) (x) std(2)" in facts[0].slice
     facts = slice_facts("e7", "t1+e6", ds)
-    assert facts[0].orbit_kind == "fixed-point"
+    assert facts[0].orbit == "fixed-point"
     assert slice_facts("so", "u(m)", ds)
     assert slice_facts("sp", "nothing-here", ds) == []
 
@@ -186,9 +202,9 @@ def test_slice_dimension_identity(ds):
 
     checked = 0
     for fact in ds.slice_facts:
-        if not fact.orbit_dim_c or not fact.slice_pattern:
+        if not fact.orbitdim or not fact.slice:
             continue
-        pat = parse_pattern(fact.slice_pattern)
+        pat = parse_pattern(fact.slice)
         names = sorted(pat.parameters() | set())
         envs = []
         if not names:
@@ -206,13 +222,13 @@ def test_slice_dimension_identity(ds):
         for env in envs:
             group, rep = pat.instantiate(env)
             sdim = sum(_summand_dim(group, s) for s in rep.summands)
-            orbit = eval_int_expr(fact.orbit_dim_c, env) if fact.orbit_dim_c else 0
-            if fact.space_label in ("e7", "e6"):
-                total = HSSpace(fact.space_label).complex_dim
+            orbit = eval_int_expr(fact.orbitdim, env) if fact.orbitdim else 0
+            if fact.space in ("e7", "e6"):
+                total = HSSpace(fact.space).complex_dim
             else:
-                space_param = eval_int_expr(fact.space_param, env)
-                total = HSSpace(fact.space_label, space_param).complex_dim
-            assert sdim + orbit == total, fact.fact_id
+                space_param = eval_int_expr(fact.param, env)
+                total = HSSpace(fact.space, space_param).complex_dim
+            assert sdim + orbit == total, fact.id
             checked += 1
     assert checked >= 10
 
@@ -223,7 +239,7 @@ def test_result_table_totality(ds):
         assert rows
         for row in rows:
             assert row.verify
-            assert row.expect_outcome
+            assert row.outcome
             if row.verify in ("encoded-only", "encoded-nonpolar"):
                 assert row.note or row.anchor
 
@@ -249,7 +265,7 @@ def test_corrected_rows_are_the_documented_set(ds):
         if r.algebra_corrected
         or r.space_corrected
         or r.cond_corrected
-        or (r.verbatim_outcome and r.verbatim_outcome != r.expect_outcome)
+        or (r.verbatim_outcome and r.verbatim_outcome != r.outcome)
     }
     assert corrected == {
         ("1", "sp2"),
