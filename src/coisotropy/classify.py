@@ -9,9 +9,9 @@ four result tables with structured evidence.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .dsl import eval_int_expr, parse_pattern
+from .dsl import eval_int_expr
 from .matrep import GroupSpec, RepSpec, real_block_rep, realize
 from .mforacle import (
     DEFAULT_SEED,
@@ -26,7 +26,6 @@ from .repdata import (
     ResultRow,
     load_dataset,
     lookup_mf,
-    parse_lines_field,
     space_from_text,
 )
 from .rootsys import (
@@ -256,6 +255,8 @@ def polynomial_family(pid: str, limit: int = 200) -> dict:
     first is f'(x0) + a).  The stated value of f at x = 3 is compared with
     the definition.  A limit that leaves the grid empty is rejected.
     """
+    if pid not in _POLY_FAMILIES:
+        raise ValueError(f"unknown polynomial family {pid!r}")
     fam = _POLY_FAMILIES[pid]
     least = max(fam["x_min"], fam["q_min"])
     if limit < least:
@@ -330,46 +331,6 @@ class Verdict:
         )
 
 
-class RowError(RuntimeError):
-    pass
-
-
-def _slice_spec(row: ResultRow, ds: Dataset) -> str:
-    if row.slice:
-        return row.slice
-    if row.slice_id:
-        return ds.slice_by_id(row.slice_id).slice
-    return ""
-
-
-def _instantiate_slice(
-    pattern_text: str,
-    env: dict,
-    extra_line: tuple[int, ...] | None = None,
-    drop_lines: bool = False,
-    keep_single_line: int | None = None,
-):
-    pat = parse_pattern(pattern_text)
-    group, rep = pat.instantiate(env)
-    lines = group.torus_lines
-    if extra_line is not None:
-        lines = lines + (extra_line,)
-    if drop_lines:
-        lines = ()
-        from .matrep import Summand
-
-        rep = RepSpec(
-            summands=tuple(
-                Summand(terms=s.terms, dual=s.dual, charges=())
-                for s in rep.summands
-            )
-        )
-    if keep_single_line is not None:
-        lines = (lines[keep_single_line],)
-    group = GroupSpec(factors=group.factors, torus_lines=lines)
-    return group, rep
-
-
 def _run_row(
     row: ResultRow, env: dict, ds: Dataset, seed: int
 ) -> Verdict:
@@ -383,38 +344,35 @@ def _run_row(
     )
     ok = True
     v = row.verify
+    expect = {name: eval_int_expr(expr, env) for name, expr in row.expect}
 
     def add(rule, numbers, text=""):
         checks.append(Evidence(rule=rule, source=row.anchor, numbers=numbers, text=text))
 
     if v in ("mf-slice", "slice-fail"):
         expect_mf = v == "mf-slice"
-        spec_text = _slice_spec(row, ds)
-        samples = parse_lines_field(row.lines)
-        forbidden = parse_lines_field(row.forbidden)
-        if samples:
-            for direction in samples:
-                group, rep = _instantiate_slice(spec_text, env, extra_line=direction)
-                mrep = realize(group, rep)
-                got = mf_test(mrep, seed=seed)
-                add(
-                    "borel-orbit-rank",
-                    {"direction": direction, "mf": got, "dim": mrep.space_dim},
-                )
+        group, rep = row.slice.instantiate(env)
+
+        def mf_on(lines, module=rep):
+            """(mf, dim) of the slice module on the slice factors and lines."""
+            mrep = realize(GroupSpec(factors=group.factors, torus_lines=lines), module)
+            return mf_test(mrep, seed=seed), mrep.space_dim
+
+        if row.lines:
+            for direction in row.lines:
+                got, dim = mf_on(group.torus_lines + (direction,))
+                add("borel-orbit-rank", {"direction": direction, "mf": got, "dim": dim})
                 if got != expect_mf:
                     ok = False
-            for direction in forbidden:
-                group, rep = _instantiate_slice(spec_text, env, extra_line=direction)
-                got = mf_test(realize(group, rep), seed=seed)
+            for direction in row.forbidden:
+                got, _ = mf_on(group.torus_lines + (direction,))
                 add("excluded-direction", {"direction": direction, "mf": got})
                 if got:
                     ok = False
                     notes.append(f"excluded direction {direction} unexpectedly passes")
         else:
-            group, rep = _instantiate_slice(spec_text, env)
-            mrep = realize(group, rep)
-            got = mf_test(mrep, seed=seed)
-            add("borel-orbit-rank", {"mf": got, "dim": mrep.space_dim})
+            got, dim = mf_on(group.torus_lines)
+            add("borel-orbit-rank", {"mf": got, "dim": dim})
             if got != expect_mf:
                 ok = False
             if got and len(rep.summands) <= 2:
@@ -433,40 +391,23 @@ def _run_row(
                         ok = False
                         notes.append("table lookup disagrees with the rank oracle")
             if row.drop in ("false", "true"):
-                g2, r2 = _instantiate_slice(spec_text, env, drop_lines=True)
-                got2 = mf_test(realize(g2, r2), seed=seed) if (
-                    g2.factors or g2.torus_lines
-                ) else False
+                bare = RepSpec(tuple(replace(sm, charges=()) for sm in rep.summands))
+                got2 = mf_on((), bare)[0] if group.factors else False
                 add("scalar-dropped", {"mf": got2})
-                want = row.drop == "true"
-                if got2 != want:
+                if got2 != (row.drop == "true"):
                     ok = False
             elif row.drop == "need2":
-                group0, rep0 = _instantiate_slice(spec_text, env)
-                for idx in range(len(group0.torus_lines)):
-                    g2, r2 = _instantiate_slice(spec_text, env, keep_single_line=idx)
-                    got2 = mf_test(realize(g2, r2), seed=seed)
-                    add("single-scalar", {"line": group0.torus_lines[idx], "mf": got2})
+                for line in group.torus_lines:
+                    got2, _ = mf_on((line,))
+                    add("single-scalar", {"line": line, "mf": got2})
                     if got2:
                         ok = False
     elif v in ("cohom-slice", "cohom-real"):
-        expect = _parse_expect(row.expect, env)
         if v == "cohom-real":
-            blocks = []
-            for chunk in row.realslice.split(","):
-                chunk = chunk.strip()
-                if chunk.startswith("triv:"):
-                    blocks.append(("triv", int(chunk.split(":")[1])))
-                elif chunk == "vec7":
-                    blocks.append(("vec7", 7))
-                elif chunk == "spin8":
-                    blocks.append(("spin8", 8))
-                else:
-                    raise RowError(f"unknown real block {chunk!r}")
-            rep_obj = real_block_rep(blocks)
+            rep_obj = real_block_rep(row.realslice)
             report = coisotropic_by_rank(rep_obj, seed=seed, group_rank=expect.get("rank"))
         else:
-            group, rep = _instantiate_slice(_slice_spec(row, ds), env)
+            group, rep = row.slice.instantiate(env)
             rank = expect.get("rank", group.rank)
             report = coisotropic_by_rank(realize(group, rep), seed=seed, group_rank=rank)
         add(
@@ -486,8 +427,7 @@ def _run_row(
             ok = False
     elif v == "dim-fail":
         space = space_from_text(row.space_corrected or row.space, env)
-        pat = parse_pattern(row.candidate + " on triv")
-        group, _ = pat.instantiate(env)
+        group, _ = row.candidate.instantiate(env)
         rep_dim = dimensional_condition(group, space)
         add(
             "dimensional-condition",
@@ -505,14 +445,14 @@ def _run_row(
         if not entry["all_hold"]:
             ok = False
     elif v == "scan":
-        reality, degree, mindim = row.scan.split(",")
-        found = irrep_scan(reality, int(degree), int(mindim))
+        reality, degree, min_dim = row.scan
+        found = irrep_scan(reality, degree, min_dim)
         add(
             "irreducible-module-scan",
             {
                 "reality": reality,
-                "degree": int(degree),
-                "min_dim": int(mindim),
+                "degree": degree,
+                "min_dim": min_dim,
                 "found": [(str(e["type"]), e["weight"].coeffs) for e in found],
             },
         )
@@ -530,17 +470,15 @@ def _run_row(
         if not hit:
             ok = False
     elif v == "cohom-one":
-        expect = _parse_expect(row.expect, env)
         if "identity" in expect:
             add("dimension-identity", {"holds": bool(expect["identity"])})
             if not expect["identity"]:
                 ok = False
-        spec_text = _slice_spec(row, ds)
-        if spec_text:
-            group, rep = _instantiate_slice(spec_text, env)
+        if row.slice is not None:
+            group, rep = row.slice.instantiate(env)
             ch = cohomogeneity(realize(group, rep), seed=seed)
             add("slice-cohomogeneity", {"ch": ch})
-            if ch != 1:
+            if ch != expect.get("ch", 1):
                 ok = False
     elif v == "known-polar":
         add("encoded-hyperpolar", {"encoded": True})
@@ -567,16 +505,12 @@ def _run_row(
                 "is closed; the verdict follows the slice-coordinate model"
             )
     elif v == "reducible-nonpolar":
-        spec_text = _slice_spec(row, ds)
-        pat = parse_pattern(spec_text)
-        n_summands = len(pat.summands)
+        n_summands = len(row.slice.summands)
         add("reducible-slice", {"summands": n_summands})
         if n_summands < 2:
             ok = False
-    elif v in ("encoded-nonpolar", "encoded-only"):
+    else:  # encoded-nonpolar, encoded-only
         add("encoded", {"verdict": row.outcome})
-    else:
-        raise RowError(f"unknown verify kind {v!r}")
 
     outcome = row.outcome if ok else "mismatch"
     return Verdict(
@@ -592,18 +526,6 @@ def _run_row(
         evidence=checks,
         notes=notes,
     )
-
-
-def _parse_expect(text: str, env: dict) -> dict:
-    out = {}
-    if not text:
-        return out
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        name, expr = chunk.split("=", 1)
-        out[name.strip()] = eval_int_expr(expr, env)
-    return out
 
 
 def _same_algebra(a: str, b: str) -> bool:

@@ -402,12 +402,6 @@ def int_kernel(rows) -> tuple[int, np.ndarray]:
             budget = _prime_budget(a)
 
 
-def _narrow_rank(a: np.ndarray) -> int:
-    """Exact rank of a nonempty integer matrix, through the kernel of
-    whichever of a and its transpose has fewer columns."""
-    return int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0]
-
-
 def int_rank(rows) -> int:
     """Exact rank of an integer matrix, given as an array or a list of rows.
 
@@ -417,7 +411,7 @@ def int_rank(rows) -> int:
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     if a.ndim != 2 or 0 in a.shape:
         return 0
-    return _narrow_rank(a)
+    return int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0]
 
 
 def complex_rank(m: ZiArray) -> int:
@@ -434,7 +428,7 @@ def complex_rank(m: ZiArray) -> int:
     residues = ((m.re % p).astype(np.int64) + s * (m.im % p).astype(np.int64)) % p
     if _modp_rank(residues, p) == min(m.re.shape):
         return min(m.re.shape)
-    r = _narrow_rank(np.block([[m.re, -m.im], [m.im, m.re]]))
+    r = int_rank(np.block([[m.re, -m.im], [m.im, m.re]]))
     if r % 2:
         raise ArithmeticError(f"realified rank {r} of a complex space is odd")
     return r // 2

@@ -625,7 +625,6 @@ class MatrixRep:
     gens: ZiStack
     cartan_labels: list[tuple[int, int]]  # (factor index, simple root index)
     root_labels: list[tuple[int, tuple[int, ...]]]  # (factor index, root coords)
-    summand_slices: list[tuple[int, int]]
 
     @property
     def n_torus(self) -> int:
@@ -781,7 +780,6 @@ def realize(
         gens=_coalesce((nc + 2 * npos + n_torus, total, total), k, row, col, re, im, den),
         cartan_labels=cartan_labels,
         root_labels=root_labels,
-        summand_slices=[(o, o + d) for o, d, _, _ in summands],
     )
     validate_matrix_rep(out)
     return out
@@ -890,24 +888,27 @@ def spin7_real_gens() -> ZiStack:
     return _real_stack(spin.re, den)
 
 
-def real_block_rep(blocks: list[tuple[str, int]]) -> RealRep:
-    """Diagonal so(7) action on a sum of blocks.
+def real_block_rep(text: str) -> RealRep:
+    """Diagonal so(7) action on a sum of blocks, 'triv:2,vec7,spin8'.
 
-    Block kinds: 'triv' (given dimension), 'vec7' (R^7 vector action),
-    'spin8' (R^8 real spin action).  Generators are indexed by the pairs
-    (a, b), a < b, of so(7); each block's entries sit at its offset, over
-    one denominator.
+    Blocks, comma separated: 'triv:N' (N trivial lines), 'vec7' (R^7
+    vector action), 'spin8' (R^8 real spin action).  Generators are indexed
+    by the pairs (a, b), a < b, of so(7); each block's entries sit at its
+    offset, over one denominator.
     """
     models = {"vec7": so_vector_gens(7), "spin8": spin7_real_gens()}
     den = lcm(*(m.den for m in models.values()))
     parts, off = [], 0
-    for kind, d in blocks:
-        if kind not in ("triv", *models):
-            raise RepresentationError(f"unknown real block {kind!r}")
-        if kind != "triv":
-            m = models[kind]
+    for block in text.split(","):
+        block = block.strip()
+        if block in models:
+            m = models[block]
             parts.append((m.k, m.row + off, m.col + off, m.re * (den // m.den)))
-        off += d
+            off += m.shape[1]
+        elif block.startswith("triv:") and block[5:].isdigit():
+            off += int(block[5:])
+        else:
+            raise RepresentationError(f"unknown real block {block!r}")
     k, row, col, re = (
         np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
         for t in range(4)

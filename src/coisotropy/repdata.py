@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import re
 import shlex
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -41,10 +42,11 @@ class DataError(ValueError):
 # record parsing
 
 
-def _records(cls, name: str, directory: str | None) -> list:
+def _records(cls, name: str, directory: str | None, finish=lambda record: record) -> list:
     """One cls record per line of a dataset file after its versioned
-    header, the line's keys passed as the record's fields: a missing,
-    unknown or malformed key is a DataError naming the file and line."""
+    header, the line's keys passed as the record's fields and the record
+    passed through finish: a missing, unknown or malformed key, or a fault
+    that finish raises, is a DataError naming the file and line."""
     if directory is not None:
         path = os.path.join(directory, name)
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,7 +76,7 @@ def _records(cls, name: str, directory: str | None) -> list:
             header_seen = True
             continue
         try:
-            records.append(cls(**rec))
+            records.append(finish(cls(**rec)))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not header_seen:
@@ -89,20 +91,20 @@ def parse_instantiations(text: str) -> list[dict[str, int]]:
         return out
     for chunk in text.split("|"):
         env: dict[str, int] = {}
-        for part in chunk.split(","):
-            if not part.strip():
-                continue
-            k, v = part.split("=")
-            env[k.strip()] = int(v)
+        for part in filter(str.strip, chunk.split(",")):
+            name, eq, value = (x.strip() for x in part.partition("="))
+            if not (eq and name.isidentifier() and value.lstrip("-").isdigit()):
+                raise ValueError(f"inst chunk {part.strip()!r} is not name=integer")
+            env[name] = int(value)
         out.append(env)
     return out
 
 
-def parse_lines_field(text: str) -> list[tuple[int, ...]]:
-    """'1,0;0,1' -> [(1,0), (0,1)]."""
+def _int_lines(text: str) -> tuple[tuple[int, ...], ...]:
+    """'1,0;0,1' -> ((1, 0), (0, 1))."""
     if not text:
-        return []
-    return [tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";")]
+        return ()
+    return tuple(tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";"))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,17 @@ class MFTableEntry(_Instantiated):
     def __post_init__(self):
         if isinstance(self.pattern, str):
             object.__setattr__(self, "pattern", parse_pattern(self.pattern))
-        self.instantiations()  # a malformed inst fails at its file and line
+        envs = self.instantiations()
+        if not envs and self.pattern.parameters():
+            raise ValueError("a pattern with parameters needs instantiations")
+        # the first three must elaborate; charges a=1, b=2 stand in for the
+        # summand charges a condition may read
+        for env in envs[:3] or [{}]:
+            if not eval_condition(self.cond, {"a": 1, "b": 2, **env}):
+                raise ValueError(f"instantiation {env} violates its own condition")
+            group, rep = self.pattern.instantiate(env)
+            if any(_summand_dim(group, sm) < 1 for sm in rep.summands):
+                raise ValueError(f"instantiation {env} has a zero-dimensional summand")
 
 
 @dataclass(frozen=True)
@@ -220,13 +232,50 @@ class SliceFact:
     note: str = ""
 
 
+# The verify recipes of result rows, one branch of classify._run_row each.
+RECIPES = (
+    "mf-slice",
+    "slice-fail",
+    "cohom-slice",
+    "cohom-real",
+    "dim-fail",
+    "poly",
+    "scan",
+    "transitive",
+    "symmetric",
+    "cohom-one",
+    "known-polar",
+    "lie-triple",
+    "reducible-nonpolar",
+    "encoded-nonpolar",
+    "encoded-only",
+)
+# the field a recipe cannot run without; a slice may also come from slice_id
+_NEEDS = {
+    "mf-slice": "slice",
+    "slice-fail": "slice",
+    "cohom-slice": "slice",
+    "reducible-nonpolar": "slice",
+    "cohom-real": "realslice",
+    "dim-fail": "candidate",
+    "poly": "poly",
+    "scan": "scan",
+}
+# the expect= names the cohom-slice, cohom-real and cohom-one recipes read
+_EXPECT_NAMES = ("ch", "princ", "rank", "coiso", "identity")
+
+
 @dataclass(frozen=True)
 class ResultRow(_Instantiated):
+    """A result-table row and its verification recipe.  The recipe fields
+    are parsed on construction; the file's text of a field is converted
+    only while it is still a str, so dataclasses.replace keeps working."""
+
     table: str  # 1 | 2 | 3 | 4
     row: str
     algebra: str
     space: str
-    verify: str
+    verify: str  # one of RECIPES
     outcome: str
     algebra_corrected: str = ""
     space_corrected: str = ""
@@ -234,21 +283,60 @@ class ResultRow(_Instantiated):
     cond_corrected: str = ""
     inst: str = ""
     verbatim_outcome: str = ""
-    candidate: str = ""
-    slice: str = ""
+    candidate: PatternSpec | None = None  # 'so(p) + sp(q)', held as '... on triv'
+    slice: PatternSpec | None = None  # filled from slice_id on loading
     slice_id: str = ""
-    realslice: str = ""
-    expect: str = ""
-    lines: str = ""
-    forbidden: str = ""
+    realslice: str = ""  # real blocks, 'triv:2,vec7,spin8' (matrep.real_block_rep)
+    expect: tuple[tuple[str, str], ...] = ()  # 'ch=4;princ=m-2' -> (name, expression)
+    lines: tuple[tuple[int, ...], ...] = ()  # '1,0;0,1' -> sampled torus lines
+    forbidden: tuple[tuple[int, ...], ...] = ()  # torus lines that must fail
     drop: str = ""  # '' | 'false' (must fail without scalars) | 'true' | 'need2'
     poly: str = ""
-    scan: str = ""
+    scan: tuple[str, int, int] | None = None  # 'R,12,47' -> (reality, degree, min_dim)
     anchor: str = ""
     note: str = ""
 
     def __post_init__(self):
+        if self.verify not in RECIPES:
+            raise ValueError(f"unknown verify recipe {self.verify!r}")
+        if self.drop not in ("", "false", "true", "need2"):
+            raise ValueError(f"drop {self.drop!r} is not false, true or need2")
         self.instantiations()  # a malformed inst fails at its file and line
+        convert = {
+            "candidate": lambda t: parse_pattern(t + " on triv") if t else None,
+            "slice": lambda t: parse_pattern(t) if t else None,
+            "expect": _expect_pairs,
+            "lines": _int_lines,
+            "forbidden": _int_lines,
+            "scan": lambda t: _scan_triple(t) if t else None,
+        }
+        for name, parse in convert.items():
+            if isinstance(getattr(self, name), str):
+                object.__setattr__(self, name, parse(getattr(self, name)))
+        need = _NEEDS.get(self.verify)
+        if need and not getattr(self, need) and not (need == "slice" and self.slice_id):
+            raise ValueError(f"verify={self.verify} needs {need}=")
+        if self.verify == "encoded-only" and not (self.note or self.anchor):
+            raise ValueError("verify=encoded-only needs a note or an anchor")
+
+
+def _expect_pairs(text: str) -> tuple[tuple[str, str], ...]:
+    """'ch=4;princ=m-2' -> (('ch', '4'), ('princ', 'm-2'))."""
+    out = []
+    for chunk in filter(str.strip, text.split(";")):
+        name, eq, expr = chunk.partition("=")
+        if not eq or name.strip() not in _EXPECT_NAMES:
+            raise ValueError(f"expect chunk {chunk!r} is not name=expression, name in {_EXPECT_NAMES}")
+        out.append((name.strip(), expr))
+    return tuple(out)
+
+
+def _scan_triple(text: str) -> tuple[str, int, int]:
+    """'R,12,47' -> ('R', 12, 47)."""
+    parts = text.split(",")
+    if len(parts) != 3 or parts[0] not in ("R", "C", "H"):
+        raise ValueError(f"scan {text!r} is not reality,degree,min_dim with reality R, C or H")
+    return parts[0], int(parts[1]), int(parts[2])
 
 
 @dataclass(frozen=True)
@@ -295,18 +383,16 @@ class Dataset:
     def mf_rows(self, table: str) -> list[MFTableEntry]:
         return [r for r in self.mf_entries if r.table == table]
 
-    def slice_by_id(self, fact_id: str) -> SliceFact:
-        for f in self.slice_facts:
-            if f.id == fact_id:
-                return f
-        raise DataError(f"unknown slice fact {fact_id!r}")
+
+def load_dataset(directory: str | None = None) -> Dataset:
+    """The checked dataset of a directory, by default the one LIE_COISO_DATA
+    names at the time of the call, else the packaged data; each directory
+    is loaded once."""
+    return _load_dataset(directory if directory is not None else os.environ.get(DATA_ENV_VAR) or None)
 
 
 @functools.lru_cache(maxsize=4)
-def load_dataset(directory: str | None = None) -> Dataset:
-    """Load and sanity-check the dataset (honors LIE_COISO_DATA)."""
-    if directory is None:
-        directory = os.environ.get(DATA_ENV_VAR) or None
+def _load_dataset(directory: str | None) -> Dataset:
     mf_entries = _records(MFTableEntry, "mftables.txt", directory)
     # an Ia row is scalar-removable iff an Ib row has the same pattern; the
     # Ib condition then gates removability
@@ -322,52 +408,28 @@ def load_dataset(directory: str | None = None) -> Dataset:
         for e in mf_entries
     ]
     lemma = _records(LemmaRow, "lemma21.txt", directory)
-    ds = Dataset(
+    slice_facts = _records(SliceFact, "slices.txt", directory)
+    slices = {f.id: f.slice for f in slice_facts}
+
+    def with_slice(row: ResultRow) -> ResultRow:
+        # a row's own slice wins over the one its slice_id names
+        if row.slice_id and row.slice_id not in slices:
+            raise DataError(f"unknown slice fact {row.slice_id!r}")
+        if row.slice is None and slices.get(row.slice_id):
+            row = replace(row, slice=slices[row.slice_id])
+        if _NEEDS.get(row.verify) == "slice" and row.slice is None:
+            raise DataError(f"slice fact {row.slice_id} has no slice")
+        return row
+
+    return Dataset(
         mf_entries=mf_entries,
         maxsub_entries=_records(MaxSubgroupEntry, "maxsub.txt", directory),
-        slice_facts=_records(SliceFact, "slices.txt", directory),
-        result_rows=_records(ResultRow, "results.txt", directory),
+        slice_facts=slice_facts,
+        result_rows=_records(ResultRow, "results.txt", directory, with_slice),
         symmetric_pairs=_records(SymmetricPairRow, "sympairs.txt", directory),
         lemma_records=[r for r in lemma if r.kind != "note"],
         notes=[r for r in lemma if r.kind == "note"],
     )
-    validate_dataset(ds)
-    return ds
-
-
-def validate_dataset(ds: Dataset) -> None:
-    """Structural spot checks: three instantiations per row must elaborate."""
-    for e in ds.mf_entries:
-        envs = e.instantiations()[:3]
-        if not envs and e.pattern.parameters():
-            raise DataError(f"table {e.table} row {e.row}: no instantiations")
-        for env in envs or [{}]:
-            if not eval_condition(e.cond, _with_default_charges(env)):
-                raise DataError(
-                    f"table {e.table} row {e.row}: instantiation {env} "
-                    f"violates its own condition"
-                )
-            group, rep = e.pattern.instantiate(env)
-            for sm in rep.summands:
-                d = _summand_dim(group, sm)
-                if d < 1:
-                    raise DataError(
-                        f"table {e.table} row {e.row}: zero-dimensional summand"
-                    )
-    for r in ds.result_rows:
-        if r.verify in ("mf-slice", "slice-fail", "cohom-slice") and not (
-            r.slice or r.slice_id or r.realslice
-        ):
-            raise DataError(f"table {r.table} row {r.row}: recipe needs slice data")
-        if r.verify == "encoded-only" and not r.note and not r.anchor:
-            raise DataError(f"table {r.table} row {r.row}: encoded-only needs a note")
-
-
-def _with_default_charges(env: dict[str, int]) -> dict[str, int]:
-    out = dict(env)
-    out.setdefault("a", 1)
-    out.setdefault("b", 2)
-    return out
 
 
 def _summand_dim(group: GroupSpec, sm: Summand) -> int:
@@ -653,35 +715,14 @@ def maximal_subgroups(
                 }
             )
             continue
-        import re as _re
-
-        braced = _re.findall(r"\{([^}]*)\}", e.subgroup)
         names = expr_names(e.cond)
-        for expr in braced:
+        for expr in re.findall(r"\{([^}]*)\}", e.subgroup):
             names |= expr_names(expr)
         params = sorted(p for p in names if p not in ("m", "n"))
-        instances = []
-        base_env = {"m": n, "n": n}
-        if not params:
-            if eval_condition(e.cond, base_env):
-                instances.append(dict(base_env))
-        elif len(params) == 1:
-            p = params[0]
-            for v in range(1, n + 1):
-                env = dict(base_env)
-                env[p] = v
-                if eval_condition(e.cond, env):
-                    instances.append(env)
-        else:
-            p, q = params[0], params[1]
-            for vp in range(1, n + 1):
-                for vq in range(1, n + 1):
-                    env = dict(base_env)
-                    env[p] = vp
-                    env[q] = vq
-                    if eval_condition(e.cond, env):
-                        instances.append(env)
-        for env in instances:
+        for values in itertools.product(range(1, n + 1), repeat=len(params)):
+            env = {"m": n, "n": n, **dict(zip(params, values))}
+            if not eval_condition(e.cond, env):
+                continue
             out.append(
                 {
                     "row": e.row,
@@ -700,24 +741,4 @@ def maximal_subgroups(
 
 
 def _substitute(text: str, env: dict[str, int]) -> str:
-    import re as _re
-
-    def repl(m):
-        expr = m.group(1)
-        return str(eval_int_expr(expr, env))
-
-    return _re.sub(r"\{([^}]*)\}", repl, text)
-
-
-def slice_facts(
-    space_label: str, subgroup_text: str, dataset: Dataset | None = None
-) -> list[SliceFact]:
-    """All encoded slice facts for a (space family, subgroup) pair."""
-    ds = dataset or load_dataset()
-    key = subgroup_text.replace(" ", "").lower()
-    return [
-        f
-        for f in ds.slice_facts
-        if f.space == space_label
-        and f.subgroup.replace(" ", "").lower() == key
-    ]
+    return re.sub(r"\{([^}]*)\}", lambda m: str(eval_int_expr(m.group(1), env)), text)

@@ -51,19 +51,6 @@ class SimpleType:
     def __str__(self):
         return f"{self.family}{self.rank}"
 
-    @property
-    def algebra_name(self) -> str:
-        f, r = self.family, self.rank
-        if f == "A":
-            return f"su({r + 1})"
-        if f == "B":
-            return f"so({2 * r + 1})"
-        if f == "C":
-            return f"sp({r})"
-        if f == "D":
-            return f"so({2 * r})"
-        return f"{f.lower()}{r}"
-
 
 @dataclass(frozen=True, order=True)
 class DominantWeight:
@@ -232,9 +219,6 @@ class RootSystem:
 
     def highest_root(self) -> tuple[int, ...]:
         return max(self.positive_roots, key=sum)
-
-    def highest_root_as_weight(self) -> DominantWeight:
-        return DominantWeight(self.simple_coroot_pairings(self.highest_root()))
 
     def simple_coroot_pairings(self, beta) -> tuple[int, ...]:
         """<beta, alpha_i^vee> for every simple root alpha_i; beta is given by

@@ -155,6 +155,20 @@ def test_malformed_space_field_raises_data_error():
         reproduce_table(1, rows=["spE1"], dataset=bad)
 
 
+def test_an_unknown_polynomial_family_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown polynomial family '3.9'"):
+        classify.polynomial_family("3.9")
+
+
+def test_cohom_one_compares_the_slice_cohomogeneity_with_expect():
+    ds = load_dataset()
+    rows = [dataclasses.replace(r, expect="ch=2") if r.row == "p8" else r for r in ds.result_rows]
+    (v,) = reproduce_table(3, rows=["p8"], dataset=dataclasses.replace(ds, result_rows=rows))
+    assert v.outcome == "mismatch" and v.evidence[-1].numbers == {"ch": 1}
+    (v,) = reproduce_table(3, rows=["p8"], dataset=ds)
+    assert v.ok
+
+
 def test_reproduce_widen_adds_instances():
     base = reproduce_table(1, rows=["sp3"])
     widened = reproduce_table(1, rows=["sp3"], widen=1)

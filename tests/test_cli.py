@@ -168,9 +168,7 @@ def data_copy(tmp_path, monkeypatch):
     data = tmp_path / "data"
     shutil.copytree(Path(repdata.__file__).parent / "data", data)
     monkeypatch.setenv(repdata.DATA_ENV_VAR, str(data))
-    repdata.load_dataset.cache_clear()
-    yield data
-    repdata.load_dataset.cache_clear()
+    return data
 
 
 @pytest.mark.parametrize(
@@ -180,17 +178,58 @@ def data_copy(tmp_path, monkeypatch):
         ("results.txt", "row=so14 ", " forbidden=", " forbiden=", ["'forbiden'"]),
         ("slices.txt", "id=S10 ", " source=", " colour=red source=", ["'colour'"]),
         ("mftables.txt", "row=5 ", "alt2(1)", "alt3(1)", ["expected a term"]),
+        ("results.txt", "row=sp5 ", "verify=cohom-slice", "verify=cohom-slise", ["'cohom-slise'"]),
+        ("results.txt", "row=sp2 ", "drop=false", "drop=flase", ["'flase'"]),
+        ("results.txt", "row=sp5 ", 'expect="ch=4;', 'expect="chh=4;', ["'chh=4'"]),
+        ("mftables.txt", "row=5 ", 'inst="n=4|n=5"', 'inst="n=3|n=5"', ["{'n': 3} violates"]),
+        ("mftables.txt", "row=1 ", 'inst="n=1|n=2|n=3"', 'inst="n=1|n2"', ["inst chunk 'n2' is not name=integer"]),
+        ("results.txt", "row=so16 ", "slice_id=S11", "slice_id=S99", ["'S99'"]),
+        ("results.txt", "row=e6S2 ", 'scan="H,8,26"', 'scan="X,8,26"', ["'X,8,26'"]),
     ],
-    ids=["missing-key", "misspelt-key", "unknown-key", "malformed-pattern"],
+    ids=[
+        "missing-key",
+        "misspelt-key",
+        "unknown-key",
+        "malformed-pattern",
+        "unknown-recipe",
+        "unknown-drop",
+        "unknown-expect-name",
+        "inst-outside-cond",
+        "malformed-inst",
+        "unknown-slice-id",
+        "unknown-scan-reality",
+    ],
 )
 def test_a_bad_dataset_record_is_a_usage_error(data_copy, name, marker, old, new, names, capsys):
-    path = data_copy / name
+    path, lineno = _edit_line(data_copy / name, marker, old, new)
+    code, out = run_cli(["table", "1"], capsys)
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith(f"error: {path}:{lineno}: ")
+    assert all(n in out for n in names)
+
+
+def _edit_line(path, marker, old, new):
+    """Replace old by new on the first line of path holding marker; returns
+    the path and the line's number."""
     lines = path.read_text(encoding="utf-8").split("\n")
     lineno = next(i for i, line in enumerate(lines, 1) if marker in line)
     assert old in lines[lineno - 1]
     lines[lineno - 1] = lines[lineno - 1].replace(old, new)
     path.write_text("\n".join(lines), encoding="utf-8")
-    code, out = run_cli(["table", "1"], capsys)
+    return path, lineno
+
+
+@pytest.mark.parametrize(
+    "table, marker, old, new, names",
+    [
+        ("1", "row=spP1 ", "poly=3.2", "poly=3.9", ["'3.9'"]),
+        ("2", "row=e7r7 ", "spin8", "spin9", ["'spin9'"]),
+    ],
+    ids=["unknown-poly", "unknown-real-block"],
+)
+def test_a_bad_recipe_value_is_a_usage_error_at_run_time(data_copy, table, marker, old, new, names, capsys):
+    _edit_line(data_copy / "results.txt", marker, old, new)
+    code, out = run_cli(["table", table], capsys)
     assert code == 2
-    assert out.count("\n") == 1 and out.startswith(f"error: {path}:{lineno}: ")
+    assert out.count("\n") == 1 and out.startswith("error: ")
     assert all(n in out for n in names)

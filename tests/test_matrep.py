@@ -529,13 +529,19 @@ def test_spin7_real_structure_constants():
 
 
 def test_real_block_rep_shapes():
-    rep = real_block_rep([("triv", 2), ("vec7", 7), ("spin8", 8)])
+    rep = real_block_rep("triv:2,vec7,spin8")
     assert rep.dim == 17
     assert rep.compact_stack.shape[0] == 21
 
 
+@pytest.mark.parametrize("text", ["triv:2,vec7,spin9", "triv,vec7", "vec7,,spin8"])
+def test_real_block_rep_rejects_an_unknown_block(text):
+    with pytest.raises(RepresentationError, match="unknown real block"):
+        real_block_rep(text)
+
+
 def test_real_rep_rejects_an_imaginary_entry():
-    stack = real_block_rep([("vec7", 7)]).compact_stack
+    stack = real_block_rep("vec7").compact_stack
     RealRep(stack)
     im = stack.im.copy()
     im[0] = 1
@@ -830,7 +836,7 @@ def test_integer_views_scale_the_generators():
         for at in np.ndindex(re.shape):
             assert Fraction(int(stack.re[at]), stack.den) == Fraction(int(re[at]), den)
             assert Fraction(int(stack.im[at]), stack.den) == Fraction(int(im[at]), den)
-    rr = real_block_rep([("vec7", 7)])
+    rr = real_block_rep("vec7")
     assert rr.compact_stack.shape == (21, 7, 7) and not rr.compact_stack.im.any()
 
 

@@ -122,7 +122,7 @@ def test_checkpoint_exceptional_slice_rank_gap():
 
 
 def test_checkpoint_real_spin_block():
-    rep = real_block_rep([("triv", 2), ("vec7", 7), ("spin8", 8)])
+    rep = real_block_rep("triv:2,vec7,spin8")
     assert cohomogeneity(rep) == 4
     assert principal_isotropy_rank(rep) == 2
     report = coisotropic_by_rank(rep, group_rank=6)
@@ -143,7 +143,7 @@ def test_coisotropic_report_consistency_with_mf():
 
 
 def test_real_rep_requires_rank():
-    rep = real_block_rep([("vec7", 7)])
+    rep = real_block_rep("vec7")
     with pytest.raises(ValueError):
         coisotropic_by_rank(rep)
 
@@ -225,7 +225,6 @@ def test_zero_module_edge():
         gens=ZiStack((1, 0, 0), none, none, none, none, none, 1),
         cartan_labels=[],
         root_labels=[],
-        summand_slices=[(0, 0)],
     )
     report = coisotropic_by_rank(rep)
     assert report.cohomogeneity == 0
@@ -447,7 +446,7 @@ ISOTROPY_CASES = {
         "std(1) @ 1,0,0 (+) std(1) @ 0,1,0 (+) triv @ 0,0,1"
     ),
     "slice": lambda: rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"),
-    "spin": lambda: real_block_rep([("triv", 2), ("vec7", 7), ("spin8", 8)]),
+    "spin": lambda: real_block_rep("triv:2,vec7,spin8"),
 }
 
 

@@ -1,5 +1,10 @@
 import itertools
 import os
+import re
+import shutil
+from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -7,13 +12,15 @@ from coisotropy.dsl import eval_int_expr, parse_pattern, parse_repspec
 from coisotropy.matrep import GroupSpec, RepSpec, Summand, realize
 from coisotropy.mforacle import mf_test
 from coisotropy.repdata import (
+    DATA_ENV_VAR,
     DataError,
     HSSpace,
+    RECIPES,
+    ResultRow,
     load_dataset,
     lookup_mf,
     maximal_subgroups,
     parse_instantiations,
-    slice_facts,
     space_from_text,
 )
 
@@ -187,12 +194,15 @@ def test_maximal_subgroups_examples(ds):
 
 
 def test_slice_facts_lookup(ds):
-    facts = slice_facts("sp", "sp(k)+sp(m-k)", ds)
+    def slice_facts(space, subgroup):
+        return [f for f in ds.slice_facts if f.space == space and f.subgroup == subgroup]
+
+    facts = slice_facts("sp", "sp(k)+sp(m-k)")
     assert len(facts) == 1 and "std(1) (x) std(2)" in facts[0].slice
-    facts = slice_facts("e7", "t1+e6", ds)
+    facts = slice_facts("e7", "t1+e6")
     assert facts[0].orbit == "fixed-point"
-    assert slice_facts("so", "u(m)", ds)
-    assert slice_facts("sp", "nothing-here", ds) == []
+    assert slice_facts("so", "u(m)")
+    assert slice_facts("sp", "nothing-here") == []
 
 
 def test_slice_dimension_identity(ds):
@@ -244,18 +254,86 @@ def test_result_table_totality(ds):
                 assert row.note or row.anchor
 
 
+def _empty_dataset(directory):
+    for name in ("mftables.txt", "maxsub.txt", "slices.txt", "results.txt", "sympairs.txt", "lemma21.txt"):
+        (directory / name).write_text(f"format={name[:-4]} version=1\n")
+
+
+def test_the_recipe_vocabulary_is_one_list(ds):
+    # the kinds documented in the results.txt header, the recipes of the
+    # packaged rows and the recipes the loader accepts are the same names
+    header = resources.files("coisotropy").joinpath("data", "results.txt").read_text()
+    documented = re.findall(r"^#   ([a-z][a-z-]*) ", header, re.M)
+    assert len(RECIPES) == 15
+    assert sorted(documented) == sorted(RECIPES)
+    assert {r.verify for r in ds.result_rows} == set(RECIPES)
+
+
+def test_result_row_fields_are_parsed_on_construction(ds):
+    rows = {r.row: r for r in ds.result_rows}
+    assert rows["so14"].lines == ((1, 0, 0), (0, 1, 0), (2, 1, 0))
+    assert rows["so14"].forbidden == ((1, 1, 0), (1, -1, 0))
+    assert rows["e7S1"].scan == ("R", 12, 47)
+    assert rows["sp5"].expect == (("ch", "4"), ("princ", "m-2"), ("coiso", "1"))
+    assert rows["spE1"].candidate == parse_pattern("so(p) + sp(q) on triv")
+    assert rows["so16"].slice is None and rows["so16"].slice_id == "S11"
+    assert replace(rows["so14"], note="").lines == rows["so14"].lines
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"verify": "mf-slice"}, "needs slice="),
+        ({"verify": "cohom-real"}, "needs realslice="),
+        ({"verify": "scan", "scan": "R,12"}, "is not reality,degree,min_dim"),
+        ({"verify": "poly", "poly": ""}, "needs poly="),
+        ({"verify": "encoded-only"}, "needs a note"),
+        ({"verify": "dim-fail", "lines": "1,x"}, "invalid literal"),
+    ],
+)
+def test_a_result_row_checks_its_recipe_fields(fields, message):
+    keys = {"table": "1", "row": "x", "algebra": "a", "space": "sp:1", "outcome": "o"}
+    with pytest.raises(ValueError, match=message):
+        ResultRow(**keys, **fields)
+
+
+@pytest.mark.parametrize("slice_id", ["S1", "S11"])
+def test_a_row_without_a_slice_takes_the_slice_of_its_fact(ds, tmp_path, slice_id):
+    data = tmp_path / "data"
+    shutil.copytree(Path(resources.files("coisotropy").joinpath("data")), data)
+    path = data / "results.txt"
+    text = path.read_text(encoding="utf-8")
+    row_text = next(line for line in text.split("\n") if "row=sp2 " in line)
+    edited = row_text.replace(' slice="su(m) + u1[1] on sym2(1) @ 2"', "")
+    path.write_text(text.replace(row_text, edited.replace("slice_id=S1", f"slice_id={slice_id}")))
+    if slice_id == "S11":  # a fact without a slice cannot serve a slice recipe
+        with pytest.raises(DataError, match="S11 has no slice"):
+            load_dataset(str(data))
+        return
+    sp2 = next(r for r in load_dataset(str(data)).result_rows if r.row == "sp2")
+    assert sp2.slice == next(r for r in ds.result_rows if r.row == "sp2").slice
+
+
 def test_environment_override(tmp_path, monkeypatch):
     # a dataset directory override must be honored and validated
-    bad = tmp_path / "mftables.txt"
-    bad.write_text("format=mftables version=1\n")
-    for name in ("maxsub.txt", "slices.txt", "results.txt", "sympairs.txt", "lemma21.txt"):
-        (tmp_path / name).write_text(f"format={name[:-4]} version=1\n")
-    load_dataset.cache_clear()
-    try:
-        ds2 = load_dataset(str(tmp_path))
-        assert ds2.mf_entries == []
-    finally:
-        load_dataset.cache_clear()
+    _empty_dataset(tmp_path)
+    assert load_dataset(str(tmp_path)).mf_entries == []
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+    assert load_dataset() is load_dataset(str(tmp_path))
+
+
+def test_a_changed_data_variable_is_read_on_the_next_load(tmp_path, monkeypatch):
+    monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+    packaged = load_dataset()
+    assert packaged.mf_entries
+    _empty_dataset(tmp_path)
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+    assert load_dataset().mf_entries == []
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path / "nonexistent"))
+    with pytest.raises(OSError):
+        load_dataset()
+    monkeypatch.delenv(DATA_ENV_VAR)
+    assert load_dataset() is packaged
 
 
 def test_corrected_rows_are_the_documented_set(ds):
