@@ -171,6 +171,17 @@ def data_copy(tmp_path, monkeypatch):
     return data
 
 
+def _edit_line(path, marker, old, new):
+    """Replace old by new on the first line of path holding marker; returns
+    the path and the line's number."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lineno = next(i for i, line in enumerate(lines, 1) if marker in line)
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path, lineno
+
+
 @pytest.mark.parametrize(
     "name, marker, old, new, names",
     [
@@ -206,17 +217,6 @@ def test_a_bad_dataset_record_is_a_usage_error(data_copy, name, marker, old, new
     assert code == 2
     assert out.count("\n") == 1 and out.startswith(f"error: {path}:{lineno}: ")
     assert all(n in out for n in names)
-
-
-def _edit_line(path, marker, old, new):
-    """Replace old by new on the first line of path holding marker; returns
-    the path and the line's number."""
-    lines = path.read_text(encoding="utf-8").split("\n")
-    lineno = next(i for i, line in enumerate(lines, 1) if marker in line)
-    assert old in lines[lineno - 1]
-    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
-    path.write_text("\n".join(lines), encoding="utf-8")
-    return path, lineno
 
 
 @pytest.mark.parametrize(

@@ -254,11 +254,6 @@ def test_result_table_totality(ds):
                 assert row.note or row.anchor
 
 
-def _empty_dataset(directory):
-    for name in ("mftables.txt", "maxsub.txt", "slices.txt", "results.txt", "sympairs.txt", "lemma21.txt"):
-        (directory / name).write_text(f"format={name[:-4]} version=1\n")
-
-
 def test_the_recipe_vocabulary_is_one_list(ds):
     # the kinds documented in the results.txt header, the recipes of the
     # packaged rows and the recipes the loader accepts are the same names
@@ -312,6 +307,11 @@ def test_a_row_without_a_slice_takes_the_slice_of_its_fact(ds, tmp_path, slice_i
         return
     sp2 = next(r for r in load_dataset(str(data)).result_rows if r.row == "sp2")
     assert sp2.slice == next(r for r in ds.result_rows if r.row == "sp2").slice
+
+
+def _empty_dataset(directory):
+    for name in ("mftables.txt", "maxsub.txt", "slices.txt", "results.txt", "sympairs.txt", "lemma21.txt"):
+        (directory / name).write_text(f"format={name[:-4]} version=1\n")
 
 
 def test_environment_override(tmp_path, monkeypatch):
