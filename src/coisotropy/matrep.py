@@ -888,6 +888,21 @@ def spin7_real_gens() -> ZiStack:
     return _real_stack(spin.re, den)
 
 
+def real_blocks(text: str) -> list[str | int]:
+    """The blocks of a real block model, 'triv:2,vec7,spin8' -> [2, 'vec7',
+    'spin8']: N for N trivial lines, else the block's name."""
+    out: list[str | int] = []
+    for block in text.split(","):
+        block = block.strip()
+        if block in ("vec7", "spin8"):
+            out.append(block)
+        elif block.startswith("triv:") and block[5:].isdigit():
+            out.append(int(block[5:]))
+        else:
+            raise RepresentationError(f"unknown real block {block!r}")
+    return out
+
+
 def real_block_rep(text: str) -> RealRep:
     """Diagonal so(7) action on a sum of blocks, 'triv:2,vec7,spin8'.
 
@@ -899,16 +914,13 @@ def real_block_rep(text: str) -> RealRep:
     models = {"vec7": so_vector_gens(7), "spin8": spin7_real_gens()}
     den = lcm(*(m.den for m in models.values()))
     parts, off = [], 0
-    for block in text.split(","):
-        block = block.strip()
-        if block in models:
+    for block in real_blocks(text):
+        if isinstance(block, int):
+            off += block
+        else:
             m = models[block]
             parts.append((m.k, m.row + off, m.col + off, m.re * (den // m.den)))
             off += m.shape[1]
-        elif block.startswith("triv:") and block[5:].isdigit():
-            off += int(block[5:])
-        else:
-            raise RepresentationError(f"unknown real block {block!r}")
     k, row, col, re = (
         np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
         for t in range(4)

@@ -4,23 +4,28 @@ Multiplicity-freeness is decided by openness of a generic Borel orbit
 (exact rank over the Gaussian rationals with a double-precision
 cross-check), cohomogeneity by generic orbit dimension of the compact real
 form, the rank of a principal isotropy subalgebra by the centralizer of a
-generic element, and polarity candidates are killed by the Lie triple
-system test on explicit tangent data.
+sampled element, certified at each point by being abelian (a maximal
+torus), and polarity candidates are killed by the Lie triple system test
+on explicit tangent data.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
+    _RANK_PRIMES,
     INT64_SAFE,
     ZiArray,
+    ZiStack,
     _bracket,
     _Dense,
     _max_abs,
+    _modp_reduce,
     complex_rank,
     float_rank,
     int_kernel,
@@ -62,6 +67,9 @@ class CohomReport:
     cohomogeneity: int
     group_rank: int
     principal_isotropy_rank: int
+    # the isotropy rank at each sampled point was shown by an abelian
+    # centralizer (principal_isotropy_rank)
+    isotropy_certified: bool = False
 
     @property
     def coisotropic(self) -> bool:
@@ -204,62 +212,161 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
     return dim_r - probe.value
 
 
-def _isotropy_basis(rep, v) -> tuple[np.ndarray, np.ndarray]:
-    """Exact basis of {X in compact algebra : X v = 0}, as integer arrays.
+class _Frame(NamedTuple):
+    """What the isotropy rank reads of a module, computed once per call.
 
-    Returns (re, im), two (k, d, d) arrays of Python ints: each basis
-    element times its own positive integer.  No denominator is kept, so
-    only scale-free quantities (spans, ranks) may be read from it.
+    at: the entries P of the flattened (Re, Im) generator stack on which the
+    span of the compact generators restricts injectively, as indices into
+    the row (Re g, Im g) of 2 d**2 entries.  The other fields list the
+    products that land at P in a bracket [g_i, z] (_brackets_at): the
+    generator k and the index j into P they add to, the entry (a, b) of z
+    they read, the stack entry (re, im) they multiply it by, sign included,
+    and whether the entry of P is an imaginary part.
     """
-    gens = rep.compact_stack.dense()
-    if not len(gens.re):
-        return gens.re, gens.im
-    # kernel of the transpose system: coefficients c with sum c_k (g_k v) = 0
-    _, kernel = int_kernel(_real_action_rows(rep, v).T)
-    return (
-        np.tensordot(kernel.T, gens.re.astype(object), axes=1),
-        np.tensordot(kernel.T, gens.im.astype(object), axes=1),
+
+    stack: ZiStack
+    at: np.ndarray
+    k: np.ndarray
+    j: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    imag: np.ndarray
+
+
+def _frame(rep) -> _Frame:
+    """P from one modular elimination of the transposed stack (the pivot
+    rows, linalg._modp_reduce), certified by the rank of the stack: the
+    residues at P have rank |P|, at most the rank over Q, so |P| equal to
+    that rank means that a matrix of the span is zero iff it is zero at P.
+    |P| = n needs no more; below it the exact rank is taken.  A RealRep
+    carries no group data, so it must act faithfully."""
+    s = rep.compact_stack
+    n, d, _ = s.shape
+    pos = s.row * d + s.col
+    used = np.zeros(2 * d * d, dtype=bool)
+    used[pos] = used[d * d + pos] = True
+    entries = np.flatnonzero(used)
+    stack_t = np.zeros((entries.size, n), dtype=s.re.dtype)
+    stack_t[np.searchsorted(entries, pos), s.k] = s.re
+    stack_t[np.searchsorted(entries, d * d + pos), s.k] = s.im
+    p, _ = _RANK_PRIMES[0]
+    pivots = _modp_reduce((stack_t % p).astype(np.int64), p)[0]
+    if len(pivots) < n:
+        rank = int_rank(stack_t)
+        if len(pivots) != rank:
+            raise ArithmeticError(f"rank {len(pivots)} of the stack mod {p} is below its rank {rank}")
+        if isinstance(rep, RealRep):
+            raise ValueError("a RealRep must act faithfully")
+    at = entries[pivots]
+    row, col = at % (d * d) // d, at % d
+    # an entry g[a, b] of g_i meets z in (g_i z)[a, q] = g[a, b] z[b, q] at
+    # the entries of P in row a, and in -(z g_i)[p, b] = -z[p, a] g[a, b]
+    # at the entries of P in column b
+    t, j = np.nonzero(s.row[:, None] == row)
+    u, i = np.nonzero(s.col[:, None] == col)
+    return _Frame(
+        s,
+        at,
+        np.r_[s.k[t], s.k[u]],
+        np.r_[j, i],
+        np.r_[s.col[t], row[i]],
+        np.r_[col[j], s.row[u]],
+        np.r_[s.re[t], -s.re[u]],
+        np.r_[s.im[t], -s.im[u]],
+        np.r_[at[j], at[i]] >= d * d,
     )
 
 
-def _algebra_rank(
-    basis: tuple[np.ndarray, np.ndarray], rng: random.Random, bound: int = 97
-) -> int:
-    """Rank of a compact Lie algebra given by an integer matrix basis (re, im).
+def _trivial_gap(rep) -> int:
+    """Rank minus the dimension in the compact stack, summed over the
+    factors that act trivially.
 
-    Dimension of the centralizer of a generic element z; the centralizer of
-    a generic element of a compact algebra is a maximal torus.  It is the
-    nullity of the n commutators [X_k, z], one broadcast bracket: the
-    number of columns of the verified kernel of their transpose.
-    """
-    xr, xi = basis
-    n = len(xr)
-    if n == 0:
+    Their kernel lies in every isotropy algebra, and a centralizer there
+    counts it by its dimension: a simple factor by dim, so(2), which has
+    no generator, by 0.  A RealRep acts faithfully (_frame)."""
+    if isinstance(rep, RealRep):
         return 0
-    c = np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
-    z = (np.tensordot(c, xr, axes=1), np.tensordot(c, xi, axes=1))
-    return int_kernel(_flat(_lie(basis, z)).T)[1].shape[1]
+    # the factor of each compact generator: i*h, then e - f and i*(e + f)
+    owner = [f for f, _ in rep.cartan_labels] + [f for f, _ in rep.root_labels for _ in (0, 1)]
+    acting = {owner[k] for k in set(rep.compact_stack.k.tolist()) if k < len(owner)}
+    return sum(
+        fac.rank - (fac.dim if fac.simple_type is not None else 0)
+        for f, fac in enumerate(rep.group.factors)
+        if f not in acting
+    )
+
+
+def _element(frame: _Frame, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d x d matrix (re, im) of sum_i w_i g_i, in Python ints."""
+    s = frame.stack
+    z = np.zeros(s.shape[1:], dtype=object), np.zeros(s.shape[1:], dtype=object)
+    np.add.at(z[0], (s.row, s.col), w[s.k] * s.re)
+    np.add.at(z[1], (s.row, s.col), w[s.k] * s.im)
+    return z
+
+
+def _brackets_at(f: _Frame, z: tuple) -> np.ndarray:
+    """The n x |P| matrix of the brackets [g_i, z] read at P."""
+    x, y = z[0][f.a, f.b], z[1][f.a, f.b]
+    out = np.zeros((f.stack.shape[0], f.at.size), dtype=object)
+    np.add.at(out, (f.k, f.j), np.where(f.imag, f.re * y + f.im * x, f.re * x - f.im * y))
+    return out
+
+
+def _centralizer(frame: _Frame, kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Generator coordinates of a basis of the centralizer of
+    z = sum_i w_i g_i in the algebra spanned by the columns of kernel:
+    the combinations of its columns whose bracket with z is zero at P."""
+    brackets = kernel.T @ _brackets_at(frame, _element(frame, w))
+    return kernel @ int_kernel(brackets.T)[1]
+
+
+def _abelian(frame: _Frame, basis: np.ndarray) -> bool:
+    """True iff the elements with generator coordinates the columns of
+    basis commute: [Y_a, Y_b] = sum_i Y_ia [g_i, Y_b] is zero at P."""
+    for b in range(1, basis.shape[1]):
+        if (basis[:, :b].T @ _brackets_at(frame, _element(frame, basis[:, b]))).any():
+            return False
+    return True
 
 
 def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
-    """Rank of the isotropy subalgebra at a generic point."""
+    """Rank of the isotropy subalgebra h_v at a generic point v.
+
+    h_v is the verified kernel of the orbit map at v, in generator
+    coordinates.  In a compact algebra the centralizer c(z) of an element z
+    contains a maximal torus, and an abelian c(z) cannot exceed one, so an
+    abelian c(z) has the rank as its dimension, certified.  z is drawn from
+    h_v; when c(z) is not abelian the next of N_SAMPLES draws is tried, and
+    GenericityError is raised after the last.  The brackets are read at
+    the entries P of _frame only, and no matrix of h_v is formed.  The
+    factors that act trivially count with their rank (_trivial_gap).  The
+    sampled points must agree (_stabilize).
+    """
     if _real_dim(rep) == 0:
         # everything stabilizes the zero module
         if isinstance(rep, RealRep):
             raise ValueError("zero-dimensional RealRep has no group data")
         return rep.group.rank
+    gap = _trivial_gap(rep)
+    frame = None
 
     def rank_at(v) -> int:
-        basis = _isotropy_basis(rep, v)
-        if not len(basis[0]):
-            return 0
-        vals = set()
+        nonlocal frame
+        _, kernel = int_kernel(_real_action_rows(rep, v).T)
+        if not kernel.shape[1]:
+            return gap
+        if frame is None:
+            frame = _frame(rep)
         for t in range(N_SAMPLES):
             rng = _rng(seed, 1000 + t, 0)
-            vals.add(_algebra_rank(basis, rng))
-        if len(vals) != 1:
-            raise GenericityError("centralizer rank unstable inside isotropy algebra")
-        return vals.pop()
+            c = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(kernel.shape[1])]
+            basis = _centralizer(frame, kernel, kernel @ np.array(c, dtype=object))
+            if _abelian(frame, basis):
+                return basis.shape[1] + gap
+        raise GenericityError("no sampled centralizer in the isotropy algebra is abelian")
 
     probe = _stabilize(rank_at, _sample_dim(rep), seed, _sampler_for(rep))
     return probe.value
@@ -281,6 +388,7 @@ def coisotropic_by_rank(
         cohomogeneity=cohomogeneity(rep, seed),
         group_rank=group_rank_of(rep, group_rank),
         principal_isotropy_rank=principal_isotropy_rank(rep, seed),
+        isotropy_certified=True,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import gcd
 
-from .dsl import PatternSpec, eval_condition, eval_int_expr, expr_names, parse_pattern
+from .dsl import PatternSpec, check_expr, eval_condition, eval_int_expr, expr_names, parse_pattern
 from .matrep import (
     Factor,
     GroupSpec,
@@ -29,6 +29,7 @@ from .matrep import (
     Summand,
     _factor_module,
     _weights,
+    real_blocks,
 )
 
 DATA_ENV_VAR = "LIE_COISO_DATA"
@@ -150,18 +151,24 @@ class HSSpace:
         return "E6/T1.Spin(10)"
 
 
-def space_from_text(text: str, env: dict[str, int]) -> HSSpace:
-    """'Sp(m)/U(m)' or 'SO(2m)/U(m)' style with parameters, or e7/e6."""
+def _space_parts(text: str) -> tuple[str, str]:
+    """(label, parameter expression) of a space field, 'sp:m+2' or 'so:m',
+    or e7/e6 with no expression; the expression is checked for syntax."""
     t = text.strip().lower()
     if t in ("e7", "e7/t1.e6"):
-        return HSSpace("e7")
+        return "e7", ""
     if t in ("e6", "e6/t1.spin(10)"):
-        return HSSpace("e6")
-    if t.startswith("sp:"):
-        return HSSpace("sp", eval_int_expr(t[3:], env))
-    if t.startswith("so:"):
-        return HSSpace("so", eval_int_expr(t[3:], env))
+        return "e6", ""
+    if t[:3] in ("sp:", "so:"):
+        check_expr(t[3:])
+        return t[:2], t[3:]
     raise DataError(f"bad space field {text!r}")
+
+
+def space_from_text(text: str, env: dict[str, int]) -> HSSpace:
+    """The space of a space field with its parameters taken from env."""
+    label, expr = _space_parts(text)
+    return HSSpace(label, eval_int_expr(expr, env)) if expr else HSSpace(label)
 
 
 # Each record class takes the keys of its file as its fields: a field with
@@ -265,11 +272,51 @@ _NEEDS = {
 _EXPECT_NAMES = ("ch", "princ", "rank", "coiso", "identity")
 
 
+# The quadratic elimination families that poly= names; classify.polynomial_family
+# verifies one over an integer grid.
+POLY_FAMILIES = {
+    "3.2": {
+        "f": lambda x, q: x * x * (q * q - 1) + x * (q - 1) - q * q - q + 2,
+        "x_min": 3,
+        "q_min": 2,
+        "f3_claimed": lambda q: 9 * (q * q - 1) + 3 * (q - 1) - q * q - q + 2,
+        "definition": "x^2 (q^2 - 1) + x (q - 1) - q^2 - q + 2",
+    },
+    "3.3": {
+        "f": lambda x, q: x * x * (2 * q * q - 1) + 2 * x * q - 4 * q * q - 4 * q,
+        "x_min": 3,
+        "q_min": 1,
+        "f3_claimed": lambda q: 9 * (2 * q * q - 1) + 6 * q - 4 * q * q - 4 * q,
+        "definition": "x^2 (2 q^2 - 1) + 2 x q - 4 q^2 - 4 q",
+    },
+    "4.2": {
+        "f": lambda x, q: x * x * (q * q - 1) - x * (q + 1) - q * q - q + 2,
+        "x_min": 3,
+        "q_min": 2,
+        "f3_claimed": lambda q: 9 * (q * q - 1) - 3 * (q + 1) - q * q - q + 4,
+        "definition": "x^2 (q^2 - 1) - x (q + 1) - q^2 - q + 2",
+        "note": "the restated value of f(3) carries a +4 for the defining +2",
+    },
+    "4.5": {
+        "f": lambda x, q: x * x * (q * q - 2) - 2 * q * q - 1,
+        "x_min": 3,
+        "q_min": 3,
+        "f3_claimed": lambda q: q * q - 19,
+        "definition": "x^2 (p^2 - 2) - 2 p^2 - 1",
+        "note": "the stated f(3) = p^2 - 19 disagrees with the definition, "
+        "whose value is 7 p^2 - 19; the claimed form is positive only from "
+        "p = 5 while the true value is positive on the whole range",
+    },
+}
+
+
 @dataclass(frozen=True)
 class ResultRow(_Instantiated):
     """A result-table row and its verification recipe.  The recipe fields
     are parsed on construction; the file's text of a field is converted
-    only while it is still a str, so dataclasses.replace keeps working."""
+    only while it is still a str, so dataclasses.replace keeps working.
+    The fields kept as text are checked there too: the space label and the
+    syntax of its expression, the poly id and the real block names."""
 
     table: str  # 1 | 2 | 3 | 4
     row: str
@@ -318,6 +365,11 @@ class ResultRow(_Instantiated):
             raise ValueError(f"verify={self.verify} needs {need}=")
         if self.verify == "encoded-only" and not (self.note or self.anchor):
             raise ValueError("verify=encoded-only needs a note or an anchor")
+        _space_parts(self.space_corrected or self.space)
+        if self.poly and self.poly not in POLY_FAMILIES:
+            raise ValueError(f"unknown polynomial family {self.poly!r}")
+        if self.realslice:
+            real_blocks(self.realslice)
 
 
 def _expect_pairs(text: str) -> tuple[tuple[str, str], ...]:

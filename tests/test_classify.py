@@ -76,7 +76,7 @@ def test_polynomial_certificate_needs_a_non_negative_leading_coefficient(monkeyp
     # f = -x^2 + 1000 x is positive on the grid and f'(3) > 0, but its
     # leading coefficient is negative, so the grid proves nothing past it
     monkeypatch.setitem(
-        classify._POLY_FAMILIES,
+        classify.POLY_FAMILIES,
         "t",
         {
             "f": lambda x, q: -x * x + 1000 * x,
@@ -143,16 +143,11 @@ def test_reproduce_single_rows():
 
 
 def test_malformed_space_field_raises_data_error():
-    # a dim-fail row whose space field does not parse is a data error, not
-    # an AttributeError inside dimensional_condition
-    ds = load_dataset()
-    rows = [
-        dataclasses.replace(r, space="Sq:m") if r.row == "spE1" else r
-        for r in ds.result_rows
-    ]
-    bad = dataclasses.replace(ds, result_rows=rows)
+    # a row whose space field does not parse is a data error when the row
+    # is built, not an AttributeError inside dimensional_condition
+    row = next(r for r in load_dataset().result_rows if r.row == "spE1")
     with pytest.raises(DataError, match="bad space field"):
-        reproduce_table(1, rows=["spE1"], dataset=bad)
+        dataclasses.replace(row, space="Sq:m")
 
 
 def test_an_unknown_polynomial_family_is_a_value_error():

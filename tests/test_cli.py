@@ -86,7 +86,8 @@ def test_table_text_format(capsys):
 
 def test_validate_data(capsys):
     code, out = run_cli(["validate-data"], capsys)
-    assert code == 0 and "PASS" in out
+    assert code == 0 and out.count("PASS") == 1
+    assert "verification recipe" not in out
 
 
 def test_usage_error_exit_code(capsys):
@@ -196,6 +197,10 @@ def _edit_line(path, marker, old, new):
         ("mftables.txt", "row=1 ", 'inst="n=1|n=2|n=3"', 'inst="n=1|n2"', ["inst chunk 'n2' is not name=integer"]),
         ("results.txt", "row=so16 ", "slice_id=S11", "slice_id=S99", ["'S99'"]),
         ("results.txt", "row=e6S2 ", 'scan="H,8,26"', 'scan="X,8,26"', ["'X,8,26'"]),
+        ("results.txt", "row=spE1 ", 'space="sp:p*q"', 'space="Sq:m"', ["'Sq:m'"]),
+        ("results.txt", "row=spE1 ", 'space="sp:p*q"', 'space="sp:p*"', ["bad expression 'p*'"]),
+        ("results.txt", "row=spP1 ", "poly=3.2", "poly=3.9", ["'3.9'"]),
+        ("results.txt", "row=e7r7 ", "spin8", "spin9", ["'spin9'"]),
     ],
     ids=[
         "missing-key",
@@ -209,6 +214,10 @@ def _edit_line(path, marker, old, new):
         "malformed-inst",
         "unknown-slice-id",
         "unknown-scan-reality",
+        "unknown-space-label",
+        "malformed-space-expression",
+        "unknown-poly",
+        "unknown-real-block",
     ],
 )
 def test_a_bad_dataset_record_is_a_usage_error(data_copy, name, marker, old, new, names, capsys):
@@ -220,16 +229,18 @@ def test_a_bad_dataset_record_is_a_usage_error(data_copy, name, marker, old, new
 
 
 @pytest.mark.parametrize(
-    "table, marker, old, new, names",
+    "marker, old, new",
     [
-        ("1", "row=spP1 ", "poly=3.2", "poly=3.9", ["'3.9'"]),
-        ("2", "row=e7r7 ", "spin8", "spin9", ["'spin9'"]),
+        ("row=spE1 ", 'space="sp:p*q"', 'space="Sq:m"'),
+        ("row=spP1 ", "poly=3.2", "poly=3.9"),
+        ("row=e7r7 ", "spin8", "spin9"),
     ],
-    ids=["unknown-poly", "unknown-real-block"],
+    ids=["unknown-space-label", "unknown-poly", "unknown-real-block"],
 )
-def test_a_bad_recipe_value_is_a_usage_error_at_run_time(data_copy, table, marker, old, new, names, capsys):
-    _edit_line(data_copy / "results.txt", marker, old, new)
-    code, out = run_cli(["table", table], capsys)
-    assert code == 2
-    assert out.count("\n") == 1 and out.startswith("error: ")
-    assert all(n in out for n in names)
+def test_a_bad_recipe_value_fails_every_table(data_copy, marker, old, new, capsys):
+    # the row is checked when the dataset loads, not when its table runs
+    path, lineno = _edit_line(data_copy / "results.txt", marker, old, new)
+    for table in ("1", "2", "3", "4"):
+        code, out = run_cli(["table", table], capsys)
+        assert code == 2
+        assert out.count("\n") == 1 and out.startswith(f"error: {path}:{lineno}: ")

@@ -391,26 +391,33 @@ def test_symmetric_pair_validate_rejects_a_misplaced_element():
 # the oracles on the modular kernel against a Fraction reference
 
 
-def _reference_isotropy_basis(rep, v):
-    """Isotropy basis from the Fraction RREF kernel, scaled by one lcm."""
+def _reference_isotropy_algebra(rep, v):
+    """A basis of the matrices of the isotropy algebra at v, as a stack
+    (re, im) of integer matrices: the Fraction RREF kernel of the orbit
+    map, its matrices reduced to independent ones by a Fraction RREF."""
     from fractions import Fraction
     from math import lcm
 
     import numpy as np
 
-    from reference import frac_nullspace
+    from reference import frac_nullspace, frac_rref
     from coisotropy.mforacle import _real_action_rows
 
     gens = rep.compact_stack.dense()
+    n, d = gens.re.shape[:2]
+    flat = np.concatenate([gens.re.reshape(n, -1), gens.im.reshape(n, -1)], axis=1).tolist()
     system = [[Fraction(x) for x in comp] for comp in _real_action_rows(rep, v).T.tolist()]
-    kernel = frac_nullspace(system, len(gens.re))
-    scale = lcm(*(c.denominator for vec in kernel for c in vec))
-    coeffs = np.array([[int(c * scale) for c in vec] for vec in kernel], dtype=object)
-    coeffs = coeffs.reshape(len(kernel), len(gens.re))
-    return (
-        np.tensordot(coeffs, gens.re.astype(object), axes=1),
-        np.tensordot(coeffs, gens.im.astype(object), axes=1),
-    )
+    matrices = [
+        [sum(c * row[e] for c, row in zip(vec, flat)) for e in range(2 * d * d)]
+        for vec in frac_nullspace(system, n)
+    ]
+    rref, pivots = frac_rref(matrices) if matrices else ([], [])
+    basis = []
+    for row in rref[: len(pivots)]:
+        scale = lcm(*(x.denominator for x in row))
+        basis.append([int(x * scale) for x in row])
+    basis = np.array(basis, dtype=object).reshape(len(basis), 2, d, d)
+    return basis[:, 0], basis[:, 1]
 
 
 def _reference_algebra_rank(basis, rng, bound=97):
@@ -431,49 +438,129 @@ def _reference_algebra_rank(basis, rng, bound=97):
     return n - bareiss_rank(rows.tolist())
 
 
-def _flat(basis):
-    import numpy as np
+def _reference_principal_rank(rep, seed, kernel_rank):
+    """The principal isotropy rank at the oracle's sample points, from the
+    reference isotropy algebra; kernel_rank is the rank of the kernel of
+    the action, which no matrix shows."""
+    import random
 
-    re, im = basis
-    size = int(np.prod(re.shape[1:]))
-    return np.concatenate([re.reshape(len(re), size), im.reshape(len(im), size)], axis=1)
+    from coisotropy import mforacle
+
+    def rank_at(v):
+        basis = _reference_isotropy_algebra(rep, v)
+        ranks = {_reference_algebra_rank(basis, random.Random(t)) for t in range(3)}
+        assert len(ranks) == 1
+        return ranks.pop() + kernel_rank
+
+    sampler = mforacle._sampler_for(rep)
+    return mforacle._stabilize(rank_at, mforacle._sample_dim(rep), seed, sampler).value
 
 
+# name -> (module, rank of the kernel of its action, group rank for a RealRep)
 ISOTROPY_CASES = {
-    "sphere": lambda: rep_of("su(3) + u1[1] on std(1) @ 1"),
-    "chain": lambda: rep_of(
-        "su(3) + u1[1,1,0] + u1[1,0,1] + u1[0,1,1] on "
-        "std(1) @ 1,0,0 (+) std(1) @ 0,1,0 (+) triv @ 0,0,1"
+    "sphere": (lambda: rep_of("su(3) + u1[1] on std(1) @ 1"), 0, None),
+    "chain": (
+        lambda: rep_of(
+            "su(3) + u1[1,1,0] + u1[1,0,1] + u1[0,1,1] on "
+            "std(1) @ 1,0,0 (+) std(1) @ 0,1,0 (+) triv @ 0,0,1"
+        ),
+        0,
+        None,
     ),
-    "slice": lambda: rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"),
-    "spin": lambda: real_block_rep("triv:2,vec7,spin8"),
+    "slice": (
+        lambda: rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"),
+        0,
+        None,
+    ),
+    "spin": (lambda: real_block_rep("triv:2,vec7,spin8"), 0, 6),
+    "trivial-factor": (lambda: rep_of("su(3) + so(5) + u1[1] on std(1) @ 1"), 2, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
-def test_isotropy_oracles_match_the_fraction_reference(name, monkeypatch):
+def test_isotropy_oracles_match_the_fraction_reference(name):
+    make, kernel_rank, group_rank = ISOTROPY_CASES[name]
+    rep = make()
+    for seed in (20240101, 7, 918273):
+        want = _reference_principal_rank(rep, seed, kernel_rank)
+        assert principal_isotropy_rank(rep, seed) == want
+        report = coisotropic_by_rank(rep, seed, group_rank)
+        assert report.principal_isotropy_rank == want and report.isotropy_certified
+        assert report.coisotropic == (report.cohomogeneity == report.group_rank - want)
+
+
+@pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
+def test_isotropy_entries_are_injective_on_the_compact_algebra(name):
+    from coisotropy import mforacle
+
+    rep = ISOTROPY_CASES[name][0]()
+    frame = mforacle._frame(rep)
+    gens = rep.compact_stack.dense()
+    n = len(gens.re)
+    flat = np.concatenate([gens.re.reshape(n, -1), gens.im.reshape(n, -1)], axis=1)
+    assert int_rank(flat[:, frame.at]) == int_rank(flat) == frame.at.size
+
+
+def test_the_centralizer_of_zero_is_not_abelian():
+    # h_v = u(2) on the sphere: c(0) is all of it, c(z) a maximal torus
     import random
 
-    import numpy as np
-
     from coisotropy import mforacle
-    from reference import bareiss_rank
+    from coisotropy.linalg import int_kernel
 
-    rep = ISOTROPY_CASES[name]()
-    v = mforacle._sampler_for(rep)(mforacle._sample_dim(rep), random.Random(3), 97)
-    new, ref = mforacle._isotropy_basis(rep, v), _reference_isotropy_basis(rep, v)
-    assert len(new[0]) == len(ref[0])
-    both = np.concatenate([_flat(new), _flat(ref)]).tolist()
-    assert bareiss_rank(_flat(new).tolist()) == bareiss_rank(both) == len(ref[0])
-    for t in range(3):
-        assert mforacle._algebra_rank(new, random.Random(t)) == _reference_algebra_rank(
-            ref, random.Random(t)
-        )
-    kwargs = {"group_rank": 6} if name == "spin" else {}
-    got = (mforacle.principal_isotropy_rank(rep), coisotropic_by_rank(rep, **kwargs))
-    monkeypatch.setattr(mforacle, "_isotropy_basis", _reference_isotropy_basis)
-    monkeypatch.setattr(mforacle, "_algebra_rank", _reference_algebra_rank)
-    assert got == (mforacle.principal_isotropy_rank(rep), coisotropic_by_rank(rep, **kwargs))
+    rep = rep_of("su(3) + u1[1] on std(1) @ 1")
+    frame = mforacle._frame(rep)
+    v = mforacle._sample_complex_vector(3, random.Random(3), 97)
+    _, kernel = int_kernel(mforacle._real_action_rows(rep, v).T)
+    assert kernel.shape[1] == 4
+    everything = mforacle._centralizer(frame, kernel, np.zeros(len(kernel), dtype=object))
+    assert everything.shape[1] == 4 and not mforacle._abelian(frame, everything)
+    w = kernel @ np.array([3, -5, 7, 2], dtype=object)
+    torus = mforacle._centralizer(frame, kernel, w)
+    assert torus.shape[1] == 2 and mforacle._abelian(frame, torus)
+
+
+def test_no_abelian_centralizer_is_a_genericity_error(monkeypatch):
+    from coisotropy import mforacle
+
+    monkeypatch.setattr(mforacle, "_abelian", lambda frame, basis: False)
+    with pytest.raises(mforacle.GenericityError, match="abelian"):
+        principal_isotropy_rank(rep_of("su(3) + u1[1] on std(1) @ 1"))
+
+
+def test_entries_below_the_stack_rank_are_an_arithmetic_error(monkeypatch):
+    # an unlucky prime would drop pivots; the exact rank of the stack
+    # then exceeds |P|, and P is not used
+    from coisotropy import mforacle
+
+    monkeypatch.setattr(mforacle, "_modp_reduce", lambda a, p: ([0], [0], None))
+    with pytest.raises(ArithmeticError, match="below its rank"):
+        mforacle._frame(rep_of("su(3) + u1[1] on std(1) @ 1"))
+
+
+def test_a_real_rep_with_a_kernel_is_rejected():
+    # a RealRep names no group, so the rank of a kernel is unknown
+    with pytest.raises(ValueError, match="faithfully"):
+        principal_isotropy_rank(real_block_rep("triv:3"))
+
+
+@pytest.mark.parametrize(
+    "text, princ",
+    [
+        ("su(3) + so(5) + u1[1] on std(1) @ 1", 4),
+        ("su(3) + su(2) on std(1)", 2),
+        ("so(2) + su(3) on std(2)", 2),
+        ("so(2) + su(2) on triv (+) std(2)", 1),
+    ],
+)
+def test_a_trivially_acting_factor_counts_its_rank(text, princ):
+    # the factor that acts trivially adds its rank to both the group rank
+    # and the principal isotropy rank; the first three act as su(3) on C^3
+    # (cohomogeneity 1, principal isotropy su(2)), the last as su(2) on
+    # C^2 + C (cohomogeneity 3, trivial principal isotropy)
+    report = coisotropic_by_rank(rep_of(text))
+    assert report.principal_isotropy_rank == princ
+    assert report.coisotropic == (report.cohomogeneity == 1)
 
 
 @pytest.mark.parametrize("pair", [sp_u_pair(2), so_even_u_pair(3)], ids=lambda p: p.name)
