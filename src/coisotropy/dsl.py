@@ -186,6 +186,9 @@ class PatternSpec:
         group = GroupSpec(factors=factors, torus_lines=lines)
         summands = []
         for terms, dual, charges in self.summands:
+            for kind, idx in terms:
+                if kind != "triv" and not 1 <= idx <= len(factors):
+                    raise ValueError(f"factor index {idx} out of range")
             tt = tuple(
                 Term(kind, idx) if kind != "triv" else Term("triv")
                 for kind, idx in terms

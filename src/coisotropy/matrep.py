@@ -17,6 +17,9 @@ For every module the lowering generator of a positive root is the adjoint
 of the raising generator with respect to an invariant positive form, so
 the real span of {i*h, e - f, i*(e + f)}, together with i times the torus
 charge matrices, is exactly the compact real form acting on the module.
+MatrixRep.compact_stack holds it realified, as real matrices on R^(2d),
+which is the contract of RealRep.compact_stack too: the orbit oracles read
+one real integer stack for either.
 """
 
 from __future__ import annotations
@@ -616,7 +619,9 @@ class MatrixRep:
     cartan_labels and root_labels say which factor and which simple or
     positive root each Cartan generator and each raising/lowering pair
     belongs to; the torus generators follow the group's torus lines.
-    borel_stack and compact_stack are the views the oracles sample.
+    borel_stack and compact_stack are the views the oracles sample:
+    borel_stack acts on C^d, compact_stack is the real compact form acting
+    on R^(2d), with Re v_a and Im v_a at coordinates 2a and 2a + 1.
     """
 
     group: GroupSpec
@@ -641,8 +646,10 @@ class MatrixRep:
 
     @functools.cached_property
     def compact_stack(self) -> ZiStack:
-        """The compact real form: i*h, then e - f and i*(e + f) for each
-        positive root, then i*t, as one stack."""
+        """The compact real form acting on R^(2d), as one real stack: i*h,
+        then e - f and i*(e + f) for each positive root, then i*t.  The
+        coordinates (Re v_a, Im v_a) sit at (2a, 2a + 1), so an entry
+        x + iy becomes the block [[x, -y], [y, x]]."""
         g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
         lowering = (g.k >= nc + npos) & (g.k < nc + 2 * npos)
         root = (g.k >= nc) & (g.k < nc + 2 * npos)
@@ -652,9 +659,14 @@ class MatrixRep:
         k = np.concatenate([np.where(root, nc + 2 * j + 1, g.k), (nc + 2 * j)[root]])
         row = np.concatenate([g.row, g.row[root]])
         col = np.concatenate([g.col, g.col[root]])
-        re = np.concatenate([-g.im, (sign * g.re)[root]])
-        im = np.concatenate([g.re, (sign * g.im)[root]])
-        return _coalesce(g.shape, k, row, col, re, im, g.den)
+        x = np.concatenate([-g.im, (sign * g.re)[root]])
+        y = np.concatenate([g.re, (sign * g.im)[root]])
+        n, d, _ = g.shape
+        # the block entries x, -y, y, x at (2r, 2c) + (0, 0), (0, 1), (1, 0), (1, 1)
+        row = 2 * np.tile(row, 4) + np.repeat([0, 0, 1, 1], k.size)
+        col = 2 * np.tile(col, 4) + np.repeat([0, 1, 0, 1], k.size)
+        re = np.r_[x, -y, y, x]
+        return _coalesce((n, 2 * d, 2 * d), np.tile(k, 4), row, col, re, 0 * re, g.den)
 
 
 def _coalesce(shape, k, row, col, re, im, den) -> ZiStack:
@@ -838,10 +850,6 @@ class RealRep:
     def __post_init__(self):
         if self.compact_stack.im.any():
             raise RepresentationError("RealRep generator must be real")
-
-    @property
-    def dim(self) -> int:
-        return self.compact_stack.shape[1]
 
 
 def so_vector_gens(n: int) -> ZiStack:

@@ -7,6 +7,13 @@ form, the rank of a principal isotropy subalgebra by the centralizer of a
 sampled element, certified at each point by being abelian (a maximal
 torus), and polarity candidates are killed by the Lie triple system test
 on explicit tangent data.
+
+The orbit oracles read the compact action in one model, the real integer
+stack compact_stack on R^n: a RealRep gives it directly, and a MatrixRep
+on C^d gives its realification on R^(2d).  Every sample is an integer
+point of R^n (_sample_vector); mf_test reads its point of R^(2d) as the
+complex point with real parts at the even and imaginary parts at the odd
+coordinates.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ class OrbitProbe:
     their seeds, and whether the value is certified (a sample reached the
     ceiling) rather than agreed on by N_SAMPLES samples."""
 
-    sample_points: list[tuple]
+    sample_points: list[np.ndarray]
     seeds: list[int]
     value: int
     rounds_used: int
@@ -80,26 +87,17 @@ def _rng(seed: int, idx: int, rnd: int) -> random.Random:
     return random.Random(f"{seed}:{idx}:{rnd}")
 
 
-def _sample_complex_vector(dim: int, rng: random.Random, bound: int) -> tuple:
-    """A nonzero point of C^dim as integer vectors (re, im); the draws
-    alternate real and imaginary part, coordinate by coordinate."""
-    while True:
-        draws = [rng.randint(-bound, bound) for _ in range(2 * dim)]
-        if any(draws):
-            v = np.array(draws, dtype=np.int64)
-            return v[0::2], v[1::2]
-
-
-def _sample_real_vector(dim: int, rng: random.Random, bound: int) -> tuple:
+def _sample_vector(dim: int, rng: random.Random, bound: int) -> np.ndarray:
+    """A nonzero integer point of R^dim; a point of C^d is drawn as one of
+    R^(2d), real and imaginary part alternating coordinate by coordinate."""
     while True:
         draws = [rng.randint(-bound, bound) for _ in range(dim)]
         if any(draws):
-            v = np.array(draws, dtype=np.int64)
-            return v, np.zeros_like(v)
+            return np.array(draws, dtype=np.int64)
 
 
-def _stabilize(evaluate, dim: int, seed: int, sampler, ceiling: int | None = None) -> OrbitProbe:
-    """Evaluate an integer invariant at N_SAMPLES generic points.
+def _stabilize(evaluate, dim: int, seed: int, ceiling: int | None = None) -> OrbitProbe:
+    """Evaluate an integer invariant at N_SAMPLES generic points of R^dim.
 
     For a rank whose generic value is its maximum over all points, ceiling
     is the largest value it can take: a sample reaching it certifies the
@@ -116,7 +114,7 @@ def _stabilize(evaluate, dim: int, seed: int, sampler, ceiling: int | None = Non
         seeds = []
         for idx in range(N_SAMPLES):
             rng = _rng(seed, idx, rnd)
-            v = sampler(dim, rng, bound)
+            v = _sample_vector(dim, rng, bound)
             points.append(v)
             seeds.append(idx)
             values.append(evaluate(v))
@@ -164,34 +162,18 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
         return False
 
     def rank_at(v) -> int:
-        return _checked_complex_rank(zi_apply(borel, *v))
+        # v in R^(2 dim) is the point v[0::2] + i*v[1::2] of C^dim
+        return _checked_complex_rank(zi_apply(borel, v[0::2], v[1::2]))
 
     ceiling = min(borel.shape[0], dim)
-    probe = _stabilize(rank_at, dim, seed, _sample_complex_vector, ceiling)
+    probe = _stabilize(rank_at, 2 * dim, seed, ceiling)
     return probe.value == dim
 
 
 def _real_action_rows(rep, v) -> np.ndarray:
-    """Integer rows (Re g.v, Im g.v) of the compact generators, real parts
-    only for a RealRep, scaled by the denominator of the integer view."""
-    rows = zi_apply(rep.compact_stack, *v)
-    if isinstance(rep, RealRep):
-        return rows.re
-    return np.concatenate([rows.re, rows.im], axis=1)
-
-
-def _real_dim(rep) -> int:
-    return rep.dim if isinstance(rep, RealRep) else 2 * rep.space_dim
-
-
-def _sampler_for(rep):
-    if isinstance(rep, RealRep):
-        return _sample_real_vector
-    return _sample_complex_vector
-
-
-def _sample_dim(rep) -> int:
-    return rep.dim if isinstance(rep, RealRep) else rep.space_dim
+    """Integer rows g.v of the real compact generators at a point v of the
+    real space, scaled by the denominator of the integer view."""
+    return zi_apply(rep.compact_stack, v, 0 * v).re
 
 
 def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
@@ -200,28 +182,26 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
     The orbit rank is at most min(#compact generators, real dim); a sample
     reaching that ceiling certifies it and ends sampling.
     """
-    dim_r = _real_dim(rep)
-    if dim_r == 0:
+    n, dim, _ = rep.compact_stack.shape
+    if dim == 0:
         return 0
 
     def orbit_rank(v) -> int:
         return int_rank(_real_action_rows(rep, v))
 
-    ceiling = min(rep.compact_stack.shape[0], dim_r)
-    probe = _stabilize(orbit_rank, _sample_dim(rep), seed, _sampler_for(rep), ceiling)
-    return dim_r - probe.value
+    probe = _stabilize(orbit_rank, dim, seed, min(n, dim))
+    return dim - probe.value
 
 
 class _Frame(NamedTuple):
     """What the isotropy rank reads of a module, computed once per call.
 
-    at: the entries P of the flattened (Re, Im) generator stack on which the
+    at: the entries P of the flattened real generator stack on which the
     span of the compact generators restricts injectively, as indices into
-    the row (Re g, Im g) of 2 d**2 entries.  The other fields list the
+    the row of d**2 entries of a generator.  The other fields list the
     products that land at P in a bracket [g_i, z] (_brackets_at): the
     generator k and the index j into P they add to, the entry (a, b) of z
-    they read, the stack entry (re, im) they multiply it by, sign included,
-    and whether the entry of P is an imaginary part.
+    they read and the stack entry they multiply it by, sign included.
     """
 
     stack: ZiStack
@@ -231,8 +211,6 @@ class _Frame(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     re: np.ndarray
-    im: np.ndarray
-    imag: np.ndarray
 
 
 def _frame(rep) -> _Frame:
@@ -245,12 +223,11 @@ def _frame(rep) -> _Frame:
     s = rep.compact_stack
     n, d, _ = s.shape
     pos = s.row * d + s.col
-    used = np.zeros(2 * d * d, dtype=bool)
-    used[pos] = used[d * d + pos] = True
+    used = np.zeros(d * d, dtype=bool)
+    used[pos] = True
     entries = np.flatnonzero(used)
     stack_t = np.zeros((entries.size, n), dtype=s.re.dtype)
     stack_t[np.searchsorted(entries, pos), s.k] = s.re
-    stack_t[np.searchsorted(entries, d * d + pos), s.k] = s.im
     p, _ = _RANK_PRIMES[0]
     pivots = _modp_reduce((stack_t % p).astype(np.int64), p)[0]
     if len(pivots) < n:
@@ -260,7 +237,7 @@ def _frame(rep) -> _Frame:
         if isinstance(rep, RealRep):
             raise ValueError("a RealRep must act faithfully")
     at = entries[pivots]
-    row, col = at % (d * d) // d, at % d
+    row, col = at // d, at % d
     # an entry g[a, b] of g_i meets z in (g_i z)[a, q] = g[a, b] z[b, q] at
     # the entries of P in row a, and in -(z g_i)[p, b] = -z[p, a] g[a, b]
     # at the entries of P in column b
@@ -274,8 +251,6 @@ def _frame(rep) -> _Frame:
         np.r_[s.col[t], row[i]],
         np.r_[col[j], s.row[u]],
         np.r_[s.re[t], -s.re[u]],
-        np.r_[s.im[t], -s.im[u]],
-        np.r_[at[j], at[i]] >= d * d,
     )
 
 
@@ -298,20 +273,18 @@ def _trivial_gap(rep) -> int:
     )
 
 
-def _element(frame: _Frame, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The d x d matrix (re, im) of sum_i w_i g_i, in Python ints."""
+def _element(frame: _Frame, w: np.ndarray) -> np.ndarray:
+    """The d x d matrix of sum_i w_i g_i, in Python ints."""
     s = frame.stack
-    z = np.zeros(s.shape[1:], dtype=object), np.zeros(s.shape[1:], dtype=object)
-    np.add.at(z[0], (s.row, s.col), w[s.k] * s.re)
-    np.add.at(z[1], (s.row, s.col), w[s.k] * s.im)
+    z = np.zeros(s.shape[1:], dtype=object)
+    np.add.at(z, (s.row, s.col), w[s.k] * s.re)
     return z
 
 
-def _brackets_at(f: _Frame, z: tuple) -> np.ndarray:
+def _brackets_at(f: _Frame, z: np.ndarray) -> np.ndarray:
     """The n x |P| matrix of the brackets [g_i, z] read at P."""
-    x, y = z[0][f.a, f.b], z[1][f.a, f.b]
     out = np.zeros((f.stack.shape[0], f.at.size), dtype=object)
-    np.add.at(out, (f.k, f.j), np.where(f.imag, f.re * y + f.im * x, f.re * x - f.im * y))
+    np.add.at(out, (f.k, f.j), f.re * z[f.a, f.b])
     return out
 
 
@@ -345,7 +318,7 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
     factors that act trivially count with their rank (_trivial_gap).  The
     sampled points must agree (_stabilize).
     """
-    if _real_dim(rep) == 0:
+    if not rep.compact_stack.shape[1]:
         # everything stabilizes the zero module
         if isinstance(rep, RealRep):
             raise ValueError("zero-dimensional RealRep has no group data")
@@ -368,7 +341,7 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
                 return basis.shape[1] + gap
         raise GenericityError("no sampled centralizer in the isotropy algebra is abelian")
 
-    probe = _stabilize(rank_at, _sample_dim(rep), seed, _sampler_for(rep))
+    probe = _stabilize(rank_at, rep.compact_stack.shape[1], seed)
     return probe.value
 
 

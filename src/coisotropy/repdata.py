@@ -1,7 +1,8 @@
 """Machine-readable encodings of the classification tables and slice facts.
 
 Data lives in line-oriented text files under data/: one record per line of
-shlex-quoted key=value fields, a versioned header line, and # comments.
+key=value fields, each value bare or quoted in "..." or '...', a versioned
+header line, and # comments.
 Rows carry the verbatim source text plus corrected mirror fields wherever
 the source's stated form conflicts with the exact computations; reports
 always show both.  The query API evaluates symbolic row conditions exactly
@@ -14,7 +15,6 @@ import functools
 import itertools
 import os
 import re
-import shlex
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import gcd
@@ -43,6 +43,24 @@ class DataError(ValueError):
 # record parsing
 
 
+# one field of a dataset line, key=value with the value bare, "..." or
+# '...'; anything else up to the next space is a malformed field
+_FIELD = re.compile(r"""([^\s="']+)=(?:"([^"]*)"|'([^']*)'|([^\s"']*))(?:\s+|$)|(\S+)\s*""")
+
+
+def _fields(line: str) -> dict[str, str]:
+    """The key=value fields of a stripped dataset line."""
+    rec: dict[str, str] = {}
+    for m in _FIELD.finditer(line):
+        key, double, single, bare, bad = m.groups()
+        if bad is not None:
+            if '"' in bad or "'" in bad:
+                raise ValueError(f"field {bad!r} has an unclosed or misplaced quote")
+            raise ValueError(f"field {bad!r} is not key=value")
+        rec[key] = next(v for v in (double, single, bare) if v is not None)
+    return rec
+
+
 def _records(cls, name: str, directory: str | None, finish=lambda record: record) -> list:
     """One cls record per line of a dataset file after its versioned
     header, the line's keys passed as the record's fields and the record
@@ -62,15 +80,9 @@ def _records(cls, name: str, directory: str | None, finish=lambda record: record
         if not line or line.startswith("#"):
             continue
         try:
-            fields = shlex.split(line)
+            rec = _fields(line)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        rec: dict[str, str] = {}
-        for fld in fields:
-            if "=" not in fld:
-                raise DataError(f"{path}:{lineno}: field {fld!r} is not key=value")
-            k, v = fld.split("=", 1)
-            rec[k] = v
         if not header_seen:
             if rec.get("format") is None or rec.get("version") != "1":
                 raise DataError(f"{path}: missing or bad header line")

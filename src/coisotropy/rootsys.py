@@ -217,9 +217,6 @@ class RootSystem:
     def dim_g(self) -> int:
         return 2 * self.n_positive_roots + self.rank
 
-    def highest_root(self) -> tuple[int, ...]:
-        return max(self.positive_roots, key=sum)
-
     def simple_coroot_pairings(self, beta) -> tuple[int, ...]:
         """<beta, alpha_i^vee> for every simple root alpha_i; beta is given by
         its coefficients on the simple roots."""

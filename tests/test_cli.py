@@ -86,8 +86,11 @@ def test_table_text_format(capsys):
 
 def test_validate_data(capsys):
     code, out = run_cli(["validate-data"], capsys)
-    assert code == 0 and out.count("PASS") == 1
-    assert "verification recipe" not in out
+    assert code == 0 and out == (
+        "tables: 42 multiplicity-free rows, 14 maximal-subgroup rows, "
+        "28 slice facts, 103 result rows\n"
+    )
+
 
 
 def test_usage_error_exit_code(capsys):
@@ -201,6 +204,9 @@ def _edit_line(path, marker, old, new):
         ("results.txt", "row=spE1 ", 'space="sp:p*q"', 'space="sp:p*"', ["bad expression 'p*'"]),
         ("results.txt", "row=spP1 ", "poly=3.2", "poly=3.9", ["'3.9'"]),
         ("results.txt", "row=e7r7 ", "spin8", "spin9", ["'spin9'"]),
+        ("mftables.txt", "row=1 ", "std(1)", "std(2)", ["factor index 2 out of range"]),
+        ("slices.txt", "id=S10 ", 'orbitdim="1"', 'orbitdim="1', ["unclosed or misplaced quote"]),
+        ("slices.txt", "id=S10 ", " source=", " stray source=", ["field 'stray' is not key=value"]),
     ],
     ids=[
         "missing-key",
@@ -218,6 +224,9 @@ def _edit_line(path, marker, old, new):
         "malformed-space-expression",
         "unknown-poly",
         "unknown-real-block",
+        "factor-index-out-of-range",
+        "unclosed-quote",
+        "bare-field",
     ],
 )
 def test_a_bad_dataset_record_is_a_usage_error(data_copy, name, marker, old, new, names, capsys):
@@ -244,3 +253,9 @@ def test_a_bad_recipe_value_fails_every_table(data_copy, marker, old, new, capsy
         code, out = run_cli(["table", table], capsys)
         assert code == 2
         assert out.count("\n") == 1 and out.startswith(f"error: {path}:{lineno}: ")
+
+
+def test_validate_data_reports_a_malformed_record(data_copy, capsys):
+    path, lineno = _edit_line(data_copy / "slices.txt", "id=S10 ", " source=", " stray source=")
+    code, out = run_cli(["validate-data"], capsys)
+    assert code == 2 and out.startswith(f"error: {path}:{lineno}: ")

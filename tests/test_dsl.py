@@ -140,6 +140,36 @@ def test_round_trip_on_dataset_examples():
         assert parse_repspec(print_repspec(group, rep)) == (group, rep)
 
 
+def test_every_slice_fact_round_trips_through_the_printer():
+    # each slice pattern at its first small instantiation that elaborates
+    from coisotropy.repdata import load_dataset
+
+    untested = []
+    for fact in load_dataset().slice_facts:
+        if not fact.slice:
+            continue
+        pat = parse_pattern(fact.slice)
+        names = sorted(pat.parameters())
+        small = ((5, 2), (7, 3), (2, 5), (3, 6), (9, 4), (6, 1))
+        for env in [dict(zip(names, values)) for values in small] if names else [{}]:
+            try:
+                group, rep = pat.instantiate(env)
+            except ValueError:
+                continue  # instantiation guards are fact-specific
+            assert parse_repspec(print_repspec(group, rep)) == (group, rep), fact.id
+            break
+        else:
+            untested.append(fact.id)
+    assert untested == []
+
+
+def test_an_out_of_range_factor_index_is_rejected():
+    with pytest.raises(ValueError, match="factor index 2 out of range"):
+        parse_repspec("su(2) on std(2)")
+    with pytest.raises(ValueError, match="factor index 3 out of range"):
+        parse_pattern("su(n) + sp(m) on std(1) (x) std(3)").instantiate({"n": 2, "m": 1})
+
+
 def test_print_repspec_rejects_a_weight_term():
     # the grammar has no weight term, so printing one could not round-trip
     group = GroupSpec(factors=(Factor("sp", 2),))

@@ -4,9 +4,11 @@ The package has no linter configured, so these tests are its guard: each
 module except ``__init__.py`` is parsed with ``ast``.  Every from-imported
 name must be read somewhere else in its module (as a name, or as the base
 of an attribute) or listed in its ``__all__``.  Every module-level function
-or class, private or public, must be referenced somewhere in the package
-outside its own definition; the public exceptions are listed, each with
-its reason.
+or class, private or public, and every method or property of a
+module-level class must be referenced somewhere in the package outside its
+own definition; the public exceptions are listed, each with its reason.
+A reference is by name only, so a method counts as referenced wherever an
+attribute of that name is read, on any object.
 """
 
 import ast
@@ -64,31 +66,44 @@ def _referenced(node: ast.AST) -> set[str]:
     return names
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """module:name of each module-level def or class in sources (module
-    name -> source), dunder names aside, that no statement outside its own
-    definition refers to."""
+    name -> source), and module:Class.name of each method or property of a
+    module-level class, dunder names aside, that no statement outside its
+    own definition refers to; a method may be referenced by the other
+    statements of its class."""
     statements = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
     refs = [_referenced(node) for _, node in statements]
     dead = []
     for i, (mod, node) in enumerate(statements):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             continue
-        if node.name.startswith("__"):
-            continue
-        if not any(node.name in names for j, names in enumerate(refs) if j != i):
+        outside = set().union(*(names for j, names in enumerate(refs) if j != i))
+        if not node.name.startswith("__") and node.name not in outside:
             dead.append(f"{mod}:{node.name}")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        members = [_referenced(sub) for sub in node.body]
+        for k, sub in enumerate(node.body):
+            if not isinstance(sub, _FUNCTIONS) or sub.name.startswith("__"):
+                continue
+            if not any(sub.name in names for names in (outside, *members[:k], *members[k + 1 :])):
+                dead.append(f"{mod}:{node.name}.{sub.name}")
     return dead
 
 
 def _private(dead: list[str]) -> list[str]:
-    return [name for name in dead if name.split(":")[1].startswith("_")]
+    return [name for name in dead if name.split(":")[1].split(".")[-1].startswith("_")]
 
 
 # Public definitions that nothing in the package calls, kept on purpose.
 KEPT_PUBLIC = {
     "classify:dimension_threshold": "the paper's dimension bound, tested on its own",
     "repdata:maximal_subgroups": "the data API that the maximal-subgroup work reads",
+    "mforacle:SymmetricPair.validate": "the tests' check of the pair constructions",
 }
 
 
@@ -108,6 +123,22 @@ def test_the_guard_sees_an_unreferenced_public_definition():
         "c": "def main():\n    return 0\n\nif __name__ == '__main__':\n    main()\n",
     }
     assert unreferenced_definitions(sources) == ["a:dead", "b:Gone"]
+
+
+def test_the_guard_sees_an_unreferenced_method_or_property():
+    sources = {
+        "a": (
+            "class Rep:\n"
+            "    def __post_init__(self):\n        self._check()\n\n"
+            "    def _check(self):\n        return self.size\n\n"
+            "    @property\n    def size(self):\n        return 1\n\n"
+            "    @property\n    def dim(self):\n        return self.dim\n\n"
+            "    def _gone(self):\n        return 0\n"
+        ),
+        "b": "from a import Rep\n\nclass Other:\n    def used(self):\n        pass\n\nx = Rep(), Other().used()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a:Rep.dim", "a:Rep._gone"]
+    assert _private(unreferenced_definitions(sources)) == ["a:Rep._gone"]
 
 
 def _package_sources() -> dict[str, str]:

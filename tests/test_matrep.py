@@ -314,13 +314,21 @@ def _reference_generators(m, chirality=1) -> tuple[np.ndarray, np.ndarray, int]:
     return np.stack([g[0] for g in gens]), np.stack([g[1] for g in gens]), den
 
 
-def _reference_views(m, chirality=1) -> tuple[tuple, tuple]:
-    """(Borel generators, compact generators) of the reference, each as
-    (re, im, den)."""
-    re, im, den = _reference_generators(m, chirality)
+def _realified(re, im, den) -> tuple:
+    """The real (re, 0, den) of a stack (re + i*im) / den acting on R^(2d),
+    (Re v_a, Im v_a) at (2a, 2a + 1): an entry x + iy is [[x, -y], [y, x]]."""
+    out = np.zeros((re.shape[0], 2 * re.shape[1], 2 * re.shape[2]), dtype=object)
+    out[:, 0::2, 0::2] = out[:, 1::2, 1::2] = re
+    out[:, 0::2, 1::2], out[:, 1::2, 0::2] = -im, im
+    return out, np.zeros_like(out), den
+
+
+def _reference_complex_compact(re, im, den, m) -> tuple:
+    """The compact generators (re, im, den) on C^d of the reference
+    generators (re, im, den) of m: i h, then e - f and i (e + f) per root,
+    then i t."""
     nc, npos = len(m.cartan_labels), len(m.root_labels)
-    borel = np.r_[0 : nc + npos, nc + 2 * npos : re.shape[0]]
-    # i * x = -im + i re; compact: i h, then e - f and i (e + f) per root, then i t
+    # i * x = -im + i re
     e, f = np.arange(nc, nc + npos), np.arange(nc + npos, nc + 2 * npos)
     c_re = [-im[:nc]]
     c_im = [re[:nc]]
@@ -329,7 +337,16 @@ def _reference_views(m, chirality=1) -> tuple[tuple, tuple]:
         c_im += [im[a : a + 1] - im[b : b + 1], re[a : a + 1] + re[b : b + 1]]
     c_re.append(-im[nc + 2 * npos :])
     c_im.append(re[nc + 2 * npos :])
-    compact = (np.concatenate(c_re), np.concatenate(c_im), den)
+    return np.concatenate(c_re), np.concatenate(c_im), den
+
+
+def _reference_views(m, chirality=1) -> tuple[tuple, tuple]:
+    """(Borel generators, real compact generators) of the reference, each
+    as (re, im, den)."""
+    re, im, den = _reference_generators(m, chirality)
+    nc, npos = len(m.cartan_labels), len(m.root_labels)
+    borel = np.r_[0 : nc + npos, nc + 2 * npos : re.shape[0]]
+    compact = _realified(*_reference_complex_compact(re, im, den, m))
     return (re[borel], im[borel], den), compact
 
 
@@ -530,8 +547,7 @@ def test_spin7_real_structure_constants():
 
 def test_real_block_rep_shapes():
     rep = real_block_rep("triv:2,vec7,spin8")
-    assert rep.dim == 17
-    assert rep.compact_stack.shape[0] == 21
+    assert rep.compact_stack.shape == (21, 17, 17)
 
 
 @pytest.mark.parametrize("text", ["triv:2,vec7,spin9", "triv,vec7", "vec7,,spin8"])
@@ -830,14 +846,39 @@ def test_integer_views_scale_the_generators():
         summands=(Summand(terms=(Term("spin", 1),), charges=(1,)),)
     ))
     borel, compact = _reference_views(m)
+    assert borel[0].shape[1:] == (4, 4) and compact[0].shape[1:] == (8, 8)
     for view, (re, im, den) in ((m.borel_stack, borel), (m.compact_stack, compact)):
         stack = view.dense()
-        assert stack.den > 0 and stack.re.shape == (re.shape[0], 4, 4)
+        assert stack.den > 0 and stack.re.shape == re.shape
         for at in np.ndindex(re.shape):
             assert Fraction(int(stack.re[at]), stack.den) == Fraction(int(re[at]), den)
             assert Fraction(int(stack.im[at]), stack.den) == Fraction(int(im[at]), den)
     rr = real_block_rep("vec7")
     assert rr.compact_stack.shape == (21, 7, 7) and not rr.compact_stack.im.any()
+
+
+@pytest.mark.parametrize(
+    "group, summand",
+    [
+        (grp(Factor("so", 5), lines=[(1,)]), S(Term("spin", 1), charges=(1,))),
+        (grp(Factor("su", 3), Factor("su", 2)), S(Term("std", 1), Term("std", 2), dual=True)),
+        (grp(Factor("sp", 2), lines=[(1,)]), S(Term("weight", 1, (0, 1)), charges=(2,))),
+    ],
+)
+def test_real_orbit_rows_are_the_complex_action_interleaved(group, summand):
+    # the rows g.v of the real compact stack at an integer v in R^(2d) are
+    # (Re, Im) of the complex compact generators at v[0::2] + i*v[1::2],
+    # the real part of coordinate a in column 2a, its imaginary part in 2a + 1
+    from coisotropy.mforacle import _real_action_rows
+
+    m = realize(group, R(summand))
+    c_re, c_im, den = _reference_complex_compact(*_reference_generators(m), m)
+    v = np.array([(7 * t) % 11 - 5 for t in range(2 * m.space_dim)], dtype=object)
+    x, y = v[0::2], v[1::2]
+    want = np.zeros((len(c_re), 2 * m.space_dim), dtype=object)
+    want[:, 0::2], want[:, 1::2] = c_re @ x - c_im @ y, c_re @ y + c_im @ x
+    rows = _real_action_rows(m, v.astype(np.int64))
+    assert want.any() and (rows * den == want * m.compact_stack.den).all()
 
 
 def _diagonal_weights(m) -> list[tuple[Fraction, ...]]:

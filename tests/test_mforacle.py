@@ -87,12 +87,12 @@ def test_cohomogeneity_sphere():
 
 def test_cohomogeneity_orbit_dimension_identity():
     from coisotropy.linalg import int_rank
-    from coisotropy.mforacle import _real_action_rows, _sample_complex_vector
+    from coisotropy.mforacle import _real_action_rows, _sample_vector
     import random
 
     m = rep_of("su(2) + u1[1] on std(1) @ 1")
     rng = random.Random(7)
-    v = _sample_complex_vector(2, rng, 97)
+    v = _sample_vector(4, rng, 97)
     orbit = int_rank(_real_action_rows(m, v))
     assert cohomogeneity(m) + orbit == 4
 
@@ -270,7 +270,7 @@ def test_unstable_samples_raise_genericity_error():
         return len(calls)  # a different value on every sample
 
     with pytest.raises(mforacle.GenericityError):
-        mforacle._stabilize(evaluate, 3, 7, mforacle._sample_complex_vector)
+        mforacle._stabilize(evaluate, 6, 7)
     assert len(calls) == mforacle.MAX_ROUNDS * mforacle.N_SAMPLES
 
 
@@ -313,6 +313,22 @@ def test_full_rank_sample_certifies_mf_after_one_sample(probes):
     assert probe.certified and probe.value == 5 and len(probe.sample_points) == 1
 
 
+def test_mf_test_reads_its_sample_as_interleaved_real_and_imaginary_parts(monkeypatch):
+    # the first point drawn for C^5 is v in R^10, read as v[0::2] + i*v[1::2]
+    from coisotropy import mforacle
+    from coisotropy.linalg import zi_apply
+
+    seen, inner = [], mforacle.complex_rank
+    monkeypatch.setattr(mforacle, "complex_rank", lambda rows: seen.append(rows) or inner(rows))
+    m = rep_of("so(5) + u1[1] on std(1) @ 1")
+    assert mf_test(m) is True
+    rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
+    v = mforacle._sample_vector(10, rng, mforacle.SAMPLE_BOUND)
+    (rows,) = seen
+    want = zi_apply(m.borel_stack, v[0::2], v[1::2])
+    assert (rows.re == want.re).all() and (rows.im == want.im).all()
+
+
 def test_fewer_borel_rows_than_dim_is_false_after_one_sample(probes):
     m = rep_of("su(3) on sym2(1)")
     assert m.borel_stack.shape[0] < m.space_dim
@@ -336,9 +352,7 @@ def test_stabilize_stops_at_the_first_value_on_the_ceiling():
     from coisotropy import mforacle
 
     values = iter([3, 5, 4, 5])
-    probe = mforacle._stabilize(
-        lambda v: next(values), 3, 7, mforacle._sample_complex_vector, ceiling=5
-    )
+    probe = mforacle._stabilize(lambda v: next(values), 6, 7, ceiling=5)
     assert (probe.value, probe.certified, probe.rounds_used, probe.seeds) == (5, True, 1, [0, 1])
     assert next(values) == 4  # the third sample was never drawn
 
@@ -392,9 +406,9 @@ def test_symmetric_pair_validate_rejects_a_misplaced_element():
 
 
 def _reference_isotropy_algebra(rep, v):
-    """A basis of the matrices of the isotropy algebra at v, as a stack
-    (re, im) of integer matrices: the Fraction RREF kernel of the orbit
-    map, its matrices reduced to independent ones by a Fraction RREF."""
+    """A basis of the matrices of the isotropy algebra at v, as a stack of
+    real integer matrices: the Fraction RREF kernel of the orbit map, its
+    matrices reduced to independent ones by a Fraction RREF."""
     from fractions import Fraction
     from math import lcm
 
@@ -405,10 +419,10 @@ def _reference_isotropy_algebra(rep, v):
 
     gens = rep.compact_stack.dense()
     n, d = gens.re.shape[:2]
-    flat = np.concatenate([gens.re.reshape(n, -1), gens.im.reshape(n, -1)], axis=1).tolist()
+    flat = gens.re.reshape(n, -1).tolist()
     system = [[Fraction(x) for x in comp] for comp in _real_action_rows(rep, v).T.tolist()]
     matrices = [
-        [sum(c * row[e] for c, row in zip(vec, flat)) for e in range(2 * d * d)]
+        [sum(c * row[e] for c, row in zip(vec, flat)) for e in range(d * d)]
         for vec in frac_nullspace(system, n)
     ]
     rref, pivots = frac_rref(matrices) if matrices else ([], [])
@@ -416,8 +430,7 @@ def _reference_isotropy_algebra(rep, v):
     for row in rref[: len(pivots)]:
         scale = lcm(*(x.denominator for x in row))
         basis.append([int(x * scale) for x in row])
-    basis = np.array(basis, dtype=object).reshape(len(basis), 2, d, d)
-    return basis[:, 0], basis[:, 1]
+    return np.array(basis, dtype=object).reshape(len(basis), d, d)
 
 
 def _reference_algebra_rank(basis, rng, bound=97):
@@ -426,16 +439,12 @@ def _reference_algebra_rank(basis, rng, bound=97):
 
     from reference import bareiss_rank
 
-    xr, xi = basis
-    n = len(xr)
+    n = len(basis)
     if n == 0:
         return 0
     c = np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
-    zr, zi = np.tensordot(c, xr, axes=1), np.tensordot(c, xi, axes=1)
-    br = (xr @ zr - xi @ zi) - (zr @ xr - zi @ xi)
-    bi = (xr @ zi + xi @ zr) - (zr @ xi + zi @ xr)
-    rows = np.concatenate([br.reshape(n, -1), bi.reshape(n, -1)], axis=1)
-    return n - bareiss_rank(rows.tolist())
+    z = np.tensordot(c, basis, axes=1)
+    return n - bareiss_rank((basis @ z - z @ basis).reshape(n, -1).tolist())
 
 
 def _reference_principal_rank(rep, seed, kernel_rank):
@@ -452,8 +461,7 @@ def _reference_principal_rank(rep, seed, kernel_rank):
         assert len(ranks) == 1
         return ranks.pop() + kernel_rank
 
-    sampler = mforacle._sampler_for(rep)
-    return mforacle._stabilize(rank_at, mforacle._sample_dim(rep), seed, sampler).value
+    return mforacle._stabilize(rank_at, rep.compact_stack.shape[1], seed).value
 
 
 # name -> (module, rank of the kernel of its action, group rank for a RealRep)
@@ -496,8 +504,7 @@ def test_isotropy_entries_are_injective_on_the_compact_algebra(name):
     rep = ISOTROPY_CASES[name][0]()
     frame = mforacle._frame(rep)
     gens = rep.compact_stack.dense()
-    n = len(gens.re)
-    flat = np.concatenate([gens.re.reshape(n, -1), gens.im.reshape(n, -1)], axis=1)
+    flat = gens.re.reshape(len(gens.re), -1)
     assert int_rank(flat[:, frame.at]) == int_rank(flat) == frame.at.size
 
 
@@ -510,7 +517,7 @@ def test_the_centralizer_of_zero_is_not_abelian():
 
     rep = rep_of("su(3) + u1[1] on std(1) @ 1")
     frame = mforacle._frame(rep)
-    v = mforacle._sample_complex_vector(3, random.Random(3), 97)
+    v = mforacle._sample_vector(6, random.Random(3), 97)
     _, kernel = int_kernel(mforacle._real_action_rows(rep, v).T)
     assert kernel.shape[1] == 4
     everything = mforacle._centralizer(frame, kernel, np.zeros(len(kernel), dtype=object))
