@@ -12,6 +12,7 @@ import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 from .dsl import eval_int_expr
+from .linalg import realify
 from .matrep import GroupSpec, RepSpec, real_block_rep, realize
 from .mforacle import (
     DEFAULT_SEED,
@@ -500,7 +501,7 @@ def _same_algebra(a: str, b: str) -> bool:
 # The recorded tangent plane of the center + su(2) candidate, in the complex
 # slice coordinates where brackets are plain matrix commutators: a skew form
 # on the su(2) block with the generic phase 2 + i, and a unit cross vector,
-# each a skew 3 x 3 matrix (re, im).
+# each a skew 3 x 3 matrix (re, im), tested as its realification.
 WITNESS_PLANE = (
     (np.array([[0, 0, 0], [0, 0, 2], [0, -2, 0]]), np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]])),
     (np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), np.zeros((3, 3), dtype=np.int64)),
@@ -517,7 +518,7 @@ def standard_triple_witness():
     """
     from .mforacle import embed_p_so_even, lie_triple_test, so_even_u_pair
 
-    raw = lie_triple_closure(WITNESS_PLANE)
+    raw = lie_triple_closure([realify(*w) for w in WITNESS_PLANE])
     cross = lie_triple_test(so_even_u_pair(3), [embed_p_so_even(w) for w in WITNESS_PLANE])
     return raw, cross
 

@@ -13,6 +13,7 @@ import sys
 
 from . import classify, mforacle, repdata
 from .dsl import parse_repspec, print_repspec
+from .linalg import realify
 from .matrep import realize
 from .rootsys import (
     DominantWeight,
@@ -210,7 +211,7 @@ def _cmd_triple_test(args, rep: _Reporter) -> int:
         "note: the equivariant orthogonal-model embedding of the same pair is "
         f"closed={cross.closed}; the verdict follows the slice-coordinate model"
     )
-    single = mforacle.lie_triple_closure([classify.WITNESS_PLANE[0]])
+    single = mforacle.lie_triple_closure([realify(*classify.WITNESS_PLANE[0])])
     rep.ok_line(single.closed, "one-dimensional candidate is closed")
     pair = mforacle.sp_u_pair(2)
     plane = mforacle.maximal_abelian_in_p(pair, seed=args.seed)

@@ -2,9 +2,13 @@
 
 Everything downstream (rank tests, isotropy kernels, bilinear-form solves,
 the Gram blocks of the weight modules) reduces to integer elimination
-implemented here.  The sampled oracles work on exact integer numpy arrays:
-a matrix over Q(i) is held as a ZiArray, integer real and imaginary parts
-over one common denominator.
+implemented here.  Every generator matrix is real and integral: an
+IntStack holds a set of generators by its nonzeros over one denominator,
+and _Dense is the one dense integer matrix (or stack of matrices), whose
+commutator _bracket serves the module certificate, the real slice models
+and the Lie-triple test alike.  Complex numbers enter only at a complex
+point: the rows of a stack at v = x + iy are int_apply at x and at y, a
+ZiArray, integer real and imaginary parts over one common denominator.
 
 One verified modular kernel serves them all.  int_kernel eliminates an
 integer matrix modulo a prime p ~ 2**31 for pivot rows and columns, lifts
@@ -18,11 +22,7 @@ bound from Hadamard's inequality caps the number of primes.  The only
 other elimination is _modp_rank: a complex rank is first taken modulo p
 with i mapped to a square root of -1, and a full one is certified,
 because a ring map never raises the rank.  Otherwise the kernel decides on
-the realification: M = A + iB has rank_C(M) = rank_R([[A, -B], [B, A]]) / 2.
-Every exact matrix is integral: a ZiStack holds a set of generators by its
-nonzeros, and _Dense is the one dense Gaussian-integer matrix (or stack of
-matrices), whose commutator _bracket serves the module certificate, the
-real slice models and the Lie-triple test alike.
+the realification: M = A + iB has rank_C(M) = rank_R(realify(A, B)) / 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer arrays and the exact rank kernel
+# integer stacks, Gaussian-integer arrays and the exact rank kernel
 
 # Primes p = 1 (mod 4) below 2**31, each with a square root s of -1 mod p.
 # Residues stay below 2**31, so a product of two residues fits in int64.
@@ -63,100 +63,83 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-class ZiStack(NamedTuple):
-    """A stack of n matrices of size d x d over Q(i), held by its nonzeros.
+def realify(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real matrix [[re, -im], [im, re]] of re + i*im, or the stack of
+    them along leading axes: an injective homomorphism of rings, and so of
+    Lie algebras, that doubles the rank."""
+    return np.block([[re, -im], [im, re]])
 
-    Entry t is (re[t] + i*im[t]) / den at row row[t], column col[t] of
-    matrix k[t]; re and im are integer arrays as in a ZiArray.  Generators
-    are sparse, so this is the (n, d, d) stack without its zeros.
+
+class IntStack(NamedTuple):
+    """A stack of n integer matrices of size d x d over one denominator,
+    held by its nonzeros.
+
+    Entry t is val[t] / den at row row[t], column col[t] of matrix k[t];
+    val is an integer array as in a ZiArray.  Generators are sparse, so
+    this is the (n, d, d) stack without its zeros.
     """
 
     shape: tuple[int, int, int]
     k: np.ndarray
     row: np.ndarray
     col: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
+    val: np.ndarray
     den: int
 
-    def dense(self) -> ZiArray:
-        """The (n, d, d) arrays, zeros included."""
-        re = np.zeros(self.shape, self.re.dtype)
-        im = np.zeros(self.shape, self.im.dtype)
-        re[self.k, self.row, self.col] = self.re
-        im[self.k, self.row, self.col] = self.im
-        return ZiArray(re, im, self.den)
+    def dense(self) -> np.ndarray:
+        """The (n, d, d) numerators, zeros included."""
+        out = np.zeros(self.shape, self.val.dtype)
+        out[self.k, self.row, self.col] = self.val
+        return out
 
 
-def zi_apply(gens: ZiStack, v_re: np.ndarray, v_im: np.ndarray) -> ZiArray:
-    """The rows g_k v of a stack of d x d matrices at the vector v_re + i*v_im.
+def int_apply(gens: IntStack, v: np.ndarray) -> np.ndarray:
+    """The integer rows g_k v of a stack of d x d matrices at an integer
+    vector v, over the stack's denominator.
 
-    v is integral and the rows keep the stack's denominator.  Every entry
-    of a row is bounded by 2 * max|g| * max|v| * d; while that is below
-    INT64_SAFE the product is computed in int64, beyond it in Python ints.
+    Every entry of a row is bounded by max|g| * max|v| * d; while that is
+    below INT64_SAFE the product is computed in int64, beyond it in Python
+    ints.
     """
     n, d, _ = gens.shape
-    g_max = max(_max_abs(gens.re), _max_abs(gens.im))
-    v_max = max(_max_abs(v_re), _max_abs(v_im))
-    dtype = np.int64 if 2 * g_max * v_max * d < INT64_SAFE else object
-    g_re, g_im = gens.re.astype(dtype, copy=False), gens.im.astype(dtype, copy=False)
-    v_re, v_im = v_re[gens.col].astype(dtype), v_im[gens.col].astype(dtype)
-    out = ZiArray(np.zeros((n, d), dtype), np.zeros((n, d), dtype), gens.den)
-    np.add.at(out.re, (gens.k, gens.row), g_re * v_re - g_im * v_im)
-    np.add.at(out.im, (gens.k, gens.row), g_re * v_im + g_im * v_re)
+    dtype = np.int64 if _max_abs(gens.val) * _max_abs(v) * d < INT64_SAFE else object
+    out = np.zeros((n, d), dtype)
+    np.add.at(out, (gens.k, gens.row), gens.val.astype(dtype, copy=False) * v[gens.col].astype(dtype))
     return out
 
 
 class _Dense(NamedTuple):
-    """A Gaussian-integer matrix re + i*im, or a stack of them along leading
-    axes (im None when it is real), whose entries are at most bound in
-    absolute value."""
+    """An integer matrix, or a stack of them along leading axes, whose
+    entries are at most bound in absolute value."""
 
-    re: np.ndarray
-    im: np.ndarray | None
+    val: np.ndarray
     bound: int
-
-    def is_zero(self) -> bool:
-        return not self.re.any() and (self.im is None or not self.im.any())
 
 
 def _bracket(x: _Dense, y: _Dense) -> _Dense:
     """[x, y], broadcast over leading stack axes; formed in int64 while its
-    bound 4 * d * x.bound * y.bound is below INT64_SAFE, in Python ints
+    bound 2 * d * x.bound * y.bound is below INT64_SAFE, in Python ints
     beyond it."""
-    bound = 4 * x.re.shape[-1] * x.bound * y.bound
+    bound = 2 * x.val.shape[-1] * x.bound * y.bound
     dtype = object if bound >= INT64_SAFE else np.int64
-    cast = lambda a: None if a is None else a.astype(dtype, copy=False)  # noqa: E731
-    x, y = (_Dense(cast(z.re), cast(z.im), z.bound) for z in (x, y))
-    re = x.re @ y.re - y.re @ x.re
-    im = None
-    if x.im is not None:
-        im = x.im @ y.re - y.re @ x.im
-        if y.im is not None:
-            re = re - (x.im @ y.im - y.im @ x.im)
-    if y.im is not None:
-        part = x.re @ y.im - y.im @ x.re
-        im = part if im is None else im + part
-    return _Dense(re, im, bound)
+    a, b = x.val.astype(dtype, copy=False), y.val.astype(dtype, copy=False)
+    return _Dense(a @ b - b @ a, bound)
 
 
-def _multiple(x: _Dense, y: _Dense) -> tuple[int, int] | None:
-    """x_p * conj(y_p) at the first nonzero p of y if x = c y, else None
-    (also when y is zero).  It is a positive multiple of c, so c is
-    nonzero iff it is nonzero and real iff its imaginary part is 0."""
-    dtype = object if 2 * x.bound * y.bound >= INT64_SAFE else np.int64
-    xr, xi, yr, yi = (
-        np.zeros(x.re.shape, dtype) if a is None else a.astype(dtype, copy=False)
-        for a in (x.re, x.im, y.re, y.im)
-    )
-    nz = np.flatnonzero((yr != 0) | (yi != 0))
+def _multiple(x: _Dense, y: _Dense) -> int | None:
+    """x_p * y_p at the first nonzero p of y if x = c y, else None (also
+    when y is zero).  It is a positive multiple of c, so it is positive
+    iff c is."""
+    dtype = object if x.bound * y.bound >= INT64_SAFE else np.int64
+    a, b = x.val.astype(dtype, copy=False), y.val.astype(dtype, copy=False)
+    nz = np.flatnonzero(b)
     if not nz.size:
         return None
-    a, b, c, e = (int(m.flat[nz[0]]) for m in (xr, xi, yr, yi))
-    # x (c + ie) = y (a + ib), entrywise
-    if (xr * c - xi * e != yr * a - yi * b).any() or (xr * e + xi * c != yr * b + yi * a).any():
+    xp, yp = int(a.flat[nz[0]]), int(b.flat[nz[0]])
+    # x yp = y xp, entrywise
+    if (a * yp != b * xp).any():
         return None
-    return a * c + b * e, b * c - a * e
+    return xp * yp
 
 
 def _modp_rank(a: np.ndarray, p: int) -> int:
@@ -420,7 +403,7 @@ def complex_rank(m: ZiArray) -> int:
     For the first (p, s) in _RANK_PRIMES, i -> s is a ring map Z[i] -> Z/p,
     so the rank of the n x d residue matrix never exceeds the true rank and
     a full one (min(n, d)) is certified.  Otherwise the rank is half the
-    verified rank (int_kernel) of the realification [[re, -im], [im, re]].
+    verified rank (int_kernel) of the realification realify(re, im).
     """
     if m.re.ndim != 2 or 0 in m.re.shape:
         return 0
@@ -428,7 +411,7 @@ def complex_rank(m: ZiArray) -> int:
     residues = ((m.re % p).astype(np.int64) + s * (m.im % p).astype(np.int64)) % p
     if _modp_rank(residues, p) == min(m.re.shape):
         return min(m.re.shape)
-    r = int_rank(np.block([[m.re, -m.im], [m.im, m.re]]))
+    r = int_rank(realify(m.re, m.im))
     if r % 2:
         raise ArithmeticError(f"realified rank {r} of a complex space is odd")
     return r // 2

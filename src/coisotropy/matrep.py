@@ -1,7 +1,7 @@
-"""Explicit matrix realizations over the Gaussian rationals, stored as integers.
+"""Explicit integer matrix realizations of the modules.
 
 Every per-factor module is built directly as one integer stack
-(linalg.ZiStack: numerators over one denominator) of its simple generators
+(linalg.IntStack: numerators over one denominator) of its simple generators
 h_i, e_i, f_i, certified once, and completed by one derivation of the
 other root vectors, e_beta = [e_i, e_beta'] and f_beta = [f_beta', f_i].
 Every irreducible module (std, spin and weight terms) is the highest-weight
@@ -13,13 +13,15 @@ sums and torus charge lines are assembled from the stacks by index
 arithmetic too, and so are the real slice models (RealRep) of so(7) on R^7
 and on the octonions.
 
-For every module the lowering generator of a positive root is the adjoint
-of the raising generator with respect to an invariant positive form, so
-the real span of {i*h, e - f, i*(e + f)}, together with i times the torus
-charge matrices, is exactly the compact real form acting on the module.
-MatrixRep.compact_stack holds it realified, as real matrices on R^(2d),
-which is the contract of RealRep.compact_stack too: the orbit oracles read
-one real integer stack for either.
+The Chevalley generators h, e, f and the torus charges are rational
+matrices, so a module C^d of the complexified algebra is held by real
+integer matrices.  For every module the lowering generator of a positive
+root is the adjoint of the raising generator with respect to an invariant
+positive form, so the real span of {i*h, e - f, i*(e + f)}, together with
+i times the torus charge matrices, is exactly the compact real form
+acting on the module.  MatrixRep.compact_stack holds it realified, as
+real matrices on R^(2d), which is the contract of RealRep.compact_stack
+too: the orbit oracles read one real integer stack for either.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .linalg import (
     INT64_SAFE,
-    ZiStack,
+    IntStack,
     _bracket,
     _Dense,
     _max_abs,
@@ -266,7 +268,7 @@ def _highest_weight(fac: Factor, kind: str, arg=None) -> tuple[int, ...]:
     return DominantWeight.fundamental(r, node).coeffs
 
 
-def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
+def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> IntStack:
     """Simple stack of the irreducible module with highest weight coeffs.
 
     States are lowering words applied to a highest vector; dependencies are
@@ -403,16 +405,16 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> ZiStack:
     den = lcm(*(c.denominator for *_, c in ent))
     k, row, col = np.array([x[:3] for x in ent], dtype=np.int64).T
     val = np.array([c.numerator * (den // c.denominator) for *_, c in ent])
-    return _coalesce((3 * r, n, n), k, row, col, val, 0 * val, den)
+    return _coalesce((3 * r, n, n), k, row, col, val, den)
 
 
-def _root_vectors(simple: ZiStack, rs: RootSystem) -> ZiStack:
-    """The module stack cartan | raising | lowering of a real simple stack:
+def _root_vectors(simple: IntStack, rs: RootSystem) -> IntStack:
+    """The module stack cartan | raising | lowering of a simple stack:
     over the positive roots in order, e_beta = [e_i, e_beta'] and f_beta =
     [f_beta', f_i] for the first i with beta' = beta - alpha_i a positive
     root, each in lowest terms, then all over one denominator."""
     r = rs.rank
-    bound = _max_abs(simple.re)
+    bound = _max_abs(simple.val)
     gens = [_reduced(_dense(simple, k, bound), simple.den) for k in range(3 * r)]
     units = [tuple(int(t == i) for t in range(r)) for i in range(r)]
     e, f = dict(zip(units, gens[r : 2 * r])), dict(zip(units, gens[2 * r :]))
@@ -429,30 +431,29 @@ def _root_vectors(simple: ZiStack, rs: RootSystem) -> ZiStack:
     gens = gens[:r] + [e[root] for root in rs.positive_roots] + [f[root] for root in rs.positive_roots]
     den = lcm(*(g for _, g in gens))
     big = max(x.bound * (den // g) for x, g in gens) >= INT64_SAFE
-    return _real_stack(np.stack([x.re.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
+    return _sparse(np.stack([x.val.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
 
 
-def _real_stack(full: np.ndarray, den: int) -> ZiStack:
-    """The stack of the real (n, d, d) numerators full over den."""
+def _sparse(full: np.ndarray, den: int) -> IntStack:
+    """The stack of the (n, d, d) numerators full over den."""
     k, row, col = np.nonzero(full)
-    re = full[k, row, col]
-    return ZiStack(full.shape, k, row, col, re, 0 * re, den)
+    return IntStack(full.shape, k, row, col, full[k, row, col], den)
 
 
 def _reduced(x: _Dense, den: int) -> tuple[_Dense, int]:
-    """The real matrix x / den in lowest terms: (numerators, denominator)
+    """The matrix x / den in lowest terms: (numerators, denominator)
     divided by their gcd, in int64 below INT64_SAFE."""
-    g = gcd(den, *x.re[x.re != 0].tolist())
-    re = x.re // g
-    bound = _max_abs(re)
-    return _Dense(re.astype(object if bound >= INT64_SAFE else np.int64), None, bound), den // g
+    g = gcd(den, *x.val[x.val != 0].tolist())
+    val = x.val // g
+    bound = _max_abs(val)
+    return _Dense(val.astype(object if bound >= INT64_SAFE else np.int64), bound), den // g
 
 
 # ---------------------------------------------------------------------------
 # symmetric and exterior squares
 
 
-def _square(mod: ZiStack, alt: bool) -> ZiStack:
+def _square(mod: IntStack, alt: bool) -> IntStack:
     """The induced action on the symmetric (alt False) or exterior square.
 
     x e_b = sum_a x_ab e_a acts on each factor of e_b e_c, which doubles
@@ -479,8 +480,7 @@ def _square(mod: ZiStack, alt: bool) -> ZiStack:
         mod.k[t],
         idx[mod.row[t], other],
         idx[mod.col[t], other],
-        mod.re[t] * mult,
-        mod.im[t] * mult,
+        mod.val[t] * mult,
         mod.den,
     )
 
@@ -490,7 +490,7 @@ def _square(mod: ZiStack, alt: bool) -> ZiStack:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_module(fac: Factor, kind: str, arg=None) -> ZiStack:
+def _factor_module(fac: Factor, kind: str, arg=None) -> IntStack:
     """Module of a simple factor for a std, sym2, alt2, spin or weight term,
     as one integer stack ordered cartan | raising | lowering (simple roots,
     then positive roots in positive_roots order) over one denominator.
@@ -515,30 +515,29 @@ def _root_pairings(rs: RootSystem) -> np.ndarray:
     return np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
 
 
-def _dense(gens: ZiStack, k: int, bound: int) -> _Dense:
+def _dense(gens: IntStack, k: int, bound: int) -> _Dense:
     """Generator k of a stack whose entries are at most bound, densely."""
     sel, d = gens.k == k, gens.shape[1]
-    re, im = np.zeros((2, d, d), gens.re.dtype)
-    re[gens.row[sel], gens.col[sel]] = gens.re[sel]
-    im[gens.row[sel], gens.col[sel]] = gens.im[sel]
-    return _Dense(re, im if im.any() else None, bound)
+    val = np.zeros((d, d), gens.val.dtype)
+    val[gens.row[sel], gens.col[sel]] = gens.val[sel]
+    return _Dense(val, bound)
 
 
-def _weights(gens: ZiStack, diag: list[int]) -> np.ndarray:
+def _weights(gens: IntStack, diag: list[int]) -> np.ndarray:
     """The d x len(diag) numerators W[a, t] = (generator diag[t])[a, a];
-    raises unless each of those generators is real and diagonal."""
+    raises unless each of those generators is diagonal."""
     n, d, _ = gens.shape
     column = np.full(n, -1)
     column[diag] = np.arange(len(diag))
     sel = column[gens.k] >= 0
-    if (gens.row[sel] != gens.col[sel]).any() or gens.im[sel].any():
-        raise RepresentationError("Cartan or torus generator is not real diagonal")
-    w = np.zeros((d, len(diag)), gens.re.dtype)
-    w[gens.row[sel], column[gens.k[sel]]] = gens.re[sel]
+    if (gens.row[sel] != gens.col[sel]).any():
+        raise RepresentationError("Cartan or torus generator is not diagonal")
+    w = np.zeros((d, len(diag)), gens.val.dtype)
+    w[gens.row[sel], column[gens.k[sel]]] = gens.val[sel]
     return w
 
 
-def _weight_fault(gens: ZiStack, w: np.ndarray, eig: np.ndarray, first: int, npos: int):
+def _weight_fault(gens: IntStack, w: np.ndarray, eig: np.ndarray, first: int, npos: int):
     """(j, 'e' or 'f') of the first root generator, in root order, with a
     nonzero (a, b) where W[a] - W[b] != eig[k] * den, that is where
     [h, x] = eig x fails for a diagonal h; None if there is none.  Root j
@@ -555,14 +554,14 @@ def _weight_fault(gens: ZiStack, w: np.ndarray, eig: np.ndarray, first: int, npo
     return (k - first) % npos, "e" if k < first + npos else "f"
 
 
-def _certify(simple: ZiStack, rs: RootSystem) -> None:
+def _certify(simple: IntStack, rs: RootSystem) -> None:
     """Certify that a simple stack h | e | f represents the algebra of rs.
 
     With every h_i diagonal, these are the Chevalley-Serre relations on the
     3r simple generators, which present the algebra (Serre's theorem):
     [h_j, e_i] = a_ji e_i and [h_j, f_i] = -a_ji f_i for the Cartan matrix
-    a, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i a positive
-    real, so that f_i / c_i is the Chevalley partner of e_i and f_i the
+    a, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i > 0, so
+    that f_i / c_i is the Chevalley partner of e_i and f_i the
     adjoint of e_i under an invariant positive form; ad(e_i)^(1 - a_ij) e_j
     = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.  The root vectors that
     _root_vectors derives need no check: brackets of adjoints are adjoints.
@@ -575,7 +574,7 @@ def _certify(simple: ZiStack, rs: RootSystem) -> None:
         raise RepresentationError("module has the wrong number of generators")
     if d2 != d or ((simple.row < 0) | (simple.row >= d) | (simple.col < 0) | (simple.col >= d)).any():
         raise RepresentationError("generator shape differs from the module dimension")
-    if not (simple.re.any() or simple.im.any()):
+    if not simple.val.any():
         return
     eig = np.zeros((n, r), dtype=np.int64)
     eig[r : 2 * r] = np.array(A).T
@@ -585,7 +584,7 @@ def _certify(simple: ZiStack, rs: RootSystem) -> None:
         i, kind = fault
         raise RepresentationError(f"weight relation fails on {kind}_{i} of the simple root alpha_{i}")
 
-    bound = max(_max_abs(simple.re), _max_abs(simple.im))
+    bound = _max_abs(simple.val)
     e = [_dense(simple, r + i, bound) for i in range(r)]
     f = [_dense(simple, 2 * r + i, bound) for i in range(r)]
     for i in range(r):
@@ -593,16 +592,16 @@ def _certify(simple: ZiStack, rs: RootSystem) -> None:
             b = _bracket(e[i], f[j])
             if i == j:
                 c = _multiple(b, _dense(simple, i, bound))
-                if c is None or c[1] or c[0] <= 0:
+                if c is None or c <= 0:
                     raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i} with c > 0")
                 continue
-            if not b.is_zero():
+            if b.val.any():
                 raise RepresentationError(f"[e_{i}, f_{j}] does not vanish")
             for gens in (e, f):
                 x = gens[j]
                 for _ in range(1 - A[i][j]):
                     x = _bracket(gens[i], x)
-                if not x.is_zero():
+                if x.val.any():
                     raise RepresentationError(f"Serre relation fails for ({i}, {j})")
 
 
@@ -627,7 +626,7 @@ class MatrixRep:
     group: GroupSpec
     rep: RepSpec
     space_dim: int
-    gens: ZiStack
+    gens: IntStack
     cartan_labels: list[tuple[int, int]]  # (factor index, simple root index)
     root_labels: list[tuple[int, tuple[int, ...]]]  # (factor index, root coords)
 
@@ -636,54 +635,53 @@ class MatrixRep:
         return self.gens.shape[0] - len(self.cartan_labels) - 2 * len(self.root_labels)
 
     @functools.cached_property
-    def borel_stack(self) -> ZiStack:
+    def borel_stack(self) -> IntStack:
         """The Borel generators cartan | raising | torus, selected from gens."""
         g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
         keep = (g.k < nc + npos) | (g.k >= nc + 2 * npos)
         k = g.k[keep] - npos * (g.k[keep] >= nc + npos)
         shape = (g.shape[0] - npos, *g.shape[1:])
-        return ZiStack(shape, k, g.row[keep], g.col[keep], g.re[keep], g.im[keep], g.den)
+        return IntStack(shape, k, g.row[keep], g.col[keep], g.val[keep], g.den)
 
     @functools.cached_property
-    def compact_stack(self) -> ZiStack:
+    def compact_stack(self) -> IntStack:
         """The compact real form acting on R^(2d), as one real stack: i*h,
         then e - f and i*(e + f) for each positive root, then i*t.  The
-        coordinates (Re v_a, Im v_a) sit at (2a, 2a + 1), so an entry
-        x + iy becomes the block [[x, -y], [y, x]]."""
+        coordinates (Re v_a, Im v_a) sit at (2a, 2a + 1), so a real entry x
+        becomes the block [[x, 0], [0, x]], and i*x the block [[0, -x], [x, 0]]."""
         g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
         lowering = (g.k >= nc + npos) & (g.k < nc + 2 * npos)
         root = (g.k >= nc) & (g.k < nc + 2 * npos)
         j = g.k - nc - npos * lowering
-        sign = np.where(lowering, -1, 1)
         # i * x at k for h and t, at nc + 2j + 1 for e and f; e - f at nc + 2j
-        k = np.concatenate([np.where(root, nc + 2 * j + 1, g.k), (nc + 2 * j)[root]])
-        row = np.concatenate([g.row, g.row[root]])
-        col = np.concatenate([g.col, g.col[root]])
-        x = np.concatenate([-g.im, (sign * g.re)[root]])
-        y = np.concatenate([g.re, (sign * g.im)[root]])
+        ki, ke = np.where(root, nc + 2 * j + 1, g.k), (nc + 2 * j)[root]
+        r, c, x = 2 * g.row, 2 * g.col, g.val
+        er, ec, ex = r[root], c[root], (np.where(lowering, -1, 1) * x)[root]
         n, d, _ = g.shape
-        # the block entries x, -y, y, x at (2r, 2c) + (0, 0), (0, 1), (1, 0), (1, 1)
-        row = 2 * np.tile(row, 4) + np.repeat([0, 0, 1, 1], k.size)
-        col = 2 * np.tile(col, 4) + np.repeat([0, 1, 0, 1], k.size)
-        re = np.r_[x, -y, y, x]
-        return _coalesce((n, 2 * d, 2 * d), np.tile(k, 4), row, col, re, 0 * re, g.den)
+        return _coalesce(
+            (n, 2 * d, 2 * d),
+            np.r_[ki, ki, ke, ke],
+            np.r_[r, r + 1, er, er + 1],
+            np.r_[c + 1, c, ec, ec + 1],
+            np.r_[-x, x, ex, ex],
+            g.den,
+        )
 
 
-def _coalesce(shape, k, row, col, re, im, den) -> ZiStack:
+def _coalesce(shape, k, row, col, val, den) -> IntStack:
     """The stack of these entries with the ones at one position summed and
     zeros dropped, in (k, row, col) order."""
     d = max(shape[1], 1)
     key = (k * d + row) * d + col
     uniq, at = np.unique(key, return_inverse=True)
-    sre, sim = np.zeros(uniq.size, re.dtype), np.zeros(uniq.size, im.dtype)
-    np.add.at(sre, at, re)
-    np.add.at(sim, at, im)
-    keep = (sre != 0) | (sim != 0)
+    total = np.zeros(uniq.size, val.dtype)
+    np.add.at(total, at, val)
+    keep = total != 0
     uniq = uniq[keep]
-    return ZiStack(shape, uniq // (d * d), uniq // d % d, uniq % d, sre[keep], sim[keep], den)
+    return IntStack(shape, uniq // (d * d), uniq // d % d, uniq % d, total[keep], den)
 
 
-def _term_module(group: GroupSpec, term: Term, chirality: int) -> tuple[int, ZiStack | None, int]:
+def _term_module(group: GroupSpec, term: Term, chirality: int) -> tuple[int, IntStack | None, int]:
     """(factor index, module, dimension) of one term; (-1, None, 1) for a
     trivial slot."""
     if term.kind == "triv":
@@ -768,28 +766,27 @@ def realize(
                 col = ((b + m.col[None, :, None]) * after + a).ravel()
                 shape = (before, m.k.size, after)
                 spread = lambda x: np.broadcast_to(x[None, :, None], shape).ravel()  # noqa: E731
-                re, im = (values(spread(x), den // m.den, len(slots)) for x in (m.re, m.im))
+                val = values(spread(m.val), den // m.den, len(slots))
                 if sm.dual:
-                    row, col, re, im = d - 1 - col, d - 1 - row, -re, -im
-                parts.append((kmaps[fidx][spread(m.k)], row + off, col + off, re, im))
+                    row, col, val = d - 1 - col, d - 1 - row, -val
+                parts.append((kmaps[fidx][spread(m.k)], row + off, col + off, val))
             before *= n
         charges = sm.charges or (0,) * n_circ
         for t, line in enumerate(group.torus_lines):
             net = sum(a * c for a, c in zip(line, charges))
             if net:
                 idx = np.arange(off, off + d)
-                val = values(np.full(d, net), den, 1)
-                parts.append((np.full(d, nc + 2 * npos + t), idx, idx, val, 0 * val))
+                parts.append((np.full(d, nc + 2 * npos + t), idx, idx, values(np.full(d, net), den, 1)))
 
-    k, row, col, re, im = (
+    k, row, col, val = (
         np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
-        for t in range(5)
+        for t in range(4)
     )
     out = MatrixRep(
         group=group,
         rep=rep,
         space_dim=total,
-        gens=_coalesce((nc + 2 * npos + n_torus, total, total), k, row, col, re, im, den),
+        gens=_coalesce((nc + 2 * npos + n_torus, total, total), k, row, col, val, den),
         cartan_labels=cartan_labels,
         root_labels=root_labels,
     )
@@ -807,7 +804,7 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
     Each per-factor module is certified once, when it is built (_certify).
     Kron with identities, block sums and the dual map x -> -x^T in the
     reversed basis are Lie-algebra homomorphisms, so assembly only needs
-    guarding: Cartan and torus generators are real diagonal, raising
+    guarding: Cartan and torus generators are diagonal, raising
     generators strictly upper triangular, and every root vector satisfies
     the weight relation entrywise, W[a] - W[b] = +-eig on each nonzero
     (a, b) for the weight matrix W of the Cartan and torus diagonals, with
@@ -845,19 +842,14 @@ class RealRep:
     """A compact Lie algebra acting by real matrices on a real vector space,
     its generators held as one integer stack."""
 
-    compact_stack: ZiStack
-
-    def __post_init__(self):
-        if self.compact_stack.im.any():
-            raise RepresentationError("RealRep generator must be real")
+    compact_stack: IntStack
 
 
-def so_vector_gens(n: int) -> ZiStack:
+def so_vector_gens(n: int) -> IntStack:
     """Basis E_ab - E_ba (a < b) of so(n) on R^n."""
     a, b = np.triu_indices(n, 1)
     k, one = np.arange(a.size), np.ones(a.size, np.int64)
-    re = np.r_[one, -one]
-    return ZiStack((a.size, n, n), np.r_[k, k], np.r_[a, b], np.r_[b, a], re, 0 * re, 1)
+    return IntStack((a.size, n, n), np.r_[k, k], np.r_[a, b], np.r_[b, a], np.r_[one, -one], 1)
 
 
 _OCT_TRIPLES = tuple(
@@ -866,7 +858,7 @@ _OCT_TRIPLES = tuple(
 
 
 @functools.lru_cache(maxsize=1)
-def octonion_left_mult() -> ZiStack:
+def octonion_left_mult() -> IntStack:
     """Left multiplication by e_1..e_7 on the octonions, real 8x8 matrices."""
     mult: dict[tuple[int, int], tuple[int, int]] = {}
     for a in range(1, 8):
@@ -878,22 +870,21 @@ def octonion_left_mult() -> ZiStack:
             mult[(x, y)] = (1, z)
             mult[(y, x)] = (-1, z)
     ent = [(a - 1, mult[(a, j)][1], j, mult[(a, j)][0]) for a in range(1, 8) for j in range(8)]
-    k, row, col, re = np.array(ent, dtype=np.int64).T
-    return ZiStack((7, 8, 8), k, row, col, re, 0 * re, 1)
+    return IntStack((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1)
 
 
 @functools.lru_cache(maxsize=1)
-def spin7_real_gens() -> ZiStack:
+def spin7_real_gens() -> IntStack:
     """Real 8x8 spin generators paired with the E_ab - E_ba order of so(7).
 
     Built from octonion left multiplications L_a with L_a^2 = -1; the map
     E_ab - E_ba -> -[L_a, L_b]/4 matches the vector structure constants.
     """
-    L = octonion_left_mult().dense().re
+    L = octonion_left_mult().dense()
     a, b = np.triu_indices(7, 1)
-    x = _bracket(_Dense(L[a], None, 1), _Dense(L[b], None, 1))
-    spin, den = _reduced(_Dense(-x.re, None, x.bound), 4)
-    return _real_stack(spin.re, den)
+    x = _bracket(_Dense(L[a], 1), _Dense(L[b], 1))
+    spin, den = _reduced(_Dense(-x.val, x.bound), 4)
+    return _sparse(spin.val, den)
 
 
 def real_blocks(text: str) -> list[str | int]:
@@ -927,10 +918,10 @@ def real_block_rep(text: str) -> RealRep:
             off += block
         else:
             m = models[block]
-            parts.append((m.k, m.row + off, m.col + off, m.re * (den // m.den)))
+            parts.append((m.k, m.row + off, m.col + off, m.val * (den // m.den)))
             off += m.shape[1]
-    k, row, col, re = (
+    k, row, col, val = (
         np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
         for t in range(4)
     )
-    return RealRep(ZiStack((models["vec7"].shape[0], off, off), k, row, col, re, 0 * re, den))
+    return RealRep(IntStack((models["vec7"].shape[0], off, off), k, row, col, val, den))

@@ -8,12 +8,14 @@ sampled element, certified at each point by being abelian (a maximal
 torus), and polarity candidates are killed by the Lie triple system test
 on explicit tangent data.
 
-The orbit oracles read the compact action in one model, the real integer
-stack compact_stack on R^n: a RealRep gives it directly, and a MatrixRep
-on C^d gives its realification on R^(2d).  Every sample is an integer
-point of R^n (_sample_vector); mf_test reads its point of R^(2d) as the
-complex point with real parts at the even and imaginary parts at the odd
-coordinates.
+Every matrix here is a real integer matrix.  The orbit oracles read the
+compact action in one model, the integer stack compact_stack on R^n: a
+RealRep gives it directly, and a MatrixRep on C^d gives its realification
+on R^(2d).  Every sample is an integer point of R^n (_sample_vector);
+mf_test reads its point of R^(2d) as the complex point with real parts at
+the even and imaginary parts at the odd coordinates, the one place where
+complex values arise.  The Lie-triple test takes complex tangent data
+realified (linalg.realify), which changes no span and no bracket.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from .linalg import (
     _RANK_PRIMES,
     INT64_SAFE,
+    IntStack,
     ZiArray,
-    ZiStack,
     _bracket,
     _Dense,
     _max_abs,
@@ -36,8 +38,9 @@ from .linalg import (
     complex_rank,
     float_rank,
     int_kernel,
+    int_apply,
     int_rank,
-    zi_apply,
+    realify,
 )
 from .matrep import MatrixRep, RealRep
 
@@ -59,11 +62,11 @@ class OracleDisagreement(RuntimeError):
 @dataclass
 class OrbitProbe:
     """Bookkeeping for one stabilized sampling run: the evaluated points and
-    their seeds, and whether the value is certified (a sample reached the
-    ceiling) rather than agreed on by N_SAMPLES samples."""
+    the _rng key each was drawn from, and whether the value is certified (a
+    sample reached the ceiling) rather than agreed on by N_SAMPLES samples."""
 
     sample_points: list[np.ndarray]
-    seeds: list[int]
+    seeds: list[str]
     value: int
     rounds_used: int
     certified: bool = False
@@ -83,8 +86,12 @@ class CohomReport:
         return self.cohomogeneity == self.group_rank - self.principal_isotropy_rank
 
 
+def _rng_key(seed: int, idx: int, rnd: int) -> str:
+    return f"{seed}:{idx}:{rnd}"
+
+
 def _rng(seed: int, idx: int, rnd: int) -> random.Random:
-    return random.Random(f"{seed}:{idx}:{rnd}")
+    return random.Random(_rng_key(seed, idx, rnd))
 
 
 def _sample_vector(dim: int, rng: random.Random, bound: int) -> np.ndarray:
@@ -116,7 +123,7 @@ def _stabilize(evaluate, dim: int, seed: int, ceiling: int | None = None) -> Orb
             rng = _rng(seed, idx, rnd)
             v = _sample_vector(dim, rng, bound)
             points.append(v)
-            seeds.append(idx)
+            seeds.append(_rng_key(seed, idx, rnd))
             values.append(evaluate(v))
             if values[-1] == ceiling:
                 return OrbitProbe(
@@ -163,17 +170,12 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
 
     def rank_at(v) -> int:
         # v in R^(2 dim) is the point v[0::2] + i*v[1::2] of C^dim
-        return _checked_complex_rank(zi_apply(borel, v[0::2], v[1::2]))
+        rows = ZiArray(int_apply(borel, v[0::2]), int_apply(borel, v[1::2]), borel.den)
+        return _checked_complex_rank(rows)
 
     ceiling = min(borel.shape[0], dim)
     probe = _stabilize(rank_at, 2 * dim, seed, ceiling)
     return probe.value == dim
-
-
-def _real_action_rows(rep, v) -> np.ndarray:
-    """Integer rows g.v of the real compact generators at a point v of the
-    real space, scaled by the denominator of the integer view."""
-    return zi_apply(rep.compact_stack, v, 0 * v).re
 
 
 def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
@@ -187,7 +189,7 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
         return 0
 
     def orbit_rank(v) -> int:
-        return int_rank(_real_action_rows(rep, v))
+        return int_rank(int_apply(rep.compact_stack, v))
 
     probe = _stabilize(orbit_rank, dim, seed, min(n, dim))
     return dim - probe.value
@@ -204,13 +206,13 @@ class _Frame(NamedTuple):
     they read and the stack entry they multiply it by, sign included.
     """
 
-    stack: ZiStack
+    stack: IntStack
     at: np.ndarray
     k: np.ndarray
     j: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    re: np.ndarray
+    val: np.ndarray
 
 
 def _frame(rep) -> _Frame:
@@ -226,8 +228,8 @@ def _frame(rep) -> _Frame:
     used = np.zeros(d * d, dtype=bool)
     used[pos] = True
     entries = np.flatnonzero(used)
-    stack_t = np.zeros((entries.size, n), dtype=s.re.dtype)
-    stack_t[np.searchsorted(entries, pos), s.k] = s.re
+    stack_t = np.zeros((entries.size, n), dtype=s.val.dtype)
+    stack_t[np.searchsorted(entries, pos), s.k] = s.val
     p, _ = _RANK_PRIMES[0]
     pivots = _modp_reduce((stack_t % p).astype(np.int64), p)[0]
     if len(pivots) < n:
@@ -250,7 +252,7 @@ def _frame(rep) -> _Frame:
         np.r_[j, i],
         np.r_[s.col[t], row[i]],
         np.r_[col[j], s.row[u]],
-        np.r_[s.re[t], -s.re[u]],
+        np.r_[s.val[t], -s.val[u]],
     )
 
 
@@ -277,14 +279,14 @@ def _element(frame: _Frame, w: np.ndarray) -> np.ndarray:
     """The d x d matrix of sum_i w_i g_i, in Python ints."""
     s = frame.stack
     z = np.zeros(s.shape[1:], dtype=object)
-    np.add.at(z, (s.row, s.col), w[s.k] * s.re)
+    np.add.at(z, (s.row, s.col), w[s.k] * s.val)
     return z
 
 
 def _brackets_at(f: _Frame, z: np.ndarray) -> np.ndarray:
     """The n x |P| matrix of the brackets [g_i, z] read at P."""
     out = np.zeros((f.stack.shape[0], f.at.size), dtype=object)
-    np.add.at(out, (f.k, f.j), f.re * z[f.a, f.b])
+    np.add.at(out, (f.k, f.j), f.val * z[f.a, f.b])
     return out
 
 
@@ -328,7 +330,7 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
 
     def rank_at(v) -> int:
         nonlocal frame
-        _, kernel = int_kernel(_real_action_rows(rep, v).T)
+        _, kernel = int_kernel(int_apply(rep.compact_stack, v).T)
         if not kernel.shape[1]:
             return gap
         if frame is None:
@@ -369,31 +371,13 @@ def coisotropic_by_rank(
 # symmetric pairs and the Lie triple system test
 
 
-# A matrix here is a pair (re, im) of integer arrays, re + i*im; a pair of
-# (k, n, n) arrays is a stack of k matrices.
+# A matrix here is an integer array; a (k, n, n) array is a stack of k
+# matrices.  Complex data enters realified (linalg.realify).
 
 
-def _lie(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """[x, y] of (re, im) matrices or stacks, through the one bracket."""
-    bound = lambda z: max(_max_abs(z[0]), _max_abs(z[1]))  # noqa: E731
-    b = _bracket(_Dense(*x, bound(x)), _Dense(*y, bound(y)))
-    return b.re, b.im
-
-
-def _flat(x: tuple) -> np.ndarray:
-    """One integer row (Re, Im) per matrix of a stack (re, im)."""
-    re, im = x
-    return np.concatenate([re.reshape(len(re), -1), im.reshape(len(im), -1)], axis=1)
-
-
-def _stack(mats: list) -> tuple[np.ndarray, np.ndarray]:
-    """The stack (re, im) of a list of (re, im) matrices."""
-    return np.stack([re for re, _ in mats]), np.stack([im for _, im in mats])
-
-
-def _real(re: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real matrix re as (re, im)."""
-    return re, np.zeros_like(re)
+def _lie(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of matrices or stacks, through the one bracket."""
+    return _bracket(_Dense(x, _max_abs(x)), _Dense(y, _max_abs(y))).val
 
 
 def _unit(d: int, a: int, b: int, sign: int) -> np.ndarray:
@@ -407,7 +391,7 @@ def _unit(d: int, a: int, b: int, sign: int) -> np.ndarray:
 @dataclass
 class SymmetricPair:
     """Exact bases of k and p in g = k + p for a symmetric-space isotropy
-    splitting, each a list of (re, im) integer matrices."""
+    splitting, each a list of integer matrices."""
 
     name: str
     k_basis: list[tuple]
@@ -415,14 +399,14 @@ class SymmetricPair:
 
     def validate(self) -> None:
         in_k, in_p = _span_test(self.k_basis), _span_test(self.p_basis)
-        k, p = _stack(self.k_basis), _stack(self.p_basis)
+        k, p = np.stack(self.k_basis), np.stack(self.p_basis)
         for inside, x, y, message in (
             (in_k, k, k, "[k, k] escapes k"),
             (in_p, k, p, "[k, p] escapes p"),
             (in_k, p, p, "[p, p] escapes k"),
         ):
             # every bracket [x_a, y_b] at once, broadcast over (a, b)
-            pairs = _lie((x[0][:, None], x[1][:, None]), (y[0][None], y[1][None]))
+            pairs = _lie(x[:, None], y[None])
             if not inside(pairs).all():
                 raise ValueError(message)
 
@@ -431,28 +415,26 @@ class SymmetricPair:
 class LieTripleResult:
     closed: bool
     witness: tuple[int, int, int] | None = None
-    witness_bracket: tuple | None = None
+    witness_bracket: np.ndarray | None = None
 
     def __bool__(self):
         return self.closed
 
 
-def _span_test(basis: list[tuple]):
+def _span_test(basis: list[np.ndarray]):
     """Membership in the real span of a nonempty basis, ranked once.
 
-    Returns a test that maps a stack (re, im) of shape (..., n, n) to a
-    bool array of shape (...), True where the matrix lies in the span.
+    Returns a test that maps a stack of shape (..., n, n) to a bool array
+    of shape (...), True where the matrix lies in the span.
     The span of the flattened basis rows is the orthogonal complement of
     their verified integer kernel K (int_kernel), so a target lies in it
     iff its flattened row times K is zero: one exact product per target.
     """
-    kernel = int_kernel(_flat(_stack(basis)))[1]
+    kernel = int_kernel(np.stack(basis).reshape(len(basis), -1))[1]
     k_max = _max_abs(kernel)
 
-    def inside(target: tuple) -> np.ndarray:
-        re, im = target
-        lead = re.shape[:-2]
-        rows = np.concatenate([re.reshape(*lead, -1), im.reshape(*lead, -1)], axis=-1)
+    def inside(target: np.ndarray) -> np.ndarray:
+        rows = target.reshape(*target.shape[:-2], -1)
         small = _max_abs(rows) * k_max * rows.shape[-1] < INT64_SAFE
         k = kernel.astype(np.int64) if small else kernel
         rows = rows if small else rows.astype(object)
@@ -461,18 +443,18 @@ def _span_test(basis: list[tuple]):
     return inside
 
 
-def lie_triple_test(pair: SymmetricPair, m_basis: list[tuple]) -> LieTripleResult:
+def lie_triple_test(pair: SymmetricPair, m_basis: list[np.ndarray]) -> LieTripleResult:
     """Closure of span(m_basis) under the double bracket, exactly.
 
     m_basis must lie inside p; the candidate section exp(m) is totally
     geodesic precisely when every [[X, Y], Z] stays in the span.
     """
-    if m_basis and not _span_test(pair.p_basis)(_stack(m_basis)).all():
+    if m_basis and not _span_test(pair.p_basis)(np.stack(m_basis)).all():
         raise ValueError("m_basis is not contained in p")
     return lie_triple_closure(m_basis)
 
 
-def lie_triple_closure(m_basis: list[tuple]) -> LieTripleResult:
+def lie_triple_closure(m_basis: list[np.ndarray]) -> LieTripleResult:
     """Closure of the real span of m_basis under double matrix brackets.
 
     This is the raw test applied directly to tangent data written in slice
@@ -495,8 +477,8 @@ def lie_triple_closure(m_basis: list[tuple]) -> LieTripleResult:
     return LieTripleResult(closed=True)
 
 
-def brackets_vanish(m_basis: list[tuple]) -> bool:
-    return not any(part.any() for x in m_basis for y in m_basis for part in _lie(x, y))
+def brackets_vanish(m_basis: list[np.ndarray]) -> bool:
+    return not any(_lie(x, y).any() for x in m_basis for y in m_basis)
 
 
 def so_even_u_pair(m: int) -> SymmetricPair:
@@ -511,18 +493,19 @@ def so_even_u_pair(m: int) -> SymmetricPair:
     k_basis, p_basis = [], []
     for a, b in zip(*np.triu_indices(m, 1)):
         x = _unit(m, a, b, -1)
-        k_basis.append(_real(np.block([[x, zero], [zero, x]])))
-        p_basis += [_real(np.block([[x, zero], [zero, -x]])), _real(np.block([[zero, x], [x, zero]]))]
+        k_basis.append(np.block([[x, zero], [zero, x]]))
+        p_basis += [np.block([[x, zero], [zero, -x]]), np.block([[zero, x], [x, zero]])]
     for a, b in zip(*np.triu_indices(m)):
         sym = _unit(m, a, b, 1)
-        k_basis.append(_real(np.block([[zero, -sym], [sym, zero]])))
+        k_basis.append(np.block([[zero, -sym], [sym, zero]]))
     return SymmetricPair(f"so({n})/u({m})", k_basis, p_basis)
 
 
-def embed_p_so_even(w: tuple) -> tuple:
-    """Skew complex m x m matrix W = P + iQ -> [[P, Q], [Q, -P]] in p."""
+def embed_p_so_even(w: tuple) -> np.ndarray:
+    """Skew complex m x m matrix W = P + iQ, given as (P, Q), -> [[P, Q],
+    [Q, -P]] in p."""
     p, q = w
-    return _real(np.block([[p, q], [q, -p]]))
+    return np.block([[p, q], [q, -p]])
 
 
 def sp_u_pair(m: int) -> SymmetricPair:
@@ -530,15 +513,16 @@ def sp_u_pair(m: int) -> SymmetricPair:
 
     Elements are [[A, B], [-conj(B), conj(A)]] with A antihermitian and B
     symmetric; k is the B = 0 part, p the A = 0 part (p is Sym^2 C^m as a
-    real space).
+    real space).  Each is held as its realification, a 4m x 4m integer
+    matrix.
     """
     zero = np.zeros((m, m), dtype=np.int64)
 
     def a_block(re, im):
-        return np.block([[re, zero], [zero, re]]), np.block([[im, zero], [zero, -im]])
+        return realify(np.block([[re, zero], [zero, re]]), np.block([[im, zero], [zero, -im]]))
 
     def b_block(re, im):
-        return np.block([[zero, re], [-re, zero]]), np.block([[zero, im], [im, zero]])
+        return realify(np.block([[zero, re], [-re, zero]]), np.block([[zero, im], [im, zero]]))
 
     k_basis, p_basis = [], []
     for a, b in zip(*np.triu_indices(m)):
@@ -553,11 +537,10 @@ def sp_u_pair(m: int) -> SymmetricPair:
 
 def maximal_abelian_in_p(
     pair: SymmetricPair, seed: int = DEFAULT_SEED
-) -> list[tuple]:
+) -> list[np.ndarray]:
     """Commutant of a generic p-element inside p: a maximal abelian subspace."""
     rng = random.Random(f"{seed}:abelian")
-    p_re, p_im = _stack(pair.p_basis)
+    p = np.stack(pair.p_basis)
     c = np.array([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in pair.p_basis])
-    z = (np.tensordot(c, p_re, axes=1), np.tensordot(c, p_im, axes=1))
-    _, kernel = int_kernel(_flat(_lie((p_re, p_im), z)).T)
-    return [(np.tensordot(v, p_re, axes=1), np.tensordot(v, p_im, axes=1)) for v in kernel.T]
+    _, kernel = int_kernel(_lie(p, np.tensordot(c, p, axes=1)).reshape(len(p), -1).T)
+    return [np.tensordot(v, p, axes=1) for v in kernel.T]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coisotropy.linalg import ZiArray, complex_rank, int_kernel
+from coisotropy.linalg import int_kernel, int_rank
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
@@ -134,9 +134,10 @@ def invariant_bilinear_form(rep: MatrixRep) -> str:
 
     Solves B x + x^T B = 0 exactly, one equation per generator x and matrix
     position, with the unknowns restricted to opposite-weight pairs; the
-    realified integer system goes to int_kernel.  Returns one of 'none',
-    'symmetric', 'antisymmetric', 'degenerate-space'.  A solution space of
-    complex dimension above one flags a reducible input.
+    generators are real, so the complex solutions are the complex span of
+    the real ones, and the integer system goes to int_kernel.  Returns one
+    of 'none', 'symmetric', 'antisymmetric', 'degenerate-space'.  A
+    solution space of dimension above one flags a reducible input.
     """
     g, d, nc, npos = rep.gens, rep.space_dim, len(rep.cartan_labels), len(rep.root_labels)
     w = _weights(g, [*range(nc), *range(nc + 2 * npos, g.shape[0])])
@@ -154,29 +155,24 @@ def invariant_bilinear_form(rep: MatrixRep) -> str:
     ])
     s, u = np.concatenate([s1, s2]), np.concatenate([u1, u2])
     eqs, at = np.unique(eq, return_inverse=True)
-    m = eqs.size
-    # the realification [[re, -im], [im, re]] of the complex system
-    a = np.zeros((2 * m, 2 * nu), g.re.dtype)
-    np.add.at(a, (at, u), g.re[s])
-    np.add.at(a, (at, nu + u), -g.im[s])
-    np.add.at(a, (m + at, u), g.im[s])
-    np.add.at(a, (m + at, nu + u), g.re[s])
+    a = np.zeros((eqs.size, nu), g.val.dtype)
+    np.add.at(a, (at, u), g.val[s])
     _, kernel = int_kernel(a)
     if not kernel.shape[1]:
         return "none"
-    if kernel.shape[1] > 2:
+    if kernel.shape[1] > 1:
         raise RepresentationError(
             "invariant form space has dimension above one: input is reducible"
         )
-    b_re, b_im = np.zeros((d, d), object), np.zeros((d, d), object)
-    b_re[ui, uj], b_im[ui, uj] = kernel[:nu, 0], kernel[nu:, 0]
-    if (b_re.T == b_re).all() and (b_im.T == b_im).all():
+    b = np.zeros((d, d), object)
+    b[ui, uj] = kernel[:, 0]
+    if (b.T == b).all():
         sym = "symmetric"
-    elif (b_re.T == -b_re).all() and (b_im.T == -b_im).all():
+    elif (b.T == -b).all():
         sym = "antisymmetric"
     else:
         raise RepresentationError("invariant form is neither symmetric nor skew")
-    if complex_rank(ZiArray(b_re, b_im)) < d:
+    if int_rank(b) < d:
         return "degenerate-space"
     return sym
 
@@ -192,11 +188,9 @@ def root_vector_faults(stack, rs) -> list[str]:
     <mu, beta^vee> on the weight mu: f_beta is then a positive multiple of
     the adjoint of e_beta.
     """
-    z = stack.dense()
-    assert not z.im.any()
     r, roots = rs.rank, rs.positive_roots
-    npos, den = len(roots), z.den
-    gens = z.re.astype(object)
+    npos, den = len(roots), stack.den
+    gens = stack.dense().astype(object)
     e = {root: gens[r + j] for j, root in enumerate(roots)}
     f = {root: gens[r + npos + j] for j, root in enumerate(roots)}
     bracket = lambda x, y: x @ y - y @ x  # noqa: E731  (den^2 times the bracket)

@@ -21,6 +21,7 @@ from coisotropy.classify import (
     verify_lemma21,
 )
 from coisotropy.dsl import parse_repspec
+from coisotropy.linalg import realify
 from coisotropy.matrep import (
     GroupSpec,
     RepSpec,
@@ -218,7 +219,7 @@ def test_criterion_7_lie_triple_witnesses():
     t0 = time.time()
     raw, cross = standard_triple_witness()
     ok = not raw.closed and raw.witness == (0, 1, 0)
-    ok &= lie_triple_closure([WITNESS_PLANE[0]]).closed
+    ok &= lie_triple_closure([realify(*WITNESS_PLANE[0])]).closed
     pair = sp_u_pair(2)
     plane = maximal_abelian_in_p(pair)
     ok &= len(plane) == 2

@@ -12,16 +12,17 @@ from coisotropy import linalg
 from coisotropy.linalg import (
     _RANK_PRIMES,
     INT64_SAFE,
+    IntStack,
     ZiArray,
-    ZiStack,
     _kernel_primes,
     _modp_rank,
     _prime_budget,
     complex_rank,
     float_rank,
+    int_apply,
     int_kernel,
     int_rank,
-    zi_apply,
+    realify,
 )
 
 
@@ -34,11 +35,11 @@ def _zi(re, im=None, den=1) -> ZiArray:
     return ZiArray(np.array(re, dtype), np.array(im, dtype), den)
 
 
-def _stack(d, entries, den=1) -> ZiStack:
-    """One d x d matrix given by its entries (row, col, re, im) over den."""
-    row, col, re, im = zip(*entries)
-    z = _zi([re], [im])
-    return ZiStack((1, d, d), np.zeros(len(row), np.int64), np.array(row), np.array(col), z.re[0], z.im[0], den)
+def _stack(d, entries, den=1) -> IntStack:
+    """One d x d matrix given by its entries (row, col, val) over den."""
+    row, col, val = zip(*entries)
+    val = _zi([val]).re[0]
+    return IntStack((1, d, d), np.zeros(len(row), np.int64), np.array(row), np.array(col), val, den)
 
 
 def test_frac_rref_and_nullspace():
@@ -170,22 +171,30 @@ def test_large_entries_take_the_python_int_path():
         assert bareiss_rank(_realified(z.re, z.im)) == 2 * expected
         assert int_rank(z.re) == bareiss_rank(z.re.tolist())
     # a product past the int64 bound is formed in Python ints, exactly
-    g = _stack(2, [(0, 1, 2**40, -3), (1, 1, 1, 0)])
-    v_re = np.array([5, 2**30], dtype=np.int64)
-    v_im = np.array([0, -7], dtype=np.int64)
-    rows = zi_apply(g, v_re, v_im)
-    assert rows.re.dtype == object
-    assert rows.re.tolist() == [[2**70 - 21, 2**30]]
-    assert rows.im.tolist() == [[-7 * 2**40 - 3 * 2**30, -7]]
+    g = _stack(2, [(0, 0, -3), (0, 1, 2**40), (1, 1, 1)])
+    rows = int_apply(g, np.array([5, 2**30], dtype=np.int64))
+    assert rows.dtype == object
+    assert rows.tolist() == [[2**70 - 15, 2**30]]
 
 
-def test_zi_apply_keeps_the_small_product_in_int64():
-    g = _stack(2, [(0, 0, 1, 0), (0, 1, 0, 2)], den=2)  # entries 1/2 and i
+def test_int_apply_keeps_the_small_product_in_int64():
+    g = _stack(2, [(0, 0, 1), (0, 1, 2)], den=2)  # entries 1/2 and 1
     assert g.den == 2
-    rows = zi_apply(g, np.array([3, 1]), np.array([0, 2]))
-    assert rows.re.dtype == np.int64 and rows.den == 2
-    # 2 g v = (1 * 3 + 2i * (1 + 2i), 0) = (-1 + 2i, 0)
-    assert rows.re.tolist() == [[-1, 0]] and rows.im.tolist() == [[2, 0]]
+    rows = int_apply(g, np.array([3, -1]))
+    assert rows.dtype == np.int64
+    # 2 g v = (1 * 3 + 2 * (-1), 0)
+    assert rows.tolist() == [[1, 0]]
+
+
+def test_realify_is_a_ring_map_that_doubles_the_rank():
+    rng = np.random.default_rng(7)
+    a, b, c, e = rng.integers(-9, 10, (4, 3, 3))
+    # (a + ib)(c + ie) = (ac - be) + i(ae + bc)
+    assert (realify(a, b) @ realify(c, e) == realify(a @ c - b @ e, a @ e + b @ c)).all()
+    assert realify(a, b).tolist() == _realified(a, b)
+    stack = realify(np.stack([a, c]), np.stack([b, e]))
+    assert (stack == np.stack([realify(a, b), realify(c, e)])).all()
+    assert int_rank(realify(a[:1], b[:1])) == 2 * complex_rank(ZiArray(a[:1], b[:1]))
 
 
 def test_odd_realified_rank_raises(monkeypatch):

@@ -5,16 +5,11 @@ import pytest
 
 from fractions import Fraction
 
-from coisotropy.linalg import (
-    ZiArray,
-    complex_rank,
-    int_kernel,
-)
+from coisotropy.linalg import int_apply, int_kernel, int_rank
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
     NotRealizable,
-    RealRep,
     RepresentationError,
     RepSpec,
     Summand,
@@ -118,7 +113,7 @@ def test_spin_weights_are_half_integers():
         # basis weight entry is +-1/2, so simple-root pairings are integers
         cartan = mod.k < rs.rank
         assert (mod.row[cartan] == mod.col[cartan]).all()
-        assert not mod.im[cartan].any() and not (mod.re[cartan] % mod.den).any()
+        assert not (mod.val[cartan] % mod.den).any()
 
 
 def test_spin_chirality_halves():
@@ -141,12 +136,11 @@ def test_every_spin_module_is_certified_with_transposed_lowering():
             dim = 2 ** ((n - 1) // 2)
             assert simple.shape == (3 * r, dim, dim) and simple.den == 1
             z = simple.dense()
-            assert not z.im.any()
-            assert (z.re[2 * r :] == z.re[r : 2 * r].transpose(0, 2, 1)).all()
+            assert (z[2 * r :] == z[r : 2 * r].transpose(0, 2, 1)).all()
             # the derived lowering generators are transposes as well
             z = _factor_module(Factor("so", n), "spin", chirality).dense()
-            assert z.re.shape == (r + 2 * npos, dim, dim) and not z.im.any()
-            assert (z.re[r + npos :] == z.re[r : r + npos].transpose(0, 2, 1)).all()
+            assert z.shape == (r + 2 * npos, dim, dim)
+            assert (z[r + npos :] == z[r : r + npos].transpose(0, 2, 1)).all()
 
 
 def test_weight_module_dimensions_match_formula():
@@ -228,8 +222,7 @@ def _with_generator(stack, k, entries):
         k=np.concatenate([stack.k[keep], add([k] * len(pos))]),
         row=np.concatenate([stack.row[keep], add([i for i, _ in pos])]),
         col=np.concatenate([stack.col[keep], add([j for _, j in pos])]),
-        re=np.concatenate([stack.re[keep], add([v * stack.den for v in entries.values()])]),
-        im=np.concatenate([stack.im[keep], add([0] * len(pos))]),
+        val=np.concatenate([stack.val[keep], add([v * stack.den for v in entries.values()])]),
     )
 
 
@@ -258,9 +251,9 @@ def test_validation_catches_assembly_faults(entry):
 # the assembly against a dense np.kron / block reference
 
 
-def _reference_generators(m, chirality=1) -> tuple[np.ndarray, np.ndarray, int]:
-    """(re, im, den): cartan | raising | lowering | torus of a realized m as
-    dense (n, d, d) arrays of Python ints over one denominator, rebuilt from
+def _reference_generators(m, chirality=1) -> tuple[np.ndarray, int]:
+    """(gens, den): cartan | raising | lowering | torus of a realized m as a
+    dense (n, d, d) array of Python ints over one denominator, rebuilt from
     the per-factor stacks: np.kron with identities for each slot, -x^T in
     the reversed basis for a dual summand, blocks on the diagonal for the
     summands."""
@@ -278,24 +271,22 @@ def _reference_generators(m, chirality=1) -> tuple[np.ndarray, np.ndarray, int]:
     total = sum(math.prod(d for *_, d in slots) for _, slots in summands)
 
     def assembled(fidx, g):
-        re, im = np.zeros((2, total, total), object)
+        out = np.zeros((total, total), object)
         off = 0
         for sm, slots in summands:
             dims = [d for *_, d in slots]
             dim = math.prod(dims)
             for s, (f, mod, _) in enumerate(slots):
                 if f == fidx:
-                    z = mod.dense()
                     before = np.eye(math.prod(dims[:s]), dtype=object)
                     after = np.eye(math.prod(dims[s + 1 :]), dtype=object)
-                    for part, x in ((re, z.re), (im, z.im)):
-                        x = x[g].astype(object) * (den // mod.den)
-                        block = np.kron(np.kron(before, x), after)
-                        if sm.dual:
-                            block = -block.T[::-1, ::-1]
-                        part[off : off + dim, off : off + dim] += block
+                    x = mod.dense()[g].astype(object) * (den // mod.den)
+                    block = np.kron(np.kron(before, x), after)
+                    if sm.dual:
+                        block = -block.T[::-1, ::-1]
+                    out[off : off + dim, off : off + dim] += block
             off += dim
-        return re, im
+        return out
 
     def first(fidx, which, root):
         rs = build_root_system(group.factors[fidx].simple_type)
@@ -310,64 +301,60 @@ def _reference_generators(m, chirality=1) -> tuple[np.ndarray, np.ndarray, int]:
             charges = sm.charges or (0,) * group.n_circles
             net = sum(a * c for a, c in zip(line, charges))
             diag += [net * den] * math.prod(d for *_, d in slots)
-        gens.append((np.diag(np.array(diag, dtype=object)), np.zeros((total, total), object)))
-    return np.stack([g[0] for g in gens]), np.stack([g[1] for g in gens]), den
+        gens.append(np.diag(np.array(diag, dtype=object)))
+    return np.stack(gens), den
 
 
 def _realified(re, im, den) -> tuple:
-    """The real (re, 0, den) of a stack (re + i*im) / den acting on R^(2d),
+    """The real (gens, den) of a stack (re + i*im) / den acting on R^(2d),
     (Re v_a, Im v_a) at (2a, 2a + 1): an entry x + iy is [[x, -y], [y, x]]."""
     out = np.zeros((re.shape[0], 2 * re.shape[1], 2 * re.shape[2]), dtype=object)
     out[:, 0::2, 0::2] = out[:, 1::2, 1::2] = re
     out[:, 0::2, 1::2], out[:, 1::2, 0::2] = -im, im
-    return out, np.zeros_like(out), den
+    return out, den
 
 
-def _reference_complex_compact(re, im, den, m) -> tuple:
-    """The compact generators (re, im, den) on C^d of the reference
-    generators (re, im, den) of m: i h, then e - f and i (e + f) per root,
+def _reference_complex_compact(gens, den, m) -> tuple:
+    """The compact generators (re, im, den) on C^d of the real reference
+    generators (gens, den) of m: i h, then e - f and i (e + f) per root,
     then i t."""
     nc, npos = len(m.cartan_labels), len(m.root_labels)
-    # i * x = -im + i re
-    e, f = np.arange(nc, nc + npos), np.arange(nc + npos, nc + 2 * npos)
-    c_re = [-im[:nc]]
-    c_im = [re[:nc]]
-    for a, b in zip(e, f):
-        c_re += [re[a : a + 1] - re[b : b + 1], -(im[a : a + 1] + im[b : b + 1])]
-        c_im += [im[a : a + 1] - im[b : b + 1], re[a : a + 1] + re[b : b + 1]]
-    c_re.append(-im[nc + 2 * npos :])
-    c_im.append(re[nc + 2 * npos :])
+    h, t = gens[:nc], gens[nc + 2 * npos :]
+    c_re, c_im = [0 * h], [h]
+    for a in range(nc, nc + npos):
+        e, f = gens[a : a + 1], gens[a + npos : a + npos + 1]
+        c_re += [e - f, 0 * e]
+        c_im += [0 * e, e + f]
+    c_re.append(0 * t)
+    c_im.append(t)
     return np.concatenate(c_re), np.concatenate(c_im), den
 
 
 def _reference_views(m, chirality=1) -> tuple[tuple, tuple]:
     """(Borel generators, real compact generators) of the reference, each
-    as (re, im, den)."""
-    re, im, den = _reference_generators(m, chirality)
+    as (gens, den)."""
+    gens, den = _reference_generators(m, chirality)
     nc, npos = len(m.cartan_labels), len(m.root_labels)
-    borel = np.r_[0 : nc + npos, nc + 2 * npos : re.shape[0]]
-    compact = _realified(*_reference_complex_compact(re, im, den, m))
-    return (re[borel], im[borel], den), compact
+    borel = np.r_[0 : nc + npos, nc + 2 * npos : gens.shape[0]]
+    compact = _realified(*_reference_complex_compact(gens, den, m))
+    return (gens[borel], den), compact
 
 
 def _values(stack) -> tuple[tuple, dict]:
-    """Shape and nonzero entries {(k, row, col): (re, im)} of a stack, as
+    """Shape and nonzero entries {(k, row, col): value} of a stack, as
     Fractions."""
     ent = {
-        (int(k), int(i), int(j)): (Fraction(int(a), stack.den), Fraction(int(b), stack.den))
-        for k, i, j, a, b in zip(stack.k, stack.row, stack.col, stack.re, stack.im)
-        if a or b
+        (int(k), int(i), int(j)): Fraction(int(x), stack.den)
+        for k, i, j, x in zip(stack.k, stack.row, stack.col, stack.val)
+        if x
     }
     return stack.shape, ent
 
 
-def _dense_values(re, im, den) -> tuple[tuple, dict]:
-    """_values of the dense stack (re + i*im) / den."""
-    ent = {
-        (int(k), int(i), int(j)): (Fraction(int(re[k, i, j]), den), Fraction(int(im[k, i, j]), den))
-        for k, i, j in zip(*np.nonzero((re != 0) | (im != 0)))
-    }
-    return re.shape, ent
+def _dense_values(gens, den) -> tuple[tuple, dict]:
+    """_values of the dense stack gens / den."""
+    ent = {(int(k), int(i), int(j)): Fraction(int(gens[k, i, j]), den) for k, i, j in zip(*np.nonzero(gens))}
+    return gens.shape, ent
 
 
 def _assert_matches_reference(m, chirality=1):
@@ -416,42 +403,36 @@ def test_dual_module_is_dual_action():
     # duality sends X to -X^T up to basis reversal: traces of squares agree
     a, b = m.gens.dense(), md.gens.dense()
     for k in range(m.gens.shape[0]):
-        assert _trace_of_product(a, k, k) == _trace_of_product(b, k, k)
+        assert _trace_of_product(a, m.gens.den, k, k) == _trace_of_product(b, md.gens.den, k, k)
 
 
-def _trace_of_product(z, j, k) -> tuple[Fraction, Fraction]:
-    """tr(z_j z_k) of a dense stack, exactly: (real part, imaginary part)."""
-    (xr, xi), (yr, yi) = ((z.re[t].astype(object), z.im[t].astype(object)) for t in (j, k))
-    return (
-        Fraction(int(np.trace(xr @ yr - xi @ yi)), z.den**2),
-        Fraction(int(np.trace(xr @ yi + xi @ yr)), z.den**2),
-    )
+def _trace_of_product(z, den, j, k) -> Fraction:
+    """tr(z_j z_k) of the dense stack z / den, exactly."""
+    return Fraction(int(np.trace(z[j].astype(object) @ z[k].astype(object))), den**2)
 
 
-def _intertwiners(a: ZiArray, b: ZiArray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Basis (re, im) of the real solution space of T a_k = b_k T, for
-    dense generator stacks a and b of equal length, exact (int_kernel)."""
-    n, da, _ = a.re.shape
-    db = b.re.shape[1]
-    blocks = []
-    for k in range(n):
-        # b.den T A - a.den B T = 0 for numerators A, B; in row-major order
-        # vec(T A) = (I (x) A^T) vec(T) and vec(B T) = (B (x) I) vec(T)
-        re, im = (
-            b.den * np.kron(np.eye(db, dtype=object), x[k].T.astype(object))
-            - a.den * np.kron(y[k].astype(object), np.eye(da, dtype=object))
-            for x, y in ((a.re, b.re), (a.im, b.im))
-        )
-        blocks.append(np.block([[re, -im], [im, re]]))
+def _intertwiners(a: tuple, b: tuple) -> list[np.ndarray]:
+    """Basis of the solution space of T a_k = b_k T, for dense generator
+    stacks a = (gens, den) and b of equal length, exact (int_kernel).  The
+    generators are real, so the complex solutions are the complex span of
+    the real ones."""
+    (x, x_den), (y, y_den) = a, b
+    n, da, _ = x.shape
+    db = y.shape[1]
+    # y_den T A - x_den B T = 0 for numerators A, B; in row-major order
+    # vec(T A) = (I (x) A^T) vec(T) and vec(B T) = (B (x) I) vec(T)
+    blocks = [
+        y_den * np.kron(np.eye(db, dtype=object), x[k].T.astype(object))
+        - x_den * np.kron(y[k].astype(object), np.eye(da, dtype=object))
+        for k in range(n)
+    ]
     _, kernel = int_kernel(np.concatenate(blocks))
-    nu = da * db
-    return [(v[:nu].reshape(db, da), v[nu:].reshape(db, da)) for v in kernel.T]
+    return [v.reshape(db, da) for v in kernel.T]
 
 
-def _pick(mod, ks) -> ZiArray:
-    """Generators ks of a module stack, densely."""
-    z = mod.dense()
-    return ZiArray(z.re[ks], z.im[ks], z.den)
+def _pick(mod, ks) -> tuple:
+    """Generators ks of a module stack, densely, with its denominator."""
+    return mod.dense()[ks], mod.den
 
 
 def test_spin5_equivalent_to_sp2_standard():
@@ -461,7 +442,7 @@ def test_spin5_equivalent_to_sp2_standard():
     gens_b = _pick(_simple_module(Factor("sp", 2), "std"), [1, 0, 3, 2, 5, 4])
     space = _intertwiners(gens_a, gens_b)
     assert space
-    assert complex_rank(ZiArray(*space[0])) == 4
+    assert int_rank(space[0]) == 4
 
 
 @pytest.mark.parametrize(
@@ -515,9 +496,8 @@ def test_invariant_form_agrees_with_weight_classification():
 
 
 def test_octonion_clifford_relations():
-    z = octonion_left_mult().dense()
-    assert z.den == 1 and not z.im.any()
-    L = z.re
+    assert octonion_left_mult().den == 1
+    L = octonion_left_mult().dense()
     minus_two = -2 * np.eye(8, dtype=np.int64)
     for a in range(7):
         for b in range(7):
@@ -526,11 +506,10 @@ def test_octonion_clifford_relations():
 
 
 def test_spin7_real_structure_constants():
-    vec = so_vector_gens(7).dense()
-    spin = spin7_real_gens().dense()
-    assert vec.den == 1 and not vec.im.any() and not spin.im.any()
-    # spin.re / spin.den are the generators; den * recon = [S_k1, S_k2] in numerators
-    v, s = vec.re, spin.re
+    vec, spin = so_vector_gens(7), spin7_real_gens()
+    assert vec.den == 1
+    # s / spin.den are the generators; den * recon = [S_k1, S_k2] in numerators
+    v, s = vec.dense(), spin.dense()
     pairs = [(a, b) for a in range(7) for b in range(a + 1, 7)]
     index = {p: k for k, p in enumerate(pairs)}
     for k1 in (0, 5, 11, 17):
@@ -554,15 +533,6 @@ def test_real_block_rep_shapes():
 def test_real_block_rep_rejects_an_unknown_block(text):
     with pytest.raises(RepresentationError, match="unknown real block"):
         real_block_rep(text)
-
-
-def test_real_rep_rejects_an_imaginary_entry():
-    stack = real_block_rep("vec7").compact_stack
-    RealRep(stack)
-    im = stack.im.copy()
-    im[0] = 1
-    with pytest.raises(RepresentationError, match="must be real"):
-        RealRep(stack._replace(im=im))
 
 
 def test_spin_rep_wrapper():
@@ -594,7 +564,7 @@ def _simple_part(stack, rs):
     return stack._replace(
         shape=(3 * r, *stack.shape[1:]),
         k=new[stack.k[keep]],
-        **{name: getattr(stack, name)[keep] for name in ("row", "col", "re", "im")},
+        **{name: getattr(stack, name)[keep] for name in ("row", "col", "val")},
     )
 
 
@@ -615,12 +585,9 @@ def _corrupt(stack, k, index=0, negate=False):
     # a copy with one entry of generator k negated or raised by 1; the
     # cached module itself is never touched
     t = _entries_of(stack, k)[index]
-    re, im = stack.re.copy(), stack.im.copy()
-    if negate:
-        re[t], im[t] = -re[t], -im[t]
-    else:
-        re[t] += stack.den
-    return stack._replace(re=re, im=im)
+    val = stack.val.copy()
+    val[t] = -val[t] if negate else val[t] + stack.den
+    return stack._replace(val=val)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -661,24 +628,15 @@ def test_a_weight_fault_names_the_simple_root():
         _certify(mod._replace(k=k), rs)
 
 
-def test_certificate_rejects_a_non_real_cartan_multiple():
-    # su(2) on C^2: h, e, f; i*f keeps every weight but [e, i*f] = i*h
+def test_certificate_accepts_a_positive_cartan_multiple():
+    # su(2) on C^2: h, e, 2f keeps every weight, and [e, 2f] = 2h
     mod = _simple_module(Factor("su", 2), "std")
-    rs = build_root_system(SimpleType("A", 1))
-    lowering = mod.k == 2
-    times = lambda re, im: mod._replace(  # noqa: E731  (f times re + i*im)
-        re=np.where(lowering, re * mod.re - im * mod.im, mod.re),
-        im=np.where(lowering, im * mod.re + re * mod.im, mod.im),
-    )
-    _certify(times(2, 0), rs)
-    with pytest.raises(RepresentationError, match=r"\[e_0, f_0\] is not c h_0"):
-        _certify(times(0, 1), rs)
+    _certify(mod._replace(val=np.where(mod.k == 2, 2 * mod.val, mod.val)), build_root_system(SimpleType("A", 1)))
 
 
 def _negated(stack, k):
     """A copy with generator k negated; the cached module is not touched."""
-    sel = stack.k == k
-    return stack._replace(re=np.where(sel, -stack.re, stack.re), im=np.where(sel, -stack.im, stack.im))
+    return stack._replace(val=np.where(stack.k == k, -stack.val, stack.val))
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -693,10 +651,10 @@ def test_certificate_rejects_a_negated_simple_lowering_generator(name):
 def test_certificate_accepts_trivial_alt2_of_su2():
     simple = _square(_simple_module(Factor("su", 2), "std"), alt=True)
     assert simple.shape == (3, 1, 1)
-    assert not simple.re.any() and not simple.im.any()
+    assert not simple.val.any()
     _certify(simple, build_root_system(SimpleType("A", 1)))
     mod = _factor_module(Factor("su", 2), "alt2")
-    assert mod.shape == (3, 1, 1) and not mod.re.any()
+    assert mod.shape == (3, 1, 1) and not mod.val.any()
     assert realize(grp(Factor("su", 2)), R(S(Term("alt2", 1)))).space_dim == 1
 
 
@@ -751,9 +709,7 @@ def test_lowering_generators_pair_positively_with_raising():
     for fac, kind, arg in modules:
         rs = build_root_system(fac.simple_type)
         r, npos = rs.rank, rs.n_positive_roots
-        z = _factor_module(fac, kind, arg).dense()
-        assert not z.im.any()
-        gens = z.re.astype(object)
+        gens = _factor_module(fac, kind, arg).dense().astype(object)
         weights = np.array([np.diag(gens[i]) for i in range(r)]).T  # den * <mu, alpha_i^vee>
         for k in range(npos):
             coroot = [rs.pair_coroot(DominantWeight.fundamental(r, j), k) for j in range(r)]
@@ -782,12 +738,12 @@ def test_sym2_alt2_split_the_tensor_square(fam, n):
     pairs = [(r + j, r + npos + j) for j in range(npos)] + [(i, i) for i in range(r)]
     z, zs, za = std.dense(), sym.dense(), alt.dense()
     for x, y in pairs:
-        t = _trace_of_product(z, x, y)
-        assert _trace_of_product(zs, x, y) == tuple(c * (d + 2) for c in t)
-        assert _trace_of_product(za, x, y) == tuple(c * (d - 2) for c in t)
+        t = _trace_of_product(z, std.den, x, y)
+        assert _trace_of_product(zs, sym.den, x, y) == t * (d + 2)
+        assert _trace_of_product(za, alt.den, x, y) == t * (d - 2)
 
 
-def _simple_generators(mod, rs) -> ZiArray:
+def _simple_generators(mod, rs) -> tuple:
     r, npos = rs.rank, rs.n_positive_roots
     simple = [r + k for k, root in enumerate(rs.positive_roots) if sum(root) == 1]
     return _pick(mod, simple + [k + npos for k in simple])
@@ -805,7 +761,7 @@ def test_square_of_su4_std_is_its_weight_module(kind, weight):
     # simple e_i, f_i with [e_i, f_i] = h_i on both sides generate the algebra
     space = _intertwiners(_simple_generators(square, rs), _simple_generators(target, rs))
     assert space
-    assert complex_rank(ZiArray(*space[0])) == d
+    assert int_rank(space[0]) == d
 
 
 @pytest.mark.parametrize("stype, weight", [(SimpleType("A", 2), (2, 1)), (SimpleType("G", 2), (1, 1))])
@@ -847,14 +803,12 @@ def test_integer_views_scale_the_generators():
     ))
     borel, compact = _reference_views(m)
     assert borel[0].shape[1:] == (4, 4) and compact[0].shape[1:] == (8, 8)
-    for view, (re, im, den) in ((m.borel_stack, borel), (m.compact_stack, compact)):
+    for view, (gens, den) in ((m.borel_stack, borel), (m.compact_stack, compact)):
         stack = view.dense()
-        assert stack.den > 0 and stack.re.shape == re.shape
-        for at in np.ndindex(re.shape):
-            assert Fraction(int(stack.re[at]), stack.den) == Fraction(int(re[at]), den)
-            assert Fraction(int(stack.im[at]), stack.den) == Fraction(int(im[at]), den)
-    rr = real_block_rep("vec7")
-    assert rr.compact_stack.shape == (21, 7, 7) and not rr.compact_stack.im.any()
+        assert view.den > 0 and stack.shape == gens.shape
+        for at in np.ndindex(gens.shape):
+            assert Fraction(int(stack[at]), view.den) == Fraction(int(gens[at]), den)
+    assert real_block_rep("vec7").compact_stack.shape == (21, 7, 7)
 
 
 @pytest.mark.parametrize(
@@ -869,29 +823,25 @@ def test_real_orbit_rows_are_the_complex_action_interleaved(group, summand):
     # the rows g.v of the real compact stack at an integer v in R^(2d) are
     # (Re, Im) of the complex compact generators at v[0::2] + i*v[1::2],
     # the real part of coordinate a in column 2a, its imaginary part in 2a + 1
-    from coisotropy.mforacle import _real_action_rows
-
     m = realize(group, R(summand))
     c_re, c_im, den = _reference_complex_compact(*_reference_generators(m), m)
     v = np.array([(7 * t) % 11 - 5 for t in range(2 * m.space_dim)], dtype=object)
     x, y = v[0::2], v[1::2]
     want = np.zeros((len(c_re), 2 * m.space_dim), dtype=object)
     want[:, 0::2], want[:, 1::2] = c_re @ x - c_im @ y, c_re @ y + c_im @ x
-    rows = _real_action_rows(m, v.astype(np.int64))
+    rows = int_apply(m.compact_stack, v.astype(np.int64))
     assert want.any() and (rows * den == want * m.compact_stack.den).all()
 
 
 def _diagonal_weights(m) -> list[tuple[Fraction, ...]]:
     """The sorted weights of the basis of m: the diagonals of its Cartan
-    and torus generators, real and imaginary parts, which are diagonal."""
+    and torus generators, which are diagonal."""
     dense = m.gens.dense()
-    n, nc = dense.re.shape[0], len(m.cartan_labels)
+    n, nc = dense.shape[0], len(m.cartan_labels)
     diagonal = [k for k in range(n) if k < nc or k >= n - m.n_torus]
-    for part in (dense.re[diagonal], dense.im[diagonal]):
-        assert not (part * (1 - np.eye(m.space_dim, dtype=np.int64))).any()
+    assert not (dense[diagonal] * (1 - np.eye(m.space_dim, dtype=np.int64))).any()
     return sorted(
-        tuple(Fraction(int(part[k, t, t]), dense.den) for part in (dense.re, dense.im) for k in diagonal)
-        for t in range(m.space_dim)
+        tuple(Fraction(int(dense[k, t, t]), m.gens.den) for k in diagonal) for t in range(m.space_dim)
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from coisotropy.classify import WITNESS_PLANE
 from coisotropy.dsl import parse_repspec
-from coisotropy.linalg import int_rank
+from coisotropy.linalg import int_apply, int_rank, realify
 from coisotropy.matrep import real_block_rep, realize
 from coisotropy.mforacle import (
     CohomReport,
@@ -68,15 +68,15 @@ def test_mf_dual_invariance():
 
 def test_mf_rank_scale_invariance():
     # the Borel rank at v equals the rank at any nonzero multiple of v
-    import numpy as np
+    from coisotropy.linalg import ZiArray, complex_rank
 
-    from coisotropy.linalg import complex_rank, zi_apply
+    b = rep_of("su(3) + u1[1] on std(1) @ 1").borel_stack
+    x, y = np.array([1, 2, 3]), np.array([2, 1, 0])
 
-    m = rep_of("su(3) + u1[1] on std(1) @ 1")
-    v_re, v_im = np.array([1, 2, 3]), np.array([2, 1, 0])
-    assert complex_rank(zi_apply(m.borel_stack, v_re, v_im)) == complex_rank(
-        zi_apply(m.borel_stack, 3 * v_re, 3 * v_im)
-    )
+    def rank_at(t):
+        return complex_rank(ZiArray(int_apply(b, t * x), int_apply(b, t * y), b.den))
+
+    assert rank_at(1) == rank_at(3)
 
 
 def test_cohomogeneity_sphere():
@@ -86,14 +86,13 @@ def test_cohomogeneity_sphere():
 
 
 def test_cohomogeneity_orbit_dimension_identity():
-    from coisotropy.linalg import int_rank
-    from coisotropy.mforacle import _real_action_rows, _sample_vector
+    from coisotropy.mforacle import _sample_vector
     import random
 
     m = rep_of("su(2) + u1[1] on std(1) @ 1")
     rng = random.Random(7)
     v = _sample_vector(4, rng, 97)
-    orbit = int_rank(_real_action_rows(m, v))
+    orbit = int_rank(int_apply(m.compact_stack, v))
     assert cohomogeneity(m) + orbit == 4
 
 
@@ -153,28 +152,51 @@ def test_symmetric_pair_axioms():
     sp_u_pair(2).validate()
 
 
-def _complex(m):
-    re, im = m
-    return re.astype(object) + 1j * im.astype(object)
+def _complex_bracket(x, y):
+    """[x, y] of complex matrices given as (re, im) integer pairs."""
+    (a, b), (c, d) = x, y
+    return a @ c - b @ d - (c @ a - d @ b), a @ d + b @ c - (c @ b + d @ a)
 
 
 def test_lie_triple_raw_witness_not_closed():
-    res = lie_triple_closure(WITNESS_PLANE)
+    res = lie_triple_closure([realify(*w) for w in WITNESS_PLANE])
     assert not res.closed
     assert res.witness == (0, 1, 0)
     assert res.witness_bracket is not None
-    # the reported bracket is [[x_i, x_j], x_k], and it leaves the real span
-    x = [_complex(m) for m in WITNESS_PLANE]
+    # the reported bracket is [[x_i, x_j], x_k] realified, and it leaves the real span
+    x = [(re.astype(object), im.astype(object)) for re, im in WITNESS_PLANE]
     i, j, k = res.witness
-    inner = x[i] @ x[j] - x[j] @ x[i]
-    assert (_complex(res.witness_bracket) == inner @ x[k] - x[k] @ inner).all()
-    rows = [np.concatenate([re.ravel(), im.ravel()]) for re, im in WITNESS_PLANE]
-    grown = rows + [np.concatenate([part.ravel() for part in res.witness_bracket])]
+    want = _complex_bracket(_complex_bracket(x[i], x[j]), x[k])
+    assert (res.witness_bracket == realify(*want)).all()
+    rows = [realify(*w).ravel() for w in WITNESS_PLANE]
+    grown = rows + [res.witness_bracket.ravel()]
     assert int_rank(np.array(grown, dtype=object)) == int_rank(np.array(rows, dtype=object)) + 1
 
 
 def test_lie_triple_single_vector_closed():
-    assert lie_triple_closure([WITNESS_PLANE[0]]).closed
+    assert lie_triple_closure([realify(*WITNESS_PLANE[0])]).closed
+
+
+def _complex_of(m):
+    """The complex matrix A + iB whose realification is m = [[A, -B], [B, A]]."""
+    n = m.shape[0] // 2
+    assert (m == realify(m[:n, :n], m[n:, :n])).all()
+    return m[:n, :n] + 1j * m[n:, :n]
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [[realify(*w) for w in WITNESS_PLANE], sp_u_pair(2).k_basis + sp_u_pair(2).p_basis],
+    ids=["witness-plane", "sp(2)/u(2)"],
+)
+def test_realified_brackets_are_the_complex_commutators(basis):
+    from coisotropy.mforacle import _lie
+
+    for x in basis:
+        for y in basis:
+            cx, cy = _complex_of(x), _complex_of(y)
+            c = cx @ cy - cy @ cx
+            assert (_lie(x, y) == realify(c.real, c.imag)).all()
 
 
 def test_lie_triple_embedded_model_closes():
@@ -189,8 +211,8 @@ def test_lie_triple_membership_guard():
     pair = so_even_u_pair(3)
     bad = np.zeros((6, 6), dtype=np.int64)
     bad[0, 1], bad[1, 0] = 1, -1  # lives in k, not p
-    with pytest.raises(ValueError):
-        lie_triple_test(pair, [(bad, np.zeros_like(bad))])
+    with pytest.raises(ValueError, match="not contained in p"):
+        lie_triple_test(pair, [bad])
 
 
 def test_abelian_plane_section():
@@ -213,7 +235,7 @@ def test_zero_module_edge():
     # and a principal isotropy of full rank
     import numpy as np
 
-    from coisotropy.linalg import ZiStack
+    from coisotropy.linalg import IntStack
     from coisotropy.matrep import GroupSpec, MatrixRep, RepSpec, Summand, Term
 
     group = GroupSpec(torus_lines=((1,), ))
@@ -222,7 +244,7 @@ def test_zero_module_edge():
         group=group,
         rep=RepSpec(summands=(Summand(terms=(Term("triv"),), charges=(0,)),)),
         space_dim=0,
-        gens=ZiStack((1, 0, 0), none, none, none, none, none, 1),
+        gens=IntStack((1, 0, 0), none, none, none, none, 1),
         cartan_labels=[],
         root_labels=[],
     )
@@ -316,7 +338,6 @@ def test_full_rank_sample_certifies_mf_after_one_sample(probes):
 def test_mf_test_reads_its_sample_as_interleaved_real_and_imaginary_parts(monkeypatch):
     # the first point drawn for C^5 is v in R^10, read as v[0::2] + i*v[1::2]
     from coisotropy import mforacle
-    from coisotropy.linalg import zi_apply
 
     seen, inner = [], mforacle.complex_rank
     monkeypatch.setattr(mforacle, "complex_rank", lambda rows: seen.append(rows) or inner(rows))
@@ -325,8 +346,9 @@ def test_mf_test_reads_its_sample_as_interleaved_real_and_imaginary_parts(monkey
     rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
     v = mforacle._sample_vector(10, rng, mforacle.SAMPLE_BOUND)
     (rows,) = seen
-    want = zi_apply(m.borel_stack, v[0::2], v[1::2])
-    assert (rows.re == want.re).all() and (rows.im == want.im).all()
+    b = m.borel_stack
+    assert (rows.re == int_apply(b, v[0::2])).all() and (rows.im == int_apply(b, v[1::2])).all()
+    assert rows.den == b.den
 
 
 def test_fewer_borel_rows_than_dim_is_false_after_one_sample(probes):
@@ -353,8 +375,24 @@ def test_stabilize_stops_at_the_first_value_on_the_ceiling():
 
     values = iter([3, 5, 4, 5])
     probe = mforacle._stabilize(lambda v: next(values), 6, 7, ceiling=5)
-    assert (probe.value, probe.certified, probe.rounds_used, probe.seeds) == (5, True, 1, [0, 1])
+    assert (probe.value, probe.certified, probe.rounds_used, probe.seeds) == (5, True, 1, ["7:0:0", "7:1:0"])
     assert next(values) == 4  # the third sample was never drawn
+
+
+def test_a_probe_records_the_key_of_every_point():
+    # round 1 disagrees, round 2 agrees at ten times the bound; each point
+    # is drawn again from the key the probe lists for it
+    import random
+
+    from coisotropy import mforacle
+
+    values = iter([1, 2, 3, 4, 4, 4])
+    probe = mforacle._stabilize(lambda v: next(values), 6, 7)
+    assert (probe.value, probe.rounds_used) == (4, 2)
+    assert probe.seeds == [f"7:{idx}:1" for idx in range(mforacle.N_SAMPLES)]
+    for key, point in zip(probe.seeds, probe.sample_points, strict=True):
+        redrawn = mforacle._sample_vector(6, random.Random(key), 10 * mforacle.SAMPLE_BOUND)
+        assert (redrawn == point).all()
 
 
 def test_cohomogeneity_stops_at_its_ceiling(probes):
@@ -415,12 +453,11 @@ def _reference_isotropy_algebra(rep, v):
     import numpy as np
 
     from reference import frac_nullspace, frac_rref
-    from coisotropy.mforacle import _real_action_rows
 
     gens = rep.compact_stack.dense()
-    n, d = gens.re.shape[:2]
-    flat = gens.re.reshape(n, -1).tolist()
-    system = [[Fraction(x) for x in comp] for comp in _real_action_rows(rep, v).T.tolist()]
+    n, d = gens.shape[:2]
+    flat = gens.reshape(n, -1).tolist()
+    system = [[Fraction(x) for x in comp] for comp in int_apply(rep.compact_stack, v).T.tolist()]
     matrices = [
         [sum(c * row[e] for c, row in zip(vec, flat)) for e in range(d * d)]
         for vec in frac_nullspace(system, n)
@@ -504,7 +541,7 @@ def test_isotropy_entries_are_injective_on_the_compact_algebra(name):
     rep = ISOTROPY_CASES[name][0]()
     frame = mforacle._frame(rep)
     gens = rep.compact_stack.dense()
-    flat = gens.re.reshape(len(gens.re), -1)
+    flat = gens.reshape(len(gens), -1)
     assert int_rank(flat[:, frame.at]) == int_rank(flat) == frame.at.size
 
 
@@ -518,7 +555,7 @@ def test_the_centralizer_of_zero_is_not_abelian():
     rep = rep_of("su(3) + u1[1] on std(1) @ 1")
     frame = mforacle._frame(rep)
     v = mforacle._sample_vector(6, random.Random(3), 97)
-    _, kernel = int_kernel(mforacle._real_action_rows(rep, v).T)
+    _, kernel = int_kernel(int_apply(rep.compact_stack, v).T)
     assert kernel.shape[1] == 4
     everything = mforacle._centralizer(frame, kernel, np.zeros(len(kernel), dtype=object))
     assert everything.shape[1] == 4 and not mforacle._abelian(frame, everything)
@@ -578,30 +615,20 @@ def test_maximal_abelian_matches_the_fraction_reference(pair):
     from reference import frac_nullspace
     from coisotropy.mforacle import SAMPLE_BOUND
 
-    def _mul(x, y):
-        (a, b), (c, d) = x, y
-        return a @ c - b @ d, a @ d + b @ c
-
-    def _vectorize_real(mat):
-        return [Fraction(x) for a, b in zip(*(part.ravel() for part in mat)) for x in (a, b)]
-
     def _combination(coeffs, basis):
-        return tuple(sum(c * g[t] for c, g in zip(coeffs, basis)) for t in (0, 1))
+        return sum(c * g for c, g in zip(coeffs, basis))
 
-    basis = [(re.astype(object), im.astype(object)) for re, im in pair.p_basis]
+    basis = [g.astype(object) for g in pair.p_basis]
     rng = random.Random("20240101:abelian")
     z = _combination([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in basis], basis)
-    rows = []
-    for g in basis:
-        (gz_re, gz_im), (zg_re, zg_im) = _mul(g, z), _mul(z, g)
-        rows.append(_vectorize_real((gz_re - zg_re, gz_im - zg_im)))
+    rows = [[Fraction(x) for x in (g @ z - z @ g).ravel()] for g in basis]
     system = [[row[comp] for row in rows] for comp in range(len(rows[0]))]
     reference = [_combination(coeffs, basis) for coeffs in frac_nullspace(system, len(basis))]
     plane = maximal_abelian_in_p(pair)
     assert len(plane) == len(reference)
     for got, want in zip(plane, reference):
         # the same element, times a positive integer
-        got, want = (np.concatenate([part.ravel() for part in m]) for m in (got, want))
+        got, want = got.ravel(), want.ravel()
         key = np.flatnonzero(want)[0]
         scale = Fraction(int(got[key])) / want[key]
         assert scale > 0 and scale.denominator == 1 and (got == want * scale).all()
