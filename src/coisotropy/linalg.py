@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and the Gaussian integers.
+"""Exact linear algebra over the integers.
 
 Everything downstream (rank tests, isotropy kernels, bilinear-form solves,
 the Gram blocks of the weight modules) reduces to integer elimination
@@ -6,23 +6,19 @@ implemented here.  Every generator matrix is real and integral: an
 IntStack holds a set of generators by its nonzeros over one denominator,
 and _Dense is the one dense integer matrix (or stack of matrices), whose
 commutator _bracket serves the module certificate, the real slice models
-and the Lie-triple test alike.  Complex numbers enter only at a complex
-point: the rows of a stack at v = x + iy are int_apply at x and at y, a
-ZiArray, integer real and imaginary parts over one common denominator.
+and the Lie-triple test alike.  Complex data enters only as realify(re, im),
+the real matrix of re + i*im.
 
-One verified modular kernel serves them all.  int_kernel eliminates an
-integer matrix modulo a prime p ~ 2**31 for pivot rows and columns, lifts
-the kernel p-adically (Dixon 1982) and recovers it by rational
-reconstruction (Wang 1981), then checks A @ K == 0 in integers and that K
-is in reduced-echelon form, which holds iff the pivots mod p are the
-leftmost independent columns over Q.  The nonsingular pivot block bounds
-the rank from below and the verified kernel from above, so the rank is
-exact.  A prime that fails a check is replaced by the next one, and a
-bound from Hadamard's inequality caps the number of primes.  The only
-other elimination is _modp_rank: a complex rank is first taken modulo p
-with i mapped to a square root of -1, and a full one is certified,
-because a ring map never raises the rank.  Otherwise the kernel decides on
-the realification: M = A + iB has rank_C(M) = rank_R(realify(A, B)) / 2.
+One verified modular kernel is the only elimination.  int_kernel
+eliminates an integer matrix modulo a prime p ~ 2**31 for pivot rows and
+columns, lifts the kernel p-adically (Dixon 1982) and recovers it by
+rational reconstruction (Wang 1981), then checks A @ K == 0 in integers
+and that K is in reduced-echelon form, which holds iff the pivots mod p
+are the leftmost independent columns over Q.  The nonsingular pivot block
+bounds the rank from below and the verified kernel from above, so the rank
+is exact; a full rank mod p needs no kernel.  A prime that fails a check
+is replaced by the next one, and a bound from Hadamard's inequality caps
+the number of primes.  float_rank is the double-precision cross-check.
 """
 
 from __future__ import annotations
@@ -34,29 +30,15 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# integer stacks, Gaussian-integer arrays and the exact rank kernel
+# integer stacks and the exact rank kernel
 
-# Primes p = 1 (mod 4) below 2**31, each with a square root s of -1 mod p.
-# Residues stay below 2**31, so a product of two residues fits in int64.
-_RANK_PRIMES = ((2147483629, 629208553), (2147483549, 895500278))
+# The first primes int_kernel tries: p = 1 (mod 4) below 2**31.  Residues
+# stay below 2**31, so a product of two residues fits in int64.
+_RANK_PRIMES = (2147483629, 2147483549)
 
 # int64 holds an integer array only while its entries, and every sum of
 # products formed from them, stay below this bound in absolute value.
 INT64_SAFE = 2**62
-
-
-class ZiArray(NamedTuple):
-    """The array (re + i*im) / den over the Gaussian rationals.
-
-    re and im are integer arrays of one shape: int64 while the entries are
-    below INT64_SAFE in absolute value, Python ints (dtype object) beyond.
-    den is a positive integer.  Scaling by den changes no rank and no
-    kernel, so the exact kernels read re and im only.
-    """
-
-    re: np.ndarray
-    im: np.ndarray
-    den: int = 1
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -75,7 +57,8 @@ class IntStack(NamedTuple):
     held by its nonzeros.
 
     Entry t is val[t] / den at row row[t], column col[t] of matrix k[t];
-    val is an integer array as in a ZiArray.  Generators are sparse, so
+    val is an integer array: int64 while its entries are
+    below INT64_SAFE in absolute value, Python ints (dtype object) beyond.  Generators are sparse, so
     this is the (n, d, d) stack without its zeros.
     """
 
@@ -140,25 +123,6 @@ def _multiple(x: _Dense, y: _Dense) -> int | None:
     if (a * yp != b * xp).any():
         return None
     return xp * yp
-
-
-def _modp_rank(a: np.ndarray, p: int) -> int:
-    """Rank of an int64 matrix of residues mod p; eliminates in place."""
-    nr, nc = a.shape
-    r = 0
-    for c in range(nc):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
-        a[r + 1 :, c:] = (a[r + 1 :, c:] - a[r + 1 :, c, None] * a[r, c:]) % p
-        r += 1
-        if r == nr:
-            break
-    return r
 
 
 def _modp_reduce(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
@@ -337,8 +301,8 @@ def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
 def _kernel_primes():
     """The primes of _RANK_PRIMES, then the primes p = 1 (mod 4) below
     them in descending order."""
-    for p, _ in _RANK_PRIMES:
-        yield p
+    yield from _RANK_PRIMES
+    p = _RANK_PRIMES[-1]
     while True:
         p -= 4
         if all(p % q for q in range(3, isqrt(p) + 1, 2)):
@@ -397,41 +361,25 @@ def int_rank(rows) -> int:
     return int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0]
 
 
-def complex_rank(m: ZiArray) -> int:
-    """Rank over Q(i) of a ZiArray of row vectors.
+# Between rounding noise and the smallest true singular value, with a wide
+# margin to each.  On the Borel rows of mf_test at its integer samples, a
+# singular value that is zero in exact arithmetic comes out below
+# 0.15 * max(m, n) * 2**-52 (about 1e-15) times the largest, and a nonzero
+# one can fall to 3e-9 times the largest: a real matrix comes near a
+# singular one far more often than a complex one, whose samples stayed
+# above 3e-5.
+_FLOAT_RANK_TOL = 1e-12
 
-    For the first (p, s) in _RANK_PRIMES, i -> s is a ring map Z[i] -> Z/p,
-    so the rank of the n x d residue matrix never exceeds the true rank and
-    a full one (min(n, d)) is certified.  Otherwise the rank is half the
-    verified rank (int_kernel) of the realification realify(re, im).
+
+def float_rank(m: np.ndarray, den: int) -> int:
+    """Double-precision rank of the integer matrix m / den via SVD;
+    singular values below _FLOAT_RANK_TOL times the largest (or 1) count
+    as 0.
+
+    Reads the values m / den themselves, not the scaled integers, so the
+    tolerance is relative to the matrix as given.
     """
-    if m.re.ndim != 2 or 0 in m.re.shape:
-        return 0
-    p, s = _RANK_PRIMES[0]
-    residues = ((m.re % p).astype(np.int64) + s * (m.im % p).astype(np.int64)) % p
-    if _modp_rank(residues, p) == min(m.re.shape):
-        return min(m.re.shape)
-    r = int_rank(realify(m.re, m.im))
-    if r % 2:
-        raise ArithmeticError(f"realified rank {r} of a complex space is odd")
-    return r // 2
-
-
-_FLOAT_RANK_TOL = 1e-8
-
-
-def float_rank(m: ZiArray) -> int:
-    """Double-precision rank via SVD; singular values below _FLOAT_RANK_TOL
-    times the largest (or 1) count as 0.
-
-    Reads the values (re + i*im) / den themselves, not the scaled integers,
-    so the tolerance is relative to the matrix as given.
-    """
-    if m.re.size == 0:
-        return 0
-    a = np.empty(m.re.shape, dtype=complex)
-    a.real = m.re.astype(float) / m.den
-    a.imag = m.im.astype(float) / m.den
+    a = m.astype(float) / den
     if not a.any():
         return 0
     sv = np.linalg.svd(a, compute_uv=False)

@@ -1,21 +1,21 @@
 """Independent computational oracles on explicit matrix actions.
 
 Multiplicity-freeness is decided by openness of a generic Borel orbit
-(exact rank over the Gaussian rationals with a double-precision
-cross-check), cohomogeneity by generic orbit dimension of the compact real
-form, the rank of a principal isotropy subalgebra by the centralizer of a
-sampled element, certified at each point by being abelian (a maximal
-torus), and polarity candidates are killed by the Lie triple system test
-on explicit tangent data.
+(exact rank at an integer point with a double-precision cross-check),
+cohomogeneity by generic orbit dimension of the compact real form, the
+rank of a principal isotropy subalgebra by the centralizer of a sampled
+element, certified at each point by being abelian (a maximal torus), and
+polarity candidates are killed by the Lie triple system test on explicit
+tangent data.
 
 Every matrix here is a real integer matrix.  The orbit oracles read the
 compact action in one model, the integer stack compact_stack on R^n: a
 RealRep gives it directly, and a MatrixRep on C^d gives its realification
-on R^(2d).  Every sample is an integer point of R^n (_sample_vector);
-mf_test reads its point of R^(2d) as the complex point with real parts at
-the even and imaginary parts at the odd coordinates, the one place where
-complex values arise.  The Lie-triple test takes complex tangent data
-realified (linalg.realify), which changes no span and no bracket.
+on R^(2d).  Every sample is an integer point (_sample_vector): of R^n for
+the compact oracles, and of Z^d inside C^d for mf_test, whose Borel rows
+depend on the point with rational coefficients, so their generic rank over
+C is reached at integer points.  The Lie-triple test takes complex tangent
+data realified (linalg.realify), which changes no span and no bracket.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from .linalg import (
     _RANK_PRIMES,
     INT64_SAFE,
     IntStack,
-    ZiArray,
     _bracket,
     _Dense,
     _max_abs,
     _modp_reduce,
-    complex_rank,
     float_rank,
     int_kernel,
     int_apply,
@@ -47,6 +45,10 @@ from .matrep import MatrixRep, RealRep
 
 DEFAULT_SEED = 20240101
 SAMPLE_BOUND = 97
+# mf_test draws each coordinate from [-MF_SAMPLE_BOUND, MF_SAMPLE_BOUND]:
+# 38025 = 195**2 values, as many as a Gaussian integer with real and
+# imaginary part in [-97, 97], so its Schwartz-Zippel bound is dim / 38025
+MF_SAMPLE_BOUND = 19012
 N_SAMPLES = 3
 MAX_ROUNDS = 5
 
@@ -95,16 +97,19 @@ def _rng(seed: int, idx: int, rnd: int) -> random.Random:
 
 
 def _sample_vector(dim: int, rng: random.Random, bound: int) -> np.ndarray:
-    """A nonzero integer point of R^dim; a point of C^d is drawn as one of
-    R^(2d), real and imaginary part alternating coordinate by coordinate."""
+    """A nonzero integer point of Z^dim, each coordinate drawn uniformly
+    from [-bound, bound]."""
     while True:
         draws = [rng.randint(-bound, bound) for _ in range(dim)]
         if any(draws):
             return np.array(draws, dtype=np.int64)
 
 
-def _stabilize(evaluate, dim: int, seed: int, ceiling: int | None = None) -> OrbitProbe:
-    """Evaluate an integer invariant at N_SAMPLES generic points of R^dim.
+def _stabilize(
+    evaluate, dim: int, seed: int, bound: int, ceiling: int | None = None
+) -> OrbitProbe:
+    """Evaluate an integer invariant at N_SAMPLES generic points of Z^dim,
+    with coordinates in [-bound, bound] in the first round.
 
     For a rank whose generic value is its maximum over all points, ceiling
     is the largest value it can take: a sample reaching it certifies the
@@ -114,7 +119,6 @@ def _stabilize(evaluate, dim: int, seed: int, ceiling: int | None = None) -> Orb
     GenericityError is raised rather than returning a possibly non-generic
     answer.
     """
-    bound = SAMPLE_BOUND
     for rnd in range(MAX_ROUNDS):
         points = []
         values = []
@@ -138,28 +142,21 @@ def _stabilize(evaluate, dim: int, seed: int, ceiling: int | None = None) -> Orb
     raise GenericityError("sample ranks did not stabilize after 5 rounds")
 
 
-def _checked_complex_rank(rows: ZiArray) -> int:
-    exact = complex_rank(rows)
-    approx = float_rank(rows)
-    if exact != approx:
-        raise OracleDisagreement(
-            f"exact rank {exact} vs floating rank {approx}; inputs are suspect"
-        )
-    return exact
-
-
 def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     """True iff a Borel subgroup of the complexified group has an open orbit.
 
     The rank of {b . v : b Borel generator} at a generic v is compared with
-    the module dimension.  The rows b . v are one batched integer product on
-    the integer view of the generators; their rank over the Gaussian
-    rationals is a modular rank, certified when full, and otherwise the
-    verified kernel rank of the realification (linalg.int_kernel).  It is
-    cross-checked in double precision.  The rank is at most
-    min(#Borel generators, dim); a sample reaching that ceiling certifies
-    the answer and ends sampling, so a True, and a False for a Borel
-    algebra with fewer generators than dim, take one sample.
+    the module dimension.  The Borel generators are rational matrices, so
+    the rank over C is at its generic value on a Zariski-open set defined
+    over Q, and v is an integer point with coordinates in
+    [-MF_SAMPLE_BOUND, MF_SAMPLE_BOUND]: a rank-deficient sample has
+    probability at most dim / 38025 (Schwartz 1980; Zippel 1979).  The rows
+    b . v are one batched integer product (int_apply), their exact rank is
+    the verified kernel rank (int_rank), and a float_rank that differs
+    raises OracleDisagreement.  The rank is at most min(#Borel generators,
+    dim); a sample reaching that ceiling certifies the answer and ends
+    sampling, so a True, and a False for a Borel algebra with fewer
+    generators than dim, take one sample.
     """
     dim = rep.space_dim
     if dim == 0:
@@ -169,12 +166,16 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
         return False
 
     def rank_at(v) -> int:
-        # v in R^(2 dim) is the point v[0::2] + i*v[1::2] of C^dim
-        rows = ZiArray(int_apply(borel, v[0::2]), int_apply(borel, v[1::2]), borel.den)
-        return _checked_complex_rank(rows)
+        rows = int_apply(borel, v)
+        exact, approx = int_rank(rows), float_rank(rows, borel.den)
+        if exact != approx:
+            raise OracleDisagreement(
+                f"exact rank {exact} vs floating rank {approx}; inputs are suspect"
+            )
+        return exact
 
     ceiling = min(borel.shape[0], dim)
-    probe = _stabilize(rank_at, 2 * dim, seed, ceiling)
+    probe = _stabilize(rank_at, dim, seed, MF_SAMPLE_BOUND, ceiling)
     return probe.value == dim
 
 
@@ -191,7 +192,7 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
     def orbit_rank(v) -> int:
         return int_rank(int_apply(rep.compact_stack, v))
 
-    probe = _stabilize(orbit_rank, dim, seed, min(n, dim))
+    probe = _stabilize(orbit_rank, dim, seed, SAMPLE_BOUND, min(n, dim))
     return dim - probe.value
 
 
@@ -230,7 +231,7 @@ def _frame(rep) -> _Frame:
     entries = np.flatnonzero(used)
     stack_t = np.zeros((entries.size, n), dtype=s.val.dtype)
     stack_t[np.searchsorted(entries, pos), s.k] = s.val
-    p, _ = _RANK_PRIMES[0]
+    p = _RANK_PRIMES[0]
     pivots = _modp_reduce((stack_t % p).astype(np.int64), p)[0]
     if len(pivots) < n:
         rank = int_rank(stack_t)
@@ -343,7 +344,7 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
                 return basis.shape[1] + gap
         raise GenericityError("no sampled centralizer in the isotropy algebra is abelian")
 
-    probe = _stabilize(rank_at, rep.compact_stack.shape[1], seed)
+    probe = _stabilize(rank_at, rep.compact_stack.shape[1], seed, SAMPLE_BOUND)
     return probe.value
 
 

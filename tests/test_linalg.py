@@ -13,11 +13,8 @@ from coisotropy.linalg import (
     _RANK_PRIMES,
     INT64_SAFE,
     IntStack,
-    ZiArray,
     _kernel_primes,
-    _modp_rank,
     _prime_budget,
-    complex_rank,
     float_rank,
     int_apply,
     int_kernel,
@@ -26,19 +23,17 @@ from coisotropy.linalg import (
 )
 
 
-def _zi(re, im=None, den=1) -> ZiArray:
-    """The ZiArray (re + i*im) / den of integer rows: int64 below
-    INT64_SAFE, Python ints beyond, as the program stores them."""
-    im = [[0] * len(row) for row in re] if im is None else im
-    big = max(abs(x) for rows in (re, im) for row in rows for x in row) >= INT64_SAFE
-    dtype = object if big else np.int64
-    return ZiArray(np.array(re, dtype), np.array(im, dtype), den)
+def _ints(rows) -> np.ndarray:
+    """Integer rows as the program stores them: int64 below INT64_SAFE,
+    Python ints beyond."""
+    big = max(abs(x) for row in rows for x in row) >= INT64_SAFE
+    return np.array(rows, object if big else np.int64)
 
 
 def _stack(d, entries, den=1) -> IntStack:
     """One d x d matrix given by its entries (row, col, val) over den."""
     row, col, val = zip(*entries)
-    val = _zi([val]).re[0]
+    val = _ints([val])[0]
     return IntStack((1, d, d), np.zeros(len(row), np.int64), np.array(row), np.array(col), val, den)
 
 
@@ -60,22 +55,16 @@ def test_int_rank_agrees_with_bareiss():
     assert int_rank(full) == 2
 
 
-def test_complex_rank_matches_float():
-    # rows (1, i), (i, -1) = i * row1, (2, 0)
-    rows = _zi([[1, 0], [0, -1], [2, 0]], [[0, 1], [1, 0], [0, 0]])
-    assert complex_rank(rows) == 2
-    assert float_rank(rows) == 2
-
-
-def test_complex_rank_with_denominators():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-    z = _zi([[3, 2], [9, 6]], den=6)
-    assert [[Fraction(x, z.den) for x in row] for row in z.re.tolist()] == rows
-    assert complex_rank(z) == 1
+def test_float_rank_reads_the_values_over_den():
+    # rows (1/2, 1/3), (3/2, 1) = 3 * row 1 over den 6, and (1, 0)
+    rows = _ints([[3, 2], [9, 6], [6, 0]])
+    assert float_rank(rows[:2], 6) == int_rank(rows[:2]) == 1
+    assert float_rank(rows, 6) == int_rank(rows) == 2
+    assert float_rank(np.zeros((2, 3), np.int64), 1) == 0
 
 
 # ---------------------------------------------------------------------------
-# the Gaussian-integer rank kernel against the other exact ranks
+# rank primes, large entries, integer stacks and realification
 
 
 def _realified(re, im) -> list[list[int]]:
@@ -94,28 +83,11 @@ def _deficient_products(draw):
     return ar @ br - ai @ bi, ar @ bi + ai @ br
 
 
-@settings(max_examples=80, deadline=None)
-@given(_deficient_products())
-def test_complex_rank_agrees_with_every_exact_rank(product):
-    re, im = product
-    rank = complex_rank(ZiArray(re, im))
-    real = _realified(re, im)
-    assert bareiss_rank(real) == 2 * rank
-    assert int_rank(real) == 2 * rank
-    frac_rows = [[Fraction(x, 3) for x in row] for row in real]
-    assert len(frac_rref(frac_rows)[1]) == 2 * rank
-    assert rank <= min(re.shape)
-    sv = np.linalg.svd(re + 1j * im, compute_uv=False)
-    if rank == 0 or sv[rank - 1] > 1e-6 * sv[0]:
-        assert float_rank(ZiArray(re, im)) == rank
-
-
-def test_rank_primes_are_primes_with_a_root_of_minus_one():
-    assert len(_RANK_PRIMES) == 2
-    for p, s in _RANK_PRIMES:
+def test_rank_primes_are_primes_one_mod_four():
+    assert _RANK_PRIMES == (2147483629, 2147483549)
+    for p in _RANK_PRIMES:
         assert p % 4 == 1 and p < 2**31
         assert all(p % q for q in range(2, isqrt(p) + 1))
-        assert s * s % p == p - 1
 
 
 def _record_primes(monkeypatch) -> list[int]:
@@ -128,7 +100,7 @@ def _record_primes(monkeypatch) -> list[int]:
 
 def test_kernel_primes_descend_below_the_rank_primes():
     primes = list(islice(_kernel_primes(), 6))
-    assert primes[:2] == [p for p, _ in _RANK_PRIMES]
+    assert primes[:2] == list(_RANK_PRIMES)
     assert primes == sorted(primes, reverse=True) and len(set(primes)) == 6
     for p in primes:
         assert p % 4 == 1 and 2**30 < p < 2**31
@@ -139,7 +111,7 @@ def test_kernel_primes_descend_below_the_rank_primes():
 
 
 def test_unlucky_primes_move_on_to_a_third_prime(monkeypatch):
-    (p1, s1), (p2, s2) = _RANK_PRIMES
+    p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
     steps = []
     lifting_steps = linalg._lifting_steps
@@ -147,29 +119,21 @@ def test_unlucky_primes_move_on_to_a_third_prime(monkeypatch):
         linalg, "_lifting_steps", lambda b, c, p: steps.append(lifting_steps(b, c, p)) or steps[-1]
     )
     # p1 * p2 vanishes modulo both primes
-    re = np.array([[p1 * p2, 0], [0, 1]], dtype=np.int64)
-    for p, _ in _RANK_PRIMES:
-        assert _modp_rank(re % p, p) == 1
-    assert complex_rank(ZiArray(re, np.zeros_like(re))) == 2
-    # (s1 - i)(s2 - i) vanishes when i maps to s1 and when it maps to s2
-    z = (s1 * s2 - 1, -(s1 + s2))  # (s1 - i)(s2 - i)
-    assert complex_rank(_zi([[z[0], 0], [0, 1]], [[z[1], 0], [0, 0]])) == 2
+    assert int_rank(np.array([[p1 * p2, 0], [0, 1]], dtype=np.int64)) == 2
     third = list(islice(_kernel_primes(), 3))[-1]
-    assert primes == [p1, p2, third] * 2
+    assert primes == [p1, p2, third]
     # each unlucky prime gave up at the Hadamard bound of its own small
     # system; the third has full rank and lifts nothing
-    assert len(steps) == 4 and max(steps) <= 10
+    assert len(steps) == 2 and max(steps) <= 10
 
 
 def test_large_entries_take_the_python_int_path():
     big = 2**62
-    full = _zi([[big + 1, big], [big, big - 1]])  # determinant -1
-    half = _zi([[big, 2 * big], [big // 2, big]], [[big, 2 * big], [0, 0]])
-    for z, expected in ((full, 2), (half, 1)):
-        assert z.re.dtype == object
-        assert complex_rank(z) == expected
-        assert bareiss_rank(_realified(z.re, z.im)) == 2 * expected
-        assert int_rank(z.re) == bareiss_rank(z.re.tolist())
+    full = _ints([[big + 1, big], [big, big - 1]])  # determinant -1
+    half = _ints([[big, 2 * big], [big // 2, big]])
+    for a, expected in ((full, 2), (half, 1)):
+        assert a.dtype == object
+        assert int_rank(a) == bareiss_rank(a.tolist()) == expected
     # a product past the int64 bound is formed in Python ints, exactly
     g = _stack(2, [(0, 0, -3), (0, 1, 2**40), (1, 1, 1)])
     rows = int_apply(g, np.array([5, 2**30], dtype=np.int64))
@@ -194,13 +158,8 @@ def test_realify_is_a_ring_map_that_doubles_the_rank():
     assert realify(a, b).tolist() == _realified(a, b)
     stack = realify(np.stack([a, c]), np.stack([b, e]))
     assert (stack == np.stack([realify(a, b), realify(c, e)])).all()
-    assert int_rank(realify(a[:1], b[:1])) == 2 * complex_rank(ZiArray(a[:1], b[:1]))
-
-
-def test_odd_realified_rank_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "int_kernel", lambda rows: (3, np.zeros((4, 1), dtype=object)))
-    with pytest.raises(ArithmeticError):
-        complex_rank(_zi([[1, 1], [2, 2]]))
+    assert int_rank(realify(a, b)) == 2 * np.linalg.matrix_rank(a + 1j * b)
+    assert int_rank(realify(a[:2], b[:2])) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +207,7 @@ def test_int_kernel_on_realified_gaussian_products(product):
     real = np.array(_realified(*product), dtype=np.int64)
     rank, k = int_kernel(real)
     _check_kernel(real, rank, k)
-    assert rank == 2 * complex_rank(ZiArray(*product))
+    assert rank % 2 == 0
 
 
 def test_int_kernel_rank_zero_and_full_rank():
@@ -289,7 +248,7 @@ def test_int_kernel_with_entries_past_2_200(monkeypatch):
     primes = _record_primes(monkeypatch)
     rank, k = int_kernel(a)
     monkeypatch.undo()
-    assert primes == [_RANK_PRIMES[0][0]]
+    assert primes == [_RANK_PRIMES[0]]
     assert rank == 9 and k.shape == (10, 1)
     assert not (a.astype(object) @ k).any()
     assert max(abs(int(x)) for x in k[:, 0]).bit_length() > 200
@@ -297,7 +256,7 @@ def test_int_kernel_with_entries_past_2_200(monkeypatch):
 
 
 def test_failed_reconstruction_raises_after_the_prime_budget(monkeypatch):
-    (p1, _), (p2, _) = _RANK_PRIMES
+    p1, p2 = _RANK_PRIMES
     small = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
     # column norms (p1 p2, 0, 1): H is about 2**62, so three primes
     large = np.array([[p1 * p2, 0, 1]], dtype=object)
@@ -311,7 +270,7 @@ def test_failed_reconstruction_raises_after_the_prime_budget(monkeypatch):
 
 
 def test_matrix_vanishing_mod_both_primes_has_rank_one(monkeypatch):
-    (p1, _), (p2, _) = _RANK_PRIMES
+    p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
     rank, k = int_kernel([[p1 * p2, 0]])
     assert rank == 1 and k.tolist() == [[0], [1]]
@@ -322,7 +281,7 @@ def test_pivots_mod_p_must_be_the_leftmost_over_q(monkeypatch):
     # mod p1 the first column vanishes and the second becomes the pivot;
     # A @ K == 0 holds for the kernel (1, -p1) of those pivots, but over Q
     # the pivot is the first column, so p1 is rejected
-    (p1, _), (p2, _) = _RANK_PRIMES
+    p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
     rank, k = int_kernel([[p1, 1]])
     assert (rank, k.tolist()) == (1, [[-1], [p1]])

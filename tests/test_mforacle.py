@@ -68,15 +68,17 @@ def test_mf_dual_invariance():
 
 def test_mf_rank_scale_invariance():
     # the Borel rank at v equals the rank at any nonzero multiple of v
-    from coisotropy.linalg import ZiArray, complex_rank
+    from coisotropy.linalg import float_rank
 
     b = rep_of("su(3) + u1[1] on std(1) @ 1").borel_stack
-    x, y = np.array([1, 2, 3]), np.array([2, 1, 0])
+    x = np.array([1, 2, 3])
 
     def rank_at(t):
-        return complex_rank(ZiArray(int_apply(b, t * x), int_apply(b, t * y), b.den))
+        rows = int_apply(b, t * x)
+        assert float_rank(rows, b.den) == int_rank(rows)
+        return int_rank(rows)
 
-    assert rank_at(1) == rank_at(3)
+    assert rank_at(1) == rank_at(3) == rank_at(-2)
 
 
 def test_cohomogeneity_sphere():
@@ -275,9 +277,8 @@ def test_mf_implies_dimensional_condition():
 
 def test_float_rank_disagreement_raises(monkeypatch):
     from coisotropy import mforacle
-    from coisotropy.linalg import complex_rank
 
-    monkeypatch.setattr(mforacle, "float_rank", lambda rows: complex_rank(rows) - 1)
+    monkeypatch.setattr(mforacle, "float_rank", lambda rows, den: int_rank(rows) - 1)
     with pytest.raises(mforacle.OracleDisagreement):
         mf_test(rep_of("so(5) + u1[1] on std(1) @ 1"))
 
@@ -292,7 +293,7 @@ def test_unstable_samples_raise_genericity_error():
         return len(calls)  # a different value on every sample
 
     with pytest.raises(mforacle.GenericityError):
-        mforacle._stabilize(evaluate, 6, 7)
+        mforacle._stabilize(evaluate, 6, 7, mforacle.SAMPLE_BOUND)
     assert len(calls) == mforacle.MAX_ROUNDS * mforacle.N_SAMPLES
 
 
@@ -305,7 +306,7 @@ def probes(monkeypatch):
     """Counts the rank evaluations of the oracles and keeps their probes."""
     from coisotropy import mforacle
 
-    seen = {"complex_rank": 0, "int_rank": 0, "probes": []}
+    seen = {"int_rank": 0, "probes": []}
     stabilize = mforacle._stabilize
 
     def counting(name):
@@ -322,40 +323,91 @@ def probes(monkeypatch):
         seen["probes"].append(probe)
         return probe
 
-    for name in ("complex_rank", "int_rank"):
-        monkeypatch.setattr(mforacle, name, counting(name))
+    monkeypatch.setattr(mforacle, "int_rank", counting("int_rank"))
     monkeypatch.setattr(mforacle, "_stabilize", keep)
     return seen
 
 
 def test_full_rank_sample_certifies_mf_after_one_sample(probes):
     assert mf_test(rep_of("so(5) + u1[1] on std(1) @ 1")) is True
-    assert probes["complex_rank"] == 1
+    assert probes["int_rank"] == 1
     (probe,) = probes["probes"]
     assert probe.certified and probe.value == 5 and len(probe.sample_points) == 1
 
 
-def test_mf_test_reads_its_sample_as_interleaved_real_and_imaginary_parts(monkeypatch):
-    # the first point drawn for C^5 is v in R^10, read as v[0::2] + i*v[1::2]
+def test_mf_test_ranks_the_borel_rows_at_its_first_draw(monkeypatch):
+    # the first point drawn for C^5 is an integer point of Z^5 with
+    # coordinates in [-MF_SAMPLE_BOUND, MF_SAMPLE_BOUND]
     from coisotropy import mforacle
 
-    seen, inner = [], mforacle.complex_rank
-    monkeypatch.setattr(mforacle, "complex_rank", lambda rows: seen.append(rows) or inner(rows))
+    seen, inner = [], mforacle.int_rank
+    monkeypatch.setattr(mforacle, "int_rank", lambda rows: seen.append(rows) or inner(rows))
     m = rep_of("so(5) + u1[1] on std(1) @ 1")
     assert mf_test(m) is True
     rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
-    v = mforacle._sample_vector(10, rng, mforacle.SAMPLE_BOUND)
+    v = mforacle._sample_vector(5, rng, mforacle.MF_SAMPLE_BOUND)
+    assert np.abs(v).max() > mforacle.SAMPLE_BOUND
     (rows,) = seen
-    b = m.borel_stack
-    assert (rows.re == int_apply(b, v[0::2])).all() and (rows.im == int_apply(b, v[1::2])).all()
-    assert rows.den == b.den
+    assert (rows == int_apply(m.borel_stack, v)).all()
+
+
+def test_the_integer_sample_has_the_rank_of_a_gaussian_point(monkeypatch):
+    # the Borel rows are rational in v, so their rank over C at mf_test's
+    # integer sample equals the rank at a Gaussian-integer point, taken
+    # here through the realification, for every module of table 1..4
+    import random
+
+    from coisotropy import classify, mforacle
+
+    modules, mf = {}, classify.mf_test
+
+    def recording(m, seed):
+        modules.setdefault((m.group, m.rep), m)
+        return mf(m, seed)
+
+    monkeypatch.setattr(classify, "mf_test", recording)
+    for table in (1, 2, 3, 4):
+        classify.reproduce_table(table)
+    monkeypatch.undo()
+    probes, stabilize = [], mforacle._stabilize
+    monkeypatch.setattr(mforacle, "_stabilize", lambda *a: probes.append(stabilize(*a)) or probes[-1])
+    assert len(modules) >= 80
+    for t, m in enumerate(modules.values()):
+        probes.clear()
+        mf_test(m)
+        (probe,) = probes
+        v = probe.sample_points[0]
+        b = m.borel_stack
+        rng = random.Random(f"gaussian:{t}")
+        x, y = ([rng.randint(-97, 97) for _ in range(m.space_dim)] for _ in range(2))
+        gaussian = int_rank(realify(int_apply(b, np.array(x)), int_apply(b, np.array(y)))) // 2
+        assert int_rank(int_apply(b, v)) == gaussian
+
+
+def test_a_nearly_singular_full_rank_sample_passes_the_float_check(monkeypatch):
+    # at seed 1933 the first sample of this module gives a full-rank 28 x 28
+    # matrix whose smallest singular value is about 3e-9 of its largest; the
+    # float rank must see the exact rank 28 there
+    from coisotropy import mforacle
+    from coisotropy.linalg import float_rank
+
+    seen, inner = [], mforacle.float_rank
+    monkeypatch.setattr(
+        mforacle, "float_rank", lambda rows, den: seen.append(rows) or inner(rows, den)
+    )
+    m = rep_of("su(7) + u1[1,0] on std(1) * @ 1,0 (+) alt2(1) @ 0,1")
+    assert mf_test(m, seed=1933) is True
+    (rows,) = seen
+    sv = np.linalg.svd(rows.astype(float), compute_uv=False)
+    assert sv[-1] < 1e-8 * sv[0]
+    assert float_rank(rows, m.borel_stack.den) == int_rank(rows) == m.space_dim == 28
 
 
 def test_fewer_borel_rows_than_dim_is_false_after_one_sample(probes):
     m = rep_of("su(3) on sym2(1)")
     assert m.borel_stack.shape[0] < m.space_dim
     assert mf_test(m) is False
-    assert probes["complex_rank"] == 1
+    assert probes["int_rank"] == 1
     assert probes["probes"][0].certified
 
 
@@ -365,7 +417,7 @@ def test_rank_deficient_mf_test_keeps_every_sample(probes):
     m = rep_of("so(5) on std(1)")
     assert m.borel_stack.shape[0] >= m.space_dim
     assert mf_test(m) is False
-    assert probes["complex_rank"] == N_SAMPLES
+    assert probes["int_rank"] == N_SAMPLES
     (probe,) = probes["probes"]
     assert not probe.certified and probe.value == 4 and len(probe.sample_points) == N_SAMPLES
 
@@ -374,7 +426,7 @@ def test_stabilize_stops_at_the_first_value_on_the_ceiling():
     from coisotropy import mforacle
 
     values = iter([3, 5, 4, 5])
-    probe = mforacle._stabilize(lambda v: next(values), 6, 7, ceiling=5)
+    probe = mforacle._stabilize(lambda v: next(values), 6, 7, mforacle.SAMPLE_BOUND, ceiling=5)
     assert (probe.value, probe.certified, probe.rounds_used, probe.seeds) == (5, True, 1, ["7:0:0", "7:1:0"])
     assert next(values) == 4  # the third sample was never drawn
 
@@ -387,7 +439,7 @@ def test_a_probe_records_the_key_of_every_point():
     from coisotropy import mforacle
 
     values = iter([1, 2, 3, 4, 4, 4])
-    probe = mforacle._stabilize(lambda v: next(values), 6, 7)
+    probe = mforacle._stabilize(lambda v: next(values), 6, 7, mforacle.SAMPLE_BOUND)
     assert (probe.value, probe.rounds_used) == (4, 2)
     assert probe.seeds == [f"7:{idx}:1" for idx in range(mforacle.N_SAMPLES)]
     for key, point in zip(probe.seeds, probe.sample_points, strict=True):
@@ -498,7 +550,8 @@ def _reference_principal_rank(rep, seed, kernel_rank):
         assert len(ranks) == 1
         return ranks.pop() + kernel_rank
 
-    return mforacle._stabilize(rank_at, rep.compact_stack.shape[1], seed).value
+    dim = rep.compact_stack.shape[1]
+    return mforacle._stabilize(rank_at, dim, seed, mforacle.SAMPLE_BOUND).value
 
 
 # name -> (module, rank of the kernel of its action, group rank for a RealRep)
