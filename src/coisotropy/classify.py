@@ -148,15 +148,20 @@ def spin_inequality_scan(max_rank: int) -> list[dict]:
     return out
 
 
-def irrep_scan(
-    reality: str, degree: int, min_dim: int, max_rank: int = 8
-) -> list[dict]:
+# The classical rank irrep_scan reaches.  Above rank 8 a nontrivial module
+# of degree at most 12 is the defining module of su(10), su(11) or su(12),
+# which the scan excludes, and the scan rows of results.txt ask for degrees
+# up to 12.
+IRREP_SCAN_MAX_RANK = 8
+
+
+def irrep_scan(reality: str, degree: int, min_dim: int) -> list[dict]:
     """Simple types with an irreducible module of the given degree and
     reality class and algebra dimension at least min_dim; the defining
     modules (the ambient classical group itself) are excluded."""
     want = {"R": "real", "C": "complex", "H": "quaternionic"}[reality]
     out = []
-    for st in paper_family_types(max_rank):
+    for st in paper_family_types(IRREP_SCAN_MAX_RANK):
         rs = build_root_system(st)
         if rs.dim_g < min_dim:
             continue

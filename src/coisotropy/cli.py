@@ -31,15 +31,12 @@ class _Reporter:
         self.fmt = fmt
         self.lines: list[str] = []
         self.path = path
-        self.fails = 0
 
     def emit(self, text: str):
         self.lines.append(text)
 
     def ok_line(self, ok: bool, label: str, detail: str = ""):
         tag = "PASS" if ok else "FAIL"
-        if not ok:
-            self.fails += 1
         self.emit(f"{tag:4s} {label:58s} {detail}".rstrip())
 
     def flush(self):
@@ -111,7 +108,7 @@ def _read_spec(args) -> str:
 
 def _cmd_mf_check(args, rep: _Reporter) -> int:
     group, module = parse_repspec(_read_spec(args))
-    mrep = realize(group, module, chirality=-1 if args.negative_chirality else 1)
+    mrep = realize(group, module)
     verdict = mforacle.mf_test(mrep, seed=args.seed)
     rep.emit(f"spec: {print_repspec(group, module)}")
     rep.emit(f"dimension: {mrep.space_dim}")
@@ -135,7 +132,7 @@ def _cmd_mf_check(args, rep: _Reporter) -> int:
 
 def _cmd_cohom(args, rep: _Reporter) -> int:
     group, module = parse_repspec(_read_spec(args))
-    mrep = realize(group, module, chirality=-1 if args.negative_chirality else 1)
+    mrep = realize(group, module)
     report = mforacle.coisotropic_by_rank(mrep, seed=args.seed)
     rep.emit(f"spec: {print_repspec(group, module)}")
     rep.emit(f"cohomogeneity: {report.cohomogeneity}")
@@ -274,13 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mf-check", help="multiplicity-freeness of a spec")
     p.add_argument("spec", help="representation spec, or - for stdin")
     p.add_argument("--from-file", action="store_true")
-    p.add_argument("--negative-chirality", action="store_true")
     p.set_defaults(func=_cmd_mf_check)
 
     p = sub.add_parser("cohom", help="cohomogeneity report of a spec")
     p.add_argument("spec")
     p.add_argument("--from-file", action="store_true")
-    p.add_argument("--negative-chirality", action="store_true")
     p.set_defaults(func=_cmd_cohom)
 
     p = sub.add_parser("table", help="reproduce one result table")

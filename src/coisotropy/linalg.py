@@ -16,9 +16,12 @@ rational reconstruction (Wang 1981), then checks A @ K == 0 in integers
 and that K is in reduced-echelon form, which holds iff the pivots mod p
 are the leftmost independent columns over Q.  The nonsingular pivot block
 bounds the rank from below and the verified kernel from above, so the rank
-is exact; a full rank mod p needs no kernel.  A prime that fails a check
-is replaced by the next one, and a bound from Hadamard's inequality caps
-the number of primes.  float_rank is the double-precision cross-check.
+is exact; a full rank mod p needs no kernel.  int_kernel returns the
+certified pivot rows with the kernel: int_rank counts them, and the
+isotropy frame of mforacle reads its entries from them.  A prime that fails
+a check is replaced by the next one, and a bound from Hadamard's
+inequality caps the number of primes.  float_rank is the double-precision
+cross-check.
 """
 
 from __future__ import annotations
@@ -235,8 +238,8 @@ def _lifting_steps(b: np.ndarray, c: np.ndarray, p: int) -> int:
     return steps
 
 
-def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
-    """(rank, K) from the pivots of a mod p, verified; None if p is unlucky.
+def _kernel_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray] | None:
+    """(P, K) from the pivots of a mod p, verified; None if p is unlucky.
 
     The pivot block B = a[P, Q] is invertible mod p, so X = -B^-1 a[P, F]
     (F the free columns) has no p in its denominators and its p-adic digits
@@ -248,7 +251,8 @@ def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
     the other rows that the rank mod p is below the rank.  Last, K must be
     in reduced-echelon form: a kernel vector with a nonzero at a pivot
     column right of its free column means that the pivots mod p are not
-    the leftmost independent columns over Q (as for [[p, 1]]).
+    the leftmost independent columns over Q (as for [[p, 1]]).  P are the
+    pivot rows, in pivot order: a[P, Q] is nonsingular and |P| is the rank.
     """
     n = a.shape[1]
     prow, pcol, binv = _modp_reduce((a % p).astype(np.int64), p)
@@ -257,10 +261,10 @@ def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
     free = [j for j in range(n) if j not in pivots]
     kernel = np.zeros((n, len(free)), dtype=object)
     if not free:
-        return r, kernel
+        return prow, kernel
     if not r:
         kernel[free, range(len(free))] = 1
-        return (0, kernel) if not a.any() else None
+        return (prow, kernel) if not a.any() else None
     b = a[np.ix_(prow, pcol)]
     c = -a[np.ix_(prow, free)]
     steps = _lifting_steps(b, c, p)
@@ -294,7 +298,7 @@ def _kernel_mod(a: np.ndarray, p: int) -> tuple[int, np.ndarray] | None:
             # free column j depends on the pivot columns left of it only
             # iff the pivots are the leftmost independent columns over Q
             late = np.array(pcol)[:, None] > np.array(free)
-            return None if kernel[pcol][late].any() else (r, kernel)
+            return None if kernel[pcol][late].any() else (prow, kernel)
     return None
 
 
@@ -315,15 +319,17 @@ def _prime_budget(a: np.ndarray) -> int:
     return 1 + (h2.bit_length() - 1) // 60
 
 
-def int_kernel(rows) -> tuple[int, np.ndarray]:
-    """(rank, K) of an integer matrix A (an array or a list of rows).
+def int_kernel(rows) -> tuple[list[int], np.ndarray]:
+    """(P, K) of an integer matrix A (an array or a list of rows).
 
-    K is an n x (n - rank) array of Python ints whose columns are a basis
-    of {x : A x = 0}: the reduced-echelon kernel vectors, one per free
-    column, each with its denominators cleared, so that K restricted to the
-    free rows is diagonal and positive.  Every result was checked by
-    A @ K == 0 in integers, and the pivots mod p by the echelon form of K;
-    see _kernel_mod.
+    P are row indices of A, as many as its rank, whose rows are independent:
+    the pivot rows of the elimination, in pivot order, with a nonsingular
+    pivot block.  K is an n x (n - rank) array of Python ints whose columns
+    are a basis of {x : A x = 0}: the reduced-echelon kernel vectors, one
+    per free column, each with its denominators cleared, so that K
+    restricted to the free rows is diagonal and positive.  Every result was
+    checked by A @ K == 0 in integers, and the pivots mod p by the echelon
+    form of K; see _kernel_mod.
 
     The primes are those of _kernel_primes, at most _prime_budget(A) of
     them.  Let D be the nonzero minor of A on its leftmost independent
@@ -337,7 +343,7 @@ def int_kernel(rows) -> tuple[int, np.ndarray]:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
     m, n = a.shape
     if not m:
-        return 0, np.eye(n, dtype=np.int64).astype(object)
+        return [], np.eye(n, dtype=np.int64).astype(object)
     budget = None
     for tried, p in enumerate(_kernel_primes()):
         if tried == budget:
@@ -352,13 +358,13 @@ def int_kernel(rows) -> tuple[int, np.ndarray]:
 def int_rank(rows) -> int:
     """Exact rank of an integer matrix, given as an array or a list of rows.
 
-    The verified kernel of int_kernel on the narrower side; a full rank mod
-    p is certified by the elimination alone.
+    The number of pivot rows of int_kernel on the narrower side; a full
+    rank mod p is certified by the elimination alone.
     """
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     if a.ndim != 2 or 0 in a.shape:
         return 0
-    return int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0]
+    return len(int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0])
 
 
 # Between rounding noise and the smallest true singular value, with a wide
@@ -371,16 +377,15 @@ def int_rank(rows) -> int:
 _FLOAT_RANK_TOL = 1e-12
 
 
-def float_rank(m: np.ndarray, den: int) -> int:
-    """Double-precision rank of the integer matrix m / den via SVD;
-    singular values below _FLOAT_RANK_TOL times the largest (or 1) count
-    as 0.
+def float_rank(m: np.ndarray) -> int:
+    """Double-precision rank of the integer matrix m via SVD; singular
+    values at most _FLOAT_RANK_TOL times the largest count as 0.
 
-    Reads the values m / den themselves, not the scaled integers, so the
-    tolerance is relative to the matrix as given.
+    The tolerance is relative, so a common denominator of the rows, which
+    scales every singular value alike, does not change the rank.
     """
-    a = m.astype(float) / den
+    a = m.astype(float)
     if not a.any():
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(sv > _FLOAT_RANK_TOL * max(1.0, float(sv[0]))))
+    return int(np.sum(sv > _FLOAT_RANK_TOL * sv[0]))

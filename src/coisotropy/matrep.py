@@ -237,26 +237,27 @@ class RepSpec:
 # positive roots in positive_roots order.
 
 
-def _highest_weight(fac: Factor, kind: str, arg=None) -> tuple[int, ...]:
+def _highest_weight(fac: Factor, kind: str, weight=None) -> tuple[int, ...]:
     """Highest weight, on the fundamental weights, of a std, spin or weight
-    term of a simple factor (arg: the chirality of a spin term, the highest
-    weight of a weight term).
+    term of a simple factor (weight: the highest weight of a weight term).
 
     std is the first fundamental module of a classical algebra (twice the
     weight for so(3) = B1) and the smallest fundamental module of an
-    exceptional one; spin of so(n), 3 <= n <= 12, is omega_r for odd n and
-    omega_r or omega_(r-1) for the chirality +1 or -1 when n is even.
+    exceptional one; spin of so(n), 3 <= n <= 12, is the (half-)spin module
+    omega_r.  The other half-spin module of so(2r) is the weight term
+    omega_(r-1): the outer automorphism of so(2r) exchanges the two and
+    fixes std, sym2, alt2 and triv, so the choice changes no verdict.
     """
     st = fac.simple_type
     if kind == "weight":
-        return arg
+        return weight
     if kind == "spin":
         if fac.kind != "so":
             raise NotRealizable("spin terms need an so(n) factor")
         if not 3 <= fac.n <= 12:
             raise NotRealizable("spin modules are provided for 3 <= n <= 12")
         r = st.rank
-        node = r - 1 if fac.n % 2 or arg > 0 else r - 2
+        node = r - 1
     elif kind == "std":
         r = st.rank
         if st.family in "ABCD":
@@ -490,21 +491,22 @@ def _square(mod: IntStack, alt: bool) -> IntStack:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_module(fac: Factor, kind: str, arg=None) -> IntStack:
+def _factor_module(fac: Factor, kind: str, weight=None) -> IntStack:
     """Module of a simple factor for a std, sym2, alt2, spin or weight term,
     as one integer stack ordered cartan | raising | lowering (simple roots,
     then positive roots in positive_roots order) over one denominator.
 
-    arg is the chirality of a spin term and the highest weight of a weight
-    term.  The simple stack h | e | f of the irreducible module
-    (_weight_module at _highest_weight) or of the square of the standard
-    module is certified (_certify) and then completed by _root_vectors.
+    weight is the highest weight of a weight term and None otherwise;
+    callers pass it positionally, so that each module has one cache key.
+    The simple stack h | e | f of the irreducible module (_weight_module at
+    _highest_weight) or of the square of the standard module is certified
+    (_certify) and then completed by _root_vectors.
     """
     st = fac.simple_type
     if kind in ("sym2", "alt2"):
         simple = _square(_weight_module(st, _highest_weight(fac, "std")), alt=kind == "alt2")
     else:
-        simple = _weight_module(st, _highest_weight(fac, kind, arg))
+        simple = _weight_module(st, _highest_weight(fac, kind, weight))
     rs = build_root_system(st)
     _certify(simple, rs)
     return _root_vectors(simple, rs)
@@ -681,7 +683,7 @@ def _coalesce(shape, k, row, col, val, den) -> IntStack:
     return IntStack(shape, uniq // (d * d), uniq // d % d, uniq % d, total[keep], den)
 
 
-def _term_module(group: GroupSpec, term: Term, chirality: int) -> tuple[int, IntStack | None, int]:
+def _term_module(group: GroupSpec, term: Term) -> tuple[int, IntStack | None, int]:
     """(factor index, module, dimension) of one term; (-1, None, 1) for a
     trivial slot."""
     if term.kind == "triv":
@@ -698,16 +700,11 @@ def _term_module(group: GroupSpec, term: Term, chirality: int) -> tuple[int, Int
             f"term {term.kind} of {fac}: the factor has no semisimple part; "
             f"encode its circle action as a torus line"
         )
-    arg = {"spin": chirality, "weight": term.weight}.get(term.kind)
-    mod = _factor_module(fac, term.kind, arg)
+    mod = _factor_module(fac, term.kind, term.weight if term.kind == "weight" else None)
     return fidx, mod, mod.shape[1]
 
 
-def realize(
-    group: GroupSpec,
-    rep: RepSpec,
-    chirality: int = 1,
-) -> MatrixRep:
+def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     """Build the matrix model of a representation specification.
 
     Assembly is index arithmetic on the certified module stacks: a slot's
@@ -724,7 +721,7 @@ def realize(
             raise RepresentationError(
                 f"summand charge arity {len(sm.charges)} != circles {n_circ}"
             )
-        slots = [_term_module(group, t, chirality) for t in sm.terms]
+        slots = [_term_module(group, t) for t in sm.terms]
         d = prod(n for _, _, n in slots)
         if d < 1:
             raise RepresentationError("summand has dimension < 1")

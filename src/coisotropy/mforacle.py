@@ -27,13 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    _RANK_PRIMES,
     INT64_SAFE,
     IntStack,
     _bracket,
     _Dense,
     _max_abs,
-    _modp_reduce,
     float_rank,
     int_kernel,
     int_apply,
@@ -167,7 +165,7 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
 
     def rank_at(v) -> int:
         rows = int_apply(borel, v)
-        exact, approx = int_rank(rows), float_rank(rows, borel.den)
+        exact, approx = int_rank(rows), float_rank(rows)
         if exact != approx:
             raise OracleDisagreement(
                 f"exact rank {exact} vs floating rank {approx}; inputs are suspect"
@@ -217,12 +215,10 @@ class _Frame(NamedTuple):
 
 
 def _frame(rep) -> _Frame:
-    """P from one modular elimination of the transposed stack (the pivot
-    rows, linalg._modp_reduce), certified by the rank of the stack: the
-    residues at P have rank |P|, at most the rank over Q, so |P| equal to
-    that rank means that a matrix of the span is zero iff it is zero at P.
-    |P| = n needs no more; below it the exact rank is taken.  A RealRep
-    carries no group data, so it must act faithfully."""
+    """P from the verified pivot rows of the transposed stack (int_kernel):
+    they are as many as the rank and independent, so a matrix of the span
+    is zero iff it is zero at P.  A RealRep carries no group data, so it
+    must act faithfully."""
     s = rep.compact_stack
     n, d, _ = s.shape
     pos = s.row * d + s.col
@@ -231,14 +227,9 @@ def _frame(rep) -> _Frame:
     entries = np.flatnonzero(used)
     stack_t = np.zeros((entries.size, n), dtype=s.val.dtype)
     stack_t[np.searchsorted(entries, pos), s.k] = s.val
-    p = _RANK_PRIMES[0]
-    pivots = _modp_reduce((stack_t % p).astype(np.int64), p)[0]
-    if len(pivots) < n:
-        rank = int_rank(stack_t)
-        if len(pivots) != rank:
-            raise ArithmeticError(f"rank {len(pivots)} of the stack mod {p} is below its rank {rank}")
-        if isinstance(rep, RealRep):
-            raise ValueError("a RealRep must act faithfully")
+    pivots, _ = int_kernel(stack_t)
+    if len(pivots) < n and isinstance(rep, RealRep):
+        raise ValueError("a RealRep must act faithfully")
     at = entries[pivots]
     row, col = at // d, at % d
     # an entry g[a, b] of g_i meets z in (g_i z)[a, q] = g[a, b] z[b, q] at

@@ -552,7 +552,7 @@ def _self_dual(fac: Factor, kind: str) -> bool:
     try:
         if fac.simple_type is None:
             return False
-        mod = _factor_module(fac, kind, 1 if kind == "spin" else None)
+        mod = _factor_module(fac, kind, None)
     except (NotRealizable, RepresentationError):
         return False
     w = _weights(mod, list(range(fac.rank)))

@@ -63,9 +63,9 @@ class DominantWeight:
             raise RootSystemError("dominant weight needs nonnegative coefficients")
 
     @classmethod
-    def fundamental(cls, rank: int, i: int, mult: int = 1) -> "DominantWeight":
+    def fundamental(cls, rank: int, i: int) -> "DominantWeight":
         c = [0] * rank
-        c[i] = mult
+        c[i] = 1
         return cls(tuple(c))
 
     @classmethod

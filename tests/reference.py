@@ -112,11 +112,12 @@ def bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def spin_rep(n: int, chirality: int = 1) -> MatrixRep:
-    """Spin module of so(n) as a standalone representation, 3 <= n <= 12."""
+def spin_rep(n: int) -> MatrixRep:
+    """Spin module of so(n) as a standalone representation, 3 <= n <= 12:
+    the half-spin module omega_r when n is even."""
     group = GroupSpec(factors=(Factor("so", n),))
     rep = RepSpec(summands=(Summand(terms=(Term("spin", 1),)),))
-    return realize(group, rep, chirality=chirality)
+    return realize(group, rep)
 
 
 def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

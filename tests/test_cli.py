@@ -98,6 +98,13 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("command", ["mf-check", "cohom"])
+def test_there_is_no_chirality_option(command, capsys):
+    # a spin term is the omega_r half-spin; the other is a weight term
+    assert main([command, "so(10) on spin(1)", "--negative-chirality"]) == 2
+    assert "--negative-chirality" in capsys.readouterr().err
+
+
 def test_lemma21_small(capsys):
     code, out = run_cli(["lemma21", "--max-rank", "6"], capsys)
     assert code == 0

@@ -141,6 +141,17 @@ def test_the_guard_sees_an_unreferenced_method_or_property():
     assert _private(unreferenced_definitions(sources)) == ["a:Rep._gone"]
 
 
+# The internals of the one exact elimination, linalg.int_kernel: its
+# modular reduction and its first primes.
+KERNEL_INTERNALS = {"_modp_reduce", "_RANK_PRIMES"}
+
+
+def test_only_linalg_names_the_kernel_internals():
+    for path in MODULES:
+        names = _referenced(ast.parse(path.read_text())) & KERNEL_INTERNALS
+        assert names == (KERNEL_INTERNALS if path.name == "linalg.py" else set()), path.name
+
+
 def _package_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 

@@ -55,12 +55,15 @@ def test_int_rank_agrees_with_bareiss():
     assert int_rank(full) == 2
 
 
-def test_float_rank_reads_the_values_over_den():
-    # rows (1/2, 1/3), (3/2, 1) = 3 * row 1 over den 6, and (1, 0)
+def test_float_rank_is_relative_to_the_largest_singular_value():
+    # a scale, such as a common denominator, changes no rank
+    for scale in (1, 2**40):
+        assert float_rank(np.eye(3, dtype=np.int64) * scale) == 3
+    # row 2 = 3 * row 1
     rows = _ints([[3, 2], [9, 6], [6, 0]])
-    assert float_rank(rows[:2], 6) == int_rank(rows[:2]) == 1
-    assert float_rank(rows, 6) == int_rank(rows) == 2
-    assert float_rank(np.zeros((2, 3), np.int64), 1) == 0
+    assert float_rank(rows[:2]) == int_rank(rows[:2]) == 1
+    assert float_rank(rows) == int_rank(rows) == 2
+    assert float_rank(np.zeros((2, 3), np.int64)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +169,15 @@ def test_realify_is_a_ring_map_that_doubles_the_rank():
 # the verified modular kernel
 
 
-def _check_kernel(a, rank, k):
-    """The properties int_kernel promises, against the Fraction RREF."""
+def _check_kernel(a, pivots, k):
+    """The properties int_kernel promises, against the Fraction RREF: as
+    many independent pivot rows as the rank, and the reduced-echelon
+    kernel."""
     a = np.array(a, dtype=object)
     n = a.shape[1]
-    assert rank == bareiss_rank(a.tolist())
+    rank = len(pivots)
+    assert rank == len(set(pivots)) == bareiss_rank(a.tolist())
+    assert bareiss_rank(a[list(pivots)].tolist()) == rank
     assert k.shape == (n, n - rank) and k.dtype == object
     assert not (a @ k).any()
     frac_rows = [[Fraction(int(x)) for x in row] for row in a.tolist()]
@@ -196,34 +203,35 @@ def _integer_products(draw):
 @settings(max_examples=60, deadline=None)
 @given(_integer_products())
 def test_int_kernel_on_integer_products(a):
-    rank, k = int_kernel(a)
-    _check_kernel(a, rank, k)
-    assert int_rank(a) == rank == int_rank(a.T)
+    pivots, k = int_kernel(a)
+    _check_kernel(a, pivots, k)
+    assert int_rank(a) == len(pivots) == int_rank(a.T)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_deficient_products())
 def test_int_kernel_on_realified_gaussian_products(product):
     real = np.array(_realified(*product), dtype=np.int64)
-    rank, k = int_kernel(real)
-    _check_kernel(real, rank, k)
-    assert rank % 2 == 0
+    pivots, k = int_kernel(real)
+    _check_kernel(real, pivots, k)
+    assert len(pivots) % 2 == 0
 
 
 def test_int_kernel_rank_zero_and_full_rank():
-    rank, k = int_kernel(np.zeros((3, 4), dtype=np.int64))
-    assert rank == 0 and k.tolist() == np.eye(4, dtype=int).tolist()
+    pivots, k = int_kernel(np.zeros((3, 4), dtype=np.int64))
+    assert pivots == [] and k.tolist() == np.eye(4, dtype=int).tolist()
     full = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    rank, k = int_kernel(full)
-    assert rank == 3 and k.shape == (3, 0)
-    assert int_kernel(np.zeros((0, 2), dtype=np.int64))[1].shape == (2, 2)
+    pivots, k = int_kernel(full)
+    assert sorted(pivots) == [0, 1, 2] and k.shape == (3, 0)
+    pivots, k = int_kernel(np.zeros((0, 2), dtype=np.int64))
+    assert pivots == [] and k.shape == (2, 2)
 
 
 def test_int_kernel_on_a_wide_matrix():
     wide = np.array([[1, 2, 3, 4, 5], [2, 4, 6, 8, 11]], dtype=np.int64)
-    rank, k = int_kernel(wide)
-    _check_kernel(wide, rank, k)
-    assert rank == 2 and k.shape == (5, 3)
+    pivots, k = int_kernel(wide)
+    _check_kernel(wide, pivots, k)
+    assert len(pivots) == 2 and k.shape == (5, 3)
     # int_rank eliminates on the narrower side, the transpose here
     assert int_rank(wide) == int_rank(wide.T) == 2
 
@@ -234,9 +242,9 @@ def test_int_kernel_past_int64():
     w = np.array([5, big - 1, 11], dtype=object)
     a = np.outer(u, w) + np.outer(np.array([1, 0, 2, 1], dtype=object), [0, big, 1])
     assert a.dtype == object
-    rank, k = int_kernel(a)
-    _check_kernel(a, rank, k)
-    assert rank == 2
+    pivots, k = int_kernel(a)
+    _check_kernel(a, pivots, k)
+    assert len(pivots) == 2
 
 
 def test_int_kernel_with_entries_past_2_200(monkeypatch):
@@ -246,13 +254,13 @@ def test_int_kernel_with_entries_past_2_200(monkeypatch):
     rng = np.random.default_rng(2024)
     a = rng.integers(-(2**30), 2**30, size=(9, 10), dtype=np.int64)
     primes = _record_primes(monkeypatch)
-    rank, k = int_kernel(a)
+    pivots, k = int_kernel(a)
     monkeypatch.undo()
     assert primes == [_RANK_PRIMES[0]]
-    assert rank == 9 and k.shape == (10, 1)
+    assert len(pivots) == 9 and k.shape == (10, 1)
     assert not (a.astype(object) @ k).any()
     assert max(abs(int(x)) for x in k[:, 0]).bit_length() > 200
-    assert rank == bareiss_rank(a.tolist())
+    assert len(pivots) == bareiss_rank(a.tolist())
 
 
 def test_failed_reconstruction_raises_after_the_prime_budget(monkeypatch):
@@ -272,8 +280,8 @@ def test_failed_reconstruction_raises_after_the_prime_budget(monkeypatch):
 def test_matrix_vanishing_mod_both_primes_has_rank_one(monkeypatch):
     p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
-    rank, k = int_kernel([[p1 * p2, 0]])
-    assert rank == 1 and k.tolist() == [[0], [1]]
+    pivots, k = int_kernel([[p1 * p2, 0]])
+    assert pivots == [0] and k.tolist() == [[0], [1]]
     assert primes == list(islice(_kernel_primes(), 3))
 
 
@@ -283,10 +291,10 @@ def test_pivots_mod_p_must_be_the_leftmost_over_q(monkeypatch):
     # the pivot is the first column, so p1 is rejected
     p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
-    rank, k = int_kernel([[p1, 1]])
-    assert (rank, k.tolist()) == (1, [[-1], [p1]])
+    pivots, k = int_kernel([[p1, 1]])
+    assert (pivots, k.tolist()) == ([0], [[-1], [p1]])
     assert primes == [p1, p2]
-    _check_kernel([[p1, 1]], rank, k)
+    _check_kernel([[p1, 1]], pivots, k)
 
 
 def test_lifting_stops_once_the_probe_repeats(monkeypatch):
@@ -302,8 +310,8 @@ def test_lifting_stops_once_the_probe_repeats(monkeypatch):
     monkeypatch.setattr(
         linalg, "_matmul_mod", lambda x, y, p: digits.append(p) or matmul_mod(x, y, p)
     )
-    rank, k = int_kernel(a)
-    assert rank == 1 and k.tolist() == [[-2], [1]]
+    pivots, k = int_kernel(a)
+    assert len(pivots) == 1 and k.tolist() == [[-2], [1]]
     assert bounds[0] >= 10 and len(digits) == 2
 
 
@@ -325,6 +333,6 @@ def test_a_premature_reconstruction_keeps_lifting(monkeypatch):
     monkeypatch.setattr(
         linalg, "_modp_reduce", lambda x, p: reduce_calls.append(p) or modp_reduce(x, p)
     )
-    rank, k = int_kernel(a)
-    assert (rank, k.tolist()) == (expected[0], expected[1].tolist())
+    pivots, k = int_kernel(a)
+    assert (pivots, k.tolist()) == (expected[0], expected[1].tolist())
     assert len(reduce_calls) == 1 and len(attempts) > 1

@@ -67,9 +67,17 @@ def test_group_spec_validation():
     assert g.borel_dim == 5 + 1
 
 
-def _simple_module(fac, kind, arg=None):
-    """The simple stack h | e | f of an irreducible std or spin term."""
-    return _weight_module(fac.simple_type, _highest_weight(fac, kind, arg))
+def _simple_module(fac, kind, weight=None):
+    """The simple stack h | e | f of an irreducible std, spin or weight
+    term."""
+    return _weight_module(fac.simple_type, _highest_weight(fac, kind, weight))
+
+
+def _other_half_spin(n):
+    """Highest weight of the half-spin module of so(n), n even, that a spin
+    term is not: omega_(r-1), given as a weight term."""
+    r = n // 2
+    return DominantWeight.fundamental(r, r - 2).coeffs
 
 
 def _factor_of(stype):
@@ -98,14 +106,15 @@ def test_std_module_dims(fam, n, dim):
     "n,dim", [(3, 2), (5, 4), (7, 8), (9, 16), (10, 16), (11, 32), (6, 4), (8, 8), (12, 32)]
 )
 def test_spin_module_dims(n, dim):
-    for chirality in (1, -1):
-        mod = _simple_module(Factor("so", n), "spin", chirality)
-        assert mod.shape[1] == dim
+    fac = Factor("so", n)
+    assert _simple_module(fac, "spin").shape[1] == dim
+    if n % 2 == 0:
+        assert _simple_module(fac, "weight", _other_half_spin(n)).shape[1] == dim
 
 
 def test_spin_weights_are_half_integers():
     for n in (5, 7, 8, 10):
-        mod = _simple_module(Factor("so", n), "spin", 1)
+        mod = _simple_module(Factor("so", n), "spin")
         rs = build_root_system(
             SimpleType("B", n // 2) if n % 2 else SimpleType("D", n // 2)
         )
@@ -117,28 +126,51 @@ def test_spin_weights_are_half_integers():
 
 
 def test_spin_chirality_halves():
-    plus = _simple_module(Factor("so", 10), "spin", 1)
-    minus = _simple_module(Factor("so", 10), "spin", -1)
+    plus = _simple_module(Factor("so", 10), "spin")
+    minus = _simple_module(Factor("so", 10), "weight", _other_half_spin(10))
     assert plus.shape[1] == minus.shape[1] == 16
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_the_other_half_spin_is_dual_to_spin_exactly_for_so_4k_plus_2(n):
+    """The certified weight module at omega_(r-1) has the negated weights
+    of the spin module for so(6) and so(10); for so(8) and so(12) each
+    half-spin module is self-dual and the two differ."""
+    fac = Factor("so", n)
+    r = n // 2
+
+    def weights(mod):
+        z = mod.dense()
+        return sorted(tuple(Fraction(int(z[i, j, j]), mod.den) for i in range(r)) for j in range(mod.shape[1]))
+
+    spin = weights(_factor_module(fac, "spin", None))
+    other = weights(_factor_module(fac, "weight", _other_half_spin(n)))
+    negated = sorted(tuple(-x for x in w) for w in other)
+    if n % 4 == 2:
+        assert negated == spin != other
+    else:
+        assert negated == other != spin
 
 
 def test_every_spin_module_is_certified_with_transposed_lowering():
     for n in range(3, 13):
-        for chirality in (1, -1) if n % 2 == 0 else (1,):
-            if n == 4:  # so(4) = su(2) + su(2) is not simple
-                with pytest.raises(RepresentationError):
-                    _factor_module(Factor("so", n), "spin", chirality)
-                continue
-            rs = build_root_system(Factor("so", n).simple_type)
-            r, npos = rs.rank, rs.n_positive_roots
-            simple = _simple_module(Factor("so", n), "spin", chirality)
+        fac = Factor("so", n)
+        if n == 4:  # so(4) = su(2) + su(2) is not simple
+            with pytest.raises(RepresentationError):
+                _factor_module(fac, "spin", None)
+            continue
+        rs = build_root_system(fac.simple_type)
+        r, npos = rs.rank, rs.n_positive_roots
+        dim = 2 ** ((n - 1) // 2)
+        # both half-spin modules when n is even
+        for kind, weight in [("spin", None)] + [("weight", _other_half_spin(n))] * (n % 2 == 0):
+            simple = _simple_module(fac, kind, weight)
             _certify(simple, rs)
-            dim = 2 ** ((n - 1) // 2)
             assert simple.shape == (3 * r, dim, dim) and simple.den == 1
             z = simple.dense()
             assert (z[2 * r :] == z[r : 2 * r].transpose(0, 2, 1)).all()
             # the derived lowering generators are transposes as well
-            z = _factor_module(Factor("so", n), "spin", chirality).dense()
+            z = _factor_module(fac, kind, weight).dense()
             assert z.shape == (r + 2 * npos, dim, dim)
             assert (z[r + npos :] == z[r : r + npos].transpose(0, 2, 1)).all()
 
@@ -251,7 +283,7 @@ def test_validation_catches_assembly_faults(entry):
 # the assembly against a dense np.kron / block reference
 
 
-def _reference_generators(m, chirality=1) -> tuple[np.ndarray, int]:
+def _reference_generators(m) -> tuple[np.ndarray, int]:
     """(gens, den): cartan | raising | lowering | torus of a realized m as a
     dense (n, d, d) array of Python ints over one denominator, rebuilt from
     the per-factor stacks: np.kron with identities for each slot, -x^T in
@@ -262,8 +294,8 @@ def _reference_generators(m, chirality=1) -> tuple[np.ndarray, int]:
     def slot(term):
         if term.kind == "triv" or group.factors[term.factor - 1].simple_type is None:
             return -1, None, 1
-        arg = {"spin": chirality, "weight": term.weight}.get(term.kind)
-        mod = _factor_module(group.factors[term.factor - 1], term.kind, arg)
+        weight = term.weight if term.kind == "weight" else None
+        mod = _factor_module(group.factors[term.factor - 1], term.kind, weight)
         return term.factor - 1, mod, mod.shape[1]
 
     summands = [(sm, [slot(t) for t in sm.terms]) for sm in rep.summands]
@@ -330,10 +362,10 @@ def _reference_complex_compact(gens, den, m) -> tuple:
     return np.concatenate(c_re), np.concatenate(c_im), den
 
 
-def _reference_views(m, chirality=1) -> tuple[tuple, tuple]:
+def _reference_views(m) -> tuple[tuple, tuple]:
     """(Borel generators, real compact generators) of the reference, each
     as (gens, den)."""
-    gens, den = _reference_generators(m, chirality)
+    gens, den = _reference_generators(m)
     nc, npos = len(m.cartan_labels), len(m.root_labels)
     borel = np.r_[0 : nc + npos, nc + 2 * npos : gens.shape[0]]
     compact = _realified(*_reference_complex_compact(gens, den, m))
@@ -357,8 +389,8 @@ def _dense_values(gens, den) -> tuple[tuple, dict]:
     return gens.shape, ent
 
 
-def _assert_matches_reference(m, chirality=1):
-    borel, compact = _reference_views(m, chirality)
+def _assert_matches_reference(m):
+    borel, compact = _reference_views(m)
     assert m.borel_stack.den > 0 and m.compact_stack.den > 0
     assert _values(m.borel_stack) == _dense_values(*borel)
     assert _values(m.compact_stack) == _dense_values(*compact)
@@ -438,7 +470,7 @@ def _pick(mod, ks) -> tuple:
 def test_spin5_equivalent_to_sp2_standard():
     # the simple stacks h_1, h_2 | e_1, e_2 | f_1, f_2; the isomorphism
     # swaps the two simple nodes
-    gens_a = _pick(_simple_module(Factor("so", 5), "spin", 1), [0, 1, 2, 3, 4, 5])
+    gens_a = _pick(_simple_module(Factor("so", 5), "spin"), [0, 1, 2, 3, 4, 5])
     gens_b = _pick(_simple_module(Factor("sp", 2), "std"), [1, 0, 3, 2, 5, 4])
     space = _intertwiners(gens_a, gens_b)
     assert space
@@ -548,7 +580,7 @@ def test_spin_rep_wrapper():
 
 CERTIFIED = {
     "std C2": (Factor("sp", 2), "std", None),
-    "spin B3": (Factor("so", 7), "spin", 1),
+    "spin B3": (Factor("so", 7), "spin", None),
     "weight G2 (1,0)": (Factor("g2", 2), "weight", (1, 0)),
 }
 
@@ -697,8 +729,8 @@ def test_lowering_generators_pair_positively_with_raising():
         (Factor("so", 8), "std", None),
         (Factor("su", 4), "sym2", None),
         (Factor("sp", 3), "alt2", None),
-        (Factor("so", 9), "spin", 1),
-        (Factor("so", 10), "spin", -1),
+        (Factor("so", 9), "spin", None),
+        (Factor("so", 10), "weight", _other_half_spin(10)),
         (Factor("g2", 2), "std", None),
         (Factor("f4", 4), "std", None),
         (Factor("e6", 6), "std", None),
@@ -777,7 +809,7 @@ def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch)
     blocks, kernel = [], matrep.int_kernel
     monkeypatch.setattr(matrep, "int_kernel", lambda rows: blocks.append(rows) or kernel(rows))
     _weight_module(stype, weight)
-    assert any(kernel(g)[0] < len(g) for g in blocks)  # some candidates are dependent
+    assert any(len(kernel(g)[0]) < len(g) for g in blocks)  # some candidates are dependent
     for g in blocks:
         assert len(g) > 1 and any(x for row in g for x in row)
         _, k = kernel(g)

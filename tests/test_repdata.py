@@ -243,6 +243,23 @@ def test_slice_dimension_identity(ds):
     assert checked >= 10
 
 
+def test_closed_form_summand_dimensions_match_the_matrix_models(ds):
+    """The loader checks an instantiation by the closed-form dimension of
+    each summand (_summand_dim, built on Factor.std_dim); it must be the
+    dimension of the summand's matrix model, for every summand of the
+    first three instantiations of every mftables.txt row."""
+    from coisotropy.repdata import _summand_dim
+
+    checked = 0
+    for entry in ds.mf_entries:
+        for env in entry.instantiations()[:3] or [{}]:
+            group, rep = entry.pattern.instantiate(env)
+            for sm in rep.summands:
+                assert _summand_dim(group, sm) == realize(group, RepSpec((sm,))).space_dim, (entry.row, env)
+                checked += 1
+    assert checked == 120
+
+
 def test_result_table_totality(ds):
     for table in ("1", "2", "3", "4"):
         rows = ds.results_for(table)
