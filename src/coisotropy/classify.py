@@ -16,6 +16,8 @@ from .linalg import realify
 from .matrep import GroupSpec, RepSpec, real_block_rep, realize
 from .mforacle import (
     DEFAULT_SEED,
+    GenericityError,
+    OracleDisagreement,
     cohomogeneity,
     coisotropic_by_rank,
     lie_triple_closure,
@@ -306,13 +308,7 @@ def _run_row(
     row: ResultRow, env: dict, ds: Dataset, seed: int
 ) -> Verdict:
     checks: list[Evidence] = []
-    notes: list[str] = list(filter(None, [row.note]))
-    corrected = bool(
-        row.algebra_corrected
-        or row.space_corrected
-        or row.cond_corrected
-        or (row.verbatim_outcome and row.verbatim_outcome != row.outcome)
-    )
+    notes: list[str] = []
     ok = True
     v = row.verify
     expect = {name: eval_int_expr(expr, env) for name, expr in row.expect}
@@ -483,7 +479,10 @@ def _run_row(
     else:  # encoded-nonpolar, encoded-only
         add("encoded", {"verdict": row.outcome})
 
-    outcome = row.outcome if ok else "mismatch"
+    return _verdict(row, env, row.outcome if ok else "mismatch", ok, checks, notes)
+
+
+def _verdict(row: ResultRow, env: dict, outcome: str, ok: bool, evidence, notes) -> Verdict:
     return Verdict(
         table=row.table,
         row=row.row,
@@ -493,9 +492,10 @@ def _run_row(
         outcome=outcome,
         expected=row.outcome,
         ok=ok,
-        corrected=corrected,
-        evidence=checks,
-        notes=notes,
+        corrected=bool(row.algebra_corrected or row.space_corrected or row.cond_corrected)
+        or row.verbatim_outcome not in ("", row.outcome),
+        evidence=evidence,
+        notes=[*filter(None, [row.note]), *notes],
     )
 
 
@@ -541,8 +541,9 @@ def reproduce_table(
     Each row is instantiated at its two smallest recorded parameter choices
     (widen adds more); verdicts are deterministic given the dataset and the
     seed, and row evaluations are independent so they can run in a pool.
-    rows restricts the run to the named rows; a name that the table does not
-    have is rejected.
+    A row on which the oracle raises GenericityError or OracleDisagreement
+    gets the outcome 'undecided' and is not ok.  rows restricts the run to
+    the named rows; a name that the table does not have is rejected.
     """
     ds = dataset or load_dataset()
     table = str(table_id)
@@ -561,7 +562,12 @@ def reproduce_table(
 
     def run(task):
         row, env = task
-        return _run_row(row, env, ds, seed)
+        try:
+            return _run_row(row, env, ds, seed)
+        except (GenericityError, OracleDisagreement) as exc:
+            # the oracle could not decide this row; the other rows still run
+            error = Evidence("undecided", row.anchor, {"error": type(exc).__name__}, str(exc))
+            return _verdict(row, env, "undecided", False, [error], [])
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:

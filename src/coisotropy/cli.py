@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands cover every pipeline stage; exit codes are 0 for verified, 1
-for a verification mismatch and 2 for usage errors (rejected input, runs
-that would check nothing, unreadable spec files and unwritable reports),
+for a verification mismatch, 2 for usage errors (rejected input, runs
+that would check nothing, unreadable spec files and unwritable reports)
+and 3 for a table with rows the oracle left undecided and no mismatch,
 independent of timing or parallelism.
 """
 
@@ -161,9 +162,11 @@ def _cmd_table(args, rep: _Reporter) -> int:
             label = f"table {v.table} {v.row} [{inst}] {v.candidate}"
             detail = v.outcome + (" (corrected row)" if v.corrected else "")
             rep.ok_line(v.ok, label, detail)
-    bad = [v for v in verdicts if not v.ok]
-    rep.emit(f"{len(verdicts)} verdicts, {len(bad)} mismatches")
-    return 0 if not bad else 1
+    undecided = sum(v.outcome == "undecided" for v in verdicts)
+    mismatches = sum(not v.ok for v in verdicts) - undecided
+    tail = f", {undecided} undecided" if undecided else ""
+    rep.emit(f"{len(verdicts)} verdicts, {mismatches} mismatches{tail}")
+    return 1 if mismatches else 3 if undecided else 0
 
 
 def _cmd_spin_scan(args, rep: _Reporter) -> int:

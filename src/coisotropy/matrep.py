@@ -512,11 +512,6 @@ def _factor_module(fac: Factor, kind: str, weight=None) -> IntStack:
     return _root_vectors(simple, rs)
 
 
-def _root_pairings(rs: RootSystem) -> np.ndarray:
-    """<beta, alpha_i^vee>, one row per positive root beta."""
-    return np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
-
-
 def _dense(gens: IntStack, k: int, bound: int) -> _Dense:
     """Generator k of a stack whose entries are at most bound, densely."""
     sel, d = gens.k == k, gens.shape[1]
@@ -818,7 +813,7 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
     eig = np.zeros((g.shape[0], len(diag)), dtype=np.int64)
     for fidx in dict.fromkeys(f for f, _ in rep.root_labels):
         rs = build_root_system(rep.group.factors[fidx].simple_type)
-        own = dict(zip(rs.positive_roots, _root_pairings(rs)))
+        own = dict(zip(rs.positive_roots, rs.root_pairings))
         rows = [j for j, (f, _) in enumerate(rep.root_labels) if f == fidx]
         cols = [column[(fidx, i)] for i in range(rs.rank)]
         eig[np.ix_([nc + j for j in rows], cols)] = [own[rep.root_labels[j][1]] for j in rows]

@@ -4,12 +4,14 @@ Simple roots are realized in orthogonal coordinates (Bourbaki numbering),
 with exact rational entries.  Scaled by one common denominator they are
 integer vectors, whose dot products give the integer Cartan matrix and the
 integer squared lengths of the simple roots, each division checked.
-Everything after that is integer arithmetic: positive roots are generated
-by root strings from the Cartan matrix, coroot pairings come from the
-symmetrized form, and the dimension formula is one arbitrary-precision
-integer product divided by the product of the rho pairings, aborting if
-the division leaves a remainder.  The orthogonal simple roots (simple_orth)
-are read only by the Cartan matrix computation and the tests.
+Everything after that is exact arithmetic on small int64 arrays: positive
+roots are generated by root strings one height at a time, the coroot
+pairings come from the symmetrized form by one exact division, and the
+Weyl dimension is the product of the <w + rho, beta^vee> (in int64 while
+they stay below linalg.INT64_SAFE, in Python ints beyond) divided by the
+product of the rho pairings, aborting on any remainder.  Every public
+result is a Python int.  numpy is imported inside the functions, since
+loading it before the other package modules compile raises peak memory.
 """
 
 from __future__ import annotations
@@ -87,12 +89,12 @@ def _simple_roots_orthogonal(st: SimpleType) -> list[list[Fraction]]:
 
     if f == "A":
         return [
-            [F(int(j == i)) - F(int(j == i + 1)) for j in range(r + 1)]
+            [F(int(j == i) - int(j == i + 1)) for j in range(r + 1)]
             for i in range(r)
         ]
     if f in ("B", "C", "D"):
         roots = [
-            [F(int(j == i)) - F(int(j == i + 1)) for j in range(r)]
+            [F(int(j == i) - int(j == i + 1)) for j in range(r)]
             for i in range(r - 1)
         ]
         if f == "B":
@@ -134,74 +136,42 @@ def _simple_roots_orthogonal(st: SimpleType) -> list[list[Fraction]]:
 class RootSystem:
     """Cartan data and positive roots of a simple type.
 
-    positive_roots are integer coefficient vectors on the simple roots;
-    pairings with coroots are cached integers.
+    positive_roots are integer coefficient vectors on the simple roots, in
+    (height, tuple) order.  In that order, root_pairings[k, i] =
+    <beta_k, alpha_i^vee> and _pairing[k, j] = <Lambda_j, beta_k^vee> are
+    int64 arrays, and rho[k] = <rho, beta_k^vee> is their int64 vector.
     """
 
     def __init__(self, stype: SimpleType):
+        import numpy as np
+
+        from .linalg import INT64_SAFE
+
         self.type = stype
         r = stype.rank
-        self.simple_orth = _simple_roots_orthogonal(stype)
+        simple = _simple_roots_orthogonal(stype)
         # the simple roots times one common denominator are integer vectors,
         # and 2 (a_i, a_j) / (a_i, a_i) is unchanged by the scale
-        den = lcm(*(x.denominator for a in self.simple_orth for x in a))
-        scaled = [[x.numerator * (den // x.denominator) for x in a] for a in self.simple_orth]
-        gram = [[sum(x * y for x, y in zip(a, b)) for b in scaled] for a in scaled]
-        self.cartan_matrix = tuple(
-            tuple(_exact_div(2 * gram[i][j], gram[i][i]) for j in range(r)) for i in range(r)
-        )
-        self.positive_roots = self._generate_positive_roots()
-        # pairing[k][j] = <Lambda_j, beta^vee> = 2 beta_j |alpha_j|^2 / 2 (beta, beta)
-        # for the positive root beta at k; the symmetrized form gives
-        # 2 (beta, beta) = sum_i beta_i |alpha_i|^2 <beta, alpha_i^vee>
-        sq = [_exact_div(gram[i][i], den * den) for i in range(r)]
-        self._pairing = []
-        for root in self.positive_roots:
-            own = self.simple_coroot_pairings(root)
-            nn = sum(b * n * p for b, n, p in zip(root, sq, own))
-            row = []
-            for j in range(r):
-                q, rem = divmod(2 * root[j] * sq[j], nn)
-                if rem:
-                    raise RootSystemError(
-                        f"<Lambda_{j}, coroot> not integral for root {root}"
-                    )
-                row.append(q)
-            self._pairing.append(tuple(row))
-        self.rho_pairings = tuple(sum(row) for row in self._pairing)
+        den = lcm(*(x.denominator for a in simple for x in a))
+        scaled = np.array([[x.numerator * den // x.denominator for x in a] for a in simple], dtype=np.int64)
+        gram = scaled @ scaled.T
+        cartan = _exact_div(2 * gram, gram.diagonal()[:, None], "the Cartan matrix")
+        self.cartan_matrix = tuple(map(tuple, cartan.tolist()))
+        roots = _positive_roots(cartan)
+        self.positive_roots = tuple(map(tuple, roots.tolist()))
+        self.root_pairings = roots @ cartan.T
+        # <Lambda_j, beta^vee> = 2 beta_j |alpha_j|^2 / 2 (beta, beta), and the
+        # symmetrized form gives 2 (beta, beta) = sum_i beta_i |alpha_i|^2 <beta, alpha_i^vee>
+        sq = _exact_div(gram.diagonal(), den * den, "a squared simple root length")
+        norm2 = (roots * sq * self.root_pairings).sum(axis=1)
+        self._pairing = _exact_div(2 * roots * sq, norm2[:, None], "<Lambda_j, beta^vee>")
+        self.rho = self._pairing.sum(axis=1)
+        self.rho_pairings = tuple(self.rho.tolist())
         self.rho_product = prod(self.rho_pairings)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _generate_positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        r = self.type.rank
-        simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        known = set(simple)
-        by_height = {1: list(simple)}
-        h = 1
-        while by_height.get(h):
-            nxt = []
-            for beta in by_height[h]:
-                for i, pairing in enumerate(self.simple_coroot_pairings(beta)):
-                    p = 0
-                    probe = list(beta)
-                    while True:
-                        probe[i] -= 1
-                        if min(probe) < 0 or tuple(probe) not in known:
-                            break
-                        p += 1
-                    if p - pairing >= 1:
-                        cand = list(beta)
-                        cand[i] += 1
-                        tcand = tuple(cand)
-                        if tcand not in known:
-                            known.add(tcand)
-                            nxt.append(tcand)
-            h += 1
-            if nxt:
-                by_height[h] = nxt
-        ordered = sorted(known, key=lambda v: (sum(v), v))
-        return tuple(ordered)
+        for a in (self.root_pairings, self._pairing, self.rho):
+            a.flags.writeable = False  # shared through build_root_system's cache
+        # weyl_dim stays in int64 while max(w) * max(_pairing) * rank + max(rho) < INT64_SAFE
+        self._int64_weights_below = (INT64_SAFE - int(self.rho.max())) // (int(self._pairing.max()) * r)
 
     # -- basic quantities -----------------------------------------------------
 
@@ -216,18 +186,6 @@ class RootSystem:
     @property
     def dim_g(self) -> int:
         return 2 * self.n_positive_roots + self.rank
-
-    def simple_coroot_pairings(self, beta) -> tuple[int, ...]:
-        """<beta, alpha_i^vee> for every simple root alpha_i; beta is given by
-        its coefficients on the simple roots."""
-        return tuple(
-            sum(c * a for c, a in zip(beta, row)) for row in self.cartan_matrix
-        )
-
-    def pair_coroot(self, w: DominantWeight, root_index: int) -> int:
-        """<w, alpha_coroot> for the positive root at root_index."""
-        row = self._pairing[root_index]
-        return sum(c * p for c, p in zip(w.coeffs, row))
 
     # -- duality and reality ----------------------------------------------------
 
@@ -246,7 +204,7 @@ class RootSystem:
 
     def frobenius_schur_exponent(self, w: DominantWeight) -> int:
         """<w, sum of positive coroots>, always a nonnegative integer."""
-        return sum(self.pair_coroot(w, k) for k in range(self.n_positive_roots))
+        return sum(c * s for c, s in zip(w.coeffs, self._pairing.sum(axis=0).tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,20 +213,54 @@ def build_root_system(stype: SimpleType) -> RootSystem:
     return RootSystem(stype)
 
 
-def _exact_div(a: int, b: int) -> int:
+def _exact_div(a, b, what: str):
+    """a // b for int64 arrays, raising unless every division is exact."""
     q, rem = divmod(a, b)
-    if rem:
-        raise RootSystemError(f"expected an integer, got {a}/{b}")
+    if rem.any():
+        raise RootSystemError(f"{what} is not integral")
     return q
+
+
+def _positive_roots(cartan):
+    """The positive roots of an int64 Cartan matrix as int64 coefficient
+    rows, in (height, tuple) order.
+
+    They are generated one height at a time.  The alpha_j-string through a
+    root beta runs from beta - p_j alpha_j to beta + q_j alpha_j with
+    q_j = p_j - <beta, alpha_j^vee>, so beta + alpha_j is a root exactly
+    when q_j >= 1, and its p_j is then p_j(beta) + 1.  Every other p_i of a
+    root of the next height is 0, since gamma - alpha_i, if a root, would
+    have reached gamma by the same step.
+    """
+    import numpy as np
+
+    r = len(cartan)
+    # each level in tuple order, the simple roots from (0, ..., 0, 1) up
+    level, down = np.eye(r, dtype=np.int64)[::-1], np.zeros((r, r), dtype=np.int64)
+    levels = [level]
+    while True:
+        k, j = np.nonzero(down - level @ cartan.T >= 1)
+        if not k.size:
+            break
+        grown = level[k]
+        grown[np.arange(k.size), j] += 1
+        keys = list(map(tuple, grown.tolist()))
+        # a dict, not np.unique(axis=0), which costs more than the rest
+        at = {key: n for n, key in enumerate(sorted(set(keys)))}
+        level = np.array(list(at), dtype=np.int64)
+        down, prev = np.zeros_like(level), down
+        down[[at[key] for key in keys], j] = prev[k, j] + 1
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 def weyl_dim(rs: RootSystem, w: DominantWeight) -> int:
     """Dimension of the irreducible module with highest weight w, exactly."""
     if len(w.coeffs) != rs.rank:
         raise RootSystemError("weight length does not match rank")
-    num = 1
-    for row, rho in zip(rs._pairing, rs.rho_pairings):
-        num *= sum(c * p for c, p in zip(w.coeffs, row)) + rho
+    c = w.coeffs
+    pairing = rs._pairing if max(c) < rs._int64_weights_below else rs._pairing.astype(object)
+    num = prod((pairing @ c + rs.rho).tolist())
     dim, rem = divmod(num, rs.rho_product)
     if rem:
         raise RootSystemError(

@@ -25,7 +25,6 @@ from coisotropy.matrep import (
     _weights,
     realize,
 )
-from coisotropy.rootsys import DominantWeight
 
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -208,10 +207,42 @@ def root_vector_faults(stack, rs) -> list[str]:
                 faults.append(f"e{root} is not [e_{i}, e{beta}]")
             if (den * f[root] != bracket(f[beta], f[unit])).any():
                 faults.append(f"f{root} is not [f{beta}, f_{i}]")
-        coroot = [rs.pair_coroot(DominantWeight.fundamental(r, t), j) for t in range(r)]
-        h = weights @ np.array(coroot, dtype=object)
+        h = weights @ rs._pairing[j].astype(object)  # den * <mu, beta^vee>
         b = bracket(e[root], f[root])
         s = np.flatnonzero(h)[0]
         if (b * h[s] != b[s, s] * np.diag(h)).any() or b[s, s] * h[s] <= 0:
             faults.append(f"[e{root}, f{root}] is not c h{root} with c > 0")
     return faults
+
+
+def string_probe_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of a Cartan matrix (rows of Python ints), in
+    (height, tuple) order, one root and one direction at a time.
+
+    For a root beta and each simple root alpha_i, p is found by probing
+    beta - alpha_i, beta - 2 alpha_i, ... among the roots already known,
+    and beta + alpha_i is a root when p - <beta, alpha_i^vee> >= 1.
+    """
+    r = len(cartan)
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    known = set(simple)
+    level = simple
+    while level:
+        nxt = []
+        for beta in level:
+            for i, row in enumerate(cartan):
+                pairing = sum(c * a for c, a in zip(beta, row))
+                p = 0
+                probe = list(beta)
+                while True:
+                    probe[i] -= 1
+                    if min(probe) < 0 or tuple(probe) not in known:
+                        break
+                    p += 1
+                if p - pairing >= 1:
+                    cand = tuple(c + (t == i) for t, c in enumerate(beta))
+                    if cand not in known:
+                        known.add(cand)
+                        nxt.append(cand)
+        level = nxt
+    return tuple(sorted(known, key=lambda v: (sum(v), v)))

@@ -1,11 +1,12 @@
 import io
+import itertools
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from coisotropy import repdata
+from coisotropy import classify, mforacle, repdata
 from coisotropy.cli import main
 
 
@@ -82,6 +83,33 @@ def test_table_text_format(capsys):
     code, out = run_cli(["table", "3", "--rows", "p6,pE1"], capsys)
     assert code == 0
     assert "PASS" in out and "0 mismatches" in out
+
+
+@pytest.mark.parametrize("error", ["GenericityError", "OracleDisagreement"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_undecided_row_leaves_the_other_verdicts(monkeypatch, capsys, error, jobs):
+    real, calls = classify.mf_test, itertools.count()
+
+    def flaky(rep, seed):
+        # the first oracle call of the run raises; every other call answers
+        if next(calls) == 0:
+            raise getattr(mforacle, error)("injected")
+        return real(rep, seed=seed)
+
+    argv = ["--format", "records", "table", "1", "--rows", "sp1,sp3", "--jobs", jobs]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    decided = out.splitlines()
+    monkeypatch.setattr(classify, "mf_test", flaky)
+    code, out = run_cli(argv, capsys)
+    assert code == 3
+    records = out.splitlines()
+    assert records[-1] == f"{len(decided) - 1} verdicts, 0 mismatches, 1 undecided"
+    undecided = [line for line in records if "outcome=undecided" in line]
+    assert len(undecided) == 1 and "ok=False" in undecided[0]
+    assert "evidence=\"undecided[" in undecided[0] and f"'error': '{error}'" in undecided[0]
+    # the other rows print the verdicts of an undisturbed run
+    assert set(records[:-1]) - set(undecided) == set(decided[:-1]) - {decided[records.index(undecided[0])]}
 
 
 def test_validate_data(capsys):

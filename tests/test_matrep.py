@@ -744,8 +744,7 @@ def test_lowering_generators_pair_positively_with_raising():
         gens = _factor_module(fac, kind, arg).dense().astype(object)
         weights = np.array([np.diag(gens[i]) for i in range(r)]).T  # den * <mu, alpha_i^vee>
         for k in range(npos):
-            coroot = [rs.pair_coroot(DominantWeight.fundamental(r, j), k) for j in range(r)]
-            h = weights @ np.array(coroot, dtype=object)
+            h = weights @ rs._pairing[k].astype(object)  # den * <mu, beta^vee>
             e, f = gens[r + k], gens[r + npos + k]
             b = e @ f - f @ e
             s = np.flatnonzero(h)[0]

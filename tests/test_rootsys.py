@@ -2,6 +2,7 @@ import copy
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from coisotropy.rootsys import (
     DominantWeight,
     RootSystemError,
     SimpleType,
+    _exact_div,
+    _simple_roots_orthogonal,
     borel_dim,
     build_root_system,
     classify_rep_field,
@@ -18,6 +21,7 @@ from coisotropy.rootsys import (
     paper_family_types,
     weyl_dim,
 )
+from reference import string_probe_positive_roots
 
 
 def rs(fam, r):
@@ -122,8 +126,8 @@ def test_weyl_dim_zero_weight_is_one():
 def test_weyl_dim_highest_root_is_adjoint():
     for fam, r in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]:
         system = rs(fam, r)
-        highest_root = max(system.positive_roots, key=sum)
-        highest = DominantWeight(system.simple_coroot_pairings(highest_root))
+        k = system.positive_roots.index(max(system.positive_roots, key=sum))
+        highest = DominantWeight(tuple(system.root_pairings[k].tolist()))
         assert weyl_dim(system, highest) == system.dim_g
 
 
@@ -255,7 +259,7 @@ def _reference_positive_roots(system):
     nonnegative coordinates.  Returns them with the squared lengths of the
     simple roots.
     """
-    simple = system.simple_orth
+    simple = _simple_roots_orthogonal(system.type)
     r = len(simple)
     norms = [sum(x * x for x in a) for a in simple]
     seen = {
@@ -312,23 +316,64 @@ def test_weyl_dim_e8_pinned():
 def test_pairings_are_integers():
     for stype in paper_family_types(4):
         system = build_root_system(stype)
-        x = DominantWeight(tuple(range(1, stype.rank + 1)))
+        assert system._pairing.dtype == system.root_pairings.dtype == np.int64
         assert all(type(p) is int for p in system.rho_pairings)
-        assert all(
-            type(system.pair_coroot(x, k)) is int
-            for k in range(system.n_positive_roots)
-        )
         assert type(system.rho_product) is int
+        for x in (tuple(range(1, stype.rank + 1)), (2**70,) * stype.rank):
+            x = DominantWeight(x)
+            assert type(weyl_dim(system, x)) is int
+            assert type(system.frobenius_schur_exponent(x)) is int
+
+
+def test_weyl_dim_is_exact_above_int64():
+    assert weyl_dim(rs("A", 1), w(2**70)) == 2**70 + 1
+    e8 = rs("E", 8)
+    positive, norms = _reference_positive_roots(e8)
+    # int64 would wrap: the highest coroot pairs to 6 with Lambda_3
+    for coeffs in [(2**60, 0, 0, 2**61, 0, 0, 0, 1), (1, 2, 0, 3, 0, 0, 2**62 + 7, 0)]:
+        assert weyl_dim(e8, DominantWeight(coeffs)) == _reference_weyl_dim(positive, norms, coeffs)
+    # A1 has one positive coroot, so the exponent is the weight itself
+    assert rs("A", 1).frobenius_schur_exponent(w(2**70)) == 2**70
+
+
+def test_an_inexact_division_is_caught():
+    assert _exact_div(np.array([[4, -6]]), np.array([[2]]), "x").tolist() == [[2, -3]]
+    with pytest.raises(RootSystemError, match="x is not integral"):
+        _exact_div(np.array([[4, 3]]), np.array([[2]]), "x")
 
 
 def test_corrupted_pairing_row_is_caught():
     # A2 with alpha_1 paired as (2, 0): the product (1+2)(0+1)(1+2) = 9 at
     # weight (1, 0) is not divisible by prod <rho, coroot> = 1 * 1 * 2
     system = copy.deepcopy(rs("A", 2))
-    system._pairing[system.positive_roots.index((1, 0))] = (2, 0)
+    system._pairing[system.positive_roots.index((1, 0))] = np.array([2, 0])
     with pytest.raises(RootSystemError):
         weyl_dim(system, w(1, 0))
     assert weyl_dim(rs("A", 2), w(1, 0)) == 3
+
+
+@pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
+def test_positive_roots_equal_the_string_probe_reference(stype):
+    system = build_root_system(stype)
+    assert system.positive_roots == string_probe_positive_roots(system.cartan_matrix)
+    assert (system.root_pairings == np.array(system.positive_roots) @ np.array(system.cartan_matrix).T).all()
+
+
+HIGHEST_ROOTS = {
+    "A": lambda r: (1,) * r,
+    "B": lambda r: (1,) + (2,) * (r - 1),
+    "C": lambda r: (2,) * (r - 1) + (1,),
+    "D": lambda r: (1,) + (2,) * (r - 3) + (1, 1),  # (1, 1, 1) for D3
+    "E": lambda r: {6: (1, 2, 2, 3, 2, 1), 7: (2, 2, 3, 4, 3, 2, 1), 8: (2, 3, 4, 6, 5, 4, 3, 2)}[r],
+    "F": lambda r: (2, 3, 4, 2),
+    "G": lambda r: (3, 2),
+}
+
+
+@pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
+def test_highest_root_of_every_family(stype):
+    system = build_root_system(stype)
+    assert system.positive_roots[-1] == HIGHEST_ROOTS[stype.family](stype.rank)
 
 
 POSITIVE_ROOT_COUNTS = {
@@ -345,7 +390,7 @@ POSITIVE_ROOT_COUNTS = {
 @pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
 def test_integer_cartan_matrix_agrees_with_rational_dot_products(stype):
     system = build_root_system(stype)
-    simple = system.simple_orth
+    simple = _simple_roots_orthogonal(system.type)
     r = stype.rank
 
     def dot(u, v):
