@@ -3,8 +3,8 @@
 Subcommands cover every pipeline stage; exit codes are 0 for verified, 1
 for a verification mismatch, 2 for usage errors (rejected input, runs
 that would check nothing, unreadable spec files and unwritable reports)
-and 3 for a table with rows the oracle left undecided and no mismatch,
-independent of timing or parallelism.
+and 3 for a table with undecided rows and no mismatch, independent of
+timing or parallelism.
 """
 
 from __future__ import annotations
@@ -191,8 +191,7 @@ def _cmd_spin_scan(args, rep: _Reporter) -> int:
 
 
 def _cmd_polyscan(args, rep: _Reporter) -> int:
-    entries = classify.polynomial_scan(args.limit)
-    all_ok = True
+    entries = classify.polynomial_scan()
     for e in entries:
         rep.ok_line(e["all_hold"], f"family {e['id']}: {e['definition']} > 0")
         if not e["stated_matches"]:
@@ -200,8 +199,7 @@ def _cmd_polyscan(args, rep: _Reporter) -> int:
                 f"  note: stated f(3) values {e['f3_stated']} differ from the "
                 f"definition's {e['f3_actual']}; {e['note']}"
             )
-        all_ok = all_ok and e["all_hold"]
-    return 0 if all_ok else 1
+    return 0 if all(e["all_hold"] for e in entries) else 1
 
 
 def _cmd_triple_test(args, rep: _Reporter) -> int:
@@ -292,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=int, default=12)
     p.set_defaults(func=_cmd_spin_scan)
 
-    p = sub.add_parser("polyscan", help="polynomial elimination families")
-    p.add_argument("--limit", type=int, default=200)
+    p = sub.add_parser("polyscan", help="prove the polynomial elimination families")
     p.set_defaults(func=_cmd_polyscan)
 
     p = sub.add_parser("triple-test", help="tangent-plane closure witnesses")
@@ -315,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, rep)
     except (ValueError, OSError) as exc:
         # rejected input: malformed specs, types and weights, unrealizable
-        # modules, scan ranks and limits that leave nothing to check, rows
-        # a table does not have, and spec files that cannot be read
+        # modules, scan ranks that leave nothing to check, rows a table does
+        # not have, and spec files that cannot be read
         rep.emit(f"error: {exc}")
         code = 2
     try:

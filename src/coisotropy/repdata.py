@@ -284,36 +284,38 @@ _NEEDS = {
 _EXPECT_NAMES = ("ch", "princ", "rank", "coiso", "identity")
 
 
-# The quadratic elimination families that poly= names; classify.polynomial_family
-# verifies one over an integer grid.
+# The quadratic elimination families that poly= names.  coeffs[i][j] is the
+# integer coefficient of x^i q^j in f, and f3_claimed[j] that of q^j in the
+# paper's stated value of f(3); classify.polynomial_family proves f > 0 for
+# every x >= x_min and q >= q_min from these coefficients.
 POLY_FAMILIES = {
     "3.2": {
-        "f": lambda x, q: x * x * (q * q - 1) + x * (q - 1) - q * q - q + 2,
+        "coeffs": ((2, -1, -1), (-1, 1, 0), (-1, 0, 1)),
         "x_min": 3,
         "q_min": 2,
-        "f3_claimed": lambda q: 9 * (q * q - 1) + 3 * (q - 1) - q * q - q + 2,
+        "f3_claimed": (-10, 2, 8),
         "definition": "x^2 (q^2 - 1) + x (q - 1) - q^2 - q + 2",
     },
     "3.3": {
-        "f": lambda x, q: x * x * (2 * q * q - 1) + 2 * x * q - 4 * q * q - 4 * q,
+        "coeffs": ((0, -4, -4), (0, 2, 0), (-1, 0, 2)),
         "x_min": 3,
         "q_min": 1,
-        "f3_claimed": lambda q: 9 * (2 * q * q - 1) + 6 * q - 4 * q * q - 4 * q,
+        "f3_claimed": (-9, 2, 14),
         "definition": "x^2 (2 q^2 - 1) + 2 x q - 4 q^2 - 4 q",
     },
     "4.2": {
-        "f": lambda x, q: x * x * (q * q - 1) - x * (q + 1) - q * q - q + 2,
+        "coeffs": ((2, -1, -1), (-1, -1, 0), (-1, 0, 1)),
         "x_min": 3,
         "q_min": 2,
-        "f3_claimed": lambda q: 9 * (q * q - 1) - 3 * (q + 1) - q * q - q + 4,
+        "f3_claimed": (-8, -4, 8),
         "definition": "x^2 (q^2 - 1) - x (q + 1) - q^2 - q + 2",
         "note": "the restated value of f(3) carries a +4 for the defining +2",
     },
     "4.5": {
-        "f": lambda x, q: x * x * (q * q - 2) - 2 * q * q - 1,
+        "coeffs": ((-1, 0, -2), (0, 0, 0), (-2, 0, 1)),
         "x_min": 3,
         "q_min": 3,
-        "f3_claimed": lambda q: q * q - 19,
+        "f3_claimed": (-19, 0, 1),
         "definition": "x^2 (p^2 - 2) - 2 p^2 - 1",
         "note": "the stated f(3) = p^2 - 19 disagrees with the definition, "
         "whose value is 7 p^2 - 19; the claimed form is positive only from "

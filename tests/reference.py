@@ -5,8 +5,9 @@ The program has one exact elimination, the verified modular kernel
 reduced row echelon form over Fraction, the kernel read off it and the
 fraction-free (Bareiss) rank of an integer matrix; the solver of the
 invariant bilinear form of a realized module and the standalone spin
-representation it is tried on; and the check of the root vectors that
-``matrep._root_vectors`` derives from a certified simple stack.
+representation it is tried on; the check of the root vectors that
+``matrep._root_vectors`` derives from a certified simple stack; and the
+elimination polynomials of ``repdata.POLY_FAMILIES`` written as functions.
 """
 
 from fractions import Fraction
@@ -246,3 +247,25 @@ def string_probe_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
                         nxt.append(cand)
         level = nxt
     return tuple(sorted(known, key=lambda v: (sum(v), v)))
+
+
+# f(x, q) and the paper's stated f(3) of each elimination family, as the
+# functions the coefficient tables of repdata.POLY_FAMILIES must agree with
+POLY_FAMILY_FUNCTIONS = {
+    "3.2": {
+        "f": lambda x, q: x * x * (q * q - 1) + x * (q - 1) - q * q - q + 2,
+        "f3_claimed": lambda q: 9 * (q * q - 1) + 3 * (q - 1) - q * q - q + 2,
+    },
+    "3.3": {
+        "f": lambda x, q: x * x * (2 * q * q - 1) + 2 * x * q - 4 * q * q - 4 * q,
+        "f3_claimed": lambda q: 9 * (2 * q * q - 1) + 6 * q - 4 * q * q - 4 * q,
+    },
+    "4.2": {
+        "f": lambda x, q: x * x * (q * q - 1) - x * (q + 1) - q * q - q + 2,
+        "f3_claimed": lambda q: 9 * (q * q - 1) - 3 * (q + 1) - q * q - q + 4,
+    },
+    "4.5": {
+        "f": lambda x, q: x * x * (q * q - 2) - 2 * q * q - 1,
+        "f3_claimed": lambda q: q * q - 19,
+    },
+}

@@ -233,7 +233,7 @@ def test_criterion_7_lie_triple_witnesses():
 
 def test_criterion_8_polynomial_eliminations():
     t0 = time.time()
-    entries = polynomial_scan(200)
+    entries = polynomial_scan()
     ok = len(entries) == 4 and all(e["all_hold"] for e in entries)
     _report("criterion-8 polynomial eliminations", ok, time.time() - t0, 1.0)
 

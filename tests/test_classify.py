@@ -14,10 +14,12 @@ from coisotropy.classify import (
     standard_triple_witness,
     verify_lemma21,
 )
+from coisotropy.cli import main
 from coisotropy.dsl import parse_pattern
 from coisotropy.matrep import Factor, GroupSpec
 from coisotropy.repdata import DataError, HSSpace, load_dataset
 from coisotropy.rootsys import DominantWeight, SimpleType
+from reference import POLY_FAMILY_FUNCTIONS
 
 
 def test_lemma21_matches_encoded_lists_stably():
@@ -61,10 +63,26 @@ def test_spin_scan_returns_expected_entries():
 
 
 def test_polynomial_scan_families_hold():
-    entries = polynomial_scan(200)
+    entries = polynomial_scan()
+    # the benchmark still passes the old grid size, which is ignored
+    assert polynomial_scan(200) == entries
     assert len(entries) == 4
-    assert all(e["all_hold"] for e in entries)
+    assert all(e["all_hold"] and not e["violations"] for e in entries)
     by_id = {e["id"]: e for e in entries}
+    assert {pid: (e["from"], e["constant"]) for pid, e in by_id.items()} == {
+        "3.2": ((3, 2), 26),
+        "3.3": ((3, 1), 7),
+        "4.2": ((3, 2), 14),
+        "4.5": ((3, 3), 44),
+    }
+    # shifted[i][j] is the coefficient of s^i t^j in f(x_min + s, q_min + t)
+    assert {pid: e["shifted"] for pid, e in by_id.items()} == {
+        "3.2": [[26, 34, 8], [19, 25, 6], [3, 4, 1]],
+        "3.3": [[7, 30, 14], [8, 26, 12], [1, 4, 2]],
+        "4.2": [[14, 28, 8], [15, 23, 6], [3, 4, 1]],
+        "4.5": [[44, 42, 7], [42, 36, 6], [7, 6, 1]],
+    }
+    assert by_id["3.2"]["range"] == "x >= 3, q >= 2"
     assert by_id["3.2"]["stated_matches"]
     assert by_id["3.3"]["stated_matches"]
     assert not by_id["4.5"]["stated_matches"]
@@ -73,23 +91,57 @@ def test_polynomial_scan_families_hold():
 
 
 def test_polynomial_certificate_needs_a_non_negative_leading_coefficient(monkeypatch):
-    # f = -x^2 + 1000 x is positive on the grid and f'(3) > 0, but its
-    # leading coefficient is negative, so the grid proves nothing past it
+    # f = -x^2 + 1000 x is positive for 3 <= x < 1000, but its shift
+    # g(s) = 2991 + 994 s - s^2 has a negative leading coefficient
     monkeypatch.setitem(
         classify.POLY_FAMILIES,
         "t",
         {
-            "f": lambda x, q: -x * x + 1000 * x,
+            "coeffs": ((0, 0, 0), (1000, 0, 0), (-1, 0, 0)),
             "x_min": 3,
             "q_min": 2,
-            "f3_claimed": lambda q: 2991,
+            "f3_claimed": (2991, 0, 0),
             "definition": "-x^2 + 1000 x",
         },
     )
-    entry = classify.polynomial_family("t", 20)
+    entry = classify.polynomial_family("t")
     assert not entry["all_hold"]
-    assert entry["violations"][0] == ("fprime", 3, 2)
+    assert entry["constant"] == 2991
+    assert entry["violations"] == [(2, 0, -1)]
     assert entry["stated_matches"]
+
+
+def test_a_corrupted_polynomial_coefficient_fails_the_proof(monkeypatch, capsys):
+    # lowering the constant term of 3.2 by its shifted constant 26 leaves
+    # g(0, 0) = f(3, 2) = 0, which proves nothing
+    fam = classify.POLY_FAMILIES["3.2"]
+    (c00, *rest), *rows = fam["coeffs"]
+    coeffs = ((c00 - 26, *rest), *rows)
+    monkeypatch.setitem(classify.POLY_FAMILIES, "3.2", {**fam, "coeffs": coeffs})
+    entry = classify.polynomial_family("3.2")
+    assert not entry["all_hold"]
+    assert entry["constant"] == 0 and entry["violations"] == [(0, 0, 0)]
+    assert main(["--format", "records", "table", "1"]) == 1
+    records = capsys.readouterr().out.splitlines()
+    failed = [line for line in records if "ok=False" in line]
+    assert len(failed) == 1 and "row=spP1" in failed[0]
+    assert "'all_hold': False, 'from': (3, 2), 'constant': 0" in failed[0]
+    assert records[-1].endswith(" verdicts, 1 mismatches")
+
+
+def test_the_coefficient_tables_equal_the_reference_functions():
+    for pid, ref in POLY_FAMILY_FUNCTIONS.items():
+        fam = classify.POLY_FAMILIES[pid]
+        for x in range(-10, 41):
+            for q in range(-10, 41):
+                got = sum(
+                    c * x**i * q**j
+                    for i, row in enumerate(fam["coeffs"])
+                    for j, c in enumerate(row)
+                )
+                assert got == ref["f"](x, q), (pid, x, q)
+            stated = sum(c * x**j for j, c in enumerate(fam["f3_claimed"]))
+            assert stated == ref["f3_claimed"](x), (pid, x)
 
 
 def test_dimensional_condition_examples():

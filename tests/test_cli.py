@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coisotropy import classify, mforacle, repdata
+from coisotropy import classify, repdata
 from coisotropy.cli import main
 
 
@@ -54,8 +54,20 @@ def test_cohom(capsys):
 
 
 def test_polyscan(capsys):
-    code, out = run_cli(["polyscan", "--limit", "60"], capsys)
-    assert code == 0 and out.count("PASS") == 4
+    code, out = run_cli(["polyscan"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS family 3.2: x^2 (q^2 - 1) + x (q - 1) - q^2 - q + 2 > 0",
+        "PASS family 3.3: x^2 (2 q^2 - 1) + 2 x q - 4 q^2 - 4 q > 0",
+        "PASS family 4.2: x^2 (q^2 - 1) - x (q + 1) - q^2 - q + 2 > 0",
+        "  note: stated f(3) values {2: 16, 3: 52, 4: 104} differ from the definition's "
+        "{2: 14, 3: 50, 4: 102}; the restated value of f(3) carries a +4 for the defining +2",
+        "PASS family 4.5: x^2 (p^2 - 2) - 2 p^2 - 1 > 0",
+        "  note: stated f(3) values {3: -10, 4: -3, 5: 6} differ from the definition's "
+        "{3: 44, 4: 93, 5: 156}; the stated f(3) = p^2 - 19 disagrees with the definition, "
+        "whose value is 7 p^2 - 19; the claimed form is positive only from p = 5 while the "
+        "true value is positive on the whole range",
+    ]
 
 
 def test_spin_scan(capsys):
@@ -85,7 +97,9 @@ def test_table_text_format(capsys):
     assert "PASS" in out and "0 mismatches" in out
 
 
-@pytest.mark.parametrize("error", ["GenericityError", "OracleDisagreement"])
+@pytest.mark.parametrize(
+    "error", ["GenericityError", "OracleDisagreement", "NotRealizable", "RepresentationError"]
+)
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_an_undecided_row_leaves_the_other_verdicts(monkeypatch, capsys, error, jobs):
     real, calls = classify.mf_test, itertools.count()
@@ -93,7 +107,7 @@ def test_an_undecided_row_leaves_the_other_verdicts(monkeypatch, capsys, error, 
     def flaky(rep, seed):
         # the first oracle call of the run raises; every other call answers
         if next(calls) == 0:
-            raise getattr(mforacle, error)("injected")
+            raise getattr(classify, error)("injected")
         return real(rep, seed=seed)
 
     argv = ["--format", "records", "table", "1", "--rows", "sp1,sp3", "--jobs", jobs]
@@ -131,6 +145,12 @@ def test_there_is_no_chirality_option(command, capsys):
     # a spin term is the omega_r half-spin; the other is a weight term
     assert main([command, "so(10) on spin(1)", "--negative-chirality"]) == 2
     assert "--negative-chirality" in capsys.readouterr().err
+
+
+def test_there_is_no_limit_option(capsys):
+    # polyscan proves each family for every parameter value; there is no grid
+    assert main(["polyscan", "--limit", "60"]) == 2
+    assert "--limit" in capsys.readouterr().err
 
 
 def test_lemma21_small(capsys):
@@ -171,11 +191,10 @@ def test_rejected_arguments_are_usage_errors(argv, capsys):
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["polyscan", "--limit", "2"], ["limit >= 3", "got 2"]),
         (["table", "1", "--rows", "zz"], ["table 1 has no rows zz"]),
         (["table", "3", "--rows", "p6,nope,zz"], ["no rows nope, zz"]),
     ],
-    ids=["polyscan-empty-grid", "table-unknown-row", "table-some-unknown-rows"],
+    ids=["table-unknown-row", "table-some-unknown-rows"],
 )
 def test_runs_that_would_check_nothing_are_usage_errors(argv, names, capsys):
     code, out = run_cli(argv, capsys)
