@@ -4,10 +4,11 @@ Everything downstream (rank tests, isotropy kernels, bilinear-form solves,
 the Gram blocks of the weight modules) reduces to integer elimination
 implemented here.  Every generator matrix is real and integral: an
 IntStack holds a set of generators by its nonzeros over one denominator,
-and _Dense is the one dense integer matrix (or stack of matrices), whose
-commutator _bracket serves the module certificate, the real slice models
-and the Lie-triple test alike.  Complex data enters only as realify(re, im),
-the real matrix of re + i*im.
+and _bracket, the one commutator of dense integer matrices or stacks of
+them, serves the module certificate, the derived root vectors, the real
+slice models and the Lie-triple test alike, exactly in float64 (BLAS)
+while its bound is below 2**53.  Complex data enters only as
+realify(re, im), the real matrix of re + i*im.
 
 One verified modular kernel is the only elimination.  int_kernel
 eliminates an integer matrix modulo a prime p ~ 2**31 for pivot rows and
@@ -94,38 +95,21 @@ def int_apply(gens: IntStack, v: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Dense(NamedTuple):
-    """An integer matrix, or a stack of them along leading axes, whose
-    entries are at most bound in absolute value."""
+def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of integer matrices, broadcast over leading stack axes, exactly.
 
-    val: np.ndarray
-    bound: int
-
-
-def _bracket(x: _Dense, y: _Dense) -> _Dense:
-    """[x, y], broadcast over leading stack axes; formed in int64 while its
-    bound 2 * d * x.bound * y.bound is below INT64_SAFE, in Python ints
-    beyond it."""
-    bound = 2 * x.val.shape[-1] * x.bound * y.bound
-    dtype = object if bound >= INT64_SAFE else np.int64
-    a, b = x.val.astype(dtype, copy=False), y.val.astype(dtype, copy=False)
-    return _Dense(a @ b - b @ a, bound)
-
-
-def _multiple(x: _Dense, y: _Dense) -> int | None:
-    """x_p * y_p at the first nonzero p of y if x = c y, else None (also
-    when y is zero).  It is a positive multiple of c, so it is positive
-    iff c is."""
-    dtype = object if x.bound * y.bound >= INT64_SAFE else np.int64
-    a, b = x.val.astype(dtype, copy=False), y.val.astype(dtype, copy=False)
-    nz = np.flatnonzero(b)
-    if not nz.size:
-        return None
-    xp, yp = int(a.flat[nz[0]]), int(b.flat[nz[0]])
-    # x yp = y xp, entrywise
-    if (a * yp != b * xp).any():
-        return None
-    return xp * yp
+    Its entries are at most bound = 2 * d * max|x| * max|y|.  Below 2**53
+    it is formed in float64 (BLAS): every product of two entries and every
+    partial sum of a row times a column is then an integer below 2**52 in
+    absolute value, and every entry of x y - y x one below 2**53, so each is
+    exact in a double, in any order of summation.  From 2**53 on it is
+    formed in int64, from INT64_SAFE on in Python ints; the result is int64
+    below INT64_SAFE."""
+    bound = 2 * x.shape[-1] * _max_abs(x) * _max_abs(y)
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < INT64_SAFE else object
+    a, b = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    out = a @ b - b @ a
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _modp_reduce(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:

@@ -2,8 +2,9 @@
 
 Every per-factor module is built directly as one integer stack
 (linalg.IntStack: numerators over one denominator) of its simple generators
-h_i, e_i, f_i, certified once, and completed by one derivation of the
-other root vectors, e_beta = [e_i, e_beta'] and f_beta = [f_beta', f_i].
+h_i, e_i, f_i, certified once with [e_i, f_j] for every j at once, and
+completed by one derivation of the other root vectors, e_beta = [e_i,
+e_beta'] and f_beta = [f_beta', f_i], for the roots of one height at once.
 Every irreducible module (std, spin and weight terms) is the highest-weight
 module of the exact contravariant-form construction, whose basis is graded
 by depth so that Cartan generators are diagonal and raising generators are
@@ -27,6 +28,7 @@ too: the orbit oracles read one real integer stack for either.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -37,9 +39,7 @@ from .linalg import (
     INT64_SAFE,
     IntStack,
     _bracket,
-    _Dense,
     _max_abs,
-    _multiple,
     int_kernel,
 )
 from .rootsys import (
@@ -413,41 +413,52 @@ def _root_vectors(simple: IntStack, rs: RootSystem) -> IntStack:
     """The module stack cartan | raising | lowering of a simple stack:
     over the positive roots in order, e_beta = [e_i, e_beta'] and f_beta =
     [f_beta', f_i] for the first i with beta' = beta - alpha_i a positive
-    root, each in lowest terms, then all over one denominator."""
-    r = rs.rank
-    bound = _max_abs(simple.val)
-    gens = [_reduced(_dense(simple, k, bound), simple.den) for k in range(3 * r)]
-    units = [tuple(int(t == i) for t in range(r)) for i in range(r)]
-    e, f = dict(zip(units, gens[r : 2 * r])), dict(zip(units, gens[2 * r :]))
-    bracket = lambda p, q: _reduced(_bracket(p[0], q[0]), p[1] * q[1])  # noqa: E731
-    for root in rs.positive_roots:
-        if root in e:
-            continue
-        i, beta = next(
-            (i, b) for i in range(r)
-            if root[i] and (b := tuple(c - (t == i) for t, c in enumerate(root))) in e
-        )
-        e[root] = bracket(e[units[i]], e[beta])
-        f[root] = bracket(f[beta], f[units[i]])
-    gens = gens[:r] + [e[root] for root in rs.positive_roots] + [f[root] for root in rs.positive_roots]
-    den = lcm(*(g for _, g in gens))
-    big = max(x.bound * (den // g) for x, g in gens) >= INT64_SAFE
-    return _sparse(np.stack([x.val.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
+    root, each in lowest terms, then all over one denominator.  Each height
+    takes one bracket of stacks: simple generators with the height below."""
+    r, roots = rs.rank, rs.positive_roots
+    npos, rows, index = len(roots), np.array(roots), {root: p for p, root in enumerate(roots)}
+    val, den = _lowest(simple.dense(), simple.den)
+    # height 1: the simple roots, alpha_(r-1) first; e and f of a height are one stack
+    level, p = np.arange(r), [r + root.index(1) for root in roots[:r]]
+    ef, dd = val[p + [t + r for t in p]], den[p + [t + r for t in p]]
+    parts = [_entries(level, val[:r], den[:r]), _entries(np.concatenate([level, level + npos]) + r, ef, dd)]
+    for _, nxt in itertools.groupby(range(r, npos), key=lambda p: sum(roots[p])):
+        below, level = level, np.array(list(nxt))
+        # beta' = beta - alpha_i, a root below, for the first i that gives one: at q
+        lowered = (rows[level, None] - np.eye(r, dtype=np.int64)).tolist()
+        i, q = np.array([
+            next((r + t, index[b] - below[0]) for t, b in enumerate(map(tuple, low)) if b in index)
+            for low in lowered
+        ]).T
+        x, y = np.concatenate([val[i], ef[q + len(below)]]), np.concatenate([ef[q], val[i + r]])
+        ef, dd = _lowest(_bracket(x, y), np.concatenate([den[i] * dd[q], dd[q + len(below)] * den[i + r]]))
+        parts.append(_entries(np.concatenate([level, level + npos]) + r, ef, dd))
+    return _sparse((r + 2 * npos, *simple.shape[1:]), parts)
 
 
-def _sparse(full: np.ndarray, den: int) -> IntStack:
-    """The stack of the (n, d, d) numerators full over den."""
-    k, row, col = np.nonzero(full)
-    return IntStack(full.shape, k, row, col, full[k, row, col], den)
+def _lowest(val: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of the stack val over den (one integer, or one per matrix)
+    in lowest terms: (numerators, Python-int denominators); 0 is 0 / 1."""
+    g = np.gcd(np.gcd.reduce(val.reshape(len(val), -1), axis=1).astype(object), den)
+    return val // g.astype(val.dtype)[:, None, None], den // g
 
 
-def _reduced(x: _Dense, den: int) -> tuple[_Dense, int]:
-    """The matrix x / den in lowest terms: (numerators, denominator)
-    divided by their gcd, in int64 below INT64_SAFE."""
-    g = gcd(den, *x.val[x.val != 0].tolist())
-    val = x.val // g
-    bound = _max_abs(val)
-    return _Dense(val.astype(object if bound >= INT64_SAFE else np.int64), bound), den // g
+def _entries(ks: np.ndarray, val: np.ndarray, den: np.ndarray) -> tuple:
+    """Generators ks[m] = val[m] / den[m] for _sparse: nonzeros (k, row, col, value), ks, den."""
+    m, row, col = np.nonzero(val)
+    return ks[m], row, col, val[m, row, col], ks, den
+
+
+def _sparse(shape: tuple[int, int, int], parts: list[tuple]) -> IntStack:
+    """The stack of the _entries parts over their least common denominator,
+    in (k, row, col) order: int64 below INT64_SAFE, Python ints beyond."""
+    k, row, col, val, ks, dens = (np.concatenate(x) for x in zip(*parts))
+    den = lcm(*dens.tolist())
+    if den > 1:
+        val = val.astype(object) * (den // dens)[np.argsort(ks)][k]
+    o = np.argsort((k * shape[1] + row) * shape[1] + col)
+    big = _max_abs(val) >= INT64_SAFE
+    return IntStack(shape, k[o], row[o], col[o], val[o].astype(object if big else np.int64), den)
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +523,6 @@ def _factor_module(fac: Factor, kind: str, weight=None) -> IntStack:
     return _root_vectors(simple, rs)
 
 
-def _dense(gens: IntStack, k: int, bound: int) -> _Dense:
-    """Generator k of a stack whose entries are at most bound, densely."""
-    sel, d = gens.k == k, gens.shape[1]
-    val = np.zeros((d, d), gens.val.dtype)
-    val[gens.row[sel], gens.col[sel]] = gens.val[sel]
-    return _Dense(val, bound)
-
-
 def _weights(gens: IntStack, diag: list[int]) -> np.ndarray:
     """The d x len(diag) numerators W[a, t] = (generator diag[t])[a, a];
     raises unless each of those generators is diagonal."""
@@ -562,8 +565,11 @@ def _certify(simple: IntStack, rs: RootSystem) -> None:
     adjoint of e_i under an invariant positive form; ad(e_i)^(1 - a_ij) e_j
     = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.  The root vectors that
     _root_vectors derives need no check: brackets of adjoints are adjoints.
-    A module whose generators are all zero is the trivial module.  Products
-    are formed one d x d pair at a time; no elimination is used.
+    A module whose generators are all zero is the trivial module.  For each
+    i, one broadcast bracket forms [e_i, f_j] for every j, and the Serre
+    brackets are one stack over j, from which a j leaves after its 1 - a_ij
+    powers (at most 4, for G2); no elimination is used.  The relations are
+    read in the order i, j, so the first that fails is named.
     """
     r, A = rs.rank, rs.cartan_matrix
     n, d, d2 = simple.shape
@@ -576,30 +582,38 @@ def _certify(simple: IntStack, rs: RootSystem) -> None:
     eig = np.zeros((n, r), dtype=np.int64)
     eig[r : 2 * r] = np.array(A).T
     eig[2 * r :] = -eig[r : 2 * r]
-    fault = _weight_fault(simple, _weights(simple, list(range(r))), eig, r, r)
+    fault = _weight_fault(simple, w := _weights(simple, list(range(r))), eig, r, r)
     if fault:
         i, kind = fault
         raise RepresentationError(f"weight relation fails on {kind}_{i} of the simple root alpha_{i}")
 
-    bound = _max_abs(simple.val)
-    e = [_dense(simple, r + i, bound) for i in range(r)]
-    f = [_dense(simple, 2 * r + i, bound) for i in range(r)]
+    z = simple.dense()
+    vanish, serre, cartan = np.zeros((r, r), dtype=bool), np.zeros((r, r), dtype=bool), []
     for i in range(r):
-        for j in range(r):
-            b = _bracket(e[i], f[j])
-            if i == j:
-                c = _multiple(b, _dense(simple, i, bound))
-                if c is None or c <= 0:
-                    raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i} with c > 0")
-                continue
-            if b.val.any():
-                raise RepresentationError(f"[e_{i}, f_{j}] does not vanish")
-            for gens in (e, f):
-                x = gens[j]
-                for _ in range(1 - A[i][j]):
-                    x = _bracket(gens[i], x)
-                if x.val.any():
-                    raise RepresentationError(f"Serre relation fails for ({i}, {j})")
+        ef = _bracket(z[r + i], z[2 * r :])
+        vanish[i], cartan = ef.any(axis=(1, 2)), cartan + [ef[i].copy()]  # not a view of ef
+        # ad(e_i)^(1 - a_ij) e_j and ad(f_i)^(1 - a_ij) f_j for every j != i,
+        # by rising power: those j that are done at a power lead the stack
+        js, lo = sorted((j for j in range(r) if j != i), key=lambda j: -A[i][j]), 0
+        ad, x = z[[[r + i], [2 * r + i]]], z[[[r + j for j in js], [2 * r + j for j in js]]]
+        for power in range(1, 2 - min(A[i])):
+            x, hi = _bracket(ad, x), sum(1 - A[i][j] <= power for j in js)
+            serre[i, js[lo:hi]] = x[:, : hi - lo].any(axis=(0, 2, 3))
+            x, lo = x[:, hi - lo :], hi
+    # [e_i, f_i] = c h_i with c > 0: diagonal, with c W[:, i] on its diagonal
+    cartan = np.array(cartan)
+    b, h = np.diagonal(cartan, axis1=1, axis2=2).astype(object), w.T.astype(object)
+    p = (h != 0).argmax(axis=1)
+    bp, hp = b[range(r), p], h[range(r), p]
+    positive = (b * hp[:, None] == h * bp[:, None]).all(axis=1) & (bp * hp > 0)
+    positive &= np.count_nonzero(cartan, axis=(1, 2)) == np.count_nonzero(b, axis=1)
+    for i, j in np.ndindex(r, r):
+        if i == j and not positive[i]:
+            raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i} with c > 0")
+        if i != j and vanish[i, j]:
+            raise RepresentationError(f"[e_{i}, f_{j}] does not vanish")
+        if serre[i, j]:
+            raise RepresentationError(f"Serre relation fails for ({i}, {j})")
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +888,8 @@ def spin7_real_gens() -> IntStack:
     """
     L = octonion_left_mult().dense()
     a, b = np.triu_indices(7, 1)
-    x = _bracket(_Dense(L[a], 1), _Dense(L[b], 1))
-    spin, den = _reduced(_Dense(-x.val, x.bound), 4)
-    return _sparse(spin.val, den)
+    x = -_bracket(L[a], L[b])
+    return _sparse(x.shape, [_entries(np.arange(a.size), *_lowest(x, 4))])
 
 
 def real_blocks(text: str) -> list[str | int]:

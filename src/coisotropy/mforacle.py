@@ -30,7 +30,6 @@ from .linalg import (
     INT64_SAFE,
     IntStack,
     _bracket,
-    _Dense,
     _max_abs,
     float_rank,
     int_kernel,
@@ -367,11 +366,6 @@ def coisotropic_by_rank(
 # matrices.  Complex data enters realified (linalg.realify).
 
 
-def _lie(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] of matrices or stacks, through the one bracket."""
-    return _bracket(_Dense(x, _max_abs(x)), _Dense(y, _max_abs(y))).val
-
-
 def _unit(d: int, a: int, b: int, sign: int) -> np.ndarray:
     """The integer d x d matrix E_ab + sign * E_ba; E_aa when a == b."""
     out = np.zeros((d, d), dtype=np.int64)
@@ -398,7 +392,7 @@ class SymmetricPair:
             (in_k, p, p, "[p, p] escapes k"),
         ):
             # every bracket [x_a, y_b] at once, broadcast over (a, b)
-            pairs = _lie(x[:, None], y[None])
+            pairs = _bracket(x[:, None], y[None])
             if not inside(pairs).all():
                 raise ValueError(message)
 
@@ -459,18 +453,16 @@ def lie_triple_closure(m_basis: list[np.ndarray]) -> LieTripleResult:
     inside = _span_test(m_basis)
     for i, x in enumerate(m_basis):
         for j, y in enumerate(m_basis):
-            inner = _lie(x, y)
+            inner = _bracket(x, y)
             for k, z in enumerate(m_basis):
-                triple = _lie(inner, z)
+                triple = _bracket(inner, z)
                 if not inside(triple):
-                    return LieTripleResult(
-                        closed=False, witness=(i, j, k), witness_bracket=triple
-                    )
+                    return LieTripleResult(closed=False, witness=(i, j, k), witness_bracket=triple)
     return LieTripleResult(closed=True)
 
 
 def brackets_vanish(m_basis: list[np.ndarray]) -> bool:
-    return not any(_lie(x, y).any() for x in m_basis for y in m_basis)
+    return not any(_bracket(x, y).any() for x in m_basis for y in m_basis)
 
 
 def so_even_u_pair(m: int) -> SymmetricPair:
@@ -534,5 +526,5 @@ def maximal_abelian_in_p(
     rng = random.Random(f"{seed}:abelian")
     p = np.stack(pair.p_basis)
     c = np.array([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in pair.p_basis])
-    _, kernel = int_kernel(_lie(p, np.tensordot(c, p, axes=1)).reshape(len(p), -1).T)
+    _, kernel = int_kernel(_bracket(p, np.tensordot(c, p, axes=1)).reshape(len(p), -1).T)
     return [np.tensordot(v, p, axes=1) for v in kernel.T]

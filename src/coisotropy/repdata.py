@@ -623,24 +623,21 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
             pat = entry.pattern
             if len(pat.summands) != r:
                 continue
-            for order, faced, used in faces:
-                if len(pat.factors) < len(used):
-                    continue
-                for env in _factor_maps(group, pat, faced, used):
-                    for gdual in (False, True):
-                        differ = [
-                            c
-                            for (_, p_dual, _), c in zip(pat.summands, order)
-                            if (rep.summands[c].dual != gdual) != p_dual
-                        ]
-                        if not all(
-                            _self_dual(group.factors[f], k) for c in differ for k, f in slots[c]
-                        ):
-                            continue
-                        found = _evaluate_match(entry, env, order, gdual, span)
-                        if found is not None and not differ:
-                            return found
-                        first = first or found
+            for order, env in _factor_maps(group, pat, faces):
+                for gdual in (False, True):
+                    differ = [
+                        c
+                        for (_, p_dual, _), c in zip(pat.summands, order)
+                        if (rep.summands[c].dual != gdual) != p_dual
+                    ]
+                    if not all(
+                        _self_dual(group.factors[f], k) for c in differ for k, f in slots[c]
+                    ):
+                        continue
+                    found = _evaluate_match(entry, env, order, gdual, span)
+                    if found is not None and not differ:
+                        return found
+                    first = first or found
     return first or MFLookup(
         match=None,
         scalar_policy="",
@@ -653,30 +650,37 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
 _SU1 = Factor("su", 1)
 
 
-def _factor_maps(group: GroupSpec, pat: PatternSpec, faced: list, used: list[int]):
-    """Parameter environments of the injective maps from the pattern factors
-    onto the concrete factors used that carry each pattern summand's
-    multiset of (term kind, factor) onto faced[k], the slots of the
-    concrete summand it faces.  A pattern factor left over becomes su(1),
-    which holds only std and sym2 slots."""
-    for image in itertools.permutations(range(len(pat.factors)), len(used)):
-        fmap = dict(zip(image, used))
-        facs = [group.factors[fmap[pf]] if pf in fmap else _SU1 for pf in range(len(pat.factors))]
-        if any(kind != fac.kind for (kind, _), fac in zip(pat.factors, facs)):
-            continue
-        if not all(
-            sorted((k, fmap[f - 1]) for k, f in p_terms if f - 1 in fmap) == sorted(sl)
-            and all(k in ("std", "sym2", "triv") for k, f in p_terms if f - 1 not in fmap)
-            for (p_terms, _, _), sl in zip(pat.summands, faced)
-        ):
-            continue
-        env: dict[str, int] | None = {}
-        for (_, expr), fac in zip(pat.factors, facs):
-            env = _solve_rank(expr, fac.n, env)
-            if env is None:
-                break
-        else:
-            yield env
+def _factor_maps(group: GroupSpec, pat: PatternSpec, faces: list):
+    """(order, env) for each face (order, faced, used) of the concrete
+    summands and each parameter environment of an injective map from the
+    pattern factors onto the concrete factors used that carries each
+    pattern summand's multiset of (term kind, factor) onto faced[k], the
+    slots of the concrete summand it faces.  Each used factor takes a
+    pattern factor of its own kind, and a pattern factor left over becomes
+    su(1), which holds only std and sym2 slots; so unless the pattern's
+    kinds are the used ones and su for the rest, no map exists."""
+    kinds, used = [kind for kind, _ in pat.factors], faces[0][2]  # every face uses the same factors
+    if sorted(kinds) != sorted([group.factors[f].kind for f in used] + ["su"] * (len(kinds) - len(used))):
+        return
+    for order, faced, used in faces:
+        for image in itertools.permutations(range(len(kinds)), len(used)):
+            fmap = dict(zip(image, used))
+            facs = [group.factors[fmap[pf]] if pf in fmap else _SU1 for pf in range(len(kinds))]
+            if any(kind != fac.kind for kind, fac in zip(kinds, facs)):
+                continue
+            if not all(
+                sorted((k, fmap[f - 1]) for k, f in p_terms if f - 1 in fmap) == sorted(sl)
+                and all(k in ("std", "sym2", "triv") for k, f in p_terms if f - 1 not in fmap)
+                for (p_terms, _, _), sl in zip(pat.summands, faced)
+            ):
+                continue
+            env: dict[str, int] | None = {}
+            for (_, expr), fac in zip(pat.factors, facs):
+                env = _solve_rank(expr, fac.n, env)
+                if env is None:
+                    break
+            else:
+                yield order, env
 
 
 def _solve_rank(expr_text: str, value: int, env: dict[str, int]) -> dict[str, int] | None:

@@ -6,15 +6,23 @@ reduced row echelon form over Fraction, the kernel read off it and the
 fraction-free (Bareiss) rank of an integer matrix; the solver of the
 invariant bilinear form of a realized module and the standalone spin
 representation it is tried on; the check of the root vectors that
-``matrep._root_vectors`` derives from a certified simple stack; and the
-elimination polynomials of ``repdata.POLY_FAMILIES`` written as functions.
+``matrep._root_vectors`` derives from a certified simple stack; the
+pairwise module certificate and the per-root derivation of the root
+vectors, formed one d x d integer product at a time, that the stacked
+``matrep._certify`` and ``matrep._root_vectors`` replaced; the
+``repdata._factor_maps`` that tried every injective image of the used
+factors before it compared kinds; and the elimination polynomials of
+``repdata.POLY_FAMILIES`` written as functions.
 """
 
+import itertools
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
-from coisotropy.linalg import int_kernel, int_rank
+from coisotropy.linalg import INT64_SAFE, IntStack, _max_abs, int_kernel, int_rank
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
@@ -23,9 +31,11 @@ from coisotropy.matrep import (
     RepSpec,
     Summand,
     Term,
+    _weight_fault,
     _weights,
     realize,
 )
+from coisotropy.repdata import _SU1, _solve_rank
 
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -249,6 +259,144 @@ def string_probe_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(known, key=lambda v: (sum(v), v)))
 
 
+# The module certificate and the root-vector derivation, one d x d pair at
+# a time in int64 or Python ints, with the helpers they used.
+
+
+class _Dense(NamedTuple):
+    """An integer matrix, or a stack of them along leading axes, whose
+    entries are at most bound in absolute value."""
+
+    val: np.ndarray
+    bound: int
+
+
+def _bracket(x: _Dense, y: _Dense) -> _Dense:
+    """[x, y], broadcast over leading stack axes; formed in int64 while its
+    bound 2 * d * x.bound * y.bound is below INT64_SAFE, in Python ints
+    beyond it."""
+    bound = 2 * x.val.shape[-1] * x.bound * y.bound
+    dtype = object if bound >= INT64_SAFE else np.int64
+    a, b = x.val.astype(dtype, copy=False), y.val.astype(dtype, copy=False)
+    return _Dense(a @ b - b @ a, bound)
+
+
+def _multiple(x: _Dense, y: _Dense) -> int | None:
+    """x_p * y_p at the first nonzero p of y if x = c y, else None (also
+    when y is zero).  It is a positive multiple of c, so it is positive
+    iff c is."""
+    dtype = object if x.bound * y.bound >= INT64_SAFE else np.int64
+    a, b = x.val.astype(dtype, copy=False), y.val.astype(dtype, copy=False)
+    nz = np.flatnonzero(b)
+    if not nz.size:
+        return None
+    xp, yp = int(a.flat[nz[0]]), int(b.flat[nz[0]])
+    # x yp = y xp, entrywise
+    if (a * yp != b * xp).any():
+        return None
+    return xp * yp
+
+
+def _dense(gens: IntStack, k: int, bound: int) -> _Dense:
+    """Generator k of a stack whose entries are at most bound, densely."""
+    sel, d = gens.k == k, gens.shape[1]
+    val = np.zeros((d, d), gens.val.dtype)
+    val[gens.row[sel], gens.col[sel]] = gens.val[sel]
+    return _Dense(val, bound)
+
+
+def _sparse(full: np.ndarray, den: int) -> IntStack:
+    """The stack of the (n, d, d) numerators full over den."""
+    k, row, col = np.nonzero(full)
+    return IntStack(full.shape, k, row, col, full[k, row, col], den)
+
+
+def _reduced(x: _Dense, den: int) -> tuple[_Dense, int]:
+    """The matrix x / den in lowest terms: (numerators, denominator)
+    divided by their gcd, in int64 below INT64_SAFE."""
+    g = gcd(den, *x.val[x.val != 0].tolist())
+    val = x.val // g
+    bound = _max_abs(val)
+    return _Dense(val.astype(object if bound >= INT64_SAFE else np.int64), bound), den // g
+
+
+def per_root_vectors(simple: IntStack, rs) -> IntStack:
+    """The module stack cartan | raising | lowering of a simple stack:
+    over the positive roots in order, e_beta = [e_i, e_beta'] and f_beta =
+    [f_beta', f_i] for the first i with beta' = beta - alpha_i a positive
+    root, each in lowest terms, then all over one denominator."""
+    r = rs.rank
+    bound = _max_abs(simple.val)
+    gens = [_reduced(_dense(simple, k, bound), simple.den) for k in range(3 * r)]
+    units = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    e, f = dict(zip(units, gens[r : 2 * r])), dict(zip(units, gens[2 * r :]))
+    bracket = lambda p, q: _reduced(_bracket(p[0], q[0]), p[1] * q[1])  # noqa: E731
+    for root in rs.positive_roots:
+        if root in e:
+            continue
+        i, beta = next(
+            (i, b) for i in range(r)
+            if root[i] and (b := tuple(c - (t == i) for t, c in enumerate(root))) in e
+        )
+        e[root] = bracket(e[units[i]], e[beta])
+        f[root] = bracket(f[beta], f[units[i]])
+    gens = gens[:r] + [e[root] for root in rs.positive_roots] + [f[root] for root in rs.positive_roots]
+    den = lcm(*(g for _, g in gens))
+    big = max(x.bound * (den // g) for x, g in gens) >= INT64_SAFE
+    return _sparse(np.stack([x.val.astype(object if big else np.int64) * (den // g) for x, g in gens]), den)
+
+
+def pairwise_certify(simple: IntStack, rs) -> None:
+    """Certify that a simple stack h | e | f represents the algebra of rs.
+
+    With every h_i diagonal, these are the Chevalley-Serre relations on the
+    3r simple generators, which present the algebra (Serre's theorem):
+    [h_j, e_i] = a_ji e_i and [h_j, f_i] = -a_ji f_i for the Cartan matrix
+    a, checked entrywise; [e_i, f_j] = delta_ij c_i h_i with c_i > 0, so
+    that f_i / c_i is the Chevalley partner of e_i and f_i the
+    adjoint of e_i under an invariant positive form; ad(e_i)^(1 - a_ij) e_j
+    = 0 and ad(f_i)^(1 - a_ij) f_j = 0 for i != j.  The root vectors that
+    _root_vectors derives need no check: brackets of adjoints are adjoints.
+    A module whose generators are all zero is the trivial module.  Products
+    are formed one d x d pair at a time; no elimination is used.
+    """
+    r, A = rs.rank, rs.cartan_matrix
+    n, d, d2 = simple.shape
+    if n != 3 * r:
+        raise RepresentationError("module has the wrong number of generators")
+    if d2 != d or ((simple.row < 0) | (simple.row >= d) | (simple.col < 0) | (simple.col >= d)).any():
+        raise RepresentationError("generator shape differs from the module dimension")
+    if not simple.val.any():
+        return
+    eig = np.zeros((n, r), dtype=np.int64)
+    eig[r : 2 * r] = np.array(A).T
+    eig[2 * r :] = -eig[r : 2 * r]
+    fault = _weight_fault(simple, _weights(simple, list(range(r))), eig, r, r)
+    if fault:
+        i, kind = fault
+        raise RepresentationError(f"weight relation fails on {kind}_{i} of the simple root alpha_{i}")
+
+    bound = _max_abs(simple.val)
+    e = [_dense(simple, r + i, bound) for i in range(r)]
+    f = [_dense(simple, 2 * r + i, bound) for i in range(r)]
+    for i in range(r):
+        for j in range(r):
+            b = _bracket(e[i], f[j])
+            if i == j:
+                c = _multiple(b, _dense(simple, i, bound))
+                if c is None or c <= 0:
+                    raise RepresentationError(f"[e_{i}, f_{i}] is not c h_{i} with c > 0")
+                continue
+            if b.val.any():
+                raise RepresentationError(f"[e_{i}, f_{j}] does not vanish")
+            for gens in (e, f):
+                x = gens[j]
+                for _ in range(1 - A[i][j]):
+                    x = _bracket(gens[i], x)
+                if x.val.any():
+                    raise RepresentationError(f"Serre relation fails for ({i}, {j})")
+
+
 # f(x, q) and the paper's stated f(3) of each elimination family, as the
 # functions the coefficient tables of repdata.POLY_FAMILIES must agree with
 POLY_FAMILY_FUNCTIONS = {
@@ -269,3 +417,26 @@ POLY_FAMILY_FUNCTIONS = {
         "f3_claimed": lambda q: q * q - 19,
     },
 }
+
+
+def permutation_factor_maps(group, pat, faced: list, used: list[int]):
+    """The environments of repdata._factor_maps, over every injective image
+    of the used factors, in lexicographic order."""
+    for image in itertools.permutations(range(len(pat.factors)), len(used)):
+        fmap = dict(zip(image, used))
+        facs = [group.factors[fmap[pf]] if pf in fmap else _SU1 for pf in range(len(pat.factors))]
+        if any(kind != fac.kind for (kind, _), fac in zip(pat.factors, facs)):
+            continue
+        if not all(
+            sorted((k, fmap[f - 1]) for k, f in p_terms if f - 1 in fmap) == sorted(sl)
+            and all(k in ("std", "sym2", "triv") for k, f in p_terms if f - 1 not in fmap)
+            for (p_terms, _, _), sl in zip(pat.summands, faced)
+        ):
+            continue
+        env: dict[str, int] | None = {}
+        for (_, expr), fac in zip(pat.factors, facs):
+            env = _solve_rank(expr, fac.n, env)
+            if env is None:
+                break
+        else:
+            yield env

@@ -13,6 +13,7 @@ from coisotropy.linalg import (
     _RANK_PRIMES,
     INT64_SAFE,
     IntStack,
+    _bracket,
     _kernel_primes,
     _prime_budget,
     float_rank,
@@ -151,6 +152,44 @@ def test_int_apply_keeps_the_small_product_in_int64():
     assert rows.dtype == np.int64
     # 2 g v = (1 * 3 + 2 * (-1), 0)
     assert rows.tolist() == [[1, 0]]
+
+
+def _bracket_pair(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """16 x 16 int64 matrices x, y with max |x| = max |y| = b, so that the
+    bound of [x, y] is 32 b^2: x is b but for x[0, 0] = b - 1, and y is b
+    but for -b along its first row right of y[0, 0].  Then (x y)[0, 0] =
+    16 b^2 - b, (y x)[0, 0] = -14 b^2 - b and [x, y][0, 0] = 30 b^2."""
+    x = np.full((16, 16), b, dtype=np.int64)
+    x[0, 0] = b - 1
+    y = np.full((16, 16), b, dtype=np.int64)
+    y[0, 1:] = -b
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "b, dtype",
+    [
+        (isqrt((2**53 - 1) // 32), np.int64),  # bound just below 2**53: float64
+        (isqrt(2**53 // 32) + 1, np.int64),  # just above it: int64
+        (isqrt(2**53 // 16) + 1 | 1, np.int64),  # past 2**54: a product leaves float64
+        (2**30 + 1, object),  # above INT64_SAFE: Python ints
+    ],
+    ids=["float64", "int64", "int64-past-2**54", "python-int"],
+)
+def test_bracket_is_exact_on_each_path(b, dtype):
+    x, y = _bracket_pair(b)
+    bound = 32 * b * b
+    assert (bound < 2**53) == (b < 2**24) and (bound < INT64_SAFE) == (dtype is np.int64)
+    if bound > 2**54:
+        # (x y)[0, 0] is odd and past 2**53, so no double holds it
+        assert 16 * b * b - b > 2**53 and float(16 * b * b - b) != 16 * b * b - b
+    # a (d, d) matrix against a stack of two, broadcast
+    out = _bracket(x, np.stack([y, -y]))
+    ox, oy = x.astype(object), y.astype(object)
+    exact = ox @ oy - oy @ ox
+    assert out.dtype == dtype
+    assert out.tolist() == [exact.tolist(), (-exact).tolist()]
+    assert out[0, 0, 0] == 30 * b * b
 
 
 def test_realify_is_a_ring_map_that_doubles_the_rank():

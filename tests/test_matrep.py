@@ -19,6 +19,7 @@ from coisotropy.matrep import (
     _highest_weight,
     _square,
     _weight_module,
+    _weights,
     octonion_left_mult,
     real_block_rep,
     realize,
@@ -28,7 +29,13 @@ from coisotropy.matrep import (
 )
 from coisotropy.repdata import load_dataset
 from coisotropy.rootsys import DominantWeight, SimpleType, build_root_system, weyl_dim
-from reference import invariant_bilinear_form, root_vector_faults, spin_rep
+from reference import (
+    invariant_bilinear_form,
+    pairwise_certify,
+    per_root_vectors,
+    root_vector_faults,
+    spin_rep,
+)
 
 
 def grp(*facs, lines=()):
@@ -71,6 +78,13 @@ def _simple_module(fac, kind, weight=None):
     """The simple stack h | e | f of an irreducible std, spin or weight
     term."""
     return _weight_module(fac.simple_type, _highest_weight(fac, kind, weight))
+
+
+def _simple_stack(fac, kind, weight=None):
+    """The simple stack that _factor_module certifies and completes."""
+    if kind in ("sym2", "alt2"):
+        return _square(_simple_module(fac, "std"), alt=kind == "alt2")
+    return _simple_module(fac, kind, weight)
 
 
 def _other_half_spin(n):
@@ -690,6 +704,77 @@ def test_certificate_accepts_trivial_alt2_of_su2():
     assert realize(grp(Factor("su", 2)), R(S(Term("alt2", 1)))).space_dim == 1
 
 
+def _certificate_outcome(certify, simple, rs):
+    """None if certify accepts the stack, else its RepresentationError's message."""
+    try:
+        certify(simple, rs)
+    except RepresentationError as exc:
+        return str(exc)
+    return None
+
+
+def _added(stack, k):
+    """A copy with den added to generator k at the first empty (a, b) whose
+    weight difference is that of its first entry; None if there is none."""
+    w = _weights(stack, list(range(stack.shape[0] // 3)))
+    t = _entries_of(stack, k)[0]
+    fits = (w[:, None] - w[None] == w[stack.row[t]] - w[stack.col[t]]).all(axis=2)
+    fits[stack.row[stack.k == k], stack.col[stack.k == k]] = False
+    for a, b in np.argwhere(fits)[:1]:
+        return stack._replace(
+            k=np.append(stack.k, k), row=np.append(stack.row, a), col=np.append(stack.col, b),
+            val=np.append(stack.val, stack.den),
+        )
+    return None
+
+
+def _fault_injections():
+    """(label, simple stack, root system): the CERTIFIED modules and five
+    more, each as cached and with every fault the certificate tests above
+    inject (one entry raised by den or negated, the first three entries of
+    every generator; each generator negated), one entry added where the
+    weights allow it, each lowering generator zeroed, and the single cases
+    above."""
+    su2, su3 = _simple_module(Factor("su", 2), "std"), Factor("su", 3)
+    a1 = build_root_system(SimpleType("A", 1))
+    extra = {"std A3": (Factor("su", 4), "std", None), "spin D4": (Factor("so", 8), "spin", None),
+             "std G2": (Factor("g2", 2), "std", None), "adjoint A2": (su3, "weight", (1, 1)),
+             "adjoint B2": (Factor("so", 5), "weight", (0, 2))}
+    for name, (fac, kind, arg) in {**CERTIFIED, **extra}.items():
+        rs = build_root_system(fac.simple_type)
+        mod = _simple_part(_factor_module(fac, kind, arg), rs)
+        yield name, mod, rs
+        for k in range(mod.shape[0]):
+            yield f"{name} -{k}", _negated(mod, k), rs
+            if (added := _added(mod, k)) is not None:
+                yield f"{name} +{k}", added, rs
+            if k >= 2 * rs.rank:
+                yield f"{name} 0*{k}", mod._replace(val=np.where(mod.k == k, 0, mod.val)), rs
+            for index in range(min(3, len(_entries_of(mod, k)))):
+                for negate in (False, True):
+                    yield f"{name} {k}/{index}/{negate}", _corrupt(mod, k, index, negate), rs
+    g2, rs = _module_and_roots("weight G2 (1,0)")
+    k = g2.k.copy()
+    k[_entries_of(g2, 2)] = 3
+    yield "moved weights", g2._replace(k=k), rs
+    yield "positive multiple", su2._replace(val=np.where(su2.k == 2, 2 * su2.val, su2.val)), a1
+    yield "trivial alt2", _square(su2, alt=True), a1
+    yield "full stack", _factor_module(su3, "std"), build_root_system(su3.simple_type)
+
+
+def test_certificate_matches_the_pairwise_reference():
+    """The stacked certificate accepts or rejects every injected fault as
+    the pairwise reference does, naming the same first relation."""
+    kinds = ("wrong number", "weight relation", "is not c h", "does not vanish", "Serre relation")
+    outcomes = set()
+    for label, simple, rs in _fault_injections():
+        got = _certificate_outcome(_certify, simple, rs)
+        assert got == _certificate_outcome(pairwise_certify, simple, rs), label
+        outcomes.add(got and next(kind for kind in kinds if kind in got))
+    # acceptance and every kind of failure occur
+    assert outcomes == {None, *kinds}
+
+
 def test_sym2_and_alt2_are_cached():
     fac = Factor("su", 4)
     assert _factor_module(fac, "sym2") is _factor_module(fac, "sym2")
@@ -714,6 +799,12 @@ def test_derived_root_vectors_match_the_reference(monkeypatch):
     for key in keys:
         rs = build_root_system(key[0].simple_type)
         assert root_vector_faults(original(*key), rs) == [], key
+        # byte for byte the stack of the per-root reference derivation
+        got, want = original(*key), per_root_vectors(_simple_stack(*key), rs)
+        assert got.shape == want.shape and type(got.den) is type(want.den) and got.den == want.den, key
+        for name in ("k", "row", "col", "val"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), (key, name)
 
 
 def test_lowering_generators_pair_positively_with_raising():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import random
 import re
 import shutil
 from dataclasses import replace
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coisotropy import classify, repdata
 from coisotropy.dsl import eval_int_expr, parse_pattern, parse_repspec
 from coisotropy.matrep import GroupSpec, RepSpec, Summand, realize
 from coisotropy.mforacle import mf_test
@@ -23,6 +26,7 @@ from coisotropy.repdata import (
     parse_instantiations,
     space_from_text,
 )
+from reference import permutation_factor_maps
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,64 @@ def test_lookup_maps_pattern_factors_injectively(ds):
     ):
         res = look(ds, text)
         assert res.match is None and res.mf is False, text
+
+
+def _mf_stream_round(ds, rng):
+    """The queries of one round of the mf-check stream: every instantiation
+    of tables Ia (bare, and with one scalar line) and IIa and IIb (with one
+    or two random primitive charge lines on their two summands)."""
+    for table in ("Ia", "IIa", "IIb"):
+        for entry in ds.mf_rows(table):
+            for env in entry.instantiations() or [{}]:
+                group, rep = entry.pattern.instantiate(env)
+                if table == "Ia":
+                    if group.dim:
+                        yield group, rep
+                    yield GroupSpec(group.factors, ((1,),)), RepSpec(
+                        tuple(Summand(s.terms, s.dual, (1,)) for s in rep.summands)
+                    )
+                    continue
+                lines = []
+                while len(lines) < rng.choice((1, 2)):
+                    line = (rng.randint(-3, 3), rng.randint(-3, 3))
+                    lines += [line] * (math.gcd(*line) == 1)
+                first, second = rep.summands
+                charged = (Summand(first.terms, first.dual, (1, 0)), Summand(second.terms, second.dual, (0, 1)))
+                yield GroupSpec(group.factors, tuple(lines)), RepSpec(charged)
+
+
+def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
+    """_factor_maps tries no image for a row whose factor kinds cannot fit.
+    On every lookup of one mf-stream round and of table 1..4, each call
+    yields the (order, env) pairs of the reference that tries every
+    injective image, in the same order, and so every lookup is the same."""
+    queries = list(_mf_stream_round(ds, random.Random(5)))
+    monkeypatch.setattr(classify, "lookup_mf", lambda *args: queries.append(args[:2]) or lookup_mf(*args))
+    for table in (1, 2, 3, 4):
+        classify.reproduce_table(table)
+    monkeypatch.undo()
+    assert len(queries) == 91 + 33
+    maps, permutations, calls, tried = repdata._factor_maps, itertools.permutations, [], []
+
+    def reference_maps(group, pat, faces):
+        for order, faced, used in faces:
+            for env in permutation_factor_maps(group, pat, faced, used):
+                yield order, env
+
+    def compared_maps(*args):
+        start = len(tried)
+        found = list(maps(*args))
+        calls.append((found, len(tried) > start))
+        assert found == list(reference_maps(*args))
+        return iter(found)
+
+    monkeypatch.setattr(itertools, "permutations", lambda *args: tried.append(args) or permutations(*args))
+    monkeypatch.setattr(repdata, "_factor_maps", compared_maps)
+    looked = [lookup_mf(group, rep, ds) for group, rep in queries]
+    assert sum(bool(found) for found, _ in calls) > 100
+    assert sum(not any_image for _, any_image in calls) > 500  # rows that try no image
+    monkeypatch.setattr(repdata, "_factor_maps", reference_maps)
+    assert [lookup_mf(group, rep, ds) for group, rep in queries] == looked
 
 
 def test_lookup_three_summands(ds):
