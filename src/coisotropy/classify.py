@@ -193,15 +193,13 @@ class DimensionalReport:
     ok: bool
     borel_dim: int
     space_dim: int
-    group: GroupSpec
-    space: HSSpace
 
 
 def dimensional_condition(group: GroupSpec, space: HSSpace) -> DimensionalReport:
     """Borel dimension of the complexified candidate against dim_C M."""
     b = group.borel_dim
     d = space.complex_dim
-    return DimensionalReport(ok=b >= d, borel_dim=b, space_dim=d, group=group, space=space)
+    return DimensionalReport(ok=b >= d, borel_dim=b, space_dim=d)
 
 
 def dimension_threshold(space: HSSpace) -> int:
@@ -291,8 +289,10 @@ class Verdict:
     notes: list[str] = field(default_factory=list)
 
     def record(self) -> str:
+        """One line: the verdict's fields, then each evidence entry's
+        numbers and text, then the notes."""
         ev = "; ".join(
-            f"{e.rule}[{e.source}] {e.numbers}" for e in self.evidence
+            f"{e.rule}[{e.source}] {e.numbers}" + (f" {e.text}" if e.text else "") for e in self.evidence
         )
         inst = ",".join(f"{k}={v}" for k, v in sorted(self.instantiation.items()))
         flag = " corrected" if self.corrected else ""
@@ -300,7 +300,7 @@ class Verdict:
             f"table={self.table} row={self.row} inst=\"{inst}\" "
             f"candidate=\"{self.candidate}\" space=\"{self.space}\" "
             f"outcome={self.outcome} expected={self.expected} "
-            f"ok={self.ok}{flag} evidence=\"{ev}\""
+            f"ok={self.ok}{flag} evidence=\"{ev}\" notes=\"{'; '.join(self.notes)}\""
         )
 
 

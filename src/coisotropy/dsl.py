@@ -25,7 +25,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .matrep import Factor, GroupSpec, RepSpec, Summand, Term
+from .matrep import FACTOR_KINDS, Factor, GroupSpec, RepSpec, Summand, Term
 
 
 class ParseError(ValueError):
@@ -35,7 +35,6 @@ class ParseError(ValueError):
         self.col = col
 
 
-FACTOR_NAMES = ("su", "so", "sp", "g2", "f4", "e6", "e7", "e8")
 TERM_NAMES = ("std", "sym2", "alt2", "spin", "triv")
 
 _TOKEN_RE = re.compile(
@@ -293,7 +292,7 @@ class _Parser:
                     charges.append(self._int_slot())
                 self._take("punct", "]")
                 lines.append(tuple(charges))
-            elif t.text in FACTOR_NAMES:
+            elif t.text in FACTOR_KINDS:
                 self.pos += 1
                 self._take("punct", "(")
                 n = self._int_slot()
@@ -363,10 +362,6 @@ def parse_repspec(text: str) -> tuple[GroupSpec, RepSpec]:
 def print_repspec(group: GroupSpec, rep: RepSpec) -> str:
     """Canonical ASCII form; parse(print(s)) round-trips.  A weight term
     has no spec syntax and raises ValueError."""
-    parts = [f"{f.kind}({f.n})" for f in group.factors]
-    parts += [
-        "u1[" + ",".join(str(c) for c in line) + "]" for line in group.torus_lines
-    ]
     sums = []
     for sm in rep.summands:
         ts = []
@@ -383,4 +378,4 @@ def print_repspec(group: GroupSpec, rep: RepSpec) -> str:
         if sm.charges:
             s += " @ " + ",".join(str(c) for c in sm.charges)
         sums.append(s)
-    return " + ".join(parts) + " on " + " (+) ".join(sums)
+    return f"{group} on " + " (+) ".join(sums)

@@ -6,9 +6,9 @@ implemented here.  Every generator matrix is real and integral: an
 IntStack holds a set of generators by its nonzeros over one denominator,
 and _bracket, the one commutator of dense integer matrices or stacks of
 them, serves the module certificate, the derived root vectors, the real
-slice models and the Lie-triple test alike, exactly in float64 (BLAS)
-while its bound is below 2**53.  Complex data enters only as
-realify(re, im), the real matrix of re + i*im.
+slice models and the Lie-triple test alike, on two exact paths: float64
+(BLAS) while its bound is below 2**53, Python ints beyond.  Complex data
+enters only as realify(re, im), the real matrix of re + i*im.
 
 One verified modular kernel is the only elimination.  int_kernel
 eliminates an integer matrix modulo a prime p ~ 2**31 for pivot rows and
@@ -99,17 +99,16 @@ def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] of integer matrices, broadcast over leading stack axes, exactly.
 
     Its entries are at most bound = 2 * d * max|x| * max|y|.  Below 2**53
-    it is formed in float64 (BLAS): every product of two entries and every
-    partial sum of a row times a column is then an integer below 2**52 in
-    absolute value, and every entry of x y - y x one below 2**53, so each is
-    exact in a double, in any order of summation.  From 2**53 on it is
-    formed in int64, from INT64_SAFE on in Python ints; the result is int64
-    below INT64_SAFE."""
-    bound = 2 * x.shape[-1] * _max_abs(x) * _max_abs(y)
-    dtype = np.float64 if bound < 2**53 else np.int64 if bound < INT64_SAFE else object
-    a, b = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    out = a @ b - b @ a
-    return out.astype(np.int64) if dtype is np.float64 else out
+    it is formed in float64 (BLAS) and returned in int64: every product of
+    two entries and every partial sum of a row times a column is then an
+    integer below 2**52 in absolute value, and every entry of x y - y x one
+    below 2**53, so each is exact in a double, in any order of summation.
+    From 2**53 on it is formed and returned in Python ints (dtype object)."""
+    if 2 * x.shape[-1] * _max_abs(x) * _max_abs(y) < 2**53:
+        a, b = x.astype(np.float64), y.astype(np.float64)
+        return (a @ b - b @ a).astype(np.int64)
+    a, b = x.astype(object), y.astype(object)
+    return a @ b - b @ a
 
 
 def _modp_reduce(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:

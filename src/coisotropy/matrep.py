@@ -61,6 +61,8 @@ class RepresentationError(ValueError):
 
 WEIGHT_MODULE_DIM_CAP = 256
 
+FACTOR_KINDS = ("su", "so", "sp", "g2", "f4", "e6", "e7", "e8")
+
 
 # ---------------------------------------------------------------------------
 # group and module specifications
@@ -74,8 +76,7 @@ class Factor:
     n: int
 
     def __post_init__(self):
-        kinds = ("su", "so", "sp", "g2", "f4", "e6", "e7", "e8")
-        if self.kind not in kinds:
+        if self.kind not in FACTOR_KINDS:
             raise RepresentationError(f"unknown factor kind {self.kind!r}")
         if self.kind in ("su", "so", "sp") and self.n < 1:
             raise RepresentationError(f"{self.kind}(n) needs n >= 1")
@@ -142,6 +143,12 @@ class Factor:
 
     def __str__(self):
         return f"{self.kind}({self.n})"
+
+
+def one_dimensional(fac: Factor, kind: str) -> bool:
+    """Whether a term of this kind of fac is a one-dimensional slot: a std
+    or sym2 term of a factor whose std module is C^1."""
+    return kind in ("std", "sym2") and fac.std_dim == 1
 
 
 @dataclass(frozen=True)
@@ -641,10 +648,6 @@ class MatrixRep:
     cartan_labels: list[tuple[int, int]]  # (factor index, simple root index)
     root_labels: list[tuple[int, tuple[int, ...]]]  # (factor index, root coords)
 
-    @property
-    def n_torus(self) -> int:
-        return self.gens.shape[0] - len(self.cartan_labels) - 2 * len(self.root_labels)
-
     @functools.cached_property
     def borel_stack(self) -> IntStack:
         """The Borel generators cartan | raising | torus, selected from gens."""
@@ -694,17 +697,16 @@ def _coalesce(shape, k, row, col, val, den) -> IntStack:
 
 def _term_module(group: GroupSpec, term: Term) -> tuple[int, IntStack | None, int]:
     """(factor index, module, dimension) of one term; (-1, None, 1) for a
-    trivial slot."""
+    triv or one_dimensional slot."""
     if term.kind == "triv":
         return -1, None, 1
     fidx = term.factor - 1
     if fidx >= len(group.factors):
         raise RepresentationError(f"factor index {term.factor} out of range")
     fac = group.factors[fidx]
+    if one_dimensional(fac, term.kind):
+        return -1, None, 1
     if fac.simple_type is None:
-        # genuinely trivial factors contribute one-dimensional slots
-        if fac.std_dim == 1 and term.kind in ("std", "sym2"):
-            return -1, None, 1
         raise NotRealizable(
             f"term {term.kind} of {fac}: the factor has no semisimple part; "
             f"encode its circle action as a torus line"
@@ -732,8 +734,6 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
             )
         slots = [_term_module(group, t) for t in sm.terms]
         d = prod(n for _, _, n in slots)
-        if d < 1:
-            raise RepresentationError("summand has dimension < 1")
         summands.append((off, d, sm, slots))
         off += d
     total = off
@@ -823,14 +823,12 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
         raise RepresentationError("raising generator is not strictly upper")
     diag = [*range(nc), *range(nc + 2 * npos, g.shape[0])]
     w = _weights(g, diag)
-    column = {label: t for t, label in enumerate(rep.cartan_labels)}
     eig = np.zeros((g.shape[0], len(diag)), dtype=np.int64)
     for fidx in dict.fromkeys(f for f, _ in rep.root_labels):
         rs = build_root_system(rep.group.factors[fidx].simple_type)
-        own = dict(zip(rs.positive_roots, rs.root_pairings))
-        rows = [j for j, (f, _) in enumerate(rep.root_labels) if f == fidx]
-        cols = [column[(fidx, i)] for i in range(rs.rank)]
-        eig[np.ix_([nc + j for j in rows], cols)] = [own[rep.root_labels[j][1]] for j in rows]
+        # a factor's roots, and its simple roots, are consecutive and in rs order
+        j, c = rep.root_labels.index((fidx, rs.positive_roots[0])), rep.cartan_labels.index((fidx, 0))
+        eig[nc + j : nc + j + rs.n_positive_roots, c : c + rs.rank] = rs.root_pairings
     eig[nc + npos : nc + 2 * npos] = -eig[nc : nc + npos]
     fault = _weight_fault(g, w, eig, nc, npos)
     if fault:

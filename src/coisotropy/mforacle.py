@@ -338,21 +338,18 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
     return probe.value
 
 
-def group_rank_of(rep, group_rank: int | None = None) -> int:
-    if group_rank is not None:
-        return group_rank
-    if isinstance(rep, RealRep):
-        raise ValueError("RealRep needs an explicit group rank")
-    return rep.group.rank
-
-
 def coisotropic_by_rank(
     rep, seed: int = DEFAULT_SEED, group_rank: int | None = None
 ) -> CohomReport:
-    """Cohomogeneity against rank difference, the rank-based coisotropy test."""
+    """Cohomogeneity against rank difference, the rank-based coisotropy test.
+    A RealRep carries no group data, so it needs group_rank."""
+    if group_rank is None:
+        if isinstance(rep, RealRep):
+            raise ValueError("RealRep needs an explicit group rank")
+        group_rank = rep.group.rank
     return CohomReport(
         cohomogeneity=cohomogeneity(rep, seed),
-        group_rank=group_rank_of(rep, group_rank),
+        group_rank=group_rank,
         principal_isotropy_rank=principal_isotropy_rank(rep, seed),
         isotropy_certified=True,
     )

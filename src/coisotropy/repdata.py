@@ -29,6 +29,7 @@ from .matrep import (
     Summand,
     _factor_module,
     _weights,
+    one_dimensional,
     real_blocks,
 )
 
@@ -152,15 +153,6 @@ class HSSpace:
         if self.label == "so":
             return self.m
         return 7 if self.label == "e7" else 6
-
-    def __str__(self):
-        if self.label == "sp":
-            return f"Sp({self.m})/U({self.m})"
-        if self.label == "so":
-            return f"SO({2 * self.m})/U({self.m})"
-        if self.label == "e7":
-            return "E7/T1.E6"
-        return "E6/T1.Spin(10)"
 
 
 def _space_parts(text: str) -> tuple[str, str]:
@@ -536,12 +528,11 @@ class MFLookup:
 
 def _slots(group: GroupSpec, sm: Summand) -> list[tuple[str, int]]:
     """(kind, factor index) of each term of a summand that is not a
-    one-dimensional slot (the rule of matrep._term_module)."""
+    one-dimensional slot (triv, or matrep.one_dimensional)."""
     return [
         (t.kind, t.factor - 1)
         for t in sm.terms
-        if t.kind != "triv"
-        and not (t.kind in ("std", "sym2") and group.factors[t.factor - 1].std_dim == 1)
+        if t.kind != "triv" and not one_dimensional(group.factors[t.factor - 1], t.kind)
     ]
 
 
@@ -657,7 +648,7 @@ def _factor_maps(group: GroupSpec, pat: PatternSpec, faces: list):
     pattern summand's multiset of (term kind, factor) onto faced[k], the
     slots of the concrete summand it faces.  Each used factor takes a
     pattern factor of its own kind, and a pattern factor left over becomes
-    su(1), which holds only std and sym2 slots; so unless the pattern's
+    su(1), which holds only one-dimensional slots; so unless the pattern's
     kinds are the used ones and su for the rest, no map exists."""
     kinds, used = [kind for kind, _ in pat.factors], faces[0][2]  # every face uses the same factors
     if sorted(kinds) != sorted([group.factors[f].kind for f in used] + ["su"] * (len(kinds) - len(used))):
@@ -670,7 +661,7 @@ def _factor_maps(group: GroupSpec, pat: PatternSpec, faces: list):
                 continue
             if not all(
                 sorted((k, fmap[f - 1]) for k, f in p_terms if f - 1 in fmap) == sorted(sl)
-                and all(k in ("std", "sym2", "triv") for k, f in p_terms if f - 1 not in fmap)
+                and all(k == "triv" or one_dimensional(_SU1, k) for k, f in p_terms if f - 1 not in fmap)
                 for (p_terms, _, _), sl in zip(pat.summands, faced)
             ):
                 continue

@@ -70,10 +70,6 @@ class DominantWeight:
         c[i] = 1
         return cls(tuple(c))
 
-    @classmethod
-    def zero(cls, rank: int) -> "DominantWeight":
-        return cls((0,) * rank)
-
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
 

@@ -233,3 +233,26 @@ def test_reproduce_is_deterministic():
     a = reproduce_table(1, rows=["so3"], seed=99)
     b = reproduce_table(1, rows=["so3"], seed=99)
     assert [x.record() for x in a] == [x.record() for x in b]
+
+
+SO8_NOTE = (
+    "stated as coisotropic with non-removable scalar, but the single center acts with the same "
+    "weight on both summands and the exact Borel rank is 5 of 6; the corrected table drops this row"
+)
+
+
+def test_a_record_prints_the_evidence_texts_and_the_notes():
+    (v,) = reproduce_table(1, rows=["so8"])
+    assert v.record().endswith(
+        f"evidence=\"borel-orbit-rank[z+sp(2) on SO(8)/U(4)] {{'mf': False, 'dim': 6}}\" notes=\"{SO8_NOTE}\""
+    )
+    # an undecided row prints the message of the exception it names
+    ds = load_dataset()
+    spin13 = parse_pattern("so(13) + u1[1] on spin(1) @ 1")
+    rows = [dataclasses.replace(r, slice=spin13) if r.row == "so8" else r for r in ds.result_rows]
+    (v,) = reproduce_table(1, rows=["so8"], dataset=dataclasses.replace(ds, result_rows=rows))
+    assert v.outcome == "undecided"
+    assert v.record().endswith(
+        "evidence=\"undecided[z+sp(2) on SO(8)/U(4)] {'error': 'NotRealizable'} "
+        f"spin modules are provided for 3 <= n <= 12\" notes=\"{SO8_NOTE}\""
+    )

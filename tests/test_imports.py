@@ -7,8 +7,10 @@ of an attribute) or listed in its ``__all__``.  Every module-level function
 or class, private or public, and every method or property of a
 module-level class must be referenced somewhere in the package outside its
 own definition; the public exceptions are listed, each with its reason.
-A reference is by name only, so a method counts as referenced wherever an
-attribute of that name is read, on any object.
+A method or property is referenced only by an attribute read (x.name); a
+bare name of the same spelling does not count.  A reference is by name
+only, so a method counts as referenced wherever an attribute of that name
+is read, on any object.
 """
 
 import ast
@@ -53,14 +55,17 @@ def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    """The attribute names node reads (x.name)."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def _referenced(node: ast.AST) -> set[str]:
     """The names node reads, its attribute names and the names it imports."""
-    names = set()
+    names = _attributes(node)
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             names |= {alias.name for alias in sub.names}
     return names
@@ -74,9 +79,10 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     name -> source), and module:Class.name of each method or property of a
     module-level class, dunder names aside, that no statement outside its
     own definition refers to; a method may be referenced by the other
-    statements of its class."""
+    statements of its class, and only by an attribute read."""
     statements = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
     refs = [_referenced(node) for _, node in statements]
+    attrs = [_attributes(node) for _, node in statements]
     dead = []
     for i, (mod, node) in enumerate(statements):
         if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
@@ -86,11 +92,12 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
             dead.append(f"{mod}:{node.name}")
         if not isinstance(node, ast.ClassDef):
             continue
-        members = [_referenced(sub) for sub in node.body]
+        read = set().union(*(names for j, names in enumerate(attrs) if j != i))
+        members = [_attributes(sub) for sub in node.body]
         for k, sub in enumerate(node.body):
             if not isinstance(sub, _FUNCTIONS) or sub.name.startswith("__"):
                 continue
-            if not any(sub.name in names for names in (outside, *members[:k], *members[k + 1 :])):
+            if not any(sub.name in names for names in (read, *members[:k], *members[k + 1 :])):
                 dead.append(f"{mod}:{node.name}.{sub.name}")
     return dead
 
@@ -133,11 +140,14 @@ def test_the_guard_sees_an_unreferenced_method_or_property():
             "    def _check(self):\n        return self.size\n\n"
             "    @property\n    def size(self):\n        return 1\n\n"
             "    @property\n    def dim(self):\n        return self.dim\n\n"
-            "    def _gone(self):\n        return 0\n"
+            "    def _gone(self):\n        return 0\n\n"
+            "    @classmethod\n    def zero(cls):\n        return cls()\n"
         ),
         "b": "from a import Rep\n\nclass Other:\n    def used(self):\n        pass\n\nx = Rep(), Other().used()\n",
+        # a bare name of the same spelling does not reference a method
+        "c": "def f():\n    zero = 0\n    return zero\n\nf()\n",
     }
-    assert unreferenced_definitions(sources) == ["a:Rep.dim", "a:Rep._gone"]
+    assert unreferenced_definitions(sources) == ["a:Rep.dim", "a:Rep._gone", "a:Rep.zero"]
     assert _private(unreferenced_definitions(sources)) == ["a:Rep._gone"]
 
 

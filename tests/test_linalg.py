@@ -170,16 +170,17 @@ def _bracket_pair(b: int) -> tuple[np.ndarray, np.ndarray]:
     "b, dtype",
     [
         (isqrt((2**53 - 1) // 32), np.int64),  # bound just below 2**53: float64
-        (isqrt(2**53 // 32) + 1, np.int64),  # just above it: int64
-        (isqrt(2**53 // 16) + 1 | 1, np.int64),  # past 2**54: a product leaves float64
-        (2**30 + 1, object),  # above INT64_SAFE: Python ints
+        # from 2**53 on Python ints, also where int64 would hold the bound
+        (isqrt(2**53 // 32) + 1, object),  # just above 2**53
+        (isqrt(2**53 // 16) + 1 | 1, object),  # past 2**54: a product leaves float64
+        (2**30 + 1, object),  # above INT64_SAFE
     ],
     ids=["float64", "int64", "int64-past-2**54", "python-int"],
 )
 def test_bracket_is_exact_on_each_path(b, dtype):
     x, y = _bracket_pair(b)
     bound = 32 * b * b
-    assert (bound < 2**53) == (b < 2**24) and (bound < INT64_SAFE) == (dtype is np.int64)
+    assert (bound < 2**53) == (b < 2**24) == (dtype is np.int64)
     if bound > 2**54:
         # (x y)[0, 0] is odd and past 2**53, so no double holds it
         assert 16 * b * b - b > 2**53 and float(16 * b * b - b) != 16 * b * b - b

@@ -233,7 +233,7 @@ def test_realize_dimensions_sum_and_product():
         ),
     )
     assert m.space_dim == 2 * 4 + 6
-    assert m.n_torus == 1
+    assert len(m.group.torus_lines) == 1
 
 
 def test_realize_trivial_factor_slots():
@@ -960,7 +960,7 @@ def _diagonal_weights(m) -> list[tuple[Fraction, ...]]:
     and torus generators, which are diagonal."""
     dense = m.gens.dense()
     n, nc = dense.shape[0], len(m.cartan_labels)
-    diagonal = [k for k in range(n) if k < nc or k >= n - m.n_torus]
+    diagonal = [k for k in range(n) if k < nc or k >= n - len(m.group.torus_lines)]
     assert not (dense[diagonal] * (1 - np.eye(m.space_dim, dtype=np.int64))).any()
     return sorted(
         tuple(Fraction(int(dense[k, t, t]), m.gens.den) for k in diagonal) for t in range(m.space_dim)
