@@ -233,7 +233,8 @@ def test_realize_dimensions_sum_and_product():
         ),
     )
     assert m.space_dim == 2 * 4 + 6
-    assert len(m.group.torus_lines) == 1
+    # one torus generator after the cartan, raising and lowering ones
+    assert m.gens.shape[0] == len(m.cartan_labels) + 2 * len(m.root_labels) + 1
 
 
 def test_realize_trivial_factor_slots():

@@ -89,6 +89,15 @@ def test_lookup_irreducible_rows(ds):
     assert res.mf is True and res.scalar_policy == "removable"
 
 
+@pytest.mark.parametrize("slot", ["std(2)", "sym2(2)", "std(3)", "sym2(3)"])
+def test_a_one_dimensional_slot_changes_neither_the_module_nor_its_row(ds, slot):
+    # std and sym2 of su(1) (factor 2) and so(1) (factor 3) are C^1
+    plain, padded = "su(6) + u1[1] on alt2(1) @ 1", f"su(6) + su(1) + so(1) + u1[1] on alt2(1) (x) {slot} @ 1"
+    a, b = (realize(*parse_repspec(text)).gens for text in (padded, plain))
+    assert (a.shape, a.den, a.dense().tolist()) == (b.shape, b.den, b.dense().tolist())
+    assert look(ds, padded) == look(ds, plain)
+
+
 def test_lookup_reducible_rows(ds):
     res = look(ds, "su(5) + u1[1,1] on std(1) @ 1,0 (+) alt2(1) @ 0,1")
     assert res.match.table == "IIa" and res.match.row == "4"
