@@ -466,11 +466,6 @@ def _run_row(
         )
         if res.closed:
             ok = False
-        if cross.closed:
-            notes.append(
-                "the equivariant orthogonal-model embedding of the same pair "
-                "is closed; the verdict follows the slice-coordinate model"
-            )
     elif v == "reducible-nonpolar":
         n_summands = len(row.slice.summands)
         add("reducible-slice", {"summands": n_summands})

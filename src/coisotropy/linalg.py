@@ -6,23 +6,22 @@ implemented here.  Every generator matrix is real and integral: an
 IntStack holds a set of generators by its nonzeros over one denominator,
 and _bracket, the one commutator of dense integer matrices or stacks of
 them, serves the module certificate, the derived root vectors, the real
-slice models and the Lie-triple test alike, on two exact paths: float64
-(BLAS) while its bound is below 2**53, Python ints beyond.  Complex data
-enters only as realify(re, im), the real matrix of re + i*im.
+slice models and the Lie-triple test alike, in float64 (BLAS) while that
+is exact (_FLOAT_EXACT) and in Python ints beyond.  Complex data enters
+only as realify(re, im), the real matrix of re + i*im.
 
 One verified modular kernel is the only elimination.  int_kernel
-eliminates an integer matrix modulo a prime p ~ 2**31 for pivot rows and
-columns, lifts the kernel p-adically (Dixon 1982) and recovers it by
-rational reconstruction (Wang 1981), then checks A @ K == 0 in integers
+eliminates an integer matrix modulo a prime p ~ 2**31 for its pivots and
+the kernel's first p-adic digit, lifts p-adically (Dixon 1982) only while
+rational reconstruction (Wang 1981) fails, and checks A @ K == 0 exactly
 and that K is in reduced-echelon form, which holds iff the pivots mod p
 are the leftmost independent columns over Q.  The nonsingular pivot block
 bounds the rank from below and the verified kernel from above, so the rank
-is exact; a full rank mod p needs no kernel.  int_kernel returns the
-certified pivot rows with the kernel: int_rank counts them, and the
-isotropy frame of mforacle reads its entries from them.  A prime that fails
-a check is replaced by the next one, and a bound from Hadamard's
-inequality caps the number of primes.  float_rank is the double-precision
-cross-check.
+is exact.  int_kernel returns the certified pivot rows with the kernel:
+int_rank counts them, and the isotropy frame of mforacle reads its entries
+from them.  A prime that fails a check is replaced by the next one, and a
+bound from Hadamard's inequality caps the number of primes.  float_rank is
+the double-precision cross-check.
 """
 
 from __future__ import annotations
@@ -95,16 +94,19 @@ def int_apply(gens: IntStack, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# A double holds every integer below 2**53 in absolute value.  A product of
+# integer matrices, or the difference of two, is exact in float64 (BLAS) when
+# the absolute terms of each entry sum to less: then every partial sum does.
+_FLOAT_EXACT = 2**53
+
+
 def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] of integer matrices, broadcast over leading stack axes, exactly.
 
-    Its entries are at most bound = 2 * d * max|x| * max|y|.  Below 2**53
-    it is formed in float64 (BLAS) and returned in int64: every product of
-    two entries and every partial sum of a row times a column is then an
-    integer below 2**52 in absolute value, and every entry of x y - y x one
-    below 2**53, so each is exact in a double, in any order of summation.
-    From 2**53 on it is formed and returned in Python ints (dtype object)."""
-    if 2 * x.shape[-1] * _max_abs(x) * _max_abs(y) < 2**53:
+    The terms of an entry of x y - y x sum in absolute value to at most
+    2 * d * max|x| * max|y|.  Below _FLOAT_EXACT it is formed in float64
+    and returned in int64, from there on in Python ints (dtype object)."""
+    if 2 * x.shape[-1] * _max_abs(x) * _max_abs(y) < _FLOAT_EXACT:
         a, b = x.astype(np.float64), y.astype(np.float64)
         return (a @ b - b @ a).astype(np.int64)
     a, b = x.astype(object), y.astype(object)
@@ -112,39 +114,41 @@ def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _modp_reduce(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """(P, Q, B^-1 mod p) for an int64 matrix of residues mod p.
+    """(P, Q, R) for an int64 matrix of residues mod p.
 
     Gauss-Jordan elimination, column by column from the left with the first
     nonzero entry as pivot, finds pivot rows P (indices into the input, in
     pivot order) and pivot columns Q; the pivot block B = a[P, Q] is
     invertible mod p.  Beside the matrix it carries, for each row, the
-    combination of pivot rows it has received, so that at the end the
-    reduced pivot rows are B^-1 a[P] and their coefficients are B^-1.
+    combination of pivot rows it has received, so that the reduced pivot
+    rows are R = [B^-1 a[P] | B^-1] mod p.  No row moves, and the matrix is
+    held by columns, so that a pivot's update is one run of memory.
     """
     nr, nc = a.shape
-    m = np.concatenate([a, np.zeros((nr, min(nr, nc)), dtype=np.int64)], axis=1)
+    m = np.concatenate([a.T, np.zeros((min(nr, nc), nr), dtype=np.int64)]).T
     order = list(range(nr))
     pcol: list[int] = []
     r = 0
     for c in range(nc):
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        col = m[:, c].tolist()
+        for i in range(r, nr):
+            if col[order[i]]:
+                break
+        else:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-            order[r], order[pr] = order[pr], order[r]
-        # the pivot row is zero left of column c, so row operations start there
-        m[r, nc + r] = 1
-        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
-        f = m[:, c, None].copy()
-        f[r] = 0
-        m[:, c:] = (m[:, c:] - f * m[r, c:]) % p
+        order[r], order[i] = order[i], order[r]
+        pr = order[r]
+        inv = pow(col[pr], -1, p)
+        # the pivot row is zero left of c, every row right of nc + r
+        row = m[pr, c : nc + r + 1] * inv % p
+        row[-1] = inv
+        block = m[:, c : nc + r + 1]
+        block -= (row[:, None] * m[:, c]).T
+        block %= p
+        block[pr] = row
         pcol.append(c)
         r += 1
-        if r == nr:
-            break
-    return order[:r], pcol, m[:r, nc : nc + r]
+    return order[:r], pcol, m[order[:r], : nc + r]
 
 
 # Residue products are split into 16-bit halves of the left factor; every
@@ -221,68 +225,68 @@ def _lifting_steps(b: np.ndarray, c: np.ndarray, p: int) -> int:
     return steps
 
 
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of integer matrices, exactly: in float64 while n * max|a| * max|b|,
+    which bounds the absolute terms of an entry, is below _FLOAT_EXACT."""
+    if a.shape[1] * _max_abs(a) * _max_abs(b) < _FLOAT_EXACT:
+        return a.astype(np.float64) @ b.astype(np.float64)
+    return a.astype(object) @ b.astype(object)
+
+
 def _kernel_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray] | None:
     """(P, K) from the pivots of a mod p, verified; None if p is unlucky.
 
     The pivot block B = a[P, Q] is invertible mod p, so X = -B^-1 a[P, F]
-    (F the free columns) has no p in its denominators and its p-adic digits
-    are X_i = B^-1 R_i mod p with R_0 = -a[P, F], R_(i+1) = (R_i - B X_i) / p.
-    Reconstruction is tried whenever a probed entry reconstructs to the same
-    fraction at two successive steps, and at the Hadamard bound.  Then
-    a @ K is formed exactly: a nonzero in the pivot rows means the digits
-    were too few (X is the only solution of B X = -a[P, F]), a nonzero in
-    the other rows that the rank mod p is below the rank.  Last, K must be
-    in reduced-echelon form: a kernel vector with a nonzero at a pivot
-    column right of its free column means that the pivots mod p are not
-    the leftmost independent columns over Q (as for [[p, 1]]).  P are the
-    pivot rows, in pivot order: a[P, Q] is nonsingular and |P| is the rank.
+    (F the free columns) has no p in its denominators.  Its first p-adic
+    digit, X mod p, is read off the reduced pivot rows.  Reconstruction is
+    tried at every digit, and a @ K is formed exactly: a nonzero in the
+    pivot rows means the digits were too few (X is the only solution of
+    B X = -a[P, F]), a nonzero in the other rows that the rank mod p is
+    below the rank.  Too few digits are lifted, X_i = B^-1 R_i mod p with
+    R_0 = -a[P, F], R_(i+1) = (R_i - B X_i) / p, up to the Hadamard bound.
+    Last, K must be in reduced-echelon form: a nonzero at a pivot column
+    right of a vector's free column means that the pivots mod p are not the
+    leftmost independent columns over Q (as for [[p, 1]]).  P are the pivot
+    rows, in pivot order: a[P, Q] is nonsingular and |P| is the rank.
     """
     n = a.shape[1]
-    prow, pcol, binv = _modp_reduce((a % p).astype(np.int64), p)
+    prow, pcol, reduced = _modp_reduce((a % p).astype(np.int64, copy=False), p)
     r = len(pcol)
-    pivots = set(pcol)
-    free = [j for j in range(n) if j not in pivots]
+    free = sorted(set(range(n)) - set(pcol))
     kernel = np.zeros((n, len(free)), dtype=object)
     if not free:
         return prow, kernel
     if not r:
         kernel[free, range(len(free))] = 1
         return (prow, kernel) if not a.any() else None
-    b = a[np.ix_(prow, pcol)]
-    c = -a[np.ix_(prow, free)]
-    steps = _lifting_steps(b, c, p)
-    # |R_i| <= max|C| + r max|B| p throughout, so int64 holds the lifting
-    # below INT64_SAFE; Python ints beyond
-    small = _max_abs(c) + r * _max_abs(b) * p < INT64_SAFE
-    dtype = np.int64 if small else object
-    b, resid = b.astype(dtype), c.astype(dtype)
-    x = np.zeros(c.shape, dtype=object)
-    pk, probe = 1, None
-    for step in range(1, steps + 1):
-        digit = _matmul_mod(binv, (resid % p).astype(np.int64), p)
-        x += digit.astype(object) * pk
-        resid = (resid - b @ digit.astype(dtype)) // p
-        pk *= p
+    digit = -reduced[:, free] % p
+    x, pk, step, steps = digit.astype(object), p, 1, None
+    while True:
         bound = isqrt(pk // 2)
-        last, probe = probe, _rational(int(x[-1, -1]), pk, bound)
-        if step < steps and (probe is None or probe != last):
-            continue
         for j in range(len(free)):
             col = _reconstruct_column(x[:, j], pk, bound)
             if col is None:
                 break
             kernel[pcol, j], kernel[free[j], j] = col
         else:
-            check = a.astype(object) @ kernel
-            if check[prow].any():
-                continue
-            if check.any():
-                return None
-            # free column j depends on the pivot columns left of it only
-            # iff the pivots are the leftmost independent columns over Q
-            late = np.array(pcol)[:, None] > np.array(free)
-            return None if kernel[pcol][late].any() else (prow, kernel)
-    return None
+            check = _exact_product(a, kernel)
+            if not check[prow].any():
+                # free column j depends on the pivot columns left of it only
+                # iff the pivots are the leftmost independent columns over Q
+                late = np.array(pcol)[:, None] > np.array(free)
+                return None if check.any() or kernel[pcol][late].any() else (prow, kernel)
+        if steps is None:
+            b, c = a[np.ix_(prow, pcol)], -a[np.ix_(prow, free)]
+            steps = _lifting_steps(b, c, p)
+            # |R_i| <= max|C| + r max|B| p: int64 below INT64_SAFE, Python ints beyond
+            dtype = np.int64 if _max_abs(c) + r * _max_abs(b) * p < INT64_SAFE else object
+            b, resid, binv = b.astype(dtype), c.astype(dtype), reduced[:, n:]
+        if step == steps:
+            return None
+        resid = (resid - b @ digit.astype(dtype)) // p
+        digit = _matmul_mod(binv, (resid % p).astype(np.int64), p)
+        x += digit.astype(object) * pk
+        pk, step = pk * p, step + 1
 
 
 def _kernel_primes():
@@ -310,16 +314,16 @@ def int_kernel(rows) -> tuple[list[int], np.ndarray]:
     pivot block.  K is an n x (n - rank) array of Python ints whose columns
     are a basis of {x : A x = 0}: the reduced-echelon kernel vectors, one
     per free column, each with its denominators cleared, so that K
-    restricted to the free rows is diagonal and positive.  Every result was
-    checked by A @ K == 0 in integers, and the pivots mod p by the echelon
-    form of K; see _kernel_mod.
+    restricted to the free rows is diagonal and positive.  One elimination
+    mod p gives both when the first p-adic digit reconstructs K, and every
+    result passed the checks of _kernel_mod.
 
     The primes are those of _kernel_primes, at most _prime_budget(A) of
-    them.  Let D be the nonzero minor of A on its leftmost independent
-    columns.  A prime that does not divide D finds those pivots, and its
-    kernel passes both checks.  Every prime tried is above 2**30 and
-    |D| <= H, so at most floor(log2 H / 30) of them divide D.  The budget
-    is therefore never exhausted; if it were, ArithmeticError is raised.
+    them.  A prime that does not divide the nonzero minor D of A on its
+    leftmost independent columns finds those pivots and passes both checks.
+    Every prime tried is above 2**30 and |D| <= H, so at most
+    floor(log2 H / 30) of them divide D: the budget is never exhausted; if
+    it were, ArithmeticError is raised.
     """
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     if a.ndim != 2:

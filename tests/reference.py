@@ -3,7 +3,9 @@
 The program has one exact elimination, the verified modular kernel
 ``linalg.int_kernel``.  These references stay in the tests only: the
 reduced row echelon form over Fraction, the kernel read off it and the
-fraction-free (Bareiss) rank of an integer matrix; the solver of the
+fraction-free (Bareiss) rank of an integer matrix; the modular
+elimination and the lifting schedule that ``int_kernel`` used before it
+read its first p-adic digit off the elimination; the solver of the
 invariant bilinear form of a realized module and the standalone spin
 representation it is tried on; the check of the root vectors that
 ``matrep._root_vectors`` derives from a certified simple stack; the
@@ -17,12 +19,24 @@ factors before it compared kinds; and the elimination polynomials of
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from coisotropy.linalg import INT64_SAFE, IntStack, _max_abs, int_kernel, int_rank
+from coisotropy.linalg import (
+    INT64_SAFE,
+    IntStack,
+    _kernel_primes,
+    _lifting_steps,
+    _matmul_mod,
+    _max_abs,
+    _prime_budget,
+    _rational,
+    _reconstruct_column,
+    int_kernel,
+    int_rank,
+)
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
@@ -120,6 +134,101 @@ def bareiss_rank(rows: list[list[int]]) -> int:
         if r == nr:
             break
     return rank
+
+
+# The modular elimination that swaps rows and updates every column, and the
+# lifting that always forms the Hadamard bound and the first digit by a
+# residue product, then tries a reconstruction only when a probed entry
+# repeats; linalg._modp_reduce and linalg._kernel_mod replaced them.
+
+
+def row_swapping_reduce(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """(P, Q, B^-1 mod p) for an int64 matrix of residues mod p, by
+    Gauss-Jordan elimination that moves each pivot row into place."""
+    nr, nc = a.shape
+    m = np.concatenate([a, np.zeros((nr, min(nr, nc)), dtype=np.int64)], axis=1)
+    order = list(range(nr))
+    pcol: list[int] = []
+    r = 0
+    for c in range(nc):
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+            order[r], order[pr] = order[pr], order[r]
+        m[r, nc + r] = 1
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        f = m[:, c, None].copy()
+        f[r] = 0
+        m[:, c:] = (m[:, c:] - f * m[r, c:]) % p
+        pcol.append(c)
+        r += 1
+        if r == nr:
+            break
+    return order[:r], pcol, m[:r, nc : nc + r]
+
+
+def probe_kernel_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray] | None:
+    """(P, K) from the pivots of a mod p, verified; None if p is unlucky.
+    The digits are B^-1 R_i mod p from the first on, and reconstruction is
+    tried when the last entry reconstructs to the same fraction at two
+    successive steps, and at the Hadamard bound."""
+    n = a.shape[1]
+    prow, pcol, binv = row_swapping_reduce((a % p).astype(np.int64), p)
+    r = len(pcol)
+    free = [j for j in range(n) if j not in set(pcol)]
+    kernel = np.zeros((n, len(free)), dtype=object)
+    if not free:
+        return prow, kernel
+    if not r:
+        kernel[free, range(len(free))] = 1
+        return (prow, kernel) if not a.any() else None
+    b = a[np.ix_(prow, pcol)]
+    c = -a[np.ix_(prow, free)]
+    steps = _lifting_steps(b, c, p)
+    dtype = np.int64 if _max_abs(c) + r * _max_abs(b) * p < INT64_SAFE else object
+    b, resid = b.astype(dtype), c.astype(dtype)
+    x = np.zeros(c.shape, dtype=object)
+    pk, probe = 1, None
+    for step in range(1, steps + 1):
+        digit = _matmul_mod(binv, (resid % p).astype(np.int64), p)
+        x += digit.astype(object) * pk
+        resid = (resid - b @ digit.astype(dtype)) // p
+        pk *= p
+        bound = isqrt(pk // 2)
+        last, probe = probe, _rational(int(x[-1, -1]), pk, bound)
+        if step < steps and (probe is None or probe != last):
+            continue
+        for j in range(len(free)):
+            col = _reconstruct_column(x[:, j], pk, bound)
+            if col is None:
+                break
+            kernel[pcol, j], kernel[free[j], j] = col
+        else:
+            check = a.astype(object) @ kernel
+            if check[prow].any():
+                continue
+            if check.any():
+                return None
+            late = np.array(pcol)[:, None] > np.array(free)
+            return None if kernel[pcol][late].any() else (prow, kernel)
+    return None
+
+
+def probe_int_kernel(rows) -> tuple[list[int], np.ndarray]:
+    """int_kernel on probe_kernel_mod: the same primes and prime budget."""
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    budget = None
+    for tried, p in enumerate(_kernel_primes()):
+        if tried == budget:
+            raise ArithmeticError(f"no verified kernel modulo {tried} primes")
+        found = probe_kernel_mod(a, p)
+        if found is not None:
+            return found
+        if budget is None:
+            budget = _prime_budget(a)
 
 
 def spin_rep(n: int) -> MatrixRep:

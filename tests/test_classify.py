@@ -194,6 +194,16 @@ def test_reproduce_single_rows():
     assert "table-row-match" in rules  # the 27-dimensional slice matches Ia
 
 
+def test_the_orthogonal_model_closure_is_stated_once():
+    # pE1's dataset note explains the closed cross check, which the second
+    # evidence entry carries; the record does not restate it
+    (v,) = reproduce_table(3, rows=["pE1"])
+    assert [e.numbers for e in v.evidence][1] == {"closed": True}
+    record = v.record()
+    assert record.count("orthogonal-model embedding of the same pair") == 1
+    assert v.notes == [next(r for r in load_dataset().result_rows if r.row == "pE1").note]
+
+
 def test_malformed_space_field_raises_data_error():
     # a row whose space field does not parse is a data error when the row
     # is built, not an AttributeError inside dimensional_condition

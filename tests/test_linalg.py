@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import bareiss_rank, frac_nullspace, frac_rref
+from reference import (
+    bareiss_rank,
+    frac_nullspace,
+    frac_rref,
+    probe_int_kernel,
+    row_swapping_reduce,
+)
 
-from coisotropy import linalg
+from coisotropy import linalg, mforacle
+from coisotropy.dsl import parse_repspec
 from coisotropy.linalg import (
     _RANK_PRIMES,
     INT64_SAFE,
     IntStack,
     _bracket,
+    _exact_product,
     _kernel_primes,
     _prime_budget,
     float_rank,
@@ -22,6 +30,7 @@ from coisotropy.linalg import (
     int_rank,
     realify,
 )
+from coisotropy.matrep import realize
 
 
 def _ints(rows) -> np.ndarray:
@@ -102,6 +111,14 @@ def _record_primes(monkeypatch) -> list[int]:
     return primes
 
 
+def _record_calls(monkeypatch, name: str) -> list:
+    """The results of linalg.<name>, in order, from now on."""
+    results = []
+    original = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *args: results.append(original(*args)) or results[-1])
+    return results
+
+
 def test_kernel_primes_descend_below_the_rank_primes():
     primes = list(islice(_kernel_primes(), 6))
     assert primes[:2] == list(_RANK_PRIMES)
@@ -117,18 +134,15 @@ def test_kernel_primes_descend_below_the_rank_primes():
 def test_unlucky_primes_move_on_to_a_third_prime(monkeypatch):
     p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
-    steps = []
-    lifting_steps = linalg._lifting_steps
-    monkeypatch.setattr(
-        linalg, "_lifting_steps", lambda b, c, p: steps.append(lifting_steps(b, c, p)) or steps[-1]
-    )
+    steps = _record_calls(monkeypatch, "_lifting_steps")
     # p1 * p2 vanishes modulo both primes
     assert int_rank(np.array([[p1 * p2, 0], [0, 1]], dtype=np.int64)) == 2
     third = list(islice(_kernel_primes(), 3))[-1]
     assert primes == [p1, p2, third]
-    # each unlucky prime gave up at the Hadamard bound of its own small
-    # system; the third has full rank and lifts nothing
-    assert len(steps) == 2 and max(steps) <= 10
+    # each unlucky prime is rejected at its first digit, whose kernel (1, 0)
+    # leaves p1 * p2 outside the pivot rows of A @ K, before any Hadamard
+    # bound is formed; the third has full rank and lifts nothing
+    assert steps == []
 
 
 def test_large_entries_take_the_python_int_path():
@@ -337,22 +351,54 @@ def test_pivots_mod_p_must_be_the_leftmost_over_q(monkeypatch):
     _check_kernel([[p1, 1]], pivots, k)
 
 
-def test_lifting_stops_once_the_probe_repeats(monkeypatch):
-    # entries near 2**200 give a Hadamard bound of about 14 steps, but the
-    # kernel is (-2, 1): the probe repeats after two digits
+def test_a_kernel_read_from_the_elimination_lifts_nothing(monkeypatch):
+    # entries near 2**200 would give a Hadamard bound of about 14 steps,
+    # but the kernel is (-2, 1): the first digit, read off the reduced
+    # pivot rows, reconstructs it, so no residue product and no Hadamard
+    # bound is formed
     big = 2**200
     a = np.array([[big, 2 * big], [3 * big, 6 * big]], dtype=object)
-    bounds, digits = [], []
-    lifting_steps, matmul_mod = linalg._lifting_steps, linalg._matmul_mod
-    monkeypatch.setattr(
-        linalg, "_lifting_steps", lambda b, c, p: bounds.append(lifting_steps(b, c, p)) or bounds[-1]
-    )
-    monkeypatch.setattr(
-        linalg, "_matmul_mod", lambda x, y, p: digits.append(p) or matmul_mod(x, y, p)
-    )
+    bounds = _record_calls(monkeypatch, "_lifting_steps")
+    digits = _record_calls(monkeypatch, "_matmul_mod")
     pivots, k = int_kernel(a)
     assert len(pivots) == 1 and k.tolist() == [[-2], [1]]
-    assert bounds[0] >= 10 and len(digits) == 2
+    assert bounds == [] and digits == []
+    assert linalg._lifting_steps(np.array([[big]]), np.array([[-2 * big]]), _RANK_PRIMES[0]) >= 10
+
+
+def test_a_kernel_entry_past_2_15_is_lifted(monkeypatch):
+    # a first digit reconstructs only numerators and denominators up to
+    # isqrt(p // 2) < 2**15; the kernel (-5 * 2**16, 3) needs a second one
+    a = np.array([[3, 5 * 2**16], [6, 10 * 2**16]], dtype=np.int64)
+    bounds = _record_calls(monkeypatch, "_lifting_steps")
+    digits = _record_calls(monkeypatch, "_matmul_mod")
+    pivots, k = int_kernel(a)
+    assert (pivots, k.tolist()) == ([0], [[-5 * 2**16], [3]])
+    assert len(bounds) == 1 and len(digits) == 1
+    expected = probe_int_kernel(a)
+    assert (pivots, k.tolist()) == (expected[0], expected[1].tolist())
+
+
+@pytest.mark.parametrize("m, dtype", [(2**26 - 1, np.float64), (2**26, object)])
+def test_the_kernel_check_is_float64_below_2_53(monkeypatch, m, dtype):
+    # the kernel of [[1, -m]] is (m, 1), so n * max|A| * max|K| = 2 m**2:
+    # just below 2**53 for m = 2**26 - 1, at it for m = 2**26
+    checks = _record_calls(monkeypatch, "_exact_product")
+    pivots, k = int_kernel(np.array([[1, -m]], dtype=np.int64))
+    assert (pivots, k.tolist()) == ([0], [[m], [1]])
+    # the first digit reconstructs a wrong kernel with entries below 2**6,
+    # which a float64 check rejects; the lifted (m, 1) is checked on the
+    # path its bound selects
+    assert [c.dtype for c in checks] == [np.float64, dtype]
+    assert checks[-1].tolist() == [[0]]
+    # the float64 product is exact below the bound; beyond it the Python-int
+    # one holds 2**54 - 1, which no double does
+    x = np.array([[2**26 - 1, 2**26 - 1]], dtype=np.int64)
+    y = np.array([[2**26 - 1], [2**26 - 1]], dtype=object)
+    assert _exact_product(x, y).dtype == np.float64
+    assert _exact_product(x, y)[0, 0] == 2 * (2**26 - 1) ** 2
+    past = _exact_product(np.array([[2**27 + 1]], dtype=np.int64), np.array([[2**27 - 1]]))
+    assert past.dtype == object and past.tolist() == [[2**54 - 1]]
 
 
 def test_a_premature_reconstruction_keeps_lifting(monkeypatch):
@@ -376,3 +422,70 @@ def test_a_premature_reconstruction_keeps_lifting(monkeypatch):
     pivots, k = int_kernel(a)
     assert (pivots, k.tolist()) == (expected[0], expected[1].tolist())
     assert len(reduce_calls) == 1 and len(attempts) > 1
+
+
+# ---------------------------------------------------------------------------
+# the elimination and the kernel against the row-swapping reference
+
+
+def _assert_matches_the_reference(a) -> None:
+    """_modp_reduce gives the reference's (P, Q, B^-1) and the reduced
+    pivot rows B^-1 a[P] mod p beside them; int_kernel the reference's
+    (P, K)."""
+    a = np.asarray(a)
+    n = a.shape[1]
+    for p in _RANK_PRIMES:
+        residues = (a % p).astype(np.int64)
+        prow, pcol, reduced = linalg._modp_reduce(residues, p)
+        ref_prow, ref_pcol, ref_binv = row_swapping_reduce(residues, p)
+        assert (prow, pcol) == (ref_prow, ref_pcol)
+        assert reduced.shape == (len(prow), n + len(prow))
+        assert reduced[:, n:].tolist() == ref_binv.tolist()
+        assert reduced[:, :n].tolist() == linalg._matmul_mod(ref_binv, residues[prow], p).tolist()
+    pivots, k = int_kernel(a)
+    ref_pivots, ref_k = probe_int_kernel(a)
+    assert pivots == ref_pivots
+    assert k.dtype == ref_k.dtype == object and k.shape == ref_k.shape
+    assert k.tolist() == ref_k.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_products())
+def test_integer_products_match_the_reference(a):
+    _assert_matches_the_reference(a)
+    _assert_matches_the_reference(a.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_deficient_products())
+def test_realified_gaussian_products_match_the_reference(product):
+    _assert_matches_the_reference(np.array(_realified(*product), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["e6(6) + u1[1] on std(1) @ 1", "so(10) on spin(1)", "su(7) on alt2(1)"],
+)
+def test_borel_rows_at_the_first_sample_match_the_reference(text):
+    # the rows mf_test ranks at the first point _stabilize draws, in both
+    # orientations
+    rep = realize(*parse_repspec(text))
+    v = mforacle._sample_vector(
+        rep.space_dim, mforacle._rng(mforacle.DEFAULT_SEED, 0, 0), mforacle.MF_SAMPLE_BOUND
+    )
+    rows = int_apply(rep.borel_stack, v)
+    assert rows.dtype == np.int64 and min(rows.shape) > 10
+    _assert_matches_the_reference(rows)
+    _assert_matches_the_reference(rows.T)
+
+
+def test_the_isotropy_systems_match_the_reference(monkeypatch):
+    # principal_isotropy_rank eliminates the orbit map, the frame's stack
+    # and, in Python ints, the centralizer systems
+    systems = []
+    kernel = mforacle.int_kernel
+    monkeypatch.setattr(mforacle, "int_kernel", lambda a: systems.append(a) or kernel(a))
+    assert mforacle.principal_isotropy_rank(realize(*parse_repspec("su(4) on alt2(1)"))) == 2
+    assert any(a.dtype == object for a in systems)
+    for a in systems:
+        _assert_matches_the_reference(a)
