@@ -1,15 +1,17 @@
 """Exact root-system combinatorics for the simple Lie algebras.
 
-Simple roots are realized in orthogonal coordinates (Bourbaki numbering),
-with exact rational entries.  Scaled by one common denominator they are
-integer vectors, whose dot products give the integer Cartan matrix and the
-integer squared lengths of the simple roots, each division checked.
-Everything after that is exact arithmetic on small int64 arrays: positive
-roots are generated by root strings one height at a time, the coroot
-pairings come from the symmetrized form by one exact division, and the
-Weyl dimension is the product of the <w + rho, beta^vee> (in int64 while
-they stay below linalg.INT64_SAFE, in Python ints beyond) divided by the
-product of the rho pairings, aborting on any remainder.  Every public
+No rationals are used.  The simple roots in orthogonal coordinates (Bourbaki
+numbering) are integer rows over one stated denominator (1 for A-D and G, 2
+for E and F); the Gram matrix of the rows gives the integer Cartan matrix
+and the integer squared lengths of the simple roots, each division checked.
+Positive roots come from a root-string walk, one height at a time, on
+Python integer tuples, which carries each root's pairings with the simple
+coroots along.  numpy then builds, once per type, the int64 arrays of those
+pairings (root_pairings), of the coroot pairings with the fundamental
+weights (_pairing, from the symmetrized form by one exact division) and of
+rho.  The Weyl dimension is the product of the <w + rho, beta^vee> (in int64
+while they stay below linalg.INT64_SAFE, in Python ints beyond) divided by
+the product of the rho pairings, aborting on any remainder.  Every public
 result is a Python int.  numpy is imported inside the functions, since
 loading it before the other package modules compile raises peak memory.
 """
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, prod
+from operator import add
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -74,59 +76,31 @@ class DominantWeight:
         return ",".join(str(c) for c in self.coeffs)
 
 
-def _simple_roots_orthogonal(st: SimpleType) -> list[list[Fraction]]:
+def _simple_roots_orthogonal(st: SimpleType) -> tuple[list[list[int]], int]:
+    """The simple roots in orthogonal coordinates (Bourbaki numbering), as
+    integer rows over one denominator: the roots are rows / den, with den 1
+    for A-D and G and 2 for E and F."""
     f, r = st.family, st.rank
-    F = Fraction
 
-    def e(i, dim):
-        v = [F(0)] * dim
-        v[i] = F(1)
-        return v
+    def diff(i, dim, s=1):
+        """s (e_i - e_(i+1)) in dimension dim."""
+        return [s * (int(j == i) - int(j == i + 1)) for j in range(dim)]
 
     if f == "A":
-        return [
-            [F(int(j == i) - int(j == i + 1)) for j in range(r + 1)]
-            for i in range(r)
-        ]
+        return [diff(i, r + 1) for i in range(r)], 1
     if f in ("B", "C", "D"):
-        roots = [
-            [F(int(j == i) - int(j == i + 1)) for j in range(r)]
-            for i in range(r - 1)
-        ]
-        if f == "B":
-            roots.append(e(r - 1, r))
-        elif f == "C":
-            last = e(r - 1, r)
-            roots.append([2 * x for x in last])
-        else:
-            v = e(r - 2, r)
-            v[r - 1] = F(1)
-            roots.append(v)
-        return roots
+        last = [0] * r  # e_r for B, 2 e_r for C, e_(r-1) + e_r for D
+        last[r - 1] = 2 if f == "C" else 1
+        if f == "D":
+            last[r - 2] = 1
+        return [diff(i, r) for i in range(r - 1)] + [last], 1
     if f == "G":
-        return [
-            [F(1), F(-1), F(0)],
-            [F(-2), F(1), F(1)],
-        ]
+        return [[1, -1, 0], [-2, 1, 1]], 1
     if f == "F":
-        return [
-            [F(0), F(1), F(-1), F(0)],
-            [F(0), F(0), F(1), F(-1)],
-            [F(0), F(0), F(0), F(1)],
-            [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)],
-        ]
+        return [diff(1, 4, 2), diff(2, 4, 2), [0, 0, 0, 2], [1, -1, -1, -1]], 2
     # E6, E7, E8 share the E8 simple roots
-    alpha = [
-        [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(1, 2)],
-        [F(1), F(1), F(0), F(0), F(0), F(0), F(0), F(0)],
-        [F(-1), F(1), F(0), F(0), F(0), F(0), F(0), F(0)],
-        [F(0), F(-1), F(1), F(0), F(0), F(0), F(0), F(0)],
-        [F(0), F(0), F(-1), F(1), F(0), F(0), F(0), F(0)],
-        [F(0), F(0), F(0), F(-1), F(1), F(0), F(0), F(0)],
-        [F(0), F(0), F(0), F(0), F(-1), F(1), F(0), F(0)],
-        [F(0), F(0), F(0), F(0), F(0), F(-1), F(1), F(0)],
-    ]
-    return alpha[:r]
+    e8 = [[1, -1, -1, -1, -1, -1, -1, 1], [2, 2, 0, 0, 0, 0, 0, 0]] + [diff(i, 8, -2) for i in range(6)]
+    return e8[:r], 2
 
 
 class RootSystem:
@@ -145,17 +119,15 @@ class RootSystem:
 
         self.type = stype
         r = stype.rank
-        simple = _simple_roots_orthogonal(stype)
-        # the simple roots times one common denominator are integer vectors,
-        # and 2 (a_i, a_j) / (a_i, a_i) is unchanged by the scale
-        den = lcm(*(x.denominator for a in simple for x in a))
-        scaled = np.array([[x.numerator * den // x.denominator for x in a] for a in simple], dtype=np.int64)
+        simple, den = _simple_roots_orthogonal(stype)
+        # 2 (a_i, a_j) / (a_i, a_i) is unchanged by the denominator
+        scaled = np.array(simple, dtype=np.int64)
         gram = scaled @ scaled.T
         cartan = _exact_div(2 * gram, gram.diagonal()[:, None], "the Cartan matrix")
         self.cartan_matrix = tuple(map(tuple, cartan.tolist()))
-        roots = _positive_roots(cartan)
-        self.positive_roots = tuple(map(tuple, roots.tolist()))
-        self.root_pairings = roots @ cartan.T
+        self.positive_roots, pairings = _positive_roots(self.cartan_matrix)
+        roots = np.array(self.positive_roots, dtype=np.int64)
+        self.root_pairings = np.array(pairings, dtype=np.int64)
         # <Lambda_j, beta^vee> = 2 beta_j |alpha_j|^2 / 2 (beta, beta), and the
         # symmetrized form gives 2 (beta, beta) = sum_i beta_i |alpha_i|^2 <beta, alpha_i^vee>
         sq = _exact_div(gram.diagonal(), den * den, "a squared simple root length")
@@ -218,36 +190,38 @@ def _exact_div(a, b, what: str):
 
 
 def _positive_roots(cartan):
-    """The positive roots of an int64 Cartan matrix as int64 coefficient
-    rows, in (height, tuple) order.
+    """The positive roots of a Cartan matrix (tuple rows) as integer
+    coefficient tuples in (height, tuple) order, and for each root beta
+    the tuple of its pairings <beta, alpha_i^vee>.
 
     They are generated one height at a time.  The alpha_j-string through a
     root beta runs from beta - p_j alpha_j to beta + q_j alpha_j with
     q_j = p_j - <beta, alpha_j^vee>, so beta + alpha_j is a root exactly
-    when q_j >= 1, and its p_j is then p_j(beta) + 1.  Every other p_i of a
-    root of the next height is 0, since gamma - alpha_i, if a root, would
-    have reached gamma by the same step.
+    when q_j >= 1; its pairings are beta's plus Cartan column j, and its
+    p_j is p_j(beta) + 1.  Every other p_i of a root of the next height is
+    0, since gamma - alpha_i, if a root, would have reached gamma by the
+    same step (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 9.4).
     """
-    import numpy as np
-
     r = len(cartan)
-    # each level in tuple order, the simple roots from (0, ..., 0, 1) up
-    level, down = np.eye(r, dtype=np.int64)[::-1], np.zeros((r, r), dtype=np.int64)
-    levels = [level]
-    while True:
-        k, j = np.nonzero(down - level @ cartan.T >= 1)
-        if not k.size:
-            break
-        grown = level[k]
-        grown[np.arange(k.size), j] += 1
-        keys = list(map(tuple, grown.tolist()))
-        # a dict, not np.unique(axis=0), which costs more than the rest
-        at = {key: n for n, key in enumerate(sorted(set(keys)))}
-        level = np.array(list(at), dtype=np.int64)
-        down, prev = np.zeros_like(level), down
-        down[[at[key] for key in keys], j] = prev[k, j] + 1
-        levels.append(level)
-    return np.concatenate(levels)
+    columns = list(zip(*cartan))
+    # each level maps a root to its pairings and its p_j
+    level = {tuple(int(i == j) for i in range(r)): (columns[j], [0] * r) for j in range(r)}
+    roots, pairings = [], []
+    while level:
+        up = {}
+        for beta in sorted(level):
+            pair, p = level[beta]
+            roots.append(beta)
+            pairings.append(pair)
+            for j in range(r):
+                if p[j] > pair[j]:
+                    gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
+                    if gamma not in up:
+                        up[gamma] = (tuple(map(add, pair, columns[j])), [0] * r)
+                    up[gamma][1][j] = p[j] + 1
+        level = up
+    return tuple(roots), pairings
 
 
 def weyl_dim(rs: RootSystem, w: DominantWeight) -> int:
@@ -268,7 +242,8 @@ def weyl_dim(rs: RootSystem, w: DominantWeight) -> int:
 def borel_dim(rs: RootSystem) -> int:
     """(dim g + rank)/2, the dimension of a Borel subalgebra."""
     total = rs.dim_g + rs.rank
-    assert total % 2 == 0
+    if total % 2:
+        raise RootSystemError(f"dim g + rank = {total} is odd")
     return total // 2
 
 
@@ -321,12 +296,13 @@ def lemma_search_bound(rs: RootSystem) -> int:
     """Degree bound that certifies the inequality searches are exhaustive.
 
     Any d above the bound satisfies 1 + dim b < d(d-1)/2 automatically; the
-    closure is asserted here rather than assumed.
+    closure is checked here rather than assumed.
     """
     b = borel_dim(rs)
     bound = isqrt(2 * b + 2) + 3
     d0 = bound + 1
-    assert d0 * (d0 - 1) > 2 * (1 + b), "search bound fails its own certificate"
+    if d0 * (d0 - 1) <= 2 * (1 + b):
+        raise RootSystemError(f"lemma search bound {bound} fails its own certificate")
     return bound
 
 
@@ -335,7 +311,8 @@ def spin_search_bound(rs: RootSystem) -> int:
     b = borel_dim(rs)
     bound = isqrt(8 * b + 1) + 1
     d0 = bound + 1
-    assert d0 * d0 > 8 * b + 1
+    if d0 * d0 <= 8 * b + 1:
+        raise RootSystemError(f"spin search bound {bound} fails its own certificate")
     return bound
 
 

@@ -1,12 +1,14 @@
 import copy
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coisotropy import rootsys
 from coisotropy.rootsys import (
     DominantWeight,
     RootSystemError,
@@ -19,6 +21,7 @@ from coisotropy.rootsys import (
     enumerate_dominant_weights,
     lemma_search_bound,
     paper_family_types,
+    spin_search_bound,
     weyl_dim,
 )
 from reference import string_probe_positive_roots
@@ -251,6 +254,17 @@ def test_lemma_search_bound_certificate():
         assert d0 * (d0 - 1) > 2 * (1 + b)
 
 
+def test_failed_self_certificates_raise(monkeypatch):
+    # these checks must hold under python -O too, so they raise, not assert
+    with pytest.raises(RootSystemError, match="dim g \\+ rank = 5 is odd"):
+        borel_dim(SimpleNamespace(dim_g=4, rank=1))
+    monkeypatch.setattr(rootsys, "isqrt", lambda n: 0)
+    with pytest.raises(RootSystemError, match="lemma search bound 3 fails its own certificate"):
+        lemma_search_bound(rs("A", 3))
+    with pytest.raises(RootSystemError, match="spin search bound 1 fails its own certificate"):
+        spin_search_bound(rs("A", 3))
+
+
 def _reference_positive_roots(system):
     """Positive roots from the orthogonal simple roots, with exact rationals.
 
@@ -259,7 +273,8 @@ def _reference_positive_roots(system):
     nonnegative coordinates.  Returns them with the squared lengths of the
     simple roots.
     """
-    simple = _simple_roots_orthogonal(system.type)
+    rows, den = _simple_roots_orthogonal(system.type)
+    simple = [[Fraction(x, den) for x in a] for a in rows]
     r = len(simple)
     norms = [sum(x * x for x in a) for a in simple]
     seen = {
@@ -342,6 +357,15 @@ def test_an_inexact_division_is_caught():
         _exact_div(np.array([[4, 3]]), np.array([[2]]), "x")
 
 
+def test_a_wrong_denominator_is_caught(monkeypatch):
+    rows, den = _simple_roots_orthogonal(SimpleType("F", 4))
+    assert den == 2
+    # the Cartan matrix does not see the scale; the squared lengths do
+    monkeypatch.setattr(rootsys, "_simple_roots_orthogonal", lambda st: (rows, 3))
+    with pytest.raises(RootSystemError, match="a squared simple root length is not integral"):
+        rootsys.RootSystem(SimpleType("F", 4))
+
+
 def test_corrupted_pairing_row_is_caught():
     # A2 with alpha_1 paired as (2, 0): the product (1+2)(0+1)(1+2) = 9 at
     # weight (1, 0) is not divisible by prod <rho, coroot> = 1 * 1 * 2
@@ -352,7 +376,7 @@ def test_corrupted_pairing_row_is_caught():
     assert weyl_dim(rs("A", 2), w(1, 0)) == 3
 
 
-@pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
+@pytest.mark.parametrize("stype", paper_family_types(16), ids=str)
 def test_positive_roots_equal_the_string_probe_reference(stype):
     system = build_root_system(stype)
     assert system.positive_roots == string_probe_positive_roots(system.cartan_matrix)
@@ -370,7 +394,7 @@ HIGHEST_ROOTS = {
 }
 
 
-@pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
+@pytest.mark.parametrize("stype", paper_family_types(16), ids=str)
 def test_highest_root_of_every_family(stype):
     system = build_root_system(stype)
     assert system.positive_roots[-1] == HIGHEST_ROOTS[stype.family](stype.rank)
@@ -387,10 +411,11 @@ POSITIVE_ROOT_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("stype", paper_family_types(12), ids=str)
+@pytest.mark.parametrize("stype", paper_family_types(16), ids=str)
 def test_integer_cartan_matrix_agrees_with_rational_dot_products(stype):
     system = build_root_system(stype)
-    simple = _simple_roots_orthogonal(system.type)
+    rows, den = _simple_roots_orthogonal(system.type)
+    simple = [[Fraction(x, den) for x in a] for a in rows]
     r = stype.rank
 
     def dot(u, v):
