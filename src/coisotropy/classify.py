@@ -8,7 +8,6 @@ behind the four result tables with structured evidence.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 from .dsl import eval_int_expr
@@ -535,7 +534,9 @@ def reproduce_table(
 
     Each row is instantiated at its two smallest recorded parameter choices
     (widen adds more); verdicts are deterministic given the dataset and the
-    seed, and row evaluations are independent so they can run in a pool.
+    seed. jobs is accepted and ignored: the rows run one after another in
+    this process, because no pool of threads or processes was measured
+    faster than one job.
     A row on which the oracle raises GenericityError or OracleDisagreement,
     or a module raises NotRealizable or RepresentationError, gets the
     outcome 'undecided' and is not ok; a DataError still aborts the run.
@@ -566,10 +567,6 @@ def reproduce_table(
             error = Evidence("undecided", row.anchor, {"error": type(exc).__name__}, str(exc))
             return _verdict(row, env, "undecided", False, [error], [])
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(run, tasks))
-    else:
-        verdicts = [run(t) for t in tasks]
+    verdicts = [run(t) for t in tasks]
     verdicts.sort(key=lambda v: (v.table, v.row, sorted(v.instantiation.items())))
     return verdicts

@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce one result table")
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--widen-params", type=_int_at_least(0), default=0)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="accepted; the rows run one after another")
     p.add_argument("--rows", default=None, help="comma-separated row filter")
     p.set_defaults(func=_cmd_table)
 

@@ -212,6 +212,21 @@ def test_malformed_space_field_raises_data_error():
         dataclasses.replace(row, space="Sq:m")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_data_error_in_a_row_aborts_the_table(monkeypatch, jobs):
+    # not an undecided row: the run stops at every job count
+    real = classify._run_row
+
+    def broken(row, env, ds, seed):
+        if row.row == "sp3":
+            raise DataError("injected")
+        return real(row, env, ds, seed)
+
+    monkeypatch.setattr(classify, "_run_row", broken)
+    with pytest.raises(DataError, match="injected"):
+        reproduce_table(1, rows=["sp1", "sp3"], jobs=jobs)
+
+
 def test_an_unknown_polynomial_family_is_a_value_error():
     with pytest.raises(ValueError, match="unknown polynomial family '3.9'"):
         classify.polynomial_family("3.9")

@@ -126,6 +126,16 @@ def test_an_undecided_row_leaves_the_other_verdicts(monkeypatch, capsys, error, 
     assert set(records[:-1]) - set(undecided) == set(decided[:-1]) - {decided[records.index(undecided[0])]}
 
 
+def test_the_job_counts_print_the_same_records(capsys):
+    for table in ("1", "2"):
+        argv = ["--format", "records", "table", table]
+        assert run_cli(argv + ["--jobs", "2"], capsys) == run_cli(argv, capsys)
+    # more jobs than tasks
+    argv = ["--format", "records", "table", "1", "--rows", "sp1"]
+    code, out = run_cli(argv + ["--jobs", "4"], capsys)
+    assert code == 0 and (code, out) == run_cli(argv, capsys)
+
+
 def test_validate_data(capsys):
     code, out = run_cli(["validate-data"], capsys)
     assert code == 0 and out == (
