@@ -10,6 +10,7 @@ timing or parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import classify, mforacle, repdata
@@ -246,7 +247,10 @@ def _int_at_least(least: int):
     return parse
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main call shares it."""
     ap = argparse.ArgumentParser(
         prog="coisotropy",
         description=(

@@ -12,7 +12,9 @@ strictly upper triangular; symmetric and exterior squares are induced from
 the standard stack by index arithmetic.  Tensor products, duals, direct
 sums and torus charge lines are assembled from the stacks by index
 arithmetic too, and so are the real slice models (RealRep) of so(7) on R^7
-and on the octonions.
+and on the octonions.  The semisimple part of an assembled module depends
+on its factors and charge-free summands only, so it is built and validated
+once for them; each realize call adds the torus lines of its charges.
 
 The Chevalley generators h, e, f and the torus charges are rational
 matrices, so a module C^d of the complexified algebra is held by real
@@ -32,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -715,52 +718,56 @@ def _term_module(group: GroupSpec, term: Term) -> tuple[int, IntStack | None, in
     return fidx, mod, mod.shape[1]
 
 
-def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
-    """Build the matrix model of a representation specification.
+class _Semisimple(NamedTuple):
+    """The validated module of the semisimple part of a group on a charge-free
+    spec, shared by every realize call with those factors and summands: its
+    generators cartan | raising | lowering (read-only arrays), their labels
+    and the dimension of each summand."""
+
+    gens: IntStack
+    cartan_labels: tuple[tuple[int, int], ...]
+    root_labels: tuple[tuple[int, tuple[int, ...]], ...]
+    sizes: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _Semisimple:
+    """Assemble and validate the module of the factors on summands that carry
+    no charges.
 
     Assembly is index arithmetic on the certified module stacks: a slot's
     entries are spread over the identity factors before and after it, a
-    dual summand maps x to -x^T in the reversed basis, summands sit at
-    their offsets and torus lines add their charges on the diagonal.
-    Entries at one position, from a factor filling two slots, are summed.
+    dual summand maps x to -x^T in the reversed basis and summands sit at
+    their offsets.  Entries at one position, from a factor filling two
+    slots, are summed.
     """
-    n_circ = group.n_circles
-    summands = []
+    group = GroupSpec(factors)
+    layout = []
     off = 0
-    for sm in rep.summands:
-        if len(sm.charges) not in (0, n_circ):
-            raise RepresentationError(
-                f"summand charge arity {len(sm.charges)} != circles {n_circ}"
-            )
+    for sm in summands:
         slots = [_term_module(group, t) for t in sm.terms]
         d = prod(n for _, _, n in slots)
-        summands.append((off, d, sm, slots))
+        layout.append((off, d, sm, slots))
         off += d
     total = off
 
     cartan_labels, root_labels, first = [], [], {}
-    for fidx, fac in enumerate(group.factors):
+    for fidx, fac in enumerate(factors):
         if fac.simple_type is not None:
             rs = build_root_system(fac.simple_type)
             first[fidx] = (len(cartan_labels), len(root_labels), rs.rank, rs.n_positive_roots)
             cartan_labels += [(fidx, i) for i in range(rs.rank)]
             root_labels += [(fidx, root) for root in rs.positive_roots]
-    nc, npos, n_torus = len(cartan_labels), len(root_labels), len(group.torus_lines)
+    nc, npos = len(cartan_labels), len(root_labels)
     # generator index in a factor's module -> index in the assembled stack
     kmaps = {
         f: np.r_[c : c + r, nc + p : nc + p + n, nc + npos + p : nc + npos + p + n]
         for f, (c, p, r, n) in first.items()
     }
 
-    den = lcm(*(m.den for *_, slots in summands for _, m, _ in slots if m is not None))
-
-    def values(x, scale: int, terms: int) -> np.ndarray:
-        # a sum of terms such entries stays in int64 below INT64_SAFE
-        big = terms * scale * _max_abs(x) >= INT64_SAFE
-        return x.astype(object if big else np.int64) * scale
-
+    den = lcm(*(m.den for *_, slots in layout for _, m, _ in slots if m is not None))
     parts = []
-    for off, d, sm, slots in summands:
+    for off, d, sm, slots in layout:
         before = 1
         for fidx, m, n in slots:
             after = d // (before * n)
@@ -772,32 +779,67 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
                 col = ((b + m.col[None, :, None]) * after + a).ravel()
                 shape = (before, m.k.size, after)
                 spread = lambda x: np.broadcast_to(x[None, :, None], shape).ravel()  # noqa: E731
-                val = values(spread(m.val), den // m.den, len(slots))
+                # a sum of len(slots) such entries stays in int64 below INT64_SAFE
+                scale = den // m.den
+                big = len(slots) * scale * _max_abs(m.val) >= INT64_SAFE
+                val = spread(m.val).astype(object if big else np.int64) * scale
                 if sm.dual:
                     row, col, val = d - 1 - col, d - 1 - row, -val
                 parts.append((kmaps[fidx][spread(m.k)], row + off, col + off, val))
             before *= n
-        charges = sm.charges or (0,) * n_circ
-        for t, line in enumerate(group.torus_lines):
-            net = sum(a * c for a, c in zip(line, charges))
-            if net:
-                idx = np.arange(off, off + d)
-                parts.append((np.full(d, nc + 2 * npos + t), idx, idx, values(np.full(d, net), den, 1)))
 
     k, row, col, val = (
         np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
         for t in range(4)
     )
-    out = MatrixRep(
-        group=group,
-        rep=rep,
-        space_dim=total,
-        gens=_coalesce((nc + 2 * npos + n_torus, total, total), k, row, col, val, den),
-        cartan_labels=cartan_labels,
-        root_labels=root_labels,
-    )
-    validate_matrix_rep(out)
-    return out
+    gens = _coalesce((nc + 2 * npos, total, total), k, row, col, val, den)
+    validate_matrix_rep(MatrixRep(group, RepSpec(summands), total, gens, cartan_labels, root_labels))
+    for x in (gens.k, gens.row, gens.col, gens.val):
+        x.flags.writeable = False  # shared through the cache
+    return _Semisimple(gens, tuple(cartan_labels), tuple(root_labels), tuple(d for _, d, _, _ in layout))
+
+
+def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
+    """Build the matrix model of a representation specification.
+
+    The module splits along b = b_ss + t.  The semisimple part, the
+    factors on the summands with their charges stripped, is assembled and
+    validated once (_semisimple).  Each torus line t then adds its
+    generator diag(net_t) over the same denominator, net_t the line's net
+    charge on each summand, and the torus weights are checked to be equal
+    at both ends of every root-vector nonzero, the torus half of
+    validate_matrix_rep's weight relation: the torus commutes with the
+    semisimple part.
+    """
+    n_circ, lines = group.n_circles, group.torus_lines
+    for sm in rep.summands:
+        if len(sm.charges) not in (0, n_circ):
+            raise RepresentationError(
+                f"summand charge arity {len(sm.charges)} != circles {n_circ}"
+            )
+    ss = _semisimple(group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
+    gens = ss.gens
+    if lines:
+        n, d, _ = gens.shape
+        net = np.array(
+            [[sum(a * c for a, c in zip(line, sm.charges)) for line in lines] for sm in rep.summands],
+            dtype=object,
+        )
+        big = _max_abs(net) * gens.den >= INT64_SAFE
+        w = np.repeat(net.astype(object if big else np.int64), ss.sizes, axis=0)
+        _check_weights(gens, w, np.zeros((n, len(lines)), np.int64), len(ss.cartan_labels), ss.root_labels)
+        # diag(net_t) * den for each line t, after every generator of the
+        # semisimple part: the (k, row, col) order holds
+        t, a = np.nonzero(w.T)
+        gens = IntStack(
+            (n + len(lines), d, d),
+            np.concatenate([gens.k, n + t]),
+            np.concatenate([gens.row, a]),
+            np.concatenate([gens.col, a]),
+            np.concatenate([gens.val, w[a, t] * gens.den]),
+            gens.den,
+        )
+    return MatrixRep(group, rep, gens.shape[1], gens, list(ss.cartan_labels), list(ss.root_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +872,17 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
         j, c = rep.root_labels.index((fidx, rs.positive_roots[0])), rep.cartan_labels.index((fidx, 0))
         eig[nc + j : nc + j + rs.n_positive_roots, c : c + rs.rank] = rs.root_pairings
     eig[nc + npos : nc + 2 * npos] = -eig[nc : nc + npos]
-    fault = _weight_fault(g, w, eig, nc, npos)
+    _check_weights(g, w, eig, nc, rep.root_labels)
+
+
+def _check_weights(gens: IntStack, w: np.ndarray, eig: np.ndarray, nc: int, root_labels) -> None:
+    """Raise, naming the root, unless every root vector of an assembled
+    stack (nc Cartan generators first) satisfies the weight relation
+    (_weight_fault)."""
+    fault = _weight_fault(gens, w, eig, nc, len(root_labels))
     if fault:
         j, kind = fault
-        fidx, root = rep.root_labels[j]
+        fidx, root = root_labels[j]
         raise RepresentationError(f"weight relation fails on {kind}{root} of factor {fidx}")
 
 

@@ -20,6 +20,7 @@ data realified (linalg.realify), which changes no span and no bracket.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,6 +140,36 @@ def _stabilize(
     raise GenericityError("sample ranks did not stabilize after 5 rounds")
 
 
+# The kernels of _split_rank kept: one per semisimple part and draw, about
+# a hundred on the paper's tables
+SEMISIMPLE_KERNELS = 256
+
+
+@functools.lru_cache(maxsize=SEMISIMPLE_KERNELS)
+def _kernel_of(shape: tuple[int, int], data: bytes | tuple[int, ...]) -> np.ndarray:
+    """int_kernel's K of the matrix of this shape held by data, read-only."""
+    kernel = int_kernel(
+        np.frombuffer(data, np.int64).reshape(shape)
+        if isinstance(data, bytes)
+        else np.array(data, dtype=object).reshape(shape)
+    )[1]
+    kernel.flags.writeable = False  # shared through the cache
+    return kernel
+
+
+def _split_rank(rows: np.ndarray, n_ss: int) -> int:
+    """Exact rank of the Borel rows [S; T], S their first n_ss rows.
+
+    The verified kernel K_S of S is cached by the value of S: its int64
+    bytes, or the Python ints of an object array (whose bytes are
+    pointers).  K_S is a basis of ker S, so ker [S; T] = K_S ker(T K_S),
+    and the rank is dim - cols(K_S) + int_rank(T K_S).
+    """
+    s = rows[:n_ss]
+    kernel = _kernel_of(s.shape, s.tobytes() if s.dtype == np.int64 else tuple(s.ravel().tolist()))
+    return rows.shape[1] - kernel.shape[1] + int_rank(rows[n_ss:] @ kernel)
+
+
 def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     """True iff a Borel subgroup of the complexified group has an open orbit.
 
@@ -148,12 +179,16 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     over Q, and v is an integer point with coordinates in
     [-MF_SAMPLE_BOUND, MF_SAMPLE_BOUND]: a rank-deficient sample has
     probability at most dim / 38025 (Schwartz 1980; Zippel 1979).  The rows
-    b . v are one batched integer product (int_apply), their exact rank is
-    the verified kernel rank (int_rank), and a float_rank that differs
-    raises OracleDisagreement.  The rank is at most min(#Borel generators,
-    dim); a sample reaching that ceiling certifies the answer and ends
-    sampling, so a True, and a False for a Borel algebra with fewer
-    generators than dim, take one sample.
+    b . v are one batched integer product (int_apply), and a float_rank
+    that differs from their exact rank raises OracleDisagreement.  The rank
+    is at most min(#Borel generators, dim); a sample reaching that ceiling
+    certifies the answer and ends sampling, so a True, and a False for a
+    Borel algebra with fewer generators than dim, take one sample.
+
+    The exact rank splits along b = b_ss + t (_split_rank): the rows S of
+    the Cartan and raising generators do not depend on the charges, so
+    modules that share a semisimple part eliminate S once per draw, and
+    each adds the rank of its torus rows on ker S.
     """
     dim = rep.space_dim
     if dim == 0:
@@ -161,10 +196,11 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     borel = rep.borel_stack
     if not borel.shape[0]:
         return False
+    n_ss = borel.shape[0] - len(rep.group.torus_lines)
 
     def rank_at(v) -> int:
         rows = int_apply(borel, v)
-        exact, approx = int_rank(rows), float_rank(rows)
+        exact, approx = _split_rank(rows, n_ss), float_rank(rows)
         if exact != approx:
             raise OracleDisagreement(
                 f"exact rank {exact} vs floating rank {approx}; inputs are suspect"

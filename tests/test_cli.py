@@ -46,6 +46,32 @@ def test_mf_check_parse_error(capsys):
     assert code == 2 and "error:" in out
 
 
+@pytest.mark.parametrize(
+    "error, valid",
+    [
+        (["--format", "records", "--seed", "7", "lemma21", "--max-rank", "x"], ["lemma21", "--max-rank", "6"]),
+        (["weyldim", "G2", "--verbose"], ["weyldim", "G2", "1,0"]),
+    ],
+    ids=["global-options", "subcommand-option"],
+)
+def test_a_usage_error_leaves_the_parser_as_a_fresh_process_has_it(capsys, error, valid):
+    # main builds its parser once per process; an earlier call that stops
+    # at a usage error must not change what the next command prints
+    import os
+    import subprocess
+
+    import coisotropy
+
+    assert run_cli(error, capsys)[0] == 2
+    code, out = run_cli(valid, capsys)
+    src = str(Path(coisotropy.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "coisotropy.cli", *valid],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
 def test_cohom(capsys):
     code, out = run_cli(["cohom", "su(3) + u1[1] on std(1) @ 1"], capsys)
     assert code == 0

@@ -259,6 +259,78 @@ def test_realize_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "group, rep, error, message",
+    [
+        (
+            grp(Factor("su", 2), lines=[(1,)]),
+            R(S(Term("std", 1), charges=(1, 2))),
+            RepresentationError,
+            "summand charge arity 2 != circles 1",
+        ),
+        (
+            grp(Factor("su", 2), lines=[(1,)]),
+            R(S(Term("std", 1), charges=(1,)), S(Term("std", 2), charges=(0,))),
+            RepresentationError,
+            "factor index 2 out of range",
+        ),
+        (
+            grp(Factor("so", 2), lines=[(1,)]),
+            R(S(Term("std", 1), charges=(1,))),
+            NotRealizable,
+            "term std of so(2): the factor has no semisimple part; "
+            "encode its circle action as a torus line",
+        ),
+    ],
+    ids=["charge-arity", "factor-index", "not-realizable"],
+)
+def test_a_failed_realize_names_its_fault_and_caches_nothing(group, rep, error, message):
+    from coisotropy import matrep
+
+    before = matrep._semisimple.cache_info().currsize
+    with pytest.raises(ValueError) as exc:
+        realize(group, rep)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+    assert matrep._semisimple.cache_info().currsize == before
+
+
+def test_the_torus_check_rejects_a_root_vector_across_charges(monkeypatch):
+    # h = diag(1, -1, 1, -1), so e at (0, 3) has h-weight 2 and the
+    # semisimple part passes validation; it links a summand of charge 1 to
+    # one of charge 0, which the torus half of the weight check rejects
+    from coisotropy import matrep
+
+    group, bare = grp(Factor("su", 2)), R(S(Term("std", 1)), S(Term("std", 1)))
+    ss = matrep._semisimple(group.factors, bare.summands)
+    linked = ss._replace(gens=_with_generator(ss.gens, 1, {(0, 1): 1, (2, 3): 1, (0, 3): 1}))
+    validate_matrix_rep(
+        matrep.MatrixRep(group, bare, 4, linked.gens, list(ss.cartan_labels), list(ss.root_labels))
+    )
+    monkeypatch.setattr(matrep, "_semisimple", lambda *key: linked)
+    charged = grp(Factor("su", 2), lines=[(1,)])
+    assert realize(charged, R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(1,)))).space_dim == 4
+    with pytest.raises(RepresentationError, match=r"weight relation fails on e\(1,\) of factor 0"):
+        realize(charged, R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(0,))))
+
+
+def test_the_shared_semisimple_stack_is_read_only():
+    from coisotropy import mforacle
+
+    group, rep = grp(Factor("su", 3)), R(S(Term("std", 1)), S(Term("sym2", 1), dual=True))
+    m = realize(group, rep)
+    before = m.gens.dense()
+    with pytest.raises(ValueError):
+        m.gens.val[0] = 7
+    again = realize(group, rep)
+    assert again.gens.den == m.gens.den and (again.gens.dense() == before).all()
+    # the kernel of the Borel rows that mf_test caches is read-only too
+    v = mforacle._sample_vector(m.space_dim, mforacle._rng(0, 0, 0), mforacle.MF_SAMPLE_BOUND)
+    rows = int_apply(m.borel_stack, v)
+    kernel = mforacle._kernel_of(rows.shape, rows.tobytes())
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 1
+
+
 def _with_generator(stack, k, entries):
     """A copy of an integer stack with generator k replaced by entries
     {(row, col): integer value}."""
@@ -431,6 +503,43 @@ def _table_instantiations():
                         Summand(second.terms, second.dual, (0, 1)),
                     )
                     yield GroupSpec(group.factors, ((1, -2),)), RepSpec(charged)
+
+
+def test_each_module_is_its_semisimple_part_and_torus_lines(monkeypatch):
+    """Every module reached by table 1..4 and by one mf_stream round, the
+    latter with one and with two charge lines: its stack is that of the
+    factors on the charge-free summands, followed by diag(net_t) * den for
+    each torus line t, and at mf_test's first draw the split rank is the
+    rank of the full Borel rows."""
+    from coisotropy import classify, mforacle
+
+    specs, original = {}, classify.realize
+
+    def recording(group, rep):
+        specs[group, rep] = None
+        return original(group, rep)
+
+    monkeypatch.setattr(classify, "realize", recording)
+    for table in (1, 2, 3, 4):
+        classify.reproduce_table(table)
+    for group, rep in _table_instantiations():
+        specs[group, rep] = None
+        if group.n_circles == 2:
+            specs[GroupSpec(group.factors, ((1, -2), (2, 3))), rep] = None
+    assert any(len(group.torus_lines) == 2 for group, _ in specs)
+    for group, rep in specs:
+        m = realize(group, rep)
+        bare = GroupSpec(group.factors)
+        ss = realize(bare, RepSpec(tuple(Summand(sm.terms, sm.dual) for sm in rep.summands)))
+        sizes = [realize(bare, RepSpec((Summand(sm.terms, sm.dual),))).space_dim for sm in rep.summands]
+        want = [x.astype(object) for x in ss.gens.dense()]
+        for line in group.torus_lines:
+            net = [sum(a * c for a, c in zip(line, sm.charges)) for sm in rep.summands]
+            want.append(np.diag(np.repeat(np.array(net, dtype=object), sizes)) * ss.gens.den)
+        assert m.gens.den == ss.gens.den and (m.gens.dense() == np.array(want)).all(), (group, rep)
+        rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
+        rows = int_apply(m.borel_stack, mforacle._sample_vector(m.space_dim, rng, mforacle.MF_SAMPLE_BOUND))
+        assert mforacle._split_rank(rows, rows.shape[0] - len(group.torus_lines)) == int_rank(rows), (group, rep)
 
 
 def test_assembly_matches_kron_reference_on_the_mf_tables():
@@ -791,6 +900,7 @@ def test_derived_root_vectors_match_the_reference(monkeypatch):
 
     keys, original = set(), matrep._factor_module
     monkeypatch.setattr(matrep, "_factor_module", lambda *key: keys.add(key) or original(*key))
+    matrep._semisimple.cache_clear()  # a cached part would reach no _factor_module
     for table in (1, 2, 3, 4):
         classify.reproduce_table(table)
     for group, rep in _table_instantiations():

@@ -324,7 +324,7 @@ def probes(monkeypatch):
     """Counts the rank evaluations of the oracles and keeps their probes."""
     from coisotropy import mforacle
 
-    seen = {"int_rank": 0, "probes": []}
+    seen = {"int_rank": 0, "float_rank": 0, "probes": []}
     stabilize = mforacle._stabilize
 
     def counting(name):
@@ -342,6 +342,7 @@ def probes(monkeypatch):
         return probe
 
     monkeypatch.setattr(mforacle, "int_rank", counting("int_rank"))
+    monkeypatch.setattr(mforacle, "float_rank", counting("float_rank"))
     monkeypatch.setattr(mforacle, "_stabilize", keep)
     return seen
 
@@ -358,8 +359,9 @@ def test_mf_test_ranks_the_borel_rows_at_its_first_draw(monkeypatch):
     # coordinates in [-MF_SAMPLE_BOUND, MF_SAMPLE_BOUND]
     from coisotropy import mforacle
 
-    seen, inner = [], mforacle.int_rank
-    monkeypatch.setattr(mforacle, "int_rank", lambda rows: seen.append(rows) or inner(rows))
+    # float_rank receives the full Borel rows of every draw
+    seen, inner = [], mforacle.float_rank
+    monkeypatch.setattr(mforacle, "float_rank", lambda rows: seen.append(rows) or inner(rows))
     m = rep_of("so(5) + u1[1] on std(1) @ 1")
     assert mf_test(m) is True
     rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
@@ -425,7 +427,7 @@ def test_fewer_borel_rows_than_dim_is_false_after_one_sample(probes):
     m = rep_of("su(3) on sym2(1)")
     assert m.borel_stack.shape[0] < m.space_dim
     assert mf_test(m) is False
-    assert probes["int_rank"] == 1
+    assert probes["float_rank"] == 1
     assert probes["probes"][0].certified
 
 
@@ -435,7 +437,7 @@ def test_rank_deficient_mf_test_keeps_every_sample(probes):
     m = rep_of("so(5) on std(1)")
     assert m.borel_stack.shape[0] >= m.space_dim
     assert mf_test(m) is False
-    assert probes["int_rank"] == N_SAMPLES
+    assert probes["float_rank"] == N_SAMPLES
     (probe,) = probes["probes"]
     assert not probe.certified and probe.value == 4 and len(probe.sample_points) == N_SAMPLES
 
