@@ -526,7 +526,6 @@ def reproduce_table(
     table_id: int | str,
     widen: int = 0,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
     dataset: Dataset | None = None,
     rows: list[str] | None = None,
 ) -> list[Verdict]:
@@ -534,9 +533,8 @@ def reproduce_table(
 
     Each row is instantiated at its two smallest recorded parameter choices
     (widen adds more); verdicts are deterministic given the dataset and the
-    seed. jobs is accepted and ignored: the rows run one after another in
-    this process, because no pool of threads or processes was measured
-    faster than one job.
+    seed. The rows run one after another in this process, because no pool
+    of threads or processes was measured faster than one job.
     A row on which the oracle raises GenericityError or OracleDisagreement,
     or a module raises NotRealizable or RepresentationError, gets the
     outcome 'undecided' and is not ok; a DataError still aborts the run.

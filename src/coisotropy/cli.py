@@ -142,6 +142,7 @@ def _cmd_cohom(args, rep: _Reporter) -> int:
     rep.emit(f"principal isotropy rank: {report.principal_isotropy_rank}")
     rep.emit(f"coisotropic: {report.coisotropic}")
     rep.emit(f"isotropy rank certified: {report.isotropy_certified}")
+    rep.emit(f"sample points: {' '.join(report.points)}")
     return 0
 
 
@@ -151,7 +152,6 @@ def _cmd_table(args, rep: _Reporter) -> int:
         args.table,
         widen=args.widen_params,
         seed=args.seed,
-        jobs=args.jobs,
         rows=rows,
     )
     if rep.fmt == "records":

@@ -6,7 +6,8 @@ cohomogeneity by generic orbit dimension of the compact real form, the
 rank of a principal isotropy subalgebra by the centralizer of a sampled
 element, certified at each point by being abelian (a maximal torus), and
 polarity candidates are killed by the Lie triple system test on explicit
-tangent data.
+tangent data.  The coisotropy test reads both ranks from one elimination of
+the orbit map per sample point, and its report names the points' keys.
 
 Every matrix here is a real integer matrix.  The orbit oracles read the
 compact action in one model, the integer stack compact_stack on R^n: a
@@ -67,7 +68,7 @@ class OrbitProbe:
 
     sample_points: list[np.ndarray]
     seeds: list[str]
-    value: int
+    value: int | tuple[int, ...]
     rounds_used: int
     certified: bool = False
 
@@ -80,6 +81,8 @@ class CohomReport:
     # the isotropy rank at each sampled point was shown by an abelian
     # centralizer (principal_isotropy_rank)
     isotropy_certified: bool = False
+    # the _rng keys of the points both ranks were read at (OrbitProbe.seeds)
+    points: tuple[str, ...] = ()
 
     @property
     def coisotropic(self) -> bool:
@@ -106,16 +109,16 @@ def _sample_vector(dim: int, rng: random.Random, bound: int) -> np.ndarray:
 def _stabilize(
     evaluate, dim: int, seed: int, bound: int, ceiling: int | None = None
 ) -> OrbitProbe:
-    """Evaluate an integer invariant at N_SAMPLES generic points of Z^dim,
-    with coordinates in [-bound, bound] in the first round.
+    """Evaluate an invariant, an int or a tuple of ints, at N_SAMPLES generic
+    points of Z^dim, with coordinates in [-bound, bound] in the first round.
 
     For a rank whose generic value is its maximum over all points, ceiling
     is the largest value it can take: a sample reaching it certifies the
     generic value and ends sampling at once (OrbitProbe.certified).
-    Otherwise the samples must agree; on disagreement the integer entry
-    range is scaled up tenfold, up to MAX_ROUNDS times, after which a
-    GenericityError is raised rather than returning a possibly non-generic
-    answer.
+    Otherwise the samples must agree, on every entry of a tuple; on
+    disagreement the integer entry range is scaled up tenfold, up to
+    MAX_ROUNDS times, after which a GenericityError is raised rather than
+    returning a possibly non-generic answer.
     """
     for rnd in range(MAX_ROUNDS):
         points = []
@@ -334,32 +337,34 @@ def _abelian(frame: _Frame, basis: np.ndarray) -> bool:
     return True
 
 
-def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
-    """Rank of the isotropy subalgebra h_v at a generic point v.
+def _orbit_probe(rep, seed: int) -> OrbitProbe:
+    """(orbit rank, isotropy rank) at generic points v, from one elimination
+    of the orbit map at each: int_kernel of its transposed rows gives pivots
+    P, as many as the orbit rank, and K, h_v in generator coordinates.
 
-    h_v is the verified kernel of the orbit map at v, in generator
-    coordinates.  In a compact algebra the centralizer c(z) of an element z
-    contains a maximal torus, and an abelian c(z) cannot exceed one, so an
-    abelian c(z) has the rank as its dimension, certified.  z is drawn from
-    h_v; when c(z) is not abelian the next of N_SAMPLES draws is tried, and
+    In a compact algebra the centralizer c(z) of an element z contains a
+    maximal torus, and an abelian c(z) cannot exceed one, so an abelian
+    c(z) has the rank as its dimension, certified.  z is drawn from h_v;
+    when c(z) is not abelian the next of N_SAMPLES draws is tried, and
     GenericityError is raised after the last.  The brackets are read at
     the entries P of _frame only, and no matrix of h_v is formed.  The
     factors that act trivially count with their rank (_trivial_gap).  The
-    sampled points must agree (_stabilize).
+    sampled points must agree on the pair (_stabilize).
     """
-    if not rep.compact_stack.shape[1]:
+    dim = rep.compact_stack.shape[1]
+    if not dim:
         # everything stabilizes the zero module
         if isinstance(rep, RealRep):
             raise ValueError("zero-dimensional RealRep has no group data")
-        return rep.group.rank
+        return OrbitProbe([], [], (0, rep.group.rank), 0)
     gap = _trivial_gap(rep)
     frame = None
 
-    def rank_at(v) -> int:
+    def ranks_at(v) -> tuple[int, int]:
         nonlocal frame
-        _, kernel = int_kernel(int_apply(rep.compact_stack, v).T)
+        pivots, kernel = int_kernel(int_apply(rep.compact_stack, v).T)
         if not kernel.shape[1]:
-            return gap
+            return len(pivots), gap
         if frame is None:
             frame = _frame(rep)
         for t in range(N_SAMPLES):
@@ -367,27 +372,33 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
             c = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(kernel.shape[1])]
             basis = _centralizer(frame, kernel, kernel @ np.array(c, dtype=object))
             if _abelian(frame, basis):
-                return basis.shape[1] + gap
+                return len(pivots), basis.shape[1] + gap
         raise GenericityError("no sampled centralizer in the isotropy algebra is abelian")
 
-    probe = _stabilize(rank_at, rep.compact_stack.shape[1], seed, SAMPLE_BOUND)
-    return probe.value
+    return _stabilize(ranks_at, dim, seed, SAMPLE_BOUND)
+
+
+def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
+    """Rank of the isotropy subalgebra h_v at a generic point v (_orbit_probe)."""
+    return _orbit_probe(rep, seed).value[1]
 
 
 def coisotropic_by_rank(
     rep, seed: int = DEFAULT_SEED, group_rank: int | None = None
 ) -> CohomReport:
-    """Cohomogeneity against rank difference, the rank-based coisotropy test.
-    A RealRep carries no group data, so it needs group_rank."""
+    """Cohomogeneity against rank difference, both read at the same points
+    (_orbit_probe).  A RealRep carries no group data, so it needs group_rank."""
     if group_rank is None:
         if isinstance(rep, RealRep):
             raise ValueError("RealRep needs an explicit group rank")
         group_rank = rep.group.rank
+    probe = _orbit_probe(rep, seed)
     return CohomReport(
-        cohomogeneity=cohomogeneity(rep, seed),
+        cohomogeneity=rep.compact_stack.shape[1] - probe.value[0],
         group_rank=group_rank,
-        principal_isotropy_rank=principal_isotropy_rank(rep, seed),
+        principal_isotropy_rank=probe.value[1],
         isotropy_certified=True,
+        points=tuple(probe.seeds),
     )
 
 

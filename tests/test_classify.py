@@ -212,19 +212,21 @@ def test_malformed_space_field_raises_data_error():
         dataclasses.replace(row, space="Sq:m")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_a_data_error_in_a_row_aborts_the_table(monkeypatch, jobs):
-    # not an undecided row: the run stops at every job count
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_data_error_in_a_row_aborts_the_table(monkeypatch, failing):
+    # not an undecided row: the run stops, whether the first or a later
+    # row of the table is the one that fails
     real = classify._run_row
+    rows = ["sp1", "sp3"]
 
     def broken(row, env, ds, seed):
-        if row.row == "sp3":
+        if row.row == rows[failing - 1]:
             raise DataError("injected")
         return real(row, env, ds, seed)
 
     monkeypatch.setattr(classify, "_run_row", broken)
     with pytest.raises(DataError, match="injected"):
-        reproduce_table(1, rows=["sp1", "sp3"], jobs=jobs)
+        reproduce_table(1, rows=rows)
 
 
 def test_an_unknown_polynomial_family_is_a_value_error():

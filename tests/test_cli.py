@@ -77,6 +77,7 @@ def test_cohom(capsys):
     assert code == 0
     assert "cohomogeneity: 1" in out
     assert "coisotropic: True" in out
+    assert "sample points: 20240101:0:0 20240101:1:0 20240101:2:0" in out
 
 
 def test_polyscan(capsys):
@@ -160,6 +161,15 @@ def test_the_job_counts_print_the_same_records(capsys):
     argv = ["--format", "records", "table", "1", "--rows", "sp1"]
     code, out = run_cli(argv + ["--jobs", "4"], capsys)
     assert code == 0 and (code, out) == run_cli(argv, capsys)
+
+
+@pytest.mark.parametrize("table", ["1", "2", "3", "4"])
+def test_the_records_do_not_depend_on_the_seed(table, capsys):
+    # perfbench/golden_tables.json pins the default seed only
+    argv = ["--format", "records", "table", table]
+    default = run_cli(argv, capsys)
+    for seed in ("7", "918273"):
+        assert run_cli(["--seed", seed, *argv], capsys) == default
 
 
 def test_validate_data(capsys):

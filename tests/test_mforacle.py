@@ -604,7 +604,106 @@ def test_isotropy_oracles_match_the_fraction_reference(name):
         assert principal_isotropy_rank(rep, seed) == want
         report = coisotropic_by_rank(rep, seed, group_rank)
         assert report.principal_isotropy_rank == want and report.isotropy_certified
+        assert report.cohomogeneity == cohomogeneity(rep, seed)
         assert report.coisotropic == (report.cohomogeneity == report.group_rank - want)
+
+
+@pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
+def test_coisotropic_by_rank_eliminates_the_orbit_map_once_per_point(name, monkeypatch):
+    # both ranks come from one int_kernel of the transposed orbit rows at
+    # each drawn point; every other elimination is the frame's or a
+    # centralizer's, and nothing is ranked with int_rank
+    from coisotropy import mforacle
+
+    make, _, group_rank = ISOTROPY_CASES[name]
+    rep = make()
+    orbit_systems, ranked, probes, inside = [], [], [], []
+    kernel, stabilize = mforacle.int_kernel, mforacle._stabilize
+
+    def within(f):
+        def wrapped(*args):
+            inside.append(f)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def counting(a):
+        if not inside:
+            orbit_systems.append(a)
+        return kernel(a)
+
+    monkeypatch.setattr(mforacle, "int_kernel", counting)
+    monkeypatch.setattr(mforacle, "int_rank", lambda a: ranked.append(a))
+    monkeypatch.setattr(mforacle, "_frame", within(mforacle._frame))
+    monkeypatch.setattr(mforacle, "_centralizer", within(mforacle._centralizer))
+    monkeypatch.setattr(mforacle, "_stabilize", lambda *a: probes.append(stabilize(*a)) or probes[-1])
+    coisotropic_by_rank(rep, group_rank=group_rank)
+    assert not ranked
+    (probe,) = probes
+    assert len(orbit_systems) == len(probe.sample_points)
+    for a, v in zip(orbit_systems, probe.sample_points):
+        assert (a == int_apply(rep.compact_stack, v).T).all()
+
+
+def test_the_report_names_the_points_both_ranks_were_read_at():
+    import random
+
+    from coisotropy import mforacle
+
+    rep = ISOTROPY_CASES["sphere"][0]()
+    report = coisotropic_by_rank(rep)
+    assert report.points == ("20240101:0:0", "20240101:1:0", "20240101:2:0")
+    dim = rep.compact_stack.shape[1]
+    for key in report.points:
+        v = mforacle._sample_vector(dim, random.Random(key), mforacle.SAMPLE_BOUND)
+        assert int_rank(int_apply(rep.compact_stack, v)) == dim - report.cohomogeneity
+
+
+def _slice_with_special_points(monkeypatch, special):
+    """The slice module, with the draw of each key in special sent to a
+    smaller orbit: its C^3 part zeroed at an odd index, its C^9 part at an
+    even one."""
+    import random
+
+    from coisotropy import mforacle
+
+    draw = mforacle._sample_vector
+
+    def sample(dim, rng, bound):
+        state = rng.getstate()
+        v = draw(dim, rng, bound)
+        for key in special:
+            if state == random.Random(key).getstate():
+                v[slice(0, 6) if int(key.split(":")[1]) % 2 else slice(6, None)] = 0
+        return v
+
+    monkeypatch.setattr(mforacle, "_sample_vector", sample)
+    return ISOTROPY_CASES["slice"][0]()
+
+
+def test_a_special_point_moves_the_probe_to_the_next_round(monkeypatch):
+    # the orbit of the draw at key 20240101:1:0 has dimension 15, not 17
+    import dataclasses
+
+    clean = coisotropic_by_rank(ISOTROPY_CASES["slice"][0]())
+    report = coisotropic_by_rank(_slice_with_special_points(monkeypatch, {"20240101:1:0"}))
+    assert report.points == ("20240101:0:1", "20240101:1:1", "20240101:2:1")
+    assert dataclasses.replace(report, points=clean.points) == clean
+
+
+def test_special_points_at_every_draw_are_a_genericity_error(monkeypatch):
+    from coisotropy import mforacle
+
+    special = {
+        f"20240101:{idx}:{rnd}"
+        for idx in range(mforacle.N_SAMPLES)
+        for rnd in range(mforacle.MAX_ROUNDS)
+    }
+    with pytest.raises(mforacle.GenericityError, match="stabilize"):
+        coisotropic_by_rank(_slice_with_special_points(monkeypatch, special))
 
 
 @pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
