@@ -49,6 +49,7 @@ from .rootsys import (
     DominantWeight,
     RootSystem,
     SimpleType,
+    _weyl_dims,
     build_root_system,
     weyl_dim,
 )
@@ -272,8 +273,9 @@ def _highest_weight(fac: Factor, kind: str, weight=None) -> tuple[int, ...]:
         r = st.rank
         if st.family in "ABCD":
             return (2 if st == SimpleType("B", 1) else 1,) + (0,) * (r - 1)
-        rs = build_root_system(st)
-        node = min(range(r), key=lambda i: weyl_dim(rs, DominantWeight.fundamental(r, i)))
+        fundamental = [DominantWeight.fundamental(r, i).coeffs for i in range(r)]
+        dims = _weyl_dims(build_root_system(st), fundamental)
+        node = dims.index(min(dims))
     else:
         raise RepresentationError(f"unhandled term kind {kind!r}")
     return DominantWeight.fundamental(r, node).coeffs

@@ -349,9 +349,11 @@ def _orbit_probe(rep, seed: int) -> OrbitProbe:
     GenericityError is raised after the last.  The brackets are read at
     the entries P of _frame only, and no matrix of h_v is formed.  The
     factors that act trivially count with their rank (_trivial_gap).  The
-    sampled points must agree on the pair (_stabilize).
+    sampled points must agree on the pair (_stabilize), unless one reaches
+    the orbit rank n of the n compact generators: h_v is then 0 there and
+    at a generic point, which certifies (n, _trivial_gap) at once.
     """
-    dim = rep.compact_stack.shape[1]
+    n, dim, _ = rep.compact_stack.shape
     if not dim:
         # everything stabilizes the zero module
         if isinstance(rep, RealRep):
@@ -375,7 +377,7 @@ def _orbit_probe(rep, seed: int) -> OrbitProbe:
                 return len(pivots), basis.shape[1] + gap
         raise GenericityError("no sampled centralizer in the isotropy algebra is abelian")
 
-    return _stabilize(ranks_at, dim, seed, SAMPLE_BOUND)
+    return _stabilize(ranks_at, dim, seed, SAMPLE_BOUND, (n, gap) if n <= dim else None)
 
 
 def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:

@@ -11,9 +11,12 @@ pairings (root_pairings), of the coroot pairings with the fundamental
 weights (_pairing, from the symmetrized form by one exact division) and of
 rho.  The Weyl dimension is the product of the <w + rho, beta^vee> (in int64
 while they stay below linalg.INT64_SAFE, in Python ints beyond) divided by
-the product of the rho pairings, aborting on any remainder.  Every public
-result is a Python int.  numpy is imported inside the functions, since
-loading it before the other package modules compile raises peak memory.
+the product of the rho pairings, aborting on any remainder.  One integer
+product gives these pairings for a whole batch of weights (_weyl_dims):
+the dominant-weight search makes one per search level, and weyl_dim is a
+batch of one.  Every public result is a Python int.  numpy is imported
+inside the functions, since loading it before the other package modules
+compile raises peak memory.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ class RootSystem:
         self.rho_product = prod(self.rho_pairings)
         for a in (self.root_pairings, self._pairing, self.rho):
             a.flags.writeable = False  # shared through build_root_system's cache
-        # weyl_dim stays in int64 while max(w) * max(_pairing) * rank + max(rho) < INT64_SAFE
+        # _weyl_dims stays in int64 while max(w) * max(_pairing) * rank + max(rho) < INT64_SAFE
         self._int64_weights_below = (INT64_SAFE - int(self.rho.max())) // (int(self._pairing.max()) * r)
 
     # -- basic quantities -----------------------------------------------------
@@ -224,19 +227,33 @@ def _positive_roots(cartan):
     return tuple(roots), pairings
 
 
+def _weyl_dims(rs: RootSystem, rows) -> list[int]:
+    """Weyl dimensions of the dominant weights whose coefficients are the
+    rows, from one integer product rows @ _pairing.T + rho: in int64 while
+    the largest coefficient of the batch is below _int64_weights_below, in
+    Python ints beyond.  Each row's product is divided exactly by
+    rho_product."""
+    import numpy as np
+
+    big = max(map(max, rows)) >= rs._int64_weights_below
+    pairing = rs._pairing.astype(object) if big else rs._pairing
+    factors = (np.array(rows, dtype=object if big else np.int64) @ pairing.T + rs.rho).tolist()
+    dims = []
+    for row, f in zip(rows, factors):
+        dim, rem = divmod(prod(f), rs.rho_product)
+        if rem:
+            raise RootSystemError(
+                f"Weyl product for {DominantWeight(tuple(row))} is not divisible by {rs.rho_product}"
+            )
+        dims.append(dim)
+    return dims
+
+
 def weyl_dim(rs: RootSystem, w: DominantWeight) -> int:
     """Dimension of the irreducible module with highest weight w, exactly."""
     if len(w.coeffs) != rs.rank:
         raise RootSystemError("weight length does not match rank")
-    c = w.coeffs
-    pairing = rs._pairing if max(c) < rs._int64_weights_below else rs._pairing.astype(object)
-    num = prod((pairing @ c + rs.rho).tolist())
-    dim, rem = divmod(num, rs.rho_product)
-    if rem:
-        raise RootSystemError(
-            f"Weyl product for {w} is not divisible by {rs.rho_product}"
-        )
-    return dim
+    return _weyl_dims(rs, [w.coeffs])[0]
 
 
 def borel_dim(rs: RootSystem) -> int:
@@ -250,31 +267,35 @@ def borel_dim(rs: RootSystem) -> int:
 def enumerate_dominant_weights(
     rs: RootSystem, dim_bound: int
 ) -> list[tuple[DominantWeight, int]]:
-    """All nonzero dominant weights of dimension at most dim_bound.
+    """All nonzero dominant weights of dimension at most dim_bound, sorted
+    by (dimension, coefficients).
 
-    The search increases coordinates one at a time and prunes as soon as a
+    The search raises coordinates one at a time and prunes as soon as a
     weight exceeds the bound, which is sound because the dimension is
-    monotone under coordinatewise increase.  Coefficients are additionally
-    capped at dim_bound, so termination never rests on the pruning.
+    monotone under coordinatewise increase.  A weight is raised only at
+    indices from the last one it was raised at, so each is reached once.
+    The search runs one level (coefficient sum) at a time, and the
+    dimensions of a whole level come from one _weyl_dims product.
+    Coefficients are additionally capped at dim_bound, so termination
+    never rests on the pruning.
     """
     if dim_bound < 1:
         raise RootSystemError("dim_bound must be >= 1")
     r = rs.rank
     found: list[tuple[DominantWeight, int]] = []
-
-    def visit(coeffs: list[int], min_index: int):
-        for i in range(min_index, r):
-            if coeffs[i] + 1 > dim_bound:
-                continue
-            coeffs[i] += 1
-            w = DominantWeight(tuple(coeffs))
-            d = weyl_dim(rs, w)
+    # each weight that passed, with the first index it may still raise
+    level = [((0,) * r, 0)]
+    while children := [
+        (c[:i] + (c[i] + 1,) + c[i + 1 :], i)
+        for c, low in level
+        for i in range(low, r)
+        if c[i] < dim_bound
+    ]:
+        level = []
+        for child, d in zip(children, _weyl_dims(rs, [c for c, _ in children])):
             if d <= dim_bound:
-                found.append((w, d))
-                visit(coeffs, i)
-            coeffs[i] -= 1
-
-    visit([0] * r, 0)
+                level.append(child)
+                found.append((DominantWeight(child[0]), d))
     found.sort(key=lambda t: (t[1], t[0].coeffs))
     return found
 

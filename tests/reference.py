@@ -13,8 +13,10 @@ pairwise module certificate and the per-root derivation of the root
 vectors, formed one d x d integer product at a time, that the stacked
 ``matrep._certify`` and ``matrep._root_vectors`` replaced; the
 ``repdata._factor_maps`` that tried every injective image of the used
-factors before it compared kinds; and the elimination polynomials of
-``repdata.POLY_FAMILIES`` written as functions.
+factors before it compared kinds; the recursive dominant-weight search,
+one ``weyl_dim`` per weight, that ``rootsys.enumerate_dominant_weights``
+ran before it went one level at a time; and the elimination polynomials
+of ``repdata.POLY_FAMILIES`` written as functions.
 """
 
 import itertools
@@ -50,6 +52,7 @@ from coisotropy.matrep import (
     realize,
 )
 from coisotropy.repdata import _SU1, _solve_rank
+from coisotropy.rootsys import DominantWeight, weyl_dim
 
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -549,3 +552,28 @@ def permutation_factor_maps(group, pat, faced: list, used: list[int]):
                 break
         else:
             yield env
+
+
+def recursive_dominant_weights(rs, dim_bound: int):
+    """All nonzero dominant weights of dimension at most dim_bound, sorted
+    by (dimension, coefficients), from a recursion that raises one
+    coordinate at a time, calls weyl_dim on each weight and prunes above
+    the bound."""
+    r = rs.rank
+    found = []
+
+    def visit(coeffs: list[int], min_index: int):
+        for i in range(min_index, r):
+            if coeffs[i] + 1 > dim_bound:
+                continue
+            coeffs[i] += 1
+            w = DominantWeight(tuple(coeffs))
+            d = weyl_dim(rs, w)
+            if d <= dim_bound:
+                found.append((w, d))
+                visit(coeffs, i)
+            coeffs[i] -= 1
+
+    visit([0] * r, 0)
+    found.sort(key=lambda t: (t[1], t[0].coeffs))
+    return found

@@ -173,3 +173,19 @@ def test_every_private_definition_is_referenced():
 def test_every_public_definition_is_referenced():
     dead = unreferenced_definitions(_package_sources())
     assert sorted(set(dead) - set(_private(dead))) == sorted(KEPT_PUBLIC)
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # rootsys imports numpy inside its functions, which keeps it out of the
+    # package import and the peak memory down
+    import os
+    import subprocess
+    import sys
+
+    probe = "import sys, coisotropy; print('numpy' in sys.modules)"
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == "False\n"

@@ -662,10 +662,10 @@ def test_the_report_names_the_points_both_ranks_were_read_at():
         assert int_rank(int_apply(rep.compact_stack, v)) == dim - report.cohomogeneity
 
 
-def _slice_with_special_points(monkeypatch, special):
-    """The slice module, with the draw of each key in special sent to a
-    smaller orbit: its C^3 part zeroed at an odd index, its C^9 part at an
-    even one."""
+def _chain_with_special_points(monkeypatch, special):
+    """The chain module, with the draw of each key in special sent to a
+    smaller orbit: its C^1 part zeroed at an odd index, its first C^3 part
+    at an even one."""
     import random
 
     from coisotropy import mforacle
@@ -677,19 +677,21 @@ def _slice_with_special_points(monkeypatch, special):
         v = draw(dim, rng, bound)
         for key in special:
             if state == random.Random(key).getstate():
-                v[slice(0, 6) if int(key.split(":")[1]) % 2 else slice(6, None)] = 0
+                v[slice(12, None) if int(key.split(":")[1]) % 2 else slice(0, 6)] = 0
         return v
 
     monkeypatch.setattr(mforacle, "_sample_vector", sample)
-    return ISOTROPY_CASES["slice"][0]()
+    return ISOTROPY_CASES["chain"][0]()
 
 
 def test_a_special_point_moves_the_probe_to_the_next_round(monkeypatch):
-    # the orbit of the draw at key 20240101:1:0 has dimension 15, not 17
+    # the generic orbit of chain has dimension 10, below its 11 generators,
+    # so no draw certifies it alone; the orbit of the draw at key
+    # 20240101:1:0 has dimension 9
     import dataclasses
 
-    clean = coisotropic_by_rank(ISOTROPY_CASES["slice"][0]())
-    report = coisotropic_by_rank(_slice_with_special_points(monkeypatch, {"20240101:1:0"}))
+    clean = coisotropic_by_rank(ISOTROPY_CASES["chain"][0]())
+    report = coisotropic_by_rank(_chain_with_special_points(monkeypatch, {"20240101:1:0"}))
     assert report.points == ("20240101:0:1", "20240101:1:1", "20240101:2:1")
     assert dataclasses.replace(report, points=clean.points) == clean
 
@@ -703,7 +705,22 @@ def test_special_points_at_every_draw_are_a_genericity_error(monkeypatch):
         for rnd in range(mforacle.MAX_ROUNDS)
     }
     with pytest.raises(mforacle.GenericityError, match="stabilize"):
-        coisotropic_by_rank(_slice_with_special_points(monkeypatch, special))
+        coisotropic_by_rank(_chain_with_special_points(monkeypatch, special))
+
+
+def test_an_orbit_of_full_rank_certifies_the_probe_at_one_point(monkeypatch):
+    # slice's 17 compact generators stay independent at its first draw in
+    # R^24: h_v = 0 there, so one elimination certifies (17, 0)
+    from coisotropy import mforacle
+
+    rep = ISOTROPY_CASES["slice"][0]()
+    eliminated, kernel = [], mforacle.int_kernel
+    monkeypatch.setattr(mforacle, "int_kernel", lambda a: eliminated.append(a) or kernel(a))
+    probe = mforacle._orbit_probe(rep, mforacle.DEFAULT_SEED)
+    assert probe.certified and probe.value == (17, 0)
+    assert probe.seeds == ["20240101:0:0"] and len(eliminated) == 1
+    report = coisotropic_by_rank(rep)
+    assert report.points == ("20240101:0:0",) and report.cohomogeneity == 24 - 17
 
 
 @pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))

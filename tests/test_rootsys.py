@@ -14,6 +14,7 @@ from coisotropy.rootsys import (
     RootSystemError,
     SimpleType,
     _exact_div,
+    _weyl_dims,
     _simple_roots_orthogonal,
     borel_dim,
     build_root_system,
@@ -24,7 +25,7 @@ from coisotropy.rootsys import (
     spin_search_bound,
     weyl_dim,
 )
-from reference import string_probe_positive_roots
+from reference import recursive_dominant_weights, string_probe_positive_roots
 
 
 def rs(fam, r):
@@ -215,6 +216,45 @@ def test_enumerate_matches_box_search():
 def test_enumerate_rejects_bad_bound():
     with pytest.raises(RootSystemError):
         enumerate_dominant_weights(rs("A", 1), 0)
+
+
+@pytest.mark.parametrize("stype", paper_family_types(16), ids=str)
+def test_enumerate_equals_the_recursive_reference(stype):
+    system = build_root_system(stype)
+    for bound in (1, 3, 12, 30, 100, 500):
+        got = [(x.coeffs, d) for x, d in enumerate_dominant_weights(system, bound)]
+        assert got == [(x.coeffs, d) for x, d in recursive_dominant_weights(system, bound)]
+
+
+def test_enumerate_has_no_recursion_limit():
+    # one search level per coefficient sum, 4999 of them for A1
+    got = enumerate_dominant_weights(rs("A", 1), 5000)
+    assert got == [(w(k), k + 1) for k in range(1, 5000)]
+
+
+def test_a_batch_across_the_int64_guard_equals_weyl_dim():
+    # one row above the guard puts the whole batch in Python ints; in
+    # int64 its pairings with the highest coroot would wrap
+    e8 = rs("E", 8)
+    big = (2**60, 0, 0, 2**61, 0, 0, 0, 1)
+    assert max(big) >= e8._int64_weights_below
+    rows = [(0,) * 8, (1, 0, 0, 0, 0, 0, 0, 0), big, (0, 0, 0, 0, 0, 0, 2, 1)]
+    dims = _weyl_dims(e8, rows)
+    assert dims == [weyl_dim(e8, DominantWeight(row)) for row in rows]
+    assert dims[:2] == [1, 3875] and all(type(d) is int for d in dims)
+    # the small rows alone stay below the guard
+    assert _weyl_dims(e8, rows[:2] + rows[3:]) == dims[:2] + dims[3:]
+
+
+def test_a_non_divisible_weyl_product_names_the_weight():
+    # the corrupted A2 of test_corrupted_pairing_row_is_caught
+    system = copy.deepcopy(rs("A", 2))
+    system._pairing[system.positive_roots.index((1, 0))] = np.array([2, 0])
+    message = "Weyl product for 1,0 is not divisible by 2"
+    with pytest.raises(RootSystemError, match=message):
+        weyl_dim(system, w(1, 0))
+    with pytest.raises(RootSystemError, match=message):
+        enumerate_dominant_weights(system, 10)
 
 
 @pytest.mark.parametrize(
