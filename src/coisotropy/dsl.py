@@ -44,27 +44,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens (kind, text, line, col) of a spec, line and column
+    1-based, from one regex pass over each line: every non-space character
+    starts a match, so the matches are contiguous and end at the line's
+    trailing whitespace."""
     toks = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if not m or m.end() == pos:
-                break
-            col = m.start(m.lastgroup) + 1
-            if m.lastgroup == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", lineno, col)
-            toks.append(_Tok(m.lastgroup, m.group(m.lastgroup), lineno, col))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start(kind) + 1)
+            toks.append((kind, m.group(kind), lineno, m.start(kind) + 1))
     return toks
 
 
@@ -209,13 +200,15 @@ def _primitive(line: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Parser:
+    """Recursive descent over the tokens (kind, text, line, col) of _tokenize."""
+
     def __init__(self, text: str, symbolic: bool):
         self.toks = _tokenize(text)
         self.pos = 0
         self.symbolic = symbolic
         self.text = text
 
-    def _peek(self) -> _Tok | None:
+    def _peek(self) -> tuple[str, str, int, int] | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def _fail(self, message: str):
@@ -223,19 +216,19 @@ class _Parser:
         if t is None:
             last_line = self.text.count("\n") + 1
             raise ParseError(message + " (at end of input)", last_line, 1)
-        raise ParseError(message, t.line, t.col)
+        raise ParseError(message, t[2], t[3])
 
-    def _take(self, kind: str, text: str | None = None) -> _Tok:
+    def _take(self, kind: str, text: str | None = None) -> tuple[str, str, int, int]:
         t = self._peek()
-        if t is None or t.kind != kind or (text is not None and t.text != text):
+        if t is None or t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
             self._fail(f"expected {want!r}")
         self.pos += 1
         return t
 
-    def _accept(self, kind: str, text: str | None = None) -> _Tok | None:
+    def _accept(self, kind: str, text: str | None = None) -> tuple[str, str, int, int] | None:
         t = self._peek()
-        if t is not None and t.kind == kind and (text is None or t.text == text):
+        if t is not None and t[0] == kind and (text is None or t[1] == text):
             self.pos += 1
             return t
         return None
@@ -246,30 +239,30 @@ class _Parser:
         if t is None:
             self._fail("expected an integer")
         if not self.symbolic:
-            if t.kind != "int":
+            if t[0] != "int":
                 self._fail("expected an integer")
             self.pos += 1
-            return t.text
+            return t[1]
         parts = []
         depth = 0
         while True:
             t = self._peek()
             if t is None:
                 break
-            if t.kind in ("oplus", "otimes"):
+            if t[0] in ("oplus", "otimes"):
                 break
-            if t.kind == "punct":
-                if t.text in (",", "]") and depth == 0:
+            if t[0] == "punct":
+                if t[1] in (",", "]") and depth == 0:
                     break
-                if t.text == ")":
+                if t[1] == ")":
                     if depth == 0:
                         break
                     depth -= 1
-                elif t.text == "(":
+                elif t[1] == "(":
                     depth += 1
-                elif t.text == "@":
+                elif t[1] == "@":
                     break
-            parts.append(t.text)
+            parts.append(t[1])
             self.pos += 1
         if not parts:
             self._fail("expected an integer or expression")
@@ -282,9 +275,9 @@ class _Parser:
         lines: list[tuple[str, ...]] = []
         while True:
             t = self._peek()
-            if t is None or t.kind != "name":
+            if t is None or t[0] != "name":
                 self._fail("expected a factor name")
-            if t.text == "u1":
+            if t[1] == "u1":
                 self.pos += 1
                 self._take("punct", "[")
                 charges = [self._int_slot()]
@@ -292,16 +285,16 @@ class _Parser:
                     charges.append(self._int_slot())
                 self._take("punct", "]")
                 lines.append(tuple(charges))
-            elif t.text in FACTOR_KINDS:
+            elif t[1] in FACTOR_KINDS:
                 self.pos += 1
                 self._take("punct", "(")
                 n = self._int_slot()
                 self._take("punct", ")")
-                factors.append((t.text, n))
-            elif t.text == "on":
+                factors.append((t[1], n))
+            elif t[1] == "on":
                 self._fail("expected a factor before 'on'")
             else:
-                self._fail(f"unknown factor name {t.text!r}")
+                self._fail(f"unknown factor name {t[1]!r}")
             if self._accept("punct", "+"):
                 continue
             break
@@ -335,17 +328,17 @@ class _Parser:
 
     def _term(self):
         t = self._peek()
-        if t is None or t.kind != "name" or t.text not in TERM_NAMES:
+        if t is None or t[0] != "name" or t[1] not in TERM_NAMES:
             self._fail("expected a term (std/sym2/alt2/spin/triv)")
         self.pos += 1
-        if t.text == "triv":
+        if t[1] == "triv":
             return ("triv", 0)
         self._take("punct", "(")
         idx = self._int_slot()
         self._take("punct", ")")
         if not idx.lstrip("-").isdigit():
             self._fail("factor index must be a literal integer")
-        return (t.text, int(idx))
+        return (t[1], int(idx))
 
 
 def parse_pattern(text: str) -> PatternSpec:

@@ -62,7 +62,10 @@ class IntStack(NamedTuple):
     Entry t is val[t] / den at row row[t], column col[t] of matrix k[t];
     val is an integer array: int64 while its entries are
     below INT64_SAFE in absolute value, Python ints (dtype object) beyond.  Generators are sparse, so
-    this is the (n, d, d) stack without its zeros.
+    this is the (n, d, d) stack without its zeros.  The entries are held in
+    (k, row, col) order, one per position, so the entries of a run of
+    consecutive generators are a slice (matrep.validate_matrix_rep checks
+    this of an assembled module).
     """
 
     shape: tuple[int, int, int]

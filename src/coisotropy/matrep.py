@@ -116,9 +116,11 @@ class Factor:
         """(dim + rank)/2, from closed forms (valid for so(2) etc. as well)."""
         return (self.dim + self.rank) // 2
 
-    @property
+    @functools.cached_property
     def simple_type(self) -> SimpleType | None:
-        """Simple type of the factor, or None when the factor is trivial."""
+        """Simple type of the factor, or None when the factor is trivial;
+        computed once per factor (cached in the instance dict, outside the
+        fields that equality and hashing read)."""
         k, n = self.kind, self.n
         if k == "su":
             return SimpleType("A", n - 1) if n >= 2 else None
@@ -655,12 +657,14 @@ class MatrixRep:
 
     @functools.cached_property
     def borel_stack(self) -> IntStack:
-        """The Borel generators cartan | raising | torus, selected from gens."""
+        """The Borel generators cartan | raising | torus of gens: in (k, row,
+        col) order they are the nonzeros below the first lowering generator
+        and those from the first torus generator on."""
         g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
-        keep = (g.k < nc + npos) | (g.k >= nc + 2 * npos)
-        k = g.k[keep] - npos * (g.k[keep] >= nc + npos)
+        lo, hi = g.k.searchsorted([nc + npos, nc + 2 * npos]).tolist()
+        cut = lambda x: np.concatenate([x[:lo], x[hi:]])  # noqa: E731
         shape = (g.shape[0] - npos, *g.shape[1:])
-        return IntStack(shape, k, g.row[keep], g.col[keep], g.val[keep], g.den)
+        return IntStack(shape, np.concatenate([g.k[:lo], g.k[hi:] - npos]), cut(g.row), cut(g.col), cut(g.val), g.den)
 
     @functools.cached_property
     def compact_stack(self) -> IntStack:
@@ -811,7 +815,9 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     charge on each summand, and the torus weights are checked to be equal
     at both ends of every root-vector nonzero, the torus half of
     validate_matrix_rep's weight relation: the torus commutes with the
-    semisimple part.
+    semisimple part.  A torus weight is constant on each summand, and the
+    check runs only when some nonzero of the semisimple stack links two
+    summands, which _semisimple itself never assembles.
     """
     n_circ, lines = group.n_circles, group.torus_lines
     for sm in rep.summands:
@@ -823,13 +829,14 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     gens = ss.gens
     if lines:
         n, d, _ = gens.shape
-        net = np.array(
-            [[sum(a * c for a, c in zip(line, sm.charges)) for line in lines] for sm in rep.summands],
-            dtype=object,
-        )
-        big = _max_abs(net) * gens.den >= INT64_SAFE
-        w = np.repeat(net.astype(object if big else np.int64), ss.sizes, axis=0)
-        _check_weights(gens, w, np.zeros((n, len(lines)), np.int64), len(ss.cartan_labels), ss.root_labels)
+        net = [[sum(a * c for a, c in zip(line, sm.charges)) for line in lines] for sm in rep.summands]
+        big = max(abs(x) for row in net for x in row) * gens.den >= INT64_SAFE
+        w = np.repeat(np.array(net, dtype=object if big else np.int64), ss.sizes, axis=0)
+        # the net charges are constant on each summand, so only a nonzero
+        # whose row and column lie in two summands can break the relation
+        summand = np.repeat(np.arange(len(ss.sizes)), ss.sizes)
+        if (summand[gens.row] != summand[gens.col]).any():
+            _check_weights(gens, w, np.zeros((n, len(lines)), np.int64), len(ss.cartan_labels), ss.root_labels)
         # diag(net_t) * den for each line t, after every generator of the
         # semisimple part: the (k, row, col) order holds
         t, a = np.nonzero(w.T)
@@ -854,14 +861,19 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
     Each per-factor module is certified once, when it is built (_certify).
     Kron with identities, block sums and the dual map x -> -x^T in the
     reversed basis are Lie-algebra homomorphisms, so assembly only needs
-    guarding: Cartan and torus generators are diagonal, raising
-    generators strictly upper triangular, and every root vector satisfies
-    the weight relation entrywise, W[a] - W[b] = +-eig on each nonzero
-    (a, b) for the weight matrix W of the Cartan and torus diagonals, with
-    eigenvalue 0 under the Cartan generators of the other factors and under
-    the torus, so the torus commutes with it.
+    guarding: the entries are in (k, row, col) order (the IntStack
+    invariant that borel_stack slices by), Cartan and torus generators are
+    diagonal, raising generators strictly upper triangular, and every root
+    vector satisfies the weight relation entrywise, W[a] - W[b] = +-eig on
+    each nonzero (a, b) for the weight matrix W of the Cartan and torus
+    diagonals, with eigenvalue 0 under the Cartan generators of the other
+    factors and under the torus, so the torus commutes with it.
     """
     g, nc, npos = rep.gens, len(rep.cartan_labels), len(rep.root_labels)
+    d = g.shape[1]
+    key = (g.k * d + g.row) * d + g.col
+    if (key[1:] <= key[:-1]).any():
+        raise RepresentationError("generator entries are not in (k, row, col) order")
     raising = (g.k >= nc) & (g.k < nc + npos)
     if (g.row[raising] >= g.col[raising]).any():
         raise RepresentationError("raising generator is not strictly upper")
@@ -904,7 +916,7 @@ def so_vector_gens(n: int) -> IntStack:
     """Basis E_ab - E_ba (a < b) of so(n) on R^n."""
     a, b = np.triu_indices(n, 1)
     k, one = np.arange(a.size), np.ones(a.size, np.int64)
-    return IntStack((a.size, n, n), np.r_[k, k], np.r_[a, b], np.r_[b, a], np.r_[one, -one], 1)
+    return _coalesce((a.size, n, n), np.r_[k, k], np.r_[a, b], np.r_[b, a], np.r_[one, -one], 1)
 
 
 _OCT_TRIPLES = tuple(
@@ -925,7 +937,7 @@ def octonion_left_mult() -> IntStack:
             mult[(x, y)] = (1, z)
             mult[(y, x)] = (-1, z)
     ent = [(a - 1, mult[(a, j)][1], j, mult[(a, j)][0]) for a in range(1, 8) for j in range(8)]
-    return IntStack((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1)
+    return _coalesce((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -978,4 +990,4 @@ def real_block_rep(text: str) -> RealRep:
         np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
         for t in range(4)
     )
-    return RealRep(IntStack((models["vec7"].shape[0], off, off), k, row, col, val, den))
+    return RealRep(_coalesce((models["vec7"].shape[0], off, off), k, row, col, val, den))

@@ -675,25 +675,40 @@ def _factor_maps(group: GroupSpec, pat: PatternSpec, faces: list):
 
 
 def _solve_rank(expr_text: str, value: int, env: dict[str, int]) -> dict[str, int] | None:
-    """Extend env so expr evaluates to value; None if impossible."""
+    """Extend env so expr evaluates to value; None if impossible.  A fresh
+    dict each call, from the solution memoized per distinct input."""
+    found = _rank_solution(expr_text, value, tuple(env.items()))
+    return None if found is None else dict(found)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rank_solution(expr_text: str, value: int, bound: tuple) -> tuple | None:
+    """_solve_rank at the bound parameters (name, value), as items: the
+    lookups of a stream ask the same few inputs for every factor map."""
+    env = dict(bound)
     names = [n for n in expr_names(expr_text) if n not in env]
     if not names:
         try:
-            return dict(env) if eval_int_expr(expr_text, env) == value else None
+            return bound if eval_int_expr(expr_text, env) == value else None
         except ValueError:
             return None
     if len(names) > 1:
         return None
     name = names[0]
     for cand in range(0, value + 3):
-        trial = dict(env)
-        trial[name] = cand
         try:
-            if eval_int_expr(expr_text, trial) == value:
-                return trial
+            if eval_int_expr(expr_text, {**env, name: cand}) == value:
+                return (*bound, (name, cand))
         except ValueError:
             pass
     return None
+
+
+@functools.lru_cache(maxsize=4096)
+def _condition(text: str, bound: tuple) -> bool:
+    """eval_condition of a row condition at the parameters bound, as items,
+    memoized like _rank_solution; a ValueError is raised again each call."""
+    return eval_condition(text, dict(bound))
 
 
 def _evaluate_match(entry, env, order, gdual, span) -> MFLookup | None:
@@ -703,7 +718,7 @@ def _evaluate_match(entry, env, order, gdual, span) -> MFLookup | None:
     # sentinel charges satisfy every charge-shaped clause in the tables
     sentinel = {**env, "a": 10**6 + 1, "b": 10**6 - 1}
     try:
-        if not eval_condition(entry.cond, sentinel):
+        if not _condition(entry.cond, tuple(sentinel.items())):
             return None
     except ValueError:
         return None
@@ -720,12 +735,12 @@ def _evaluate_match(entry, env, order, gdual, span) -> MFLookup | None:
         charge_env, scalar_state = {**env, "a": 0, "b": 0}, "none"
 
     try:
-        cond_ok = eval_condition(entry.cond, charge_env)
+        cond_ok = _condition(entry.cond, tuple(charge_env.items()))
     except ValueError:
         return None
 
     if entry.table == "Ia":
-        removable = entry.scalar_policy == "removable" and eval_condition(entry.removable_cond, env)
+        removable = entry.scalar_policy == "removable" and _condition(entry.removable_cond, tuple(env.items()))
         if entry.scalar_policy == "removable" and not removable:
             notes.append("removability condition fails; scalar required")
         policy = "removable" if removable else "required"

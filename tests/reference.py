@@ -13,7 +13,11 @@ pairwise module certificate and the per-root derivation of the root
 vectors, formed one d x d integer product at a time, that the stacked
 ``matrep._certify`` and ``matrep._root_vectors`` replaced; the
 ``repdata._factor_maps`` that tried every injective image of the used
-factors before it compared kinds; the recursive dominant-weight search,
+factors before it compared kinds, and the ``repdata._solve_rank`` that
+tried each candidate rank on every call; the Borel view that
+``MatrixRep.borel_stack`` selected by a mask over every nonzero before it
+sliced the ordered stack; the tokenizer that ``dsl._tokenize`` ran one
+match at a time; the recursive dominant-weight search,
 one ``weyl_dim`` per weight, that ``rootsys.enumerate_dominant_weights``
 ran before it went one level at a time; and the elimination polynomials
 of ``repdata.POLY_FAMILIES`` written as functions.
@@ -26,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from coisotropy.dsl import _TOKEN_RE, ParseError, eval_int_expr, expr_names
 from coisotropy.linalg import (
     INT64_SAFE,
     IntStack,
@@ -51,7 +56,7 @@ from coisotropy.matrep import (
     _weights,
     realize,
 )
-from coisotropy.repdata import _SU1, _solve_rank
+from coisotropy.repdata import _SU1
 from coisotropy.rootsys import DominantWeight, weyl_dim
 
 
@@ -547,11 +552,62 @@ def permutation_factor_maps(group, pat, faced: list, used: list[int]):
             continue
         env: dict[str, int] | None = {}
         for (_, expr), fac in zip(pat.factors, facs):
-            env = _solve_rank(expr, fac.n, env)
+            env = solve_rank(expr, fac.n, env)
             if env is None:
                 break
         else:
             yield env
+
+
+def solve_rank(expr_text: str, value: int, env: dict[str, int]) -> dict[str, int] | None:
+    """Extend env so expr evaluates to value; None if impossible: every
+    candidate tried with eval on every call."""
+    names = [n for n in expr_names(expr_text) if n not in env]
+    if not names:
+        try:
+            return dict(env) if eval_int_expr(expr_text, env) == value else None
+        except ValueError:
+            return None
+    if len(names) > 1:
+        return None
+    name = names[0]
+    for cand in range(0, value + 3):
+        trial = dict(env)
+        trial[name] = cand
+        try:
+            if eval_int_expr(expr_text, trial) == value:
+                return trial
+        except ValueError:
+            pass
+    return None
+
+
+def mask_borel_stack(m: MatrixRep) -> IntStack:
+    """The Borel generators cartan | raising | torus of m.gens, selected by
+    a mask over every nonzero."""
+    g, nc, npos = m.gens, len(m.cartan_labels), len(m.root_labels)
+    keep = (g.k < nc + npos) | (g.k >= nc + 2 * npos)
+    k = g.k[keep] - npos * (g.k[keep] >= nc + npos)
+    shape = (g.shape[0] - npos, *g.shape[1:])
+    return IntStack(shape, k, g.row[keep], g.col[keep], g.val[keep], g.den)
+
+
+def match_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens (kind, text, line, col) of a spec, one regex match at a
+    time from the end of the previous one."""
+    toks = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        pos = 0
+        while pos < len(line):
+            m = _TOKEN_RE.match(line, pos)
+            if not m or m.end() == pos:
+                break
+            col = m.start(m.lastgroup) + 1
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", lineno, col)
+            toks.append((m.lastgroup, m.group(m.lastgroup), lineno, col))
+            pos = m.end()
+    return toks
 
 
 def recursive_dominant_weights(rs, dim_bound: int):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coisotropy import dsl
 from coisotropy.dsl import (
     ParseError,
     eval_condition,
@@ -11,6 +12,7 @@ from coisotropy.dsl import (
     print_repspec,
 )
 from coisotropy.matrep import Factor, GroupSpec, RepSpec, Summand, Term
+from reference import match_tokenize
 
 
 def test_basic_spec():
@@ -51,6 +53,74 @@ def test_error_positions():
         parse_repspec("su(n) on std(1)")  # symbolic in concrete mode
     with pytest.raises(ParseError):
         parse_repspec("su(4) on std(1) trailing")
+
+
+def test_error_positions_past_the_first_line():
+    # line 2 counts its columns from its own start; trailing whitespace,
+    # on a line or at the end of the input, is no token
+    with pytest.raises(ParseError) as err:
+        parse_repspec("su(4) +\n  u1[1] on $td(1)")
+    assert (err.value.line, err.value.col) == (2, 12)
+    assert str(err.value) == "2:12: unexpected character ' $'"
+    with pytest.raises(ParseError) as err:
+        parse_repspec("su(4) on   \nstd(1) @ 1 \t\n  bogus(1)  ")
+    assert (err.value.line, err.value.col) == (3, 3)
+    with pytest.raises(ParseError) as err:
+        parse_repspec("su(4) on std(1) @   \n  ")
+    assert (err.value.line, err.value.col) == (2, 1)  # at end of input
+    assert parse_repspec("su(4) on  \n std(1)  \n") == parse_repspec("su(4) on std(1)")
+
+
+def _dataset_pattern_texts():
+    """Every text the dataset loader parses as a pattern."""
+    from coisotropy import repdata
+
+    texts, tokenize = [], dsl._tokenize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_tokenize", lambda text: texts.append(text) or tokenize(text))
+        repdata._load_dataset.__wrapped__(None)
+    return texts
+
+
+def _stream_round_specs():
+    """The spec texts of one mf_stream round: every instantiation of tables
+    Ia (bare and with one scalar line), IIa and IIb (with the charge lines
+    (1, -2) and (1, -2), (2, 3))."""
+    from coisotropy.repdata import load_dataset
+
+    for table in ("Ia", "IIa", "IIb"):
+        for entry in load_dataset().mf_rows(table):
+            for env in entry.instantiations() or [{}]:
+                group, rep = entry.pattern.instantiate(env)
+                if table == "Ia":
+                    if group.dim:
+                        yield print_repspec(group, rep)
+                    charged = tuple(Summand(s.terms, s.dual, (1,)) for s in rep.summands)
+                    yield print_repspec(GroupSpec(group.factors, ((1,),)), RepSpec(charged))
+                    continue
+                first, second = rep.summands
+                charged = (Summand(first.terms, first.dual, (1, 0)), Summand(second.terms, second.dual, (0, 1)))
+                for lines in (((1, -2),), ((1, -2), (2, 3))):
+                    yield print_repspec(GroupSpec(group.factors, lines), RepSpec(charged))
+
+
+def test_tokens_equal_the_match_reference():
+    """One finditer pass per line gives the tokens of one match at a time,
+    on every dataset pattern, every spec of an mf_stream round and the
+    error cases."""
+    patterns, specs = _dataset_pattern_texts(), list(_stream_round_specs())
+    assert (len(patterns), len(specs)) == (109, 133)
+    texts = patterns + specs
+    texts += ["", "  ", "su(4) on std(1) $", "su(4) +\n u1[-1] on\ttriv  \n", "a//b-1 (x)(+)*@[,]"]
+    for text in texts:
+        try:
+            want = match_tokenize(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                dsl._tokenize(text)
+            assert (str(err.value), err.value.line, err.value.col) == (str(exc), exc.line, exc.col)
+            continue
+        assert dsl._tokenize(text) == want, text
 
 
 def test_pattern_parameters_and_instantiation():

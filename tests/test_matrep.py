@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from coisotropy.repdata import load_dataset
 from coisotropy.rootsys import DominantWeight, SimpleType, build_root_system, weyl_dim
 from reference import (
     invariant_bilinear_form,
+    mask_borel_stack,
     pairwise_certify,
     per_root_vectors,
     root_vector_faults,
@@ -313,6 +315,69 @@ def test_the_torus_check_rejects_a_root_vector_across_charges(monkeypatch):
         realize(charged, R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(0,))))
 
 
+def test_a_root_vector_across_summands_of_equal_net_charge_is_accepted(monkeypatch):
+    # as above, e at (0, 3) links the two summands; charges (1, 0) and
+    # (0, 1) differ, but the line (1, 1) gives both net charge 1, so the
+    # torus check runs on the linking nonzero and accepts it
+    from coisotropy import matrep
+
+    group, bare = grp(Factor("su", 2)), R(S(Term("std", 1)), S(Term("std", 1)))
+    ss = matrep._semisimple(group.factors, bare.summands)
+    linked = ss._replace(gens=_with_generator(ss.gens, 1, {(0, 1): 1, (2, 3): 1, (0, 3): 1}))
+    checks, check = [], matrep._check_weights
+    monkeypatch.setattr(matrep, "_semisimple", lambda *key: linked)
+    monkeypatch.setattr(matrep, "_check_weights", lambda *args: checks.append(args) or check(*args))
+    m = realize(grp(Factor("su", 2), lines=[(1, 1)]), R(S(Term("std", 1), charges=(1, 0)), S(Term("std", 1), charges=(0, 1))))
+    assert len(checks) == 1 and m.space_dim == 4
+    with pytest.raises(RepresentationError, match=r"weight relation fails on e\(1,\) of factor 0"):
+        realize(grp(Factor("su", 2), lines=[(1, 2)]), R(S(Term("std", 1), charges=(1, 0)), S(Term("std", 1), charges=(0, 1))))
+
+
+def test_the_torus_check_runs_only_on_a_nonzero_across_summands(monkeypatch):
+    """_semisimple keeps every nonzero inside one summand, so realize checks
+    no torus weight of its modules, whatever their charges (the semisimple
+    part is built, and validated, first)."""
+    from coisotropy import matrep
+
+    realize(grp(Factor("su", 3)), R(S(Term("std", 1)), S(Term("sym2", 1), dual=True)))
+    checks, check = [], matrep._check_weights
+    monkeypatch.setattr(matrep, "_check_weights", lambda *args: checks.append(args) or check(*args))
+    for charges in ((1, 0), (0, 1), (2, -3)):
+        m = realize(
+            grp(Factor("su", 3), lines=[(1, 2)]),
+            R(S(Term("std", 1), charges=charges), S(Term("sym2", 1), dual=True, charges=charges[::-1])),
+        )
+        assert m.gens.shape[0] == 2 + 2 * 3 + 1
+    assert checks == []
+
+
+def test_validation_rejects_entries_out_of_order():
+    m = realize(grp(Factor("su", 3)), R(S(Term("std", 1))))
+    g = m.gens
+    m.gens = g._replace(k=g.k[::-1].copy(), row=g.row[::-1].copy(), col=g.col[::-1].copy(), val=g.val[::-1].copy())
+    with pytest.raises(RepresentationError, match=r"not in \(k, row, col\) order"):
+        validate_matrix_rep(m)
+
+
+def test_every_built_stack_is_in_order():
+    def ordered(stack):
+        d = stack.shape[1]
+        key = (stack.k * d + stack.row) * d + stack.col
+        return bool((key[1:] > key[:-1]).all())
+
+    m = realize(grp(Factor("su", 3), lines=[(1,)]), R(S(Term("std", 1), charges=(1,)), S(Term("alt2", 1), charges=(2,))))
+    stacks = [m.gens, m.borel_stack, m.compact_stack, so_vector_gens(7), octonion_left_mult(), spin7_real_gens()]
+    stacks += [real_block_rep("triv:2,vec7,spin8").compact_stack, real_block_rep("vec7,vec7").compact_stack]
+    assert all(map(ordered, stacks))
+
+
+def test_simple_type_is_read_once_per_factor():
+    fac = Factor("so", 10)
+    assert fac.simple_type is fac.simple_type == SimpleType("D", 5)
+    assert fac == Factor("so", 10) and hash(fac) == hash(Factor("so", 10))
+    assert "simple_type" not in repr(fac)
+
+
 def test_the_shared_semisimple_stack_is_read_only():
     from coisotropy import mforacle
 
@@ -333,16 +398,16 @@ def test_the_shared_semisimple_stack_is_read_only():
 
 def _with_generator(stack, k, entries):
     """A copy of an integer stack with generator k replaced by entries
-    {(row, col): integer value}."""
+    {(row, col): integer value}, in (k, row, col) order like every stack."""
     keep = stack.k != k
     pos = list(entries)
     add = lambda values: np.array(values, dtype=np.int64)  # noqa: E731
-    return stack._replace(
-        k=np.concatenate([stack.k[keep], add([k] * len(pos))]),
-        row=np.concatenate([stack.row[keep], add([i for i, _ in pos])]),
-        col=np.concatenate([stack.col[keep], add([j for _, j in pos])]),
-        val=np.concatenate([stack.val[keep], add([v * stack.den for v in entries.values()])]),
-    )
+    ks = np.concatenate([stack.k[keep], add([k] * len(pos))])
+    row = np.concatenate([stack.row[keep], add([i for i, _ in pos])])
+    col = np.concatenate([stack.col[keep], add([j for _, j in pos])])
+    val = np.concatenate([stack.val[keep], add([v * stack.den for v in entries.values()])])
+    o = np.lexsort((col, row, ks))
+    return stack._replace(k=ks[o], row=row[o], col=col[o], val=val[o])
 
 
 def test_validation_catches_broken_generators():
@@ -505,13 +570,12 @@ def _table_instantiations():
                     yield GroupSpec(group.factors, ((1, -2),)), RepSpec(charged)
 
 
-def test_each_module_is_its_semisimple_part_and_torus_lines(monkeypatch):
-    """Every module reached by table 1..4 and by one mf_stream round, the
-    latter with one and with two charge lines: its stack is that of the
-    factors on the charge-free summands, followed by diag(net_t) * den for
-    each torus line t, and at mf_test's first draw the split rank is the
-    rank of the full Borel rows."""
-    from coisotropy import classify, mforacle
+@pytest.fixture(scope="module")
+def realized_specs():
+    """Every (group, rep) realized by table 1..4, in call order, then those
+    of one mf_stream round, with one and (tables IIa and IIb) with two
+    charge lines."""
+    from coisotropy import classify
 
     specs, original = {}, classify.realize
 
@@ -519,15 +583,27 @@ def test_each_module_is_its_semisimple_part_and_torus_lines(monkeypatch):
         specs[group, rep] = None
         return original(group, rep)
 
-    monkeypatch.setattr(classify, "realize", recording)
-    for table in (1, 2, 3, 4):
-        classify.reproduce_table(table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "realize", recording)
+        for table in (1, 2, 3, 4):
+            classify.reproduce_table(table)
     for group, rep in _table_instantiations():
         specs[group, rep] = None
         if group.n_circles == 2:
             specs[GroupSpec(group.factors, ((1, -2), (2, 3))), rep] = None
     assert any(len(group.torus_lines) == 2 for group, _ in specs)
-    for group, rep in specs:
+    return list(specs)
+
+
+def test_each_module_is_its_semisimple_part_and_torus_lines(realized_specs):
+    """Every module reached by table 1..4 and by one mf_stream round, the
+    latter with one and with two charge lines: its stack is that of the
+    factors on the charge-free summands, followed by diag(net_t) * den for
+    each torus line t, and at mf_test's first draw the split rank is the
+    rank of the full Borel rows."""
+    from coisotropy import mforacle
+
+    for group, rep in realized_specs:
         m = realize(group, rep)
         bare = GroupSpec(group.factors)
         ss = realize(bare, RepSpec(tuple(Summand(sm.terms, sm.dual) for sm in rep.summands)))
@@ -540,6 +616,42 @@ def test_each_module_is_its_semisimple_part_and_torus_lines(monkeypatch):
         rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
         rows = int_apply(m.borel_stack, mforacle._sample_vector(m.space_dim, rng, mforacle.MF_SAMPLE_BOUND))
         assert mforacle._split_rank(rows, rows.shape[0] - len(group.torus_lines)) == int_rank(rows), (group, rep)
+
+
+def test_borel_stack_equals_the_mask_reference(realized_specs):
+    """Sliced from the ordered stack, the Borel view of every module of
+    table 1..4 and of one mf_stream round is the masked one: shape, den,
+    and k, row, col and val with their dtypes."""
+    for group, rep in realized_specs:
+        m = realize(group, rep)
+        got, want = m.borel_stack, mask_borel_stack(m)
+        assert (got.shape, got.den) == (want.shape, want.den), (group, rep)
+        for a, b in zip(got[1:5], want[1:5]):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), (group, rep)
+
+
+def _digest_stack(digest, stack):
+    digest.update(repr((stack.shape, stack.den)).encode())
+    for x in stack[1:5]:
+        digest.update(x.dtype.str.encode())
+        digest.update(repr(x.tolist()).encode() if x.dtype == object else x.tobytes())
+
+
+# SHA-256 of every stack (gens, then the Borel view) that realize builds
+# for realized_specs, taken when the torus check and the Borel view still
+# read every nonzero; a change to realize that moves a byte moves it
+REALIZED_STACKS_SHA256 = "6b180103b696c8d0dfe55e76aa42d34f71e52b3a9d5eb294a3af751fab855bf4"
+
+
+def test_the_realized_stacks_match_their_pinned_digest(realized_specs):
+    digest = hashlib.sha256()
+    for group, rep in realized_specs:
+        m = realize(group, rep)
+        digest.update(repr((group, rep)).encode())
+        _digest_stack(digest, m.gens)
+        _digest_stack(digest, m.borel_stack)
+    assert len(realized_specs) == 209
+    assert digest.hexdigest() == REALIZED_STACKS_SHA256
 
 
 def test_assembly_matches_kron_reference_on_the_mf_tables():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from coisotropy import classify, repdata
-from coisotropy.dsl import eval_int_expr, parse_pattern, parse_repspec
+from coisotropy.dsl import eval_condition, eval_int_expr, parse_pattern, parse_repspec
 from coisotropy.matrep import GroupSpec, RepSpec, Summand, realize
 from coisotropy.mforacle import mf_test
 from coisotropy.repdata import (
@@ -26,7 +26,7 @@ from coisotropy.repdata import (
     parse_instantiations,
     space_from_text,
 )
-from reference import permutation_factor_maps
+from reference import permutation_factor_maps, solve_rank
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,37 @@ def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
     assert sum(not any_image for _, any_image in calls) > 500  # rows that try no image
     monkeypatch.setattr(repdata, "_factor_maps", reference_maps)
     assert [lookup_mf(group, rep, ds) for group, rep in queries] == looked
+
+
+def test_lookups_equal_those_that_solve_each_input_anew(ds, monkeypatch):
+    """With _solve_rank and the row conditions memoized, every lookup of
+    the mf-stream rounds at seeds 1 and 5 and of table 1..4 returns the
+    MFLookup of the solver that evaluates every candidate on every call."""
+    queries = list(_mf_stream_round(ds, random.Random(1))) + list(_mf_stream_round(ds, random.Random(5)))
+    monkeypatch.setattr(classify, "lookup_mf", lambda *args: queries.append(args[:2]) or lookup_mf(*args))
+    for table in (1, 2, 3, 4):
+        classify.reproduce_table(table)
+    monkeypatch.undo()
+    assert len(queries) == 2 * 91 + 33
+    repdata._rank_solution.cache_clear()
+    repdata._condition.cache_clear()
+    looked = [lookup_mf(group, rep, ds) for group, rep in queries]
+    solved, conditions = repdata._rank_solution.cache_info(), repdata._condition.cache_info()
+    assert solved.hits > 5 * solved.misses and conditions.hits > conditions.misses
+    monkeypatch.setattr(repdata, "_solve_rank", solve_rank)
+    monkeypatch.setattr(repdata, "_condition", lambda text, bound: eval_condition(text, dict(bound)))
+    assert [lookup_mf(group, rep, ds) for group, rep in queries] == looked
+
+
+def test_a_memoized_rank_solution_is_a_fresh_dict_each_call():
+    first = repdata._solve_rank("2*m+1", 7, {"n": 4})
+    assert first == {"n": 4, "m": 3}
+    first["m"] = 0
+    again = repdata._solve_rank("2*m+1", 7, {"n": 4})
+    assert again == {"n": 4, "m": 3} and again is not first
+    env = {"m": 3}
+    assert repdata._solve_rank("2*m+1", 7, env) == env and repdata._solve_rank("2*m+1", 7, env) is not env
+    assert repdata._solve_rank("m+k", 7, {}) is None and repdata._solve_rank("2*m", 7, {}) is None
 
 
 def test_lookup_three_summands(ds):
