@@ -19,13 +19,16 @@ are the leftmost independent columns over Q.  The nonsingular pivot block
 bounds the rank from below and the verified kernel from above, so the rank
 is exact.  int_kernel returns the certified pivot rows with the kernel:
 int_rank counts them, and the isotropy frame of mforacle reads its entries
-from them.  A prime that fails a check is replaced by the next one, and a
-bound from Hadamard's inequality caps the number of primes.  float_rank is
-the double-precision cross-check.
+from them.  _kernel_of keeps K, read-only, for systems that recur: the
+semisimple Borel rows of mforacle and the Gram blocks of matrep.  A prime
+that fails a check is replaced by the next one, and a bound from
+Hadamard's inequality caps the number of primes.  float_rank is the
+double-precision cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -309,6 +312,15 @@ def _prime_budget(a: np.ndarray) -> int:
     return 1 + (h2.bit_length() - 1) // 60
 
 
+def _matrix(rows) -> np.ndarray:
+    """rows as an array (a list of rows as Python ints); ValueError unless
+    it is a matrix."""
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return a
+
+
 def int_kernel(rows) -> tuple[list[int], np.ndarray]:
     """(P, K) of an integer matrix A (an array or a list of rows).
 
@@ -328,9 +340,7 @@ def int_kernel(rows) -> tuple[list[int], np.ndarray]:
     floor(log2 H / 30) of them divide D: the budget is never exhausted; if
     it were, ArithmeticError is raised.
     """
-    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    a = _matrix(rows)
     m, n = a.shape
     if not m:
         return [], np.eye(n, dtype=np.int64).astype(object)
@@ -346,15 +356,39 @@ def int_kernel(rows) -> tuple[list[int], np.ndarray]:
 
 
 def int_rank(rows) -> int:
-    """Exact rank of an integer matrix, given as an array or a list of rows.
+    """Exact rank of an integer matrix, given as an array or a list of rows;
+    ValueError for anything but a matrix, as int_kernel.
 
-    The number of pivot rows of int_kernel on the narrower side; a full
-    rank mod p is certified by the elimination alone.
+    A matrix of one row or one column has rank 1 iff it is nonzero, read
+    off its entries (the torus block T K_S of mforacle._split_rank for one
+    torus line).  Otherwise the number of pivot rows of int_kernel on the
+    narrower side; a full rank mod p is certified by the elimination alone.
     """
-    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    if a.ndim != 2 or 0 in a.shape:
+    a = _matrix(rows)
+    if 0 in a.shape:
         return 0
+    if 1 in a.shape:
+        return int(bool(a.any()))
     return len(int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0])
+
+
+# The kernels _kernel_of keeps: one per semisimple part and draw of
+# mforacle._split_rank, about a hundred on the paper's tables, and the few
+# distinct Gram blocks of matrep._weight_module
+SEMISIMPLE_KERNELS = 256
+
+
+@functools.lru_cache(maxsize=SEMISIMPLE_KERNELS)
+def _kernel_of(shape: tuple[int, int], data: bytes | tuple[int, ...]) -> np.ndarray:
+    """int_kernel's K of the matrix of this shape held by data, read-only:
+    its int64 bytes, or its Python ints in row order."""
+    kernel = int_kernel(
+        np.frombuffer(data, np.int64).reshape(shape)
+        if isinstance(data, bytes)
+        else np.array(data, dtype=object).reshape(shape)
+    )[1]
+    kernel.flags.writeable = False  # shared through the cache
+    return kernel
 
 
 # Between rounding noise and the smallest true singular value, with a wide

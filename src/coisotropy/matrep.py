@@ -42,8 +42,8 @@ from .linalg import (
     INT64_SAFE,
     IntStack,
     _bracket,
+    _kernel_of,
     _max_abs,
-    int_kernel,
 )
 from .rootsys import (
     DominantWeight,
@@ -352,13 +352,14 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> IntStack:
                 continue
             free = {}  # the one candidate of a nonzero 1 x 1 block is chosen
             if nc > 1:
-                # int_kernel gives the reduced-echelon kernel of g: column j
+                # _kernel_of gives int_kernel's reduced-echelon kernel of g,
+                # memoized: a few Gram blocks recur across modules; column j
                 # ends at its free candidate c, and -K[chosen, j] / K[c, j]
                 # expands c over the chosen (pivot) states, as
                 # sub^-1 g[chosen, c] would; a symmetric g is nonsingular on
                 # any set of columns that spans its column space
                 den = lcm(*(x.denominator for row in g for x in row))
-                _, kernel = int_kernel([[x.numerator * (den // x.denominator) for x in row] for row in g])
+                kernel = _kernel_of((nc, nc), tuple(x.numerator * (den // x.denominator) for row in g for x in row))
                 free = {int(np.flatnonzero(kernel[:, j])[-1]): j for j in range(kernel.shape[1])}
             chosen = [c for c in range(nc) if c not in free]
             base = len(wts)

@@ -32,6 +32,7 @@ from .linalg import (
     INT64_SAFE,
     IntStack,
     _bracket,
+    _kernel_of,
     _max_abs,
     float_rank,
     int_kernel,
@@ -106,11 +107,26 @@ def _sample_vector(dim: int, rng: random.Random, bound: int) -> np.ndarray:
             return np.array(draws, dtype=np.int64)
 
 
+# The points _sample_point keeps: every module of a dimension draws the same
+# points, about sixty on the paper's tables
+SAMPLE_POINTS = 1024
+
+
+@functools.lru_cache(maxsize=SAMPLE_POINTS)
+def _sample_point(seed: int, idx: int, rnd: int, dim: int, bound: int) -> np.ndarray:
+    """The point _sample_vector draws from _rng(seed, idx, rnd), read-only."""
+    v = _sample_vector(dim, _rng(seed, idx, rnd), bound)
+    v.flags.writeable = False  # shared through the cache
+    return v
+
+
 def _stabilize(
     evaluate, dim: int, seed: int, bound: int, ceiling: int | None = None
 ) -> OrbitProbe:
     """Evaluate an invariant, an int or a tuple of ints, at N_SAMPLES generic
     points of Z^dim, with coordinates in [-bound, bound] in the first round.
+    The point of each key (seed, idx, rnd) is a function of the key, the
+    dimension and the range, drawn once per process (_sample_point).
 
     For a rank whose generic value is its maximum over all points, ceiling
     is the largest value it can take: a sample reaching it certifies the
@@ -125,8 +141,7 @@ def _stabilize(
         values = []
         seeds = []
         for idx in range(N_SAMPLES):
-            rng = _rng(seed, idx, rnd)
-            v = _sample_vector(dim, rng, bound)
+            v = _sample_point(seed, idx, rnd, dim, bound)
             points.append(v)
             seeds.append(_rng_key(seed, idx, rnd))
             values.append(evaluate(v))
@@ -143,30 +158,15 @@ def _stabilize(
     raise GenericityError("sample ranks did not stabilize after 5 rounds")
 
 
-# The kernels of _split_rank kept: one per semisimple part and draw, about
-# a hundred on the paper's tables
-SEMISIMPLE_KERNELS = 256
-
-
-@functools.lru_cache(maxsize=SEMISIMPLE_KERNELS)
-def _kernel_of(shape: tuple[int, int], data: bytes | tuple[int, ...]) -> np.ndarray:
-    """int_kernel's K of the matrix of this shape held by data, read-only."""
-    kernel = int_kernel(
-        np.frombuffer(data, np.int64).reshape(shape)
-        if isinstance(data, bytes)
-        else np.array(data, dtype=object).reshape(shape)
-    )[1]
-    kernel.flags.writeable = False  # shared through the cache
-    return kernel
-
-
 def _split_rank(rows: np.ndarray, n_ss: int) -> int:
     """Exact rank of the Borel rows [S; T], S their first n_ss rows.
 
-    The verified kernel K_S of S is cached by the value of S: its int64
-    bytes, or the Python ints of an object array (whose bytes are
-    pointers).  K_S is a basis of ker S, so ker [S; T] = K_S ker(T K_S),
-    and the rank is dim - cols(K_S) + int_rank(T K_S).
+    The verified kernel K_S of S is cached by the value of S
+    (linalg._kernel_of): its int64 bytes, or the Python ints of an object
+    array (whose bytes are pointers).  K_S is a basis of ker S, so
+    ker [S; T] = K_S ker(T K_S), and the rank is dim - cols(K_S) +
+    int_rank(T K_S); for one torus line T K_S is one row, whose rank
+    int_rank reads off its entries.
     """
     s = rows[:n_ss]
     kernel = _kernel_of(s.shape, s.tobytes() if s.dtype == np.int64 else tuple(s.ravel().tolist()))

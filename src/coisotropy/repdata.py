@@ -441,6 +441,27 @@ class Dataset:
     def mf_rows(self, table: str) -> list[MFTableEntry]:
         return [r for r in self.mf_entries if r.table == table]
 
+    @functools.cached_property
+    def _mf_index(self) -> dict[tuple, list[tuple[MFTableEntry, int]]]:
+        """(row, su count) of each MF row, in table order, by (table,
+        summand count, sorted factor kinds other than su)."""
+        index: dict[tuple, list[tuple[MFTableEntry, int]]] = {}
+        for e in self.mf_entries:
+            kinds = [kind for kind, _ in e.pattern.factors]
+            key = (e.table, len(e.pattern.summands), tuple(sorted(k for k in kinds if k != "su")))
+            index.setdefault(key, []).append((e, kinds.count("su")))
+        return index
+
+    def mf_rows_fitting(self, table: str, summands: int, kinds: list[str]) -> list[MFTableEntry]:
+        """The rows of a table with this many summands, in table order, whose
+        factor kinds can be kinds (those of the concrete factors a module
+        uses) and su for the rest: the same kinds other than su, and at
+        least as many su.  No other row has a map onto the used factors
+        (_factor_maps)."""
+        n_su = kinds.count("su")
+        key = (table, summands, tuple(sorted(k for k in kinds if k != "su")))
+        return [e for e, su in self._mf_index.get(key, ()) if su >= n_su]
+
 
 def load_dataset(directory: str | None = None) -> Dataset:
     """The checked dataset of a directory, by default the one LIE_COISO_DATA
@@ -588,6 +609,8 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
     of a self-dual summand is not compared.  The first candidate whose dual
     flags agree exactly wins, else the first candidate.  More than two
     summands cannot be indecomposably multiplicity free, so no row can match.
+    Only the rows whose factor kinds fit those of the concrete factors used
+    are visited (Dataset.mf_rows_fitting).
     """
     ds = dataset or load_dataset()
     r = len(rep.summands)
@@ -608,12 +631,11 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
     for order in [(0,)] if r == 1 else [(0, 1), (1, 0)]:
         faced = [slots[c] for c in order]
         faces.append((order, faced, list(dict.fromkeys(f for sl in faced for _, f in sl))))
+    kinds = [group.factors[f].kind for f in faces[0][2]]  # every face uses the same factors
     first = None
     for table in ["Ia"] if r == 1 else ["IIa", "IIb"]:
-        for entry in ds.mf_rows(table):
+        for entry in ds.mf_rows_fitting(table, r, kinds):
             pat = entry.pattern
-            if len(pat.summands) != r:
-                continue
             for order, env in _factor_maps(group, pat, faces):
                 for gdual in (False, True):
                     differ = [
@@ -649,10 +671,9 @@ def _factor_maps(group: GroupSpec, pat: PatternSpec, faces: list):
     slots of the concrete summand it faces.  Each used factor takes a
     pattern factor of its own kind, and a pattern factor left over becomes
     su(1), which holds only one-dimensional slots; so unless the pattern's
-    kinds are the used ones and su for the rest, no map exists."""
-    kinds, used = [kind for kind, _ in pat.factors], faces[0][2]  # every face uses the same factors
-    if sorted(kinds) != sorted([group.factors[f].kind for f in used] + ["su"] * (len(kinds) - len(used))):
-        return
+    kinds are the used ones and su for the rest, no map exists, and
+    lookup_mf visits no such row."""
+    kinds = [kind for kind, _ in pat.factors]
     for order, faced, used in faces:
         for image in itertools.permutations(range(len(kinds)), len(used)):
             fmap = dict(zip(image, used))

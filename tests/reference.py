@@ -13,7 +13,9 @@ pairwise module certificate and the per-root derivation of the root
 vectors, formed one d x d integer product at a time, that the stacked
 ``matrep._certify`` and ``matrep._root_vectors`` replaced; the
 ``repdata._factor_maps`` that tried every injective image of the used
-factors before it compared kinds, and the ``repdata._solve_rank`` that
+factors before it compared kinds, the kind check it made of every row
+before ``repdata.lookup_mf`` indexed the rows, and the
+``repdata._solve_rank`` that
 tried each candidate rank on every call; the Borel view that
 ``MatrixRep.borel_stack`` selected by a mask over every nonzero before it
 sliced the ordered stack; the tokenizer that ``dsl._tokenize`` ran one
@@ -534,6 +536,14 @@ POLY_FAMILY_FUNCTIONS = {
         "f3_claimed": lambda q: q * q - 19,
     },
 }
+
+
+def kinds_fit(group, pat, used: list[int]) -> bool:
+    """The kind check that repdata._factor_maps made of every row of the
+    summand count before lookup_mf indexed the rows: the pattern's factor
+    kinds are those of the used factors and su for the rest."""
+    kinds = sorted(kind for kind, _ in pat.factors)
+    return kinds == sorted([group.factors[f].kind for f in used] + ["su"] * (len(kinds) - len(used)))
 
 
 def permutation_factor_maps(group, pat, faced: list, used: list[int]):

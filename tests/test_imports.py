@@ -10,7 +10,8 @@ own definition; the public exceptions are listed, each with its reason.
 A method or property is referenced only by an attribute read (x.name); a
 bare name of the same spelling does not count.  A reference is by name
 only, so a method counts as referenced wherever an attribute of that name
-is read, on any object.
+is read, on any object.  The modules each file imports at module level
+are pinned (MODULE_IMPORTS).
 """
 
 import ast
@@ -110,6 +111,7 @@ def _private(dead: list[str]) -> list[str]:
 KEPT_PUBLIC = {
     "classify:dimension_threshold": "the paper's dimension bound, tested on its own",
     "repdata:maximal_subgroups": "the data API that the maximal-subgroup work reads",
+    "repdata:Dataset.mf_rows": "the rows of one MF table, as the benchmark's mf-check stream reads them",
     "mforacle:SymmetricPair.validate": "the tests' check of the pair constructions",
 }
 
@@ -160,6 +162,52 @@ def test_only_linalg_names_the_kernel_internals():
     for path in MODULES:
         names = _referenced(ast.parse(path.read_text())) & KERNEL_INTERNALS
         assert names == (KERNEL_INTERNALS if path.name == "linalg.py" else set()), path.name
+
+
+# The modules each package file imports at module level, a from-import by
+# its module.  A process's set of loaded modules moves the timing of
+# perfbench's scans workload, so this set changes only on purpose.
+MODULE_IMPORTS = {
+    "__init__.py": {".rootsys"},
+    "classify.py": {".dsl", ".linalg", ".matrep", ".mforacle", ".repdata", ".rootsys", "__future__", "dataclasses", "numpy"},
+    "cli.py": {".classify", ".dsl", ".linalg", ".matrep", ".mforacle", ".repdata", ".rootsys", "__future__", "argparse", "functools", "sys"},
+    "dsl.py": {".matrep", "__future__", "ast", "dataclasses", "functools", "re"},
+    "linalg.py": {"__future__", "functools", "math", "numpy", "typing"},
+    "matrep.py": {".linalg", ".rootsys", "__future__", "dataclasses", "fractions", "functools", "itertools", "math", "numpy", "typing"},
+    "mforacle.py": {".linalg", ".matrep", "__future__", "dataclasses", "functools", "numpy", "random", "typing"},
+    "repdata.py": {".dsl", ".matrep", "__future__", "dataclasses", "functools", "importlib", "itertools", "math", "os", "re"},
+    "rootsys.py": {"__future__", "dataclasses", "functools", "math", "operator"},
+}
+
+
+def module_imports(source: str) -> set[str]:
+    """The modules source imports outside any function or class: import a.b
+    gives a.b, from a import b gives a, and from . import b gives .b."""
+    found: set[str] = set()
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found |= {base + alias.name for alias in node.names} if node.module is None else {base}
+        elif not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            nodes += [sub for sub in ast.iter_child_nodes(node) if isinstance(sub, ast.stmt)]
+    return found
+
+
+def test_the_guard_sees_module_level_imports_only():
+    source = (
+        "from __future__ import annotations\nimport os, a.b as c\nfrom . import x, y\n"
+        "from ..p import q\nif os:\n    import json\n\ndef f():\n    import csv\n\n"
+        "class K:\n    import abc\n"
+    )
+    assert module_imports(source) == {"__future__", "os", "a.b", ".x", ".y", "..p", "json"}
+
+
+def test_the_module_level_imports_are_pinned():
+    assert {p.name: module_imports(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))} == MODULE_IMPORTS
 
 
 def _package_sources() -> dict[str, str]:

@@ -290,6 +290,33 @@ def test_int_kernel_on_a_wide_matrix():
     assert int_rank(wide) == int_rank(wide.T) == 2
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)])
+def test_one_row_or_column_is_ranked_by_inspection(shape, dtype, monkeypatch):
+    # rank 1 iff nonzero, as the int_kernel route counts, with no elimination
+    big = 2**70 if dtype is object else 7
+    cases = [np.zeros(shape, dtype)]
+    for value in (1, -3, big):
+        a = np.zeros(shape, dtype)
+        a.flat[-1] = value
+        cases.append(a)
+    kernel, eliminated = linalg.int_kernel, []
+    monkeypatch.setattr(linalg, "int_kernel", lambda a: eliminated.append(a) or kernel(a))
+    for a in cases:
+        want = len(kernel(a if a.shape[0] >= a.shape[1] else a.T)[0])
+        assert int_rank(a) == want == int(a.any())
+    assert not eliminated
+
+
+def test_int_rank_takes_only_a_matrix():
+    for rows in ([1, 2, 3], np.zeros((2, 2, 2), np.int64), np.int64(4)):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            int_rank(rows)
+        with pytest.raises(ValueError, match="expected a matrix"):
+            int_kernel(rows)
+    assert int_rank(np.zeros((0, 3), np.int64)) == int_rank([[]]) == int_rank(np.zeros((4, 0), object)) == 0
+
+
 def test_int_kernel_past_int64():
     big = 2**62
     u = np.array([big + 1, 3, -(big // 3), 7], dtype=object)

@@ -215,8 +215,8 @@ def test_weight_module_stops_once_it_exceeds_the_weyl_dimension(monkeypatch):
     from coisotropy import matrep
 
     st, weight = SimpleType("E", 6), (1, 0, 0, 0, 0, 0)
-    calls, kernel = [], matrep.int_kernel
-    monkeypatch.setattr(matrep, "int_kernel", lambda rows: calls.append(len(rows)) or kernel(rows))
+    calls, kernel = [], matrep._kernel_of
+    monkeypatch.setattr(matrep, "_kernel_of", lambda shape, data: calls.append(shape[0]) or kernel(shape, data))
     assert _weight_module(st, weight).shape[1] == 27
     full = len(calls)
     calls.clear()
@@ -379,7 +379,7 @@ def test_simple_type_is_read_once_per_factor():
 
 
 def test_the_shared_semisimple_stack_is_read_only():
-    from coisotropy import mforacle
+    from coisotropy import linalg, mforacle
 
     group, rep = grp(Factor("su", 3)), R(S(Term("std", 1)), S(Term("sym2", 1), dual=True))
     m = realize(group, rep)
@@ -391,7 +391,7 @@ def test_the_shared_semisimple_stack_is_read_only():
     # the kernel of the Borel rows that mf_test caches is read-only too
     v = mforacle._sample_vector(m.space_dim, mforacle._rng(0, 0, 0), mforacle.MF_SAMPLE_BOUND)
     rows = int_apply(m.borel_stack, v)
-    kernel = mforacle._kernel_of(rows.shape, rows.tobytes())
+    kernel = linalg._kernel_of(rows.shape, rows.tobytes())
     with pytest.raises(ValueError):
         kernel[0, 0] = 1
 
@@ -1111,7 +1111,7 @@ def test_square_of_su4_std_is_its_weight_module(kind, weight):
 
 @pytest.mark.parametrize("stype, weight", [(SimpleType("A", 2), (2, 1)), (SimpleType("G", 2), (1, 1))])
 def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch):
-    """Every Gram block that reaches int_kernel is nonzero with more than
+    """Every Gram block that reaches the kernel is nonzero with more than
     one candidate, and the states chosen from it (its non-free columns) are
     the pivot columns of the Fraction RREF, on which the block has a
     nonsingular principal part."""
@@ -1119,13 +1119,18 @@ def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch)
 
     from coisotropy import matrep
 
-    blocks, kernel = [], matrep.int_kernel
-    monkeypatch.setattr(matrep, "int_kernel", lambda rows: blocks.append(rows) or kernel(rows))
+    blocks, memo = [], matrep._kernel_of
+
+    def kernel_of(shape, data):
+        blocks.append(np.array(data, dtype=object).reshape(shape))
+        return memo(shape, data)
+
+    monkeypatch.setattr(matrep, "_kernel_of", kernel_of)
     _weight_module(stype, weight)
-    assert any(len(kernel(g)[0]) < len(g) for g in blocks)  # some candidates are dependent
+    assert any(len(int_kernel(g)[0]) < len(g) for g in blocks)  # some candidates are dependent
     for g in blocks:
         assert len(g) > 1 and any(x for row in g for x in row)
-        _, k = kernel(g)
+        _, k = int_kernel(g)
         free = {int(np.flatnonzero(k[:, j])[-1]) for j in range(k.shape[1])}
         pivots = frac_rref([[Fraction(x) for x in row] for row in g])[1]
         assert [c for c in range(len(g)) if c not in free] == pivots

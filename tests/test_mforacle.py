@@ -662,26 +662,61 @@ def test_the_report_names_the_points_both_ranks_were_read_at():
         assert int_rank(int_apply(rep.compact_stack, v)) == dim - report.cohomogeneity
 
 
+def test_every_point_read_is_the_fresh_draw_of_its_key(monkeypatch):
+    """Every point _stabilize reads on table 1..4 and on one mf_stream
+    round is the point _sample_vector draws afresh from its key, and
+    read-only."""
+    import random
+
+    from test_repdata import _mf_stream_round
+
+    from coisotropy import classify, mforacle
+    from coisotropy.repdata import load_dataset
+
+    memo, read = mforacle._sample_point, []
+
+    def recording(*key):
+        read.append((key, memo(*key)))
+        return read[-1][1]
+
+    monkeypatch.setattr(mforacle, "_sample_point", recording)
+    for table in (1, 2, 3, 4):
+        classify.reproduce_table(table)
+    tables = len(read)
+    for group, rep in _mf_stream_round(load_dataset(), random.Random(5)):
+        mf_test(realize(group, rep), seed=5)
+    assert tables > 100 and len(read) > tables + 50
+    assert len({key for key, _ in read}) < len(read) // 2  # the points recur
+    for (seed, idx, rnd, dim, bound), v in read:
+        fresh = mforacle._sample_vector(dim, mforacle._rng(seed, idx, rnd), bound)
+        assert v.dtype == fresh.dtype and np.array_equal(v, fresh) and not v.flags.writeable
+
+
 def _chain_with_special_points(monkeypatch, special):
     """The chain module, with the draw of each key in special sent to a
     smaller orbit: its C^1 part zeroed at an odd index, its first C^3 part
-    at an even one."""
+    at an even one; and the list that the key of each special point drawn
+    is appended to.  The points are memoized in an empty memo of their
+    own, so every point is drawn here and none reaches the process's."""
+    import functools
     import random
 
     from coisotropy import mforacle
 
-    draw = mforacle._sample_vector
+    draw, drawn = mforacle._sample_vector, []
 
     def sample(dim, rng, bound):
         state = rng.getstate()
         v = draw(dim, rng, bound)
         for key in special:
             if state == random.Random(key).getstate():
+                drawn.append(key)
                 v[slice(12, None) if int(key.split(":")[1]) % 2 else slice(0, 6)] = 0
         return v
 
     monkeypatch.setattr(mforacle, "_sample_vector", sample)
-    return ISOTROPY_CASES["chain"][0]()
+    monkeypatch.setattr(mforacle, "_sample_point", functools.lru_cache(mforacle._sample_point.__wrapped__))
+    return ISOTROPY_CASES["chain"][0](), drawn
 
 
 def test_a_special_point_moves_the_probe_to_the_next_round(monkeypatch):
@@ -691,7 +726,9 @@ def test_a_special_point_moves_the_probe_to_the_next_round(monkeypatch):
     import dataclasses
 
     clean = coisotropic_by_rank(ISOTROPY_CASES["chain"][0]())
-    report = coisotropic_by_rank(_chain_with_special_points(monkeypatch, {"20240101:1:0"}))
+    rep, drawn = _chain_with_special_points(monkeypatch, {"20240101:1:0"})
+    report = coisotropic_by_rank(rep)
+    assert drawn == ["20240101:1:0"]
     assert report.points == ("20240101:0:1", "20240101:1:1", "20240101:2:1")
     assert dataclasses.replace(report, points=clean.points) == clean
 
@@ -704,8 +741,10 @@ def test_special_points_at_every_draw_are_a_genericity_error(monkeypatch):
         for idx in range(mforacle.N_SAMPLES)
         for rnd in range(mforacle.MAX_ROUNDS)
     }
+    rep, drawn = _chain_with_special_points(monkeypatch, special)
     with pytest.raises(mforacle.GenericityError, match="stabilize"):
-        coisotropic_by_rank(_chain_with_special_points(monkeypatch, special))
+        coisotropic_by_rank(rep)
+    assert sorted(drawn) == sorted(special)
 
 
 def test_an_orbit_of_full_rank_certifies_the_probe_at_one_point(monkeypatch):

@@ -26,7 +26,7 @@ from coisotropy.repdata import (
     parse_instantiations,
     space_from_text,
 )
-from reference import permutation_factor_maps, solve_rank
+from reference import kinds_fit, permutation_factor_maps, solve_rank
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +149,13 @@ def _mf_stream_round(ds, rng):
 
 
 def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
-    """_factor_maps tries no image for a row whose factor kinds cannot fit.
-    On every lookup of one mf-stream round and of table 1..4, each call
-    yields the (order, env) pairs of the reference that tries every
-    injective image, in the same order, and so every lookup is the same."""
+    """lookup_mf visits only the rows whose factor kinds can fit: for every
+    lookup of one mf-stream round and of table 1..4, the rows the index
+    gives are those of the table, in order, with the query's summand count
+    that pass the kind check, and a row it skips never reaches
+    _factor_maps.  Each call yields the (order, env) pairs of the reference
+    that tries every injective image, in the same order, and every lookup
+    is that of the reference that visits every row of the summand count."""
     queries = list(_mf_stream_round(ds, random.Random(5)))
     monkeypatch.setattr(classify, "lookup_mf", lambda *args: queries.append(args[:2]) or lookup_mf(*args))
     for table in (1, 2, 3, 4):
@@ -161,12 +164,26 @@ def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
     assert len(queries) == 91 + 33
     maps, permutations, calls, tried = repdata._factor_maps, itertools.permutations, [], []
 
+    def used_factors(group, rep):
+        return list(dict.fromkeys(f for sm in rep.summands for _, f in repdata._slots(group, sm)))
+
+    skipped = 0
+    for group, rep in queries:
+        r, used = len(rep.summands), used_factors(group, rep)
+        for table in ["Ia"] if r == 1 else ["IIa", "IIb"]:
+            rows = [e for e in ds.mf_rows(table) if len(e.pattern.summands) == r]
+            fitting = [e for e in rows if kinds_fit(group, e.pattern, used)]
+            assert ds.mf_rows_fitting(table, r, [group.factors[f].kind for f in used]) == fitting
+            skipped += len(rows) - len(fitting)
+
     def reference_maps(group, pat, faces):
         for order, faced, used in faces:
             for env in permutation_factor_maps(group, pat, faced, used):
                 yield order, env
 
     def compared_maps(*args):
+        group, pat, faces = args
+        assert kinds_fit(group, pat, faces[0][2])  # no skipped row reaches a map
         start = len(tried)
         found = list(maps(*args))
         calls.append((found, len(tried) > start))
@@ -177,8 +194,14 @@ def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
     monkeypatch.setattr(repdata, "_factor_maps", compared_maps)
     looked = [lookup_mf(group, rep, ds) for group, rep in queries]
     assert sum(bool(found) for found, _ in calls) > 100
-    assert sum(not any_image for _, any_image in calls) > 500  # rows that try no image
+    # rows the index skips and rows that try no image
+    assert skipped + sum(not any_image for _, any_image in calls) > 500
     monkeypatch.setattr(repdata, "_factor_maps", reference_maps)
+    monkeypatch.setattr(
+        repdata.Dataset,
+        "mf_rows_fitting",
+        lambda self, table, r, kinds: [e for e in self.mf_rows(table) if len(e.pattern.summands) == r],
+    )
     assert [lookup_mf(group, rep, ds) for group, rep in queries] == looked
 
 
