@@ -35,10 +35,10 @@ from .rootsys import (
     DominantWeight,
     SimpleType,
     borel_dim,
-    build_root_system,
     classify_rep_field,
     enumerate_dominant_weights,
     lemma_search_bound,
+    paper_family_root_systems,
     paper_family_types,
     spin_search_bound,
 )
@@ -70,8 +70,7 @@ def verify_lemma21(max_classical_rank: int) -> LemmaExceptions:
         raise ValueError("max_classical_rank must be >= 6")
     part1: set = set()
     part2: set = set()
-    for st in paper_family_types(max_classical_rank):
-        rs = build_root_system(st)
+    for st, rs in paper_family_root_systems(max_classical_rank):
         b = borel_dim(rs)
         for w, d in enumerate_dominant_weights(rs, lemma_search_bound(rs)):
             if 2 * (1 + b) >= d * (d - 1):
@@ -121,8 +120,7 @@ def spin_inequality_scan(max_rank: int) -> list[dict]:
     if max_rank < 7:
         raise ValueError("max_rank must be >= 7")
     out = []
-    for st in paper_family_types(max_rank):
-        rs = build_root_system(st)
+    for st, rs in paper_family_root_systems(max_rank):
         b = borel_dim(rs)
         bound = spin_search_bound(rs)
         for w, d in enumerate_dominant_weights(rs, bound):
@@ -162,8 +160,7 @@ def irrep_scan(reality: str, degree: int, min_dim: int) -> list[dict]:
     modules (the ambient classical group itself) are excluded."""
     want = {"R": "real", "C": "complex", "H": "quaternionic"}[reality]
     out = []
-    for st in paper_family_types(IRREP_SCAN_MAX_RANK):
-        rs = build_root_system(st)
+    for st, rs in paper_family_root_systems(IRREP_SCAN_MAX_RANK):
         if rs.dim_g < min_dim:
             continue
         for w, d in enumerate_dominant_weights(rs, degree):

@@ -359,16 +359,26 @@ def int_rank(rows) -> int:
     """Exact rank of an integer matrix, given as an array or a list of rows;
     ValueError for anything but a matrix, as int_kernel.
 
-    A matrix of one row or one column has rank 1 iff it is nonzero, read
-    off its entries (the torus block T K_S of mforacle._split_rank for one
-    torus line).  Otherwise the number of pivot rows of int_kernel on the
-    narrower side; a full rank mod p is certified by the elimination alone.
+    A matrix of one or two rows or columns is ranked off its entries, in
+    Python ints (the torus block T K_S of mforacle._split_rank for one or
+    two torus lines): one line has rank 1 iff it is nonzero, and two lines
+    u, v with a nonzero column (u_k, v_k) have rank 2 iff some 2 x 2 minor
+    u_k v_j - u_j v_k is nonzero, since every column is a multiple of
+    column k otherwise.  Any other matrix has the number of pivot rows of
+    int_kernel on its narrower side; a full rank mod p is certified by the
+    elimination alone.
     """
     a = _matrix(rows)
     if 0 in a.shape:
         return 0
     if 1 in a.shape:
         return int(bool(a.any()))
+    if 2 in a.shape:
+        u, v = (a if a.shape[0] == 2 else a.T).tolist()
+        k = next((j for j, pair in enumerate(zip(u, v)) if any(pair)), None)
+        if k is None:
+            return 0
+        return 2 if any(u[k] * y != x * v[k] for x, y in zip(u, v)) else 1
     return len(int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0])
 
 

@@ -165,8 +165,8 @@ def _split_rank(rows: np.ndarray, n_ss: int) -> int:
     (linalg._kernel_of): its int64 bytes, or the Python ints of an object
     array (whose bytes are pointers).  K_S is a basis of ker S, so
     ker [S; T] = K_S ker(T K_S), and the rank is dim - cols(K_S) +
-    int_rank(T K_S); for one torus line T K_S is one row, whose rank
-    int_rank reads off its entries.
+    int_rank(T K_S); for one or two torus lines T K_S has one or two rows,
+    whose rank int_rank reads off its entries.
     """
     s = rows[:n_ss]
     kernel = _kernel_of(s.shape, s.tobytes() if s.dtype == np.int64 else tuple(s.ravel().tolist()))

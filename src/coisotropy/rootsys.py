@@ -6,17 +6,21 @@ for E and F); the Gram matrix of the rows gives the integer Cartan matrix
 and the integer squared lengths of the simple roots, each division checked.
 Positive roots come from a root-string walk, one height at a time, on
 Python integer tuples, which carries each root's pairings with the simple
-coroots along.  numpy then builds, once per type, the int64 arrays of those
-pairings (root_pairings), of the coroot pairings with the fundamental
-weights (_pairing, from the symmetrized form by one exact division) and of
-rho.  The Weyl dimension is the product of the <w + rho, beta^vee> (in int64
-while they stay below linalg.INT64_SAFE, in Python ints beyond) divided by
-the product of the rho pairings, aborting on any remainder.  One integer
-product gives these pairings for a whole batch of weights (_weyl_dims):
-the dominant-weight search makes one per search level, and weyl_dim is a
-batch of one.  Every public result is a Python int.  numpy is imported
-inside the functions, since loading it before the other package modules
-compile raises peak memory.
+coroots along.  numpy then builds, once per walk, the int64 arrays of the
+roots, of those pairings (root_pairings), of the coroot pairings with the
+fundamental weights (_pairing, from the symmetrized form by one exact
+division) and of rho.  The walk runs once per family top: a smaller rank
+of a family whose larger system is built is a sub-diagram of it, and its
+system is the larger one's arrays restricted to those nodes
+(RootSystem.restrict); paper_family_root_systems builds the scans' types
+largest first to that end.  The Weyl dimension is the product of the
+<w + rho, beta^vee> (in int64 while they stay below linalg.INT64_SAFE, in
+Python ints beyond) divided by the product of the rho pairings, aborting
+on any remainder.  One integer product gives these pairings for a whole
+batch of weights (_weyl_dims): the dominant-weight search makes one per
+search level, and weyl_dim is a batch of one.  Every public result is a
+Python int.  numpy is imported inside the functions, since loading it
+before the other package modules compile raises peak memory.
 """
 
 from __future__ import annotations
@@ -116,12 +120,10 @@ class RootSystem:
     """
 
     def __init__(self, stype: SimpleType):
+        """Walk the positive roots of stype."""
         import numpy as np
 
-        from .linalg import INT64_SAFE
-
         self.type = stype
-        r = stype.rank
         simple, den = _simple_roots_orthogonal(stype)
         # 2 (a_i, a_j) / (a_i, a_i) is unchanged by the denominator
         scaled = np.array(simple, dtype=np.int64)
@@ -130,19 +132,47 @@ class RootSystem:
         self.cartan_matrix = tuple(map(tuple, cartan.tolist()))
         self.positive_roots, pairings = _positive_roots(self.cartan_matrix)
         roots = np.array(self.positive_roots, dtype=np.int64)
-        self.root_pairings = np.array(pairings, dtype=np.int64)
+        root_pairings = np.array(pairings, dtype=np.int64)
         # <Lambda_j, beta^vee> = 2 beta_j |alpha_j|^2 / 2 (beta, beta), and the
         # symmetrized form gives 2 (beta, beta) = sum_i beta_i |alpha_i|^2 <beta, alpha_i^vee>
         sq = _exact_div(gram.diagonal(), den * den, "a squared simple root length")
-        norm2 = (roots * sq * self.root_pairings).sum(axis=1)
-        self._pairing = _exact_div(2 * roots * sq, norm2[:, None], "<Lambda_j, beta^vee>")
-        self.rho = self._pairing.sum(axis=1)
+        norm2 = (roots * sq * root_pairings).sum(axis=1)
+        self._set_arrays(
+            roots, root_pairings, _exact_div(2 * roots * sq, norm2[:, None], "<Lambda_j, beta^vee>")
+        )
+
+    def _set_arrays(self, roots, root_pairings, pairing) -> None:
+        """Keep the int64 arrays of the roots, their pairings and their
+        coroots' pairings, read-only, and derive rho and the int64 bound of
+        _weyl_dims from them."""
+        from .linalg import INT64_SAFE
+
+        self._roots, self.root_pairings, self._pairing = roots, root_pairings, pairing
+        self.rho = pairing.sum(axis=1)
         self.rho_pairings = tuple(self.rho.tolist())
         self.rho_product = prod(self.rho_pairings)
-        for a in (self.root_pairings, self._pairing, self.rho):
+        for a in (roots, root_pairings, pairing, self.rho):
             a.flags.writeable = False  # shared through build_root_system's cache
         # _weyl_dims stays in int64 while max(w) * max(_pairing) * rank + max(rho) < INT64_SAFE
-        self._int64_weights_below = (INT64_SAFE - int(self.rho.max())) // (int(self._pairing.max()) * r)
+        self._int64_weights_below = (INT64_SAFE - int(self.rho.max())) // (int(pairing.max()) * self.rank)
+
+    def restrict(self, stype: SimpleType, first: int) -> "RootSystem":
+        """The root system of stype, the sub-diagram J of the stype.rank
+        nodes from node first, with no walk.  Its roots are the roots of
+        this system in the span of J (Bourbaki, Lie Groups and Lie
+        Algebras, Ch. VI, section 1), so its positive roots are the ones
+        that vanish off J, in the same (height, tuple) order; their
+        pairings with the simple coroots of J and their coroots'
+        coefficients on J are the columns J of this system's."""
+        stop = first + stype.rank
+        keep = ~(self._roots[:, :first].any(axis=1) | self._roots[:, stop:].any(axis=1))
+        roots = self._roots[keep, first:stop]
+        sub = object.__new__(RootSystem)
+        sub.type = stype
+        sub.cartan_matrix = tuple(row[first:stop] for row in self.cartan_matrix[first:stop])
+        sub.positive_roots = tuple(map(tuple, roots.tolist()))
+        sub._set_arrays(roots, self.root_pairings[keep, first:stop], self._pairing[keep, first:stop])
+        return sub
 
     # -- basic quantities -----------------------------------------------------
 
@@ -178,10 +208,34 @@ class RootSystem:
         return sum(c * s for c, s in zip(w.coeffs, self._pairing.sum(axis=0).tolist()))
 
 
+# The largest walked root system of each family, from which build_root_system
+# restricts the smaller ranks.  build_root_system.cache_clear() leaves it:
+# a restriction equals the walk, so only the walk count would show it.
+_WALKED: dict[str, RootSystem] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def build_root_system(stype: SimpleType) -> RootSystem:
-    """Construct (and cache) the root system of a valid simple type."""
-    return RootSystem(stype)
+    """Construct (and cache) the root system of a valid simple type: the
+    restriction of the larger walked system of its family, if there is
+    one, or else a walk.  In the Bourbaki numbering A_r and E_r are the
+    first r nodes of a larger diagram of their family, and B_r, C_r and
+    D_r the last r; F4 and G2, alone in their families, are walked."""
+    top = _WALKED.get(stype.family)
+    if top is not None and top.rank > stype.rank:
+        return top.restrict(stype, top.rank - stype.rank if stype.family in "BCD" else 0)
+    rs = RootSystem(stype)
+    _WALKED[stype.family] = rs
+    return rs
+
+
+def paper_family_root_systems(max_classical_rank: int) -> list[tuple[SimpleType, RootSystem]]:
+    """(type, root system) for paper_family_types(max_classical_rank), in its
+    order; the systems are built largest rank first, so that each family is
+    walked once, at its top, and its smaller ranks are restricted."""
+    types = paper_family_types(max_classical_rank)
+    built = {st: build_root_system(st) for st in sorted(types, key=lambda st: -st.rank)}
+    return [(st, built[st]) for st in types]
 
 
 def _exact_div(a, b, what: str):
@@ -338,11 +392,14 @@ def spin_search_bound(rs: RootSystem) -> int:
 
 
 def paper_family_types(max_classical_rank: int) -> list[SimpleType]:
-    """Non-redundant enumeration basis over the simple algebras.
+    """Enumeration basis over the simple algebras: every classical type of
+    rank up to max_classical_rank, then the five exceptional types.
 
-    Classical families start at A1, B2, C3, D3 so each isomorphism class of
-    algebras appears exactly once (B1, C1 are A1; C2 is B2; D2 is not
-    simple); all five exceptional types are appended.
+    Classical families start at A1, B2, C3, D3, which leaves out B1 and C1
+    (both A1), C2 (B2) and D2 (not simple).  The one isomorphism class that
+    appears twice is A3 = D3, on purpose: lemma21.txt records the Lemma 2.1
+    exceptions of D3 under its own name and node labels (its D3 rows and
+    the d3-labels note).
     """
     if max_classical_rank < 3:
         raise RootSystemError("max_classical_rank must be >= 3")

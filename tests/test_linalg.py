@@ -135,8 +135,9 @@ def test_unlucky_primes_move_on_to_a_third_prime(monkeypatch):
     p1, p2 = _RANK_PRIMES
     primes = _record_primes(monkeypatch)
     steps = _record_calls(monkeypatch, "_lifting_steps")
-    # p1 * p2 vanishes modulo both primes
-    assert int_rank(np.array([[p1 * p2, 0], [0, 1]], dtype=np.int64)) == 2
+    # p1 * p2 vanishes modulo both primes; int_kernel itself, as int_rank
+    # reads a 2 x 2 matrix off its minor
+    assert len(int_kernel(np.array([[p1 * p2, 0], [0, 1]], dtype=np.int64))[0]) == 2
     third = list(islice(_kernel_primes(), 3))[-1]
     assert primes == [p1, p2, third]
     # each unlucky prime is rejected at its first digit, whose kernel (1, 0)
@@ -286,7 +287,7 @@ def test_int_kernel_on_a_wide_matrix():
     pivots, k = int_kernel(wide)
     _check_kernel(wide, pivots, k)
     assert len(pivots) == 2 and k.shape == (5, 3)
-    # int_rank eliminates on the narrower side, the transpose here
+    # int_rank reads two rows (or columns) off their 2 x 2 minors
     assert int_rank(wide) == int_rank(wide.T) == 2
 
 
@@ -305,6 +306,40 @@ def test_one_row_or_column_is_ranked_by_inspection(shape, dtype, monkeypatch):
     for a in cases:
         want = len(kernel(a if a.shape[0] >= a.shape[1] else a.T)[0])
         assert int_rank(a) == want == int(a.any())
+    assert not eliminated
+
+
+def _two_line_cases(dtype, c):
+    """2 x c matrices of rank 0, 1 and 2: zero columns before the first
+    nonzero one, a first nonzero column with one zero entry, rank 1 with a
+    ratio that is not an integer, and minors of +-1 or 0 whose products
+    pass int64 (entries near 2**62 in int64, 2**70 as Python ints)."""
+    big = 2**70 if dtype is object else 2**62
+    rng = np.random.default_rng(c)
+    w = [int(x) for x in rng.integers(-9, 10, c)]
+    w[0] = 0
+    cases = [[[0] * c, [0] * c], [[3 * x for x in w], [-2 * x for x in w]], [[0] * c, w]]
+    edge = [[big] + [0] * (c - 1), [big - 1] + [0] * (c - 1)]
+    edge[0][-1], edge[1][-1] = big - 1, big - 2  # det big (big - 2) - (big - 1)^2 = -1
+    cases.append(edge)
+    cases.append([[big - 1] * c, [big - 2] * c])
+    scale = big if dtype is object else 2**58  # 9 * 2**58 is in int64
+    cases.append([[scale * x for x in w], [(scale - 1) * x for x in w]])
+    cases.append([[scale * x for x in w], [(scale - 1) * x + (j == c - 1) for j, x in enumerate(w)]])
+    return [np.array(rows, dtype) for rows in cases]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("c", [2, 3, 7])
+def test_two_rows_or_columns_are_ranked_by_their_minors(c, dtype, monkeypatch):
+    cases = _two_line_cases(dtype, c)
+    cases += [a.T for a in cases]
+    want = [len(int_kernel(a if a.shape[0] >= a.shape[1] else a.T)[0]) for a in cases]
+    assert {0, 1, 2} <= set(want)
+    eliminated = []
+    kernel_mod = linalg._kernel_mod
+    monkeypatch.setattr(linalg, "_kernel_mod", lambda a, p: eliminated.append(a) or kernel_mod(a, p))
+    assert [int_rank(a) for a in cases] == want
     assert not eliminated
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coisotropy import rootsys
+from coisotropy import classify, rootsys
 from coisotropy.rootsys import (
     DominantWeight,
     RootSystemError,
@@ -479,3 +479,114 @@ def test_integer_cartan_matrix_agrees_with_rational_dot_products(stype):
         norm = sum(b * c * gram4[i][j] for i, b in support for j, c in support)
         rho.append(Fraction(sum(b * gram4[i][i] for i, b in support), norm))
     assert list(system.rho_pairings) == rho
+
+
+# -- restriction to a sub-diagram -------------------------------------------
+
+TOPS = ["A12", "B12", "C12", "D12", "E8", "F4", "G2"]
+RANK_12_TYPES = (
+    [SimpleType(f, r) for f in "ABC" for r in range(1, 13)]
+    + [SimpleType("D", r) for r in range(3, 13)]
+    + [SimpleType("E", r) for r in (6, 7, 8)]
+    + [SimpleType("F", 4), SimpleType("G", 2)]
+)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Starts from an empty cache and no walked systems, and records the
+    type of every positive-root walk."""
+    seen = []
+    walk = rootsys.RootSystem.__init__
+
+    def recorded(self, stype):
+        seen.append(str(stype))
+        walk(self, stype)
+
+    def clear():
+        build_root_system.cache_clear()
+        rootsys._WALKED.clear()
+
+    clear()
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", recorded)
+    yield seen
+    clear()
+
+
+def _fields(system):
+    return (
+        system.type,
+        system.cartan_matrix,
+        system.positive_roots,
+        system.root_pairings.tolist(),
+        system._pairing.tolist(),
+        system.rho.tolist(),
+        system.rho_pairings,
+        system.rho_product,
+        system._int64_weights_below,
+    )
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_a_restricted_system_equals_its_walk(order, walks):
+    types = sorted(RANK_12_TYPES, key=lambda st: st.rank, reverse=order == "descending")
+    built = [build_root_system(st) for st in types]
+    # the largest rank of a family is walked first when descending; the
+    # ascending order walks every type, each larger than the one before
+    assert sorted(walks) == sorted(TOPS if order == "descending" else map(str, types))
+    for stype, system in zip(types, built):
+        walked = rootsys.RootSystem(stype)
+        assert _fields(system) == _fields(walked), stype
+        for a in (system._roots, system.root_pairings, system._pairing, system.rho):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        assert system._roots.tolist() == [list(beta) for beta in walked.positive_roots]
+
+
+def test_a_single_request_walks_only_its_own_rank(walks):
+    # no family top is walked for one small system; a later larger one
+    # is walked, and a smaller one after it is restricted
+    build_root_system(SimpleType("B", 3))
+    build_root_system(SimpleType("B", 5))
+    build_root_system(SimpleType("B", 4))
+    build_root_system(SimpleType("E", 7))
+    build_root_system(SimpleType("E", 6))
+    assert walks == ["B3", "B5", "E7"]
+
+
+def test_a_cold_lemma21_walks_each_family_once(walks):
+    classify.verify_lemma21(12)
+    assert walks == TOPS
+    assert build_root_system.cache_info().misses == len(paper_family_types(12)) == 48
+
+
+IRREP_SCANS = [("R", 7, 0), ("R", 14, 0), ("C", 10, 0), ("C", 27, 0), ("H", 8, 0), ("H", 56, 0)]
+
+
+def _scans():
+    lemma = classify.verify_lemma21(12)
+    return (
+        lemma.part1,
+        lemma.part2,
+        classify.spin_inequality_scan(12),
+        [classify.irrep_scan(*args) for args in IRREP_SCANS],
+    )
+
+
+def test_the_scans_read_the_same_from_a_cold_and_a_warm_cache(walks):
+    cold = _scans()
+    assert walks == TOPS
+    assert _scans() == cold  # warm: every system a cache hit
+    # every system walked, smallest rank first
+    build_root_system.cache_clear()
+    rootsys._WALKED.clear()
+    for stype in sorted(paper_family_types(12), key=lambda st: st.rank):
+        build_root_system(stype)
+    assert len(walks) == len(TOPS) + 48
+    assert _scans() == cold
+    # irrep_scan keeps the order of paper_family_types
+    order = {st: k for k, st in enumerate(paper_family_types(8))}
+    for found in cold[3]:
+        assert found
+        keys = [order[e["type"]] for e in found]
+        assert keys == sorted(keys)
+    assert any(len({e["type"] for e in found}) > 1 for found in cold[3])
