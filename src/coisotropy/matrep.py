@@ -283,6 +283,7 @@ def _highest_weight(fac: Factor, kind: str, weight=None) -> tuple[int, ...]:
     return DominantWeight.fundamental(r, node).coeffs
 
 
+@functools.lru_cache(maxsize=None)
 def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> IntStack:
     """Simple stack of the irreducible module with highest weight coeffs.
 
@@ -293,7 +294,8 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> IntStack:
     integer tuples on the fundamental weights: the highest weight and the
     Cartan matrix are integral.  The build stops with RepresentationError
     as soon as it has more states than the Weyl dimension.  The stack is
-    diag(weights) | e_i | f_i over one denominator.
+    diag(weights) | e_i | f_i over one denominator, built once per input
+    (sym2 and alt2 square the std module) and read-only.
     """
     rs = build_root_system(stype)
     lam = DominantWeight(coeffs)
@@ -421,7 +423,7 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> IntStack:
     den = lcm(*(c.denominator for *_, c in ent))
     k, row, col = np.array([x[:3] for x in ent], dtype=np.int64).T
     val = np.array([c.numerator * (den // c.denominator) for *_, c in ent])
-    return _coalesce((3 * r, n, n), k, row, col, val, den)
+    return _read_only(_coalesce((3 * r, n, n), k, row, col, val, den))
 
 
 def _root_vectors(simple: IntStack, rs: RootSystem) -> IntStack:
@@ -692,6 +694,13 @@ class MatrixRep:
         )
 
 
+def _read_only(stack: IntStack) -> IntStack:
+    """stack, with its arrays made read-only: it is shared through a cache."""
+    for x in (stack.k, stack.row, stack.col, stack.val):
+        x.flags.writeable = False
+    return stack
+
+
 def _coalesce(shape, k, row, col, val, den) -> IntStack:
     """The stack of these entries with the ones at one position summed and
     zeros dropped, in (k, row, col) order."""
@@ -801,8 +810,7 @@ def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _
     )
     gens = _coalesce((nc + 2 * npos, total, total), k, row, col, val, den)
     validate_matrix_rep(MatrixRep(group, RepSpec(summands), total, gens, cartan_labels, root_labels))
-    for x in (gens.k, gens.row, gens.col, gens.val):
-        x.flags.writeable = False  # shared through the cache
+    _read_only(gens)
     return _Semisimple(gens, tuple(cartan_labels), tuple(root_labels), tuple(d for _, d, _, _ in layout))
 
 

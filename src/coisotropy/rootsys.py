@@ -18,14 +18,16 @@ largest first to that end.  The Weyl dimension is the product of the
 Python ints beyond) divided by the product of the rho pairings, aborting
 on any remainder.  One integer product gives these pairings for a whole
 batch of weights (_weyl_dims): the dominant-weight search makes one per
-search level, and weyl_dim is a batch of one.  Every public result is a
-Python int.  numpy is imported inside the functions, since loading it
-before the other package modules compile raises peak memory.
+search level and resumes each system's search at a larger bound, and
+weyl_dim is a batch of one.  Every public result is a Python int.  numpy
+is imported inside the functions, since loading it before the other
+package modules compile raises peak memory.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from math import isqrt, prod
 from operator import add
@@ -209,9 +211,10 @@ class RootSystem:
 
 
 # The largest walked root system of each family, from which build_root_system
-# restricts the smaller ranks.  build_root_system.cache_clear() leaves it:
-# a restriction equals the walk, so only the walk count would show it.
-_WALKED: dict[str, RootSystem] = {}
+# restricts the smaller ranks.  It holds them weakly: build_root_system's
+# cache owns every system, so a cache_clear() lets the walked systems go,
+# and with them their searches (_SEARCHES).
+_WALKED: weakref.WeakValueDictionary[str, RootSystem] = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,27 +321,49 @@ def borel_dim(rs: RootSystem) -> int:
     return total // 2
 
 
+# Each searched root system's dominant-weight search: (the largest bound
+# searched, the weights found, sorted by (dim, coeffs), the frontier).  It is
+# keyed by the system object itself and holds it weakly, so a copy of a
+# system starts with no search and a system's search goes with the system.
+_SEARCHES: weakref.WeakKeyDictionary[RootSystem, tuple] = weakref.WeakKeyDictionary()
+
+
 def enumerate_dominant_weights(
     rs: RootSystem, dim_bound: int
 ) -> list[tuple[DominantWeight, int]]:
     """All nonzero dominant weights of dimension at most dim_bound, sorted
-    by (dimension, coefficients).
+    by (dimension, coefficients), as a new list.
 
     The search raises coordinates one at a time and prunes as soon as a
     weight exceeds the bound, which is sound because the dimension is
     monotone under coordinatewise increase.  A weight is raised only at
     indices from the last one it was raised at, so each is reached once.
-    The search runs one level (coefficient sum) at a time, and the
-    dimensions of a whole level come from one _weyl_dims product.
-    Coefficients are additionally capped at dim_bound, so termination
-    never rests on the pruning.
+    The search runs one level at a time, and the dimensions of a whole
+    level come from one _weyl_dims product.  Coefficients are additionally
+    capped at dim_bound, so termination never rests on the pruning.
+
+    The search of each system is kept (_SEARCHES) and resumed, so each
+    weight's dimension is computed once per process.  The frontier holds
+    every pruned child (a weight with the first index it may still raise)
+    with its dimension.  A call at a bound no larger than the largest
+    searched filters the weights found.  A larger bound resumes: the
+    frontier weights that now pass are the first level, and the search
+    goes on from them.  No raise the cap blocked at a smaller bound B is
+    lost, because the cap blocks none: the dimension rises strictly along
+    each coordinate from 1 at the zero weight, so a weight that passed,
+    of dimension d <= B, has every c_i <= d - 1 < B.
     """
     if dim_bound < 1:
         raise RootSystemError("dim_bound must be >= 1")
+    # the zero weight, of dimension 1, is the frontier of a new search
+    searched, found, frontier = _SEARCHES.get(rs, (0, [], [(((0,) * rs.rank, 0), 1)]))
+    if dim_bound <= searched:
+        return [t for t in found if t[1] <= dim_bound]
     r = rs.rank
-    found: list[tuple[DominantWeight, int]] = []
     # each weight that passed, with the first index it may still raise
-    level = [((0,) * r, 0)]
+    level = [c for c, d in frontier if d <= dim_bound]
+    found = found + [(DominantWeight(c), d) for (c, _), d in frontier if d <= dim_bound and any(c)]
+    frontier = [t for t in frontier if t[1] > dim_bound]
     while children := [
         (c[:i] + (c[i] + 1,) + c[i + 1 :], i)
         for c, low in level
@@ -350,8 +375,11 @@ def enumerate_dominant_weights(
             if d <= dim_bound:
                 level.append(child)
                 found.append((DominantWeight(child[0]), d))
+            else:
+                frontier.append((child, d))
     found.sort(key=lambda t: (t[1], t[0].coeffs))
-    return found
+    _SEARCHES[rs] = (dim_bound, found, frontier)
+    return found[:]
 
 
 def classify_rep_field(rs: RootSystem, w: DominantWeight) -> str:

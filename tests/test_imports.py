@@ -176,7 +176,7 @@ MODULE_IMPORTS = {
     "matrep.py": {".linalg", ".rootsys", "__future__", "dataclasses", "fractions", "functools", "itertools", "math", "numpy", "typing"},
     "mforacle.py": {".linalg", ".matrep", "__future__", "dataclasses", "functools", "numpy", "random", "typing"},
     "repdata.py": {".dsl", ".matrep", "__future__", "dataclasses", "functools", "importlib", "itertools", "math", "os", "re"},
-    "rootsys.py": {"__future__", "dataclasses", "functools", "math", "operator"},
+    "rootsys.py": {"__future__", "dataclasses", "functools", "math", "operator", "weakref"},
 }
 
 

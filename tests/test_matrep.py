@@ -210,7 +210,16 @@ def test_weight_module_cap():
         _weight_module(SimpleType("E", 8), (1, 0, 0, 0, 0, 0, 0, 0))
 
 
-def test_weight_module_stops_once_it_exceeds_the_weyl_dimension(monkeypatch):
+@pytest.fixture
+def unbuilt_weight_modules():
+    """Empties the _weight_module memo before and after the test, so that
+    each module it asks for is built under its patches; yields the clear."""
+    _weight_module.cache_clear()
+    yield _weight_module.cache_clear
+    _weight_module.cache_clear()
+
+
+def test_weight_module_stops_once_it_exceeds_the_weyl_dimension(monkeypatch, unbuilt_weight_modules):
     # a build that outgrows its target raises at once instead of running on
     from coisotropy import matrep
 
@@ -220,6 +229,7 @@ def test_weight_module_stops_once_it_exceeds_the_weyl_dimension(monkeypatch):
     assert _weight_module(st, weight).shape[1] == 27
     full = len(calls)
     calls.clear()
+    unbuilt_weight_modules()
     monkeypatch.setattr(matrep, "weyl_dim", lambda rs, lam: 12)
     with pytest.raises(RepresentationError, match="exceeds dimension 12"):
         _weight_module(st, weight)
@@ -1094,6 +1104,22 @@ def _simple_generators(mod, rs) -> tuple:
     return _pick(mod, simple + [k + npos for k in simple])
 
 
+def test_each_weight_module_is_built_once_and_read_only(unbuilt_weight_modules):
+    # std, sym2 and alt2 of su(5) need one build, the std module
+    fac = Factor("su", 5)
+    for kind in ("std", "sym2", "alt2"):
+        _factor_module.__wrapped__(fac, kind)
+    info = _weight_module.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    std = _weight_module(SimpleType("A", 4), (1, 0, 0, 0))
+    fresh = _weight_module.__wrapped__(SimpleType("A", 4), (1, 0, 0, 0))
+    assert (std.shape, std.den) == (fresh.shape, fresh.den)
+    for x, y in zip(std[1:5], fresh[1:5]):
+        assert x.tolist() == y.tolist() and not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        std.val[0] = 7
+
+
 @pytest.mark.parametrize(
     "kind,weight", [("sym2", (2, 0, 0)), ("alt2", (0, 1, 0))], ids=["sym2", "alt2"]
 )
@@ -1110,7 +1136,7 @@ def test_square_of_su4_std_is_its_weight_module(kind, weight):
 
 
 @pytest.mark.parametrize("stype, weight", [(SimpleType("A", 2), (2, 1)), (SimpleType("G", 2), (1, 1))])
-def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch):
+def test_gram_blocks_choose_the_fraction_rref_pivots(stype, weight, monkeypatch, unbuilt_weight_modules):
     """Every Gram block that reaches the kernel is nonzero with more than
     one candidate, and the states chosen from it (its non-free columns) are
     the pivot columns of the Fraction RREF, on which the block has a

@@ -1,5 +1,8 @@
 import copy
+import gc
 import itertools
+import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -494,8 +497,8 @@ RANK_12_TYPES = (
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Starts from an empty cache and no walked systems, and records the
-    type of every positive-root walk."""
+    """Starts from an empty cache, no walked systems and no kept searches,
+    and records the type of every positive-root walk."""
     seen = []
     walk = rootsys.RootSystem.__init__
 
@@ -506,6 +509,7 @@ def walks(monkeypatch):
     def clear():
         build_root_system.cache_clear()
         rootsys._WALKED.clear()
+        rootsys._SEARCHES.clear()
 
     clear()
     monkeypatch.setattr(rootsys.RootSystem, "__init__", recorded)
@@ -590,3 +594,158 @@ def test_the_scans_read_the_same_from_a_cold_and_a_warm_cache(walks):
         keys = [order[e["type"]] for e in found]
         assert keys == sorted(keys)
     assert any(len({e["type"] for e in found}) > 1 for found in cold[3])
+
+
+# -- the kept search ---------------------------------------------------------
+
+RANK_12_PAPER_TYPES = paper_family_types(12)
+_REFERENCE: dict = {}
+
+
+def _reference(stype, bound):
+    """recursive_dominant_weights of stype at bound, as (coeffs, dim) pairs,
+    computed once for this module."""
+    if (stype, bound) not in _REFERENCE:
+        got = recursive_dominant_weights(build_root_system(stype), bound)
+        _REFERENCE[stype, bound] = [(x.coeffs, d) for x, d in got]
+    return _REFERENCE[stype, bound]
+
+
+def _searched(stype, bound):
+    return [(x.coeffs, d) for x, d in enumerate_dominant_weights(build_root_system(stype), bound)]
+
+
+def _counted_weyl_dims(monkeypatch):
+    """Patches rootsys._weyl_dims to record the rows of every product, each
+    row with its system's type."""
+    batches = []
+
+    def counted(system, rows):
+        batches.append([(system.type, tuple(row)) for row in rows])
+        return _weyl_dims(system, rows)
+
+    monkeypatch.setattr(rootsys, "_weyl_dims", counted)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(1, 3, 12, 30, 100), (100, 30, 12, 3, 1), (30, 30, 31, 31, 12, 100, 100)],
+    ids=["ascending", "descending", "repeated"],
+)
+def test_every_call_of_a_bound_sequence_equals_the_reference(bounds):
+    rootsys._SEARCHES.clear()
+    for bound in bounds:
+        for stype in RANK_12_PAPER_TYPES:
+            assert _searched(stype, bound) == _reference(stype, bound), (stype, bound)
+
+
+def test_interleaved_calls_equal_the_reference():
+    # each type gets its own shuffled bounds, the calls of all types mixed
+    rootsys._SEARCHES.clear()
+    rng = random.Random(34)
+    calls = [(st, b) for st in RANK_12_PAPER_TYPES for b in rng.sample((1, 3, 7, 12, 30, 31, 100), 5)]
+    rng.shuffle(calls)
+    for stype, bound in calls:
+        assert _searched(stype, bound) == _reference(stype, bound), (stype, bound)
+
+
+def test_each_weight_is_evaluated_once_across_calls(monkeypatch):
+    rootsys._SEARCHES.clear()
+    batches = _counted_weyl_dims(monkeypatch)
+    for stype in RANK_12_PAPER_TYPES:
+        for bound in (3, 12, 30, 12, 100):
+            _searched(stype, bound)
+    resumed = [row for batch in batches for row in batch]
+    assert len(resumed) == len(set(resumed))
+    # the rows of one search at the largest bound, with nothing kept
+    rootsys._SEARCHES.clear()
+    batches.clear()
+    for stype in RANK_12_PAPER_TYPES:
+        _searched(stype, 100)
+    assert sorted(resumed) == sorted(row for batch in batches for row in batch)
+
+
+def test_the_spin_scan_resumes_the_lemma_searches(walks, monkeypatch):
+    batches = _counted_weyl_dims(monkeypatch)
+    classify.verify_lemma21(12)
+    lemma = len(batches), sum(map(len, batches))
+    classify.spin_inequality_scan(12)
+    # each search from scratch makes 171 products over 1149 rows
+    assert (len(batches), sum(map(len, batches))) == (97, 671)
+    assert lemma == (75, 478)
+
+
+def test_a_returned_list_is_a_copy():
+    rootsys._SEARCHES.clear()
+    system = rs("B", 4)
+    for bound in (30, 12, 100):
+        got = enumerate_dominant_weights(system, bound)
+        expected = list(got)
+        got.reverse()
+        got.append((w(9, 9, 9, 9), 1))
+        got[0] = None
+        assert enumerate_dominant_weights(system, bound) == expected
+    assert _searched(SimpleType("B", 4), 100) == _reference(SimpleType("B", 4), 100)
+
+
+def test_a_search_that_raises_keeps_nothing(monkeypatch):
+    rootsys._SEARCHES.clear()
+    system = rs("C", 5)
+    enumerate_dominant_weights(system, 12)
+    kept = rootsys._SEARCHES[system]
+
+    batches = []
+
+    def fails_at_the_second_batch(system_, rows):
+        batches.append(rows)
+        if len(batches) == 2:
+            raise RootSystemError("injected")
+        return _weyl_dims(system_, rows)
+
+    monkeypatch.setattr(rootsys, "_weyl_dims", fails_at_the_second_batch)
+    with pytest.raises(RootSystemError, match="injected"):
+        enumerate_dominant_weights(system, 500)
+    assert rootsys._SEARCHES[system] is kept
+    monkeypatch.undo()
+    assert _searched(SimpleType("C", 5), 500) == _reference(SimpleType("C", 5), 500)
+
+
+def test_a_copy_of_a_searched_system_searches_anew():
+    # the corruption of test_a_non_divisible_weyl_product_names_the_weight,
+    # on a copy of a system whose search is kept up to a larger bound
+    system = rs("A", 2)
+    enumerate_dominant_weights(system, 30)
+    assert system in rootsys._SEARCHES
+    corrupted = copy.deepcopy(system)
+    assert corrupted not in rootsys._SEARCHES
+    corrupted._pairing[corrupted.positive_roots.index((1, 0))] = np.array([2, 0])
+    for bound in (10, 30):
+        with pytest.raises(RootSystemError, match="Weyl product for 1,0 is not divisible by 2"):
+            enumerate_dominant_weights(corrupted, bound)
+    assert corrupted not in rootsys._SEARCHES
+
+
+def test_the_walks_fixture_starts_with_no_search(walks):
+    # the tests above leave searches of systems they built
+    assert not rootsys._SEARCHES and not rootsys._WALKED
+    assert build_root_system.cache_info().currsize == 0
+
+
+def _searched_systems(bound):
+    """Weak references to the systems of paper_family_types(12), each
+    searched at bound."""
+    systems = [build_root_system(st) for st in RANK_12_PAPER_TYPES]
+    for system in systems:
+        enumerate_dominant_weights(system, bound)
+    return [weakref.ref(system) for system in systems]
+
+
+def test_clearing_the_cache_drops_the_searches():
+    held = _searched_systems(12)
+    assert all(ref() in rootsys._SEARCHES for ref in held)
+    build_root_system.cache_clear()
+    gc.collect()
+    # _WALKED held the family tops weakly, so nothing keeps a system alive
+    assert all(ref() is None for ref in held)
+    assert not rootsys._SEARCHES and not rootsys._WALKED
