@@ -198,12 +198,6 @@ def dimensional_condition(group: GroupSpec, space: HSSpace) -> DimensionalReport
     return DimensionalReport(ok=b >= d, borel_dim=b, space_dim=d)
 
 
-def dimension_threshold(space: HSSpace) -> int:
-    """Smallest dim K compatible with the dimensional condition,
-    2 dim_C M - rank of the ambient group."""
-    return 2 * space.complex_dim - space.ambient_rank
-
-
 # ---------------------------------------------------------------------------
 # polynomial elimination families
 

@@ -537,7 +537,7 @@ def _factor_module(fac: Factor, kind: str, weight=None) -> IntStack:
         simple = _weight_module(st, _highest_weight(fac, kind, weight))
     rs = build_root_system(st)
     _certify(simple, rs)
-    return _root_vectors(simple, rs)
+    return _read_only(_root_vectors(simple, rs))
 
 
 def _weights(gens: IntStack, diag: list[int]) -> np.ndarray:
@@ -755,7 +755,8 @@ def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _
     entries are spread over the identity factors before and after it, a
     dual summand maps x to -x^T in the reversed basis and summands sit at
     their offsets.  Entries at one position, from a factor filling two
-    slots, are summed.
+    slots, are summed.  No entry may link two summands: realize's torus
+    lines, constant on each summand, commute with the module only then.
     """
     group = GroupSpec(factors)
     layout = []
@@ -809,9 +810,13 @@ def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _
         for t in range(4)
     )
     gens = _coalesce((nc + 2 * npos, total, total), k, row, col, val, den)
+    sizes = tuple(d for _, d, _, _ in layout)
+    summand = np.repeat(np.arange(len(sizes)), sizes)
+    if (summand[gens.row] != summand[gens.col]).any():
+        raise RepresentationError("a generator entry links two summands")
     validate_matrix_rep(MatrixRep(group, RepSpec(summands), total, gens, cartan_labels, root_labels))
     _read_only(gens)
-    return _Semisimple(gens, tuple(cartan_labels), tuple(root_labels), tuple(d for _, d, _, _ in layout))
+    return _Semisimple(gens, tuple(cartan_labels), tuple(root_labels), sizes)
 
 
 def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
@@ -821,12 +826,9 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     factors on the summands with their charges stripped, is assembled and
     validated once (_semisimple).  Each torus line t then adds its
     generator diag(net_t) over the same denominator, net_t the line's net
-    charge on each summand, and the torus weights are checked to be equal
-    at both ends of every root-vector nonzero, the torus half of
-    validate_matrix_rep's weight relation: the torus commutes with the
-    semisimple part.  A torus weight is constant on each summand, and the
-    check runs only when some nonzero of the semisimple stack links two
-    summands, which _semisimple itself never assembles.
+    charge on each summand.  A torus weight is constant on each summand
+    and _semisimple keeps every nonzero inside one summand, so the torus
+    commutes with the semisimple part and needs no check here.
     """
     n_circ, lines = group.n_circles, group.torus_lines
     for sm in rep.summands:
@@ -841,11 +843,6 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
         net = [[sum(a * c for a, c in zip(line, sm.charges)) for line in lines] for sm in rep.summands]
         big = max(abs(x) for row in net for x in row) * gens.den >= INT64_SAFE
         w = np.repeat(np.array(net, dtype=object if big else np.int64), ss.sizes, axis=0)
-        # the net charges are constant on each summand, so only a nonzero
-        # whose row and column lie in two summands can break the relation
-        summand = np.repeat(np.arange(len(ss.sizes)), ss.sizes)
-        if (summand[gens.row] != summand[gens.col]).any():
-            _check_weights(gens, w, np.zeros((n, len(lines)), np.int64), len(ss.cartan_labels), ss.root_labels)
         # diag(net_t) * den for each line t, after every generator of the
         # semisimple part: the (k, row, col) order holds
         t, a = np.nonzero(w.T)
@@ -895,17 +892,10 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
         j, c = rep.root_labels.index((fidx, rs.positive_roots[0])), rep.cartan_labels.index((fidx, 0))
         eig[nc + j : nc + j + rs.n_positive_roots, c : c + rs.rank] = rs.root_pairings
     eig[nc + npos : nc + 2 * npos] = -eig[nc : nc + npos]
-    _check_weights(g, w, eig, nc, rep.root_labels)
-
-
-def _check_weights(gens: IntStack, w: np.ndarray, eig: np.ndarray, nc: int, root_labels) -> None:
-    """Raise, naming the root, unless every root vector of an assembled
-    stack (nc Cartan generators first) satisfies the weight relation
-    (_weight_fault)."""
-    fault = _weight_fault(gens, w, eig, nc, len(root_labels))
+    fault = _weight_fault(g, w, eig, nc, npos)
     if fault:
         j, kind = fault
-        fidx, root = root_labels[j]
+        fidx, root = rep.root_labels[j]
         raise RepresentationError(f"weight relation fails on {kind}{root} of factor {fidx}")
 
 
@@ -946,7 +936,7 @@ def octonion_left_mult() -> IntStack:
             mult[(x, y)] = (1, z)
             mult[(y, x)] = (-1, z)
     ent = [(a - 1, mult[(a, j)][1], j, mult[(a, j)][0]) for a in range(1, 8) for j in range(8)]
-    return _coalesce((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1)
+    return _read_only(_coalesce((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -959,7 +949,7 @@ def spin7_real_gens() -> IntStack:
     L = octonion_left_mult().dense()
     a, b = np.triu_indices(7, 1)
     x = -_bracket(L[a], L[b])
-    return _sparse(x.shape, [_entries(np.arange(a.size), *_lowest(x, 4))])
+    return _read_only(_sparse(x.shape, [_entries(np.arange(a.size), *_lowest(x, 4))]))
 
 
 def real_blocks(text: str) -> list[str | int]:

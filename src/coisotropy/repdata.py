@@ -146,14 +146,6 @@ class HSSpace:
             return self.m * (self.m - 1) // 2
         return 27 if self.label == "e7" else 16
 
-    @property
-    def ambient_rank(self) -> int:
-        if self.label == "sp":
-            return self.m
-        if self.label == "so":
-            return self.m
-        return 7 if self.label == "e7" else 6
-
 
 def _space_parts(text: str) -> tuple[str, str]:
     """(label, parameter expression) of a space field, 'sp:m+2' or 'so:m',
@@ -227,6 +219,15 @@ class MaxSubgroupEntry:
     degree: str = ""  # symbolic degree expression
     anchor: str = ""
     note: str = ""
+
+    def __post_init__(self):
+        if self.ambient not in ("sp", "so", "su"):
+            raise ValueError(f"unknown ambient {self.ambient!r}")
+        if self.kind not in ("symmetric", "unitary", "tensor-embedding", "irreducible-rep", "torus"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        # the {expr} slots of subgroup, and cond and degree where given
+        for expr in re.findall(r"\{([^}]*)\}", self.subgroup) + [x for x in (self.cond, self.degree) if x]:
+            check_expr(expr)
 
 
 @dataclass(frozen=True)
@@ -782,60 +783,3 @@ def _evaluate_match(entry, env, order, gdual, span) -> MFLookup | None:
         parameters=dict(env),
         notes=notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# maximal subgroups and slice facts
-
-
-def maximal_subgroups(
-    family: str, n: int, dataset: Dataset | None = None
-) -> list[dict]:
-    """Instantiated maximal-subgroup rows for Sp(n), SO(n) or SU(n)."""
-    ds = dataset or load_dataset()
-    fam = family.lower()
-    if fam not in ("sp", "so", "su"):
-        raise DataError("ambient must be sp, so or su")
-    out = []
-    for e in ds.maxsub_entries:
-        if e.ambient != fam:
-            continue
-        if e.kind == "irreducible-rep":
-            out.append(
-                {
-                    "row": e.row,
-                    "kind": e.kind,
-                    "reality": e.reality,
-                    "degree": eval_int_expr(e.degree, {"m": n, "n": n}),
-                    "anchor": e.anchor,
-                    "note": e.note,
-                }
-            )
-            continue
-        names = expr_names(e.cond)
-        for expr in re.findall(r"\{([^}]*)\}", e.subgroup):
-            names |= expr_names(expr)
-        params = sorted(p for p in names if p not in ("m", "n"))
-        for values in itertools.product(range(1, n + 1), repeat=len(params)):
-            env = {"m": n, "n": n, **dict(zip(params, values))}
-            if not eval_condition(e.cond, env):
-                continue
-            out.append(
-                {
-                    "row": e.row,
-                    "kind": e.kind,
-                    "subgroup": _substitute(e.subgroup, env),
-                    "parameters": {
-                        k: v for k, v in env.items() if k not in ("m", "n")
-                    },
-                    "anchor": e.anchor,
-                    "note": e.note,
-                }
-            )
-    if not out:
-        raise DataError(f"no maximal subgroup data for {family}({n})")
-    return out
-
-
-def _substitute(text: str, env: dict[str, int]) -> str:
-    return re.sub(r"\{([^}]*)\}", lambda m: str(eval_int_expr(m.group(1), env)), text)

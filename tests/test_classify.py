@@ -4,7 +4,6 @@ import pytest
 
 from coisotropy import classify
 from coisotropy.classify import (
-    dimension_threshold,
     dimensional_condition,
     encoded_lemma_exceptions,
     irrep_scan,
@@ -153,9 +152,6 @@ def test_dimensional_condition_examples():
     g = GroupSpec(factors=(Factor("e6", 6),), torus_lines=((1,),))
     rep = dimensional_condition(g, HSSpace("e7"))
     assert rep.ok and rep.borel_dim == 43 and rep.space_dim == 27
-
-    assert dimension_threshold(HSSpace("e7")) == 47
-    assert dimension_threshold(HSSpace("e6")) == 26
 
 
 def test_dimensional_condition_monotone():

@@ -109,8 +109,6 @@ def _private(dead: list[str]) -> list[str]:
 
 # Public definitions that nothing in the package calls, kept on purpose.
 KEPT_PUBLIC = {
-    "classify:dimension_threshold": "the paper's dimension bound, tested on its own",
-    "repdata:maximal_subgroups": "the data API that the maximal-subgroup work reads",
     "repdata:Dataset.mf_rows": "the rows of one MF table, as the benchmark's mf-check stream reads them",
     "mforacle:SymmetricPair.validate": "the tests' check of the pair constructions",
 }

@@ -306,59 +306,32 @@ def test_a_failed_realize_names_its_fault_and_caches_nothing(group, rep, error, 
     assert matrep._semisimple.cache_info().currsize == before
 
 
-def test_the_torus_check_rejects_a_root_vector_across_charges(monkeypatch):
-    # h = diag(1, -1, 1, -1), so e at (0, 3) has h-weight 2 and the
-    # semisimple part passes validation; it links a summand of charge 1 to
-    # one of charge 0, which the torus half of the weight check rejects
+def test_a_nonzero_linking_two_summands_is_rejected_at_assembly(monkeypatch):
+    # su(2) on std + weight(3) has h = diag(1, -1 | 3, 1, -1, -3), so e at
+    # (0, 4) has h-weight 2 and passes the weight check; it links the two
+    # summands, where torus lines constant on each could break the relation,
+    # and _semisimple rejects it before realize returns, caching nothing
     from coisotropy import matrep
 
-    group, bare = grp(Factor("su", 2)), R(S(Term("std", 1)), S(Term("std", 1)))
-    ss = matrep._semisimple(group.factors, bare.summands)
-    linked = ss._replace(gens=_with_generator(ss.gens, 1, {(0, 1): 1, (2, 3): 1, (0, 3): 1}))
-    validate_matrix_rep(
-        matrep.MatrixRep(group, bare, 4, linked.gens, list(ss.cartan_labels), list(ss.root_labels))
-    )
-    monkeypatch.setattr(matrep, "_semisimple", lambda *key: linked)
-    charged = grp(Factor("su", 2), lines=[(1,)])
-    assert realize(charged, R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(1,)))).space_dim == 4
-    with pytest.raises(RepresentationError, match=r"weight relation fails on e\(1,\) of factor 0"):
-        realize(charged, R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(0,))))
+    group, rep = grp(Factor("su", 2)), R(S(Term("std", 1)), S(Term("weight", 1, (3,))))
+    m = realize(group, rep)
+    m.gens = _with_generator(m.gens, 1, {(0, 1): 1, (0, 4): 1})
+    validate_matrix_rep(m)
 
+    original = matrep._factor_module
 
-def test_a_root_vector_across_summands_of_equal_net_charge_is_accepted(monkeypatch):
-    # as above, e at (0, 3) links the two summands; charges (1, 0) and
-    # (0, 1) differ, but the line (1, 1) gives both net charge 1, so the
-    # torus check runs on the linking nonzero and accepts it
-    from coisotropy import matrep
+    def linked(fac, kind, weight=None):
+        mod = original(fac, kind, weight)
+        # e of the std module also at (0, 4), outside its 2 x 2 block
+        return _with_generator(mod, 1, {(0, 1): 1, (0, 4): 1}) if kind == "std" else mod
 
-    group, bare = grp(Factor("su", 2)), R(S(Term("std", 1)), S(Term("std", 1)))
-    ss = matrep._semisimple(group.factors, bare.summands)
-    linked = ss._replace(gens=_with_generator(ss.gens, 1, {(0, 1): 1, (2, 3): 1, (0, 3): 1}))
-    checks, check = [], matrep._check_weights
-    monkeypatch.setattr(matrep, "_semisimple", lambda *key: linked)
-    monkeypatch.setattr(matrep, "_check_weights", lambda *args: checks.append(args) or check(*args))
-    m = realize(grp(Factor("su", 2), lines=[(1, 1)]), R(S(Term("std", 1), charges=(1, 0)), S(Term("std", 1), charges=(0, 1))))
-    assert len(checks) == 1 and m.space_dim == 4
-    with pytest.raises(RepresentationError, match=r"weight relation fails on e\(1,\) of factor 0"):
-        realize(grp(Factor("su", 2), lines=[(1, 2)]), R(S(Term("std", 1), charges=(1, 0)), S(Term("std", 1), charges=(0, 1))))
-
-
-def test_the_torus_check_runs_only_on_a_nonzero_across_summands(monkeypatch):
-    """_semisimple keeps every nonzero inside one summand, so realize checks
-    no torus weight of its modules, whatever their charges (the semisimple
-    part is built, and validated, first)."""
-    from coisotropy import matrep
-
-    realize(grp(Factor("su", 3)), R(S(Term("std", 1)), S(Term("sym2", 1), dual=True)))
-    checks, check = [], matrep._check_weights
-    monkeypatch.setattr(matrep, "_check_weights", lambda *args: checks.append(args) or check(*args))
-    for charges in ((1, 0), (0, 1), (2, -3)):
-        m = realize(
-            grp(Factor("su", 3), lines=[(1, 2)]),
-            R(S(Term("std", 1), charges=charges), S(Term("sym2", 1), dual=True, charges=charges[::-1])),
-        )
-        assert m.gens.shape[0] == 2 + 2 * 3 + 1
-    assert checks == []
+    monkeypatch.setattr(matrep, "_factor_module", linked)
+    matrep._semisimple.cache_clear()
+    charged = R(S(Term("std", 1), charges=(1,)), S(Term("weight", 1, (3,)), charges=(0,)))
+    for g, r in ((group, rep), (grp(Factor("su", 2), lines=[(1,)]), charged)):
+        with pytest.raises(RepresentationError, match="a generator entry links two summands"):
+            realize(g, r)
+    assert matrep._semisimple.cache_info().currsize == 0
 
 
 def test_validation_rejects_entries_out_of_order():
@@ -626,6 +599,19 @@ def test_each_module_is_its_semisimple_part_and_torus_lines(realized_specs):
         rng = mforacle._rng(mforacle.DEFAULT_SEED, 0, 0)
         rows = int_apply(m.borel_stack, mforacle._sample_vector(m.space_dim, rng, mforacle.MF_SAMPLE_BOUND))
         assert mforacle._split_rank(rows, rows.shape[0] - len(group.torus_lines)) == int_rank(rows), (group, rep)
+
+
+def test_every_semisimple_module_is_block_diagonal_by_summand(realized_specs):
+    """Every semisimple module of table 1..4 and of one mf_stream round
+    keeps each nonzero inside one summand, so realize's torus lines, constant
+    on each summand, commute with it."""
+    from coisotropy import matrep
+
+    for group, rep in realized_specs:
+        ss = matrep._semisimple(group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
+        assert len(ss.sizes) == len(rep.summands) and sum(ss.sizes) == ss.gens.shape[1], (group, rep)
+        summand = np.repeat(np.arange(len(ss.sizes)), ss.sizes)
+        assert (summand[ss.gens.row] == summand[ss.gens.col]).all(), (group, rep)
 
 
 def test_borel_stack_equals_the_mask_reference(realized_specs):
@@ -1118,6 +1104,22 @@ def test_each_weight_module_is_built_once_and_read_only(unbuilt_weight_modules):
         assert x.tolist() == y.tolist() and not x.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         std.val[0] = 7
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _factor_module(Factor("su", 3), "std"), octonion_left_mult, spin7_real_gens],
+    ids=["factor-module", "octonion", "spin7"],
+)
+def test_each_cached_stack_is_read_only(build):
+    # every caller shares the cached stack, so an in-place write must fail
+    # and leave the next call's entries as they were
+    stack = build()
+    before = [x.copy() for x in stack[1:5]]
+    for x in stack[1:5]:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 99
+    assert all((x == y).all() for x, y in zip(build()[1:5], before))
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from coisotropy.repdata import (
     ResultRow,
     load_dataset,
     lookup_mf,
-    maximal_subgroups,
     parse_instantiations,
     space_from_text,
 )
@@ -288,35 +287,6 @@ def test_lookup_matches_oracle_on_every_reducible_row_under_any_stars(ds):
     assert checked == 88
 
 
-def test_maximal_subgroups_examples(ds):
-    sp3 = maximal_subgroups("sp", 3, ds)
-    kinds = {e["kind"] for e in sp3}
-    assert kinds == {"unitary", "symmetric", "tensor-embedding", "irreducible-rep"}
-    irr = [e for e in sp3 if e["kind"] == "irreducible-rep"][0]
-    assert irr["reality"] == "H" and irr["degree"] == 6
-    tens = [e for e in sp3 if e["kind"] == "tensor-embedding"]
-    assert [e["parameters"] for e in tens] == [{"p": 3, "q": 1}]
-
-    so8 = maximal_subgroups("so", 8, ds)
-    assert any(e["kind"] == "unitary" and e["subgroup"] == "U(4)" for e in so8)
-    assert any(e["subgroup"] == "Sp(1) (x) Sp(2)" for e in so8)
-    assert any(
-        e["kind"] == "irreducible-rep" and e["reality"] == "R" and e["degree"] == 8
-        for e in so8
-    )
-    # 8 = pq with 3 <= p <= q has no solutions
-    assert not any(
-        e["kind"] == "tensor-embedding" and "SO" in e.get("subgroup", "")
-        for e in so8
-    )
-
-    su2 = maximal_subgroups("su", 2, ds)
-    assert any(e["kind"] == "symmetric" for e in su2)
-
-    with pytest.raises(DataError):
-        maximal_subgroups("g2", 2, ds)
-
-
 def test_slice_facts_lookup(ds):
     def slice_facts(space, subgroup):
         return [f for f in ds.slice_facts if f.space == space and f.subgroup == subgroup]
@@ -453,6 +423,31 @@ def test_a_row_without_a_slice_takes_the_slice_of_its_fact(ds, tmp_path, slice_i
 def _empty_dataset(directory):
     for name in ("mftables.txt", "maxsub.txt", "slices.txt", "results.txt", "sympairs.txt", "lemma21.txt"):
         (directory / name).write_text(f"format={name[:-4]} version=1\n")
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ('degree="2*m"', 'degree="2*"', "bad expression '2\\*'"),
+        ('cond="p * q == m and p >= 3 and q >= 1"', 'cond="p q == m"', "bad expression 'p q == m'"),
+        ('subgroup="U({m})"', 'subgroup="U({m/2})"', "use // for division"),
+        ("kind=unitary ", "kind=unitarian ", "unknown kind 'unitarian'"),
+        ("ambient=sp row=i ", "ambient=spin row=i ", "unknown ambient 'spin'"),
+    ],
+    ids=["degree", "cond", "subgroup", "kind", "ambient"],
+)
+def test_a_malformed_maxsub_row_fails_at_its_line(tmp_path, monkeypatch, old, new, message):
+    # nothing evaluates tables III-V, so their rows are checked on loading
+    data = tmp_path / "data"
+    shutil.copytree(Path(resources.files("coisotropy").joinpath("data")), data)
+    path = data / "maxsub.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lineno = next(n for n, line in enumerate(lines, start=1) if old in line)
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setenv(DATA_ENV_VAR, str(data))
+    with pytest.raises(DataError, match=rf"maxsub\.txt:{lineno}: {message}"):
+        load_dataset()
 
 
 def test_environment_override(tmp_path, monkeypatch):
