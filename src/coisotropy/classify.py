@@ -80,11 +80,9 @@ def verify_lemma21(max_classical_rank: int) -> LemmaExceptions:
     return LemmaExceptions(part1=part1, part2=part2)
 
 
-def encoded_lemma_exceptions(
-    max_classical_rank: int, dataset: Dataset | None = None
-) -> tuple[set, set]:
+def encoded_lemma_exceptions(max_classical_rank: int) -> tuple[set, set]:
     """Expand the recorded exception lists over the enumeration basis."""
-    ds = dataset or load_dataset()
+    ds = load_dataset()
     types = paper_family_types(max_classical_rank)
     out1: set = set()
     out2: set = set()
@@ -361,12 +359,10 @@ def _run_row(
                         ok = False
     elif v in ("cohom-slice", "cohom-real"):
         if v == "cohom-real":
-            rep_obj = real_block_rep(row.realslice)
-            report = coisotropic_by_rank(rep_obj, seed=seed, group_rank=expect.get("rank"))
+            model = real_block_rep(row.realslice, expect["rank"])
         else:
-            group, rep = row.slice.instantiate(env)
-            rank = expect.get("rank", group.rank)
-            report = coisotropic_by_rank(realize(group, rep), seed=seed, group_rank=rank)
+            model = realize(*row.slice.instantiate(env))
+        report = coisotropic_by_rank(model, seed=seed)
         add(
             "cohomogeneity-rank",
             {
@@ -379,6 +375,8 @@ def _run_row(
         if "ch" in expect and report.cohomogeneity != expect["ch"]:
             ok = False
         if "princ" in expect and report.principal_isotropy_rank != expect["princ"]:
+            ok = False
+        if "rank" in expect and report.group_rank != expect["rank"]:
             ok = False
         if "coiso" in expect and report.coisotropic != bool(expect["coiso"]):
             ok = False

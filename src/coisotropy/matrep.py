@@ -24,7 +24,7 @@ positive form, so the real span of {i*h, e - f, i*(e + f)}, together with
 i times the torus charge matrices, is exactly the compact real form
 acting on the module.  MatrixRep.compact_stack holds it realified, as
 real matrices on R^(2d), which is the contract of RealRep.compact_stack
-too: the orbit oracles read one real integer stack for either.
+too: the orbit oracles read that stack, group_rank and trivial_gap of either.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ class Factor:
             return n
         return self.n
 
-    @property
-    def borel_dim(self) -> int:
-        """(dim + rank)/2, from closed forms (valid for so(2) etc. as well)."""
-        return (self.dim + self.rank) // 2
-
     @functools.cached_property
     def simple_type(self) -> SimpleType | None:
         """Simple type of the factor, or None when the factor is trivial;
@@ -194,7 +189,8 @@ class GroupSpec:
 
     @property
     def borel_dim(self) -> int:
-        return sum(f.borel_dim for f in self.factors) + len(self.torus_lines)
+        """(dim + rank)/2: dim + rank is even for every factor (so(2) too)."""
+        return (self.dim + self.rank) // 2
 
     def __str__(self):
         parts = [str(f) for f in self.factors]
@@ -693,6 +689,25 @@ class MatrixRep:
             g.den,
         )
 
+    @property
+    def group_rank(self) -> int:
+        return self.group.rank
+
+    @functools.cached_property
+    def trivial_gap(self) -> int:
+        """Rank minus dimension in compact_stack of the factors that act
+        trivially: their kernel lies in every isotropy algebra, where a
+        centralizer counts it by dimension (so(2), with no generator, by 0).
+        compact_stack's order gives each generator's factor: i*h, then e - f
+        and i*(e + f) per root."""
+        owner = [f for f, _ in self.cartan_labels] + [f for f, _ in self.root_labels for _ in (0, 1)]
+        acting = {owner[k] for k in set(self.compact_stack.k.tolist()) if k < len(owner)}
+        return sum(
+            fac.rank - (fac.dim if fac.simple_type is not None else 0)
+            for f, fac in enumerate(self.group.factors)
+            if f not in acting
+        )
+
 
 def _read_only(stack: IntStack) -> IntStack:
     """stack, with its arrays made read-only: it is shared through a cache."""
@@ -819,6 +834,16 @@ def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _
     return _Semisimple(gens, tuple(cartan_labels), tuple(root_labels), sizes)
 
 
+def net_charges(group: GroupSpec, rep: RepSpec) -> list[list[int]]:
+    """The net charge of each summand on each torus line, no charges being
+    zero; RepresentationError for charges of another arity than the lines."""
+    n_circ = group.n_circles
+    for sm in rep.summands:
+        if len(sm.charges) not in (0, n_circ):
+            raise RepresentationError(f"summand charge arity {len(sm.charges)} != circles {n_circ}")
+    return [[sum(a * c for a, c in zip(line, sm.charges)) for line in group.torus_lines] for sm in rep.summands]
+
+
 def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     """Build the matrix model of a representation specification.
 
@@ -826,21 +851,15 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     factors on the summands with their charges stripped, is assembled and
     validated once (_semisimple).  Each torus line t then adds its
     generator diag(net_t) over the same denominator, net_t the line's net
-    charge on each summand.  A torus weight is constant on each summand
-    and _semisimple keeps every nonzero inside one summand, so the torus
+    charge on each summand (net_charges).  A torus weight is constant on
+    each summand and _semisimple keeps every nonzero inside one summand, so the torus
     commutes with the semisimple part and needs no check here.
     """
-    n_circ, lines = group.n_circles, group.torus_lines
-    for sm in rep.summands:
-        if len(sm.charges) not in (0, n_circ):
-            raise RepresentationError(
-                f"summand charge arity {len(sm.charges)} != circles {n_circ}"
-            )
+    net, lines = net_charges(group, rep), group.torus_lines
     ss = _semisimple(group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
     gens = ss.gens
     if lines:
         n, d, _ = gens.shape
-        net = [[sum(a * c for a, c in zip(line, sm.charges)) for line in lines] for sm in rep.summands]
         big = max(abs(x) for row in net for x in row) * gens.den >= INT64_SAFE
         w = np.repeat(np.array(net, dtype=object if big else np.int64), ss.sizes, axis=0)
         # diag(net_t) * den for each line t, after every generator of the
@@ -905,10 +924,13 @@ def validate_matrix_rep(rep: MatrixRep) -> None:
 
 @dataclass
 class RealRep:
-    """A compact Lie algebra acting by real matrices on a real vector space,
-    its generators held as one integer stack."""
+    """A compact Lie algebra acting faithfully by real matrices, as one
+    integer stack, and the rank of its group; faithful, it has no trivial
+    factor to add rank (trivial_gap)."""
 
     compact_stack: IntStack
+    group_rank: int
+    trivial_gap = 0
 
 
 def so_vector_gens(n: int) -> IntStack:
@@ -923,7 +945,6 @@ _OCT_TRIPLES = tuple(
 )
 
 
-@functools.lru_cache(maxsize=1)
 def octonion_left_mult() -> IntStack:
     """Left multiplication by e_1..e_7 on the octonions, real 8x8 matrices."""
     mult: dict[tuple[int, int], tuple[int, int]] = {}
@@ -936,7 +957,7 @@ def octonion_left_mult() -> IntStack:
             mult[(x, y)] = (1, z)
             mult[(y, x)] = (-1, z)
     ent = [(a - 1, mult[(a, j)][1], j, mult[(a, j)][0]) for a in range(1, 8) for j in range(8)]
-    return _read_only(_coalesce((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1))
+    return _coalesce((7, 8, 8), *np.array(ent, dtype=np.int64).T, 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -967,26 +988,28 @@ def real_blocks(text: str) -> list[str | int]:
     return out
 
 
-def real_block_rep(text: str) -> RealRep:
-    """Diagonal so(7) action on a sum of blocks, 'triv:2,vec7,spin8'.
+def real_block_rep(text: str, group_rank: int) -> RealRep:
+    """Diagonal so(7) action on a sum of blocks, 'triv:2,vec7,spin8', as the
+    model of a group of rank group_rank.
 
     Blocks, comma separated: 'triv:N' (N trivial lines), 'vec7' (R^7
     vector action), 'spin8' (R^8 real spin action).  Generators are indexed
     by the pairs (a, b), a < b, of so(7); each block's entries sit at its
-    offset, over one denominator.
+    offset, over one denominator.  so(7) is simple, so it acts faithfully
+    iff a block is vec7 or spin8, and a model without one is rejected.
     """
+    blocks = real_blocks(text)
+    if not {"vec7", "spin8"} & set(blocks):
+        raise RepresentationError(f"real block model {text!r} has no vec7 or spin8 block: so(7) acts with a kernel")
     models = {"vec7": so_vector_gens(7), "spin8": spin7_real_gens()}
     den = lcm(*(m.den for m in models.values()))
     parts, off = [], 0
-    for block in real_blocks(text):
+    for block in blocks:
         if isinstance(block, int):
             off += block
         else:
             m = models[block]
             parts.append((m.k, m.row + off, m.col + off, m.val * (den // m.den)))
             off += m.shape[1]
-    k, row, col, val = (
-        np.concatenate([p[t] for p in parts]) if parts else np.zeros(0, np.int64)
-        for t in range(4)
-    )
-    return RealRep(_coalesce((models["vec7"].shape[0], off, off), k, row, col, val, den))
+    k, row, col, val = (np.concatenate([p[t] for p in parts]) for t in range(4))
+    return RealRep(_coalesce((models["vec7"].shape[0], off, off), k, row, col, val, den), group_rank)

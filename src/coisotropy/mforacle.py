@@ -10,13 +10,14 @@ tangent data.  The coisotropy test reads both ranks from one elimination of
 the orbit map per sample point, and its report names the points' keys.
 
 Every matrix here is a real integer matrix.  The orbit oracles read the
-compact action in one model, the integer stack compact_stack on R^n: a
-RealRep gives it directly, and a MatrixRep on C^d gives its realification
-on R^(2d).  Every sample is an integer point (_sample_vector): of R^n for
-the compact oracles, and of Z^d inside C^d for mf_test, whose Borel rows
-depend on the point with rational coefficients, so their generic rank over
-C is reached at integer points.  The Lie-triple test takes complex tangent
-data realified (linalg.realify), which changes no span and no bracket.
+compact action in one model, the integer stack compact_stack on R^n, with
+the model's group_rank and trivial_gap: a RealRep gives the stack
+directly, and a MatrixRep on C^d gives its realification on R^(2d).
+Every sample is an integer point (_sample_vector): of R^n for the compact
+oracles, and of Z^d inside C^d for mf_test, whose Borel rows depend on the
+point with rational coefficients, so their generic rank over C is reached
+at integer points.  The Lie-triple test takes complex tangent data
+realified (linalg.realify), which changes no span and no bracket.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .linalg import (
     int_rank,
     realify,
 )
-from .matrep import MatrixRep, RealRep
+from .matrep import MatrixRep
 
 
 DEFAULT_SEED = 20240101
@@ -255,8 +256,7 @@ class _Frame(NamedTuple):
 def _frame(rep) -> _Frame:
     """P from the verified pivot rows of the transposed stack (int_kernel):
     they are as many as the rank and independent, so a matrix of the span
-    is zero iff it is zero at P.  A RealRep carries no group data, so it
-    must act faithfully."""
+    is zero iff it is zero at P."""
     s = rep.compact_stack
     n, d, _ = s.shape
     pos = s.row * d + s.col
@@ -266,8 +266,6 @@ def _frame(rep) -> _Frame:
     stack_t = np.zeros((entries.size, n), dtype=s.val.dtype)
     stack_t[np.searchsorted(entries, pos), s.k] = s.val
     pivots, _ = int_kernel(stack_t)
-    if len(pivots) < n and isinstance(rep, RealRep):
-        raise ValueError("a RealRep must act faithfully")
     at = entries[pivots]
     row, col = at // d, at % d
     # an entry g[a, b] of g_i meets z in (g_i z)[a, q] = g[a, b] z[b, q] at
@@ -283,25 +281,6 @@ def _frame(rep) -> _Frame:
         np.r_[s.col[t], row[i]],
         np.r_[col[j], s.row[u]],
         np.r_[s.val[t], -s.val[u]],
-    )
-
-
-def _trivial_gap(rep) -> int:
-    """Rank minus the dimension in the compact stack, summed over the
-    factors that act trivially.
-
-    Their kernel lies in every isotropy algebra, and a centralizer there
-    counts it by its dimension: a simple factor by dim, so(2), which has
-    no generator, by 0.  A RealRep acts faithfully (_frame)."""
-    if isinstance(rep, RealRep):
-        return 0
-    # the factor of each compact generator: i*h, then e - f and i*(e + f)
-    owner = [f for f, _ in rep.cartan_labels] + [f for f, _ in rep.root_labels for _ in (0, 1)]
-    acting = {owner[k] for k in set(rep.compact_stack.k.tolist()) if k < len(owner)}
-    return sum(
-        fac.rank - (fac.dim if fac.simple_type is not None else 0)
-        for f, fac in enumerate(rep.group.factors)
-        if f not in acting
     )
 
 
@@ -348,18 +327,17 @@ def _orbit_probe(rep, seed: int) -> OrbitProbe:
     when c(z) is not abelian the next of N_SAMPLES draws is tried, and
     GenericityError is raised after the last.  The brackets are read at
     the entries P of _frame only, and no matrix of h_v is formed.  The
-    factors that act trivially count with their rank (_trivial_gap).  The
-    sampled points must agree on the pair (_stabilize), unless one reaches
-    the orbit rank n of the n compact generators: h_v is then 0 there and
-    at a generic point, which certifies (n, _trivial_gap) at once.
+    factors that act trivially count with their rank (the model's
+    trivial_gap).  The sampled points must agree on the pair (_stabilize),
+    unless one reaches the orbit rank n of the n compact generators: h_v is
+    then 0 there and at a generic point, which certifies (n, trivial_gap)
+    at once.
     """
     n, dim, _ = rep.compact_stack.shape
     if not dim:
         # everything stabilizes the zero module
-        if isinstance(rep, RealRep):
-            raise ValueError("zero-dimensional RealRep has no group data")
-        return OrbitProbe([], [], (0, rep.group.rank), 0)
-    gap = _trivial_gap(rep)
+        return OrbitProbe([], [], (0, rep.group_rank), 0)
+    gap = rep.trivial_gap
     frame = None
 
     def ranks_at(v) -> tuple[int, int]:
@@ -385,19 +363,13 @@ def principal_isotropy_rank(rep, seed: int = DEFAULT_SEED) -> int:
     return _orbit_probe(rep, seed).value[1]
 
 
-def coisotropic_by_rank(
-    rep, seed: int = DEFAULT_SEED, group_rank: int | None = None
-) -> CohomReport:
+def coisotropic_by_rank(rep, seed: int = DEFAULT_SEED) -> CohomReport:
     """Cohomogeneity against rank difference, both read at the same points
-    (_orbit_probe).  A RealRep carries no group data, so it needs group_rank."""
-    if group_rank is None:
-        if isinstance(rep, RealRep):
-            raise ValueError("RealRep needs an explicit group rank")
-        group_rank = rep.group.rank
+    (_orbit_probe), and the group rank the model states."""
     probe = _orbit_probe(rep, seed)
     return CohomReport(
         cohomogeneity=rep.compact_stack.shape[1] - probe.value[0],
-        group_rank=group_rank,
+        group_rank=rep.group_rank,
         principal_isotropy_rank=probe.value[1],
         isotropy_certified=True,
         points=tuple(probe.seeds),

@@ -29,6 +29,7 @@ from .matrep import (
     Summand,
     _factor_module,
     _weights,
+    net_charges,
     one_dimensional,
     real_blocks,
 )
@@ -377,6 +378,8 @@ class ResultRow(_Instantiated):
             raise ValueError(f"unknown polynomial family {self.poly!r}")
         if self.realslice:
             real_blocks(self.realslice)
+        if self.verify == "cohom-real" and "rank" not in dict(self.expect):
+            raise ValueError("verify=cohom-real needs expect=rank, the rank its real block model is built with")
 
 
 def _expect_pairs(text: str) -> tuple[tuple[str, str], ...]:
@@ -574,23 +577,10 @@ def _self_dual(fac: Factor, kind: str) -> bool:
     return sorted(w.tolist()) == sorted((-w).tolist())
 
 
-def _net_charges(group: GroupSpec, rep: RepSpec) -> list[list[int]]:
-    """Per torus line, the net integer charge on each summand."""
-    out = []
-    nc = group.n_circles
-    for line in group.torus_lines:
-        row = []
-        for sm in rep.summands:
-            charges = sm.charges if sm.charges else (0,) * nc
-            row.append(sum(d * c for d, c in zip(line, charges)))
-        out.append(row)
-    return out
-
-
-def _charge_span(rows: list[list[int]]) -> tuple[int, tuple[int, ...] | None]:
+def _charge_span(rows: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...] | None]:
     """(rank, generator) of the span of integer charge rows of at most two
-    columns; for rank 1 the generator is the primitive integer vector with
-    a positive leading entry, else None."""
+    columns, one row per torus line; for rank 1 the generator is the
+    primitive integer vector with a positive leading entry, else None."""
     nonzero = [row for row in rows if any(row)]
     if not nonzero:
         return 0, None
@@ -609,11 +599,13 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
     injective map from pattern factors to concrete factors.  The dual flag
     of a self-dual summand is not compared.  The first candidate whose dual
     flags agree exactly wins, else the first candidate.  More than two
-    summands cannot be indecomposably multiplicity free, so no row can match.
+    summands cannot be indecomposably multiplicity free, so no row can match;
+    their charges are checked first, as realize checks them (net_charges).
     Only the rows whose factor kinds fit those of the concrete factors used
     are visited (Dataset.mf_rows_fitting).
     """
     ds = dataset or load_dataset()
+    net = net_charges(group, rep)
     r = len(rep.summands)
     if r > 2:
         return MFLookup(
@@ -626,7 +618,7 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
                 "unless the action decomposes"
             ],
         )
-    span = _charge_span(_net_charges(group, rep))
+    span = _charge_span(list(zip(*net)))
     slots = [_slots(group, sm) for sm in rep.summands]
     faces = []  # (summand order, the slots each pattern summand faces, their factors)
     for order in [(0,)] if r == 1 else [(0, 1), (1, 0)]:

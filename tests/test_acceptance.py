@@ -197,8 +197,8 @@ def test_criterion_6_cohomogeneity_checkpoints():
         )
         ok &= good
         detail.append(f"k={k}: ch={report.cohomogeneity} princ={report.principal_isotropy_rank}")
-    chain = real_block_rep("triv:2,vec7,spin8")
-    rc = coisotropic_by_rank(chain, group_rank=6)
+    chain = real_block_rep("triv:2,vec7,spin8", 6)
+    rc = coisotropic_by_rank(chain)
     ok &= rc.cohomogeneity == 4 and rc.principal_isotropy_rank == 2
     detail.append(f"spin-chain: ch={rc.cohomogeneity} princ={rc.principal_isotropy_rank}")
     g2 = "su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"

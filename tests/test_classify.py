@@ -239,6 +239,17 @@ def test_cohom_one_compares_the_slice_cohomogeneity_with_expect():
     assert v.ok
 
 
+def test_cohom_slice_compares_the_slice_group_rank_with_expect():
+    # soE5's slice group su(3) + su(s) + u1 has rank s + 2, which the row
+    # states; a stated rank the slice does not have is a mismatch, never
+    # the rank the report is read against
+    ds = load_dataset()
+    rows = [dataclasses.replace(r, expect="ch=7;coiso=0;rank=s+3") if r.row == "soE5" else r for r in ds.result_rows]
+    wrong = reproduce_table(1, rows=["soE5"], dataset=dataclasses.replace(ds, result_rows=rows))
+    assert [(v.outcome, v.evidence[-1].numbers["rank"]) for v in wrong] == [("mismatch", 5), ("mismatch", 6)]
+    assert all(v.ok for v in reproduce_table(1, rows=["soE5"], dataset=ds))
+
+
 def test_reproduce_widen_adds_instances():
     base = reproduce_table(1, rows=["sp3"])
     widened = reproduce_table(1, rows=["sp3"], widen=1)

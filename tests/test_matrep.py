@@ -350,7 +350,7 @@ def test_every_built_stack_is_in_order():
 
     m = realize(grp(Factor("su", 3), lines=[(1,)]), R(S(Term("std", 1), charges=(1,)), S(Term("alt2", 1), charges=(2,))))
     stacks = [m.gens, m.borel_stack, m.compact_stack, so_vector_gens(7), octonion_left_mult(), spin7_real_gens()]
-    stacks += [real_block_rep("triv:2,vec7,spin8").compact_stack, real_block_rep("vec7,vec7").compact_stack]
+    stacks += [real_block_rep("triv:2,vec7,spin8", 6).compact_stack, real_block_rep("vec7,vec7", 3).compact_stack]
     assert all(map(ordered, stacks))
 
 
@@ -789,14 +789,15 @@ def test_spin7_real_structure_constants():
 
 
 def test_real_block_rep_shapes():
-    rep = real_block_rep("triv:2,vec7,spin8")
+    rep = real_block_rep("triv:2,vec7,spin8", 6)
     assert rep.compact_stack.shape == (21, 17, 17)
+    assert (rep.group_rank, rep.trivial_gap) == (6, 0)
 
 
 @pytest.mark.parametrize("text", ["triv:2,vec7,spin9", "triv,vec7", "vec7,,spin8"])
 def test_real_block_rep_rejects_an_unknown_block(text):
     with pytest.raises(RepresentationError, match="unknown real block"):
-        real_block_rep(text)
+        real_block_rep(text, 6)
 
 
 def test_spin_rep_wrapper():
@@ -1108,8 +1109,8 @@ def test_each_weight_module_is_built_once_and_read_only(unbuilt_weight_modules):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: _factor_module(Factor("su", 3), "std"), octonion_left_mult, spin7_real_gens],
-    ids=["factor-module", "octonion", "spin7"],
+    [lambda: _factor_module(Factor("su", 3), "std"), spin7_real_gens],
+    ids=["factor-module", "spin7"],
 )
 def test_each_cached_stack_is_read_only(build):
     # every caller shares the cached stack, so an in-place write must fail
@@ -1186,7 +1187,7 @@ def test_integer_views_scale_the_generators():
         assert view.den > 0 and stack.shape == gens.shape
         for at in np.ndindex(gens.shape):
             assert Fraction(int(stack[at]), view.den) == Fraction(int(gens[at]), den)
-    assert real_block_rep("vec7").compact_stack.shape == (21, 7, 7)
+    assert real_block_rep("vec7", 3).compact_stack.shape == (21, 7, 7)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 from coisotropy.classify import WITNESS_PLANE
 from coisotropy.dsl import parse_repspec
 from coisotropy.linalg import int_apply, int_rank, realify
-from coisotropy.matrep import Factor, GroupSpec, RepSpec, Summand, Term, real_block_rep, realize
+from coisotropy.matrep import Factor, GroupSpec, RepresentationError, RepSpec, Summand, Term, real_block_rep, realize
 from coisotropy.mforacle import (
     CohomReport,
     brackets_vanish,
@@ -141,11 +141,11 @@ def test_checkpoint_exceptional_slice_rank_gap():
 
 
 def test_checkpoint_real_spin_block():
-    rep = real_block_rep("triv:2,vec7,spin8")
+    rep = real_block_rep("triv:2,vec7,spin8", 6)
     assert cohomogeneity(rep) == 4
     assert principal_isotropy_rank(rep) == 2
-    report = coisotropic_by_rank(rep, group_rank=6)
-    assert report.coisotropic  # 4 == 6 - 2
+    report = coisotropic_by_rank(rep)
+    assert report.group_rank == 6 and report.coisotropic  # 4 == 6 - 2
 
 
 def test_coisotropic_report_consistency_with_mf():
@@ -161,10 +161,12 @@ def test_coisotropic_report_consistency_with_mf():
         assert coisotropic_by_rank(m).coisotropic == mf_test(m)
 
 
-def test_real_rep_requires_rank():
-    rep = real_block_rep("vec7")
-    with pytest.raises(ValueError):
-        coisotropic_by_rank(rep)
+def test_a_real_rep_states_the_rank_it_is_built_with():
+    # so(7) on R^7: a sphere, isotropy so(6) of rank 3
+    for rank in (3, 5):
+        report = coisotropic_by_rank(real_block_rep("vec7", rank))
+        assert (report.cohomogeneity, report.group_rank, report.principal_isotropy_rank) == (1, rank, 3)
+    assert real_block_rep("vec7", 3).trivial_gap == 0
 
 
 def test_symmetric_pair_axioms():
@@ -574,35 +576,30 @@ def _reference_principal_rank(rep, seed, kernel_rank):
     return mforacle._stabilize(rank_at, dim, seed, mforacle.SAMPLE_BOUND).value
 
 
-# name -> (module, rank of the kernel of its action, group rank for a RealRep)
+# name -> (module, rank of the kernel of its action)
 ISOTROPY_CASES = {
-    "sphere": (lambda: rep_of("su(3) + u1[1] on std(1) @ 1"), 0, None),
+    "sphere": (lambda: rep_of("su(3) + u1[1] on std(1) @ 1"), 0),
     "chain": (
         lambda: rep_of(
             "su(3) + u1[1,1,0] + u1[1,0,1] + u1[0,1,1] on "
             "std(1) @ 1,0,0 (+) std(1) @ 0,1,0 (+) triv @ 0,0,1"
         ),
         0,
-        None,
     ),
-    "slice": (
-        lambda: rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"),
-        0,
-        None,
-    ),
-    "spin": (lambda: real_block_rep("triv:2,vec7,spin8"), 0, 6),
-    "trivial-factor": (lambda: rep_of("su(3) + so(5) + u1[1] on std(1) @ 1"), 2, None),
+    "slice": (lambda: rep_of("su(3) + su(3) + u1[1] on std(1) @ 0 (+) std(1) (x) std(2) @ 1"), 0),
+    "spin": (lambda: real_block_rep("triv:2,vec7,spin8", 6), 0),
+    "trivial-factor": (lambda: rep_of("su(3) + so(5) + u1[1] on std(1) @ 1"), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
 def test_isotropy_oracles_match_the_fraction_reference(name):
-    make, kernel_rank, group_rank = ISOTROPY_CASES[name]
+    make, kernel_rank = ISOTROPY_CASES[name]
     rep = make()
     for seed in (20240101, 7, 918273):
         want = _reference_principal_rank(rep, seed, kernel_rank)
         assert principal_isotropy_rank(rep, seed) == want
-        report = coisotropic_by_rank(rep, seed, group_rank)
+        report = coisotropic_by_rank(rep, seed)
         assert report.principal_isotropy_rank == want and report.isotropy_certified
         assert report.cohomogeneity == cohomogeneity(rep, seed)
         assert report.coisotropic == (report.cohomogeneity == report.group_rank - want)
@@ -615,7 +612,7 @@ def test_coisotropic_by_rank_eliminates_the_orbit_map_once_per_point(name, monke
     # centralizer's, and nothing is ranked with int_rank
     from coisotropy import mforacle
 
-    make, _, group_rank = ISOTROPY_CASES[name]
+    make, _ = ISOTROPY_CASES[name]
     rep = make()
     orbit_systems, ranked, probes, inside = [], [], [], []
     kernel, stabilize = mforacle.int_kernel, mforacle._stabilize
@@ -640,7 +637,7 @@ def test_coisotropic_by_rank_eliminates_the_orbit_map_once_per_point(name, monke
     monkeypatch.setattr(mforacle, "_frame", within(mforacle._frame))
     monkeypatch.setattr(mforacle, "_centralizer", within(mforacle._centralizer))
     monkeypatch.setattr(mforacle, "_stabilize", lambda *a: probes.append(stabilize(*a)) or probes[-1])
-    coisotropic_by_rank(rep, group_rank=group_rank)
+    coisotropic_by_rank(rep)
     assert not ranked
     (probe,) = probes
     assert len(orbit_systems) == len(probe.sample_points)
@@ -827,9 +824,10 @@ def test_an_unlucky_first_prime_moves_on_to_the_next_with_the_same_entries(monke
 
 
 def test_a_real_rep_with_a_kernel_is_rejected():
-    # a RealRep names no group, so the rank of a kernel is unknown
-    with pytest.raises(ValueError, match="faithfully"):
-        principal_isotropy_rank(real_block_rep("triv:3"))
+    # so(7) is simple, so only a model without a vec7 or spin8 block has a
+    # kernel, and its trivial_gap of 0 would be wrong: it is not built
+    with pytest.raises(RepresentationError, match="no vec7 or spin8"):
+        real_block_rep("triv:3", 6)
 
 
 @pytest.mark.parametrize(

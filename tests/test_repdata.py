@@ -12,7 +12,7 @@ import pytest
 
 from coisotropy import classify, repdata
 from coisotropy.dsl import eval_condition, eval_int_expr, parse_pattern, parse_repspec
-from coisotropy.matrep import GroupSpec, RepSpec, Summand, realize
+from coisotropy.matrep import Factor, GroupSpec, RepresentationError, RepSpec, Summand, Term, realize
 from coisotropy.mforacle import mf_test
 from coisotropy.repdata import (
     DATA_ENV_VAR,
@@ -245,6 +245,17 @@ def test_lookup_three_summands(ds):
     assert any("two" in n for n in res.notes)
 
 
+@pytest.mark.parametrize("n_summands", [2, 3])
+def test_the_lookup_checks_charge_arity_as_realize_does(ds, n_summands):
+    # one charge per summand on a group of two circles: no module, so no
+    # table answer either, also where more than two summands would answer
+    group = GroupSpec((Factor("su", 3),), ((1, 0), (0, 1)))
+    rep = RepSpec((Summand((Term("std", 1),), charges=(1,)),) * n_summands)
+    for build in (realize, lambda g, r: lookup_mf(g, r, ds)):
+        with pytest.raises(RepresentationError, match="summand charge arity 1 != circles 2"):
+            build(group, rep)
+
+
 def test_lookup_matches_oracle_on_every_ia_row(ds):
     for entry in ds.mf_rows("Ia"):
         env = (entry.instantiations() or [{}])[0]
@@ -418,6 +429,20 @@ def test_a_row_without_a_slice_takes_the_slice_of_its_fact(ds, tmp_path, slice_i
         return
     sp2 = next(r for r in load_dataset(str(data)).result_rows if r.row == "sp2")
     assert sp2.slice == next(r for r in ds.result_rows if r.row == "sp2").slice
+
+
+def test_a_cohom_real_row_without_its_model_rank_fails_at_its_line(tmp_path, monkeypatch):
+    # the rank is the group rank the real block model is built with
+    data = tmp_path / "data"
+    shutil.copytree(Path(resources.files("coisotropy").joinpath("data")), data)
+    path = data / "results.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lineno = next(n for n, line in enumerate(lines, start=1) if "row=e7r7 " in line)
+    lines[lineno - 1] = lines[lineno - 1].replace(";rank=6", "")
+    path.write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setenv(DATA_ENV_VAR, str(data))
+    with pytest.raises(DataError, match=rf"results\.txt:{lineno}: verify=cohom-real needs expect=rank"):
+        load_dataset()
 
 
 def _empty_dataset(directory):
