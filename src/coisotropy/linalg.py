@@ -4,11 +4,12 @@ Everything downstream (rank tests, isotropy kernels, bilinear-form solves,
 the Gram blocks of the weight modules) reduces to integer elimination
 implemented here.  Every generator matrix is real and integral: an
 IntStack holds a set of generators by its nonzeros over one denominator,
-and _bracket, the one commutator of dense integer matrices or stacks of
-them, serves the module certificate, the derived root vectors, the real
-slice models and the Lie-triple test alike, in float64 (BLAS) while that
-is exact (_FLOAT_EXACT) and in Python ints beyond.  Complex data enters
-only as realify(re, im), the real matrix of re + i*im.
+in read-only arrays (_int_stack), and _bracket, the one commutator of
+dense integer matrices or stacks of them, serves the module certificate,
+the derived root vectors, the real slice models and the Lie-triple test
+alike, in float64 (BLAS) while that is exact (_FLOAT_EXACT) and in Python
+ints beyond.  Complex data enters only as realify(re, im), the real matrix
+of re + i*im.
 
 One verified modular kernel is the only elimination.  int_kernel
 eliminates an integer matrix modulo a prime p ~ 2**31 for its pivots and
@@ -68,7 +69,7 @@ class IntStack(NamedTuple):
     this is the (n, d, d) stack without its zeros.  The entries are held in
     (k, row, col) order, one per position, so the entries of a run of
     consecutive generators are a slice (matrep.validate_matrix_rep checks
-    this of an assembled module).
+    this of an assembled module).  The arrays are read-only (_int_stack).
     """
 
     shape: tuple[int, int, int]
@@ -83,6 +84,14 @@ class IntStack(NamedTuple):
         out = np.zeros(self.shape, self.val.dtype)
         out[self.k, self.row, self.col] = self.val
         return out
+
+
+def _int_stack(shape, k, row, col, val, den) -> IntStack:
+    """The one way to make an IntStack: its arrays are made read-only, as
+    every stack may be shared through a cache or a cached model."""
+    for x in (k, row, col, val):
+        x.setflags(write=False)
+    return IntStack(shape, k, row, col, val, den)
 
 
 def int_apply(gens: IntStack, v: np.ndarray) -> np.ndarray:

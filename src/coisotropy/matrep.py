@@ -12,9 +12,11 @@ strictly upper triangular; symmetric and exterior squares are induced from
 the standard stack by index arithmetic.  Tensor products, duals, direct
 sums and torus charge lines are assembled from the stacks by index
 arithmetic too, and so are the real slice models (RealRep) of so(7) on R^7
-and on the octonions.  The semisimple part of an assembled module depends
-on its factors and charge-free summands only, so it is built and validated
-once for them; each realize call adds the torus lines of its charges.
+and on the octonions, each put in canonical form, read-only, by _coalesce.
+The semisimple part of an assembled module depends on its factors and
+charge-free summands only, so it is built and validated once for them, as
+a frozen MatrixRep, which realize returns for a group with no torus line
+and otherwise extends by the torus lines of the charges.
 
 The Chevalley generators h, e, f and the torus charges are rational
 matrices, so a module C^d of the complexified algebra is held by real
@@ -34,7 +36,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .linalg import (
     INT64_SAFE,
     IntStack,
     _bracket,
+    _int_stack,
     _kernel_of,
     _max_abs,
 )
@@ -150,6 +152,22 @@ def one_dimensional(fac: Factor, kind: str) -> bool:
     """Whether a term of this kind of fac is a one-dimensional slot: a std
     or sym2 term of a factor whose std module is C^1."""
     return kind in ("std", "sym2") and fac.std_dim == 1
+
+
+@functools.lru_cache(maxsize=None)
+def self_dual(fac: Factor, kind: str) -> bool:
+    """Whether a std, sym2, alt2 or spin term of one factor is isomorphic to
+    its dual: the weights of its cached matrix model, read off the Cartan
+    diagonal, are symmetric under negation.  A term with no matrix model
+    counts as not self-dual."""
+    try:
+        if fac.simple_type is None:
+            return False
+        mod = _factor_module(fac, kind, None)
+    except (NotRealizable, RepresentationError):
+        return False
+    w = _weights(mod, list(range(fac.rank)))
+    return sorted(w.tolist()) == sorted((-w).tolist())
 
 
 @dataclass(frozen=True)
@@ -419,7 +437,7 @@ def _weight_module(stype: SimpleType, coeffs: tuple[int, ...]) -> IntStack:
     den = lcm(*(c.denominator for *_, c in ent))
     k, row, col = np.array([x[:3] for x in ent], dtype=np.int64).T
     val = np.array([c.numerator * (den // c.denominator) for *_, c in ent])
-    return _read_only(_coalesce((3 * r, n, n), k, row, col, val, den))
+    return _coalesce((3 * r, n, n), k, row, col, val, den)
 
 
 def _root_vectors(simple: IntStack, rs: RootSystem) -> IntStack:
@@ -434,7 +452,8 @@ def _root_vectors(simple: IntStack, rs: RootSystem) -> IntStack:
     # height 1: the simple roots, alpha_(r-1) first; e and f of a height are one stack
     level, p = np.arange(r), [r + root.index(1) for root in roots[:r]]
     ef, dd = val[p + [t + r for t in p]], den[p + [t + r for t in p]]
-    parts = [_entries(level, val[:r], den[:r]), _entries(np.concatenate([level, level + npos]) + r, ef, dd)]
+    # (generator indices, numerators, denominators) of the cartan part and of each height
+    parts = [(level, val[:r], den[:r]), (np.concatenate([level, level + npos]) + r, ef, dd)]
     for _, nxt in itertools.groupby(range(r, npos), key=lambda p: sum(roots[p])):
         below, level = level, np.array(list(nxt))
         # beta' = beta - alpha_i, a root below, for the first i that gives one: at q
@@ -445,8 +464,16 @@ def _root_vectors(simple: IntStack, rs: RootSystem) -> IntStack:
         ]).T
         x, y = np.concatenate([val[i], ef[q + len(below)]]), np.concatenate([ef[q], val[i + r]])
         ef, dd = _lowest(_bracket(x, y), np.concatenate([den[i] * dd[q], dd[q + len(below)] * den[i + r]]))
-        parts.append(_entries(np.concatenate([level, level + npos]) + r, ef, dd))
-    return _sparse((r + 2 * npos, *simple.shape[1:]), parts)
+        parts.append((np.concatenate([level, level + npos]) + r, ef, dd))
+    nonzeros = []  # (generator, row, col, numerator, denominator of its matrix)
+    for ks, v, d in parts:
+        m, row, col = np.nonzero(v)
+        nonzeros.append((ks[m], row, col, v[m, row, col], d[m]))
+    k, row, col, num, dens = (np.concatenate(x) for x in zip(*nonzeros))
+    common = lcm(*set(dens.tolist()))
+    if common > 1:
+        num = num * (common // dens)
+    return _coalesce((r + 2 * npos, *simple.shape[1:]), k, row, col, num, common)
 
 
 def _lowest(val: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
@@ -456,22 +483,22 @@ def _lowest(val: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
     return val // g.astype(val.dtype)[:, None, None], den // g
 
 
-def _entries(ks: np.ndarray, val: np.ndarray, den: np.ndarray) -> tuple:
-    """Generators ks[m] = val[m] / den[m] for _sparse: nonzeros (k, row, col, value), ks, den."""
-    m, row, col = np.nonzero(val)
-    return ks[m], row, col, val[m, row, col], ks, den
-
-
-def _sparse(shape: tuple[int, int, int], parts: list[tuple]) -> IntStack:
-    """The stack of the _entries parts over their least common denominator,
-    in (k, row, col) order: int64 below INT64_SAFE, Python ints beyond."""
-    k, row, col, val, ks, dens = (np.concatenate(x) for x in zip(*parts))
-    den = lcm(*dens.tolist())
-    if den > 1:
-        val = val.astype(object) * (den // dens)[np.argsort(ks)][k]
-    o = np.argsort((k * shape[1] + row) * shape[1] + col)
-    big = _max_abs(val) >= INT64_SAFE
-    return IntStack(shape, k[o], row[o], col[o], val[o].astype(object if big else np.int64), den)
+def _coalesce(shape, k, row, col, val, den) -> IntStack:
+    """The canonical, read-only stack of the entries val / den: those at one
+    position summed (in val's dtype, so Python ints where int64 could
+    overflow), zeros dropped, in (k, row, col) order, and stored in int64
+    while every sum is below INT64_SAFE, in Python ints beyond."""
+    d = max(shape[1], 1)
+    key = (k * d + row) * d + col
+    o = np.argsort(key)
+    key, val = key[o], val[o]
+    # the first entry at each position: keys are >= 0, so key[:1] >= 0 marks the first of all
+    first = np.flatnonzero(np.concatenate([key[:1] >= 0, key[1:] != key[:-1]]))
+    key, total = key[first], np.add.reduceat(val, first)
+    keep = total != 0
+    key, total = key[keep], total[keep]
+    total = total.astype(object if _max_abs(total) >= INT64_SAFE else np.int64, copy=False)
+    return _int_stack(shape, key // (d * d), key // d % d, key % d, total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +560,7 @@ def _factor_module(fac: Factor, kind: str, weight=None) -> IntStack:
         simple = _weight_module(st, _highest_weight(fac, kind, weight))
     rs = build_root_system(st)
     _certify(simple, rs)
-    return _read_only(_root_vectors(simple, rs))
+    return _root_vectors(simple, rs)
 
 
 def _weights(gens: IntStack, diag: list[int]) -> np.ndarray:
@@ -633,26 +660,36 @@ def _certify(simple: IntStack, rs: RootSystem) -> None:
 # the assembled representation
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixRep:
-    """A concrete complexified action of a GroupSpec on a module.
+    """A concrete complexified action of a GroupSpec on a module C^d.
 
     gens is the one store of its generators: an integer stack over one
-    denominator, ordered cartan | raising | lowering | torus.
-    cartan_labels and root_labels say which factor and which simple or
-    positive root each Cartan generator and each raising/lowering pair
-    belongs to; the torus generators follow the group's torus lines.
-    borel_stack and compact_stack are the views the oracles sample:
-    borel_stack acts on C^d, compact_stack is the real compact form acting
-    on R^(2d), with Re v_a and Im v_a at coordinates 2a and 2a + 1.
+    denominator, ordered cartan | raising | lowering | torus, of which
+    space_dim reads d.  cartan_labels and root_labels say which factor and
+    which simple or positive root each Cartan generator and each
+    raising/lowering pair belongs to; the torus generators follow the
+    group's torus lines.  borel_stack and compact_stack are the views the
+    oracles sample: borel_stack acts on C^d, compact_stack is the real
+    compact form acting on R^(2d), with Re v_a and Im v_a at coordinates
+    2a and 2a + 1.  A model is frozen, its views are computed once, and
+    realize shares the model of a group with no torus line.
     """
 
     group: GroupSpec
     rep: RepSpec
-    space_dim: int
     gens: IntStack
-    cartan_labels: list[tuple[int, int]]  # (factor index, simple root index)
-    root_labels: list[tuple[int, tuple[int, ...]]]  # (factor index, root coords)
+    cartan_labels: tuple[tuple[int, int], ...]  # (factor index, simple root index)
+    root_labels: tuple[tuple[int, tuple[int, ...]], ...]  # (factor index, root coords)
+
+    @property
+    def space_dim(self) -> int:
+        return self.gens.shape[1]
+
+    @functools.cached_property
+    def summand_dims(self) -> tuple[int, ...]:
+        """The dimension of each summand, in the order of rep."""
+        return tuple(prod(_term_module(self.group, t)[2] for t in sm.terms) for sm in self.rep.summands)
 
     @functools.cached_property
     def borel_stack(self) -> IntStack:
@@ -663,7 +700,7 @@ class MatrixRep:
         lo, hi = g.k.searchsorted([nc + npos, nc + 2 * npos]).tolist()
         cut = lambda x: np.concatenate([x[:lo], x[hi:]])  # noqa: E731
         shape = (g.shape[0] - npos, *g.shape[1:])
-        return IntStack(shape, np.concatenate([g.k[:lo], g.k[hi:] - npos]), cut(g.row), cut(g.col), cut(g.val), g.den)
+        return _int_stack(shape, np.concatenate([g.k[:lo], g.k[hi:] - npos]), cut(g.row), cut(g.col), cut(g.val), g.den)
 
     @functools.cached_property
     def compact_stack(self) -> IntStack:
@@ -709,26 +746,6 @@ class MatrixRep:
         )
 
 
-def _read_only(stack: IntStack) -> IntStack:
-    """stack, with its arrays made read-only: it is shared through a cache."""
-    for x in (stack.k, stack.row, stack.col, stack.val):
-        x.flags.writeable = False
-    return stack
-
-
-def _coalesce(shape, k, row, col, val, den) -> IntStack:
-    """The stack of these entries with the ones at one position summed and
-    zeros dropped, in (k, row, col) order."""
-    d = max(shape[1], 1)
-    key = (k * d + row) * d + col
-    uniq, at = np.unique(key, return_inverse=True)
-    total = np.zeros(uniq.size, val.dtype)
-    np.add.at(total, at, val)
-    keep = total != 0
-    uniq = uniq[keep]
-    return IntStack(shape, uniq // (d * d), uniq // d % d, uniq % d, total[keep], den)
-
-
 def _term_module(group: GroupSpec, term: Term) -> tuple[int, IntStack | None, int]:
     """(factor index, module, dimension) of one term; (-1, None, 1) for a
     triv or one_dimensional slot."""
@@ -749,22 +766,10 @@ def _term_module(group: GroupSpec, term: Term) -> tuple[int, IntStack | None, in
     return fidx, mod, mod.shape[1]
 
 
-class _Semisimple(NamedTuple):
-    """The validated module of the semisimple part of a group on a charge-free
-    spec, shared by every realize call with those factors and summands: its
-    generators cartan | raising | lowering (read-only arrays), their labels
-    and the dimension of each summand."""
-
-    gens: IntStack
-    cartan_labels: tuple[tuple[int, int], ...]
-    root_labels: tuple[tuple[int, tuple[int, ...]], ...]
-    sizes: tuple[int, ...]
-
-
 @functools.lru_cache(maxsize=None)
-def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _Semisimple:
-    """Assemble and validate the module of the factors on summands that carry
-    no charges.
+def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> MatrixRep:
+    """The validated model of the factors on summands that carry no
+    charges, shared by every realize call with those factors and summands.
 
     Assembly is index arithmetic on the certified module stacks: a slot's
     entries are spread over the identity factors before and after it, a
@@ -825,13 +830,12 @@ def _semisimple(factors: tuple[Factor, ...], summands: tuple[Summand, ...]) -> _
         for t in range(4)
     )
     gens = _coalesce((nc + 2 * npos, total, total), k, row, col, val, den)
-    sizes = tuple(d for _, d, _, _ in layout)
-    summand = np.repeat(np.arange(len(sizes)), sizes)
+    model = MatrixRep(group, RepSpec(summands), gens, tuple(cartan_labels), tuple(root_labels))
+    summand = np.repeat(np.arange(len(summands)), model.summand_dims)
     if (summand[gens.row] != summand[gens.col]).any():
         raise RepresentationError("a generator entry links two summands")
-    validate_matrix_rep(MatrixRep(group, RepSpec(summands), total, gens, cartan_labels, root_labels))
-    _read_only(gens)
-    return _Semisimple(gens, tuple(cartan_labels), tuple(root_labels), sizes)
+    validate_matrix_rep(model)
+    return model
 
 
 def net_charges(group: GroupSpec, rep: RepSpec) -> list[list[int]]:
@@ -849,31 +853,34 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
 
     The module splits along b = b_ss + t.  The semisimple part, the
     factors on the summands with their charges stripped, is assembled and
-    validated once (_semisimple).  Each torus line t then adds its
-    generator diag(net_t) over the same denominator, net_t the line's net
-    charge on each summand (net_charges).  A torus weight is constant on
-    each summand and _semisimple keeps every nonzero inside one summand, so the torus
-    commutes with the semisimple part and needs no check here.
+    validated once (_semisimple); for a group with no torus line it is the
+    model, the same object on every call.  Otherwise each torus line t
+    adds its generator diag(net_t) over the same denominator, net_t the
+    line's net charge on each summand (net_charges).  A torus weight is
+    constant on each summand and _semisimple keeps every nonzero inside one
+    summand, so the torus commutes with the semisimple part and needs no
+    check here.
     """
     net, lines = net_charges(group, rep), group.torus_lines
     ss = _semisimple(group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
-    gens = ss.gens
-    if lines:
-        n, d, _ = gens.shape
-        big = max(abs(x) for row in net for x in row) * gens.den >= INT64_SAFE
-        w = np.repeat(np.array(net, dtype=object if big else np.int64), ss.sizes, axis=0)
-        # diag(net_t) * den for each line t, after every generator of the
-        # semisimple part: the (k, row, col) order holds
-        t, a = np.nonzero(w.T)
-        gens = IntStack(
-            (n + len(lines), d, d),
-            np.concatenate([gens.k, n + t]),
-            np.concatenate([gens.row, a]),
-            np.concatenate([gens.col, a]),
-            np.concatenate([gens.val, w[a, t] * gens.den]),
-            gens.den,
-        )
-    return MatrixRep(group, rep, gens.shape[1], gens, list(ss.cartan_labels), list(ss.root_labels))
+    if not lines:
+        return ss
+    g = ss.gens
+    n, d, _ = g.shape
+    big = max(abs(x) for row in net for x in row) * g.den >= INT64_SAFE
+    w = np.repeat(np.array(net, dtype=object if big else np.int64), ss.summand_dims, axis=0)
+    # diag(net_t) * den for each line t, after every generator of the
+    # semisimple part: the (k, row, col) order holds
+    t, a = np.nonzero(w.T)
+    gens = _int_stack(
+        (n + len(lines), d, d),
+        np.concatenate([g.k, n + t]),
+        np.concatenate([g.row, a]),
+        np.concatenate([g.col, a]),
+        np.concatenate([g.val, w[a, t] * g.den]),
+        g.den,
+    )
+    return MatrixRep(group, rep, gens, ss.cartan_labels, ss.root_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +977,10 @@ def spin7_real_gens() -> IntStack:
     L = octonion_left_mult().dense()
     a, b = np.triu_indices(7, 1)
     x = -_bracket(L[a], L[b])
-    return _read_only(_sparse(x.shape, [_entries(np.arange(a.size), *_lowest(x, 4))]))
+    # x / 4 over the least denominator
+    g = gcd(int(np.gcd.reduce(x.ravel())), 4)
+    m, row, col = np.nonzero(x)
+    return _coalesce(x.shape, m, row, col, x[m, row, col] // g, 4 // g)
 
 
 def real_blocks(text: str) -> list[str | int]:

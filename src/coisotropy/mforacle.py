@@ -13,11 +13,13 @@ Every matrix here is a real integer matrix.  The orbit oracles read the
 compact action in one model, the integer stack compact_stack on R^n, with
 the model's group_rank and trivial_gap: a RealRep gives the stack
 directly, and a MatrixRep on C^d gives its realification on R^(2d).
-Every sample is an integer point (_sample_vector): of R^n for the compact
-oracles, and of Z^d inside C^d for mf_test, whose Borel rows depend on the
-point with rational coefficients, so their generic rank over C is reached
-at integer points.  The Lie-triple test takes complex tangent data
-realified (linalg.realify), which changes no span and no bracket.
+Every sample is an integer point (_sample_vector) drawn by _stabilize,
+which rejects a model of dimension 0 (realize and real_block_rep make
+none): of R^n for the compact oracles, and of Z^d inside C^d for mf_test,
+whose Borel rows depend on the point with rational coefficients, so their
+generic rank over C is reached at integer points.  The Lie-triple test takes complex
+tangent data realified (linalg.realify), which changes no span and no
+bracket.
 """
 
 from __future__ import annotations
@@ -135,8 +137,11 @@ def _stabilize(
     Otherwise the samples must agree, on every entry of a tuple; on
     disagreement the integer entry range is scaled up tenfold, up to
     MAX_ROUNDS times, after which a GenericityError is raised rather than
-    returning a possibly non-generic answer.
+    returning a possibly non-generic answer.  Z^0 has no nonzero point,
+    so a dim below 1 is a ValueError.
     """
+    if dim < 1:
+        raise ValueError(f"a model of dimension {dim} has no point to sample")
     for rnd in range(MAX_ROUNDS):
         points = []
         values = []
@@ -156,7 +161,7 @@ def _stabilize(
                 sample_points=points, seeds=seeds, value=values[0], rounds_used=rnd + 1
             )
         bound *= 10
-    raise GenericityError("sample ranks did not stabilize after 5 rounds")
+    raise GenericityError(f"sample ranks did not stabilize after {MAX_ROUNDS} rounds")
 
 
 def _split_rank(rows: np.ndarray, n_ss: int) -> int:
@@ -194,12 +199,7 @@ def mf_test(rep: MatrixRep, seed: int = DEFAULT_SEED) -> bool:
     modules that share a semisimple part eliminate S once per draw, and
     each adds the rank of its torus rows on ker S.
     """
-    dim = rep.space_dim
-    if dim == 0:
-        return True
-    borel = rep.borel_stack
-    if not borel.shape[0]:
-        return False
+    dim, borel = rep.space_dim, rep.borel_stack
     n_ss = borel.shape[0] - len(rep.group.torus_lines)
 
     def rank_at(v) -> int:
@@ -223,8 +223,6 @@ def cohomogeneity(rep, seed: int = DEFAULT_SEED) -> int:
     reaching that ceiling certifies it and ends sampling.
     """
     n, dim, _ = rep.compact_stack.shape
-    if dim == 0:
-        return 0
 
     def orbit_rank(v) -> int:
         return int_rank(int_apply(rep.compact_stack, v))
@@ -334,9 +332,6 @@ def _orbit_probe(rep, seed: int) -> OrbitProbe:
     at once.
     """
     n, dim, _ = rep.compact_stack.shape
-    if not dim:
-        # everything stabilizes the zero module
-        return OrbitProbe([], [], (0, rep.group_rank), 0)
     gap = rep.trivial_gap
     frame = None
 

@@ -23,15 +23,12 @@ from .dsl import PatternSpec, check_expr, eval_condition, eval_int_expr, expr_na
 from .matrep import (
     Factor,
     GroupSpec,
-    NotRealizable,
-    RepresentationError,
     RepSpec,
     Summand,
-    _factor_module,
-    _weights,
     net_charges,
     one_dimensional,
     real_blocks,
+    self_dual,
 )
 
 DATA_ENV_VAR = "LIE_COISO_DATA"
@@ -152,10 +149,8 @@ def _space_parts(text: str) -> tuple[str, str]:
     """(label, parameter expression) of a space field, 'sp:m+2' or 'so:m',
     or e7/e6 with no expression; the expression is checked for syntax."""
     t = text.strip().lower()
-    if t in ("e7", "e7/t1.e6"):
-        return "e7", ""
-    if t in ("e6", "e6/t1.spin(10)"):
-        return "e6", ""
+    if t in ("e7", "e6"):
+        return t, ""
     if t[:3] in ("sp:", "so:"):
         check_expr(t[3:])
         return t[:2], t[3:]
@@ -561,22 +556,6 @@ def _slots(group: GroupSpec, sm: Summand) -> list[tuple[str, int]]:
     ]
 
 
-@functools.lru_cache(maxsize=None)
-def _self_dual(fac: Factor, kind: str) -> bool:
-    """Whether a std, sym2, alt2 or spin term of one factor is isomorphic to
-    its dual: the weights of its cached matrix model, read off the Cartan
-    diagonal, are symmetric under negation.  A term with no matrix model
-    counts as not self-dual."""
-    try:
-        if fac.simple_type is None:
-            return False
-        mod = _factor_module(fac, kind, None)
-    except (NotRealizable, RepresentationError):
-        return False
-    w = _weights(mod, list(range(fac.rank)))
-    return sorted(w.tolist()) == sorted((-w).tolist())
-
-
 def _charge_span(rows: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...] | None]:
     """(rank, generator) of the span of integer charge rows of at most two
     columns, one row per torus line; for rank 1 the generator is the
@@ -637,7 +616,7 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
                         if (rep.summands[c].dual != gdual) != p_dual
                     ]
                     if not all(
-                        _self_dual(group.factors[f], k) for c in differ for k, f in slots[c]
+                        self_dual(group.factors[f], k) for c in differ for k, f in slots[c]
                     ):
                         continue
                     found = _evaluate_match(entry, env, order, gdual, span)

@@ -14,7 +14,9 @@ annotated field name: int, does not count.  A method or property is
 referenced only by an attribute read (x.name); a bare name of the same
 spelling does not count.  A method counts as referenced wherever an
 attribute of that name is read, on any object.  The modules each file
-imports at module level are pinned (MODULE_IMPORTS).
+imports at module level are pinned (MODULE_IMPORTS).  Only
+linalg._int_stack calls IntStack(...), so every stack is read-only, and
+no module but matrep imports a private name of matrep.
 """
 
 import ast
@@ -209,6 +211,53 @@ def test_only_linalg_names_the_kernel_internals():
         assert names == (KERNEL_INTERNALS if path.name == "linalg.py" else set()), path.name
 
 
+def callers(sources: dict[str, str], name: str) -> set[str]:
+    """module:definition of each module-level statement of sources that
+    calls name, as name(...) or x.name(...)."""
+    found = set()
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+                    found.add(f"{mod}:{getattr(node, 'name', node.lineno)}")
+    return found
+
+
+def test_the_guard_sees_every_caller():
+    sources = {
+        "a": "def make():\n    return Stack(1)\n\nclass Rep:\n    def view(self):\n        return a.Stack(2)\n",
+        "b": "x = Stack(3)\ny = Stacks(4)\n",
+    }
+    assert callers(sources, "Stack") == {"a:make", "a:Rep", "b:1"}
+
+
+def test_only_the_read_only_factory_makes_an_int_stack():
+    # every stack is read-only: linalg._int_stack is the one constructor
+    assert callers(_package_sources(), "IntStack") == {"linalg:_int_stack"}
+
+
+def private_imports(source: str, module: str) -> list[str]:
+    """The private names source imports from the package module module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_the_guard_sees_a_private_import():
+    source = "from .matrep import Factor, _weights\nfrom .linalg import _bracket\nfrom matrep import _x\n"
+    assert private_imports(source, "matrep") == ["_weights"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matrep.py"], ids=lambda p: p.name)
+def test_only_matrep_reads_its_private_names(path):
+    # what another module needs of the matrix models is public in matrep
+    assert private_imports(path.read_text(), "matrep") == []
+
+
 # The modules each package file imports at module level, a from-import by
 # its module.  A process's set of loaded modules moves the timing of
 # perfbench's scans workload, so this set changes only on purpose.
@@ -218,7 +267,7 @@ MODULE_IMPORTS = {
     "cli.py": {".classify", ".dsl", ".linalg", ".matrep", ".mforacle", ".repdata", ".rootsys", "__future__", "argparse", "functools", "sys"},
     "dsl.py": {".matrep", "__future__", "ast", "dataclasses", "functools", "re"},
     "linalg.py": {"__future__", "functools", "math", "numpy", "typing"},
-    "matrep.py": {".linalg", ".rootsys", "__future__", "dataclasses", "fractions", "functools", "itertools", "math", "numpy", "typing"},
+    "matrep.py": {".linalg", ".rootsys", "__future__", "dataclasses", "fractions", "functools", "itertools", "math", "numpy"},
     "mforacle.py": {".linalg", ".matrep", "__future__", "dataclasses", "functools", "numpy", "random", "typing"},
     "repdata.py": {".dsl", ".matrep", "__future__", "dataclasses", "functools", "importlib", "itertools", "math", "os", "re"},
     "rootsys.py": {"__future__", "dataclasses", "functools", "math", "operator", "weakref"},

@@ -1,12 +1,13 @@
 import hashlib
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
-from coisotropy.linalg import int_apply, int_kernel, int_rank
+from coisotropy.linalg import INT64_SAFE, int_apply, int_kernel, int_rank
 from coisotropy.matrep import (
     Factor,
     GroupSpec,
@@ -16,6 +17,7 @@ from coisotropy.matrep import (
     Summand,
     Term,
     _certify,
+    _coalesce,
     _factor_module,
     _highest_weight,
     _square,
@@ -315,8 +317,7 @@ def test_a_nonzero_linking_two_summands_is_rejected_at_assembly(monkeypatch):
 
     group, rep = grp(Factor("su", 2)), R(S(Term("std", 1)), S(Term("weight", 1, (3,))))
     m = realize(group, rep)
-    m.gens = _with_generator(m.gens, 1, {(0, 1): 1, (0, 4): 1})
-    validate_matrix_rep(m)
+    validate_matrix_rep(replace(m, gens=_with_generator(m.gens, 1, {(0, 1): 1, (0, 4): 1})))
 
     original = matrep._factor_module
 
@@ -337,7 +338,7 @@ def test_a_nonzero_linking_two_summands_is_rejected_at_assembly(monkeypatch):
 def test_validation_rejects_entries_out_of_order():
     m = realize(grp(Factor("su", 3)), R(S(Term("std", 1))))
     g = m.gens
-    m.gens = g._replace(k=g.k[::-1].copy(), row=g.row[::-1].copy(), col=g.col[::-1].copy(), val=g.val[::-1].copy())
+    m = replace(m, gens=g._replace(k=g.k[::-1], row=g.row[::-1], col=g.col[::-1], val=g.val[::-1]))
     with pytest.raises(RepresentationError, match=r"not in \(k, row, col\) order"):
         validate_matrix_rep(m)
 
@@ -352,6 +353,48 @@ def test_every_built_stack_is_in_order():
     stacks = [m.gens, m.borel_stack, m.compact_stack, so_vector_gens(7), octonion_left_mult(), spin7_real_gens()]
     stacks += [real_block_rep("triv:2,vec7,spin8", 6).compact_stack, real_block_rep("vec7,vec7", 3).compact_stack]
     assert all(map(ordered, stacks))
+
+
+def test_a_torus_free_model_is_made_once_and_frozen():
+    group, rep = grp(Factor("su", 3)), R(S(Term("std", 1)), S(Term("sym2", 1), dual=True))
+    m = realize(group, rep)
+    assert realize(group, rep) is m and (m.group, m.rep, m.space_dim) == (group, rep, 9)
+    assert realize(group, rep).borel_stack is m.borel_stack  # a view is computed once
+    for name in ("gens", "space_dim"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, None)
+    # a charged model is made per call, over the same semisimple part
+    charged = grp(Factor("su", 3), lines=[(1,)]), R(S(Term("std", 1), charges=(1,)), S(Term("sym2", 1), dual=True, charges=(2,)))
+    a, b = realize(*charged), realize(*charged)
+    assert a is not b and a.root_labels is b.root_labels is m.root_labels and a.gens.shape[0] == m.gens.shape[0] + 1
+
+
+def test_every_stack_is_read_only():
+    one = np.array([0, 1])
+    m = realize(grp(Factor("su", 3), lines=[(1,)]), R(S(Term("std", 1), charges=(1,)), S(Term("alt2", 1), charges=(2,))))
+    stacks = [_coalesce((2, 2, 2), one, one, 1 - one, np.array([3, -3]), 1), m.gens, m.borel_stack, m.compact_stack]
+    for stack in stacks:
+        for x in stack[1:5]:
+            assert x.size and not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 99
+
+
+def test_coalesce_stores_int64_until_a_sum_reaches_int64_safe():
+    def one_entry(*values):
+        zero = np.zeros(len(values), np.int64)  # every entry at one position
+        return _coalesce((1, 1, 1), zero, zero, zero, np.array(values, dtype=object), 1).val
+
+    half = INT64_SAFE // 2
+    for values, dtype, total in [
+        ((2, 3), np.int64, [5]),
+        ((half, half - 1), np.int64, [INT64_SAFE - 1]),
+        ((half, half), object, [INT64_SAFE]),
+        ((-half, -half), object, [-INT64_SAFE]),
+        ((INT64_SAFE, -INT64_SAFE), np.int64, []),  # a zero sum is dropped
+    ]:
+        val = one_entry(*values)
+        assert (val.dtype, val.tolist()) == (np.dtype(dtype), total), values
 
 
 def test_simple_type_is_read_once_per_factor():
@@ -396,7 +439,7 @@ def _with_generator(stack, k, entries):
 def test_validation_catches_broken_generators():
     m = realize(grp(Factor("su", 2)), R(S(Term("std", 1))))
     # the raising generator follows the one Cartan generator
-    m.gens = _with_generator(m.gens, 1, {(1, 0): 1})  # lower triangular junk
+    m = replace(m, gens=_with_generator(m.gens, 1, {(1, 0): 1}))  # lower triangular junk
     with pytest.raises(RepresentationError, match="strictly upper"):
         validate_matrix_rep(m)
 
@@ -409,7 +452,7 @@ def test_validation_catches_assembly_faults(entry):
         grp(Factor("su", 2), lines=[(1,)]),
         R(S(Term("std", 1), charges=(1,)), S(Term("std", 1), charges=(0,))),
     )
-    m.gens = _with_generator(m.gens, 1, {entry: 1})
+    m = replace(m, gens=_with_generator(m.gens, 1, {entry: 1}))
     with pytest.raises(RepresentationError, match="weight relation"):
         validate_matrix_rep(m)
 
@@ -607,10 +650,12 @@ def test_every_semisimple_module_is_block_diagonal_by_summand(realized_specs):
     on each summand, commute with it."""
     from coisotropy import matrep
 
+    bare = lambda sm: Summand(sm.terms, sm.dual)  # noqa: E731
     for group, rep in realized_specs:
-        ss = matrep._semisimple(group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
-        assert len(ss.sizes) == len(rep.summands) and sum(ss.sizes) == ss.gens.shape[1], (group, rep)
-        summand = np.repeat(np.arange(len(ss.sizes)), ss.sizes)
+        ss = matrep._semisimple(group.factors, tuple(map(bare, rep.summands)))
+        sizes = [realize(GroupSpec(group.factors), R(bare(sm))).space_dim for sm in rep.summands]
+        assert ss.summand_dims == tuple(sizes) and sum(sizes) == ss.space_dim, (group, rep)
+        summand = np.repeat(np.arange(len(sizes)), sizes)
         assert (summand[ss.gens.row] == summand[ss.gens.col]).all(), (group, rep)
 
 

@@ -252,28 +252,25 @@ def test_cohom_report_flag():
     assert not r2.coisotropic
 
 
-def test_zero_module_edge():
-    # every group element stabilizes the zero module: cohomogeneity zero
-    # and a principal isotropy of full rank
-    import numpy as np
+@pytest.mark.parametrize("oracle", [mf_test, cohomogeneity, coisotropic_by_rank], ids=lambda f: f.__name__)
+def test_a_zero_dimensional_model_is_rejected(oracle):
+    # realize makes no such model (every summand has dimension >= 1), and
+    # one built by hand has no nonzero point to sample: every orbit oracle
+    # samples through _stabilize, which rejects it before drawing
+    from coisotropy.linalg import _int_stack
+    from coisotropy.matrep import MatrixRep
 
-    from coisotropy.linalg import IntStack
-    from coisotropy.matrep import GroupSpec, MatrixRep, RepSpec, Summand, Term
-
-    group = GroupSpec(torus_lines=((1,), ))
     none = np.zeros(0, dtype=np.int64)
     rep = MatrixRep(
-        group=group,
+        group=GroupSpec(torus_lines=((1,),)),
         rep=RepSpec(summands=(Summand(terms=(Term("triv"),), charges=(0,)),)),
-        space_dim=0,
-        gens=IntStack((1, 0, 0), none, none, none, none, 1),
-        cartan_labels=[],
-        root_labels=[],
+        gens=_int_stack((1, 0, 0), none, none, none, none, 1),
+        cartan_labels=(),
+        root_labels=(),
     )
-    report = coisotropic_by_rank(rep)
-    assert report.cohomogeneity == 0
-    assert report.group_rank == report.principal_isotropy_rank == 1
-    assert report.coisotropic
+    assert rep.space_dim == 0
+    with pytest.raises(ValueError, match="dimension 0 has no point to sample"):
+        oracle(rep)
 
 
 def test_mf_implies_dimensional_condition():
@@ -303,18 +300,20 @@ def test_float_rank_disagreement_raises(monkeypatch):
         mf_test(rep_of("so(5) + u1[1] on std(1) @ 1"))
 
 
-def test_unstable_samples_raise_genericity_error():
+def test_unstable_samples_raise_genericity_error(monkeypatch):
     from coisotropy import mforacle
 
-    calls = []
+    for rounds in (mforacle.MAX_ROUNDS, 2):  # the message names the rounds run
+        monkeypatch.setattr(mforacle, "MAX_ROUNDS", rounds)
+        calls = []
 
-    def evaluate(v):
-        calls.append(v)
-        return len(calls)  # a different value on every sample
+        def evaluate(v):
+            calls.append(v)
+            return len(calls)  # a different value on every sample
 
-    with pytest.raises(mforacle.GenericityError):
-        mforacle._stabilize(evaluate, 6, 7, mforacle.SAMPLE_BOUND)
-    assert len(calls) == mforacle.MAX_ROUNDS * mforacle.N_SAMPLES
+        with pytest.raises(mforacle.GenericityError, match=f"after {rounds} rounds"):
+            mforacle._stabilize(evaluate, 6, 7, mforacle.SAMPLE_BOUND)
+        assert len(calls) == rounds * mforacle.N_SAMPLES
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,25 @@ def test_a_cohom_real_row_without_its_model_rank_fails_at_its_line(tmp_path, mon
         load_dataset()
 
 
+@pytest.mark.parametrize(
+    "row,spelling", [("e7r1", "e7/t1.e6"), ("e6r1", "e6/t1.spin(10)")], ids=["e7", "e6"]
+)
+def test_a_long_space_spelling_fails_at_its_line(tmp_path, monkeypatch, row, spelling):
+    # a space field is sp:EXPR, so:EXPR, e7 or e6
+    data = tmp_path / "data"
+    shutil.copytree(Path(resources.files("coisotropy").joinpath("data")), data)
+    path = data / "results.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lineno = next(n for n, line in enumerate(lines, start=1) if f"row={row} " in line)
+    short = f'space="{spelling[:2]}"'
+    assert short in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(short, f'space="{spelling}"')
+    path.write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setenv(DATA_ENV_VAR, str(data))
+    with pytest.raises(DataError, match=rf"results\.txt:{lineno}: bad space field '{re.escape(spelling)}'"):
+        load_dataset()
+
+
 def _empty_dataset(directory):
     for name in ("mftables.txt", "maxsub.txt", "slices.txt", "results.txt", "sympairs.txt", "lemma21.txt"):
         (directory / name).write_text(f"format={name[:-4]} version=1\n")
