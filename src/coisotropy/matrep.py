@@ -695,7 +695,9 @@ class MatrixRep:
     def borel_stack(self) -> IntStack:
         """The Borel generators cartan | raising | torus of gens: in (k, row,
         col) order they are the nonzeros below the first lowering generator
-        and those from the first torus generator on."""
+        and those from the first torus generator on.  realize gives a
+        charged model this stack ready-made, from the cached borel_stack of
+        its semisimple model; a model with no torus line slices it here."""
         g, nc, npos = self.gens, len(self.cartan_labels), len(self.root_labels)
         lo, hi = g.k.searchsorted([nc + npos, nc + 2 * npos]).tolist()
         cut = lambda x: np.concatenate([x[:lo], x[hi:]])  # noqa: E731
@@ -856,31 +858,41 @@ def realize(group: GroupSpec, rep: RepSpec) -> MatrixRep:
     validated once (_semisimple); for a group with no torus line it is the
     model, the same object on every call.  Otherwise each torus line t
     adds its generator diag(net_t) over the same denominator, net_t the
-    line's net charge on each summand (net_charges).  A torus weight is
-    constant on each summand and _semisimple keeps every nonzero inside one
-    summand, so the torus commutes with the semisimple part and needs no
-    check here.
+    line's net charge on each summand (net_charges), after the generators
+    of both gens and the borel_stack of the semisimple model (_with_torus):
+    the charged model's borel_stack is the stack it would slice from its
+    gens, with no slicing.  A torus weight is constant on each summand and
+    _semisimple keeps every nonzero inside one summand, so the torus
+    commutes with the semisimple part and needs no check here.
     """
     net, lines = net_charges(group, rep), group.torus_lines
     ss = _semisimple(group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
     if not lines:
         return ss
     g = ss.gens
-    n, d, _ = g.shape
     big = max(abs(x) for row in net for x in row) * g.den >= INT64_SAFE
     w = np.repeat(np.array(net, dtype=object if big else np.int64), ss.summand_dims, axis=0)
-    # diag(net_t) * den for each line t, after every generator of the
-    # semisimple part: the (k, row, col) order holds
+    # diag(net_t) * den for each line t: (line, index, value) of each nonzero
     t, a = np.nonzero(w.T)
-    gens = _int_stack(
-        (n + len(lines), d, d),
-        np.concatenate([g.k, n + t]),
-        np.concatenate([g.row, a]),
-        np.concatenate([g.col, a]),
-        np.concatenate([g.val, w[a, t] * g.den]),
-        g.den,
+    torus = (len(lines), t, a, w[a, t] * g.den)
+    model = MatrixRep(group, rep, _with_torus(g, *torus), ss.cartan_labels, ss.root_labels)
+    model.__dict__["borel_stack"] = _with_torus(ss.borel_stack, *torus)  # the cached_property's value
+    return model
+
+
+def _with_torus(stack: IntStack, n_lines: int, t: np.ndarray, a: np.ndarray, val: np.ndarray) -> IntStack:
+    """stack followed by n_lines diagonal generators, line t[i] holding
+    val[i] at (a[i], a[i]): appended after every generator of the stack,
+    in line and then index order, the entries keep the (k, row, col) order."""
+    n, d, _ = stack.shape
+    return _int_stack(
+        (n + n_lines, d, d),
+        np.concatenate([stack.k, n + t]),
+        np.concatenate([stack.row, a]),
+        np.concatenate([stack.col, a]),
+        np.concatenate([stack.val, val]),
+        stack.den,
     )
-    return MatrixRep(group, rep, gens, ss.cartan_labels, ss.root_labels)
 
 
 # ---------------------------------------------------------------------------

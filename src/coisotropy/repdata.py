@@ -426,6 +426,12 @@ class LemmaRow:
 
 @dataclass
 class Dataset:
+    """The loaded tables.  An instance also keeps what lookup_mf derives
+    from them: the MF rows indexed by their factor kinds (mf_rows_fitting)
+    and _candidates, the ordered candidates of each charge-free structure
+    looked up (_mf_candidates), so two datasets, say of two LIE_COISO_DATA
+    directories, share neither."""
+
     mf_entries: list[MFTableEntry]
     maxsub_entries: list[MaxSubgroupEntry]
     slice_facts: list[SliceFact]
@@ -433,6 +439,7 @@ class Dataset:
     symmetric_pairs: list[SymmetricPairRow]
     lemma_records: list[LemmaRow]
     notes: list[LemmaRow]
+    _candidates: dict[tuple, list[tuple]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def results_for(self, table: str) -> list[ResultRow]:
         return [r for r in self.result_rows if r.table == table]
@@ -580,13 +587,15 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
     flags agree exactly wins, else the first candidate.  More than two
     summands cannot be indecomposably multiplicity free, so no row can match;
     their charges are checked first, as realize checks them (net_charges).
-    Only the rows whose factor kinds fit those of the concrete factors used
-    are visited (Dataset.mf_rows_fitting).
+
+    The candidates, in order, depend only on the factors and the summands
+    with their charges stripped: they are computed once per such structure
+    and dataset (_mf_candidates), and a query evaluates them at its own
+    charge span (_evaluate_match).
     """
     ds = dataset or load_dataset()
     net = net_charges(group, rep)
-    r = len(rep.summands)
-    if r > 2:
+    if len(rep.summands) > 2:
         return MFLookup(
             match=None,
             scalar_policy="",
@@ -597,14 +606,46 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
                 "unless the action decomposes"
             ],
         )
+    key = (group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands))
+    candidates = ds._candidates.get(key)
+    if candidates is None:
+        candidates = ds._candidates[key] = _mf_candidates(group, rep, ds)
     span = _charge_span(list(zip(*net)))
+    first = None
+    for entry, env, order, gdual, exact in candidates:
+        found = _evaluate_match(entry, env, order, gdual, span)
+        if found is not None and exact:
+            return found
+        first = first or found
+    return first or MFLookup(
+        match=None,
+        scalar_policy="",
+        condition_evaluated=None,
+        mf=False,
+        notes=["no table row matches"],
+    )
+
+
+def _mf_candidates(group: GroupSpec, rep: RepSpec, ds: Dataset) -> list[tuple]:
+    """The (entry, env, order, gdual, exact) candidates of a module of one
+    or two summands, in the order lookup_mf evaluates them; they read no
+    charge and no torus line, so lookup_mf keeps them on the dataset per
+    charge-free structure, keyed like matrep._semisimple.
+
+    Only the rows whose factor kinds fit those of the concrete factors used
+    are visited (Dataset.mf_rows_fitting); each factor map of a row
+    (_factor_maps) is a candidate with and without a global dual where
+    every summand whose dual flag differs from the pattern's is self-dual,
+    and exact when none differs.
+    """
+    r = len(rep.summands)
     slots = [_slots(group, sm) for sm in rep.summands]
     faces = []  # (summand order, the slots each pattern summand faces, their factors)
     for order in [(0,)] if r == 1 else [(0, 1), (1, 0)]:
         faced = [slots[c] for c in order]
         faces.append((order, faced, list(dict.fromkeys(f for sl in faced for _, f in sl))))
     kinds = [group.factors[f].kind for f in faces[0][2]]  # every face uses the same factors
-    first = None
+    candidates = []
     for table in ["Ia"] if r == 1 else ["IIa", "IIb"]:
         for entry in ds.mf_rows_fitting(table, r, kinds):
             pat = entry.pattern
@@ -615,21 +656,9 @@ def lookup_mf(group: GroupSpec, rep: RepSpec, dataset: Dataset | None = None) ->
                         for (_, p_dual, _), c in zip(pat.summands, order)
                         if (rep.summands[c].dual != gdual) != p_dual
                     ]
-                    if not all(
-                        self_dual(group.factors[f], k) for c in differ for k, f in slots[c]
-                    ):
-                        continue
-                    found = _evaluate_match(entry, env, order, gdual, span)
-                    if found is not None and not differ:
-                        return found
-                    first = first or found
-    return first or MFLookup(
-        match=None,
-        scalar_policy="",
-        condition_evaluated=None,
-        mf=False,
-        notes=["no table row matches"],
-    )
+                    if all(self_dual(group.factors[f], k) for c in differ for k, f in slots[c]):
+                        candidates.append((entry, env, order, gdual, not differ))
+    return candidates
 
 
 _SU1 = Factor("su", 1)

@@ -671,6 +671,36 @@ def test_borel_stack_equals_the_mask_reference(realized_specs):
             assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), (group, rep)
 
 
+def test_a_charged_model_takes_its_borel_stack_from_the_semisimple_one(realized_specs):
+    """realize appends the torus lines to the cached Borel stack of the
+    semisimple model: for every charged model of the mf_stream rounds at
+    seeds 1 and 5 and of table 1..4 (realized_specs), and for one whose
+    charges take the Python-int path, that stack is the one sliced from the
+    model's own gens, with the same shape, den, arrays, dtypes and
+    read-only flags."""
+    import random
+
+    from test_repdata import _mf_stream_round
+
+    from coisotropy.matrep import MatrixRep
+
+    rounds = [spec for seed in (1, 5) for spec in _mf_stream_round(load_dataset(), random.Random(seed))]
+    big = (
+        grp(Factor("su", 3), lines=[(1,)]),
+        R(S(Term("std", 1), charges=[INT64_SAFE]), S(Term("std", 1), dual=True, charges=[1])),
+    )
+    specs = [(g, r) for g, r in realized_specs + rounds + [big] if g.torus_lines]
+    assert len(specs) > 300
+    for group, rep in specs:
+        m = realize(group, rep)
+        got, sliced = m.borel_stack, MatrixRep.borel_stack.func(m)
+        assert (got.shape, got.den) == (sliced.shape, sliced.den), (group, rep)
+        for a, b in zip(got[1:5], sliced[1:5]):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), (group, rep)
+            assert not a.flags.writeable and not b.flags.writeable, (group, rep)
+    assert realize(*big).borel_stack.val.dtype == object
+
+
 def _digest_stack(digest, stack):
     digest.update(repr((stack.shape, stack.den)).encode())
     for x in stack[1:5]:

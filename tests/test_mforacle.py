@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 import numpy as np
@@ -269,8 +271,25 @@ def test_a_zero_dimensional_model_is_rejected(oracle):
         root_labels=(),
     )
     assert rep.space_dim == 0
+    # in a daemon thread with a time limit, so that an oracle that samples
+    # Z^0 forever fails the test rather than hangs the suite
+    outcome = []
+
+    def run():
+        try:
+            oracle(rep)
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), f"{oracle.__name__} still samples a model of dimension 0"
     with pytest.raises(ValueError, match="dimension 0 has no point to sample"):
-        oracle(rep)
+        if outcome[0] is not None:
+            raise outcome[0]
 
 
 def test_mf_implies_dimensional_condition():

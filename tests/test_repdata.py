@@ -191,7 +191,8 @@ def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
 
     monkeypatch.setattr(itertools, "permutations", lambda *args: tried.append(args) or permutations(*args))
     monkeypatch.setattr(repdata, "_factor_maps", compared_maps)
-    looked = [lookup_mf(group, rep, ds) for group, rep in queries]
+    # each pass on a dataset of its own, whose candidate memo starts empty
+    looked = [lookup_mf(group, rep, fresh) for fresh in [replace(ds)] for group, rep in queries]
     assert sum(bool(found) for found, _ in calls) > 100
     # rows the index skips and rows that try no image
     assert skipped + sum(not any_image for _, any_image in calls) > 500
@@ -201,13 +202,21 @@ def test_factor_maps_equal_the_permutation_reference(ds, monkeypatch):
         "mf_rows_fitting",
         lambda self, table, r, kinds: [e for e in self.mf_rows(table) if len(e.pattern.summands) == r],
     )
-    assert [lookup_mf(group, rep, ds) for group, rep in queries] == looked
+    assert [lookup_mf(group, rep, fresh) for fresh in [replace(ds)] for group, rep in queries] == looked
+
+
+def _structure(group, rep):
+    """The charge-free structure of a query, as lookup_mf keys its memo."""
+    return group.factors, tuple(Summand(sm.terms, sm.dual) for sm in rep.summands)
 
 
 def test_lookups_equal_those_that_solve_each_input_anew(ds, monkeypatch):
-    """With _solve_rank and the row conditions memoized, every lookup of
-    the mf-stream rounds at seeds 1 and 5 and of table 1..4 returns the
-    MFLookup of the solver that evaluates every candidate on every call."""
+    """With the candidates memoized per charge-free structure and
+    _solve_rank and the row conditions memoized, every lookup of the
+    mf-stream rounds at seeds 1 and 5 and of table 1..4 returns the
+    MFLookup of the solver that evaluates every candidate on every call.
+    Each pass runs on a dataset of its own, so the reference pass reads
+    no candidate the memoized pass left."""
     queries = list(_mf_stream_round(ds, random.Random(1))) + list(_mf_stream_round(ds, random.Random(5)))
     monkeypatch.setattr(classify, "lookup_mf", lambda *args: queries.append(args[:2]) or lookup_mf(*args))
     for table in (1, 2, 3, 4):
@@ -216,12 +225,48 @@ def test_lookups_equal_those_that_solve_each_input_anew(ds, monkeypatch):
     assert len(queries) == 2 * 91 + 33
     repdata._rank_solution.cache_clear()
     repdata._condition.cache_clear()
-    looked = [lookup_mf(group, rep, ds) for group, rep in queries]
-    solved, conditions = repdata._rank_solution.cache_info(), repdata._condition.cache_info()
-    assert solved.hits > 5 * solved.misses and conditions.hits > conditions.misses
+    built, candidates = [], repdata._mf_candidates
+    monkeypatch.setattr(repdata, "_mf_candidates", lambda *args: built.append(args[:2]) or candidates(*args))
+    fresh = replace(ds)
+    looked = [lookup_mf(group, rep, fresh) for group, rep in queries]
+    # one build per structure, so every other lookup is a memo hit:
+    # hits = lookups - distinct structures
+    structures = {_structure(group, rep) for group, rep in queries}
+    assert sorted(map(_structure, *zip(*built)), key=repr) == sorted(structures, key=repr)
+    assert fresh._candidates.keys() == structures
+    hits = len(queries) - len(built)
+    assert hits == len(queries) - len(structures) and hits > len(structures)
+    conditions = repdata._condition.cache_info()
+    assert conditions.hits > conditions.misses
+    monkeypatch.undo()
     monkeypatch.setattr(repdata, "_solve_rank", solve_rank)
     monkeypatch.setattr(repdata, "_condition", lambda text, bound: eval_condition(text, dict(bound)))
-    assert [lookup_mf(group, rep, ds) for group, rep in queries] == looked
+    assert [lookup_mf(group, rep, replace(ds)) for group, rep in queries] == looked
+
+
+def test_the_candidate_memo_reads_no_charge(ds, monkeypatch):
+    """One IIb structure, su(2) + su(2) on a starred std (+) std (x) std,
+    looked up with one torus line and then with two: the second lookup
+    reads the candidates of the first, with no _factor_maps call, and each
+    verdict is that of a dataset that looks the module up anew.  The star
+    differs from row 2a's on a self-dual summand, so 2a is a candidate
+    ahead of row 2b, and the first exact match, 2b, still wins."""
+    one, two = (
+        parse_repspec(f"su(2) + su(2) + {lines} on std(1) * @ 1,0 (+) std(1) (x) std(2) @ 0,1")
+        for lines in ("u1[1,1]", "u1[1,0] + u1[0,1]")
+    )
+    calls, maps = [], repdata._factor_maps
+    monkeypatch.setattr(repdata, "_factor_maps", lambda *args: calls.append(args) or maps(*args))
+    memo, verdicts, made = replace(ds), [], []
+    for group, rep in (one, two):
+        verdicts.append(lookup_mf(group, rep, memo))
+        made.append(len(calls) - sum(made))
+    assert made[0] > 0 and made[1] == 0
+    assert verdicts == [lookup_mf(group, rep, replace(ds)) for group, rep in (one, two)]
+    assert [(v.match.table, v.match.row, v.mf) for v in verdicts] == [("IIb", "2b", False), ("IIb", "2b", True)]
+    [candidates] = memo._candidates.values()
+    iib = [(entry.row, exact) for entry, *_, exact in candidates if entry.table == "IIb"]
+    assert iib == [("2a", False), ("2a", False), ("2b", True), ("2b", False)]
 
 
 def test_a_memoized_rank_solution_is_a_fresh_dict_each_call():
